@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import api
 from repro.api import DeploymentBundle
-from repro.serving import replay_fleet, split_requests
+from repro.serving import ServeTask, replay_fleet, split_requests
 
 DATASET = "pubmed-sim"
 NUM_REQUESTS = 64
@@ -49,7 +49,8 @@ def main() -> None:
     right, _, _ = mapped.serve_batch(probe, "node")
     print(f"mmap parity: bitwise equal = {np.array_equal(left, right)}\n")
 
-    requests = split_requests(batch, NUM_REQUESTS, 4)
+    requests = [ServeTask(request)
+                for request in split_requests(batch, NUM_REQUESTS, 4)]
     print(f"opening a {REPLICAS}-replica fleet (least-loaded router)...")
     with api.open_fleet(artifact, REPLICAS, router="least-loaded",
                         batch_mode="node") as fleet:
@@ -66,7 +67,7 @@ def main() -> None:
 
         # --- failover drill -----------------------------------------
         print("failover drill: killing replica 0 with requests in flight")
-        futures = [fleet.submit_batch(request) for request in requests]
+        futures = [fleet.submit(request) for request in requests]
         fleet.kill_replica(0)
         answers = [future.result(timeout=120.0) for future in futures]
         stats = fleet.stats()
@@ -79,7 +80,7 @@ def main() -> None:
         smaller = api.deploy(DATASET, method="mcond", budget=15, seed=0,
                              profile="quick", deployment="original")
         swapped = smaller.save("fleet_artifact_v2.npz", layout="mmap")
-        inflight = [fleet.submit_batch(request) for request in requests]
+        inflight = [fleet.submit(request) for request in requests]
         fleet.swap(swapped)
         drained = sum(f.result(timeout=120.0) is not None for f in inflight)
         print(f"  {drained}/{len(inflight)} in-flight requests survived "
@@ -87,7 +88,7 @@ def main() -> None:
         generations = {rid: replica["generation"] for rid, replica
                        in fleet.stats()["per_replica"].items()}
         print(f"  replica generations after rollout: {generations}")
-        answer = fleet.submit_batch(requests[0]).result(timeout=120.0)
+        answer = fleet.submit(requests[0]).result(timeout=120.0)
         print(f"  post-swap request served on the new artifact: "
               f"shape {answer.shape}")
 

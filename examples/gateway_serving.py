@@ -27,7 +27,8 @@ import time
 import numpy as np
 
 from repro import api
-from repro.serving import GatewayClient, RampWorkload, split_requests
+from repro.serving import (GatewayClient, RampWorkload, ServeTask,
+                           split_requests)
 from repro.serving.gateway import QueueDepthScale, WatermarkShed
 
 DATASET = "pubmed-sim"
@@ -39,7 +40,8 @@ def main() -> None:
     bundle = api.deploy(DATASET, method="mcond", budget=30, seed=0,
                         profile="quick", deployment="original")
     batch = api.evaluation_batch(bundle)
-    requests = split_requests(batch, 32, 4)
+    requests = [ServeTask(request)
+                for request in split_requests(batch, 32, 4)]
 
     # --- parity over the wire ----------------------------------------
     print("opening a 1-replica fleet behind the gateway (ephemeral port)")
@@ -47,7 +49,7 @@ def main() -> None:
     try:
         host, port = gateway.address
         print(f"  listening on {host}:{port}")
-        direct = gateway.fleet.submit_batch(requests[0]).result(timeout=120.0)
+        direct = gateway.fleet.submit(requests[0]).result(timeout=120.0)
         for encoding in ("json", "binary"):
             with GatewayClient(host, port, encoding=encoding) as client:
                 reply = client.serve_batch(requests[0])
@@ -81,7 +83,8 @@ def main() -> None:
     print("\nclient ramp against 1 replica (queue-depth autoscaling):")
     ramp = RampWorkload(start_rate=100.0, end_rate=1200.0, duration_s=1.5)
     arrivals = ramp.arrivals(RAMP_REQUESTS, rng=0)
-    stream = split_requests(batch, RAMP_REQUESTS, 4)
+    stream = [ServeTask(request)
+              for request in split_requests(batch, RAMP_REQUESTS, 4)]
     gateway = api.open_gateway(
         bundle, 1, max_inflight=4 * RAMP_REQUESTS,
         scale_policy=QueueDepthScale(min_replicas=1, max_replicas=2,

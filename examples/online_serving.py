@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import api
 from repro.registry import make_workload
-from repro.serving import replay, split_requests
+from repro.serving import ServeTask, replay, split_requests
 
 DATASET = "pubmed-sim"
 NUM_REQUESTS = 200
@@ -33,7 +33,8 @@ def main() -> None:
                         profile="quick")
     print(f"  -> {bundle!r}")
 
-    stream = split_requests(api.evaluation_batch(bundle), NUM_REQUESTS, 1)
+    stream = [ServeTask(request) for request in split_requests(
+        api.evaluation_batch(bundle), NUM_REQUESTS, 1)]
     workload = make_workload("poisson", rate=RATE)
     arrivals = workload.arrivals(NUM_REQUESTS, np.random.default_rng(0))
     print(f"replaying {NUM_REQUESTS} single-node requests, Poisson @ "

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import api
 from repro.graph.stream import make_delta_trace
-from repro.serving import PreparedDeployment, split_requests
+from repro.serving import PreparedDeployment, ServeTask, split_requests
 
 DATASET = "pubmed-sim"
 NUM_DELTAS = 8
@@ -42,8 +42,8 @@ def main() -> None:
                              nodes_per_delta=NODES_PER_DELTA,
                              edges_per_delta=4, removals_per_delta=2,
                              updates_per_delta=2, seed=0)
-    requests = split_requests(
-        batch.subset(np.arange(reserved, batch.num_nodes)), NUM_REQUESTS, 1)
+    requests = [ServeTask(request) for request in split_requests(
+        batch.subset(np.arange(reserved, batch.num_nodes)), NUM_REQUESTS, 1)]
 
     runtime = api.open_stream(bundle, batch_mode="node",
                               scheduler="sizecap", max_batch_size=8)
@@ -52,7 +52,7 @@ def main() -> None:
     deltas = iter(trace)
     for start in range(0, len(requests), INGEST_EVERY):
         for request in requests[start:start + INGEST_EVERY]:
-            runtime.submit_batch(request)
+            runtime.submit(request)
         delta = next(deltas, None)
         if delta is not None:
             future = runtime.ingest(delta)

@@ -1,8 +1,8 @@
 """Documentation checker: intra-repo links and CLI-snippet drift.
 
-Grown out of ``tools/check_docs.py`` (PR 8) and folded into the
-``repro check`` umbrella; the tool now delegates here.  Three rules
-over ``README.md`` and every ``docs/*.md``:
+The ``docs`` checker of ``repro check`` (CI's docs job runs
+``repro check --only docs``).  Three rules over ``README.md`` and every
+``docs/*.md``:
 
 - **DOC001** — a relative markdown link that resolves to nothing;
 - **DOC002** — a ``#fragment`` into a markdown file that matches none
@@ -41,9 +41,6 @@ class DocProblem:
     line: int
     code: str
     message: str
-
-    def render(self, root: Path) -> str:
-        return f"{self.path.relative_to(root)}: {self.message}"
 
 
 def doc_files(root: Path) -> list[Path]:
@@ -158,29 +155,17 @@ def check_snippets(path: Path,
     return problems
 
 
-def run_docs_check(root: Path) -> tuple[list[DocProblem], dict]:
-    """All doc problems plus summary stats (for the CLI tool's report)."""
-    files = doc_files(root)
-    slug_cache: dict[Path, set[str]] = {}
-    help_texts = cli_help_texts()
-    problems: list[DocProblem] = []
-    links = snippets = 0
-    for path in files:
-        problems += check_links(path, slug_cache)
-        links += len(LINK_RE.findall(path.read_text()))
-        invocations = snippet_invocations(path)
-        snippets += len(invocations)
-        problems += check_snippets(path, help_texts)
-    stats = {"files": len(files), "links": links, "snippets": snippets}
-    return problems, stats
-
-
 @register_checker(
     "docs",
     description=("markdown links/anchors resolve; documented 'repro' "
                  "snippets match the live CLI parser"))
 def check_docs(context: AnalysisContext) -> list:
-    problems, _stats = run_docs_check(context.root)
+    slug_cache: dict[Path, set[str]] = {}
+    help_texts = cli_help_texts()
+    problems: list[DocProblem] = []
+    for path in doc_files(context.root):
+        problems += check_links(path, slug_cache)
+        problems += check_snippets(path, help_texts)
     return [Violation(
         checker="docs", code=problem.code,
         path=problem.path.relative_to(context.root).as_posix(),

@@ -665,7 +665,7 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     ...                       scale_policy="queue-depth")
     >>> with gw:                                           # doctest: +SKIP
     ...     client = GatewayClient(*gw.address)
-    ...     reply = client.serve(x, connections)
+    ...     reply = client.serve_batch(ServeTask(batch=batch))
     """
     from repro.registry import make_scale_policy, make_shed_policy
     from repro.serving.gateway import ServingGateway

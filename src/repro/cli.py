@@ -87,6 +87,18 @@ def _add_task_flag(parser: argparse.ArgumentParser,
                                  "link_score (default: dot)")
 
 
+def _add_batch_mode_flag(parser: argparse.ArgumentParser,
+                         default: str = "node") -> None:
+    """The uniform ``--batch-mode`` flag — one definition, so every
+    subcommand's help states where the default differs."""
+    parser.add_argument("--batch-mode", choices=("graph", "node"),
+                        default=default,
+                        help="inductive nodes arrive connected to each other "
+                             "(graph) or isolated (node); the default is "
+                             "node, except graph on serve, bench-condense "
+                             f"and eval (here: {default})")
+
+
 def _require_predict_task(args, command: str) -> None:
     """Benchmarks that replay predict-only traffic still take the
     uniform ``--task`` flag; anything else routes to bench-embed."""
@@ -98,8 +110,6 @@ def _require_predict_task(args, command: str) -> None:
 
 def _tasked(args, requests):
     """Wrap replay batches as ServeTask requests of ``args.task``."""
-    if args.task == "predict":
-        return requests
     from repro.serving import tasked_requests
 
     return tasked_requests(requests, args.task, k=args.k,
@@ -169,10 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--artifact", required=True,
                        help="deployment bundle produced by "
                             "'repro condense --output'")
-    serve.add_argument("--batch-mode", choices=("graph", "node"),
-                       default="graph",
-                       help="inductive nodes arrive connected (graph) or "
-                            "isolated (node); default: graph")
+    _add_batch_mode_flag(serve, default="graph")
     serve.add_argument("--batch-size", type=int, default=1000,
                        help="serving mini-batch size (default: 1000)")
 
@@ -201,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scheduler batch-size cap (default: 32)")
     online.add_argument("--max-wait-ms", type=float, default=2.0,
                         help="scheduler wait cap in ms (default: 2)")
-    online.add_argument("--batch-mode", choices=("graph", "node"),
-                        default="node")
+    _add_batch_mode_flag(online)
     online.add_argument("--seed", type=int, default=0,
                         help="workload arrival seed (default: 0)")
     online.add_argument("--closed-loop", action="store_true",
@@ -244,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: sizecap)")
     stream.add_argument("--max-batch-size", type=int, default=8,
                         help="scheduler batch-size cap (default: 8)")
-    stream.add_argument("--batch-mode", choices=("graph", "node"),
-                        default="node")
+    _add_batch_mode_flag(stream)
     stream.add_argument("--seed", type=int, default=0,
                         help="delta-trace seed (default: 0)")
     _add_task_flag(stream, knobs=True)
@@ -274,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_stream.add_argument("--staleness", type=float, default=0.25,
                               help="staleness threshold for the "
                                    "delta-refresh variant (default: 0.25)")
-    bench_stream.add_argument("--batch-mode", choices=("graph", "node"),
-                              default="node")
+    _add_batch_mode_flag(bench_stream)
     bench_stream.add_argument("--output", default="BENCH_streaming.json",
                               help="output JSON path "
                                    "(default: BENCH_streaming.json)")
@@ -305,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="requests to replay closed-loop (default: 64)")
     fleet.add_argument("--nodes-per-request", type=int, default=4,
                        help="inductive nodes per request (default: 4)")
-    fleet.add_argument("--batch-mode", choices=("graph", "node"),
-                       default="node")
+    _add_batch_mode_flag(fleet)
     fleet.add_argument("--no-mmap", dest="mmap", action="store_false",
                        help="load the artifact eagerly in every replica "
                             "instead of memory-mapping it")
@@ -341,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--router", default="round-robin",
                          help="routing policy registry key "
                               "(default: round-robin)")
-    gateway.add_argument("--batch-mode", choices=("graph", "node"),
-                         default="node")
+    _add_batch_mode_flag(gateway)
     gateway.add_argument("--shed-policy", default="watermark",
                          help="admission/shed policy registry key, or "
                               "'none' (default: watermark)")
@@ -419,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_gateway.add_argument("--router", default="round-robin",
                                help="routing policy registry key "
                                     "(default: round-robin)")
-    bench_gateway.add_argument("--batch-mode", choices=("graph", "node"),
-                               default="node")
+    _add_batch_mode_flag(bench_gateway)
     bench_gateway.add_argument("--output", default="BENCH_gateway.json",
                                help="output JSON path "
                                     "(default: BENCH_gateway.json)")
@@ -475,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: 4)")
     bench_embed.add_argument("--nodes-per-delta", type=int, default=2,
                              help="nodes appended per delta (default: 2)")
-    bench_embed.add_argument("--batch-mode", choices=("graph", "node"),
-                             default="node")
+    _add_batch_mode_flag(bench_embed)
     bench_embed.add_argument("--output", default="BENCH_embed.json",
                              help="output JSON path "
                                   "(default: BENCH_embed.json)")
@@ -525,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_fleet.add_argument("--router", default="round-robin",
                              help="routing policy registry key "
                                   "(default: round-robin)")
-    bench_fleet.add_argument("--batch-mode", choices=("graph", "node"),
-                             default="node")
+    _add_batch_mode_flag(bench_fleet)
     bench_fleet.add_argument("--output", default="BENCH_fleet.json",
                              help="output JSON path "
                                   "(default: BENCH_fleet.json)")
@@ -566,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=3,
                        help="timing repeats per batch, best kept "
                             "(default: 3)")
-    bench.add_argument("--batch-mode", choices=("graph", "node"),
-                       default="node")
+    _add_batch_mode_flag(bench)
     bench.add_argument("--include-original", action="store_true",
                        help="also benchmark the whole-graph deployment")
     bench.add_argument("--output", default="BENCH_serving.json",
@@ -614,8 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_condense.add_argument("--repeats", type=int, default=1,
                                 help="condensation repeats, best kept "
                                      "(default: 1)")
-    bench_condense.add_argument("--batch-mode", choices=("graph", "node"),
-                                default="graph")
+    _add_batch_mode_flag(bench_condense, default="graph")
     bench_condense.add_argument("--output", default="BENCH_condense.json",
                                 help="output JSON path "
                                      "(default: BENCH_condense.json)")
@@ -643,8 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "dataset's largest registered budget)")
     evaluate.add_argument("--model", default="sgc",
                           help="model architecture registry key (default: sgc)")
-    evaluate.add_argument("--batch-mode", choices=("graph", "node"),
-                          default="graph")
+    _add_batch_mode_flag(evaluate, default="graph")
 
     check = sub.add_parser(
         "check",
@@ -880,10 +876,10 @@ def _cmd_serve_fleet(args) -> int:
         started = time.perf_counter()
         if args.kill_one:
             half = len(requests) // 2
-            futures = [fleet.submit_batch(r) for r in requests[:half]]
+            futures = [fleet.submit(r) for r in requests[:half]]
             fleet.kill_replica(0)
             print(f"failover drill: killed replica 0 after {half} requests")
-            futures += [fleet.submit_batch(r) for r in requests[half:]]
+            futures += [fleet.submit(r) for r in requests[half:]]
             results = []
             for future in futures:
                 try:

@@ -40,6 +40,7 @@ from repro.inference.benchmark import TimingStats
 from repro.inference.engine import InductiveServer
 from repro.serving.prepared import PRECISIONS, PreparedDeployment
 from repro.serving.runtime import ServingRuntime
+from repro.serving.embeddings import tasked_requests
 from repro.serving.workload import split_requests, replay
 from repro.utils.reports import write_benchmark_json
 
@@ -158,8 +159,7 @@ def _bench_deployment(bundle, requests, batch_mode: str, max_batch_size: int,
     # identical micro-batch groups for every path
     groups = [requests[i:i + max_batch_size]
               for i in range(0, len(requests), max_batch_size)]
-    batches = [merge_requests([_as_request(r) for r in group])
-               for group in groups]
+    batches = [merge_requests(group) for group in groups]
 
     uncached_stats, uncached_logits, uncached_memory = _measure_path(
         naive.serve_batch, batches, batch_mode, repeats)
@@ -184,7 +184,7 @@ def _bench_deployment(bundle, requests, batch_mode: str, max_batch_size: int,
     # closed-loop runtime replay over the same requests
     runtime = ServingRuntime(prepared, "sizecap", batch_mode=batch_mode,
                              scheduler_options={"max_batch_size": max_batch_size})
-    replay(runtime, requests)
+    replay(runtime, tasked_requests(requests, "predict"))
     stats = runtime.stats()
 
     return {
@@ -334,13 +334,6 @@ def gate_serving_benchmark(result: dict, *,
             f"int8 artifact is {ratio:.2f}x the float64 artifact, above "
             f"the {max_int8_bytes_ratio:.2f}x ceiling")
     return failures
-
-
-def _as_request(batch):
-    from repro.serving.runtime import Request
-    return Request(features=np.asarray(batch.features, dtype=np.float64),
-                   incremental=batch.incremental.tocsr(),
-                   intra=batch.intra.tocsr())
 
 
 def check_benchmark_schema(result: dict) -> None:

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ArtifactError, ServingError
 from repro.graph.datasets import IncrementalBatch
@@ -65,14 +64,16 @@ SCORERS = ("dot", "hadamard")
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ServeTask:
-    """One task-typed serving request — the single submit surface.
+    """One task-typed serving request — the only request record, from
+    client to replica.
 
-    ``batch`` carries the inductive nodes exactly as before (features,
-    incremental connections, optional intra edges); ``task`` selects the
-    executor from :data:`repro.registry.TASKS`.  ``mode``, ``frozen``
-    and ``key`` are the per-request options the old keyword APIs spread
-    across three ``submit`` signatures; ``k``/``pairs``/``scorer`` only
-    matter to the ``topk`` and ``link_score`` tasks.
+    ``batch`` carries the inductive nodes (features, incremental
+    connections, optional intra edges); ``task`` selects the executor
+    from :data:`repro.registry.TASKS`.  ``mode``, ``frozen``, ``key``
+    and ``trace_id`` are the per-request options — every tier's
+    ``submit`` reads them from here and takes no overrides;
+    ``k``/``pairs``/``scorer`` only matter to the ``topk`` and
+    ``link_score`` tasks.
     """
 
     batch: IncrementalBatch
@@ -512,40 +513,3 @@ def tasked_requests(requests: list[IncrementalBatch], task: str, *,
         tasks.append(ServeTask(batch=batch, task=task, k=k, pairs=pairs,
                                scorer=scorer))
     return tasks
-
-
-def _as_task(batch_or_task, **overrides) -> ServeTask:
-    """Coerce an :class:`IncrementalBatch` (or pass a ServeTask through),
-    applying non-``None`` keyword overrides — the shared glue behind the
-    layers' ``submit_batch`` conveniences."""
-    if isinstance(batch_or_task, ServeTask):
-        task = batch_or_task
-        updates = {key: value for key, value in overrides.items()
-                   if value is not None and getattr(task, key) != value}
-        if not updates:
-            return task
-        from dataclasses import replace
-        return replace(task, **updates)
-    if isinstance(batch_or_task, IncrementalBatch):
-        clean = {key: value for key, value in overrides.items()
-                 if value is not None}
-        return ServeTask(batch=batch_or_task, **clean)
-    raise ServingError(
-        f"expected a ServeTask or IncrementalBatch, "
-        f"got {type(batch_or_task).__name__}")
-
-
-def _legacy_batch(features, incremental, intra=None) -> IncrementalBatch:
-    """Assemble the deprecated keyword-API arrays into a batch."""
-    feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    n = feats.shape[0]
-    if not sp.issparse(incremental):
-        incremental = sp.csr_matrix(
-            np.atleast_2d(np.asarray(incremental, dtype=np.float64)))
-    if intra is None:
-        intra = sp.csr_matrix((n, n), dtype=np.float64)
-    elif not sp.issparse(intra):
-        intra = sp.csr_matrix(np.asarray(intra, dtype=np.float64))
-    return IncrementalBatch(features=feats, incremental=incremental.tocsr(),
-                            intra=intra.tocsr(),
-                            labels=np.full(n, -1, dtype=np.int64))

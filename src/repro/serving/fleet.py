@@ -38,19 +38,17 @@ import multiprocessing
 import queue as _queue
 import threading
 import time
-import warnings
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import ServingError
-from repro.graph.datasets import IncrementalBatch
 from repro.inference.benchmark import latency_percentiles
 from repro.registry import make_router, register_router
-from repro.serving.embeddings import ServeTask, _legacy_batch
+from repro.serving.embeddings import ServeTask
 from repro.serving.runtime import ServingFuture
 from repro.serving.stats import RequestRecord
 from repro.telemetry import (
@@ -268,7 +266,6 @@ class _Pending:
 
     request_id: int
     task: ServeTask
-    key: str | None
     future: FleetFuture
     submitted_at: float
     replica_id: int | None = None
@@ -559,86 +556,28 @@ class ServingFleet:
     # ------------------------------------------------------------------
     # Admission and dispatch
     # ------------------------------------------------------------------
-    def submit(self, request=None, incremental=None, intra=None, *,
-               key: str | None = None, mode: str | None = None,
-               frozen: bool = False, features=None) -> FleetFuture:
-        """Admit one request; returns its :class:`FleetFuture`.
+    def submit(self, task: ServeTask, *,
+               trace: TraceContext | None = None) -> FleetFuture:
+        """Admit one :class:`~repro.serving.embeddings.ServeTask`; returns
+        its :class:`FleetFuture`.
 
-        The canonical call is ``submit(ServeTask(...))`` — the task
-        carries the batch plus the task type, routing ``key``, ``mode``
-        override, and ``frozen`` flag (keyword arguments given here still
-        override the task's fields).  The old raw-array form
-        ``submit(features, incremental, intra)`` remains as a deprecated
-        shim that serves a ``predict`` task.
-        """
-        if isinstance(request, ServeTask):
-            if (incremental is not None or intra is not None
-                    or features is not None):
-                raise ServingError(
-                    "submit(ServeTask) takes no array arguments; put the "
-                    "request batch inside the task")
-            task = request
-            if key is not None or mode is not None or frozen:
-                task = replace(
-                    task, key=task.key if key is None else key,
-                    mode=task.mode if mode is None else mode,
-                    frozen=task.frozen or bool(frozen))
-            return self.submit_task(task)
-        warnings.warn(
-            "ServingFleet.submit(features, incremental, intra) is "
-            "deprecated; pass a ServeTask", DeprecationWarning,
-            stacklevel=2)
-        if features is None:
-            features = request
-        batch = _legacy_batch(features, incremental, intra)
-        return self.submit_task(ServeTask(batch=batch, mode=mode,
-                                          frozen=bool(frozen), key=key))
-
-    def submit_batch(self, batch: IncrementalBatch | ServeTask, *,
-                     key: str | None = None, mode: str | None = None,
-                     frozen: bool = False,
-                     trace: TraceContext | None = None) -> FleetFuture:
-        """Admit a pre-assembled batch (or :class:`ServeTask`) as one request.
-
-        A bare :class:`IncrementalBatch` serves as a ``predict`` task —
-        the warning-free convenience spelling.  A caller that already
-        opened a trace (the gateway) passes it via ``trace`` and stays
-        responsible for finishing it; otherwise the fleet stamps its own
-        (when ``telemetry`` is on) and completes it into its
-        slow-request ring.
-        """
-        if isinstance(batch, ServeTask):
-            task = batch
-            if key is not None or mode is not None or frozen:
-                task = replace(
-                    task, key=task.key if key is None else key,
-                    mode=task.mode if mode is None else mode,
-                    frozen=task.frozen or bool(frozen))
-        else:
-            task = ServeTask(batch=batch, mode=mode, frozen=bool(frozen),
-                             key=key)
-        return self.submit_task(task, trace=trace)
-
-    def submit_task(self, task: ServeTask, *,
-                    trace: TraceContext | None = None) -> FleetFuture:
-        """Admit one task-typed request (the canonical fleet entrypoint).
-
-        Every submit spelling funnels through here; the
-        :class:`~repro.serving.embeddings.ServeTask` carries the batch
-        and every per-request knob (task type, routing key, mode
-        override, frozen flag, top-k depth, link pairs).
+        The task carries the batch and every per-request option (task
+        type, routing key, mode override, frozen flag, top-k depth, link
+        pairs).  A caller that already opened a trace (the gateway)
+        passes it via ``trace`` and stays responsible for finishing it;
+        otherwise the fleet stamps its own (when ``telemetry`` is on)
+        and completes it into its slow-request ring.
         """
         if not isinstance(task, ServeTask):
             raise ServingError(
-                f"submit_task expects a ServeTask, got "
-                f"{type(task).__name__}")
+                f"submit expects a ServeTask, got {type(task).__name__}")
         owns_trace = False
         if trace is None and self.telemetry:
             trace = TraceContext(labels={"mode": task.mode or self.batch_mode,
                                          "task": task.task})
             owns_trace = True
         entry = _Pending(request_id=next(self._request_ids), task=task,
-                         key=task.key, future=FleetFuture(),
+                         future=FleetFuture(),
                          submitted_at=time.perf_counter(),
                          trace=trace, owns_trace=owns_trace)
         entry.future.trace = trace
@@ -650,6 +589,9 @@ class ServingFleet:
             self._pending[entry.request_id] = entry
             self._dispatch(entry)
         return entry.future
+
+    # benchmarks/perf/harness/child.py calls this spelling
+    submit_batch = submit
 
     def _dispatch(self, entry: _Pending) -> None:
         """Route one request (caller holds the lock; never raises).
@@ -673,7 +615,7 @@ class ServingFleet:
         loads = {rid: len(self.pool.replicas[rid].inflight)
                  for rid in candidates}
         try:
-            replica_id = self.router.select(entry.key, candidates, loads)
+            replica_id = self.router.select(entry.task.key, candidates, loads)
         except Exception as error:  # noqa: BLE001 — routed to the future
             self._fail_entry(entry, ServingError(
                 f"router {self.router!r} failed to pick a replica: "
@@ -1085,24 +1027,15 @@ class ServingFleet:
 # ----------------------------------------------------------------------
 # Replay helper (CLI + benchmark)
 # ----------------------------------------------------------------------
-def replay_fleet(fleet: ServingFleet,
-                 requests: list[IncrementalBatch | ServeTask], *,
-                 keys: list[str] | None = None,
+def replay_fleet(fleet: ServingFleet, requests: list[ServeTask], *,
                  timeout: float = 120.0) -> list[np.ndarray | None]:
     """Submit ``requests`` closed-loop and wait for every result.
 
-    Accepts plain batches (served as ``predict``) or task-typed
-    :class:`~repro.serving.embeddings.ServeTask` requests.  Returns
-    per-request results (``None`` for requests the fleet failed), in
-    submission order — the fleet analogue of
+    Returns per-request results (``None`` for requests the fleet
+    failed), in submission order — the fleet analogue of
     :func:`repro.serving.workload.replay`.
     """
-    if keys is not None and len(keys) != len(requests):
-        raise ServingError(
-            f"{len(keys)} routing keys for {len(requests)} requests")
-    futures = [fleet.submit_batch(request,
-                                  key=None if keys is None else keys[i])
-               for i, request in enumerate(requests)]
+    futures = [fleet.submit(request) for request in requests]
     results: list[np.ndarray | None] = []
     for future in futures:
         try:

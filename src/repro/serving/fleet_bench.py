@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving.embeddings import tasked_requests
 from repro.serving.fleet import ServingFleet, replay_fleet
 from repro.serving.workload import split_requests
 from repro.utils.reports import write_benchmark_json
@@ -75,8 +76,8 @@ def _check_parity(path: Path, requests, batch_mode: str) -> bool:
     eager = DeploymentBundle.load(path).prepare()
     mapped = DeploymentBundle.load(path, mmap=True).prepare()
     for request in requests:
-        left, _, _ = eager.serve_batch(request, batch_mode)
-        right, _, _ = mapped.serve_batch(request, batch_mode)
+        left, _, _ = eager.serve_task(request, batch_mode=batch_mode)
+        right, _, _ = mapped.serve_task(request, batch_mode=batch_mode)
         if not np.array_equal(left, right):
             return False
     return True
@@ -114,9 +115,9 @@ def _measure_failover(path: Path, requests, *, router: str,
     with ServingFleet(path, 2, router=router, batch_mode=batch_mode) as fleet:
         replay_fleet(fleet, requests[:4])  # warm off the clock
         fleet.reset_latencies()
-        futures = [fleet.submit_batch(r) for r in requests[:half]]
+        futures = [fleet.submit(r) for r in requests[:half]]
         fleet.kill_replica(0)
-        futures += [fleet.submit_batch(r) for r in requests[half:]]
+        futures += [fleet.submit(r) for r in requests[half:]]
         lost = 0
         for future in futures:
             try:
@@ -171,8 +172,9 @@ def run_fleet_benchmark(dataset: str = "pubmed-sim", *,
         artifact_path = Path(temp_dir) / "fleet.npz"
     try:
         path = bundle.save(artifact_path, layout="mmap")
-        requests = split_requests(api.evaluation_batch(bundle), num_requests,
-                                  nodes_per_request)
+        requests = tasked_requests(
+            split_requests(api.evaluation_batch(bundle), num_requests,
+                           nodes_per_request), "predict")
 
         throughput = {str(k): _measure_throughput(path, k, requests,
                                                   router=router,

@@ -650,15 +650,15 @@ class ServingGateway:
             # queue token; the fleet adds dispatch/serve/collect, and
             # _complete closes with the reply span
             trace = TraceContext(
-                trace_id=request.trace_id,
-                labels={"mode": request.mode or self.fleet.batch_mode,
-                        "task": request.task})
+                trace_id=request.task.trace_id,
+                labels={"mode": request.task.mode or self.fleet.batch_mode,
+                        "task": request.task.task})
             admission = time.perf_counter() - admitted_at
             trace.add_stage("admission", admission)
             self._stage_latency.observe(
                 admission, component="gateway", stage="admission")
         try:
-            future = self.fleet.submit_task(request.to_task(), trace=trace)
+            future = self.fleet.submit(request.task, trace=trace)
         except ServingError as error:
             self._admission.get_nowait()
             self._requests_total.inc(outcome="error")

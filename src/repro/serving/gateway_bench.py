@@ -18,7 +18,7 @@ simulated dataset, writing the machine-readable ``BENCH_gateway.json``:
   shrink back after the traffic drains, and no admitted request may be
   lost across the whole scale-up/scale-down cycle;
 - **parity** — logits served over the socket (both JSON and binary
-  encodings) are bitwise equal to direct ``ServingFleet.submit_batch``
+  encodings) are bitwise equal to direct ``ServingFleet.submit``
   for the same requests, over the graph/node/frozen paths;
 - **telemetry overhead** — the same pipelined stream with per-request
   tracing + stage histograms on versus fully off: the gate demands the
@@ -35,12 +35,13 @@ transport overhead, nothing else.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.embeddings import ServeTask
+from repro.serving.embeddings import tasked_requests
 from repro.serving.fleet import ServingFleet
 from repro.serving.fleet_bench import _measure_throughput, usable_cores
 from repro.serving.gateway import (QueueDepthScale, ServingGateway,
@@ -84,7 +85,7 @@ def _measure_socket_throughput(path: Path, replicas: int, requests, *,
                 client.serve_batch(request)
             gateway.fleet.reset_latencies()
             started = time.perf_counter()
-            count = len([client.submit(ServeTask(batch=request))
+            count = len([client.submit(request)
                          for request in requests])
             replies = client.drain(count)
             wall = time.perf_counter() - started
@@ -117,7 +118,7 @@ def _measure_shedding(path: Path, requests, *, router: str,
         hints = 0
         with GatewayClient(*gateway.address, encoding="binary") as client:
             for _ in range(rounds):
-                count = len([client.submit(ServeTask(batch=r))
+                count = len([client.submit(r)
                              for r in requests])
                 for reply in client.drain(count).values():
                     if reply.status == "ok":
@@ -172,7 +173,7 @@ def _measure_autoscale(path: Path, requests, *, router: str,
                 wait = arrival - (time.monotonic() - ramp_started)
                 if wait > 0:
                     time.sleep(wait)
-                client.submit(ServeTask(batch=request))
+                client.submit(request)
             replies = client.drain(len(requests))
             ok = sum(reply.ok for reply in replies.values())
             shed = sum(reply.status == "shed" for reply in replies.values())
@@ -237,7 +238,7 @@ def _measure_telemetry_overhead(path: Path, replicas: int, requests, *,
                 for _ in range(repeats):
                     gateway.fleet.reset_latencies()
                     started = time.perf_counter()
-                    count = len([client.submit(ServeTask(batch=r))
+                    count = len([client.submit(r)
                                  for r in requests])
                     replies = client.drain(count)
                     wall = time.perf_counter() - started
@@ -282,20 +283,19 @@ def _check_parity(path: Path, requests, *, router: str,
                 equal = True
                 for encoding, client in clients.items():
                     for request in requests:
-                        direct = fleet.submit_batch(
-                            request, mode=mode).result(timeout=120.0)
-                        reply = client.serve_batch(request, mode=mode)
+                        request = replace(request, mode=mode)
+                        direct = fleet.submit(request).result(timeout=120.0)
+                        reply = client.serve_batch(request)
                         equal &= (reply.ok
                                   and np.array_equal(direct, reply.logits))
                 paths[mode] = equal
+            frozen = replace(requests[0], frozen=True)
             try:
-                direct = fleet.submit_batch(
-                    requests[0], frozen=True).result(timeout=120.0)
+                direct = fleet.submit(frozen).result(timeout=120.0)
             except ServingError:
                 paths["frozen"] = None  # deployment has no frozen path
             else:
-                reply = clients["binary"].serve_batch(requests[0],
-                                                      frozen=True)
+                reply = clients["binary"].serve_batch(frozen)
                 paths["frozen"] = (reply.ok
                                    and np.array_equal(direct, reply.logits))
         finally:
@@ -336,10 +336,12 @@ def run_gateway_benchmark(dataset: str = "pubmed-sim", *,
         artifact_path = Path(temp_dir) / "gateway.npz"
     try:
         path = bundle.save(artifact_path, layout="mmap")
-        requests = split_requests(api.evaluation_batch(bundle), num_requests,
-                                  nodes_per_request)
-        ramp = split_requests(api.evaluation_batch(bundle), ramp_requests,
-                              nodes_per_request)
+        batch = api.evaluation_batch(bundle)
+        requests = tasked_requests(
+            split_requests(batch, num_requests, nodes_per_request), "predict")
+        ramp = tasked_requests(
+            split_requests(batch, ramp_requests, nodes_per_request),
+            "predict")
 
         in_process = _measure_throughput(path, replicas, requests,
                                          router=router,

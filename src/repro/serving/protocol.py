@@ -45,22 +45,19 @@ Request operations:
 - ``ping``   — liveness probe;
 - ``stats``  — the gateway's JSON accounting snapshot.
 
-Version history
----------------
-- **v1** — the original single-task format: every ``serve`` frame asks
-  for class logits.
-- **v2** (current) — the serve header gains an optional ``task`` field
-  (``predict`` | ``embed`` | ``link_score`` | ``topk``) plus the
-  task-specific ``k`` / ``pairs`` / ``scorer`` options; see
-  ``docs/tasks.md``.  A header without ``task`` means ``predict``, so
-  **every valid v1 frame is a valid v2 frame with identical meaning**
-  and the server keeps accepting v1-stamped prefixes (decoded exactly
-  like v2 — v1 simply never carries the new fields).  Unknown tasks are
-  rejected with a structured ``error`` reply, never a dropped
-  connection.  Replies are unchanged: whatever the task produced
-  travels in the ``logits`` array slot (predict: class logits; embed:
-  embeddings; link_score: one score per pair; topk: ``(n, 2k)`` rows of
-  ``[neighbor ids | cosine scores]``).
+Wire version
+------------
+The prefix byte is ``2`` and that is the only version this build
+speaks: any other value draws a structured ``unsupported protocol
+version`` error reply and a clean close.  The serve header's optional
+``task`` field (``predict`` | ``embed`` | ``link_score`` | ``topk``)
+plus the task-specific ``k`` / ``pairs`` / ``scorer`` options select
+what the reply carries; see ``docs/tasks.md``.  A header without
+``task`` means ``predict``.  Unknown tasks are rejected with a
+structured ``error`` reply, never a dropped connection.  Whatever the
+task produced travels in the reply's ``logits`` array slot (predict:
+class logits; embed: embeddings; link_score: one score per pair; topk:
+``(n, 2k)`` rows of ``[neighbor ids | cosine scores]``).
 
 Replies carry ``status``: ``ok`` (logits + serving metadata), ``shed``
 (admission control refused the request; ``retry_after_ms`` hints when to
@@ -78,7 +75,6 @@ from __future__ import annotations
 import json
 import socket
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,20 +84,15 @@ from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
 # importing the embeddings module also populates the TASKS registry the
 # decoder validates task names against
-from repro.serving.embeddings import SCORERS, ServeTask
-from repro.registry import TASKS
+from repro.serving.embeddings import ServeTask
 
-__all__ = ["MAGIC", "PROTOCOL_VERSION", "SUPPORTED_VERSIONS",
-           "ProtocolError", "GatewayReply",
+__all__ = ["MAGIC", "PROTOCOL_VERSION", "ProtocolError", "GatewayReply",
            "GatewayClient", "encode_frame", "decode_serve_request",
            "encode_serve_request", "encode_reply", "decode_reply",
            "read_frame_from"]
 
 MAGIC = b"RPRO"
 PROTOCOL_VERSION = 2
-#: Prefix versions the server accepts.  v1 frames decode as
-#: ``task="predict"`` — the v2 header is a strict superset of v1.
-SUPPORTED_VERSIONS = (1, 2)
 _PREFIX = struct.Struct("!4sBII")
 
 #: Hard ceilings a single frame may not exceed — a corrupted or hostile
@@ -120,19 +111,10 @@ class ProtocolError(ServingError):
 # ----------------------------------------------------------------------
 # Frames
 # ----------------------------------------------------------------------
-def encode_frame(header: dict, payload: bytes = b"", *,
-                 version: int = PROTOCOL_VERSION) -> bytes:
-    """Serialize one frame (prefix + JSON header + payload).
-
-    ``version`` stamps the prefix; pass ``1`` to produce frames a v1
-    peer would emit (back-compat tests and old clients).
-    """
-    if version not in SUPPORTED_VERSIONS:
-        raise ServingError(
-            f"cannot encode protocol version {version}; "
-            f"supported: {SUPPORTED_VERSIONS}")
+def encode_frame(header: dict, payload: bytes = b"") -> bytes:
+    """Serialize one frame (prefix + JSON header + payload)."""
     raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return _PREFIX.pack(MAGIC, version, len(raw),
+    return _PREFIX.pack(MAGIC, PROTOCOL_VERSION, len(raw),
                         len(payload)) + raw + payload
 
 
@@ -145,10 +127,10 @@ def decode_prefix(prefix: bytes) -> tuple[int, int]:
     if magic != MAGIC:
         raise ProtocolError(
             f"bad frame magic {magic!r} (expected {MAGIC!r})")
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"unsupported protocol version {version} "
-            f"(this build speaks {', '.join(map(str, SUPPORTED_VERSIONS))})")
+            f"(this build speaks {PROTOCOL_VERSION})")
     if header_len > MAX_HEADER_BYTES or payload_len > MAX_PAYLOAD_BYTES:
         raise ProtocolError(
             f"frame too large (header {header_len} B, payload "
@@ -271,44 +253,26 @@ def _decode_matrix(spec, payload: bytes, *, name: str) -> sp.csr_matrix:
 # ----------------------------------------------------------------------
 # Requests
 # ----------------------------------------------------------------------
-def encode_serve_request(request_id: int, request: ServeTask | IncrementalBatch,
-                         *, mode: str | None = None, frozen: bool = False,
-                         key: str | None = None, encoding: str = "json",
-                         dtype: str = "float64",
-                         trace_id: str | None = None,
-                         version: int = PROTOCOL_VERSION) -> bytes:
-    """Build one ``serve`` frame from a :class:`ServeTask` (or a bare
-    :class:`IncrementalBatch`, which means ``task="predict"``).
+def encode_serve_request(request_id: int, task: ServeTask, *,
+                         encoding: str = "json",
+                         dtype: str = "float64") -> bytes:
+    """Build one ``serve`` frame from a :class:`ServeTask`.
 
-    Task fields (``task``/``k``/``pairs``/``scorer``) are emitted only
-    when they differ from the predict defaults, so a predict frame is
-    byte-identical to what a v1 client produced.  ``pairs`` always
-    travels inline in the header (small integer lists round-trip
-    exactly under both encodings).  ``trace_id`` propagates a
-    client-chosen trace id into the gateway's request tracing; without
-    one the gateway stamps its own.
+    Every field that differs from the :class:`ServeTask` defaults is
+    emitted (``task``/``k``/``pairs``/``scorer``, ``mode``, ``frozen``,
+    routing ``key``, and ``trace`` — a client-chosen trace id the
+    gateway's request tracing adopts; without one it stamps its own).
+    ``pairs`` always travels inline in the header (small integer lists
+    round-trip exactly under both encodings).
     """
+    if not isinstance(task, ServeTask):
+        raise ServingError(
+            f"expected a ServeTask, got {type(task).__name__}")
     if encoding not in _ENCODINGS:
         raise ServingError(
             f"encoding must be one of {_ENCODINGS}, got {encoding!r}")
     if dtype not in _DTYPES:
         raise ServingError(f"dtype must be one of {_DTYPES}, got {dtype!r}")
-    if isinstance(request, ServeTask):
-        task = request
-        mode = task.mode if mode is None else mode
-        frozen = frozen or task.frozen
-        key = task.key if key is None else key
-        trace_id = task.trace_id if trace_id is None else trace_id
-    elif isinstance(request, IncrementalBatch):
-        task = ServeTask(batch=request)
-    else:
-        raise ServingError(
-            f"expected a ServeTask or IncrementalBatch, "
-            f"got {type(request).__name__}")
-    if version == 1 and task.task != "predict":
-        raise ServingError(
-            f"task {task.task!r} needs protocol v2; v1 frames only "
-            "carry predict requests")
     batch = task.batch
     payload = bytearray()
     header = {
@@ -327,53 +291,42 @@ def encode_serve_request(request_id: int, request: ServeTask | IncrementalBatch,
     if task.task == "topk" and task.k != 10:
         header["k"] = task.k
     if task.pairs is not None:
-        header["pairs"] = np.asarray(task.pairs, dtype=np.int64).tolist()
+        header["pairs"] = task.pairs.tolist()
     if task.task == "link_score" and task.scorer != "dot":
         header["scorer"] = task.scorer
-    if mode is not None:
-        header["mode"] = mode
-    if frozen:
+    if task.mode is not None:
+        header["mode"] = task.mode
+    if task.frozen:
         header["frozen"] = True
-    if key is not None:
-        header["key"] = key
-    if trace_id is not None:
-        header["trace"] = trace_id
-    return encode_frame(header, bytes(payload), version=version)
+    if task.key is not None:
+        header["key"] = task.key
+    if task.trace_id is not None:
+        header["trace"] = task.trace_id
+    return encode_frame(header, bytes(payload))
 
 
 @dataclass(frozen=True)
 class ServeRequest:
-    """A decoded ``serve`` frame, ready for ``ServingFleet.submit_task``."""
+    """A decoded ``serve`` frame: the wire id and reply encoding around
+    the :class:`ServeTask` handed to ``ServingFleet.submit``."""
 
     request_id: int
-    batch: IncrementalBatch
-    mode: str | None
-    frozen: bool
-    key: str | None
     encoding: str
-    trace_id: str | None = None
-    task: str = "predict"
-    k: int = 10
-    pairs: np.ndarray | None = None
-    scorer: str = "dot"
-
-    def to_task(self) -> ServeTask:
-        """The layer-independent request object the fleet executes."""
-        return ServeTask(batch=self.batch, task=self.task, mode=self.mode,
-                         frozen=self.frozen, key=self.key, k=self.k,
-                         pairs=self.pairs, scorer=self.scorer,
-                         trace_id=self.trace_id)
+    task: ServeTask
 
 
 def decode_serve_request(header: dict, payload: bytes) -> ServeRequest:
-    """Validate and decode one ``serve`` header into a request."""
+    """Validate and decode one ``serve`` header into a request.
+
+    JSON types are checked here; option *values* (task name, mode,
+    scorer, ``k`` range, pairs shape) are validated once, by
+    :class:`ServeTask` itself — its ``ServingError`` is re-raised as
+    :class:`ProtocolError` so every malformed frame gets the same
+    structured reply.
+    """
     request_id = header.get("id")
     if not isinstance(request_id, int):
         raise ProtocolError(f"request id must be an integer, got {request_id!r}")
-    mode = header.get("mode")
-    if mode is not None and mode not in ("graph", "node"):
-        raise ProtocolError(
-            f"mode must be 'graph' or 'node', got {mode!r}")
     frozen = header.get("frozen", False)
     if not isinstance(frozen, bool):
         raise ProtocolError(f"frozen must be a boolean, got {frozen!r}")
@@ -383,34 +336,18 @@ def decode_serve_request(header: dict, payload: bytes) -> ServeRequest:
     trace_id = header.get("trace")
     if trace_id is not None and not isinstance(trace_id, str):
         raise ProtocolError(f"trace id must be a string, got {trace_id!r}")
-    # v2 task fields; a v1 header never carries them, so the defaults
-    # reproduce v1 semantics exactly (task="predict")
-    task = header.get("task", "predict")
-    if not isinstance(task, str):
-        raise ProtocolError(f"task must be a string, got {task!r}")
-    if task not in TASKS:
-        raise ProtocolError(
-            f"unknown serving task {task!r}; this gateway serves: "
-            f"{', '.join(TASKS.keys())}")
+    task_name = header.get("task", "predict")
+    if not isinstance(task_name, str):
+        raise ProtocolError(f"task must be a string, got {task_name!r}")
     k = header.get("k", 10)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool):
         raise ProtocolError(f"k must be a positive integer, got {k!r}")
-    scorer = header.get("scorer", "dot")
-    if scorer not in SCORERS:
-        raise ProtocolError(
-            f"scorer must be one of {', '.join(SCORERS)}, got {scorer!r}")
     pairs = None
     if "pairs" in header:
         try:
             pairs = np.asarray(header["pairs"], dtype=np.int64)
         except (TypeError, ValueError) as error:
             raise ProtocolError(f"malformed pairs: {error}")
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ProtocolError(
-                f"pairs must be (p, 2) endpoint indices, "
-                f"got shape {pairs.shape}")
-    elif task == "link_score":
-        raise ProtocolError("link_score frames need a 'pairs' header")
     if "features" not in header or "incremental" not in header:
         raise ProtocolError("serve frame needs 'features' and 'incremental'")
     features = _decode_array(header["features"], payload, name="features")
@@ -436,11 +373,15 @@ def decode_serve_request(header: dict, payload: bytes) -> ServeRequest:
     batch = IncrementalBatch(features=features, incremental=incremental,
                              intra=intra,
                              labels=np.full(n, -1, dtype=np.int64))
-    return ServeRequest(request_id=request_id, batch=batch, mode=mode,
-                        frozen=frozen, key=key,
-                        encoding=header.get("encoding", "json"),
-                        trace_id=trace_id, task=task, k=k, pairs=pairs,
-                        scorer=scorer)
+    try:
+        task = ServeTask(batch=batch, task=task_name,
+                         mode=header.get("mode"), frozen=frozen, key=key,
+                         k=k, pairs=pairs, scorer=header.get("scorer", "dot"),
+                         trace_id=trace_id)
+    except ServingError as error:
+        raise ProtocolError(str(error)) from None
+    return ServeRequest(request_id=request_id,
+                        encoding=header.get("encoding", "json"), task=task)
 
 
 # ----------------------------------------------------------------------
@@ -526,8 +467,8 @@ def decode_reply(header: dict, payload: bytes) -> GatewayReply:
 class GatewayClient:
     """Stdlib-socket client for the gateway's framed protocol.
 
-    One client owns one TCP connection.  :meth:`serve`/:meth:`serve_batch`
-    are the simple request/response path; :meth:`submit` + :meth:`drain`
+    One client owns one TCP connection.  :meth:`serve_batch` is the
+    simple request/response path; :meth:`submit` + :meth:`drain`
     pipeline many requests down the same connection without waiting for
     replies in between — the shape the ramp benchmark uses to build real
     queue depth from a single thread.
@@ -561,27 +502,11 @@ class GatewayClient:
         return decode_reply(header, payload)
 
     # -- request/response ----------------------------------------------
-    def submit(self, request: ServeTask | IncrementalBatch, *,
-               mode: str | None = None,
-               frozen: bool = False, key: str | None = None,
-               dtype: str = "float64", trace_id: str | None = None) -> int:
-        """Send one ``serve`` frame without waiting; returns its id.
-
-        The canonical argument is a :class:`ServeTask`.  Passing a bare
-        :class:`IncrementalBatch` with the old per-option keywords is
-        deprecated (it means ``task="predict"``); wrap the batch in a
-        ``ServeTask`` instead.
-        """
-        if isinstance(request, IncrementalBatch):
-            warnings.warn(
-                "GatewayClient.submit(batch, mode=..., frozen=..., "
-                "key=...) is deprecated; pass a ServeTask",
-                DeprecationWarning, stacklevel=2)
+    def submit(self, task: ServeTask, *, dtype: str = "float64") -> int:
+        """Send one ``serve`` frame without waiting; returns its id."""
         self._next_id += 1
-        frame = encode_serve_request(self._next_id, request, mode=mode,
-                                     frozen=frozen, key=key,
-                                     encoding=self.encoding, dtype=dtype,
-                                     trace_id=trace_id)
+        frame = encode_serve_request(self._next_id, task,
+                                     encoding=self.encoding, dtype=dtype)
         self._sock.sendall(frame)
         return self._next_id
 
@@ -593,43 +518,16 @@ class GatewayClient:
             replies[reply.request_id] = reply
         return replies
 
-    def serve_batch(self, request: ServeTask | IncrementalBatch, *,
-                    mode: str | None = None, frozen: bool = False,
-                    key: str | None = None,
+    def serve_batch(self, task: ServeTask, *,
                     dtype: str = "float64") -> GatewayReply:
         """One request, one reply (blocks until the gateway answers)."""
-        if isinstance(request, IncrementalBatch):
-            request = ServeTask(batch=request, mode=mode, frozen=frozen,
-                                key=key)
-        request_id = self.submit(request, mode=mode, frozen=frozen, key=key,
-                                 dtype=dtype)
+        request_id = self.submit(task, dtype=dtype)
         reply = self._read_reply()
         if reply.request_id != request_id:
             raise ProtocolError(
                 f"reply id {reply.request_id} does not match request "
                 f"{request_id} (mixing serve_batch with pipelining?)")
         return reply
-
-    def serve(self, features, incremental, intra=None, *,
-              mode: str | None = None, frozen: bool = False,
-              key: str | None = None,
-              dtype: str = "float64") -> GatewayReply:
-        """Convenience wrapper assembling the batch from raw arrays."""
-        feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        n = feats.shape[0]
-        if not sp.issparse(incremental):
-            incremental = sp.csr_matrix(
-                np.atleast_2d(np.asarray(incremental, dtype=np.float64)))
-        if intra is None:
-            intra = sp.csr_matrix((n, n), dtype=np.float64)
-        elif not sp.issparse(intra):
-            intra = sp.csr_matrix(np.asarray(intra, dtype=np.float64))
-        batch = IncrementalBatch(features=feats,
-                                 incremental=incremental.tocsr(),
-                                 intra=intra.tocsr(),
-                                 labels=np.full(n, -1, dtype=np.int64))
-        return self.serve_batch(batch, mode=mode, frozen=frozen, key=key,
-                                dtype=dtype)
 
     def ping(self) -> GatewayReply:
         self._next_id += 1

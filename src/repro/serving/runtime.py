@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,24 +142,17 @@ class ServingFuture:
 
 @dataclass
 class Request:
-    """One admitted request: ``n >= 1`` inductive nodes with connectivity.
+    """One admitted request: the :class:`ServeTask` as submitted, plus the
+    arrays ``_build_request`` canonicalised from its batch (float64,
+    CSR, widened to the current base width), its future and stamps."""
 
-    The task fields mirror :class:`~repro.serving.embeddings.ServeTask`;
-    the defaults reproduce the classic predict request, so the deprecated
-    keyword API admits unchanged.
-    """
-
+    task: ServeTask
     features: np.ndarray
     incremental: sp.csr_matrix
     intra: sp.csr_matrix
     future: ServingFuture = field(default_factory=ServingFuture)
     enqueued_at: float = 0.0
     trace: TraceContext | None = None
-    task: str = "predict"
-    frozen: bool = False
-    k: int = 10
-    pairs: np.ndarray | None = None
-    scorer: str = "dot"
 
     @property
     def num_nodes(self) -> int:
@@ -169,14 +161,16 @@ class Request:
     @property
     def result_rows(self) -> int:
         """Reply rows this request owns in its group's merged result."""
-        if self.task == "link_score":
-            return int(self.pairs.shape[0])
+        if self.task.task == "link_score":
+            return int(self.task.pairs.shape[0])
         return self.num_nodes
 
 
-def merge_requests(requests: list[Request]) -> IncrementalBatch:
-    """Coalesce requests into one batch (cross-request intra edges are
-    zero — independently arriving requests share no known edges)."""
+def merge_requests(
+        requests: list[Request] | list[IncrementalBatch]) -> IncrementalBatch:
+    """Coalesce requests (or plain batches) into one batch (cross-request
+    intra edges are zero — independently arriving requests share no
+    known edges)."""
     features = np.vstack([r.features for r in requests])
     incremental = sp.vstack([r.incremental for r in requests]).tocsr()
     intra = sp.block_diag([r.intra for r in requests]).tocsr()
@@ -285,67 +279,24 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(self, request=None, incremental=None, intra=None,
-               timeout: float | None = None,
-               trace: TraceContext | None = None, *,
-               features=None) -> ServingFuture:
-        """Admit one request; returns its :class:`ServingFuture`.
+    def submit(self, task: ServeTask, timeout: float | None = None,
+               trace: TraceContext | None = None) -> ServingFuture:
+        """Admit one :class:`~repro.serving.embeddings.ServeTask`; returns
+        its :class:`ServingFuture`.
 
-        The canonical argument is a
-        :class:`~repro.serving.embeddings.ServeTask` — one object
-        carrying the batch plus the task type and its options.  Pass a
-        ``trace`` to collect the request's
-        ``queue_wait``/``assembly``/``serve`` stage spans.
-
-        .. deprecated::
-            The keyword form ``submit(features, incremental, intra)``
-            (raw arrays, implies ``task="predict"``) still works but
-            emits a :class:`DeprecationWarning`; wrap the arrays in an
-            :class:`~repro.graph.datasets.IncrementalBatch` and a
-            ``ServeTask`` instead.
+        The task carries the batch plus the task type and every
+        per-request option.  Pass a ``trace`` to collect the request's
+        ``queue_wait``/``assembly``/``serve`` stage spans.  A malformed
+        request raises :class:`ServingError` before anything is enqueued.
         """
-        if isinstance(request, ServeTask):
-            if incremental is not None or intra is not None \
-                    or features is not None:
-                raise ServingError(
-                    "submit(ServeTask) takes no array arguments — the "
-                    "task object already carries its batch")
-            return self._submit_task(request, timeout=timeout, trace=trace)
-        warnings.warn(
-            "ServingRuntime.submit(features, incremental, intra) is "
-            "deprecated; pass a ServeTask",
-            DeprecationWarning, stacklevel=2)
-        if features is None:
-            features = request
-        built = self._build_request(features, incremental, intra)
-        return self._enqueue(built, timeout, trace)
-
-    def submit_batch(self, batch: IncrementalBatch | ServeTask,
-                     timeout: float | None = None,
-                     trace: TraceContext | None = None) -> ServingFuture:
-        """Admit a pre-assembled :class:`IncrementalBatch` (served as
-        ``task="predict"``) or a :class:`ServeTask` as one request."""
-        if not isinstance(batch, ServeTask):
-            batch = ServeTask(batch=batch)
-        return self._submit_task(batch, timeout=timeout, trace=trace)
-
-    def _submit_task(self, task: ServeTask, *, timeout: float | None,
-                     trace: TraceContext | None) -> ServingFuture:
+        if not isinstance(task, ServeTask):
+            raise ServingError(
+                f"submit expects a ServeTask, got {type(task).__name__}")
         if task.mode is not None and task.mode != self.batch_mode:
             raise ServingError(
                 f"this runtime serves batch_mode={self.batch_mode!r}; "
                 f"the request asked for mode={task.mode!r}")
-        built = self._build_request(task.batch.features,
-                                    task.batch.incremental, task.batch.intra)
-        built.task = task.task
-        built.frozen = task.frozen
-        built.k = task.k
-        built.pairs = task.pairs
-        built.scorer = task.scorer
-        return self._enqueue(built, timeout, trace)
-
-    def _enqueue(self, request: Request, timeout: float | None,
-                 trace: TraceContext | None) -> ServingFuture:
+        request = self._build_request(task)
         request.enqueued_at = time.perf_counter()
         request.trace = trace
         try:
@@ -363,8 +314,11 @@ class ServingRuntime:
                 "request dropped: evicted by a newer arrival (drop_oldest)"))
         return request.future
 
-    def _build_request(self, features, incremental, intra) -> Request:
-        feats = np.asarray(features, dtype=np.float64)
+    def _build_request(self, task: ServeTask) -> Request:
+        """Canonicalise the task's batch arrays once, at admission."""
+        batch = task.batch
+        incremental, intra = batch.incremental, batch.intra
+        feats = np.asarray(batch.features, dtype=np.float64)
         if feats.ndim == 1:
             feats = feats[None, :]
         if feats.ndim != 2 or feats.shape[0] == 0:
@@ -409,7 +363,8 @@ class ServingRuntime:
         if ea.shape != (n, n):
             raise ServingError(
                 f"intra adjacency has shape {ea.shape}, expected ({n}, {n})")
-        return Request(features=feats, incremental=inc, intra=ea)
+        return Request(task=task, features=feats, incremental=inc,
+                       intra=ea)
 
     # ------------------------------------------------------------------
     # Streaming ingest
@@ -575,7 +530,8 @@ class ServingRuntime:
         # pre-task runtime took, so its logits are bitwise unchanged
         groups: dict[tuple, list[Request]] = {}
         for request in requests:
-            key = (request.task, request.frozen, request.k, request.scorer)
+            task = request.task
+            key = (task.task, task.frozen, task.k, task.scorer)
             groups.setdefault(key, []).append(request)
         for group in groups.values():
             self._execute_group(group, assembly_seconds)
@@ -586,14 +542,14 @@ class ServingRuntime:
         ``link_score`` pairs cite batch-local rows, so each request's
         pair block is shifted by its row offset in the merged batch.
         """
-        proto = requests[0]
+        proto = requests[0].task
         merged = merge_requests(requests)
         pairs = None
         if proto.task == "link_score":
             blocks = []
             offset = 0
             for request in requests:
-                shifted = request.pairs.copy()
+                shifted = request.task.pairs.copy()
                 shifted[:, 0] += offset
                 blocks.append(shifted)
                 offset += request.num_nodes
@@ -606,7 +562,7 @@ class ServingRuntime:
         started = time.perf_counter()
         try:
             task = self._merged_task(requests)
-            frozen = requests[0].frozen or self.precision == "frozen"
+            frozen = requests[0].task.frozen or self.precision == "frozen"
             result, compute_seconds, _ = self.prepared.serve_task(
                 task, batch_mode=self.batch_mode, frozen=frozen)
         except Exception as error:  # noqa: BLE001 — forwarded to futures

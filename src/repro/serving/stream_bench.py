@@ -28,6 +28,7 @@ import scipy.sparse as sp
 from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.stream import make_delta_trace
+from repro.serving.embeddings import tasked_requests
 from repro.serving.prepared import PreparedDeployment
 from repro.serving.runtime import ServingRuntime
 from repro.serving.workload import replay_stream, split_requests
@@ -174,7 +175,9 @@ def run_streaming_benchmark(dataset: str = "pubmed-sim", *,
     }
 
     # --- serve latency under concurrent ingest -----------------------
-    requests = split_requests(request_pool, num_requests, nodes_per_request)
+    requests = tasked_requests(
+        split_requests(request_pool, num_requests, nodes_per_request),
+        "predict")
     with_ingest = _replay_with_ingest(bundle, requests, trace(), batch_mode,
                                       max_batch_size, ingest_every,
                                       staleness_threshold)

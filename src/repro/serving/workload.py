@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.registry import register_workload
+from repro.serving.embeddings import ServeTask
 
 __all__ = ["WorkloadGenerator", "PoissonWorkload", "BurstyWorkload",
            "RampWorkload", "split_requests", "replay", "replay_stream"]
@@ -180,7 +181,7 @@ def split_requests(batch: IncrementalBatch, num_requests: int,
     return requests
 
 
-def replay(runtime, requests: list[IncrementalBatch],
+def replay(runtime, requests: list[ServeTask],
            arrivals: np.ndarray | None = None, *,
            speed: float = 1.0, timeout: float = 60.0) -> list[np.ndarray | None]:
     """Drive a runtime with a request stream; returns per-request logits.
@@ -216,7 +217,7 @@ def replay(runtime, requests: list[IncrementalBatch],
                 time.sleep(wait)
         if drain_before_block and len(runtime.queue) >= runtime.queue.capacity:
             runtime.run_pending()
-        futures.append(runtime.submit_batch(request))
+        futures.append(runtime.submit(request))
     if inline:
         runtime.run_pending()
     results: list[np.ndarray | None] = []
@@ -230,7 +231,7 @@ def replay(runtime, requests: list[IncrementalBatch],
     return results
 
 
-def replay_stream(runtime, requests: list[IncrementalBatch], deltas,
+def replay_stream(runtime, requests: list[ServeTask], deltas,
                   ingest_every: int = 4) -> None:
     """Closed-loop replay of serve traffic with deltas interleaved.
 
@@ -247,7 +248,7 @@ def replay_stream(runtime, requests: list[IncrementalBatch], deltas,
     pending = iter(deltas)
     for start in range(0, len(requests), ingest_every):
         for request in requests[start:start + ingest_every]:
-            runtime.submit_batch(request)
+            runtime.submit(request)
         delta = next(pending, None)
         if delta is not None:
             runtime.ingest(delta)

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 
 from repro.condense import CondensedGraph, MCondConfig, MCondReducer
 from repro.graph import Graph, load_dataset
-from repro.graph.datasets import InductiveSplit
+from repro.graph.datasets import IncrementalBatch, InductiveSplit
+from repro.serving import ServeTask
 
 
 @pytest.fixture
@@ -50,3 +51,22 @@ def tiny_mcond_result(tiny_split):
     reducer = MCondReducer(config)
     reducer.reduce(tiny_split, 9)
     return reducer.last_result
+
+
+def _raw_task(features, incremental, intra=None, **options) -> ServeTask:
+    """Wrap raw request arrays in a :class:`ServeTask` *unchanged* — 1-D
+    features, dense or mis-shaped connectivity and a missing ``intra``
+    all reach the tier under test, whose admission owns canonicalising
+    (or rejecting) them."""
+    n = np.atleast_2d(np.asarray(features)).shape[0]
+    batch = IncrementalBatch(features=features, incremental=incremental,
+                             intra=intra,
+                             labels=np.full(n, -1, dtype=np.int64))
+    return ServeTask(batch, **options)
+
+
+@pytest.fixture(scope="session")
+def raw_task():
+    """The tests' batch-builder: ``raw_task(features, incremental,
+    intra=None, **task_options) -> ServeTask``."""
+    return _raw_task

@@ -1,23 +1,19 @@
 """The docs checker: link resolution, anchors, snippet parsing.
 
-Loads ``tools/check_docs.py`` by path (it is a script, not a package)
-and exercises the pure pieces on synthetic doc trees.  The expensive
-part — replaying every documented ``repro`` invocation in ``--help``
-form — runs in CI's docs job, not here.
+Exercises the pure pieces of :mod:`repro.analysis.docs` on synthetic
+doc trees.  The flag-drift half (DOC003 against the live parser) runs
+as ``repro check --only docs`` in CI's docs job, not here.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "check_docs",
-    Path(__file__).resolve().parent.parent / "tools" / "check_docs.py")
-check_docs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(check_docs)
+from repro.analysis import docs as check_docs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSlugs:
@@ -46,24 +42,22 @@ class TestLinks:
         (tmp_path / "docs" / "a.md").write_text("# Real heading\n")
         return tmp_path
 
-    def test_good_links_pass(self, tree, monkeypatch):
-        monkeypatch.setattr(check_docs, "ROOT", tree)
+    def test_good_links_pass(self, tree):
         readme = tree / "README.md"
         readme.write_text("[a](docs/a.md) [anchor](docs/a.md#real-heading) "
                           "[ext](https://example.com/x#y)\n")
         assert check_docs.check_links(readme, {}) == []
 
-    def test_broken_file_and_anchor_flagged(self, tree, monkeypatch):
-        monkeypatch.setattr(check_docs, "ROOT", tree)
+    def test_broken_file_and_anchor_flagged(self, tree):
         readme = tree / "README.md"
         readme.write_text("[gone](docs/missing.md) [bad](docs/a.md#nope)\n")
         problems = check_docs.check_links(readme, {})
-        assert len(problems) == 2
-        assert any("docs/missing.md" in p for p in problems)
-        assert any("#nope" in p for p in problems)
+        assert [p.code for p in problems] == ["DOC001", "DOC002"]
+        assert "docs/missing.md" in problems[0].message
+        assert "#nope" in problems[1].message
+        assert all(p.path == readme and p.line == 1 for p in problems)
 
-    def test_sibling_links_resolve_from_docs_dir(self, tree, monkeypatch):
-        monkeypatch.setattr(check_docs, "ROOT", tree)
+    def test_sibling_links_resolve_from_docs_dir(self, tree):
         sibling = tree / "docs" / "b.md"
         sibling.write_text("[a](a.md#real-heading) [up](../README.md)\n")
         (tree / "README.md").write_text("# Readme\n")
@@ -74,7 +68,8 @@ class TestSnippetParsing:
     def _parse(self, tmp_path, text):
         doc = tmp_path / "doc.md"
         doc.write_text(text)
-        return check_docs.snippet_invocations(doc)
+        return [(subcommand, flags) for _line, subcommand, flags
+                in check_docs.snippet_invocations(doc)]
 
     def test_only_fenced_repro_lines_count(self, tmp_path):
         got = self._parse(tmp_path, (
@@ -109,8 +104,8 @@ class TestSnippetParsing:
                    if hasattr(a, "choices") and isinstance(a.choices, dict)]
         known = set(actions[0].choices) if actions else set()
         assert known, "could not introspect CLI subcommands"
-        for path in check_docs.doc_files():
-            for subcommand, _ in check_docs.snippet_invocations(path):
+        for path in check_docs.doc_files(ROOT):
+            for _, subcommand, _ in check_docs.snippet_invocations(path):
                 assert subcommand in known, (
                     f"{path.name} documents unknown subcommand "
                     f"{subcommand!r}")

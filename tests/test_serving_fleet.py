@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from repro.api import DeploymentBundle
 from repro.cli import main
 from repro.errors import ArtifactError, GraphError, RegistryError, ServingError
 from repro.registry import ROUTERS, make_router
-from repro.serving import ServingFleet, replay_fleet, split_requests
+from repro.serving import (ServingFleet, replay_fleet, split_requests,
+                           tasked_requests)
 from repro.serving.fleet import (
     ConsistentHashRouter,
     LeastLoadedRouter,
@@ -66,7 +68,8 @@ def synthetic_artifact(fleet_bundles):
 @pytest.fixture(scope="session")
 def synthetic_requests(fleet_bundles):
     bundle, _ = fleet_bundles["synthetic"]
-    return split_requests(api.evaluation_batch(bundle), 16, 2)
+    return tasked_requests(
+        split_requests(api.evaluation_batch(bundle), 16, 2), "predict")
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +238,7 @@ class TestServingFleet:
                                             synthetic_requests):
         prepared = PreparedDeployment.from_bundle(
             DeploymentBundle.load(synthetic_artifact))
-        expected = [prepared.serve_batch(r, "node")[0]
+        expected = [prepared.serve_batch(r.batch, "node")[0]
                     for r in synthetic_requests]
         with ServingFleet(synthetic_artifact, 2,
                           batch_mode="node") as fleet:
@@ -248,9 +251,9 @@ class TestServingFleet:
                                        synthetic_requests):
         with ServingFleet(synthetic_artifact, 2,
                           batch_mode="node") as fleet:
-            futures = [fleet.submit_batch(r) for r in synthetic_requests]
+            futures = [fleet.submit(r) for r in synthetic_requests]
             fleet.kill_replica(0)
-            futures += [fleet.submit_batch(r) for r in synthetic_requests]
+            futures += [fleet.submit(r) for r in synthetic_requests]
             results = [f.result(timeout=120.0) for f in futures]
             stats = fleet.stats()
         assert all(r is not None for r in results)
@@ -264,13 +267,13 @@ class TestServingFleet:
         swapped_path = swapped.save(tmp_path / "swap.npz", layout="mmap")
         want = PreparedDeployment.from_bundle(
             DeploymentBundle.load(swapped_path)).serve_batch(
-                synthetic_requests[0], "node")[0]
+                synthetic_requests[0].batch, "node")[0]
         with ServingFleet(synthetic_artifact, 2,
                           batch_mode="node") as fleet:
-            futures = [fleet.submit_batch(r) for r in synthetic_requests]
+            futures = [fleet.submit(r) for r in synthetic_requests]
             fleet.swap(swapped_path)
             assert all(f.result(timeout=120.0) is not None for f in futures)
-            got = fleet.submit_batch(
+            got = fleet.submit(
                 synthetic_requests[0]).result(timeout=120.0)
             stats = fleet.stats()
         assert np.array_equal(got, want)
@@ -282,8 +285,8 @@ class TestServingFleet:
                                                synthetic_requests):
         with ServingFleet(synthetic_artifact, 2, router="consistent-hash",
                           batch_mode="node") as fleet:
-            replay_fleet(fleet, synthetic_requests[:8],
-                         keys=["sticky"] * 8)
+            replay_fleet(fleet, [replace(r, key="sticky")
+                                 for r in synthetic_requests[:8]])
             served = [r["served"]
                       for r in fleet.stats()["per_replica"].values()]
         assert sorted(served) == [0, 8]
@@ -292,7 +295,7 @@ class TestServingFleet:
             self, synthetic_artifact, synthetic_requests):
         with ServingFleet(synthetic_artifact, 1,
                           batch_mode="node") as fleet:
-            future = fleet.submit_batch(synthetic_requests[0])
+            future = fleet.submit(synthetic_requests[0])
             assert future.result(timeout=120.0) is not None
             assert future.trace is not None
             stages = set(future.trace.stages())
@@ -307,7 +310,7 @@ class TestServingFleet:
         with ServingFleet(synthetic_artifact, 1,
                           batch_mode="node") as fleet:
             for request in synthetic_requests[:3]:
-                fleet.submit_batch(request).result(timeout=120.0)
+                fleet.submit(request).result(timeout=120.0)
             stage_latency = fleet.metrics.get("repro_stage_latency_seconds")
             assert len(fleet.slowest(10)) == 3
             assert stage_latency.snapshot(
@@ -326,7 +329,7 @@ class TestServingFleet:
         entries keep their span refs and complete into the fresh ring."""
         with ServingFleet(synthetic_artifact, 2,
                           batch_mode="node") as fleet:
-            futures = [fleet.submit_batch(r) for r in synthetic_requests]
+            futures = [fleet.submit(r) for r in synthetic_requests]
             fleet.reset_latencies()  # some requests are still in flight
             results = [f.result(timeout=120.0) for f in futures]
             assert all(r is not None for r in results)
@@ -345,7 +348,7 @@ class TestServingFleet:
                                                 synthetic_requests):
         with ServingFleet(synthetic_artifact, 1, batch_mode="node",
                           telemetry=False) as fleet:
-            futures = [fleet.submit_batch(r)
+            futures = [fleet.submit(r)
                        for r in synthetic_requests[:3]]
             assert all(f.result(timeout=120.0) is not None for f in futures)
             assert all(f.trace is None for f in futures)
@@ -360,7 +363,7 @@ class TestServingFleet:
         fleet = ServingFleet(synthetic_artifact, 1, batch_mode="node")
         fleet.close()
         with pytest.raises(ServingError):
-            fleet.submit_batch(synthetic_requests[0])
+            fleet.submit(synthetic_requests[0])
 
     def test_open_fleet_from_bundle_owns_temp_artifact(self, fleet_bundles,
                                                        synthetic_requests):
@@ -370,7 +373,7 @@ class TestServingFleet:
         try:
             assert artifact.exists()
             assert fleet.owns_artifact
-            result = fleet.submit_batch(
+            result = fleet.submit(
                 synthetic_requests[0]).result(timeout=120.0)
             assert result is not None
         finally:
@@ -393,7 +396,7 @@ class TestServingFleet:
 
         with ServingFleet(synthetic_artifact, 1, router=RogueRouter(),
                           batch_mode="node") as fleet:
-            future = fleet.submit_batch(synthetic_requests[0])
+            future = fleet.submit(synthetic_requests[0])
             with pytest.raises(ServingError, match="picked replica"):
                 future.result(timeout=30.0)
             stats = fleet.stats()
@@ -410,7 +413,7 @@ class TestServingFleet:
             with fleet._lock:
                 # no ready candidate: the submit below parks as an orphan
                 fleet.pool.replicas[0].state = "draining"
-            future = fleet.submit_batch(synthetic_requests[0])
+            future = fleet.submit(synthetic_requests[0])
             assert not future.done()
         finally:
             fleet.close(drain=False)

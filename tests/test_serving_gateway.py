@@ -7,6 +7,7 @@ import json
 import http.client
 import socket
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from repro.errors import RegistryError, ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.registry import (SCALE_POLICIES, SHED_POLICIES, make_scale_policy,
                             make_shed_policy)
-from repro.serving import ServingFleet, split_requests
+from repro.serving import (ServeTask, ServingFleet, split_requests,
+                           tasked_requests)
 from repro.serving.gateway import (
     AdmitAllShed,
     PinnedScale,
@@ -62,7 +64,8 @@ def gw_artifact(gw_bundle, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def gw_requests(gw_bundle):
-    return split_requests(api.evaluation_batch(gw_bundle), 12, 2)
+    return tasked_requests(
+        split_requests(api.evaluation_batch(gw_bundle), 12, 2), "predict")
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +94,9 @@ def _toy_batch(n: int = 3, d: int = 4, total: int = 10,
                             labels=np.full(n, -1, dtype=np.int64))
 
 
-def _round_trip(batch, **kwargs):
-    frame = encode_serve_request(7, batch, **kwargs)
+def _round_trip(batch, *, encoding="json", dtype="float64", **options):
+    frame = encode_serve_request(7, ServeTask(batch, **options),
+                                 encoding=encoding, dtype=dtype)
     header, payload = read_frame_from(io.BytesIO(frame).read)
     return decode_serve_request(header, payload)
 
@@ -107,16 +111,16 @@ class TestProtocol:
         request = _round_trip(batch, mode="graph", frozen=True, key="k1",
                               encoding=encoding)
         assert request.request_id == 7
-        assert request.mode == "graph"
-        assert request.frozen is True
-        assert request.key == "k1"
         assert request.encoding == encoding
-        assert np.array_equal(request.batch.features, batch.features)
-        assert np.array_equal(request.batch.incremental.toarray(),
+        task = request.task
+        assert (task.task, task.mode, task.frozen, task.key) == (
+            "predict", "graph", True, "k1")
+        assert np.array_equal(task.batch.features, batch.features)
+        assert np.array_equal(task.batch.incremental.toarray(),
                               batch.incremental.toarray())
-        assert np.array_equal(request.batch.intra.toarray(),
+        assert np.array_equal(task.batch.intra.toarray(),
                               batch.intra.toarray())
-        assert (request.batch.labels == -1).all()
+        assert (task.batch.labels == -1).all()
 
     def test_float32_payload_widens_exactly(self):
         batch = _toy_batch()
@@ -125,15 +129,15 @@ class TestProtocol:
             incremental=batch.incremental.astype(np.float32),
             intra=batch.intra, labels=batch.labels)
         request = _round_trip(narrowed, encoding="binary", dtype="float32")
-        assert request.batch.features.dtype == np.float64
-        assert np.array_equal(request.batch.features,
+        assert request.task.batch.features.dtype == np.float64
+        assert np.array_equal(request.task.batch.features,
                               narrowed.features.astype(np.float64))
 
     def test_missing_intra_defaults_to_empty(self):
-        request = _round_trip(_toy_batch(with_intra=False))
-        assert request.batch.intra.shape == (3, 3)
-        assert request.batch.intra.nnz == 0
-        assert request.mode is None and request.frozen is False
+        task = _round_trip(_toy_batch(with_intra=False)).task
+        assert task.batch.intra.shape == (3, 3)
+        assert task.batch.intra.nnz == 0
+        assert task.mode is None and task.frozen is False
 
     def test_reply_round_trip(self):
         logits = np.random.default_rng(0).standard_normal((3, 5))
@@ -156,12 +160,15 @@ class TestProtocol:
             decode_prefix(prefix)
 
     def test_bad_version_rejected(self):
-        prefix = struct.pack("!4sBII", protocol.MAGIC, 99, 2, 0)
-        with pytest.raises(ProtocolError, match="version"):
-            decode_prefix(prefix)
+        for version in (1, 99):  # v1 is gone: the wire speaks v2 only
+            prefix = struct.pack("!4sBII", protocol.MAGIC, version, 2, 0)
+            with pytest.raises(ProtocolError,
+                               match="unsupported protocol version"):
+                decode_prefix(prefix)
 
     def test_oversized_frame_rejected(self):
-        prefix = struct.pack("!4sBII", protocol.MAGIC, 1,
+        prefix = struct.pack("!4sBII", protocol.MAGIC,
+                             protocol.PROTOCOL_VERSION,
                              protocol.MAX_HEADER_BYTES + 1, 0)
         with pytest.raises(ProtocolError, match="too large"):
             decode_prefix(prefix)
@@ -173,8 +180,10 @@ class TestProtocol:
     def test_header_must_be_json_object(self):
         with pytest.raises(ProtocolError, match="JSON"):
             read_frame_from(io.BytesIO(
-                struct.pack("!4sBII", protocol.MAGIC, 1, 4, 0) + b"nope").read)
-        frame = protocol._PREFIX.pack(protocol.MAGIC, 1, 2, 0) + b"[]"
+                struct.pack("!4sBII", protocol.MAGIC,
+                            protocol.PROTOCOL_VERSION, 4, 0) + b"nope").read)
+        frame = protocol._PREFIX.pack(
+            protocol.MAGIC, protocol.PROTOCOL_VERSION, 2, 0) + b"[]"
         with pytest.raises(ProtocolError, match="object"):
             read_frame_from(io.BytesIO(frame).read)
 
@@ -188,7 +197,7 @@ class TestProtocol:
 
     def test_shape_and_row_mismatches_rejected(self):
         batch = _toy_batch()
-        frame = encode_serve_request(1, batch)
+        frame = encode_serve_request(1, ServeTask(batch))
         header, payload = read_frame_from(io.BytesIO(frame).read)
         bad = dict(header)
         bad["features"] = [[1.0, 2.0]]  # 1 row vs 3 incremental rows
@@ -209,7 +218,7 @@ class TestProtocol:
 
     def test_intra_must_be_square(self):
         batch = _toy_batch()
-        frame = encode_serve_request(1, batch)
+        frame = encode_serve_request(1, ServeTask(batch))
         header, payload = read_frame_from(io.BytesIO(frame).read)
         header = dict(header)
         header["intra"] = [[1.0, 0.0]]
@@ -218,9 +227,11 @@ class TestProtocol:
 
     def test_encoding_and_dtype_validated(self):
         with pytest.raises(ServingError, match="encoding"):
-            encode_serve_request(1, _toy_batch(), encoding="pickle")
+            encode_serve_request(1, ServeTask(_toy_batch()),
+                                 encoding="pickle")
         with pytest.raises(ServingError, match="dtype"):
-            encode_serve_request(1, _toy_batch(), dtype="float16")
+            encode_serve_request(1, ServeTask(_toy_batch()),
+                                 dtype="float16")
         with pytest.raises(ServingError, match="encoding"):
             GatewayClient("127.0.0.1", 1, encoding="pickle")
 
@@ -327,10 +338,10 @@ class TestFleetElasticity:
     def test_scale_up_and_down_loses_nothing(self, gw_artifact, gw_requests):
         with ServingFleet(gw_artifact, 1, router="round-robin",
                           batch_mode="node") as fleet:
-            futures = [fleet.submit_batch(r) for r in gw_requests]
+            futures = [fleet.submit(r) for r in gw_requests]
             assert fleet.scale_to(2) == 2
             assert fleet.num_replicas == 2
-            futures += [fleet.submit_batch(r) for r in gw_requests]
+            futures += [fleet.submit(r) for r in gw_requests]
             assert fleet.scale_to(1) == 1
             results = [f.result(timeout=120.0) for f in futures]
             assert all(r is not None for r in results)
@@ -344,7 +355,7 @@ class TestFleetElasticity:
         with ServingFleet(gw_artifact, 1, router="round-robin",
                           batch_mode="node") as fleet:
             for request in gw_requests[:4]:
-                fleet.submit_batch(request).result(timeout=120.0)
+                fleet.submit(request).result(timeout=120.0)
             stats = fleet.stats()
             assert stats["completed"] == 4
             assert stats["latency_p50_ms"] is not None
@@ -372,19 +383,19 @@ class TestGatewayServing:
             with GatewayClient(*gateway.address, encoding=encoding) as client:
                 for mode in ("graph", "node"):
                     for request in gw_requests[:3]:
-                        direct = fleet.submit_batch(
-                            request, mode=mode).result(timeout=120.0)
-                        reply = client.serve_batch(request, mode=mode)
+                        request = replace(request, mode=mode)
+                        direct = fleet.submit(request).result(timeout=120.0)
+                        reply = client.serve_batch(request)
                         assert reply.ok, reply.error
                         assert reply.logits.dtype == np.float64
                         assert np.array_equal(direct, reply.logits)
 
     def test_frozen_path_parity(self, gateway, gw_requests):
         fleet = gateway.fleet
-        direct = fleet.submit_batch(gw_requests[0],
-                                    frozen=True).result(timeout=120.0)
+        frozen = replace(gw_requests[0], frozen=True)
+        direct = fleet.submit(frozen).result(timeout=120.0)
         with GatewayClient(*gateway.address, encoding="binary") as client:
-            reply = client.serve_batch(gw_requests[0], frozen=True)
+            reply = client.serve_batch(frozen)
         assert reply.ok, reply.error
         assert np.array_equal(direct, reply.logits)
 
@@ -394,14 +405,6 @@ class TestGatewayServing:
             replies = client.drain(len(ids))
         assert sorted(replies) == sorted(ids)
         assert all(reply.ok for reply in replies.values())
-
-    def test_serve_convenience_wrapper(self, gateway, gw_requests):
-        batch = gw_requests[0]
-        with GatewayClient(*gateway.address) as client:
-            reply = client.serve(batch.features, batch.incremental,
-                                 batch.intra)
-        assert reply.ok
-        assert reply.logits.shape[0] == batch.features.shape[0]
 
     def test_ping_and_stats_ops(self, gateway):
         with GatewayClient(*gateway.address) as client:
@@ -427,6 +430,22 @@ class TestGatewayServing:
             assert "features" in reply.error
             # the error was per-request, not per-connection
             assert client.ping().status == "pong"
+
+    def test_v1_prefix_gets_error_reply_and_clean_close(self, gateway,
+                                                        gw_requests):
+        """Wire v1 is gone: a v1-stamped frame draws the structured
+        ``unsupported protocol version`` reply, then EOF — never a hang."""
+        frame = bytearray(encode_serve_request(1, gw_requests[0]))
+        assert frame[4] == protocol.PROTOCOL_VERSION
+        frame[4] = 1
+        with GatewayClient(*gateway.address, timeout=10.0) as client:
+            client._sock.sendall(bytes(frame))
+            reply = client._read_reply()
+            assert reply.status == "error" and reply.request_id is None
+            assert "unsupported protocol version 1" in reply.error
+            assert client._sock.recv(1) == b""  # closed, not stalled
+        with GatewayClient(*gateway.address) as client:
+            assert client.ping().status == "pong"  # the gateway lives on
 
     def test_http_probes(self, gateway):
         for path, expect in (("/healthz", 200), ("/stats", 200),
@@ -683,7 +702,7 @@ class TestOpenGateway:
         finally:
             gateway.close()
         with pytest.raises(ServingError):
-            gateway.fleet.submit_batch(gw_requests[0])
+            gateway.fleet.submit(gw_requests[0])
 
     def test_policy_options_forwarded(self, gw_bundle):
         gateway = api.open_gateway(

@@ -16,11 +16,18 @@ from repro.serving import (
     MicroBatchScheduler,
     PreparedDeployment,
     QueueFullError,
+    ServeTask,
     ServingRuntime,
     SizeCapScheduler,
     merge_requests,
     split_requests,
+    tasked_requests,
 )
+
+
+def _stream(batch, num_requests, nodes_per_request):
+    return tasked_requests(
+        split_requests(batch, num_requests, nodes_per_request), "predict")
 
 
 @pytest.fixture(scope="module")
@@ -244,8 +251,8 @@ class TestRuntimeParity:
         runtime = _runtime(sgc, split, condensed, deployment,
                            scheduler="sizecap", batch_mode=batch_mode,
                            scheduler_options={"max_batch_size": 4})
-        stream = split_requests(split.incremental_batch("test"), 8, 2)
-        futures = [runtime.submit_batch(request) for request in stream]
+        stream = _stream(split.incremental_batch("test"), 8, 2)
+        futures = [runtime.submit(request) for request in stream]
         assert runtime.run_pending() == 8
         served = np.vstack([future.result() for future in futures])
 
@@ -257,17 +264,18 @@ class TestRuntimeParity:
         expected = []
         for start in range(0, 8, 4):
             merged = merge_requests(
-                [runtime._build_request(r.features, r.incremental, r.intra)
-                 for r in stream[start:start + 4]])
+                [runtime._build_request(r) for r in stream[start:start + 4]])
             logits, _, _ = naive.serve_batch(merged, batch_mode)
             expected.append(logits)
         assert np.array_equal(served, np.vstack(expected))
 
-    def test_single_node_submit(self, sgc, split, condensed):
+    def test_single_node_submit(self, sgc, split, condensed, raw_task):
         runtime = _runtime(sgc, split, condensed, "original",
                            scheduler="immediate")
         batch = split.incremental_batch("test").subset(np.array([0]))
-        future = runtime.submit(batch.features[0], batch.incremental)
+        # 1-D features, no intra: admission canonicalises both
+        future = runtime.submit(raw_task(batch.features[0],
+                                         batch.incremental))
         runtime.run_pending()
         logits = future.result()
         assert logits.shape == (1, split.num_classes)
@@ -284,9 +292,9 @@ class TestRuntimeBehaviour:
         runtime = _runtime(sgc, split, condensed, "original",
                            scheduler="sizecap",
                            scheduler_options={"max_batch_size": 3})
-        stream = split_requests(split.incremental_batch("val"), 6, 1)
+        stream = _stream(split.incremental_batch("val"), 6, 1)
         for request in stream:
-            runtime.submit_batch(request)
+            runtime.submit(request)
         runtime.run_pending()
         stats = runtime.stats()
         assert stats.requests == 6
@@ -309,10 +317,9 @@ class TestRuntimeBehaviour:
         stats = runtime.stats()
         assert stats.requests == 0
         assert stats.throughput_rps == 0.0
-        runtime.submit_batch(split.incremental_batch("val").subset(
-            np.array([0])))
-        runtime.submit_batch(split.incremental_batch("val").subset(
-            np.array([1])))  # rejected: capacity 1, nothing drained yet
+        first, second = _stream(split.incremental_batch("val"), 2, 1)
+        runtime.submit(first)
+        runtime.submit(second)  # rejected: capacity 1, nothing drained yet
         stats = runtime.stats()
         assert stats.requests == 0
         assert stats.rejected == 1
@@ -320,8 +327,8 @@ class TestRuntimeBehaviour:
     def test_reject_overflow_fails_future(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "original",
                            queue_capacity=2, overflow="reject")
-        stream = split_requests(split.incremental_batch("val"), 3, 1)
-        futures = [runtime.submit_batch(request) for request in stream]
+        stream = _stream(split.incremental_batch("val"), 3, 1)
+        futures = [runtime.submit(request) for request in stream]
         assert futures[2].done()
         with pytest.raises(ServingError):
             futures[2].result()
@@ -332,8 +339,8 @@ class TestRuntimeBehaviour:
     def test_drop_oldest_evicts_first(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "original",
                            queue_capacity=2, overflow="drop_oldest")
-        stream = split_requests(split.incremental_batch("val"), 3, 1)
-        futures = [runtime.submit_batch(request) for request in stream]
+        stream = _stream(split.incremental_batch("val"), 3, 1)
+        futures = [runtime.submit(request) for request in stream]
         runtime.run_pending()
         with pytest.raises(ServingError):
             futures[0].result()
@@ -345,16 +352,16 @@ class TestRuntimeBehaviour:
                            scheduler="microbatch",
                            scheduler_options={"max_batch_size": 4,
                                               "max_wait_ms": 1.0})
-        stream = split_requests(split.incremental_batch("test"), 10, 1)
+        stream = _stream(split.incremental_batch("test"), 10, 1)
         with runtime:
-            futures = [runtime.submit_batch(request) for request in stream]
+            futures = [runtime.submit(request) for request in stream]
             results = [future.result(timeout=30.0) for future in futures]
         assert all(r.shape == (1, split.num_classes) for r in results)
         assert runtime.stats().requests == 10
         # after stop the queue refuses new work, and so does a restart —
         # a stopped runtime cannot be silently revived with a closed queue
         with pytest.raises(ServingError):
-            runtime.submit_batch(stream[0])
+            runtime.submit(stream[0])
         with pytest.raises(ServingError):
             runtime.start()
 
@@ -363,11 +370,11 @@ class TestRuntimeBehaviour:
         # A serve-time failure must surface through every co-batched
         # future and the `failed` counter — and must not kill the loop.
         runtime = _runtime(sgc, split, condensed, "original")
-        good = split.incremental_batch("val").subset(np.array([0]))
+        good = ServeTask(split.incremental_batch("val").subset(np.array([0])))
         monkeypatch.setattr(
             runtime.prepared, "serve_batch",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
-        future = runtime.submit_batch(good)
+        future = runtime.submit(good)
         runtime.run_pending()
         assert future.done()
         with pytest.raises(RuntimeError):
@@ -375,28 +382,30 @@ class TestRuntimeBehaviour:
         assert runtime.stats().failed == 1
         # the loop survives: a well-formed request still serves
         monkeypatch.undo()
-        ok = runtime.submit_batch(good)
+        ok = runtime.submit(good)
         runtime.run_pending()
         assert ok.result().shape == (1, split.num_classes)
 
-    def test_submit_validation(self, sgc, split, condensed):
+    def test_submit_validation(self, sgc, split, condensed, raw_task):
         runtime = _runtime(sgc, split, condensed, "original")
         n = split.original.num_nodes
         with pytest.raises(ServingError):
-            runtime.submit(np.zeros((0, split.original.feature_dim)),
-                           sp.csr_matrix((0, n)))
+            runtime.submit(raw_task(np.zeros((0, split.original.feature_dim)),
+                                    sp.csr_matrix((0, n))))
         with pytest.raises(ServingError):
             # malformed feature dim is rejected at admission, before it
             # could poison a coalesced batch
-            runtime.submit(np.zeros((1, split.original.feature_dim + 1)),
-                           sp.csr_matrix((1, n)))
+            runtime.submit(raw_task(
+                np.zeros((1, split.original.feature_dim + 1)),
+                sp.csr_matrix((1, n))))
         with pytest.raises(ServingError):
-            runtime.submit(np.zeros((1, split.original.feature_dim)),
-                           sp.csr_matrix((1, n + 3)))
+            runtime.submit(raw_task(np.zeros((1, split.original.feature_dim)),
+                                    sp.csr_matrix((1, n + 3))))
         with pytest.raises(ServingError):
-            runtime.submit(np.zeros((2, split.original.feature_dim)),
-                           sp.csr_matrix((2, n)),
-                           intra=sp.csr_matrix((3, 3)))
+            runtime.submit(raw_task(np.zeros((2, split.original.feature_dim)),
+                                    sp.csr_matrix((2, n)),
+                                    intra=sp.csr_matrix((3, 3))))
+        assert len(runtime.queue) == 0
 
     def test_precision_validation(self, sgc, split, condensed):
         with pytest.raises(ServingError):
@@ -411,8 +420,8 @@ class TestRuntimeBehaviour:
         runtime = _runtime(sgc, split, condensed, "synthetic",
                            scheduler="sizecap", precision="frozen",
                            batch_mode="node")
-        stream = split_requests(split.incremental_batch("val"), 4, 1)
-        futures = [runtime.submit_batch(request) for request in stream]
+        stream = _stream(split.incremental_batch("val"), 4, 1)
+        futures = [runtime.submit(request) for request in stream]
         runtime.run_pending()
         for future in futures:
             assert np.isfinite(future.result()).all()
@@ -431,7 +440,7 @@ class TestRuntimeBehaviour:
                            scheduler="sizecap", queue_capacity=2,
                            overflow="reject",
                            scheduler_options={"max_batch_size": 2})
-        stream = split_requests(split.incremental_batch("val"), 5, 1)
+        stream = _stream(split.incremental_batch("val"), 5, 1)
         results = replay(runtime, stream, timeout=10.0)
         assert len(results) == 5
         served = [r for r in results if r is not None]
@@ -447,7 +456,7 @@ class TestRuntimeBehaviour:
         runtime = _runtime(sgc, split, condensed, "original",
                            scheduler="sizecap", queue_capacity=3,
                            scheduler_options={"max_batch_size": 2})
-        stream = split_requests(split.incremental_batch("val"), 8, 1)
+        stream = _stream(split.incremental_batch("val"), 8, 1)
         results = replay(runtime, stream, timeout=10.0)
         assert len(results) == 8
         assert runtime.stats().requests == 8
@@ -456,9 +465,8 @@ class TestRuntimeBehaviour:
 class TestMergeRequests:
     def test_block_structure(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "original")
-        stream = split_requests(split.incremental_batch("test"), 2, 3)
-        requests = [runtime._build_request(r.features, r.incremental, r.intra)
-                    for r in stream]
+        stream = _stream(split.incremental_batch("test"), 2, 3)
+        requests = [runtime._build_request(r) for r in stream]
         merged = merge_requests(requests)
         assert merged.num_nodes == 6
         assert merged.incremental.shape == (6, split.original.num_nodes)

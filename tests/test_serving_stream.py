@@ -10,7 +10,7 @@ from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.stream import GraphDelta, StreamingGraph, make_delta_trace
 from repro.nn import make_model
-from repro.serving import PreparedDeployment, ServingRuntime
+from repro.serving import PreparedDeployment, ServeTask, ServingRuntime
 from repro.serving.stream_bench import (
     check_streaming_benchmark_schema,
     gate_streaming_benchmark,
@@ -201,8 +201,8 @@ class TestRuntimeIngest:
                                  seed=3)
         futures, ingests = [], []
         for i in range(4):
-            futures.append(runtime.submit_batch(
-                batch.subset(np.array([10 + i]))))
+            futures.append(runtime.submit(
+                ServeTask(batch.subset(np.array([10 + i])))))
             if i % 2 == 0:
                 ingests.append(runtime.ingest(trace[i // 2]))
             runtime.run_pending()
@@ -220,14 +220,14 @@ class TestRuntimeIngest:
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
         runtime = ServingRuntime(prepared, "immediate", batch_mode="node")
         batch = tiny_split.incremental_batch("test")
-        future = runtime.submit_batch(batch.subset(np.array([0])))
+        future = runtime.submit(ServeTask(batch.subset(np.array([0]))))
         runtime.ingest(GraphDelta(add_features=batch.features[1:3],
                                   add_labels=batch.labels[1:3]))
         runtime.run_pending()  # delta applies first, then the request
         assert future.result(timeout=5.0).shape[0] == 1
         assert runtime.prepared.num_base == tiny_split.original.num_nodes + 2
 
-    def test_mixed_width_batch_serves(self, tiny_split, sgc):
+    def test_mixed_width_batch_serves(self, tiny_split, sgc, raw_task):
         """Regression: one micro-batch coalescing a pre-append request
         with a post-append request must widen per request, not crash
         merge_requests for the whole batch."""
@@ -237,21 +237,22 @@ class TestRuntimeIngest:
                                  scheduler_options={"max_batch_size": 4})
         batch = tiny_split.incremental_batch("test")
         old_width = batch.subset(np.array([0]))
-        future_a = runtime.submit_batch(old_width)  # admitted at width n
+        # admitted at width n
+        future_a = runtime.submit(ServeTask(old_width))
         runtime.ingest(GraphDelta(add_features=batch.features[1:3],
                                   add_labels=batch.labels[1:3]))
         with runtime._serve_lock:
             runtime._apply_pending_deltas()  # base is now n + 2 wide
         wide_inc = sp.csr_matrix(
             (np.ones(1), ([0], [n + 1])), shape=(1, n + 2))
-        future_b = runtime.submit(batch.features[3], wide_inc)
+        future_b = runtime.submit(raw_task(batch.features[3], wide_inc))
         served = runtime.step()
         assert served == 2  # both coalesced into one batch
         assert future_a.result(timeout=5.0).shape[0] == 1
         assert future_b.result(timeout=5.0).shape[0] == 1
 
     def test_request_citing_pending_delta_ids_admitted(self, tiny_split,
-                                                       sgc):
+                                                       sgc, raw_task):
         """Regression: ingest-then-submit (the documented pattern) must
         admit a request citing the just-ingested nodes even before the
         serving loop has applied the delta."""
@@ -262,14 +263,15 @@ class TestRuntimeIngest:
         runtime.ingest(GraphDelta(add_features=batch.features[:2],
                                   add_labels=batch.labels[:2]))
         inc = sp.csr_matrix((np.ones(1), ([0], [n])), shape=(1, n + 2))
-        future = runtime.submit(batch.features[2], inc)  # cites appended id
+        # cites an appended id
+        future = runtime.submit(raw_task(batch.features[2], inc))
         runtime.run_pending()
         assert future.result(timeout=5.0).shape[0] == 1
         assert runtime.prepared.num_base == n + 2
         # beyond the promised width is still malformed
         too_wide = sp.csr_matrix((1, n + 50))
         with pytest.raises(ServingError, match="incremental adjacency"):
-            runtime.submit(batch.features[2], too_wide)
+            runtime.submit(raw_task(batch.features[2], too_wide))
 
     def test_ingest_rejects_non_delta_and_closed_runtime(self, tiny_split,
                                                          sgc):
@@ -282,7 +284,7 @@ class TestRuntimeIngest:
             runtime.ingest(GraphDelta())
 
     def test_never_streamed_runtime_keeps_strict_widths(self, tiny_split,
-                                                        sgc):
+                                                        sgc, raw_task):
         """Regression: stale-width tolerance must not weaken validation on
         a frozen runtime — a too-narrow incremental is malformed there."""
         n = tiny_split.original.num_nodes
@@ -290,9 +292,10 @@ class TestRuntimeIngest:
         runtime = ServingRuntime(prepared, "immediate", batch_mode="node")
         batch = tiny_split.incremental_batch("test")
         with pytest.raises(ServingError, match="incremental adjacency"):
-            runtime.submit(batch.features[0], sp.csr_matrix((1, n - 5)))
+            runtime.submit(raw_task(batch.features[0],
+                                    sp.csr_matrix((1, n - 5))))
 
-    def test_width_floor_is_opening_width(self, tiny_split, sgc):
+    def test_width_floor_is_opening_width(self, tiny_split, sgc, raw_task):
         """After appends, valid widths span [opening, current] — never
         below what the runtime opened with."""
         n = tiny_split.original.num_nodes
@@ -302,11 +305,13 @@ class TestRuntimeIngest:
         runtime.ingest(GraphDelta(add_features=batch.features[:2],
                                   add_labels=batch.labels[:2]))
         runtime.run_pending()
-        ok = runtime.submit(batch.features[0], sp.csr_matrix((1, n)))
+        ok = runtime.submit(raw_task(batch.features[0],
+                                     sp.csr_matrix((1, n))))
         runtime.run_pending()
         assert ok.result(timeout=5.0).shape[0] == 1
         with pytest.raises(ServingError, match="incremental adjacency"):
-            runtime.submit(batch.features[0], sp.csr_matrix((1, n - 1)))
+            runtime.submit(raw_task(batch.features[0],
+                                    sp.csr_matrix((1, n - 1))))
 
     def test_stop_without_drain_fails_pending_ingest(self, tiny_split, sgc):
         """Regression: stop(drain=False) must resolve pending delta
@@ -333,12 +338,12 @@ class TestRuntimeIngest:
         with pytest.raises(Exception):
             future.result(timeout=5.0)
         batch = tiny_split.incremental_batch("test")
-        ok = runtime.submit_batch(batch.subset(np.array([0])))
+        ok = runtime.submit(ServeTask(batch.subset(np.array([0]))))
         runtime.run_pending()
         assert ok.result(timeout=5.0).shape[0] == 1
 
     def test_failed_promised_width_fails_only_that_request(self, tiny_split,
-                                                           sgc):
+                                                           sgc, raw_task):
         """Regression: a request citing the width promised by a delta that
         then fails to apply must fail alone — not poison the whole
         micro-batch with a merge-shape error."""
@@ -354,8 +359,8 @@ class TestRuntimeIngest:
                          remove_edges=[[0, 1], [0, 2]])
         delta_future = runtime.ingest(bad)
         wide = sp.csr_matrix((np.ones(1), ([0], [n])), shape=(1, n + 2))
-        poisoned = runtime.submit(batch.features[2], wide)
-        ok = runtime.submit_batch(batch.subset(np.array([3])))
+        poisoned = runtime.submit(raw_task(batch.features[2], wide))
+        ok = runtime.submit(ServeTask(batch.subset(np.array([3]))))
         runtime.run_pending()
         with pytest.raises(Exception):
             delta_future.result(timeout=5.0)

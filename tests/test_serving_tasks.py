@@ -1,4 +1,5 @@
-"""Task-typed serving: ServeTask, executors, wire v2, shims, invalidation."""
+"""Task-typed serving: ServeTask, executors, wire v2, one admission
+type per tier, invalidation."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from repro.serving import (
 )
 from repro.serving.stream_bench import _pad_incremental
 from repro.serving.protocol import (
+    PROTOCOL_VERSION,
     ProtocolError,
     decode_serve_request,
     encode_frame,
@@ -238,52 +240,86 @@ class TestEmbeddingIndex:
 
 
 # ----------------------------------------------------------------------
-# Deprecated keyword shims (one warning each, results unchanged)
+# One request type per tier: anything but a ServeTask fails at admission
 # ----------------------------------------------------------------------
-class TestDeprecatedShims:
-    def test_runtime_raw_array_submit_warns(self, task_bundle,
-                                            task_requests):
-        batch = task_requests[0]
-        with api.open_runtime(task_bundle, batch_mode="node") as runtime:
-            with pytest.warns(DeprecationWarning,
-                              match="ServingRuntime.submit"):
-                legacy = runtime.submit(batch.features, batch.incremental,
-                                        batch.intra)
-            legacy = legacy.result(timeout=30.0)
-            modern = runtime.submit(ServeTask(batch=batch)).result(
-                timeout=30.0)
-        assert np.array_equal(legacy, modern)
+@pytest.fixture(params=["inline", "threaded", "fleet", "client"])
+def tier(request, task_bundle):
+    """``(surface, settle, counters)`` per admission surface: ``settle``
+    waits out one accepted request, ``counters()`` returns
+    ``(served, shed, errors, queue depth)``."""
+    if request.param in ("inline", "threaded"):
+        runtime = api.open_runtime(task_bundle, batch_mode="node")
 
-    def test_runtime_rejects_task_plus_arrays(self, task_bundle,
-                                              task_requests):
-        batch = task_requests[0]
-        with api.open_runtime(task_bundle, batch_mode="node") as runtime:
-            with pytest.raises(ServingError, match="no array arguments"):
-                runtime.submit(ServeTask(batch=batch),
-                               incremental=batch.incremental)
+        def settle(future):
+            if request.param == "inline":
+                runtime.run_pending()
+            assert future.result(timeout=30.0) is not None
+            with runtime._serve_lock:
+                pass  # the serving loop books the batch after resolving it
 
-    def test_fleet_raw_array_submit_warns(self, task_fleet, prepared,
-                                          task_requests):
-        batch = task_requests[0]
-        with pytest.warns(DeprecationWarning, match="ServingFleet.submit"):
-            future = task_fleet.submit(batch.features, batch.incremental,
-                                       batch.intra)
-        direct, _, _ = prepared.serve_batch(batch, "node")
-        assert np.array_equal(future.result(timeout=60.0), direct)
+        def counters():
+            stats = runtime.stats()
+            return (stats.requests, stats.rejected, stats.failed,
+                    len(runtime.queue))
 
-    def test_gateway_client_batch_submit_warns(self, task_gateway,
-                                               task_requests):
-        batch = task_requests[0]
+        if request.param == "threaded":
+            runtime.start()
+        yield runtime, settle, counters
+        runtime.stop()
+    elif request.param == "fleet":
+        task_fleet = request.getfixturevalue("task_fleet")
+
+        def counters():
+            stats = task_fleet.stats()
+            return (stats["completed"], 0, stats["failed"],
+                    task_fleet.queue_depth())
+
+        yield (task_fleet,
+               lambda future: future.result(timeout=60.0), counters)
+    else:
+        task_gateway = request.getfixturevalue("task_gateway")
         with GatewayClient(task_gateway.host, task_gateway.port) as client:
-            with pytest.warns(DeprecationWarning,
-                              match="GatewayClient.submit"):
-                request_id = client.submit(batch)
-            reply = client.drain(1)[request_id]
-        assert reply.status == "ok"
+            def counters():
+                stats = client.stats()
+                assert stats["offered"] == (stats["served"] + stats["shed"]
+                                            + stats["errors"])
+                return (stats["served"], stats["shed"], stats["errors"],
+                        stats["inflight"])
+
+            yield (client,
+                   lambda request_id: client.drain(1)[request_id].ok,
+                   counters)
+
+
+class TestOnlyServeTaskAdmits:
+    @pytest.mark.parametrize("attempt, error", [
+        (lambda surface, batch: surface.submit(batch), ServingError),
+        (lambda surface, batch: surface.submit(batch.features,
+                                               batch.incremental),
+         (ServingError, TypeError)),
+        (lambda surface, batch: surface.submit(ServeTask(batch),
+                                               mode="node"), TypeError),
+        (lambda surface, batch: surface.submit(ServeTask(batch),
+                                               frozen=True), TypeError),
+        (lambda surface, batch: surface.submit(ServeTask(batch),
+                                               key="user-1"), TypeError),
+    ], ids=["bare-batch", "raw-arrays", "mode=", "frozen=", "key="])
+    def test_rejected_before_anything_is_enqueued(self, tier, task_requests,
+                                                  attempt, error):
+        surface, settle, counters = tier
+        batch = task_requests[0]
+        served, shed, errors, _ = counters()
+        settle(surface.submit(ServeTask(batch)))
+        # offered (1) == served + shed + errors, nothing left queued
+        before = counters()
+        assert before == (served + 1, shed, errors, 0)
+        with pytest.raises(error):
+            attempt(surface, batch)
+        assert counters() == before
 
 
 # ----------------------------------------------------------------------
-# Wire protocol v2 and the v1 back-compat matrix
+# Wire protocol v2 (the only version)
 # ----------------------------------------------------------------------
 def _round_trip_frame(frame):
     header, payload = read_frame_from(io.BytesIO(frame).read)
@@ -291,17 +327,18 @@ def _round_trip_frame(frame):
 
 
 class TestProtocolVersions:
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [PROTOCOL_VERSION])
     @pytest.mark.parametrize("encoding", ["json", "binary"])
     def test_decode_matrix_defaults_to_predict(self, version, encoding):
         batch = _toy_batch()
-        frame = encode_serve_request(3, batch, encoding=encoding,
-                                     version=version)
-        request = _round_trip_frame(frame)
-        assert request.task == "predict"
-        assert request.to_task().task == "predict"
-        assert np.array_equal(request.batch.features, batch.features)
-        assert np.array_equal(request.batch.incremental.toarray(),
+        frame = encode_serve_request(3, ServeTask(batch), encoding=encoding)
+        assert frame[4] == version == 2  # the one version frames carry
+        task = _round_trip_frame(frame).task
+        assert (task.task, task.mode, task.frozen, task.key, task.k,
+                task.pairs, task.scorer) == (
+            "predict", None, False, None, 10, None, "dot")
+        assert np.array_equal(task.batch.features, batch.features)
+        assert np.array_equal(task.batch.incremental.toarray(),
                               batch.incremental.toarray())
 
     @pytest.mark.parametrize("encoding", ["json", "binary"])
@@ -309,25 +346,15 @@ class TestProtocolVersions:
         batch = _toy_batch()
         pairs = np.array([[0, 1], [2, 7]], dtype=np.int64)
         topk = _round_trip_frame(encode_serve_request(
-            4, ServeTask(batch=batch, task="topk", k=3), encoding=encoding))
-        assert (topk.task, topk.k) == ("topk", 3)
+            4, ServeTask(batch=batch, task="topk", k=3, key="user-9",
+                         trace_id="t-1"), encoding=encoding)).task
+        assert (topk.task, topk.k, topk.key, topk.trace_id) == (
+            "topk", 3, "user-9", "t-1")
         link = _round_trip_frame(encode_serve_request(
             5, ServeTask(batch=batch, task="link_score", pairs=pairs,
-                         scorer="hadamard"), encoding=encoding))
+                         scorer="hadamard"), encoding=encoding)).task
         assert (link.task, link.scorer) == ("link_score", "hadamard")
-        assert np.array_equal(link.to_task().pairs, pairs)
-
-    def test_predict_v2_frame_is_byte_identical_to_v1_payload(self):
-        batch = _toy_batch()
-        v1 = encode_serve_request(6, batch, version=1)
-        v2 = encode_serve_request(6, ServeTask(batch=batch), version=2)
-        # same header/payload; only the version byte in the prefix moves
-        assert v1[5:] == v2[5:]
-
-    def test_v1_cannot_carry_non_predict_tasks(self):
-        task = ServeTask(batch=_toy_batch(), task="embed")
-        with pytest.raises(ServingError, match="needs protocol v2"):
-            encode_serve_request(7, task, version=1)
+        assert np.array_equal(link.pairs, pairs)
 
     def test_unknown_task_rejected_at_decode(self):
         frame = encode_serve_request(8, ServeTask(batch=_toy_batch()))
@@ -373,7 +400,7 @@ class TestEveryLayerServesEveryTask:
     def test_fleet(self, task_fleet, prepared, task_requests):
         batch = task_requests[4]
         for task in _all_task_requests(batch):
-            got = task_fleet.submit_task(task).result(timeout=60.0)
+            got = task_fleet.submit(task).result(timeout=60.0)
             want, _, _ = prepared.serve_task(task, batch_mode="node")
             assert np.array_equal(got, want), task.task
 

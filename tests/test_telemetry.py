@@ -395,7 +395,7 @@ class TestTraceLog:
 
 
 # ----------------------------------------------------------------------
-# Timers + back-compat alias
+# Timers
 # ----------------------------------------------------------------------
 class TestStopwatch:
     def test_measures_elapsed(self):
@@ -412,12 +412,6 @@ class TestStopwatch:
                 pass
         assert "assembly" in trace.stages()
         assert latency.snapshot()["count"] == 1
-
-    def test_utils_alias_is_the_same_object(self):
-        from repro.utils import timers as legacy
-
-        assert legacy.Stopwatch is Stopwatch
-        assert legacy.format_seconds is format_seconds
 
     def test_format_seconds_branches(self):
         assert format_seconds(5e-4) == "500us"

@@ -10,7 +10,8 @@ from repro.condense import DosCondConfig, DosCondReducer
 from repro.errors import ConfigError
 from repro.graph import adjacency_from_edges, attach_to_original
 from repro.propagation import correct_and_smooth, smooth_predictions
-from repro.utils import Stopwatch, format_seconds, seed_everything, spawn_rngs
+from repro.telemetry import Stopwatch, format_seconds
+from repro.utils import seed_everything, spawn_rngs
 
 
 class TestSeeding:
@@ -253,6 +254,21 @@ class TestCli:
 
 
 class TestServingCli:
+    def test_batch_mode_help_states_every_default(self):
+        # one declaration: no subcommand hides its default behind an
+        # empty help string, and the graph-default trio stays as it was
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(getattr(a, "choices", None), dict))
+        defaults = {}
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if "--batch-mode" in action.option_strings:
+                    assert f"(here: {action.default})" in action.help
+                    defaults[name] = action.default
+        assert len(defaults) == 12
+        assert {n for n, d in defaults.items() if d == "graph"} == {
+            "serve", "bench-condense", "eval"}
+
     def test_list_includes_serving_registries(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
