@@ -5,9 +5,9 @@ from a :class:`repro.api.DeploymentBundle`) and precomputes what the naive
 serving path re-derives on every batch:
 
 - the deployed base block with self-loops already applied, in canonical
-  CSR form, plus its per-row entry counts and scatter positions — so the
-  augmented operator of Eq. (3)/Eq. (11) is assembled by linear-time
-  numpy scatters instead of a COO round-trip (``sp.bmat`` sorts);
+  CSR form, plus its per-row entry counts — so rows of the augmented
+  operator of Eq. (3)/Eq. (11) are assembled by linear-time numpy
+  scatters instead of a COO round-trip (``sp.bmat`` sorts);
 - the base features cast to contiguous float64;
 - the sparse mapping ``M`` (synthetic deployment) and its storage bytes;
 - lazily, the standalone normalized operator of the deployed graph, its
@@ -17,24 +17,50 @@ serving path re-derives on every batch:
 
 Exactness contract
 ------------------
-``attach_normalize`` reproduces, bit for bit, what the naive path
+Served replies are bit for bit what the naive path
 
-    symmetric_normalize(bmat([[base, inc.T], [inc, ea]]))
+    model(symmetric_normalize(bmat([[base, inc.T], [inc, ea]])), X')[B:]
 
-produces.  Two scipy details make this non-trivial and are deliberately
+produces.  ``attach_normalize`` reproduces that operator in full; the SGC
+serve path (``serve_batch`` / ``embed_batch`` on a linear-propagation
+model) never materialises it and builds only the rows a request can
+reach.  Both rest on the same facts about scipy and BLAS, deliberately
 mirrored here:
 
 1. ``csr.sum(axis=1)`` is ``np.add.reduceat`` over each row's stored data
-   (pairwise summation), *not* a sequential fold — so degrees must be
-   computed by ``reduceat`` over the merged row data, which requires
-   assembling the merged structure first;
-2. the normalization ``scale @ A @ scale`` multiplies every stored entry
+   (pairwise summation), *not* a sequential fold — so a row's degree is a
+   ``reduceat`` over its merged ``[base_loops row | incᵀ entries]``
+   segment, which must be assembled first.  A segment's sum depends on
+   its contents alone, and a base row no request node links to has no
+   ``incᵀ`` entries: its merged segment is byte-identical to its
+   standalone one, so its degree and ``D^{-1/2}`` are the cached
+   standalone bits.  Only the touched rows ``T = unique(inc.indices)``
+   and the ``n`` new rows are re-summed.
+2. The normalization ``scale @ A @ scale`` multiplies every stored entry
    as ``(d_i^{-1/2} * a_ij) * d_j^{-1/2}``, which an elementwise scale of
-   the merged data array reproduces exactly.
+   the merged data array reproduces exactly — with the standalone scale
+   vector patched at ``T`` as column factors.
+3. scipy's CSR product folds every output row sequentially over that
+   row's stored entries, independently of every other row.  A product
+   restricted to a row subset is therefore row-exact, and relabelling
+   its columns monotonically onto a gathered operand does not reorder a
+   row.  SGC needs ``(Â'^K X')[B:]``, so the row sets follow top-down —
+   ``S_K`` the new rows, ``S_{k-1} = S_k ∪ cols(Â'[S_k])`` — and hop
+   ``k`` multiplies rows ``S_k`` by the gathered ``H_{k-1}[S_{k-1}]``:
+   O(receptive field · d) instead of O(‖A‖ · d) per request.
+4. A BLAS gemm row depends on its own operand row and on the operand's
+   *shape* (blocking and edge kernels follow the row count), never on
+   other rows' values: ``(H W)[B:] != H[B:] W`` in general.  ``predict``
+   therefore applies the classifier at the reference ``(B+n, d)`` shape,
+   to a persistent zero workspace whose last ``n`` rows hold the hop-K
+   result.  That gemm — O(B · d · C), wasted on zero rows — is the floor
+   of an SGC ``predict``; ``embed`` / ``link_score`` / ``topk`` return
+   the hop-K rows and skip it.
 
-Because the assembled operator matches the naive one in stored order and
-bit pattern, and model forwards fold in stored order, the served logits
-are bitwise identical — verified by the parity tests.
+Models with dense layers between propagations (GCN, GraphSAGE, APPNP,
+Cheby, MLP) run row-count-sensitive gemms over all ``B+n`` rows at every
+layer, so they keep the full assembly.  The parity tests assert every
+path against the naive one.
 
 Precision modes
 ---------------
@@ -165,6 +191,39 @@ def _inv_sqrt(degree: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _sorted_unique(ids: np.ndarray, size: int) -> np.ndarray:
+    """``np.unique`` of ids drawn from ``range(size)`` by marking — linear,
+    no sort (an order of magnitude faster at receptive-field sizes)."""
+    mask = np.zeros(size, dtype=bool)
+    mask[ids] = True
+    return np.flatnonzero(mask)
+
+
+def _ranks(ids: np.ndarray, size: int) -> np.ndarray:
+    """Table mapping each member of the sorted id set ``ids`` to its rank;
+    slots of non-members are uninitialised and must not be read."""
+    table = np.empty(size, dtype=np.int64)
+    table[ids] = np.arange(ids.size, dtype=np.int64)
+    return table
+
+
+def _intra_loops(intra, n: int) -> tuple[sp.csr_matrix, int]:
+    """``ea + I`` in canonical CSR, and the stored-entry count of ``ea``
+    itself (explicit zeros included — the naive attach keeps them)."""
+    if intra is not None:
+        ea_raw = _canonical_csr(intra, (n, n), "intra adjacency")
+        if ea_raw.nnz:
+            ea_loops = add_self_loops(ea_raw)
+            ea_loops.sort_indices()
+            return ea_loops, int(ea_raw.nnz)
+    # no intra edges (all of node mode): the identity add_self_loops would
+    # return, without its five scipy round trips
+    eye = sp.csr_matrix((np.ones(n, dtype=np.float64),
+                         np.arange(n, dtype=np.int32),
+                         np.arange(n + 1, dtype=np.int32)), shape=(n, n))
+    return eye, 0
+
+
 def _csr_storage_bytes(nnz: int, rows: int, cols: int,
                        value_bytes: int = 8) -> int:
     """Storage of a CSR matrix as scipy would build it (int32 indices when
@@ -271,11 +330,14 @@ class PreparedDeployment:
         # warm-base caches, built on first use (they cost one standalone
         # forward and are only needed by warm lookups / the frozen path)
         self._loop_degrees: np.ndarray | None = None
+        self._loop_inv_sqrt: np.ndarray | None = None
         self._base_operator: sp.csr_matrix | None = None
         self._propagated: list[np.ndarray] | None = None
         self._hop_buffers: list[np.ndarray] | None = None
         self._base_logits: np.ndarray | None = None
         self._base_embeddings: np.ndarray | None = None
+        # hop-K rows the SGC classifier reads (see _hidden_workspace)
+        self._workspace: np.ndarray | None = None
         # the top-k similarity index over the base embeddings — either
         # attached from an mmap sidecar artifact or built lazily; dropped
         # whenever a delta changes the base graph
@@ -323,31 +385,34 @@ class PreparedDeployment:
         feature stack to float32 (accuracy-gated, not bitwise).
         ``memory_bytes`` mirrors the naive serving-footprint accounting.
         """
+        new_feats = self._request_features(new_features)
+        n = new_feats.shape[0]
+        inc, inc_nnz_raw = self._converted_incremental(incremental, n)
+        ea_loops, ea_nnz_raw = _intra_loops(intra, n)
+        data, indices, indptr = self._assemble_normalized(inc, ea_loops)
+        total = self.num_base + n
+        operator = sp.csr_matrix(
+            (data.astype(self._dtype, copy=False), indices, indptr),
+            shape=(total, total))
+        operator.has_sorted_indices = True
+        features = np.vstack([self.base_features, new_feats])
+        memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw, total)
+        return operator, features, memory
+
+    def _request_features(self, new_features) -> np.ndarray:
         new_feats = np.asarray(new_features, dtype=self._dtype)
         if new_feats.ndim != 2 or new_feats.shape[1] != self.feature_dim:
             raise GraphError(
                 f"feature dims differ: base {self.feature_dim} vs new "
                 f"{new_feats.shape[1] if new_feats.ndim == 2 else new_feats.shape}")
-        n = new_feats.shape[0]
-        inc = self._converted_incremental(incremental, n)
-        inc_nnz_raw = int(inc.nnz)
-        inc.eliminate_zeros()  # the naive path eliminates after assembly
-        ea_raw = _canonical_csr(intra, (n, n), "intra adjacency")
-        ea_nnz_raw = int(ea_raw.nnz)
-        if n:
-            ea_loops = add_self_loops(ea_raw)
-            ea_loops.sort_indices()
-        else:
-            ea_loops = ea_raw
-        operator = self._assemble_normalized(inc, ea_loops)
-        if self._dtype is not np.float64:
-            operator.data = operator.data.astype(self._dtype)
-        features = np.vstack([self.base_features, new_feats])
-        memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw,
-                                    features.shape[0])
-        return operator, features, memory
+        return new_feats
 
-    def _converted_incremental(self, incremental, n: int) -> sp.csr_matrix:
+    def _converted_incremental(self, incremental,
+                               n: int) -> tuple[sp.csr_matrix, int]:
+        """The ``(n, B)`` incremental block in canonical, zero-free CSR and
+        its stored-entry count *before* explicit zeros were dropped (the
+        naive path eliminates after assembly, so its footprint counts
+        them)."""
         if self.mapping is not None:
             expected = (n, int(self.mapping.shape[0]))
             if incremental is None:
@@ -358,58 +423,82 @@ class PreparedDeployment:
                     f"expected {expected}")
             # Convert the *raw* matrix: pre-canonicalizing would reorder the
             # ``a @ M`` accumulation and break bitwise parity with Eq. 11.
-            converted = convert_connections(incremental, self.mapping)
-            converted.sort_indices()
-            return converted
-        return _canonical_csr(incremental, (n, self.num_base),
-                              "incremental adjacency")
+            inc = convert_connections(incremental, self.mapping)
+            inc.sort_indices()
+        else:
+            inc = _canonical_csr(incremental, (n, self.num_base),
+                                 "incremental adjacency")
+        raw_nnz = int(inc.nnz)
+        inc.eliminate_zeros()
+        return inc, raw_nnz
 
-    def _assemble_normalized(self, inc: sp.csr_matrix,
-                             ea_loops: sp.csr_matrix) -> sp.csr_matrix:
-        """Merge the four blocks row-wise and scale — no COO sort.
+    def _assemble_normalized(
+            self, inc: sp.csr_matrix, ea_loops: sp.csr_matrix,
+            base_rows: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Normalized rows ``base_rows ∪ new`` of the attached operator as
+        a ``(data, indices, indptr)`` triple with *global* column ids.
 
-        Per-row layout matches the canonical (column-sorted) order of the
-        naive assembly: base-block columns all precede incremental ones.
+        ``base_rows`` is a sorted set of base rows holding every column
+        ``inc`` stores; ``None`` means all of them — the full operator.
+        The four blocks are merged row-wise by linear-time scatters (no
+        COO sort) in the canonical column-sorted layout of the naive
+        assembly: ``[base_loops row | incᵀ entries]`` for a base row,
+        ``[inc row | ea + I]`` for a new one.  Degrees of the assembled
+        rows come from ``reduceat`` over their merged data; every other
+        row's stored segment is byte-identical to its standalone one, so
+        its column factor is the cached standalone ``D^{-1/2}`` bit for
+        bit.
         """
+        loops = self.base_loops
         B, n = self.num_base, inc.shape[0]
-        total = B + n
-        incT = inc.T.tocsr()
-        incT.sort_indices()
-        counts_bn = np.diff(incT.indptr)
+        if base_rows is None:
+            base_data, base_cols = loops.data, loops.indices
+            counts_bb, slots, kept = self._base_counts, inc.indices, B
+        else:
+            position = csr_row_positions(loops.indptr, base_rows)
+            base_data, base_cols = loops.data[position], loops.indices[position]
+            counts_bb = self._base_counts[base_rows]
+            slots, kept = _ranks(base_rows, B)[inc.indices], base_rows.size
+        # incᵀ without a scipy transpose: inc's entries stably sorted by
+        # column are its transpose's rows in stored (column-sorted) order
+        order = np.argsort(inc.indices, kind="stable")
         counts_nb = np.diff(inc.indptr)
+        counts_bn = np.bincount(slots, minlength=kept)
         counts_nn = np.diff(ea_loops.indptr)
-        row_counts = np.concatenate([self._base_counts + counts_bn,
+        row_counts = np.concatenate([counts_bb + counts_bn,
                                      counts_nb + counts_nn])
-        indptr = np.zeros(total + 1, dtype=np.int64)
+        indptr = np.zeros(kept + n + 1, dtype=np.int64)
         np.cumsum(row_counts, out=indptr[1:])
         nnz = int(indptr[-1])
         indices = np.empty(nnz, dtype=np.int64)
         data = np.empty(nnz, dtype=np.float64)
 
-        def scatter(block: sp.csr_matrix, row_start: int, col_offset: int,
-                    lead: np.ndarray) -> None:
-            if block.nnz == 0:
+        def scatter(values, cols, counts, row_start: int, lead) -> None:
+            if values.size == 0:
                 return
-            cnt = np.diff(block.indptr)
-            starts = indptr[row_start:row_start + block.shape[0]] + lead
-            within = (np.arange(block.nnz, dtype=np.int64)
-                      - np.repeat(block.indptr[:-1].astype(np.int64), cnt))
-            dest = within + np.repeat(starts, cnt)
-            indices[dest] = block.indices + col_offset
-            data[dest] = block.data
+            shift = (indptr[row_start:row_start + counts.size] + lead
+                     - (np.cumsum(counts) - counts))
+            dest = np.arange(values.size, dtype=np.int64) + np.repeat(shift,
+                                                                      counts)
+            indices[dest] = cols
+            data[dest] = values
 
-        scatter(self.base_loops, 0, 0, np.zeros(B, dtype=np.int64))
-        scatter(incT, 0, B, self._base_counts.astype(np.int64))
-        scatter(inc, B, 0, np.zeros(n, dtype=np.int64))
-        scatter(ea_loops, B, B, counts_nb.astype(np.int64))
+        scatter(base_data, base_cols, counts_bb, 0, 0)
+        scatter(inc.data[order], np.repeat(np.arange(B, B + n), counts_nb)[order],
+                counts_bn, 0, counts_bb)
+        scatter(inc.data, inc.indices, counts_nb, kept, 0)
+        scatter(ea_loops.data, ea_loops.indices + B, counts_nn, kept, counts_nb)
 
-        degree = _reduceat_row_sums(data, indptr[:-1], row_counts)
-        inv_sqrt = _inv_sqrt(degree)
-        rows = np.repeat(np.arange(total, dtype=np.int64), row_counts)
-        data = (inv_sqrt[rows] * data) * inv_sqrt[indices]
-        operator = sp.csr_matrix((data, indices, indptr), shape=(total, total))
-        operator.has_sorted_indices = True
-        return operator
+        inv_rows = _inv_sqrt(_reduceat_row_sums(data, indptr[:-1], row_counts))
+        if base_rows is None:
+            inv_cols = inv_rows
+        else:
+            inv_cols = np.concatenate([self._inv_sqrt_degrees(),
+                                       inv_rows[kept:]])
+            inv_cols[base_rows] = inv_rows[:kept]
+        data = (np.repeat(inv_rows, row_counts) * data) * inv_cols[indices]
+        return data, indices, indptr
 
     def _memory_bytes(self, n: int, inc_nnz: int, ea_nnz: int,
                       feature_rows: int) -> int:
@@ -425,55 +514,148 @@ class PreparedDeployment:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
+    def _enter_request(self, batch: IncrementalBatch, batch_mode: str):
+        """Validate the mode, put the model in eval, and return the intra
+        block the mode keeps — the preamble every serve path shares."""
+        if batch_mode not in ("graph", "node"):
+            raise InferenceError(
+                f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
+        self.model.eval()
+        return batch.intra if batch_mode == "graph" else None
+
     def serve_batch(self, batch: IncrementalBatch,
                     batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
         """Serve one batch; returns ``(logits, seconds, memory_bytes)``.
 
         Same contract — and bitwise the same logits — as
-        :meth:`repro.inference.engine.InductiveServer.serve_batch`.
+        :meth:`repro.inference.engine.InductiveServer.serve_batch`.  Not
+        re-entrant: the SGC path writes a per-deployment workspace, so one
+        deployment serves on one thread at a time (the runtime's serve
+        lock already guarantees it).
         """
-        if batch_mode not in ("graph", "node"):
-            raise InferenceError(
-                f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
-        self.model.eval()
+        intra = self._enter_request(batch, batch_mode)
         start = time.perf_counter()
-        intra = batch.intra if batch_mode == "graph" else None
+        hops = self._linear_hops()
+        if not hops:
+            logits, memory = self._attached_forward(
+                batch, intra, self.model, "forward")
+            return logits, time.perf_counter() - start, memory
+        hidden, memory = self._receptive_hidden(batch, intra, hops)
         # the sub-spans only reach a trace when the caller installed one
         # (use_trace); otherwise stage_span is a contextvar-read no-op
-        with stage_span("operator"):
-            operator, features, memory = self.attach_normalize(
-                batch.incremental, batch.features, intra)
         with stage_span("forward"), no_grad():
-            logits = self.model(operator, Tensor(features))
-        inductive = logits.data[self.num_base:]
-        elapsed = time.perf_counter() - start
-        return inductive, elapsed, memory
+            rows = self._hidden_workspace(self.num_base + hidden.shape[0])
+            rows[self.num_base:] = hidden
+            logits = self.model.classifier(Tensor(rows)).data
+            # a copy, so the reply does not pin the (B+n, C) product
+            inductive = logits[self.num_base:].copy()
+        return inductive, time.perf_counter() - start, memory
 
     def embed_batch(self, batch: IncrementalBatch,
                     batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
         """Penultimate representations of the batch's inductive nodes.
 
-        Runs the models' ``embed()`` contract through the *same*
-        request-invariant attach/normalize cache path as
-        :meth:`serve_batch` — the operator assembly is shared bit for
-        bit, only the final classifier layer is skipped.  Under
-        ``eval()`` dropout is the identity, so embeddings are
-        deterministic.  Returns ``(embeddings, seconds, memory_bytes)``.
+        Runs the models' ``embed()`` contract through the *same* exact
+        attach/normalize arithmetic as :meth:`serve_batch` — only the
+        final classifier layer is skipped.  Under ``eval()`` dropout is
+        the identity, so embeddings are deterministic.  Returns
+        ``(embeddings, seconds, memory_bytes)``.
         """
-        if batch_mode not in ("graph", "node"):
-            raise InferenceError(
-                f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
-        self.model.eval()
+        intra = self._enter_request(batch, batch_mode)
         start = time.perf_counter()
-        intra = batch.intra if batch_mode == "graph" else None
+        hops = self._linear_hops()
+        if hops:
+            hidden, memory = self._receptive_hidden(batch, intra, hops)
+        else:
+            hidden, memory = self._attached_forward(
+                batch, intra, self.model.embed, "embed")
+        return hidden, time.perf_counter() - start, memory
+
+    def _linear_hops(self) -> int:
+        """``K`` when the model is ``Â^K X`` followed by one classifier
+        (SGC) — what the receptive-field path needs — else 0."""
+        return self.model.k_hops if isinstance(self.model, SGC) else 0
+
+    def _attached_forward(self, batch: IncrementalBatch, intra, forward,
+                          span: str) -> tuple[np.ndarray, int]:
+        """``forward`` over the fully assembled attached graph — the path
+        of every model whose dense layers see all ``B+n`` rows."""
         with stage_span("operator"):
             operator, features, memory = self.attach_normalize(
                 batch.incremental, batch.features, intra)
-        with stage_span("embed"), no_grad():
-            hidden = self.model.embed(operator, Tensor(features))
-        inductive = hidden.data[self.num_base:]
-        elapsed = time.perf_counter() - start
-        return inductive, elapsed, memory
+        with stage_span(span), no_grad():
+            out = forward(operator, Tensor(features))
+        return out.data[self.num_base:], memory
+
+    def _receptive_hidden(self, batch: IncrementalBatch, intra,
+                          hops: int) -> tuple[np.ndarray, int]:
+        """``(Â'^K X')[B:]`` for ``K = hops >= 1`` from the operator rows
+        the request can reach, bit for bit equal to the full propagation
+        (see the exactness contract), plus the serving footprint."""
+        loops = self.base_loops
+        B = self.num_base
+        with stage_span("operator"):
+            new_feats = self._request_features(batch.features)
+            n = new_feats.shape[0]
+            inc, inc_nnz_raw = self._converted_incremental(batch.incremental, n)
+            ea_loops, ea_nnz_raw = _intra_loops(intra, n)
+            # row sets top-down — base[k] is the base part of S_k, every S_k
+            # also holds the n new rows: S_K has no base rows, S_{K-1} the
+            # touched ones, S_{k-1} = S_k ∪ cols(Â'[S_k]) (self-loops make
+            # it a union)
+            base = [_sorted_unique(inc.indices, B), np.empty(0, dtype=np.int64)]
+            for _ in range(hops - 1):
+                base.insert(0, _sorted_unique(loops.indices[
+                    csr_row_positions(loops.indptr, base[0])], B))
+            new_ids = np.arange(B, B + n)
+            levels = [np.concatenate([rows, new_ids]) for rows in base]
+            # rows S_1 feed the products; at K = 1 those are the new rows
+            # alone, but the touched rows' merged degrees are still needed
+            data, indices, indptr = self._assemble_normalized(
+                inc, ea_loops, base[min(hops - 1, 1)])
+            data = data.astype(self._dtype, copy=False)
+        with stage_span("propagate"):
+            gathered = base[0].size
+            hidden = np.empty((gathered + n, self.feature_dim),
+                              dtype=self._dtype)
+            # mode="clip" writes straight into ``out`` (ids are in range)
+            np.take(self.base_features, base[0], axis=0,
+                    out=hidden[:gathered], mode="clip")
+            hidden[gathered:] = new_feats
+            # reduced modes: Tensor() widens the rounded stack the same way
+            hidden = hidden.astype(np.float64, copy=False)
+            for k in range(1, hops + 1):
+                ranks = _ranks(levels[k - 1], B + n)
+                if levels[k].size < indptr.size - 1:
+                    # the rows held are S_{k-1}; keep those in S_k
+                    rows = ranks[levels[k]]
+                    position = csr_row_positions(indptr, rows)
+                    counts = indptr[rows + 1] - indptr[rows]
+                    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+                    np.cumsum(counts, out=indptr[1:])
+                    data, indices = data[position], indices[position]
+                # relabelling columns monotonically keeps each row's
+                # stored order, hence scipy's sequential per-row fold
+                operator = sp.csr_matrix(
+                    (data, ranks[indices], indptr),
+                    shape=(levels[k].size, levels[k - 1].size))
+                hidden = operator @ hidden
+        memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw, B + n)
+        return hidden, memory
+
+    def _hidden_workspace(self, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of the persistent hop-K buffer the
+        classifier reads.  Rows below ``num_base`` stay zero; the caller
+        overwrites the rest.  BLAS results for the last ``n`` rows depend
+        on the operand's row count, never on other rows' values, so the
+        gemm runs at the reference shape without a per-request
+        ``(B+n, d)`` allocation."""
+        buffer = self._workspace
+        if buffer is None or buffer.shape[0] < rows:
+            held = 0 if buffer is None else buffer.shape[0]
+            buffer = self._workspace = np.zeros(
+                (max(rows, held + (held >> 1)), self.feature_dim))
+        return buffer[:rows]
 
     def serve_task(self, task, *, batch_mode: str = "graph",
                    frozen: bool = False):
@@ -500,6 +682,13 @@ class PreparedDeployment:
                 self._base_counts)
         return self._loop_degrees
 
+    def _inv_sqrt_degrees(self) -> np.ndarray:
+        """Float64 ``D^{-1/2}`` of the standalone base graph, cached: the
+        column factor of every operator row a request does not touch."""
+        if self._loop_inv_sqrt is None:
+            self._loop_inv_sqrt = _inv_sqrt(self._degrees())
+        return self._loop_inv_sqrt
+
     def _scaled_operator(self, inv_sqrt: np.ndarray) -> sp.csr_matrix:
         """``D^{-1/2} (A+I) D^{-1/2}`` by elementwise scaling.
 
@@ -524,7 +713,7 @@ class PreparedDeployment:
         """Standalone normalized operator of the deployed graph."""
         if self._base_operator is None:
             self._base_operator = self._scaled_operator(
-                _inv_sqrt(self._degrees()))
+                self._inv_sqrt_degrees())
         return self._base_operator
 
     def warm_base(self) -> np.ndarray:
@@ -622,7 +811,7 @@ class PreparedDeployment:
         computed once for the frozen path, in storage dtype (the float64
         mask is cast, so zero-degree rows stay exactly zero)."""
         if self._frozen_inv_base is None:
-            self._frozen_inv_base = _inv_sqrt(self._degrees()).astype(
+            self._frozen_inv_base = self._inv_sqrt_degrees().astype(
                 self._dtype, copy=False)
         return self._frozen_inv_base
 
@@ -716,25 +905,18 @@ class PreparedDeployment:
         operation and its order is unchanged from the original frozen
         serve, so frozen logits remain bitwise stable.
         """
-        if batch_mode not in ("graph", "node"):
-            raise InferenceError(
-                f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
+        intra = self._enter_request(batch, batch_mode)
         # validates the model and pays any first-touch calibration up front
         if self.precision == "int8":
             self._quantized_hops()
         else:
             self.propagated_base_features()
-        self.model.eval()
         dtype = self._dtype
         with stage_span("operator"):
             new_feats = np.asarray(batch.features, dtype=dtype)
             n = new_feats.shape[0]
-            inc = self._converted_incremental(batch.incremental, n)
-            inc_nnz_raw = int(inc.nnz)  # before elimination, like attach_normalize
-            inc.eliminate_zeros()
-            intra = batch.intra if batch_mode == "graph" else None
-            ea_raw = _canonical_csr(intra, (n, n), "intra adjacency")
-            ea_loops = add_self_loops(ea_raw) if n else ea_raw
+            inc, inc_nnz_raw = self._converted_incremental(batch.incremental, n)
+            ea_loops, ea_nnz_raw = _intra_loops(intra, n)
 
             # degrees of the *new* rows only (always float64 — masking
             # happens before the cast); base rows keep standalone scaling
@@ -773,7 +955,7 @@ class PreparedDeployment:
             h = new_feats
             for k in range(self.model.k_hops):
                 h = op_nb @ self._hop_block(k, cols) + op_nn @ h
-        memory = self._memory_bytes(n, inc_nnz_raw, int(ea_raw.nnz),
+        memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw,
                                     self.num_base + n)
         return h, memory
 
@@ -848,6 +1030,9 @@ class PreparedDeployment:
         self._base_counts = np.diff(self.base_loops.indptr)
         self._raw_nnz = int(raw.nnz)
         self.base_features = np.ascontiguousarray(effect.graph.features)
+        if self._workspace is not None:
+            # appended nodes are base rows now: back to the zero they read as
+            self._workspace[old_base:new_n] = 0.0
 
         # --- derived caches -------------------------------------------
         materialized = (self._loop_degrees is not None
@@ -965,7 +1150,7 @@ class PreparedDeployment:
         O(affected nnz) flops plus one O(nnz) memcpy — no full rescale."""
         loops = self.base_loops
         old = self._base_operator
-        inv_sqrt = _inv_sqrt(self._degrees())
+        inv_sqrt = self._inv_sqrt_degrees()
         indptr = loops.indptr
         data = np.empty(int(indptr[-1]), dtype=np.float64)
         # Unaffected rows keep identical content; only their offsets
@@ -998,6 +1183,7 @@ class PreparedDeployment:
         had_propagated = self._propagated is not None
         had_degrees = self._loop_degrees is not None
         self._loop_degrees = None
+        self._loop_inv_sqrt = None
         self._base_operator = None
         self._frozen_inv_base = None
         self._propagated = None
@@ -1042,11 +1228,16 @@ class PreparedDeployment:
                     np.diff(appended_block.indptr))
             self._loop_degrees = degrees
             refreshed.append("degrees")
+            if self._loop_inv_sqrt is not None:
+                inv_sqrt = np.zeros_like(degrees)
+                inv_sqrt[:old_base] = self._loop_inv_sqrt
+                inv_sqrt[touched] = _inv_sqrt(degrees[touched])
+                self._loop_inv_sqrt = inv_sqrt
         if self._base_operator is not None:
             self._base_operator = self._respliced_operator(affected, old_base)
             refreshed.append("operator")
         if self._frozen_inv_base is not None:
-            self._frozen_inv_base = _inv_sqrt(self._degrees())
+            self._frozen_inv_base = self._inv_sqrt_degrees()
             refreshed.append("frozen_scale")
         if self._propagated is not None:
             self._refresh_propagated(effect, affected, old_base)

@@ -201,3 +201,276 @@ class TestValidation:
         batch = split.incremental_batch("val")
         with pytest.raises(InferenceError):
             prepared.serve_batch(batch, "stream")
+
+
+# ----------------------------------------------------------------------
+# Receptive-field serving: the SGC path builds and multiplies only the
+# operator rows a request can reach, and must equal Eq. 3 / Eq. 11 bitwise
+# ----------------------------------------------------------------------
+def _weighted_base(num_nodes=150, dim=6, seed=5):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((num_nodes, num_nodes))
+                    * (rng.random((num_nodes, num_nodes)) < 0.02), k=1)
+    return Graph(sp.csr_matrix(upper + upper.T),
+                 rng.normal(size=(num_nodes, dim)),
+                 rng.integers(0, 3, size=num_nodes))
+
+
+def _weighted_batch(width, count=48, dim=6, seed=6):
+    rng = np.random.default_rng(seed)
+    intra = np.triu(rng.random((count, count))
+                    * (rng.random((count, count)) < 0.08), k=1)
+    return IncrementalBatch(
+        features=rng.normal(size=(count, dim)),
+        incremental=sp.csr_matrix(rng.random((count, width))
+                                  * (rng.random((count, width)) < 0.03)),
+        intra=sp.csr_matrix(intra + intra.T),
+        labels=np.zeros(count, dtype=np.int64))
+
+
+def _sgc(dim, classes, k_hops, seed=2):
+    return make_model("sgc", dim, classes, seed=seed, k_hops=k_hops)
+
+
+def _full_assembly(prepared, batch, batch_mode, forward=None):
+    """The path every non-SGC model takes: full operator, model forward."""
+    from repro.tensor.tensor import Tensor, no_grad
+    prepared.model.eval()
+    intra = batch.intra if batch_mode == "graph" else None
+    operator, features, memory = prepared.attach_normalize(
+        batch.incremental, batch.features, intra)
+    with no_grad():
+        out = (forward or prepared.model)(operator, Tensor(features))
+    return out.data[prepared.num_base:], memory
+
+
+class TestReceptiveFieldServing:
+    SIZES = (0, 1, 4, 32, None)  # None: the whole batch
+
+    @pytest.fixture(scope="class")
+    def weighted(self):
+        base = _weighted_base()
+        return base, _weighted_batch(base.num_nodes)
+
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    @pytest.mark.parametrize("batch_mode", ("graph", "node"))
+    def test_original_equals_naive_bitwise(self, weighted, k_hops,
+                                           batch_mode):
+        base, batch = weighted
+        model = _sgc(base.feature_dim, 3, k_hops)
+        naive = InductiveServer(model, "original", base, use_cache=False)
+        prepared = PreparedDeployment(model, "original", base)
+        for size in self.SIZES:
+            sub = batch if size is None else batch.subset(np.arange(size))
+            expected, _, memory = naive.serve_batch(sub, batch_mode)
+            logits, _, served_memory = prepared.serve_batch(sub, batch_mode)
+            assert np.array_equal(expected, logits), (k_hops, size)
+            assert memory == served_memory
+
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    @pytest.mark.parametrize("batch_mode", ("graph", "node"))
+    def test_synthetic_equals_naive_bitwise(self, split, condensed, k_hops,
+                                            batch_mode):
+        model = _sgc(split.original.feature_dim, split.num_classes, k_hops)
+        naive = InductiveServer(model, "synthetic", None, condensed,
+                                use_cache=False)
+        prepared = PreparedDeployment(model, "synthetic", None, condensed)
+        batch = split.incremental_batch("test")
+        for size in self.SIZES:
+            sub = batch if size is None else batch.subset(np.arange(size))
+            expected, _, memory = naive.serve_batch(sub, batch_mode)
+            logits, _, served_memory = prepared.serve_batch(sub, batch_mode)
+            assert np.array_equal(expected, logits), (k_hops, size)
+            assert memory == served_memory
+
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    def test_request_without_neighbours(self, weighted, k_hops):
+        base, batch = weighted
+        model = _sgc(base.feature_dim, 3, k_hops)
+        lonely = IncrementalBatch(
+            features=batch.features[:3],
+            incremental=sp.csr_matrix((3, base.num_nodes)),
+            intra=batch.intra[:3][:, :3], labels=batch.labels[:3])
+        naive = InductiveServer(model, "original", base, use_cache=False)
+        prepared = PreparedDeployment(model, "original", base)
+        for batch_mode in ("graph", "node"):
+            expected, _, memory = naive.serve_batch(lonely, batch_mode)
+            logits, _, served_memory = prepared.serve_batch(lonely,
+                                                            batch_mode)
+            assert np.array_equal(expected, logits)
+            assert memory == served_memory
+
+    def test_explicit_zero_and_duplicated_entries(self, weighted):
+        # raw CSR arrays may hold a column twice and a stored 0.0; the
+        # naive footprint counts the summed and the zero entries alike
+        base, batch = weighted
+        model = _sgc(base.feature_dim, 3, 2)
+        incremental = sp.csr_matrix(
+            (np.array([0.5, 0.25, 0.0, 1.5, 0.75]),
+             np.array([7, 7, 20, 3, 90]), np.array([0, 3, 5])),
+            shape=(2, base.num_nodes))
+        assert incremental.nnz == 5  # neither summed nor pruned yet
+        messy = IncrementalBatch(features=batch.features[:2],
+                                 incremental=incremental,
+                                 intra=sp.csr_matrix((2, 2)),
+                                 labels=batch.labels[:2])
+        naive = InductiveServer(model, "original", base, use_cache=False)
+        prepared = PreparedDeployment(model, "original", base)
+        expected, _, memory = naive.serve_batch(messy, "graph")
+        logits, _, served_memory = prepared.serve_batch(messy, "graph")
+        assert np.array_equal(expected, logits)
+        assert memory == served_memory
+        assert served_memory == _full_assembly(prepared, messy, "graph")[1]
+
+    def test_coalesced_requests(self, weighted):
+        from repro.serving.runtime import merge_requests
+        base, batch = weighted
+        model = _sgc(base.feature_dim, 3, 2)
+        merged = merge_requests([batch.subset(np.arange(start, start + 4))
+                                 for start in range(0, 32, 4)])
+        naive = InductiveServer(model, "original", base, use_cache=False)
+        prepared = PreparedDeployment(model, "original", base)
+        for batch_mode in ("graph", "node"):
+            expected, _, _ = naive.serve_batch(merged, batch_mode)
+            logits, _, _ = prepared.serve_batch(merged, batch_mode)
+            assert np.array_equal(expected, logits)
+
+    @pytest.mark.parametrize("precision", ("float32", "int8"))
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    def test_reduced_precision_equals_full_assembly(self, weighted,
+                                                    precision, k_hops):
+        # same casts, same fold order: the row-restricted products see the
+        # float32-rounded operator and features the full assembly sees
+        base, batch = weighted
+        model = _sgc(base.feature_dim, 3, k_hops)
+        prepared = PreparedDeployment(model, "original", base,
+                                      precision=precision)
+        for batch_mode in ("graph", "node"):
+            for size in (1, 4, None):
+                sub = batch if size is None else batch.subset(np.arange(size))
+                expected, memory = _full_assembly(prepared, sub, batch_mode)
+                logits, _, served_memory = prepared.serve_batch(sub,
+                                                                batch_mode)
+                assert np.array_equal(expected, logits)
+                assert memory == served_memory
+
+    @pytest.mark.parametrize("model_name",
+                             ("gcn", "graphsage", "appnp", "cheby", "mlp"))
+    def test_other_models_keep_the_full_assembly(self, weighted, model_name,
+                                                 monkeypatch):
+        base, batch = weighted
+        model = make_model(model_name, base.feature_dim, 3, seed=1)
+        prepared = PreparedDeployment(model, "original", base)
+        naive = InductiveServer(model, "original", base, use_cache=False)
+        calls = []
+        attach = prepared.attach_normalize
+        monkeypatch.setattr(
+            prepared, "attach_normalize",
+            lambda *args: calls.append(1) or attach(*args))
+        sub = batch.subset(np.arange(4))
+        logits, _, _ = prepared.serve_batch(sub, "graph")
+        hidden, _, _ = prepared.embed_batch(sub, "graph")
+        assert len(calls) == 2  # both went through the full operator
+        assert np.array_equal(logits, naive.serve_batch(sub, "graph")[0])
+        assert np.array_equal(
+            hidden, _full_assembly(prepared, sub, "graph", model.embed)[0])
+        assert prepared._workspace is None
+
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    @pytest.mark.parametrize("batch_mode", ("graph", "node"))
+    def test_task_replies_unchanged(self, weighted, k_hops, batch_mode):
+        # embed / link_score / topk skip the classifier gemm but must
+        # still reply what the full propagation replies
+        from repro.serving import ServeTask
+        from repro.serving.embeddings import score_pairs
+        base, batch = weighted
+        model = _sgc(base.feature_dim, 3, k_hops)
+        prepared = PreparedDeployment(model, "original", base)
+        sub = batch.subset(np.arange(5))
+        expected, memory = _full_assembly(prepared, sub, batch_mode,
+                                          model.embed)
+        hidden, _, served_memory = prepared.serve_task(
+            ServeTask(sub, task="embed"), batch_mode=batch_mode)
+        assert np.array_equal(expected, hidden)
+        assert memory == served_memory
+        pairs = np.array([[0, 3], [4, 100], [2, 2]])
+        scores, _, _ = prepared.serve_task(
+            ServeTask(sub, task="link_score", pairs=pairs),
+            batch_mode=batch_mode)
+        assert np.array_equal(scores, score_pairs(
+            expected[pairs[:, 0]], prepared.base_embeddings()[pairs[:, 1]]))
+        packed, _, _ = prepared.serve_task(ServeTask(sub, task="topk", k=3),
+                                           batch_mode=batch_mode)
+        assert np.array_equal(
+            packed, prepared.embedding_index().packed_topk(expected, 3))
+
+    def test_workspace_grows_geometrically_and_base_rows_stay_zero(
+            self, weighted):
+        base, batch = weighted
+        prepared = PreparedDeployment(_sgc(base.feature_dim, 3, 2),
+                                      "original", base)
+        prepared.serve_batch(batch.subset(np.arange(2)), "node")
+        first = prepared._workspace
+        assert first.shape[0] == base.num_nodes + 2
+        prepared.serve_batch(batch.subset(np.arange(1)), "node")
+        assert prepared._workspace is first  # smaller request: a view
+        prepared.serve_batch(batch, "node")
+        grown = prepared._workspace
+        assert grown.shape[0] >= base.num_nodes + batch.num_nodes
+        assert grown.shape[0] >= first.shape[0] + first.shape[0] // 2
+        assert not grown[:base.num_nodes].any()
+
+    def test_identity_block_matches_the_scipy_round_trip(self):
+        from repro.graph.ops import add_self_loops
+        from repro.serving.prepared import _intra_loops
+        for n in (0, 1, 4):
+            reference = add_self_loops(sp.csr_matrix((n, n),
+                                                     dtype=np.float64))
+            reference.sort_indices()
+            for intra in (None, sp.csr_matrix((n, n)), np.zeros((n, n))):
+                eye, stored = _intra_loops(intra, n)
+                assert stored == 0 and eye.shape == (n, n)
+                for part in ("data", "indices", "indptr"):
+                    ours, theirs = getattr(eye, part), getattr(reference, part)
+                    assert ours.dtype == theirs.dtype, part
+                    assert np.array_equal(ours, theirs), part
+        with pytest.raises(GraphError):
+            _intra_loops(sp.csr_matrix((3, 3)), 4)
+
+    def test_request_allocations_stay_a_fraction_of_the_full_assembly(self):
+        # guards against an O(|A|) or O(B·d) temporary creeping back in
+        import tracemalloc
+        rng = np.random.default_rng(3)
+        num_nodes, dim = 2400, 96
+        rows = rng.integers(0, num_nodes, size=6 * num_nodes)
+        cols = rng.integers(0, num_nodes, size=6 * num_nodes)
+        adjacency = sp.csr_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes))
+        adjacency = adjacency.maximum(adjacency.T).tocsr()
+        adjacency.setdiag(0.0)
+        adjacency.eliminate_zeros()
+        base = Graph(adjacency, rng.normal(size=(num_nodes, dim)),
+                     rng.integers(0, 8, size=num_nodes))
+        model = _sgc(dim, 8, 2)
+        prepared = PreparedDeployment(model, "original", base)
+        request = IncrementalBatch(
+            features=rng.normal(size=(4, dim)),
+            incremental=sp.csr_matrix(
+                (np.ones(12), (np.repeat(np.arange(4), 3),
+                               rng.choice(num_nodes, 12, replace=False))),
+                shape=(4, num_nodes)),
+            intra=sp.csr_matrix((4, 4)), labels=np.zeros(4, dtype=np.int64))
+
+        def peak(call):
+            call()  # warm: caches, workspace, lazy imports
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        served = peak(lambda: prepared.serve_batch(request, "node"))
+        full = peak(lambda: _full_assembly(prepared, request, "node"))
+        assert full > 3 * num_nodes * dim * 8  # stack + two hop results
+        assert served < full / 3

@@ -118,6 +118,55 @@ class TestApplyDeltaParity:
             fresh = PreparedDeployment(sgc, "original", reference.graph)
             _assert_prepared_parity(prepared, fresh, probe, batch_mode)
 
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    def test_reads_between_appends_stay_exact(self, tiny_split, k_hops):
+        """Serving materializes the standalone scale vector and the
+        classifier workspace of the receptive-field path; deltas keep
+        both current row-wise, so every read equals a fresh prepare()
+        and the naive Eq. 3 path bit for bit."""
+        from repro.inference import InductiveServer
+        model = make_model("sgc", tiny_split.original.feature_dim,
+                           tiny_split.num_classes, seed=0, k_hops=k_hops)
+        rng = np.random.default_rng(k_hops)
+        batch = tiny_split.incremental_batch("test")
+        prepared = PreparedDeployment(model, "original", tiny_split.original)
+        reference = StreamingGraph(tiny_split.original.copy())
+        inc = batch.subset(np.arange(20, 26)).incremental.tocsr()
+
+        def probe():
+            return IncrementalBatch(
+                features=batch.features[20:26],
+                incremental=sp.csr_matrix(
+                    (inc.data, inc.indices, inc.indptr),
+                    shape=(6, prepared.num_base)),
+                intra=batch.intra[20:26][:, 20:26], labels=batch.labels[20:26])
+
+        prepared.serve_batch(probe(), "graph")
+        first_capacity = prepared._workspace.shape[0]
+        for step in range(6):
+            delta = _random_delta(reference, batch, 2 * step, rng)
+            # alternate the two refresh strategies: row-wise, from scratch
+            report = prepared.apply_delta(
+                delta, staleness_threshold=float(step % 2))
+            assert report.mode == ("incremental" if step % 2 else "rebuild")
+            reference.apply(delta)
+            fresh = PreparedDeployment(model, "original", reference.graph)
+            naive = InductiveServer(model, "original", reference.graph,
+                                    use_cache=False)
+            assert np.array_equal(prepared._inv_sqrt_degrees(),
+                                  fresh._inv_sqrt_degrees())
+            for batch_mode in ("graph", "node"):
+                logits, _, memory = prepared.serve_batch(probe(), batch_mode)
+                for other in (fresh, naive):
+                    expected, _, other_memory = other.serve_batch(
+                        probe(), batch_mode)
+                    assert np.array_equal(logits, expected)
+                    assert memory == other_memory
+            # appended nodes became base rows: they read as zero again
+            assert not prepared._workspace[:prepared.num_base].any()
+        assert prepared.num_base == tiny_split.original.num_nodes + 12
+        assert prepared._workspace.shape[0] > first_capacity  # regrown
+
     def test_forced_rebuild_matches_incremental(self, tiny_split, sgc):
         batch = tiny_split.incremental_batch("test")
         trace = make_delta_trace(tiny_split.original, batch, num_deltas=4,
