@@ -8,27 +8,11 @@ many tables/figures are regenerated.  Effort is controlled by the
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.experiments import ExperimentContext, current_profile, prepare_dataset
 
 DATASETS = ("pubmed-sim", "flickr-sim", "reddit-sim")
-
-# One seed for every workload generator in the benchmark suite: arrival
-# processes are deterministic across runs and machines, so latency numbers
-# are comparable commit to commit.
-WORKLOAD_SEED = 2024
-
-
-@pytest.fixture
-def workload_rng() -> np.random.Generator:
-    """A fresh, deterministically-seeded generator per benchmark.
-
-    Function-scoped on purpose: a shared generator would make arrival
-    times depend on benchmark execution order.
-    """
-    return np.random.default_rng(WORKLOAD_SEED)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +30,7 @@ def contexts() -> dict[str, ExperimentContext]:
     return _Lazy(cache)
 
 
-def pytest_configure(config):
+def pytest_report_header(config):
     profile = current_profile()
-    print(f"\n[repro benchmarks] effort profile: {profile.name} "
-          f"(seeds={profile.seeds})")
+    return (f"[repro benchmarks] effort profile: {profile.name} "
+            f"(seeds={profile.seeds})")

@@ -22,8 +22,8 @@ Layers underneath the facade:
 - :mod:`repro.inference` — the four deployment settings (O→O, O→S, S→O,
   S→S) with latency/memory accounting.
 - :mod:`repro.serving` — the online runtime: prepared-deployment cache,
-  micro-batching scheduler, bounded queue, workload generators, and the
-  ``repro bench`` serving-latency benchmark.
+  micro-batching scheduler, bounded queue, workload generators, replica
+  fleet and network gateway.
 - :mod:`repro.propagation` — label propagation and error propagation
   calibration.
 - :mod:`repro.experiments` — harnesses regenerating every table and figure.

@@ -336,15 +336,20 @@ def render_text_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def check_analysis_report_schema(result: dict) -> None:
-    """Validate a ``repro check`` JSON report (``repro bench-schema``)."""
-    from repro.utils.reports import require_keys
+def _require_keys(mapping: dict, keys, where: str) -> None:
+    missing = [key for key in keys if key not in mapping]
+    if missing:
+        raise AnalysisError(f"{where} misses keys: {missing}")
 
+
+def check_analysis_report_schema(result: dict) -> None:
+    """Validate a ``repro check`` JSON report; ``repro check`` runs this
+    on its own output before printing or writing it."""
     if not isinstance(result, dict):
         raise AnalysisError("analysis report must be a JSON object")
-    require_keys(result, ("kind", "schema_version", "files_scanned",
-                          "checkers", "violations", "suppressed", "clean"),
-                 "analysis report", AnalysisError)
+    _require_keys(result, ("kind", "schema_version", "files_scanned",
+                           "checkers", "violations", "suppressed", "clean"),
+                  "analysis report")
     if result["kind"] != "analysis-report":
         raise AnalysisError(
             f"analysis report kind must be 'analysis-report', "
@@ -358,13 +363,13 @@ def check_analysis_report_schema(result: dict) -> None:
         raise AnalysisError("analysis report 'checkers' must be a "
                             "non-empty object")
     for name, info in result["checkers"].items():
-        require_keys(info, ("description", "violations"),
-                     f"analysis report checker {name!r}", AnalysisError)
+        _require_keys(info, ("description", "violations"),
+                      f"analysis report checker {name!r}")
     if not isinstance(result["violations"], list):
         raise AnalysisError("analysis report 'violations' must be a list")
     for entry in result["violations"]:
-        require_keys(entry, ("checker", "code", "path", "line", "message"),
-                     "analysis report violation", AnalysisError)
+        _require_keys(entry, ("checker", "code", "path", "line", "message"),
+                      "analysis report violation")
     if result["clean"] != (not result["violations"]):
         raise AnalysisError(
             "analysis report 'clean' disagrees with its violation list")

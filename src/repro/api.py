@@ -59,6 +59,7 @@ from repro.serving.prepared import (
     _quantize_columns,
 )
 from repro.serving.runtime import ServingRuntime
+from repro.tensor.sparse import dense_memory_bytes, sparse_memory_bytes
 from repro.utils.artifacts import normalize_npz_path, open_npz_archive, save_npz
 
 __all__ = ["condense", "deploy", "serve", "open_runtime", "open_stream",
@@ -242,10 +243,13 @@ class DeploymentBundle:
                      batch_size=batch_size)
 
     def storage_bytes(self) -> int:
-        """Resident deployment storage of the served graph (paper metric)."""
-        from repro.inference.benchmark import deployment_storage_bytes
-        return deployment_storage_bytes(self.deployment, self.base,
-                                        self.condensed)
+        """Resident deployment storage of the served graph (paper metric):
+        sparse adjacency + features of the original graph, or the
+        condensed graph with its mapping."""
+        if self.deployment == "original":
+            return (sparse_memory_bytes(self.base.adjacency)
+                    + dense_memory_bytes(self.base.features))
+        return self.condensed.storage_bytes(include_mapping=True)
 
     # ------------------------------------------------------------------
     # Persistence — one .npz per bundle, extending CondensedGraph's scheme.

@@ -6,7 +6,6 @@ The pipeline commands mirror the paper's offline/online split::
                    --output artifact.npz     # offline: condense + train
     repro serve    --artifact artifact.npz --batch-mode node
     repro serve-online --artifact artifact.npz --workload poisson --rate 400
-    repro bench    --dataset pubmed-sim      # writes BENCH_serving.json
     repro eval     --dataset pubmed-sim --method mcond_ss --budget 30
     repro list                                # registry contents
 
@@ -62,13 +61,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="compute profile (default: quick)")
 
 
-def _add_task_flag(parser: argparse.ArgumentParser,
-                   knobs: bool = False) -> None:
-    """The uniform ``--task`` flag shared by every serve/bench replay.
+def _add_task_flag(parser: argparse.ArgumentParser) -> None:
+    """The uniform ``--task`` flag (and its task-specific tuning flags)
+    shared by every serve replay.
 
     One definition keeps the help text identical across subcommands
-    (the DOC003 drift check resolves doc snippets against it).  With
-    ``knobs`` the task-specific tuning flags ride along.
+    (the DOC003 drift check resolves doc snippets against it).
     """
     parser.add_argument("--task",
                         choices=("predict", "embed", "link_score", "topk"),
@@ -78,13 +76,12 @@ def _add_task_flag(parser: argparse.ArgumentParser,
                              "representations), link_score (endpoint-pair "
                              "scores), or topk (nearest base nodes); "
                              "default: predict")
-    if knobs:
-        parser.add_argument("--k", type=int, default=10,
-                            help="neighbours per row for --task topk "
-                                 "(default: 10)")
-        parser.add_argument("--scorer", default="dot",
-                            help="pair scorer registry key for --task "
-                                 "link_score (default: dot)")
+    parser.add_argument("--k", type=int, default=10,
+                        help="neighbours per row for --task topk "
+                             "(default: 10)")
+    parser.add_argument("--scorer", default="dot",
+                        help="pair scorer registry key for --task "
+                             "link_score (default: dot)")
 
 
 def _add_batch_mode_flag(parser: argparse.ArgumentParser,
@@ -95,17 +92,8 @@ def _add_batch_mode_flag(parser: argparse.ArgumentParser,
                         default=default,
                         help="inductive nodes arrive connected to each other "
                              "(graph) or isolated (node); the default is "
-                             "node, except graph on serve, bench-condense "
-                             f"and eval (here: {default})")
-
-
-def _require_predict_task(args, command: str) -> None:
-    """Benchmarks that replay predict-only traffic still take the
-    uniform ``--task`` flag; anything else routes to bench-embed."""
-    if args.task != "predict":
-        raise ConfigError(
-            f"repro {command} replays predict traffic only; "
-            f"'repro bench-embed' covers the embed/link_score/topk tasks")
+                             "node, except graph on serve and eval "
+                             f"(here: {default})")
 
 
 def _tasked(args, requests):
@@ -214,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument("--closed-loop", action="store_true",
                         help="submit eagerly instead of honouring arrival "
                              "times (no sleeps; measures drain rate)")
-    _add_task_flag(online, knobs=True)
+    _add_task_flag(online)
 
     stream = sub.add_parser(
         "serve-stream",
@@ -253,43 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_batch_mode_flag(stream)
     stream.add_argument("--seed", type=int, default=0,
                         help="delta-trace seed (default: 0)")
-    _add_task_flag(stream, knobs=True)
-
-    bench_stream = sub.add_parser(
-        "bench-stream",
-        help="run the streaming-evolution benchmark (delta refresh vs "
-             "full rebuild + serve latency under ingest) and write "
-             "BENCH_streaming.json")
-    _add_common(bench_stream)
-    bench_stream.add_argument("--method", default="mcond",
-                              help="reduction method registry key "
-                                   "(default: mcond)")
-    bench_stream.add_argument("--budget", type=int, default=None,
-                              help="synthetic node budget (default: the "
-                                   "dataset's largest registered budget)")
-    bench_stream.add_argument("--scale", type=float, default=1.0,
-                              help="dataset scale multiplier (default: 1.0)")
-    bench_stream.add_argument("--deltas", type=int, default=10,
-                              help="deltas in the trace (default: 10)")
-    bench_stream.add_argument("--nodes-per-delta", type=int, default=3,
-                              help="nodes appended per delta (default: 3)")
-    bench_stream.add_argument("--requests", type=int, default=48,
-                              help="serve requests in the ingest replay "
-                                   "(default: 48)")
-    bench_stream.add_argument("--staleness", type=float, default=0.25,
-                              help="staleness threshold for the "
-                                   "delta-refresh variant (default: 0.25)")
-    _add_batch_mode_flag(bench_stream)
-    bench_stream.add_argument("--output", default="BENCH_streaming.json",
-                              help="output JSON path "
-                                   "(default: BENCH_streaming.json)")
-    bench_stream.add_argument("--gate", action="store_true",
-                              help="fail (exit 1) unless delta refresh "
-                                   "beats the full rebuild bit-exactly")
-    bench_stream.add_argument("--min-speedup", type=float, default=1.0,
-                              help="refresh speedup the --gate requires "
-                                   "(default: 1.0)")
-    _add_task_flag(bench_stream)
+    _add_task_flag(stream)
 
     fleet = sub.add_parser(
         "serve-fleet",
@@ -320,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--kill-one", action="store_true",
                        help="failover drill: kill one replica mid-stream "
                             "and report re-routing stats")
-    _add_task_flag(fleet, knobs=True)
+    _add_task_flag(fleet)
 
     gateway = sub.add_parser(
         "serve-gateway",
@@ -387,246 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="polls before exiting; 0 polls forever "
                           "(default: 1)")
 
-    bench_gateway = sub.add_parser(
-        "bench-gateway",
-        help="run the network-gateway benchmark (socket vs in-process "
-             "throughput, shed accounting, autoscale reaction, parity, "
-             "telemetry overhead) and write BENCH_gateway.json")
-    _add_common(bench_gateway)
-    bench_gateway.add_argument("--method", default="mcond",
-                               help="reduction method registry key "
-                                    "(default: mcond)")
-    bench_gateway.add_argument("--budget", type=int, default=None,
-                               help="synthetic node budget (default: the "
-                                    "dataset's largest registered budget)")
-    bench_gateway.add_argument("--scale", type=float, default=1.0,
-                               help="dataset scale multiplier (default: 1.0)")
-    bench_gateway.add_argument("--deployment",
-                               choices=("original", "synthetic"),
-                               default="original",
-                               help="deployment shape to benchmark "
-                                    "(default: original)")
-    bench_gateway.add_argument("--replicas", type=int, default=2,
-                               help="replica count for the throughput "
-                                    "comparison (default: 2)")
-    bench_gateway.add_argument("--requests", type=int, default=48,
-                               help="requests per throughput run "
-                                    "(default: 48)")
-    bench_gateway.add_argument("--nodes-per-request", type=int, default=8,
-                               help="inductive nodes per request "
-                                    "(default: 8)")
-    bench_gateway.add_argument("--ramp-requests", type=int, default=200,
-                               help="requests in the autoscale ramp "
-                                    "(default: 200)")
-    bench_gateway.add_argument("--router", default="round-robin",
-                               help="routing policy registry key "
-                                    "(default: round-robin)")
-    _add_batch_mode_flag(bench_gateway)
-    bench_gateway.add_argument("--output", default="BENCH_gateway.json",
-                               help="output JSON path "
-                                    "(default: BENCH_gateway.json)")
-    bench_gateway.add_argument("--gate", action="store_true",
-                               help="fail (exit 1) unless socket throughput "
-                                    "keeps --min-socket-ratio of in-process, "
-                                    "shed accounting is exact, the "
-                                    "autoscaler reacts before the ramp "
-                                    "peak with zero lost requests, "
-                                    "gateway responses match direct "
-                                    "serving bitwise, and telemetry keeps "
-                                    "--min-telemetry-ratio of the "
-                                    "uninstrumented rate")
-    bench_gateway.add_argument("--min-socket-ratio", type=float, default=0.7,
-                               help="socket/in-process throughput ratio "
-                                    "the --gate requires (default: 0.7)")
-    bench_gateway.add_argument("--min-telemetry-ratio", type=float,
-                               default=0.97,
-                               help="instrumented/uninstrumented throughput "
-                                    "ratio the --gate requires "
-                                    "(default: 0.97)")
-    _add_task_flag(bench_gateway)
-
-    bench_embed = sub.add_parser(
-        "bench-embed",
-        help="run the task-serving benchmark (per-task throughput, "
-             "precomputed-index top-k speedup, link-prediction holdout "
-             "AUC, delta invalidation) and write BENCH_embed.json")
-    _add_common(bench_embed)
-    bench_embed.add_argument("--method", default="mcond",
-                             help="reduction method registry key "
-                                  "(default: mcond)")
-    bench_embed.add_argument("--budget", type=int, default=None,
-                             help="synthetic node budget (default: the "
-                                  "dataset's largest registered budget)")
-    bench_embed.add_argument("--scale", type=float, default=1.0,
-                             help="dataset scale multiplier (default: 1.0)")
-    bench_embed.add_argument("--requests", type=int, default=32,
-                             help="requests per task replay (default: 32)")
-    bench_embed.add_argument("--nodes-per-request", type=int, default=2,
-                             help="inductive nodes per request (default: 2)")
-    bench_embed.add_argument("--k", type=int, default=5,
-                             help="neighbours per top-k row (default: 5)")
-    bench_embed.add_argument("--holdout-pairs", type=int, default=64,
-                             help="held-out edges in the link-prediction "
-                                  "evaluation (default: 64)")
-    bench_embed.add_argument("--scorer", default="dot",
-                             help="pair scorer registry key for the link "
-                                  "holdout (default: dot)")
-    bench_embed.add_argument("--deltas", type=int, default=4,
-                             help="deltas in the invalidation trace "
-                                  "(default: 4)")
-    bench_embed.add_argument("--nodes-per-delta", type=int, default=2,
-                             help="nodes appended per delta (default: 2)")
-    _add_batch_mode_flag(bench_embed)
-    bench_embed.add_argument("--output", default="BENCH_embed.json",
-                             help="output JSON path "
-                                  "(default: BENCH_embed.json)")
-    bench_embed.add_argument("--gate", action="store_true",
-                             help="fail (exit 1) unless the precomputed "
-                                  "index beats per-query embedding "
-                                  "recomputation by --min-index-speedup, "
-                                  "the link holdout AUC clears 0.5 + "
-                                  "--auc-margin, deltas leave zero stale "
-                                  "top-k rows, and post-delta embeddings "
-                                  "keep bitwise parity")
-    bench_embed.add_argument("--min-index-speedup", type=float, default=2.0,
-                             help="top-k index speedup over per-query "
-                                  "recomputation the --gate requires "
-                                  "(default: 2.0)")
-    bench_embed.add_argument("--auc-margin", type=float, default=0.05,
-                             help="margin over the 0.5 AUC chance line the "
-                                  "--gate requires (default: 0.05)")
-
-    bench_fleet = sub.add_parser(
-        "bench-fleet",
-        help="run the fleet benchmark (throughput scaling across replica "
-             "counts, p95 under failover, mmap vs eager cold start) and "
-             "write BENCH_fleet.json")
-    _add_common(bench_fleet)
-    bench_fleet.add_argument("--method", default="mcond",
-                             help="reduction method registry key "
-                                  "(default: mcond)")
-    bench_fleet.add_argument("--budget", type=int, default=None,
-                             help="synthetic node budget (default: the "
-                                  "dataset's largest registered budget)")
-    bench_fleet.add_argument("--scale", type=float, default=1.0,
-                             help="dataset scale multiplier (default: 1.0)")
-    bench_fleet.add_argument("--deployment", choices=("original", "synthetic"),
-                             default="original",
-                             help="deployment shape to benchmark "
-                                  "(default: original — the artifact size "
-                                  "where zero-copy sharing matters)")
-    bench_fleet.add_argument("--replica-counts", default="1,2,4",
-                             help="comma-separated replica counts "
-                                  "(default: 1,2,4; must include 1)")
-    bench_fleet.add_argument("--requests", type=int, default=48,
-                             help="requests per throughput run (default: 48)")
-    bench_fleet.add_argument("--nodes-per-request", type=int, default=8,
-                             help="inductive nodes per request (default: 8)")
-    bench_fleet.add_argument("--router", default="round-robin",
-                             help="routing policy registry key "
-                                  "(default: round-robin)")
-    _add_batch_mode_flag(bench_fleet)
-    bench_fleet.add_argument("--output", default="BENCH_fleet.json",
-                             help="output JSON path "
-                                  "(default: BENCH_fleet.json)")
-    bench_fleet.add_argument("--gate", action="store_true",
-                             help="fail (exit 1) unless 2 replicas beat 1 "
-                                  "on throughput (on multi-core hosts), "
-                                  "mmap beats eager cold start, and "
-                                  "failover loses zero requests")
-    _add_task_flag(bench_fleet)
-
-    bench_schema = sub.add_parser(
-        "bench-schema",
-        help="validate benchmark JSON artifacts (BENCH_*.json) against "
-             "their schema checkers; exits 2 on drift")
-    bench_schema.add_argument("files", nargs="+",
-                              help="benchmark JSON files to validate")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the serving-latency benchmark (cached vs uncached vs "
-             "frozen paths + runtime replay) and write BENCH_serving.json")
-    _add_common(bench)
-    bench.add_argument("--method", default="mcond",
-                       help="reduction method registry key (default: mcond)")
-    bench.add_argument("--budget", type=int, default=None,
-                       help="synthetic node budget (default: the dataset's "
-                            "largest registered budget)")
-    bench.add_argument("--scale", type=float, default=1.0,
-                       help="dataset scale multiplier (default: 1.0; CI "
-                            "uses smaller for a tight time budget)")
-    bench.add_argument("--requests", type=int, default=48,
-                       help="requests in the stream (default: 48)")
-    bench.add_argument("--nodes-per-request", type=int, default=4,
-                       help="inductive nodes per request (default: 4)")
-    bench.add_argument("--max-batch-size", type=int, default=8,
-                       help="micro-batch size cap (default: 8)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing repeats per batch, best kept "
-                            "(default: 3)")
-    _add_batch_mode_flag(bench)
-    bench.add_argument("--include-original", action="store_true",
-                       help="also benchmark the whole-graph deployment")
-    bench.add_argument("--output", default="BENCH_serving.json",
-                       help="output JSON path (default: BENCH_serving.json)")
-    bench.add_argument("--gate", action="store_true",
-                       help="fail (exit 1) unless the precision axis holds: "
-                            "fused float64 bitwise parity, the float32 "
-                            "frozen-path speedup floor, the reduced-mode "
-                            "accuracy budget, and the int8 artifact ceiling")
-    bench.add_argument("--min-float32-speedup", type=float, default=1.15,
-                       help="float32 frozen-path speedup the --gate "
-                            "requires over float64 (default: 1.15)")
-    bench.add_argument("--max-accuracy-drop", type=float, default=0.5,
-                       help="accuracy-point budget for reduced precision "
-                            "modes under --gate (default: 0.5)")
-    bench.add_argument("--max-int8-bytes-ratio", type=float, default=0.5,
-                       help="int8/float64 artifact size ceiling under "
-                            "--gate (default: 0.5)")
-    _add_task_flag(bench)
-
-    bench_condense = sub.add_parser(
-        "bench-condense",
-        help="run the condensation scaling benchmark (unsharded baseline "
-             "vs sharded at several shard counts) and write "
-             "BENCH_condense.json")
-    _add_common(bench_condense)
-    bench_condense.add_argument("--method", default="mcond",
-                                help="reduction method registry key "
-                                     "(default: mcond)")
-    bench_condense.add_argument("--budget", type=int, default=None,
-                                help="synthetic node budget (default: the "
-                                     "dataset's largest registered budget)")
-    bench_condense.add_argument("--scale", type=float, default=1.0,
-                                help="dataset scale multiplier (default: 1.0)")
-    bench_condense.add_argument("--shards", default="1,2,4",
-                                help="comma-separated shard counts to "
-                                     "benchmark (default: 1,2,4)")
-    bench_condense.add_argument("--workers", type=int, default=None,
-                                help="worker-process cap per variant "
-                                     "(default: min(shards, cpu count))")
-    bench_condense.add_argument("--partitioner", default="stratified",
-                                help="graph partitioner registry key "
-                                     "(default: stratified)")
-    bench_condense.add_argument("--repeats", type=int, default=1,
-                                help="condensation repeats, best kept "
-                                     "(default: 1)")
-    _add_batch_mode_flag(bench_condense, default="graph")
-    bench_condense.add_argument("--output", default="BENCH_condense.json",
-                                help="output JSON path "
-                                     "(default: BENCH_condense.json)")
-    bench_condense.add_argument("--gate", action="store_true",
-                                help="fail (exit 1) unless the gated shard "
-                                     "count beats the unsharded wall-clock "
-                                     "within the accuracy budget")
-    bench_condense.add_argument("--gate-shards", type=int, default=2,
-                                help="shard count the --gate checks "
-                                     "(default: 2)")
-    bench_condense.add_argument("--max-accuracy-drop", type=float, default=2.0,
-                                help="accuracy-point budget for --gate "
-                                     "(default: 2.0)")
-
     evaluate = sub.add_parser(
         "eval",
         help="run one Table-II method end to end in memory and report "
@@ -680,13 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.set_defaults(handler=_cmd_serve_fleet)
     gateway.set_defaults(handler=_cmd_serve_gateway)
     top.set_defaults(handler=_cmd_top)
-    bench_gateway.set_defaults(handler=_cmd_bench_gateway)
-    bench_embed.set_defaults(handler=_cmd_bench_embed)
-    bench.set_defaults(handler=_cmd_bench)
-    bench_condense.set_defaults(handler=_cmd_bench_condense)
-    bench_stream.set_defaults(handler=_cmd_bench_stream)
-    bench_fleet.set_defaults(handler=_cmd_bench_fleet)
-    bench_schema.set_defaults(handler=_cmd_bench_schema)
     evaluate.set_defaults(handler=_cmd_eval)
 
     for name in _EXPERIMENTS:
@@ -1042,131 +747,13 @@ def _cmd_top(args) -> int:
         time.sleep(args.interval)
 
 
-def _cmd_bench_gateway(args) -> int:
-    from repro.serving import (
-        check_gateway_benchmark_schema,
-        gate_gateway_benchmark,
-        run_gateway_benchmark,
-        write_benchmark_json,
-    )
-
-    _require_predict_task(args, "bench-gateway")
-    result = run_gateway_benchmark(
-        args.dataset, method=args.method, budget=args.budget, seed=args.seed,
-        scale=args.scale, profile=args.effort, deployment=args.deployment,
-        replicas=args.replicas, num_requests=args.requests,
-        nodes_per_request=args.nodes_per_request,
-        ramp_requests=args.ramp_requests, router=args.router,
-        batch_mode=args.batch_mode)
-    check_gateway_benchmark_schema(result)
-    path = write_benchmark_json(result, args.output)
-    throughput = result["throughput"]
-    print(f"throughput     socket "
-          f"{throughput['socket']['requests_per_s']:.0f} req/s vs "
-          f"in-process {throughput['in_process']['requests_per_s']:.0f} "
-          f"req/s ({throughput['socket_ratio']:.2f}x) at "
-          f"{args.replicas} replicas")
-    socket_side = throughput["socket"]
-    print(f"socket tail    p50/p95/p99 "
-          f"{socket_side['latency_p50_ms']:.2f}/"
-          f"{socket_side['latency_p95_ms']:.2f}/"
-          f"{socket_side['latency_p99_ms']:.2f} ms")
-    shedding = result["shedding"]
-    print(f"shedding       {shedding['served']} served + "
-          f"{shedding['shed']} shed == {shedding['offered']} offered: "
-          f"{'exact' if shedding['accounting_exact'] else 'BROKEN'}")
-    autoscale = result["autoscale"]
-    reaction = autoscale["scale_up_reaction_s"]
-    reaction_part = ("never" if reaction is None
-                     else f"at t={reaction:.2f}s "
-                          f"(ramp peak t={autoscale['ramp']['peak_s']:.2f}s)")
-    print(f"autoscale      1 -> {autoscale['peak_replicas']} replicas "
-          f"{reaction_part}, {autoscale['lost']} lost, scaled "
-          f"{'down' if autoscale['scaled_down'] else 'DOWN FAILED'} after")
-    print(f"parity         "
-          f"{'ok' if result['parity']['gateway_bitwise_equal'] else 'BROKEN'}"
-          f" {result['parity']['paths']}")
-    telemetry = result["telemetry"]
-    trace_part = ("all stages" if telemetry["slowest_has_all_stages"]
-                  else "MISSING STAGES")
-    print(f"telemetry      instrumented "
-          f"{telemetry['instrumented_rps']:.0f} req/s vs bare "
-          f"{telemetry['uninstrumented_rps']:.0f} req/s "
-          f"({telemetry['overhead_ratio']:.2f}x), logits "
-          f"{'equal' if telemetry['parity_bitwise_equal'] else 'DIFFER'}, "
-          f"slowest trace {trace_part}")
-    print(f"wrote {path}")
-    if args.gate:
-        failures = gate_gateway_benchmark(
-            result, min_socket_ratio=args.min_socket_ratio,
-            min_telemetry_ratio=args.min_telemetry_ratio)
-        if failures:
-            for failure in failures:
-                print(f"perf gate: {failure}", file=sys.stderr)
-            return 1
-        print(f"perf gate passed: socket keeps "
-              f"{throughput['socket_ratio']:.2f}x of in-process "
-              f"throughput with exact shed accounting and a pre-peak "
-              f"scale-up")
-    return 0
-
-
-def _cmd_bench_fleet(args) -> int:
-    from repro.serving import (
-        check_fleet_benchmark_schema,
-        gate_fleet_benchmark,
-        run_fleet_benchmark,
-        write_benchmark_json,
-    )
-
-    _require_predict_task(args, "bench-fleet")
-    try:
-        counts = tuple(int(item)
-                       for item in str(args.replica_counts).split(","))
-    except ValueError:
-        raise ConfigError(
-            f"--replica-counts must be a comma-separated list of integers, "
-            f"got {args.replica_counts!r}")
-    result = run_fleet_benchmark(
-        args.dataset, method=args.method, budget=args.budget, seed=args.seed,
-        scale=args.scale, profile=args.effort, deployment=args.deployment,
-        replica_counts=counts, num_requests=args.requests,
-        nodes_per_request=args.nodes_per_request, router=args.router,
-        batch_mode=args.batch_mode)
-    check_fleet_benchmark_schema(result)
-    path = write_benchmark_json(result, args.output)
-    cold = result["cold_start"]
-    print(f"cold start     mmap {cold['mmap_ms']:.2f} ms vs eager "
-          f"{cold['eager_ms']:.2f} ms ({cold['speedup']:.2f}x)")
-    for count in sorted(result["throughput"], key=int):
-        entry = result["throughput"][count]
-        print(f"replicas={count}     {entry['requests_per_s']:.0f} req/s "
-              f"(p95 {entry['latency_p95_ms']:.2f} ms)")
-    failover = result["failover"]
-    print(f"failover       {failover['requests_lost']} lost, "
-          f"{failover['rerouted']} re-routed, p95 "
-          f"{failover['latency_p95_ms']:.2f} ms")
-    print(f"parity         "
-          f"{'ok' if result['parity']['mmap_bitwise_equal'] else 'BROKEN'}")
-    print(f"wrote {path}")
-    if args.gate:
-        failures = gate_fleet_benchmark(result)
-        if failures:
-            for failure in failures:
-                print(f"perf gate: {failure}", file=sys.stderr)
-            return 1
-        mode = result["scaling"]["mode"]
-        print(f"perf gate passed ({mode} scaling mode, "
-              f"{result['usable_cores']} usable cores)")
-    return 0
-
-
 def _cmd_check(args) -> int:
     import json
     from pathlib import Path
 
     from repro.analysis import (
         build_report,
+        check_analysis_report_schema,
         format_baseline,
         load_baseline,
         render_text_report,
@@ -1183,250 +770,13 @@ def _cmd_check(args) -> int:
         return 0
     baseline = load_baseline(args.baseline) if args.baseline else set()
     report = build_report(violations, per_checker, context, baseline)
+    check_analysis_report_schema(report)
     rendered = json.dumps(report, indent=2, sort_keys=True)
     print(rendered if args.format == "json"
           else render_text_report(report))
     if args.output:
         Path(args.output).write_text(rendered + "\n")
     return 0 if report["clean"] else 1
-
-
-def _cmd_bench_schema(args) -> int:
-    import json
-
-    from repro.analysis import check_analysis_report_schema
-    from repro.condense.bench import check_condense_benchmark_schema
-    from repro.errors import ArtifactError, ServingError
-    from repro.serving import (
-        check_benchmark_schema,
-        check_embed_benchmark_schema,
-        check_fleet_benchmark_schema,
-        check_gateway_benchmark_schema,
-        check_streaming_benchmark_schema,
-    )
-
-    checkers = {
-        "serving-benchmark": check_benchmark_schema,
-        "condense-benchmark": check_condense_benchmark_schema,
-        "streaming-benchmark": check_streaming_benchmark_schema,
-        "fleet-benchmark": check_fleet_benchmark_schema,
-        "gateway-benchmark": check_gateway_benchmark_schema,
-        "embed-benchmark": check_embed_benchmark_schema,
-        "analysis-report": check_analysis_report_schema,
-    }
-    for name in args.files:
-        try:
-            with open(name) as handle:
-                result = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ArtifactError(f"cannot read benchmark JSON {name}: {exc}")
-        kind = result.get("kind") if isinstance(result, dict) else None
-        if kind not in checkers:
-            raise ServingError(
-                f"{name}: unknown benchmark kind {kind!r}; "
-                f"expected one of {', '.join(sorted(checkers))}")
-        checkers[kind](result)
-        print(f"{name}: ok ({kind} v{result.get('schema_version')})")
-    return 0
-
-
-def _cmd_bench_embed(args) -> int:
-    from repro.serving import (
-        check_embed_benchmark_schema,
-        gate_embed_benchmark,
-        run_embed_benchmark,
-        write_benchmark_json,
-    )
-
-    result = run_embed_benchmark(
-        args.dataset, method=args.method, budget=args.budget, seed=args.seed,
-        scale=args.scale, profile=args.effort, num_requests=args.requests,
-        nodes_per_request=args.nodes_per_request, k=args.k,
-        holdout_pairs=args.holdout_pairs, scorer=args.scorer,
-        num_deltas=args.deltas, nodes_per_delta=args.nodes_per_delta,
-        batch_mode=args.batch_mode)
-    check_embed_benchmark_schema(result)
-    path = write_benchmark_json(result, args.output)
-    throughput = result["throughput"]
-    print(f"throughput     predict {throughput['predict_rps']:.0f} req/s, "
-          f"embed {throughput['embed_rps']:.0f} req/s "
-          f"({throughput['embed_vs_predict']:.2f}x), topk "
-          f"{throughput['topk_rps']:.0f} req/s "
-          f"({throughput['topk_vs_predict']:.2f}x)")
-    index = result["index"]
-    print(f"top-k index    {index['indexed_ms_total']:.2f} ms from the "
-          f"mmap index vs {index['recompute_ms_total']:.2f} ms recomputing "
-          f"per query ({index['speedup']:.2f}x)")
-    link = result["link_prediction"]
-    print(f"link holdout   AUC {link['auc']:.3f} "
-          f"({link['num_positive']} positive / {link['num_negative']} "
-          f"negative pairs, {link['scorer']} scorer)")
-    invalidation = result["invalidation"]
-    parity = "ok" if invalidation["embed_parity"] else "BROKEN"
-    print(f"invalidation   {invalidation['deltas']} deltas, "
-          f"{invalidation['stale_topk_rows']} stale top-k rows, "
-          f"embed parity {parity}")
-    print(f"wrote {path}")
-    if args.gate:
-        failures = gate_embed_benchmark(
-            result, min_index_speedup=args.min_index_speedup,
-            auc_margin=args.auc_margin)
-        if failures:
-            for failure in failures:
-                print(f"perf gate: {failure}", file=sys.stderr)
-            return 1
-        print(f"perf gate passed: precomputed top-k index "
-              f"{index['speedup']:.2f}x over per-query recomputation, "
-              f"holdout AUC {link['auc']:.3f}, zero stale rows after "
-              f"{invalidation['deltas']} deltas")
-    return 0
-
-
-def _cmd_bench_stream(args) -> int:
-    from repro.serving import (
-        check_streaming_benchmark_schema,
-        gate_streaming_benchmark,
-        run_streaming_benchmark,
-        write_benchmark_json,
-    )
-
-    _require_predict_task(args, "bench-stream")
-    result = run_streaming_benchmark(
-        args.dataset, method=args.method, budget=args.budget, seed=args.seed,
-        scale=args.scale, profile=args.effort, num_deltas=args.deltas,
-        nodes_per_delta=args.nodes_per_delta, num_requests=args.requests,
-        staleness_threshold=args.staleness, batch_mode=args.batch_mode)
-    check_streaming_benchmark_schema(result)
-    path = write_benchmark_json(result, args.output)
-    refresh = result["refresh"]
-    print(f"delta refresh  {refresh['delta_refresh']['ms_mean']:.2f} ms/delta "
-          f"({refresh['delta_refresh']['modes']})")
-    print(f"full rebuild   {refresh['full_rebuild']['ms_mean']:.2f} ms/delta")
-    print(f"speedup        {refresh['speedup']:.2f}x")
-    serving = result["serving"]
-    print(f"serve p95      {serving['with_ingest']['latency_p95_ms']:.2f} ms "
-          f"under ingest vs {serving['no_ingest']['latency_p95_ms']:.2f} ms "
-          "frozen")
-    print(f"parity         "
-          f"{'ok' if result['parity']['bit_identical'] else 'BROKEN'}")
-    print(f"wrote {path}")
-    if args.gate:
-        failures = gate_streaming_benchmark(result,
-                                            min_speedup=args.min_speedup)
-        if failures:
-            for failure in failures:
-                print(f"perf gate: {failure}", file=sys.stderr)
-            return 1
-        print(f"perf gate passed: delta refresh beats the full rebuild "
-              f"({refresh['speedup']:.2f}x) with bitwise parity")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.serving import (
-        check_benchmark_schema,
-        gate_serving_benchmark,
-        run_serving_benchmark,
-        write_benchmark_json,
-    )
-
-    _require_predict_task(args, "bench")
-    result = run_serving_benchmark(
-        args.dataset, method=args.method, budget=args.budget, seed=args.seed,
-        scale=args.scale, profile=args.effort, num_requests=args.requests,
-        nodes_per_request=args.nodes_per_request,
-        max_batch_size=args.max_batch_size, repeats=args.repeats,
-        batch_mode=args.batch_mode, include_original=args.include_original)
-    check_benchmark_schema(result)
-    path = write_benchmark_json(result, args.output)
-    for name, deployment in result["deployments"].items():
-        paths = deployment["paths"]
-        line = " vs ".join(
-            f"{key} {value['mean_ms']:.2f}ms" for key, value in paths.items())
-        print(f"{name}: {line} "
-              f"(cached speedup {deployment['speedup_cached_vs_uncached']:.2f}x)")
-        runtime = deployment["runtime"]
-        print(f"  runtime p50/p95/p99 "
-              f"{runtime['latency_p50_ms']:.2f}/{runtime['latency_p95_ms']:.2f}/"
-              f"{runtime['latency_p99_ms']:.2f} ms, "
-              f"{runtime['throughput_rps']:.0f} req/s")
-    print(f"bitwise parity: {result['parity']['cached_bitwise_equal']}")
-    precision = result["precision"]
-    print(f"precision axis (frozen path, {precision['eval_nodes']} eval "
-          f"nodes, fused float64 bitwise "
-          f"{'ok' if precision['fused_bitwise_equal'] else 'BROKEN'}):")
-    for mode, entry in precision["modes"].items():
-        extra = ""
-        if "speedup_vs_float64" in entry:
-            extra = (f", {entry['speedup_vs_float64']:.2f}x vs float64, "
-                     f"drop {entry['accuracy_drop_pts']:.2f} pts, "
-                     f"{entry['artifact_bytes_ratio']:.2f}x bytes")
-        print(f"  {mode:<8} {entry['mean_ms']:.2f} ms, "
-              f"{entry['throughput_nodes_per_s']:.0f} nodes/s, "
-              f"{entry['artifact_bytes'] / 1024:.0f} KB artifact, "
-              f"acc {entry['accuracy']:.4f}{extra}")
-    print(f"wrote {path}")
-    if args.gate:
-        failures = gate_serving_benchmark(
-            result, min_float32_speedup=args.min_float32_speedup,
-            max_accuracy_drop=args.max_accuracy_drop,
-            max_int8_bytes_ratio=args.max_int8_bytes_ratio)
-        if failures:
-            for failure in failures:
-                print(f"GATE FAIL: {failure}")
-            return 1
-        print("gate passed: fused parity, float32 speedup, accuracy "
-              "budget, int8 size ceiling")
-    return 0
-
-
-def _cmd_bench_condense(args) -> int:
-    from repro.condense.bench import (
-        check_condense_benchmark_schema,
-        gate_condense_benchmark,
-        run_condense_scaling_benchmark,
-        write_benchmark_json,
-    )
-
-    try:
-        shard_counts = tuple(int(item) for item in str(args.shards).split(","))
-    except ValueError:
-        raise ConfigError(
-            f"--shards must be a comma-separated list of integers, "
-            f"got {args.shards!r}")
-    result = run_condense_scaling_benchmark(
-        args.dataset, method=args.method, budget=args.budget, seed=args.seed,
-        scale=args.scale, profile=args.effort, shard_counts=shard_counts,
-        workers=args.workers, partitioner=args.partitioner,
-        repeats=args.repeats, batch_mode=args.batch_mode)
-    check_condense_benchmark_schema(result)
-    path = write_benchmark_json(result, args.output)
-    baseline = result["baseline"]
-    print(f"baseline {args.method}: {baseline['wall_clock_s']:.2f}s, "
-          f"accuracy {baseline['accuracy']:.4f} "
-          f"({baseline['num_nodes']} synthetic nodes)")
-    for variant in result["sharded"]:
-        parity = ""
-        if "parity_bit_identical" in variant:
-            state = "ok" if variant["parity_bit_identical"] else "BROKEN"
-            parity = f", parity {state}"
-        print(f"  K={variant['shards']} workers={variant['workers']}: "
-              f"{variant['wall_clock_s']:.2f}s "
-              f"({variant['speedup_vs_baseline']:.2f}x), "
-              f"accuracy {variant['accuracy']:.4f} "
-              f"(drop {variant['accuracy_drop_points']:+.2f} pts){parity}")
-    print(f"wrote {path}")
-    if args.gate:
-        failures = gate_condense_benchmark(
-            result, shards=args.gate_shards,
-            max_accuracy_drop=args.max_accuracy_drop)
-        if failures:
-            for failure in failures:
-                print(f"perf gate: {failure}", file=sys.stderr)
-            return 1
-        print(f"perf gate passed: K={args.gate_shards} beats the unsharded "
-              f"baseline within {args.max_accuracy_drop:g} accuracy points")
-    return 0
 
 
 def _cmd_eval(args) -> int:

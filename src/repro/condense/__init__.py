@@ -52,12 +52,6 @@ from repro.condense.sharded import (
     coalesce_shards,
     merge_condensed,
 )
-from repro.condense.bench import (
-    CONDENSE_BENCH_SCHEMA_VERSION,
-    check_condense_benchmark_schema,
-    gate_condense_benchmark,
-    run_condense_scaling_benchmark,
-)
 
 __all__ = [
     "CondensedGraph", "GraphReducer", "allocate_class_counts",
@@ -75,6 +69,4 @@ __all__ = [
     "DosCondConfig", "DosCondReducer",
     "ShardedReducer", "ShardTask", "apportion_budget", "assign_support",
     "coalesce_shards", "merge_condensed",
-    "CONDENSE_BENCH_SCHEMA_VERSION", "check_condense_benchmark_schema",
-    "gate_condense_benchmark", "run_condense_scaling_benchmark",
 ]

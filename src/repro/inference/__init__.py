@@ -5,17 +5,5 @@ serving) see :mod:`repro.api`.
 """
 
 from repro.inference.engine import InferenceReport, InductiveServer, run_inference
-from repro.inference.benchmark import (
-    TimingStats,
-    time_callable,
-    graph_storage_bytes,
-    deployment_storage_bytes,
-    speedup,
-    compression,
-)
 
-__all__ = [
-    "InferenceReport", "InductiveServer", "run_inference",
-    "TimingStats", "time_callable", "graph_storage_bytes",
-    "deployment_storage_bytes", "speedup", "compression",
-]
+__all__ = ["InferenceReport", "InductiveServer", "run_inference"]

@@ -19,22 +19,11 @@ for.  The pieces:
 - :mod:`~repro.serving.fleet` — the multi-replica process fleet: replica
   pool over a shared memory-mapped artifact, pluggable routers,
   health-checked failover, zero-downtime hot swaps;
-- :mod:`~repro.serving.bench` — the ``repro bench`` latency benchmark;
-- :mod:`~repro.serving.stream_bench` — the ``repro bench-stream``
-  streaming-evolution benchmark (delta refresh vs full rebuild);
-- :mod:`~repro.serving.fleet_bench` — the ``repro bench-fleet``
-  throughput-scaling / failover / cold-start benchmark;
 - :mod:`~repro.serving.protocol` — the gateway's length-prefixed wire
   protocol (JSON or binary payloads) and the stdlib-socket client;
 - :mod:`~repro.serving.gateway` — the asyncio TCP/HTTP front door:
   admission control with load shedding, queue-driven replica
-  autoscaling, and the Prometheus-scrapeable ``GET /metrics`` page;
-- :mod:`~repro.serving.gateway_bench` — the ``repro bench-gateway``
-  socket-throughput / shed-accounting / autoscale-reaction /
-  telemetry-overhead benchmark;
-- :mod:`~repro.serving.embed_bench` — the ``repro bench-embed``
-  per-task throughput / index-speedup / link-holdout /
-  delta-invalidation benchmark.
+  autoscaling, and the Prometheus-scrapeable ``GET /metrics`` page.
 
 Every layer reports into :mod:`repro.telemetry`: registry-backed
 counters/gauges, the shared ``repro_stage_latency_seconds`` histogram,
@@ -85,19 +74,6 @@ from repro.serving.workload import (
     replay_stream,
     split_requests,
 )
-from repro.serving.bench import (
-    BENCH_SCHEMA_VERSION,
-    check_benchmark_schema,
-    gate_serving_benchmark,
-    run_serving_benchmark,
-    write_benchmark_json,
-)
-from repro.serving.stream_bench import (
-    STREAM_BENCH_SCHEMA_VERSION,
-    check_streaming_benchmark_schema,
-    gate_streaming_benchmark,
-    run_streaming_benchmark,
-)
 from repro.serving.fleet import (
     ConsistentHashRouter,
     FleetFuture,
@@ -108,12 +84,6 @@ from repro.serving.fleet import (
     ServingFleet,
     replay_fleet,
 )
-from repro.serving.fleet_bench import (
-    FLEET_BENCH_SCHEMA_VERSION,
-    check_fleet_benchmark_schema,
-    gate_fleet_benchmark,
-    run_fleet_benchmark,
-)
 from repro.serving.protocol import GatewayClient, GatewayReply, ProtocolError
 from repro.serving.gateway import (
     AdmitAllShed,
@@ -123,18 +93,6 @@ from repro.serving.gateway import (
     ServingGateway,
     ShedPolicy,
     WatermarkShed,
-)
-from repro.serving.gateway_bench import (
-    GATEWAY_BENCH_SCHEMA_VERSION,
-    check_gateway_benchmark_schema,
-    gate_gateway_benchmark,
-    run_gateway_benchmark,
-)
-from repro.serving.embed_bench import (
-    EMBED_BENCH_SCHEMA_VERSION,
-    check_embed_benchmark_schema,
-    gate_embed_benchmark,
-    run_embed_benchmark,
 )
 
 __all__ = [
@@ -149,20 +107,10 @@ __all__ = [
     "LatencyAccounting", "RequestRecord", "RuntimeStats",
     "WorkloadGenerator", "PoissonWorkload", "BurstyWorkload", "RampWorkload",
     "split_requests", "replay", "replay_stream",
-    "BENCH_SCHEMA_VERSION", "run_serving_benchmark", "write_benchmark_json",
-    "check_benchmark_schema", "gate_serving_benchmark",
-    "STREAM_BENCH_SCHEMA_VERSION", "check_streaming_benchmark_schema",
-    "gate_streaming_benchmark", "run_streaming_benchmark",
     "ServingFleet", "ReplicaPool", "FleetFuture", "Router",
     "RoundRobinRouter", "LeastLoadedRouter", "ConsistentHashRouter",
     "replay_fleet",
-    "FLEET_BENCH_SCHEMA_VERSION", "check_fleet_benchmark_schema",
-    "gate_fleet_benchmark", "run_fleet_benchmark",
     "GatewayClient", "GatewayReply", "ProtocolError",
     "ServingGateway", "ShedPolicy", "AdmitAllShed", "WatermarkShed",
     "ScalePolicy", "PinnedScale", "QueueDepthScale",
-    "GATEWAY_BENCH_SCHEMA_VERSION", "check_gateway_benchmark_schema",
-    "gate_gateway_benchmark", "run_gateway_benchmark",
-    "EMBED_BENCH_SCHEMA_VERSION", "check_embed_benchmark_schema",
-    "gate_embed_benchmark", "run_embed_benchmark",
 ]

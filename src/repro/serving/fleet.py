@@ -46,11 +46,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ServingError
-from repro.inference.benchmark import latency_percentiles
 from repro.registry import make_router, register_router
 from repro.serving.embeddings import ServeTask
 from repro.serving.runtime import ServingFuture
-from repro.serving.stats import RequestRecord
+from repro.serving.stats import RequestRecord, latency_percentiles
 from repro.telemetry import (
     MetricsRegistry,
     TraceContext,

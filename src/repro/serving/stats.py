@@ -5,9 +5,9 @@ wait (enqueue → dequeue) and compute time (its micro-batch's attach +
 forward, shared by every request in the batch).  :class:`LatencyAccounting`
 aggregates them into the percentile summary the ROADMAP's serving story is
 measured by — p50/p95/p99 end-to-end latency, the wait/compute split, and
-throughput.  Quantiles come from the shared
-:func:`repro.inference.benchmark.latency_percentiles` helper so every
-latency report in the repo interpolates the same way.
+throughput.  Quantiles come from :func:`latency_percentiles`, which the
+fleet's stats page shares, so every latency report in the repo
+interpolates the same way.
 
 This module predates :mod:`repro.telemetry` and stays the exact-sample
 view (true percentiles over a sliding window); the telemetry histograms
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.inference.benchmark import latency_percentiles
+from repro.errors import ServingError
 
 
 def _json_safe(value: float) -> float | None:
@@ -36,7 +36,31 @@ def _json_safe(value: float) -> float | None:
 # runtime's accounting memory (and each stats() pass) constant.
 DEFAULT_WINDOW = 65536
 
-__all__ = ["RequestRecord", "RuntimeStats", "LatencyAccounting"]
+PERCENTILES = (50.0, 95.0, 99.0)
+
+__all__ = ["RequestRecord", "RuntimeStats", "LatencyAccounting",
+           "latency_percentiles"]
+
+
+def latency_percentiles(samples, *,
+                        empty: float | None = None) -> dict[str, float]:
+    """``{"p50": ..., "p95": ..., "p99": ...}`` of a latency sample set.
+
+    The single quantile implementation (linear interpolation) behind the
+    runtime's per-request accounting and the fleet's stats page.
+
+    With no samples the default is to raise; pass ``empty`` (typically
+    ``float("nan")``) to get that value back for every percentile instead
+    — the NaN-safe shape a runtime polled before its first completed
+    request needs.
+    """
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.size == 0:
+        if empty is None:
+            raise ServingError("percentiles need at least one sample")
+        return {f"p{int(p)}": float(empty) for p in PERCENTILES}
+    values = np.percentile(arr, PERCENTILES)
+    return {f"p{int(p)}": float(v) for p, v in zip(PERCENTILES, values)}
 
 
 @dataclass(frozen=True)
@@ -90,7 +114,7 @@ class RuntimeStats:
         return self.nodes / self.wall_seconds
 
     def as_dict(self) -> dict:
-        """JSON-ready view (used by ``repro bench`` and ``serve-online``).
+        """JSON-ready view of the summary.
 
         Latency fields of an idle runtime (no completed requests yet) are
         NaN in the dataclass and serialize as ``None`` here — strict JSON

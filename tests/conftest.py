@@ -70,3 +70,31 @@ def raw_task():
     """The tests' batch-builder: ``raw_task(features, incremental,
     intra=None, **task_options) -> ServeTask``."""
     return _raw_task
+
+
+def _pad_incremental(batch: IncrementalBatch, width: int) -> IncrementalBatch:
+    """Widen ``batch.incremental`` to ``width`` base columns (the base
+    graph grew since the request was cut)."""
+    inc = batch.incremental.tocsr()
+    if inc.shape[1] == width:
+        return batch
+    padded = sp.csr_matrix((inc.data, inc.indices, inc.indptr),
+                           shape=(inc.shape[0], width))
+    return IncrementalBatch(features=batch.features, incremental=padded,
+                            intra=batch.intra, labels=batch.labels)
+
+
+@pytest.fixture(scope="session")
+def pad_incremental():
+    """``pad_incremental(batch, width) -> IncrementalBatch``."""
+    return _pad_incremental
+
+
+@pytest.fixture(scope="session")
+def pubmed_original_bundle():
+    """pubmed-sim (quick, quarter scale) served on its original graph by
+    an mcond-trained model — the deployment the precision and
+    link-prediction accuracy bounds are stated on."""
+    from repro import api
+    return api.deploy("pubmed-sim", "mcond", 30, deployment="original",
+                      seed=0, scale=0.25, profile="quick")

@@ -2,7 +2,7 @@
 
 Fixture suites build tiny synthetic ``src/repro`` trees per checker
 (positive + negative cases), the baseline file round-trips, the JSON
-report validates against its ``bench-schema`` checker, and — the gate
+report validates against its schema checker, and — the gate
 itself — ``repro check`` must run clean on this repository at HEAD.
 """
 
@@ -611,7 +611,7 @@ class TestBaselineAndReport:
 
     @pytest.mark.parametrize("mutate", [
         lambda r: r.pop("violations"),
-        lambda r: r.update(kind="serving-benchmark"),
+        lambda r: r.update(kind="other-report"),
         lambda r: r.update(schema_version=99),
         lambda r: r.update(clean=True),
         lambda r: r["violations"][0].pop("line"),
@@ -647,6 +647,24 @@ class TestCheckCli:
         assert report == json.loads(out.read_text())
         assert report["kind"] == "analysis-report"
         assert [v["code"] for v in report["violations"]] == ["ERR001"]
+
+    def test_drifted_report_exits_2_before_writing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        import repro.analysis
+
+        def drifted(*args, **kwargs):
+            report = build_report(*args, **kwargs)
+            del report["files_scanned"]
+            return report
+
+        monkeypatch.setattr(repro.analysis, "build_report", drifted)
+        tree = make_tree(tmp_path, VIOLATING_TREE)
+        out = tmp_path / "report.json"
+        assert main(["check", "--root", str(tree), "--only", "errors",
+                     "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "files_scanned" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_write_then_apply_baseline(self, tmp_path, capsys):
         tree = make_tree(tmp_path, VIOLATING_TREE)

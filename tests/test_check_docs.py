@@ -92,9 +92,10 @@ class TestSnippetParsing:
     def test_flag_values_and_equals_form(self, tmp_path):
         got = self._parse(tmp_path, (
             "```bash\n"
-            "repro bench --gate --output=BENCH_serving.json --repeats 3\n"
+            "repro serve-fleet --kill-one --artifact=art.npz --requests 3\n"
             "```\n"))
-        assert got == [("bench", ["--gate", "--output", "--repeats"])]
+        assert got == [("serve-fleet",
+                        ["--kill-one", "--artifact", "--requests"])]
 
     def test_repo_docs_reference_real_subcommands(self):
         # cheap half of the CI drift check: every documented subcommand

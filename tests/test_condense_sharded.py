@@ -1,4 +1,4 @@
-"""Sharded condensation: apportionment, merging, parity, and the benchmark."""
+"""Sharded condensation: apportionment, merging, parity, and accuracy."""
 
 from __future__ import annotations
 
@@ -7,11 +7,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.condense import CondensedGraph
-from repro.condense.bench import (
-    check_condense_benchmark_schema,
-    gate_condense_benchmark,
-    run_condense_scaling_benchmark,
-)
 from repro.condense.sharded import (
     ShardedReducer,
     apportion_budget,
@@ -341,41 +336,28 @@ class TestShardedReducer:
             reducer.reduce(tiny_split, 9)   # floor 3 classes x 4 shards > 9
 
 
-class TestCondenseBenchmark:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_condense_scaling_benchmark(
-            "tiny-sim", method="mcond", budget=9, shard_counts=(1, 2),
-            profile="quick", repeats=1)
+class TestShardedAccuracy:
+    def test_two_shards_hold_whole_graph_accuracy(self):
+        """``sharded(shards=2)`` stays within 2 accuracy points of the
+        whole-graph ``mcond`` it wraps: pubmed-sim, quick profile, budget
+        30, seed 0, the full test batch served in graph mode."""
+        from repro.experiments import QUICK, ExperimentContext, prepare_dataset
 
-    def test_schema_checks(self, result):
-        check_condense_benchmark_schema(result)
-        assert result["dataset"] == "tiny-sim"
-        assert [v["shards"] for v in result["sharded"]] == [1, 2]
-
-    def test_shards_one_parity_recorded(self, result):
-        first = result["sharded"][0]
-        assert first["parity_bit_identical"] is True
-
-    def test_schema_rejects_missing_sections(self, result):
-        broken = dict(result)
-        broken.pop("baseline")
-        with pytest.raises(CondensationError, match="baseline"):
-            check_condense_benchmark_schema(broken)
-
-    def test_gate_flags_regressions(self, result):
-        slow = {**result, "sharded": [
-            {**v, "wall_clock_s": result["baseline"]["wall_clock_s"] * 10}
-            for v in result["sharded"]]}
-        failures = gate_condense_benchmark(slow, shards=2)
-        assert any("wall-clock" in f for f in failures)
-
-        lossy = {**result, "sharded": [
-            {**v, "accuracy_drop_points": 5.0} for v in result["sharded"]]}
-        failures = gate_condense_benchmark(lossy, shards=2,
-                                           max_accuracy_drop=2.0)
-        assert any("accuracy drop" in f for f in failures)
-
-    def test_gate_missing_variant(self, result):
-        failures = gate_condense_benchmark(result, shards=16)
-        assert failures and "shards=16" in failures[0]
+        context = ExperimentContext(prepare_dataset("pubmed-sim", seed=0),
+                                    QUICK)
+        inner = context.reducer_config("mcond")
+        reducers = {
+            "whole": make_reducer("mcond", seed=0, **inner),
+            "sharded": make_reducer("sharded", seed=0, inner="mcond",
+                                    shards=2, **inner),
+        }
+        accuracy = {}
+        condensed = {}  # kept alive: the context caches models by id()
+        for name, reducer in reducers.items():
+            condensed[name] = reducer.reduce(context.prepared.split, 30)
+            model = context.train("synthetic", condensed=condensed[name],
+                                  validate_deployment="synthetic", seed=0)
+            accuracy[name] = context.evaluate(
+                model, "synthetic", condensed[name],
+                batch_mode="graph").accuracy
+        assert accuracy["sharded"] >= accuracy["whole"] - 0.02

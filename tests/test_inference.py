@@ -5,17 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import InferenceError
+from repro.api import DeploymentBundle
+from repro.errors import ConfigError, InferenceError
 from repro.condense import CondensedGraph
-from repro.inference import (
-    InductiveServer,
-    compression,
-    deployment_storage_bytes,
-    graph_storage_bytes,
-    run_inference,
-    speedup,
-    time_callable,
-)
+from repro.inference import InductiveServer, run_inference
 from repro.nn import make_model
 
 
@@ -140,39 +133,25 @@ class TestServing:
             report.memory_bytes / 2**20)
 
 
+def _storage_bytes(deployment, base=None, condensed=None) -> int:
+    return DeploymentBundle("sgc", {}, {}, deployment, condensed=condensed,
+                            base=base).storage_bytes()
+
+
 class TestBenchmarkHelpers:
-    def test_time_callable_stats(self):
-        stats = time_callable(lambda: sum(range(1000)), repeats=3, warmup=1)
-        assert stats.repeats == 3
-        assert stats.min_seconds <= stats.median_seconds <= stats.max_seconds
-        assert stats.mean_milliseconds == pytest.approx(
-            stats.mean_seconds * 1e3)
-
-    def test_time_callable_validation(self):
-        with pytest.raises(InferenceError):
-            time_callable(lambda: None, repeats=0)
-
-    def test_speedup_compression(self):
-        assert speedup(10.0, 2.0) == 5.0
-        assert compression(100, 25) == 4.0
-        with pytest.raises(InferenceError):
-            speedup(1.0, 0.0)
-        with pytest.raises(InferenceError):
-            compression(1, 0)
-
     def test_graph_storage(self, tiny_split_module):
-        bytes_full = graph_storage_bytes(tiny_split_module.full)
-        bytes_orig = graph_storage_bytes(tiny_split_module.original)
+        bytes_full = _storage_bytes("original", tiny_split_module.full)
+        bytes_orig = _storage_bytes("original", tiny_split_module.original)
         assert bytes_full > bytes_orig
 
     def test_deployment_storage(self, tiny_split_module, tiny_condensed_module):
-        original = deployment_storage_bytes("original",
-                                            tiny_split_module.original)
-        synthetic = deployment_storage_bytes("synthetic",
-                                             tiny_split_module.original,
-                                             tiny_condensed_module)
-        assert original > 0 and synthetic > 0
-        with pytest.raises(InferenceError):
-            deployment_storage_bytes("synthetic", tiny_split_module.original)
-        with pytest.raises(InferenceError):
-            deployment_storage_bytes("other", tiny_split_module.original)
+        original = _storage_bytes("original", tiny_split_module.original)
+        synthetic = _storage_bytes("synthetic", tiny_split_module.original,
+                                   tiny_condensed_module)
+        assert original > synthetic > 0
+        assert synthetic == tiny_condensed_module.storage_bytes(
+            include_mapping=True)
+        with pytest.raises(ConfigError):
+            _storage_bytes("synthetic", tiny_split_module.original)
+        with pytest.raises(ConfigError):
+            _storage_bytes("other", tiny_split_module.original)

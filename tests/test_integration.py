@@ -44,12 +44,13 @@ class TestPaperClaims:
         assert mcond.supports_attachment()
 
     def test_synthetic_graph_much_smaller(self, context):
-        from repro.inference import deployment_storage_bytes
+        from repro.api import DeploymentBundle
         mcond = context.reduce("mcond", 15)
-        original_bytes = deployment_storage_bytes(
-            "original", context.prepared.original)
-        synthetic_bytes = deployment_storage_bytes(
-            "synthetic", context.prepared.original, mcond)
+        original_bytes = DeploymentBundle(
+            "sgc", {}, {}, "original",
+            base=context.prepared.original).storage_bytes()
+        synthetic_bytes = DeploymentBundle(
+            "sgc", {}, {}, "synthetic", condensed=mcond).storage_bytes()
         assert synthetic_bytes < original_bytes
 
     def test_graph_batch_at_least_node_batch_on_average(self, context):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -21,11 +20,6 @@ from repro.serving.fleet import (
     LeastLoadedRouter,
     RoundRobinRouter,
     Router,
-)
-from repro.serving.fleet_bench import (
-    check_fleet_benchmark_schema,
-    gate_fleet_benchmark,
-    run_fleet_benchmark,
 )
 from repro.serving.prepared import PreparedDeployment
 from repro.utils.artifacts import open_npz_archive, save_npz
@@ -436,103 +430,6 @@ class TestServingFleet:
 
 
 # ----------------------------------------------------------------------
-# Fleet benchmark: schema, gate, end-to-end
-# ----------------------------------------------------------------------
-def _fake_result(**overrides) -> dict:
-    result = {
-        "schema_version": 1,
-        "kind": "fleet-benchmark",
-        "dataset": "tiny-sim",
-        "method": "mcond",
-        "budget": 9,
-        "seed": 0,
-        "scale": 1.0,
-        "deployment": "original",
-        "batch_mode": "node",
-        "router": "round-robin",
-        "num_requests": 8,
-        "nodes_per_request": 2,
-        "usable_cores": 4,
-        "artifact": {"layout": "mmap", "bytes": 1000},
-        "cold_start": {"eager_ms": 4.0, "mmap_ms": 2.0, "speedup": 2.0,
-                       "repeats": 3},
-        "throughput": {
-            "1": {"replicas": 1, "requests": 8, "served": 8, "wall_s": 0.1,
-                  "requests_per_s": 80.0, "latency_p50_ms": 1.0,
-                  "latency_p95_ms": 2.0},
-            "2": {"replicas": 2, "requests": 8, "served": 8, "wall_s": 0.05,
-                  "requests_per_s": 160.0, "latency_p50_ms": 1.0,
-                  "latency_p95_ms": 2.0},
-        },
-        "scaling": {"speedup_2x": 2.0, "mode": "parallel"},
-        "failover": {"replicas": 2, "killed_after": 4, "requests": 8,
-                     "requests_lost": 0, "rerouted": 2, "respawns": 1,
-                     "latency_p95_ms": 3.0},
-        "parity": {"mmap_bitwise_equal": True},
-    }
-    result.update(overrides)
-    return result
-
-
-class TestFleetBenchContract:
-    def test_schema_accepts_complete_result(self):
-        check_fleet_benchmark_schema(_fake_result())
-
-    def test_schema_rejects_missing_sections(self):
-        for key in ("cold_start", "throughput", "failover", "parity"):
-            broken = _fake_result()
-            del broken[key]
-            with pytest.raises(ServingError):
-                check_fleet_benchmark_schema(broken)
-
-    def test_schema_rejects_wrong_kind(self):
-        with pytest.raises(ServingError):
-            check_fleet_benchmark_schema(_fake_result(kind="nope"))
-
-    def test_gate_passes_clean_result(self):
-        assert gate_fleet_benchmark(_fake_result()) == []
-
-    def test_gate_fails_slow_cold_start(self):
-        result = _fake_result(cold_start={"eager_ms": 2.0, "mmap_ms": 4.0,
-                                          "speedup": 0.5, "repeats": 3})
-        assert any("cold start" in f for f in gate_fleet_benchmark(result))
-
-    def test_gate_fails_lost_requests(self):
-        result = _fake_result()
-        result["failover"]["requests_lost"] = 1
-        assert any("lost" in f for f in gate_fleet_benchmark(result))
-
-    def test_gate_fails_broken_parity(self):
-        result = _fake_result(parity={"mmap_bitwise_equal": False})
-        assert any("bitwise" in f for f in gate_fleet_benchmark(result))
-
-    def test_gate_requires_strict_scaling_on_multicore(self):
-        result = _fake_result()
-        result["throughput"]["2"]["requests_per_s"] = 70.0
-        assert any("do not beat" in f for f in gate_fleet_benchmark(result))
-
-    def test_gate_tolerates_bounded_overhead_on_single_core(self):
-        result = _fake_result(usable_cores=1)
-        result["throughput"]["2"]["requests_per_s"] = 75.0  # within 85%
-        assert gate_fleet_benchmark(result) == []
-        result["throughput"]["2"]["requests_per_s"] = 40.0  # collapse
-        assert any("single-core" in f for f in gate_fleet_benchmark(result))
-
-    def test_end_to_end_benchmark_validates(self, tmp_path):
-        result = run_fleet_benchmark(
-            "tiny-sim", budget=9, deployment="synthetic",
-            replica_counts=(1, 2), num_requests=8, nodes_per_request=2,
-            cold_start_repeats=2,
-            artifact_path=tmp_path / "bench-artifact.npz")
-        check_fleet_benchmark_schema(result)
-        assert result["failover"]["requests_lost"] == 0
-        assert result["parity"]["mmap_bitwise_equal"]
-        target = tmp_path / "BENCH_fleet.json"
-        target.write_text(json.dumps(result))
-        assert main(["bench-schema", str(target)]) == 0
-
-
-# ----------------------------------------------------------------------
 # CLI integration + corrupt-artifact regressions
 # ----------------------------------------------------------------------
 class TestFleetCli:
@@ -550,24 +447,6 @@ class TestFleetCli:
         out = capsys.readouterr().out
         for name in ("round-robin", "least-loaded", "consistent-hash"):
             assert name in out
-
-    def test_bench_schema_validates_committed_artifacts(self, capsys):
-        from pathlib import Path
-        committed = sorted(str(p) for p in Path(".").glob("BENCH_*.json"))
-        if not committed:
-            pytest.skip("no committed benchmark artifacts in cwd")
-        assert main(["bench-schema", *committed]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_bench_schema_rejects_unknown_kind(self, capsys, tmp_path):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps({"kind": "mystery"}))
-        assert main(["bench-schema", str(bad)]) == 2
-        assert "unknown benchmark kind" in capsys.readouterr().err
-
-    def test_bench_schema_missing_file_exits_cleanly(self, capsys, tmp_path):
-        assert main(["bench-schema", str(tmp_path / "nope.json")]) == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestCorruptArtifactRegression:

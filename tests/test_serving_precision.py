@@ -234,6 +234,41 @@ class TestModePlumbing:
         with pytest.raises(ServingError, match="float64"):
             masked_prepared[mode].apply_delta(delta)
 
+    def test_saved_modes_hold_accuracy_and_shrink_the_artifact(
+            self, pubmed_original_bundle, tmp_path):
+        """The reduced-precision contract, served the way production sees
+        it (save at the mode → load → ``prepare()`` → frozen path): float32
+        and int8 stay within 0.5 accuracy points of float64 on the
+        evaluation batch, the float64 fused path equals the unfused one
+        bitwise, and the artifacts really shrink."""
+        from repro import api
+
+        batch = api.evaluation_batch(pubmed_original_bundle)
+        labels = np.asarray(batch.labels)
+        size, accuracy = {}, {}
+        for mode in PRECISIONS:
+            path = pubmed_original_bundle.save(tmp_path / mode,
+                                               precision=mode)
+            size[mode] = path.stat().st_size
+            loaded = api.DeploymentBundle.load(path)
+            prepared = loaded.prepare()
+            assert prepared.precision == mode
+            for batch_mode in ("graph", "node"):
+                logits, _, _ = prepared.serve_batch_frozen(batch, batch_mode)
+                accuracy[mode, batch_mode] = float(
+                    (logits.argmax(axis=1) == labels).mean())
+                if mode == "float64":  # fused kernels change no bit
+                    unfused, _, _ = loaded.prepare(
+                        fused=False).serve_batch_frozen(batch, batch_mode)
+                    assert np.array_equal(logits, unfused)
+        for batch_mode in ("graph", "node"):
+            for mode in REDUCED:
+                drop = (accuracy["float64", batch_mode]
+                        - accuracy[mode, batch_mode])
+                assert drop <= 0.005, (mode, batch_mode, accuracy)
+        assert size["float32"] < size["float64"]
+        assert size["int8"] <= 0.5 * size["float64"]
+
     @pytest.mark.parametrize("mode", PRECISIONS)
     def test_repr_names_the_mode(self, masked_prepared, mode):
         assert f"precision={mode!r}" in repr(masked_prepared[mode])

@@ -8,11 +8,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.inference.benchmark import latency_percentiles
 from repro.serving.stats import (
     DEFAULT_WINDOW,
     LatencyAccounting,
     RequestRecord,
+    latency_percentiles,
 )
 
 

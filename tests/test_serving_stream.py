@@ -1,4 +1,4 @@
-"""Streaming deployment: apply_delta parity, runtime ingest, benchmark."""
+"""Streaming deployment: apply_delta parity and runtime ingest."""
 
 from __future__ import annotations
 
@@ -11,10 +11,6 @@ from repro.graph.datasets import IncrementalBatch
 from repro.graph.stream import GraphDelta, StreamingGraph, make_delta_trace
 from repro.nn import make_model
 from repro.serving import PreparedDeployment, ServeTask, ServingRuntime
-from repro.serving.stream_bench import (
-    check_streaming_benchmark_schema,
-    gate_streaming_benchmark,
-)
 
 
 @pytest.fixture()
@@ -425,46 +421,3 @@ class TestRuntimeIngest:
         assert runtime.staleness_threshold == 0.4
         assert runtime.prepared._base_operator is not None
         assert runtime.prepared._propagated is not None
-
-
-class TestStreamingBenchmarkSchema:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.serving.stream_bench import run_streaming_benchmark
-        return run_streaming_benchmark(
-            "tiny-sim", method="whole", seed=7, profile="quick",
-            num_deltas=3, nodes_per_delta=2, edges_per_delta=2,
-            removals_per_delta=1, updates_per_delta=1, num_requests=8,
-            nodes_per_request=1, ingest_every=2)
-
-    def test_schema_passes(self, result):
-        check_streaming_benchmark_schema(result)
-
-    def test_parity_is_bitwise(self, result):
-        assert result["parity"]["bit_identical"] is True
-
-    def test_refresh_sections_populated(self, result):
-        assert result["refresh"]["delta_refresh"]["ms_mean"] > 0
-        assert result["refresh"]["full_rebuild"]["ms_mean"] > 0
-        assert result["refresh"]["full_rebuild"]["modes"]["rebuild"] == 3
-
-    def test_serving_sections_populated(self, result):
-        assert result["serving"]["with_ingest"]["requests"] == 8
-        assert result["serving"]["stream"]["deltas"] == 3
-
-    def test_gate_catches_broken_parity(self, result):
-        broken = {**result, "parity": {"bit_identical": False}}
-        assert any("parity" in failure
-                   for failure in gate_streaming_benchmark(broken))
-
-    def test_gate_catches_slow_refresh(self, result):
-        slow = {**result,
-                "refresh": {**result["refresh"], "speedup": 0.5}}
-        assert any("not faster" in failure
-                   for failure in gate_streaming_benchmark(slow))
-
-    def test_schema_rejects_missing_section(self, result):
-        broken = dict(result)
-        broken.pop("refresh")
-        with pytest.raises(ServingError, match="refresh"):
-            check_streaming_benchmark_schema(broken)

@@ -4,6 +4,7 @@ type per tier, invalidation."""
 from __future__ import annotations
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -21,13 +22,14 @@ from repro.serving import (
     ServeTask,
     ServingFleet,
     ServingGateway,
+    SCORERS,
     auc_score,
+    evaluate_link_holdout,
     score_pairs,
     sidecar_index_path,
     split_requests,
     tasked_requests,
 )
-from repro.serving.stream_bench import _pad_incremental
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -238,6 +240,17 @@ class TestEmbeddingIndex:
         with pytest.raises(ServingError, match="positive and negative"):
             auc_score(np.zeros(2), np.ones(2))
 
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_link_holdout_beats_chance(self, pubmed_original_bundle, scorer):
+        """Held-out inductive edges outscore sampled non-edges: AUC clears
+        the 0.5 chance line by the 0.05 margin on 64 + 64 pairs."""
+        link = evaluate_link_holdout(
+            pubmed_original_bundle.prepare(),
+            api.evaluation_batch(pubmed_original_bundle),
+            num_pairs=64, scorer=scorer, batch_mode="node", seed=0)
+        assert (link["num_positive"], link["num_negative"]) == (64, 64)
+        assert link["auc"] >= 0.55
+
 
 # ----------------------------------------------------------------------
 # One request type per tier: anything but a ServeTask fails at admission
@@ -249,13 +262,21 @@ def tier(request, task_bundle):
     ``(served, shed, errors, queue depth)``."""
     if request.param in ("inline", "threaded"):
         runtime = api.open_runtime(task_bundle, batch_mode="node")
+        settled = 0
 
         def settle(future):
+            nonlocal settled
             if request.param == "inline":
                 runtime.run_pending()
             assert future.result(timeout=30.0) is not None
-            with runtime._serve_lock:
-                pass  # the serving loop books the batch after resolving it
+            settled += 1
+            # the serving loop books the batch just after resolving it;
+            # poll the accounting rather than contend for the loop's lock,
+            # which the loop re-takes too fast for a waiter to ever win
+            deadline = time.monotonic() + 30.0
+            while (runtime.stats().requests < settled
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
 
         def counters():
             stats = runtime.stats()
@@ -466,7 +487,8 @@ class TestDeltaInvalidation:
 
     def test_apply_delta_refreshes_stale_mmap_index(self, task_bundle,
                                                     task_artifact,
-                                                    task_requests):
+                                                    task_requests,
+                                                    pad_incremental):
         """The ISSUE contract: after each delta, embed/topk answers on a
         deployment with a pre-delta mmap index match a from-scratch
         prepare on the evolved graph — zero stale rows."""
@@ -486,7 +508,7 @@ class TestDeltaInvalidation:
             assert "embeddings" in report.invalidated
             fresh = PreparedDeployment(task_bundle.model(), "original",
                                        evolving.base)
-            padded = _pad_incremental(probe, evolving.num_base)
+            padded = pad_incremental(probe, evolving.num_base)
             task = ServeTask(batch=padded, task="topk", k=3)
             got, _, _ = evolving.serve_task(task, batch_mode="node")
             want, _, _ = fresh.serve_task(task, batch_mode="node")

@@ -1,26 +1,19 @@
-"""Workload generators and the serving-latency benchmark."""
+"""Workload generators, request splitting and latency accounting."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.errors import InferenceError, ServingError
-from repro.inference import TimingStats, time_callable
-from repro.inference.benchmark import latency_percentiles
 from repro.registry import WORKLOADS, make_workload
 from repro.serving import (
     BurstyWorkload,
     PoissonWorkload,
     RampWorkload,
-    check_benchmark_schema,
-    gate_serving_benchmark,
-    run_serving_benchmark,
     split_requests,
-    write_benchmark_json,
 )
+from repro.serving.stats import latency_percentiles
 
 
 class TestWorkloads:
@@ -110,19 +103,6 @@ class TestPercentileHelpers:
         tail = latency_percentiles([0.25])
         assert tail["p50"] == tail["p95"] == tail["p99"] == 0.25
 
-    def test_timing_stats_expose_percentiles(self):
-        stats = time_callable(lambda: sum(range(100)), repeats=7, warmup=0)
-        assert stats.p50_seconds is not None
-        assert stats.p50_seconds <= stats.p95_seconds <= stats.p99_seconds
-        assert stats.p50_seconds == pytest.approx(stats.median_seconds)
-
-    def test_from_samples_matches_shared_helper(self):
-        samples = [0.5, 0.1, 0.9, 0.3]
-        stats = TimingStats.from_samples(samples)
-        tail = latency_percentiles(samples)
-        assert stats.p95_seconds == tail["p95"]
-        assert stats.repeats == 4
-
 
 class TestEmptyWindowAccounting:
     """Polling a runtime before its first completed request must be
@@ -165,91 +145,3 @@ class TestEmptyWindowAccounting:
         assert stats.latency_p50 == pytest.approx(0.03)
         assert stats.latency_p50 == stats.latency_p99
         assert stats.as_dict()["latency_p95_ms"] == pytest.approx(30.0)
-
-
-@pytest.fixture(scope="module")
-def bench_result():
-    # tiny-sim keeps this fast; repeats=4 keeps best-of timing stable
-    return run_serving_benchmark(
-        "tiny-sim", budget=9, seed=0, profile="quick",
-        num_requests=12, nodes_per_request=3, max_batch_size=4, repeats=4)
-
-
-class TestServingBenchmark:
-    def test_schema(self, bench_result):
-        check_benchmark_schema(bench_result)  # raises on drift
-        assert bench_result["schema_version"] == 2
-        assert "synthetic" in bench_result["deployments"]
-
-    def test_cached_path_is_bitwise_equal(self, bench_result):
-        assert bench_result["parity"]["cached_bitwise_equal"] is True
-
-    def test_cached_beats_uncached_mean_latency(self, bench_result):
-        # The acceptance bar for the prepared-deployment cache: strictly
-        # less work per batch must show up as lower best-of mean latency.
-        synthetic = bench_result["deployments"]["synthetic"]
-        assert (synthetic["paths"]["cached"]["mean_ms"]
-                < synthetic["paths"]["uncached"]["mean_ms"])
-        assert synthetic["speedup_cached_vs_uncached"] > 1.0
-
-    def test_runtime_section_populated(self, bench_result):
-        runtime = bench_result["deployments"]["synthetic"]["runtime"]
-        assert runtime["requests"] == 12
-        assert runtime["throughput_rps"] > 0
-
-    def test_frozen_path_present_for_sgc(self, bench_result):
-        synthetic = bench_result["deployments"]["synthetic"]
-        assert "frozen" in synthetic["paths"]
-        assert np.isfinite(bench_result["parity"]["frozen_max_abs_diff"])
-
-    def test_json_roundtrip(self, bench_result, tmp_path):
-        path = write_benchmark_json(bench_result, tmp_path / "bench.json")
-        loaded = json.loads(path.read_text())
-        check_benchmark_schema(loaded)
-        assert loaded["dataset"] == "tiny-sim"
-
-    def test_schema_checker_rejects_drift(self, bench_result):
-        broken = json.loads(json.dumps(bench_result))
-        del broken["deployments"]["synthetic"]["paths"]["cached"]["p95_ms"]
-        with pytest.raises(ServingError):
-            check_benchmark_schema(broken)
-        with pytest.raises(ServingError):
-            check_benchmark_schema({"kind": "serving-benchmark"})
-
-    def test_precision_axis(self, bench_result):
-        precision = bench_result["precision"]
-        assert precision["path"] == "frozen"
-        assert precision["fused_bitwise_equal"] is True
-        assert set(precision["modes"]) == {"float64", "float32", "int8"}
-        # reduced modes really shrink the saved artifact
-        assert precision["modes"]["float32"]["artifact_bytes_ratio"] < 1.0
-        assert precision["modes"]["int8"]["artifact_bytes_ratio"] <= 0.5
-        for mode in ("float64", "float32", "int8"):
-            assert 0.0 <= precision["modes"][mode]["accuracy"] <= 1.0
-
-    def test_schema_checker_rejects_missing_precision(self, bench_result):
-        broken = json.loads(json.dumps(bench_result))
-        del broken["precision"]["modes"]["int8"]
-        with pytest.raises(ServingError):
-            check_benchmark_schema(broken)
-
-    def test_gate_flags_slow_float32(self, bench_result):
-        broken = json.loads(json.dumps(bench_result))
-        broken["precision"]["modes"]["float32"]["speedup_vs_float64"] = 0.9
-        failures = gate_serving_benchmark(broken)
-        assert any("float32" in failure for failure in failures)
-
-    def test_gate_flags_broken_fused_parity(self, bench_result):
-        broken = json.loads(json.dumps(bench_result))
-        broken["precision"]["fused_bitwise_equal"] = False
-        failures = gate_serving_benchmark(broken)
-        assert any("fused" in failure for failure in failures)
-
-    def test_gate_passes_on_structural_invariants(self, bench_result):
-        # tiny-sim timing is too noisy for the speedup floor, so relax
-        # the perf thresholds and keep the structural checks strict:
-        # bitwise parities and the int8 artifact ceiling must hold
-        failures = gate_serving_benchmark(
-            bench_result, min_float32_speedup=0.0,
-            max_accuracy_drop=100.0, max_int8_bytes_ratio=0.5)
-        assert failures == []

@@ -198,23 +198,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ingesting 2 deltas" in out
 
-    def test_bench_stream_writes_gated_artifact(self, capsys, monkeypatch,
-                                                tmp_path):
-        import json
-
-        _fast_profile(monkeypatch)
-        output = tmp_path / "BENCH_streaming.json"
-        code = main(["bench-stream", "--dataset", "tiny-sim", "--method",
-                     "whole", "--deltas", "3", "--requests", "8",
-                     "--output", str(output)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "parity" in out
-        payload = json.loads(output.read_text())
-        assert payload["kind"] == "streaming-benchmark"
-        assert payload["parity"]["bit_identical"] is True
-
     def test_condense_whole_with_shards_rejected(self, capsys):
         code = main(["condense", "--dataset", "tiny-sim", "--method", "whole",
                      "--shards", "2"])
@@ -256,7 +239,7 @@ class TestCli:
 class TestServingCli:
     def test_batch_mode_help_states_every_default(self):
         # one declaration: no subcommand hides its default behind an
-        # empty help string, and the graph-default trio stays as it was
+        # empty help string, and the graph-default pair stays as it was
         subparsers = next(a for a in build_parser()._actions
                           if isinstance(getattr(a, "choices", None), dict))
         defaults = {}
@@ -265,9 +248,9 @@ class TestServingCli:
                 if "--batch-mode" in action.option_strings:
                     assert f"(here: {action.default})" in action.help
                     defaults[name] = action.default
-        assert len(defaults) == 12
+        assert len(defaults) == 6
         assert {n for n, d in defaults.items() if d == "graph"} == {
-            "serve", "bench-condense", "eval"}
+            "serve", "eval"}
 
     def test_list_includes_serving_registries(self, capsys):
         assert main(["list"]) == 0
@@ -328,46 +311,6 @@ class TestServingCli:
         assert "served 6 requests" in out
         assert "latency p50/p95/p99" in out
         assert "throughput" in out
-
-    def test_bench_writes_schema_checked_json(self, capsys, tmp_path):
-        import json
-
-        from repro.serving import check_benchmark_schema
-
-        output = tmp_path / "BENCH_serving.json"
-        code = main(["bench", "--dataset", "tiny-sim", "--budget", "9",
-                     "--requests", "8", "--nodes-per-request", "2",
-                     "--max-batch-size", "4", "--repeats", "2",
-                     "--output", str(output)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "bitwise parity: True" in out
-        result = json.loads(output.read_text())
-        check_benchmark_schema(result)
-        assert result["dataset"] == "tiny-sim"
-
-    def test_bench_condense_writes_schema_checked_json(self, capsys,
-                                                       tmp_path):
-        import json
-
-        from repro.condense import check_condense_benchmark_schema
-
-        output = tmp_path / "BENCH_condense.json"
-        code = main(["bench-condense", "--dataset", "tiny-sim",
-                     "--budget", "9", "--shards", "1,2",
-                     "--output", str(output)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "parity ok" in out
-        result = json.loads(output.read_text())
-        check_condense_benchmark_schema(result)
-        assert result["dataset"] == "tiny-sim"
-
-    def test_bench_condense_rejects_bad_shard_list(self, capsys):
-        code = main(["bench-condense", "--dataset", "tiny-sim",
-                     "--shards", "two,four"])
-        assert code == 2
-        assert "comma-separated" in capsys.readouterr().err
 
     def test_list_includes_partitioners(self, capsys):
         assert main(["list"]) == 0
