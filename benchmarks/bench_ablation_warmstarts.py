@@ -1,4 +1,7 @@
-"""Ablation of the reproduction's warm-start substitutions (DESIGN.md).
+"""Ablation of the reproduction's warm-start substitutions.
+
+The substitutions are listed under "Reproduction substitutions" in
+docs/architecture.md.
 
 The CPU-scale runs replace the paper's thousands of condensation epochs
 with three warm starts: propagated-feature initialization of X', class-

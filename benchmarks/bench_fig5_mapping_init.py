@@ -38,9 +38,10 @@ def test_fig5(benchmark, contexts, dataset):
         "class-aware init should be diagonal-dominant (Fig. 5b)")
     # Fig. 5c: the paper reports class-aware init starting at a lower loss.
     # At simulator scale the wide-gap init we need for many-class attachment
-    # (see DESIGN.md) inverts the *initial* loss comparison — the random
-    # (near-uniform) mapping reconstructs a global-mean embedding that the
-    # L2,1 objectives score deceptively well — so the transferred claims are
+    # (docs/architecture.md, "Reproduction substitutions") inverts the
+    # *initial* loss comparison — the random (near-uniform) mapping
+    # reconstructs a global-mean embedding that the L2,1 objectives score
+    # deceptively well — so the transferred claims are
     # that training reduces the class-aware loss and the class-aware init
     # ends at accuracy at least as good as random init.
     assert summary["loss_last_class_aware"] < summary["loss_first_class_aware"]

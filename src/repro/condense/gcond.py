@@ -31,7 +31,6 @@ from repro.registry import register_reducer
 from repro.tensor.functional import binary_cross_entropy_with_logits, cross_entropy
 from repro.tensor.tensor import (
     Tensor,
-    concat,
     gather_rows,
     grad,
     matmul,
@@ -41,7 +40,9 @@ from repro.tensor.tensor import (
     relu,
     reshape,
     sigmoid,
+    slice_rows,
     tensor_sum,
+    transpose,
 )
 
 __all__ = [
@@ -61,6 +62,15 @@ class PairwiseAdjacency(Module):
     The MLP makes ``A'`` a function of the synthetic features, so adjacency
     structure co-evolves with them during gradient matching.  The diagonal
     is masked out; normalization re-adds self-loops.
+
+    The first layer is evaluated per node, not per pair: splitting
+    ``layer_in.weight`` into its row halves ``W_a`` (rows of ``x_i``) and
+    ``W_b`` (rows of ``x_j``) gives ``layer_in([x_i; x_j]) = x_i W_a +
+    x_j W_b + b``.  :meth:`forward` therefore multiplies ``X`` by each half
+    once and broadcasts the sum over all ordered pairs into ``F_ij =
+    MLP([x_i; x_j])``; the reverse-order score is ``F_ji``, so the
+    symmetric logit is ``(F + F^T) / 2``.  Cost is ``O(N' d h + N'^2 h)``
+    and nothing of shape ``(N'^2, 2d)`` is ever built.
     """
 
     def __init__(self, feature_dim: int, hidden: int = 64, seed: int = 0) -> None:
@@ -69,21 +79,33 @@ class PairwiseAdjacency(Module):
         self.layer_in = Linear(2 * feature_dim, hidden, rng)
         self.layer_out = Linear(hidden, 1, rng)
 
+    def _first_layer_halves(self, features: Tensor) -> tuple[Tensor, Tensor]:
+        """``(X W_a + b, X W_b)``: ``layer_in([x_i; x_j])`` is ``left_i + right_j``."""
+        dim = features.shape[1]
+        weight = self.layer_in.weight
+        left = matmul(features, slice_rows(weight, 0, dim)) + self.layer_in.bias
+        right = matmul(features, slice_rows(weight, dim, 2 * dim))
+        return left, right
+
+    def _score(self, first_layer: Tensor) -> Tensor:
+        """``layer_out(relu(.))`` over a ``(pairs, hidden)`` first-layer block."""
+        return reshape(self.layer_out(relu(first_layer)), (-1,))
+
     def pair_logits(self, features_a: Tensor, features_b: Tensor) -> Tensor:
         """Symmetric pre-sigmoid scores for row-aligned feature pairs."""
-        forward_score = self.layer_out(
-            relu(self.layer_in(concat([features_a, features_b], axis=1))))
-        backward_score = self.layer_out(
-            relu(self.layer_in(concat([features_b, features_a], axis=1))))
-        return reshape((forward_score + backward_score) * Tensor(0.5), (-1,))
+        left_a, right_a = self._first_layer_halves(features_a)
+        left_b, right_b = self._first_layer_halves(features_b)
+        forward_score = self._score(left_a + right_b)
+        backward_score = self._score(left_b + right_a)
+        return (forward_score + backward_score) * Tensor(0.5)
 
     def forward(self, features: Tensor) -> Tensor:
         n = features.shape[0]
-        idx_i = np.repeat(np.arange(n), n)
-        idx_j = np.tile(np.arange(n), n)
-        scores = self.pair_logits(gather_rows(features, idx_i),
-                                  gather_rows(features, idx_j))
-        matrix = reshape(scores, (n, n))
+        left, right = self._first_layer_halves(features)
+        hidden = left.shape[1]
+        pairs = reshape(left, (n, 1, hidden)) + reshape(right, (1, n, hidden))
+        ordered = reshape(self._score(reshape(pairs, (n * n, hidden))), (n, n))
+        matrix = (ordered + transpose(ordered)) * Tensor(0.5)
         off_diagonal = Tensor(1.0 - np.eye(n))
         return mul(sigmoid(matrix), off_diagonal)
 
@@ -103,8 +125,9 @@ def pretrain_adjacency_model(model: PairwiseAdjacency, labeled_features: np.ndar
     gradient matching are empirically dominated by intra-class edges, so we
     warm-start the MLP to score same-class pairs high and cross-class pairs
     low (balanced batches of labeled pairs); the matching loss then refines
-    the topology.  Documented as a reproduction substitution in DESIGN.md
-    (the paper relies on thousands of GPU epochs instead).
+    the topology.  Documented under "Reproduction substitutions" in
+    docs/architecture.md (the paper relies on thousands of GPU epochs
+    instead).
     """
     if steps <= 0:
         return
@@ -224,7 +247,7 @@ def init_synthetic_features(split: InductiveSplit, counts: np.ndarray,
     features ``Â^K X``) warm-starts the synthetic nodes at neighborhood-
     averaged prototypes, which lets the CPU-scale runs converge in tens of
     matching steps instead of the paper's thousands of GPU epochs (see
-    DESIGN.md, substitutions).
+    "Reproduction substitutions" in docs/architecture.md).
     """
     graph = split.original
     source = graph.features if feature_matrix is None else np.asarray(feature_matrix)
@@ -251,7 +274,8 @@ class GCondConfig:
     """Hyper-parameters of gradient-matching condensation.
 
     The paper runs thousands of epochs on GPU; these defaults are sized for
-    the CPU-scale simulators (see DESIGN.md) while preserving the
+    the CPU-scale simulators (see "Reproduction substitutions" in
+    docs/architecture.md) while preserving the
     optimization structure: ``outer_loops`` draws of ``theta_0``, and
     ``match_steps`` gradient-matching updates per draw, interleaved with
     ``relay_steps`` relay updates on the synthetic graph.
@@ -340,25 +364,17 @@ class GCondReducer(GraphReducer):
         grads = grad(loss, relay.parameters())
         return [g.detach() for g in grads]
 
-    def _synthetic_loss_graph(self, relay: SgcRelay,
-                              synthetic_features: Parameter,
-                              adjacency_model: PairwiseAdjacency,
-                              labels_syn: np.ndarray) -> Tensor:
-        adjacency = adjacency_model(synthetic_features)
-        operator = dense_normalize_tensor(adjacency)
-        embedding = relay.embed_tensor(operator, synthetic_features)
-        return relay.classifier_loss(embedding, labels_syn)
-
     def _matching_step(self, relay, propagated, graph, labeled,
                        synthetic_features, adjacency_model, labels_syn,
                        feature_opt, adjacency_opt) -> None:
         original_grads = self._original_gradients(relay, propagated, graph, labeled)
-        loss_syn = self._synthetic_loss_graph(relay, synthetic_features,
-                                              adjacency_model, labels_syn)
+        adjacency = adjacency_model(synthetic_features)
+        embedding = relay.embed_tensor(dense_normalize_tensor(adjacency),
+                                       synthetic_features)
+        loss_syn = relay.classifier_loss(embedding, labels_syn)
         synthetic_grads = grad(loss_syn, relay.parameters(), create_graph=True)
         matching = gradient_matching_loss(original_grads, synthetic_grads)
-        matching = matching + self._extra_synthetic_loss(
-            relay, synthetic_features, adjacency_model)
+        matching = matching + self._extra_synthetic_loss(embedding)
         targets = [synthetic_features] + adjacency_model.parameters()
         grads = grad(matching, targets, allow_unused=True)
         feature_opt.apply_grads(grads[:1])
@@ -366,9 +382,11 @@ class GCondReducer(GraphReducer):
         feature_opt.step()
         adjacency_opt.step()
 
-    def _extra_synthetic_loss(self, relay, synthetic_features,
-                              adjacency_model) -> Tensor:
-        """Hook for subclasses (MCond adds ``lambda * L_str`` here)."""
+    def _extra_synthetic_loss(self, embedding: Tensor) -> Tensor:
+        """Hook for subclasses (MCond adds ``lambda * L_str`` here).
+
+        ``embedding`` is this step's differentiable ``H' = Â'^K X'``.
+        """
         return Tensor(0.0)
 
     def _relay_step(self, relay, synthetic_features, adjacency_model,

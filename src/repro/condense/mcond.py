@@ -232,17 +232,13 @@ class MCondReducer(GCondReducer):
     # ------------------------------------------------------------------
     # Synthetic-graph phase: lambda * L_str added to gradient matching.
     # ------------------------------------------------------------------
-    def _extra_synthetic_loss(self, relay, synthetic_features,
-                              adjacency_model) -> Tensor:
+    def _extra_synthetic_loss(self, embedding: Tensor) -> Tensor:
         config = self.config
         if not config.use_structure_loss or config.lambda_structure == 0:
             return Tensor(0.0)
         if self._mapping_snapshot is None or self._original_adjacency is None:
             return Tensor(0.0)
-        adjacency = adjacency_model(synthetic_features)
-        operator = dense_normalize_tensor(adjacency)
-        synthetic_embed = relay.embed_tensor(operator, synthetic_features)
-        reconstructed = matmul(Tensor(self._mapping_snapshot), synthetic_embed)
+        reconstructed = matmul(Tensor(self._mapping_snapshot), embedding)
         batch = sample_edge_batch(self._original_adjacency,
                                   config.edge_batch_size, self._edge_rng)
         loss = structure_loss(reconstructed, batch)

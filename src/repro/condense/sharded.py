@@ -2,9 +2,10 @@
 
 Condensation is the last whole-graph, single-process phase of the
 pipeline — every reducer walks the entire training graph, and its
-dominant dense operations (the ``(N, N')`` mapping products of MCond, the
-pairwise synthetic adjacency of GCond) scale super-linearly in the graph
-and budget sizes.  :class:`ShardedReducer` breaks that ceiling:
+dominant dense operations (the ``(N, N')`` mapping products of MCond,
+then the ``N'^2`` pair scores of the synthetic-adjacency generator) scale
+super-linearly in the graph and budget sizes.  :class:`ShardedReducer`
+breaks that ceiling:
 
 1. **Partition** the original training graph into ``shards`` disjoint
    node sets with a registered strategy from

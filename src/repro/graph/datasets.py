@@ -1,7 +1,8 @@
 """Dataset registry and the inductive split protocol.
 
-Each simulated dataset mirrors one of the paper's benchmarks at ~20x reduced
-scale (see DESIGN.md for the calibration table):
+Each simulated dataset mirrors one of the paper's benchmarks at 10-30x
+reduced scale (calibration table under "Reproduction substitutions" in
+docs/architecture.md):
 
 - ``pubmed-sim``  — small citation-style graph, 3 classes, sparse label
   rate (only 60 labeled training nodes, like the Planetoid split).

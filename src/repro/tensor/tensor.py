@@ -27,6 +27,7 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import AutogradError, ShapeError
 
@@ -704,11 +705,33 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def scatter_rows_add(a: Tensor, indices: np.ndarray, shape: tuple[int, ...]) -> Tensor:
-    """Scatter rows of ``a`` into a zero tensor of ``shape``, adding duplicates."""
+    """Scatter rows of ``a`` into a zero tensor of ``shape``, adding duplicates.
+
+    Bit-for-bit ``np.add.at`` without ``ufunc.at``'s slow path.  With
+    duplicate targets it is one product ``S @ a`` with a one-hot CSR
+    selection matrix ``S`` whose row ``r`` lists, in source order (stable
+    sort), every row of ``a`` scattered into ``r``, so each output row sums
+    its sources in ``np.add.at``'s order starting from 0.  When every
+    target is distinct (labeled-node losses) each sum is ``0 + a_k``,
+    placed directly, which spares narrow rows the product's fixed cost;
+    adding 0 also turns ``-0.0`` into ``+0.0``, as ``np.add.at`` does.
+    """
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    out_data = np.zeros(shape, dtype=np.float64)
-    np.add.at(out_data, idx, a.data)
+    rows = shape[0]
+    idx = np.where(idx < 0, idx + rows, idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(f"scatter_rows_add index out of range for {rows} rows")
+    counts = np.bincount(idx, minlength=rows)
+    if np.all(counts <= 1):
+        out_data = np.zeros(shape, dtype=np.float64)
+        out_data[idx] = a.data + 0.0
+    else:
+        selection = sp.csr_matrix(
+            (np.ones(idx.size), np.argsort(idx, kind="stable"),
+             np.concatenate(([0], np.cumsum(counts)))),
+            shape=(rows, idx.size))
+        out_data = (selection @ a.data.reshape(idx.size, -1)).reshape(shape)
 
     def backward(g: Tensor):
         return (gather_rows(g, idx),)

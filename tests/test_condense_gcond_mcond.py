@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,115 @@ from repro.condense import (
     dense_normalize_tensor,
 )
 from repro.condense.gcond import pretrain_adjacency_model
+from repro.condense.losses import gradient_matching_loss
 from repro.graph.ops import symmetric_normalize
-from repro.tensor import Tensor, grad, tensor_sum
+from repro.tensor import (
+    Tensor,
+    concat,
+    gather_rows,
+    grad,
+    gradcheck,
+    gradgradcheck,
+    mul,
+    relu,
+    reshape,
+    sigmoid,
+    tensor_sum,
+)
 
 RNG = np.random.default_rng(6)
+
+
+# ----------------------------------------------------------------------
+# Reference generator: Eq. (6) evaluated literally, one concatenated
+# ``[x_i; x_j]`` row per ordered pair pushed through the whole MLP.
+# ----------------------------------------------------------------------
+def _concat_pair_logits(model, features_a, features_b):
+    forward_score = model.layer_out(
+        relu(model.layer_in(concat([features_a, features_b], axis=1))))
+    backward_score = model.layer_out(
+        relu(model.layer_in(concat([features_b, features_a], axis=1))))
+    return reshape((forward_score + backward_score) * Tensor(0.5), (-1,))
+
+
+def _concat_forward(model, features):
+    n = features.shape[0]
+    scores = _concat_pair_logits(model,
+                                 gather_rows(features, np.repeat(np.arange(n), n)),
+                                 gather_rows(features, np.tile(np.arange(n), n)))
+    return mul(sigmoid(reshape(scores, (n, n))), Tensor(1.0 - np.eye(n)))
+
+
+def _generator(feature_dim, hidden, nodes, seed=0):
+    """A model with a non-zero bias (the init is zeros) and features."""
+    rng = np.random.default_rng(seed)
+    model = PairwiseAdjacency(feature_dim, hidden=hidden, seed=seed)
+    model.layer_in.bias.data[:] = 0.1 * rng.standard_normal(hidden)
+    model.layer_out.bias.data[:] = 0.1 * rng.standard_normal(1)
+    features = Tensor(rng.standard_normal((nodes, feature_dim)),
+                      requires_grad=True)
+    weights = Tensor(rng.standard_normal((nodes, nodes)))
+    return model, features, weights
+
+
+def _forward_and_grads(forward, model, features, weights):
+    adjacency = forward(model, features)
+    loss = tensor_sum(mul(adjacency, weights))
+    grads = grad(loss, [features] + model.parameters())
+    return adjacency.data, [g.data for g in grads]
+
+
+class TestFactorisedGenerator:
+    """The per-node first layer against the literal per-pair MLP."""
+
+    def test_matches_concat_oracle(self):
+        model, features, weights = _generator(7, 16, 11)
+        ours, our_grads = _forward_and_grads(
+            PairwiseAdjacency.forward, model, features, weights)
+        ref, ref_grads = _forward_and_grads(
+            _concat_forward, model, features, weights)
+        assert np.abs(ours - ref).max() < 1e-12
+        assert len(our_grads) == 5  # features + the four parameters
+        for got, want in zip(our_grads, ref_grads):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_gradcheck_and_gradgradcheck(self):
+        # matching differentiates the generator twice
+        model, features, weights = _generator(3, 4, 4, seed=1)
+        inputs = [features] + model.parameters()
+
+        def loss(x, *params):
+            return tensor_sum(mul(model(x), weights))
+
+        assert gradcheck(loss, inputs)
+        assert gradgradcheck(loss, inputs)
+
+    def test_pair_logits_agree_with_forward_off_diagonal(self):
+        model, features, _ = _generator(5, 8, 9, seed=2)
+        rows, cols = np.nonzero(~np.eye(9, dtype=bool))
+        logits = model.pair_logits(gather_rows(features, rows),
+                                   gather_rows(features, cols))
+        assert logits.shape == (rows.size,)
+        np.testing.assert_allclose(sigmoid(logits).data,
+                                   model(features).data[rows, cols],
+                                   rtol=0, atol=1e-13)
+        ref = _concat_pair_logits(model, gather_rows(features, rows),
+                                  gather_rows(features, cols))
+        np.testing.assert_allclose(logits.data, ref.data, rtol=0, atol=1e-12)
+
+    def test_peak_memory_below_a_third_of_the_oracle(self):
+        # the reddit-sim budget-82 shape: N'=82 synthetic nodes, d=160
+        model, features, weights = _generator(160, 64, 82, seed=3)
+        peaks = []
+        for forward in (PairwiseAdjacency.forward, _concat_forward):
+            tracemalloc.start()
+            try:
+                _forward_and_grads(forward, model, features, weights)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        ours, oracle = peaks
+        assert ours < oracle / 3, (ours, oracle)
 
 
 class TestPairwiseAdjacency:
@@ -190,3 +297,53 @@ class TestMCondReducer:
     def test_budget_checks(self, tiny_split):
         with pytest.raises(CondensationError):
             MCondReducer().reduce(tiny_split, 1)
+
+    def test_condenses_what_the_reference_generator_condenses(
+            self, tiny_split, monkeypatch):
+        config = MCondConfig(outer_loops=2, match_steps=3, mapping_steps=5,
+                             adjacency_pretrain_steps=30, seed=5)
+        runs = []
+        for reference in (False, True):
+            with monkeypatch.context() as patch:
+                if reference:
+                    patch.setattr(PairwiseAdjacency, "forward", _concat_forward)
+                    patch.setattr(PairwiseAdjacency, "pair_logits",
+                                  _concat_pair_logits)
+                    patch.setattr(MCondReducer, "_matching_step",
+                                  _two_pass_matching_step)
+                reducer = MCondReducer(config)
+                condensed = reducer.reduce(tiny_split, 9)
+            runs.append((condensed, reducer.last_result))
+        (ours, our_result), (ref, ref_result) = runs
+        np.testing.assert_allclose(our_result.mapping.normalized_array(),
+                                   ref_result.mapping.normalized_array(),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(our_result.synthetic_adjacency_dense,
+                                   ref_result.synthetic_adjacency_dense,
+                                   rtol=0, atol=1e-9)
+        assert np.count_nonzero(ours.adjacency) == np.count_nonzero(ref.adjacency)
+        assert ours.mapping.nnz == ref.mapping.nnz
+
+
+def _two_pass_matching_step(self, relay, propagated, graph, labeled,
+                            synthetic_features, adjacency_model, labels_syn,
+                            feature_opt, adjacency_opt):
+    """Reference matching step: the structure-loss hook gets its own
+    generator → normalize → embed pass over the same features and
+    parameters instead of sharing the matching loss's embedding."""
+    def embed():
+        adjacency = adjacency_model(synthetic_features)
+        return relay.embed_tensor(dense_normalize_tensor(adjacency),
+                                  synthetic_features)
+
+    original_grads = self._original_gradients(relay, propagated, graph, labeled)
+    loss_syn = relay.classifier_loss(embed(), labels_syn)
+    synthetic_grads = grad(loss_syn, relay.parameters(), create_graph=True)
+    matching = (gradient_matching_loss(original_grads, synthetic_grads)
+                + self._extra_synthetic_loss(embed()))
+    grads = grad(matching, [synthetic_features] + adjacency_model.parameters(),
+                 allow_unused=True)
+    feature_opt.apply_grads(grads[:1])
+    adjacency_opt.apply_grads(grads[1:])
+    feature_opt.step()
+    adjacency_opt.step()

@@ -244,6 +244,30 @@ class TestGatherScatterSlice:
         out = scatter_rows_add(a, np.array([1, 1, 0]), (4, 2))
         assert np.allclose(out.data, [[1, 1], [2, 2], [0, 0], [0, 0]])
 
+    @pytest.mark.parametrize("indices, shape", [
+        ([3, 0, 4, 1], (5, 3)),                 # unsorted, distinct
+        ([2, 0, 2, 2, 4, 0, 2], (6, 3)),        # unsorted, duplicated
+        ([], (4, 3)),                           # empty
+        ([2, 0, -1], (4,)),                     # 1-D, distinct, negative index
+        ([1, 3, 1, -1], (4,)),                  # 1-D, duplicated
+        (list(np.random.default_rng(1).integers(0, 50, 256)), (50, 16)),
+    ])
+    def test_scatter_rows_add_bitwise_equals_add_at(self, indices, shape):
+        idx = np.asarray(indices, dtype=np.int64)
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((idx.size,) + shape[1:]) * 1e3
+        values[rng.random(values.shape) < 0.2] = -0.0
+        expected = np.zeros(shape)
+        np.add.at(expected, idx, values)
+        out = scatter_rows_add(Tensor(values), idx, shape)
+        assert out.shape == shape
+        assert np.array_equal(out.data, expected)
+        assert out.data.tobytes() == expected.tobytes()  # signed zeros too
+
+    def test_scatter_rows_add_rejects_out_of_range(self):
+        with pytest.raises(ShapeError):
+            scatter_rows_add(Tensor(np.ones((2, 2))), np.array([0, 3]), (3, 2))
+
     def test_scatter_gradcheck(self):
         a = t((3, 2))
         idx = np.array([1, 1, 0])
