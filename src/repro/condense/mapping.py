@@ -8,25 +8,21 @@ as a weighted ensemble of synthetic nodes.  This module implements:
 - threshold sparsification of Eq. (14),
 - block-structure statistics used by the Fig. 5 analysis.
 
-During training the dense, normalized form is used end-to-end; the sparse
-thresholded form is what gets deployed.
+During training the dense, normalized form is used end-to-end (its
+gradient comes from the closed-form VJP, not the autodiff tape); the
+sparse thresholded form is what gets deployed.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import CondensationError
 from repro.nn.module import Module, Parameter
-from repro.tensor.tensor import (
-    Tensor,
-    div,
-    maximum_const,
-    sigmoid,
-    sub,
-    tensor_sum,
-)
+from repro.tensor.tensor import sigmoid
 
 __all__ = ["MappingMatrix", "class_aware_logits", "sparsify_matrix",
            "class_block_mass"]
@@ -61,9 +57,17 @@ def class_aware_logits(original_labels: np.ndarray, synthetic_labels: np.ndarray
 class MappingMatrix(Module):
     """Trainable mapping with the Eq. (15) normalization built in.
 
-    The raw parameter lives in logit space; :meth:`normalized` produces the
-    dense non-negative row-normalized matrix used in every loss, and
-    :meth:`sparsified` produces the deployable thresholded CSR matrix.
+    The raw parameter lives in logit space.  :meth:`normalized_with_vjp`
+    is the one Eq. (15) forward — ``s = sigma(raw)``, ``r = rowsum(s)``,
+    ``n = s / r``, ``M = max(n - eps, 0)`` — returned with its
+    vector-Jacobian product: for an upstream gradient ``g`` on ``M``,
+
+    - ``g_n = g * [n > eps]``  (the ReLU mask; all ones when ``eps = 0``),
+    - ``g_s = (g_n - rowsum(g_n * n)) / r``,
+    - ``g_raw = g_s * s * (1 - s)``.
+
+    :meth:`normalized_array` is its forward alone, and :meth:`sparsified`
+    thresholds it into the deployable CSR matrix (Eq. 14).
     """
 
     def __init__(self, logits: np.ndarray, epsilon: float = 1e-5) -> None:
@@ -99,25 +103,32 @@ class MappingMatrix(Module):
     def shape(self) -> tuple[int, int]:
         return self.raw.shape
 
-    def normalized(self) -> Tensor:
-        """Eq. (15): ``M_i <- ReLU(sigma(M_i) / sum_j sigma(M_ij) - eps)``.
-
-        Differentiable; used for every forward computation during training.
-        """
-        squashed = sigmoid(self.raw)
-        row_sums = tensor_sum(squashed, axis=1, keepdims=True)
-        normalized = div(squashed, row_sums)
+    def normalized_with_vjp(
+            self) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """Eq. (15) ``M_i <- ReLU(sigma(M_i) / sum_j sigma(M_ij) - eps)``
+        and the map from a gradient on ``M`` to one on ``raw``."""
+        squashed = sigmoid(self.raw.data).data
+        row_sums = squashed.sum(axis=1, keepdims=True)
+        normalized = squashed / row_sums
+        mask = None
+        out = normalized
         if self.epsilon > 0:
-            normalized = maximum_const(sub(normalized, Tensor(self.epsilon)), 0.0)
-        return normalized
+            out = normalized - self.epsilon
+            mask = out > 0
+            np.maximum(out, 0.0, out=out)
+
+        def vjp(upstream: np.ndarray) -> np.ndarray:
+            g = upstream * mask if mask is not None else upstream.copy()
+            g -= (g * normalized).sum(axis=1, keepdims=True)
+            g /= row_sums
+            g *= squashed * (1.0 - squashed)
+            return g
+
+        return out, vjp
 
     def normalized_array(self) -> np.ndarray:
-        """Constant snapshot of :meth:`normalized` (no graph recorded)."""
-        squashed = 1.0 / (1.0 + np.exp(-np.clip(self.raw.data, -60, 60)))
-        normalized = squashed / squashed.sum(axis=1, keepdims=True)
-        if self.epsilon > 0:
-            normalized = np.maximum(normalized - self.epsilon, 0.0)
-        return normalized
+        """The Eq. (15) forward of :meth:`normalized_with_vjp`, without the VJP."""
+        return self.normalized_with_vjp()[0]
 
     def sparsified(self, delta: float) -> sp.csr_matrix:
         """Eq. (14): zero entries below ``delta`` and return CSR."""

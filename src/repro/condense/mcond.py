@@ -38,7 +38,7 @@ from repro.condense.gcond import (
     init_synthetic_features,
     pretrain_adjacency_model,
 )
-from repro.condense.losses import inductive_loss, structure_loss, transductive_loss
+from repro.condense.losses import inductive_loss, structure_loss
 from repro.condense.mapping import MappingMatrix, sparsify_matrix
 from repro.graph.datasets import IncrementalBatch, InductiveSplit
 from repro.graph.incremental import attach_to_original
@@ -47,7 +47,6 @@ from repro.graph.sampling import sample_edge_batch
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
 from repro.registry import register_reducer
-from repro.tensor.sparse import spmm
 from repro.tensor.tensor import (
     Tensor,
     concat,
@@ -59,6 +58,9 @@ from repro.tensor.tensor import (
 )
 
 __all__ = ["MCondConfig", "MCondResult", "MCondReducer"]
+
+# ``l21_norm``'s default eps, under the square root of each row norm.
+_L21_EPS = 1e-12
 
 
 @dataclass
@@ -250,19 +252,42 @@ class MCondReducer(GCondReducer):
     def _mapping_step(self, mapping, mapping_opt, relay, propagated,
                       synthetic_embed, adjacency_const, synthetic_features,
                       support, support_original, result) -> None:
+        """One Adam step on ``L_M = L_tra + beta * L_ind`` (Eq. 13).
+
+        The gradient is assembled in closed form so nothing of shape
+        ``(N, N')`` enters the autodiff tape:
+
+        - Eq. 10: with ``R = H - M H'`` and ``rho_i = ||R_i||`` (the
+          ``l21_norm`` eps), ``L_tra = sum(rho) / N`` and
+          ``dL_tra/dM = -(R / rho) H'^T / N``;
+        - Eq. 11/12: ``aM`` enters a small tape over the ``(N'+n)^2``
+          augmented graph as a leaf, and its gradient is pulled back to
+          ``M`` through the sparse ``a^T``;
+        - Eq. 15: :meth:`MappingMatrix.normalized_with_vjp` carries the
+          gradient from ``M`` to the logits Adam updates.
+        """
         config = self.config
-        normalized = mapping.normalized()
-        loss = transductive_loss(propagated, synthetic_embed, normalized)
-        result.transductive_losses.append(loss.item())
+        normalized, normalize_vjp = mapping.normalized_with_vjp()
+        num_original = propagated.shape[0]
+        residual = propagated - normalized @ synthetic_embed
+        row_norms = (np.sum(residual * residual, axis=1) + _L21_EPS) ** 0.5
+        loss = np.sum(row_norms) / float(num_original)
+        result.transductive_losses.append(float(loss))
+        residual /= row_norms[:, None] * -float(num_original)
+        grad_mapping = residual @ synthetic_embed.T
         if config.use_inductive_loss and config.beta_inductive > 0:
+            converted = Tensor(support.incremental @ normalized,
+                               requires_grad=True)
             support_synthetic = self._support_embedding_synthetic(
-                relay, adjacency_const, synthetic_features, support, normalized)
+                relay, adjacency_const, synthetic_features, support, converted)
             ind = inductive_loss(support_original, support_synthetic)
             result.inductive_losses.append(ind.item())
-            loss = loss + Tensor(config.beta_inductive) * ind
-        result.mapping_losses.append(loss.item())
-        grads = grad(loss, [mapping.raw])
-        mapping_opt.apply_grads(grads)
+            loss = loss + config.beta_inductive * ind.item()
+            (grad_converted,) = grad(ind, [converted])
+            grad_mapping += support.incremental.T @ (
+                config.beta_inductive * grad_converted.data)
+        result.mapping_losses.append(float(loss))
+        mapping_opt.apply_grads([Tensor(normalize_vjp(grad_mapping))])
         mapping_opt.step()
 
     def _support_batch(self, split: InductiveSplit,
@@ -289,13 +314,13 @@ class MCondReducer(GCondReducer):
                                      adjacency_const: np.ndarray,
                                      synthetic_features: np.ndarray,
                                      support: IncrementalBatch,
-                                     mapping_normalized: Tensor) -> Tensor:
+                                     converted: Tensor) -> Tensor:
         """``H'_sup``: support nodes attached to the synthetic graph (Eq. 11).
 
-        Differentiable in ``M`` — the augmented adjacency contains the
-        converted connections ``aM`` in its off-diagonal blocks.
+        Differentiable in the converted connections ``converted = aM``
+        (shape ``(n, N')``), which fill the augmented adjacency's
+        off-diagonal blocks.
         """
-        converted = spmm(support.incremental, mapping_normalized)  # (n, N')
         adjacency_top = concat(
             [Tensor(adjacency_const), transpose(converted)], axis=1)
         intra_dense = Tensor(support.intra.toarray())

@@ -98,6 +98,7 @@ class Adam(Optimizer):
         self._step_count = 0
         self._first: dict[int, np.ndarray] = {}
         self._second: dict[int, np.ndarray] = {}
+        self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self) -> None:
         self._step_count += 1
@@ -107,14 +108,27 @@ class Adam(Optimizer):
             g = self._effective_grad(param)
             if g is None:
                 continue
-            m = self._first.get(id(param))
-            v = self._second.get(id(param))
-            if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self._first[id(param)] = m
-            self._second[id(param)] = v
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            param.data -= self.lr * update
+            key = id(param)
+            if key not in self._first:
+                self._first[key] = np.zeros_like(param.data)
+                self._second[key] = np.zeros_like(param.data)
+                self._buffers[key] = (np.empty_like(param.data),
+                                      np.empty_like(param.data))
+            m, v = self._first[key], self._second[key]
+            update, work = self._buffers[key]
+            # In place, in the order of m = b1*m + (1-b1)*g etc., so the
+            # arithmetic (hence every trajectory) is unchanged.
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=work)
+            m += work
+            v *= self.beta2
+            np.multiply(g, g, out=work)
+            work *= 1.0 - self.beta2
+            v += work
+            np.divide(v, bias2, out=work)
+            np.sqrt(work, out=work)
+            work += self.eps
+            np.divide(m, bias1, out=update)
+            update /= work
+            update *= self.lr
+            param.data -= update

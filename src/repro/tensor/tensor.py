@@ -616,12 +616,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    e = np.exp(x[~positive])
-    out[~positive] = e / (1.0 + e)
-    return out
+    # exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def tanh(a: Tensor) -> Tensor:

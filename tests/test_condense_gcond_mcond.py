@@ -6,19 +6,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import CondensationError
 from repro.condense import (
     GCondConfig,
     GCondReducer,
+    MappingMatrix,
     MCondConfig,
     MCondReducer,
+    MCondResult,
     PairwiseAdjacency,
     SgcRelay,
     dense_normalize_tensor,
 )
 from repro.condense.gcond import pretrain_adjacency_model
-from repro.condense.losses import gradient_matching_loss
+from repro.condense.losses import (
+    gradient_matching_loss,
+    inductive_loss,
+    transductive_loss,
+)
+from repro.graph.datasets import IncrementalBatch
 from repro.graph.ops import symmetric_normalize
 from repro.tensor import (
     Tensor,
@@ -31,8 +39,11 @@ from repro.tensor import (
     relu,
     reshape,
     sigmoid,
+    spmm,
     tensor_sum,
 )
+from repro.tensor.tensor import make_op
+from test_condense_losses_mapping import taped_normalized
 
 RNG = np.random.default_rng(6)
 
@@ -347,3 +358,185 @@ def _two_pass_matching_step(self, relay, propagated, graph, labeled,
     adjacency_opt.apply_grads(grads[1:])
     feature_opt.step()
     adjacency_opt.step()
+
+
+# ----------------------------------------------------------------------
+# Reference mapping step: L_M = L_tra + beta * L_ind with the whole of
+# Eq. 15, Eq. 10 and the Eq. 11 ``aM`` on the autodiff tape.
+# ----------------------------------------------------------------------
+def _taped_mapping_step(self, mapping, mapping_opt, relay, propagated,
+                        synthetic_embed, adjacency_const, synthetic_features,
+                        support, support_original, result):
+    config = self.config
+    normalized = taped_normalized(mapping)
+    loss = transductive_loss(propagated, synthetic_embed, normalized)
+    result.transductive_losses.append(loss.item())
+    if config.use_inductive_loss and config.beta_inductive > 0:
+        support_synthetic = self._support_embedding_synthetic(
+            relay, adjacency_const, synthetic_features, support,
+            spmm(support.incremental, normalized))
+        ind = inductive_loss(support_original, support_synthetic)
+        result.inductive_losses.append(ind.item())
+        loss = loss + Tensor(config.beta_inductive) * ind
+    result.mapping_losses.append(loss.item())
+    grads = grad(loss, [mapping.raw])
+    mapping_opt.apply_grads(grads)
+    mapping_opt.step()
+
+
+class _CaptureGrad:
+    """Optimizer stand-in that keeps the gradient a step hands it."""
+
+    def apply_grads(self, grads):
+        (self.grad,) = [g.data for g in grads]
+
+    def step(self):
+        pass
+
+
+def _mapping_inputs(num_original=40, num_synthetic=6, feature_dim=5,
+                    num_support=7, epsilon=1e-5, random_init=False, seed=0):
+    """Everything ``_mapping_step`` reads, at an arbitrary small shape."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, num_original)
+    labels_syn = np.arange(num_synthetic) % 3
+    if random_init:
+        mapping = MappingMatrix.random(num_original, num_synthetic,
+                                       epsilon=epsilon, seed=seed)
+    else:
+        mapping = MappingMatrix.class_aware(labels, labels_syn,
+                                            epsilon=epsilon, seed=seed)
+    relay = SgcRelay(feature_dim, 3, k_hops=2, seed=seed)
+    adjacency = rng.uniform(size=(num_synthetic, num_synthetic))
+    adjacency = np.triu(adjacency, 1) + np.triu(adjacency, 1).T
+    synthetic_features = rng.standard_normal((num_synthetic, feature_dim))
+    synthetic_embed = relay.embed_tensor(
+        dense_normalize_tensor(Tensor(adjacency)),
+        Tensor(synthetic_features)).data
+    incremental = sp.random(num_support, num_original, density=0.05,
+                            random_state=seed, format="csr")
+    incremental.data[:] = 1.0
+    intra = sp.random(num_support, num_support, density=0.2,
+                      random_state=seed + 1, format="csr")
+    intra = ((intra + intra.T) > 0).astype(np.float64).tocsr()
+    support = IncrementalBatch(
+        features=rng.standard_normal((num_support, feature_dim)),
+        incremental=incremental, intra=intra,
+        labels=np.zeros(num_support, dtype=np.int64))
+    return dict(mapping=mapping, relay=relay,
+                propagated=rng.standard_normal((num_original, feature_dim)),
+                synthetic_embed=synthetic_embed, adjacency_const=adjacency,
+                synthetic_features=synthetic_features, support=support,
+                support_original=rng.standard_normal((num_support, feature_dim)))
+
+
+def _run_step(step, config, inputs):
+    """One mapping step with a capturing optimizer: ``(result, g_raw)``."""
+    capture = _CaptureGrad()
+    result = MCondResult(condensed=None, mapping=inputs["mapping"],
+                         synthetic_adjacency_dense=None)
+    step(MCondReducer(config), inputs["mapping"], capture, inputs["relay"],
+         inputs["propagated"], inputs["synthetic_embed"],
+         inputs["adjacency_const"], inputs["synthetic_features"],
+         inputs["support"], inputs["support_original"], result)
+    return result, capture.grad
+
+
+_LOSS_LISTS = ("transductive_losses", "inductive_losses", "mapping_losses")
+
+
+class TestClosedFormMappingStep:
+    """``MCondReducer._mapping_step`` against the taped oracle step."""
+
+    @pytest.mark.parametrize("config_kwargs, input_kwargs", [
+        ({}, {}),
+        ({}, {"epsilon": 0.0}),
+        ({"use_inductive_loss": False}, {}),
+        ({"beta_inductive": 0.0}, {}),
+        ({}, {"random_init": True}),
+        ({"beta_inductive": 3.0}, {"random_init": True, "epsilon": 0.0}),
+    ])
+    def test_matches_taped_oracle(self, config_kwargs, input_kwargs):
+        config = MCondConfig(**config_kwargs)
+        inputs = _mapping_inputs(**input_kwargs)
+        ours, our_grad = _run_step(MCondReducer._mapping_step, config, inputs)
+        ref, ref_grad = _run_step(_taped_mapping_step, config, inputs)
+        for name in _LOSS_LISTS:
+            got, want = getattr(ours, name), getattr(ref, name)
+            assert len(got) == len(want)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        inductive = config.use_inductive_loss and config.beta_inductive > 0
+        assert len(ours.inductive_losses) == int(inductive)
+        scale = np.abs(ref_grad).max()
+        assert scale > 0
+        np.testing.assert_allclose(our_grad, ref_grad, rtol=0,
+                                   atol=1e-12 * scale)
+
+    def test_eq10_gradient_gradcheck(self, monkeypatch):
+        # identity Eq. 15: the captured gradient is dL_tra/dM itself
+        monkeypatch.setattr(MappingMatrix, "normalized_with_vjp",
+                            lambda self: (self.raw.data.copy(), np.copy))
+        config = MCondConfig(use_inductive_loss=False)
+        inputs = _mapping_inputs(num_original=6, num_synthetic=3,
+                                 feature_dim=4)
+        self._gradcheck_step(config, inputs, "transductive_losses")
+
+    def test_full_step_gradcheck(self):
+        config = MCondConfig(beta_inductive=2.0)
+        inputs = _mapping_inputs(num_original=12, num_synthetic=4,
+                                 feature_dim=3, num_support=5, epsilon=0.05,
+                                 random_init=True)
+        self._gradcheck_step(config, inputs, "mapping_losses")
+
+    @staticmethod
+    def _gradcheck_step(config, inputs, losses):
+        def step_loss(raw):
+            inputs["mapping"].raw.data[:] = raw.data
+            result, g_raw = _run_step(MCondReducer._mapping_step, config, inputs)
+            return make_op(np.array(getattr(result, losses)[0]), (raw,),
+                           lambda g: (mul(g, Tensor(g_raw)),), "mapping_step")
+
+        raw = Tensor(inputs["mapping"].raw.data.copy(), requires_grad=True)
+        assert gradcheck(step_loss, [raw], atol=1e-7, rtol=1e-5)
+
+    def test_reducer_matches_taped_oracle(self, tiny_split, monkeypatch):
+        config = MCondConfig(outer_loops=2, match_steps=2, mapping_steps=6,
+                             adjacency_pretrain_steps=20, seed=9)
+        runs = []
+        for reference in (False, True):
+            with monkeypatch.context() as patch:
+                if reference:
+                    patch.setattr(MCondReducer, "_mapping_step",
+                                  _taped_mapping_step)
+                reducer = MCondReducer(config)
+                condensed = reducer.reduce(tiny_split, 9)
+            runs.append((condensed, reducer.last_result))
+        (ours, our_result), (ref, ref_result) = runs
+        np.testing.assert_allclose(our_result.mapping.normalized_array(),
+                                   ref_result.mapping.normalized_array(),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(our_result.synthetic_adjacency_dense,
+                                   ref_result.synthetic_adjacency_dense,
+                                   rtol=0, atol=1e-9)
+        for name in _LOSS_LISTS:
+            np.testing.assert_allclose(getattr(our_result, name),
+                                       getattr(ref_result, name),
+                                       rtol=1e-9, atol=0)
+        assert np.count_nonzero(ours.adjacency) == np.count_nonzero(ref.adjacency)
+        assert ours.mapping.nnz == ref.mapping.nnz
+
+    def test_peak_memory_below_half_the_oracle(self):
+        # the reddit-sim budget-82 shape: N=5082, N'=82, d=160, 256 supports
+        inputs = _mapping_inputs(num_original=5082, num_synthetic=82,
+                                 feature_dim=160, num_support=256)
+        config = MCondConfig()
+        peaks = []
+        for step in (MCondReducer._mapping_step, _taped_mapping_step):
+            tracemalloc.start()
+            try:
+                _run_step(step, config, inputs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        ours, oracle = peaks
+        assert ours < oracle / 2, (ours, oracle)

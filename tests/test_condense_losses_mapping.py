@@ -19,9 +19,36 @@ from repro.condense import (
     transductive_loss,
 )
 from repro.graph.sampling import EdgeBatch
-from repro.tensor import Tensor, grad
+from repro.tensor import (
+    Tensor,
+    div,
+    grad,
+    gradcheck,
+    maximum_const,
+    mul,
+    sigmoid,
+    sub,
+    tensor_sum,
+)
+from repro.tensor.tensor import make_op
 
 RNG = np.random.default_rng(5)
+
+
+def taped_normalized(mapping: MappingMatrix) -> Tensor:
+    """Oracle: Eq. (15) on the autodiff tape, differentiable in ``raw``."""
+    squashed = sigmoid(mapping.raw)
+    row_sums = tensor_sum(squashed, axis=1, keepdims=True)
+    normalized = div(squashed, row_sums)
+    if mapping.epsilon > 0:
+        normalized = maximum_const(sub(normalized, Tensor(mapping.epsilon)), 0.0)
+    return normalized
+
+
+def normalized_op(raw: Tensor, epsilon: float) -> Tensor:
+    """Eq. (15) as a tape op whose backward is the closed-form VJP."""
+    matrix, vjp = MappingMatrix(raw.data, epsilon=epsilon).normalized_with_vjp()
+    return make_op(matrix, (raw,), lambda g: (Tensor(vjp(g.data)),), "eq15")
 
 
 class TestGradientMatchingLoss:
@@ -150,8 +177,8 @@ class TestMappingMatrix:
 
     def test_normalized_tensor_matches_array(self):
         mapping = self.make()
-        tensor_version = mapping.normalized().data
-        assert np.allclose(tensor_version, mapping.normalized_array())
+        np.testing.assert_array_equal(taped_normalized(mapping).data,
+                                      mapping.normalized_array())
 
     def test_epsilon_suppresses_small_entries(self):
         big_eps = MappingMatrix(np.zeros((2, 10)), epsilon=0.2)
@@ -159,10 +186,30 @@ class TestMappingMatrix:
 
     def test_normalized_differentiable(self):
         mapping = self.make()
-        from repro.tensor import tensor_sum
-        out = tensor_sum(mapping.normalized())
-        (g,) = grad(out, [mapping.raw])
-        assert g.shape == mapping.raw.shape
+        upstream = RNG.standard_normal(mapping.shape)
+        (want,) = grad(tensor_sum(mul(taped_normalized(mapping),
+                                      Tensor(upstream))), [mapping.raw])
+        got = mapping.normalized_with_vjp()[1](upstream)
+        assert got.shape == mapping.raw.shape
+        np.testing.assert_allclose(got, want.data, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want.data).max())
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-5, 0.12])
+    def test_vjp_gradcheck(self, epsilon):
+        # 0.12 sits inside the spread of row weights, so the ReLU mask
+        # cuts some entries of every row
+        raw = Tensor(RNG.standard_normal((5, 4)), requires_grad=True)
+        weights = Tensor(RNG.standard_normal((5, 4)))
+        assert gradcheck(
+            lambda r: tensor_sum(mul(normalized_op(r, epsilon), weights)), [raw])
+
+    def test_vjp_leaves_upstream_untouched(self):
+        for epsilon in (0.0, 1e-5):
+            mapping = MappingMatrix(RNG.standard_normal((4, 3)), epsilon=epsilon)
+            upstream = RNG.standard_normal((4, 3))
+            before = upstream.copy()
+            mapping.normalized_with_vjp()[1](upstream)
+            np.testing.assert_array_equal(upstream, before)
 
     def test_sparsify_threshold(self):
         matrix = np.array([[0.5, 0.001], [0.2, 0.0]])

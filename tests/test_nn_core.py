@@ -184,6 +184,37 @@ class TestOptimizers:
             lambda p: Adam(p, lr=0.3, weight_decay=1.0))
         assert np.linalg.norm(decayed) < np.linalg.norm(plain)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+    def test_adam_in_place_matches_allocating_step(self, weight_decay):
+        rng = np.random.default_rng(11)
+        start = rng.standard_normal((6, 4))
+        grads = [rng.standard_normal((6, 4)) for _ in range(5)]
+        lr, beta1, beta2, eps = 0.05, 0.9, 0.999, 1e-8
+
+        # the allocating update, written out once per step
+        want, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for step, g in enumerate(grads, start=1):
+            g = g + weight_decay * want if weight_decay else g
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * (g * g)
+            update = ((m / (1.0 - beta1 ** step))
+                      / (np.sqrt(v / (1.0 - beta2 ** step)) + eps))
+            want -= lr * update
+
+        param = Parameter(start.copy())
+        optimizer = Adam([param], lr=lr, weight_decay=weight_decay)
+        moments = None
+        for g in grads:
+            optimizer.apply_grads([Tensor(g)])
+            optimizer.step()
+            current = (optimizer._first[id(param)], optimizer._second[id(param)])
+            if moments is not None:
+                assert all(a is b for a, b in zip(current, moments))
+            moments = current
+        np.testing.assert_array_equal(param.data, want)
+        np.testing.assert_array_equal(moments[0], m)
+        np.testing.assert_array_equal(moments[1], v)
+
     def test_skip_params_without_grad(self):
         a, b = Parameter(np.ones(2)), Parameter(np.ones(2))
         optimizer = SGD([a, b], lr=0.5)

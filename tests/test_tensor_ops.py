@@ -126,6 +126,23 @@ class TestElementwise:
         assert out.data[0] == pytest.approx(0.0)
         assert out.data[1] == pytest.approx(1.0)
 
+    def test_sigmoid_bitwise_equal_to_masked_form(self):
+        def masked(x):
+            # the boolean gather/scatter form the where() form replaced
+            out = np.empty_like(x)
+            positive = x >= 0
+            out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+            e = np.exp(x[~positive])
+            out[~positive] = e / (1.0 + e)
+            return out
+
+        special = np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0,
+                            np.inf, -np.inf, np.nan, 1e-300, -1e-300])
+        x = np.concatenate([special, 40.0 * RNG.standard_normal(4000)])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid(Tensor(x)).data
+        np.testing.assert_array_equal(got, masked(x))
+
     def test_tanh_gradcheck(self):
         a = t((3, 2))
         gradcheck(lambda a: tensor_sum(tanh(a)), [a])
