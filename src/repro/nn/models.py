@@ -67,7 +67,10 @@ class SGC(GNNModel):
     The embedding is the parameter-free K-hop propagation ``Â^K X``; the
     classifier is a single linear layer.  This is the relay model used for
     condensation in the paper (fast, and gradient matching touches only
-    ``W``).
+    ``W``).  ``forward`` is ``head(embed(operator, x))``, so a caller
+    that reuses one ``Â^K X`` across steps — the trainer propagates once
+    per run and runs only ``head`` each epoch — gets bitwise the same
+    logits and the same dropout draws.
     """
 
     def __init__(self, in_features: int, num_classes: int, k_hops: int = 2,
@@ -83,9 +86,12 @@ class SGC(GNNModel):
             h = propagate(operator, h)
         return h
 
+    def head(self, h: Tensor) -> Tensor:
+        """Logits from propagated features ``h = Â^K X``."""
+        return self.classifier(self._maybe_dropout(h))
+
     def forward(self, operator, x) -> Tensor:
-        h = self._maybe_dropout(self.embed(operator, x))
-        return self.classifier(h)
+        return self.head(self.embed(operator, x))
 
 
 class GCN(GNNModel):

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ShapeError
-from repro.tensor.tensor import Tensor, as_tensor, make_op
+from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled, make_op
 
 __all__ = ["spmm", "to_csr", "sparse_memory_bytes", "dense_memory_bytes"]
 
@@ -33,7 +33,10 @@ def spmm(sparse_const: sp.spmatrix, dense: Tensor) -> Tensor:
 
     The sparse operand is treated as a constant; its transpose is captured
     for the backward pass (``grad_dense = sparse.T @ grad_out``), which is
-    itself an :func:`spmm` so double-backward works.
+    itself an :func:`spmm` so double-backward works.  The transpose is
+    built only when the product goes on the tape (grad enabled and
+    ``dense`` requires grad) — under ``no_grad`` or for a constant operand
+    the product is all there is.
     """
     if not sp.issparse(sparse_const):
         raise ShapeError("spmm expects a scipy sparse matrix as first operand")
@@ -44,13 +47,15 @@ def spmm(sparse_const: sp.spmatrix, dense: Tensor) -> Tensor:
     if matrix.shape[1] != dense.shape[0]:
         raise ShapeError(
             f"spmm shape mismatch: {matrix.shape} @ {dense.shape}")
-    out_data = matrix @ dense.data
+    out_data = np.asarray(matrix @ dense.data)
+    if not (is_grad_enabled() and dense.requires_grad):
+        return Tensor(out_data)
     matrix_t = matrix.T.tocsr()
 
     def backward(g: Tensor):
         return (spmm(matrix_t, g),)
 
-    return make_op(np.asarray(out_data), (dense,), backward, "spmm")
+    return make_op(out_data, (dense,), backward, "spmm")
 
 
 def sparse_memory_bytes(matrix: sp.spmatrix) -> int:

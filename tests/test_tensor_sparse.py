@@ -12,7 +12,9 @@ from repro.tensor import (
     dense_memory_bytes,
     grad,
     gradcheck,
+    gradgradcheck,
     mul,
+    no_grad,
     sparse_memory_bytes,
     spmm,
     tensor_sum,
@@ -72,6 +74,60 @@ class TestSpmm:
     def test_dense_first_operand_rejected(self):
         with pytest.raises(ShapeError):
             spmm(np.eye(3), Tensor(np.ones((3, 2))))
+
+    def test_gradgradcheck(self):
+        matrix = to_csr(RNG.random((5, 4)) * (RNG.random((5, 4)) > 0.5))
+        h = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
+        assert gradgradcheck(
+            lambda h: tensor_sum(mul(spmm(matrix, h), spmm(matrix, h))), [h])
+
+
+@pytest.fixture
+def transposes(monkeypatch):
+    """Counts ``csr_matrix.transpose`` calls (``matrix.T`` goes through it)."""
+    calls = []
+    original = sp.csr_matrix.transpose
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.shape)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "transpose", counting)
+    return calls
+
+
+class TestSpmmTranspose:
+    """The backward's ``Aᵀ`` is built only for a product on the tape."""
+
+    matrix = sp.random(7, 5, density=0.4, random_state=1, format="csr")
+
+    def test_no_transpose_under_no_grad(self, transposes):
+        h = Tensor(RNG.standard_normal((5, 3)), requires_grad=True)
+        with no_grad():
+            out = spmm(self.matrix, h)
+        assert transposes == []
+        assert not out.requires_grad
+        assert np.array_equal(out.data, self.matrix @ h.data)
+
+    def test_no_transpose_for_constant_operand(self, transposes):
+        h = Tensor(RNG.standard_normal((5, 3)))
+        out = spmm(self.matrix, h)
+        assert transposes == []
+        assert not out.requires_grad
+        assert np.array_equal(out.data, self.matrix @ h.data)
+
+    def test_differentiable_operand_gets_exact_transpose_product(self, transposes):
+        weights = RNG.standard_normal((7, 3))
+        expected = self.matrix.T.tocsr() @ weights
+        transposes.clear()
+        h = Tensor(RNG.standard_normal((5, 3)), requires_grad=True)
+        out = spmm(self.matrix, h)
+        assert out.requires_grad
+        assert transposes == [self.matrix.shape]
+        (g,) = grad(tensor_sum(mul(out, Tensor(weights))), [h])
+        assert np.array_equal(g.data, expected)
+        # the first-order backward is untaped: it transposes nothing again
+        assert transposes == [self.matrix.shape]
 
 
 class TestMemoryAccounting:
