@@ -30,7 +30,7 @@ from repro.graph.incremental import (AttachedGraph, attach_to_original,
 from repro.graph.ops import symmetric_normalize
 from repro.graph.sampling import iterate_minibatches
 from repro.nn.metrics import accuracy
-from repro.nn.models import GNNModel
+from repro.nn.models import GNNModel, SGC
 from repro.tensor.sparse import dense_memory_bytes, sparse_memory_bytes
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -114,7 +114,15 @@ class InductiveServer:
         computed once instead of re-normalizing the full ``(B+n, B+n)``
         adjacency every batch.  Logits are bitwise identical either way
         (the parity tests assert it); ``use_cache=False`` keeps the
-        naive path for benchmarking the difference.
+        naive path — the reference every serving tier is checked
+        against, and the baseline for benchmarking the difference.
+
+    The naive path returns ``model(operator, X')[B:]``, except for SGC:
+    its classifier is row-wise, so the reference applies ``model.head``
+    to the ``n`` inductive rows of ``model.embed(operator, X')`` alone.
+    That is still Eq. 3 / Eq. 11, within a tested ``1e-12`` relative
+    bound of the full-shape forward (``docs/precision.md``, "Parity
+    contract").
     """
 
     def __init__(self, model: GNNModel, deployment: str, base: Graph | None,
@@ -189,9 +197,17 @@ class InductiveServer:
         start = time.perf_counter()
         attached = self.attach(batch, batch_mode)
         operator = symmetric_normalize(attached.adjacency)
+        base_size = attached.base_size
         with no_grad():
-            logits = self.model(operator, Tensor(attached.features))
-        inductive = logits.data[attached.base_size:]
+            features = Tensor(attached.features)
+            if isinstance(self.model, SGC):
+                # the classifier is row-wise, so only the inductive rows of
+                # Â'^K X' reach it — the (n, d) operand every serving tier
+                # hands the same call
+                hidden = self.model.embed(operator, features).data
+                inductive = self.model.head(Tensor(hidden[base_size:])).data
+            else:
+                inductive = self.model(operator, features).data[base_size:]
         elapsed = time.perf_counter() - start
         memory = sparse_memory_bytes(attached.adjacency)
         memory += dense_memory_bytes(attached.features)

@@ -17,11 +17,12 @@ serving path re-derives on every batch:
 
 Exactness contract
 ------------------
-Served replies are bit for bit what the naive path
+Served replies are bit for bit what the naive path produces: with
 
-    model(symmetric_normalize(bmat([[base, inc.T], [inc, ea]])), X')[B:]
+    op = symmetric_normalize(bmat([[base, inc.T], [inc, ea]]))
 
-produces.  ``attach_normalize`` reproduces that operator in full; the SGC
+that is ``model(op, X')[B:]``, and for SGC ``model.head(model.embed(op,
+X')[B:])`` (fact 4).  ``attach_normalize`` reproduces ``op`` in full; the SGC
 serve path (``serve_batch`` / ``embed_batch`` on a linear-propagation
 model) never materialises it and builds only the rows a request can
 reach.  Both rest on the same facts about scipy and BLAS, deliberately
@@ -50,12 +51,14 @@ mirrored here:
    O(receptive field · d) instead of O(‖A‖ · d) per request.
 4. A BLAS gemm row depends on its own operand row and on the operand's
    *shape* (blocking and edge kernels follow the row count), never on
-   other rows' values: ``(H W)[B:] != H[B:] W`` in general.  ``predict``
-   therefore applies the classifier at the reference ``(B+n, d)`` shape,
-   to a persistent zero workspace whose last ``n`` rows hold the hop-K
-   result.  That gemm — O(B · d · C), wasted on zero rows — is the floor
-   of an SGC ``predict``; ``embed`` / ``link_score`` / ``topk`` return
-   the hop-K rows and skip it.
+   other rows' values: ``(H W)[B:] != H[B:] W`` in general.  The
+   classifier is row-wise, so the naive path and ``predict`` both apply
+   ``model.head`` to the ``n`` hop-K rows alone: the same call on the
+   same ``(n, d)`` operand, hence the same bits whatever the BLAS
+   blocking.  Against a full-shape ``model(op, X')[B:]`` the two agree
+   within the declared relative bound of ``docs/precision.md``.
+   ``embed`` / ``link_score`` / ``topk`` return the hop-K rows without
+   the head.
 
 Models with dense layers between propagations (GCN, GraphSAGE, APPNP,
 Cheby, MLP) run row-count-sensitive gemms over all ``B+n`` rows at every
@@ -336,8 +339,6 @@ class PreparedDeployment:
         self._hop_buffers: list[np.ndarray] | None = None
         self._base_logits: np.ndarray | None = None
         self._base_embeddings: np.ndarray | None = None
-        # hop-K rows the SGC classifier reads (see _hidden_workspace)
-        self._workspace: np.ndarray | None = None
         # the top-k similarity index over the base embeddings — either
         # attached from an mmap sidecar artifact or built lazily; dropped
         # whenever a delta changes the base graph
@@ -528,10 +529,7 @@ class PreparedDeployment:
         """Serve one batch; returns ``(logits, seconds, memory_bytes)``.
 
         Same contract — and bitwise the same logits — as
-        :meth:`repro.inference.engine.InductiveServer.serve_batch`.  Not
-        re-entrant: the SGC path writes a per-deployment workspace, so one
-        deployment serves on one thread at a time (the runtime's serve
-        lock already guarantees it).
+        :meth:`repro.inference.engine.InductiveServer.serve_batch`.
         """
         intra = self._enter_request(batch, batch_mode)
         start = time.perf_counter()
@@ -544,12 +542,8 @@ class PreparedDeployment:
         # the sub-spans only reach a trace when the caller installed one
         # (use_trace); otherwise stage_span is a contextvar-read no-op
         with stage_span("forward"), no_grad():
-            rows = self._hidden_workspace(self.num_base + hidden.shape[0])
-            rows[self.num_base:] = hidden
-            logits = self.model.classifier(Tensor(rows)).data
-            # a copy, so the reply does not pin the (B+n, C) product
-            inductive = logits[self.num_base:].copy()
-        return inductive, time.perf_counter() - start, memory
+            logits = self.model.head(Tensor(hidden)).data
+        return logits, time.perf_counter() - start, memory
 
     def embed_batch(self, batch: IncrementalBatch,
                     batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
@@ -585,7 +579,8 @@ class PreparedDeployment:
                 batch.incremental, batch.features, intra)
         with stage_span(span), no_grad():
             out = forward(operator, Tensor(features))
-        return out.data[self.num_base:], memory
+        # a copy, so the reply does not pin the (B+n, ·) output
+        return out.data[self.num_base:].copy(), memory
 
     def _receptive_hidden(self, batch: IncrementalBatch, intra,
                           hops: int) -> tuple[np.ndarray, int]:
@@ -642,20 +637,6 @@ class PreparedDeployment:
                 hidden = operator @ hidden
         memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw, B + n)
         return hidden, memory
-
-    def _hidden_workspace(self, rows: int) -> np.ndarray:
-        """The first ``rows`` rows of the persistent hop-K buffer the
-        classifier reads.  Rows below ``num_base`` stay zero; the caller
-        overwrites the rest.  BLAS results for the last ``n`` rows depend
-        on the operand's row count, never on other rows' values, so the
-        gemm runs at the reference shape without a per-request
-        ``(B+n, d)`` allocation."""
-        buffer = self._workspace
-        if buffer is None or buffer.shape[0] < rows:
-            held = 0 if buffer is None else buffer.shape[0]
-            buffer = self._workspace = np.zeros(
-                (max(rows, held + (held >> 1)), self.feature_dim))
-        return buffer[:rows]
 
     def serve_task(self, task, *, batch_mode: str = "graph",
                    frozen: bool = False):
@@ -1030,9 +1011,6 @@ class PreparedDeployment:
         self._base_counts = np.diff(self.base_loops.indptr)
         self._raw_nnz = int(raw.nnz)
         self.base_features = np.ascontiguousarray(effect.graph.features)
-        if self._workspace is not None:
-            # appended nodes are base rows now: back to the zero they read as
-            self._workspace[old_base:new_n] = 0.0
 
         # --- derived caches -------------------------------------------
         materialized = (self._loop_degrees is not None

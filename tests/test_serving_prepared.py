@@ -284,6 +284,49 @@ class TestReceptiveFieldServing:
             assert memory == served_memory
 
     @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    @pytest.mark.parametrize("batch_mode", ("graph", "node"))
+    @pytest.mark.parametrize("deployment", ("original", "synthetic"))
+    def test_sgc_reference_within_declared_bound(self, weighted, split,
+                                                 condensed, deployment,
+                                                 batch_mode, k_hops):
+        # docs/precision.md, "Parity contract": the SGC reference classifies
+        # only the inductive rows; against the full-shape model(op, X')[B:]
+        # it is within 1e-12 of the largest logit, with the same argmax
+        if deployment == "original":
+            base, batch = weighted
+            model = _sgc(base.feature_dim, 3, k_hops)
+            cond = None
+        else:
+            base, batch = None, split.incremental_batch("test")
+            model = _sgc(split.original.feature_dim, split.num_classes, k_hops)
+            cond = condensed
+        naive = InductiveServer(model, deployment, base, cond, use_cache=False)
+        full_shape = PreparedDeployment(model, deployment, base, cond)
+        for size in self.SIZES[1:]:
+            sub = batch if size is None else batch.subset(np.arange(size))
+            reference, _, _ = naive.serve_batch(sub, batch_mode)
+            full, _ = _full_assembly(full_shape, sub, batch_mode)
+            assert reference.shape == full.shape
+            assert (np.abs(reference - full).max()
+                    <= 1e-12 * np.abs(full).max()), (k_hops, size)
+            assert np.array_equal(reference.argmax(axis=1),
+                                  full.argmax(axis=1))
+
+    @pytest.mark.parametrize("model_name",
+                             ("gcn", "graphsage", "appnp", "cheby", "mlp"))
+    def test_other_references_are_the_full_forward(self, weighted,
+                                                   model_name):
+        base, batch = weighted
+        model = make_model(model_name, base.feature_dim, 3, seed=1)
+        naive = InductiveServer(model, "original", base, use_cache=False)
+        full_shape = PreparedDeployment(model, "original", base)
+        sub = batch.subset(np.arange(4))
+        for batch_mode in ("graph", "node"):
+            reference, _, _ = naive.serve_batch(sub, batch_mode)
+            assert np.array_equal(
+                reference, _full_assembly(full_shape, sub, batch_mode)[0])
+
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
     def test_request_without_neighbours(self, weighted, k_hops):
         base, batch = weighted
         model = _sgc(base.feature_dim, 3, k_hops)
@@ -340,7 +383,9 @@ class TestReceptiveFieldServing:
     def test_reduced_precision_equals_full_assembly(self, weighted,
                                                     precision, k_hops):
         # same casts, same fold order: the row-restricted products see the
-        # float32-rounded operator and features the full assembly sees
+        # float32-rounded operator and features the full assembly sees,
+        # and the head classifies the same inductive rows
+        from repro.tensor.tensor import Tensor
         base, batch = weighted
         model = _sgc(base.feature_dim, 3, k_hops)
         prepared = PreparedDeployment(model, "original", base,
@@ -348,7 +393,9 @@ class TestReceptiveFieldServing:
         for batch_mode in ("graph", "node"):
             for size in (1, 4, None):
                 sub = batch if size is None else batch.subset(np.arange(size))
-                expected, memory = _full_assembly(prepared, sub, batch_mode)
+                hidden, memory = _full_assembly(prepared, sub, batch_mode,
+                                                model.embed)
+                expected = model.head(Tensor(hidden)).data
                 logits, _, served_memory = prepared.serve_batch(sub,
                                                                 batch_mode)
                 assert np.array_equal(expected, logits)
@@ -374,7 +421,8 @@ class TestReceptiveFieldServing:
         assert np.array_equal(logits, naive.serve_batch(sub, "graph")[0])
         assert np.array_equal(
             hidden, _full_assembly(prepared, sub, "graph", model.embed)[0])
-        assert prepared._workspace is None
+        # own arrays: a reply must not pin the (B+n, ·) forward output
+        assert logits.base is None and hidden.base is None
 
     @pytest.mark.parametrize("k_hops", (1, 2, 3))
     @pytest.mark.parametrize("batch_mode", ("graph", "node"))
@@ -404,22 +452,6 @@ class TestReceptiveFieldServing:
         assert np.array_equal(
             packed, prepared.embedding_index().packed_topk(expected, 3))
 
-    def test_workspace_grows_geometrically_and_base_rows_stay_zero(
-            self, weighted):
-        base, batch = weighted
-        prepared = PreparedDeployment(_sgc(base.feature_dim, 3, 2),
-                                      "original", base)
-        prepared.serve_batch(batch.subset(np.arange(2)), "node")
-        first = prepared._workspace
-        assert first.shape[0] == base.num_nodes + 2
-        prepared.serve_batch(batch.subset(np.arange(1)), "node")
-        assert prepared._workspace is first  # smaller request: a view
-        prepared.serve_batch(batch, "node")
-        grown = prepared._workspace
-        assert grown.shape[0] >= base.num_nodes + batch.num_nodes
-        assert grown.shape[0] >= first.shape[0] + first.shape[0] // 2
-        assert not grown[:base.num_nodes].any()
-
     def test_identity_block_matches_the_scipy_round_trip(self):
         from repro.graph.ops import add_self_loops
         from repro.serving.prepared import _intra_loops
@@ -437,9 +469,9 @@ class TestReceptiveFieldServing:
         with pytest.raises(GraphError):
             _intra_loops(sp.csr_matrix((3, 3)), 4)
 
-    def test_request_allocations_stay_a_fraction_of_the_full_assembly(self):
-        # guards against an O(|A|) or O(B·d) temporary creeping back in
-        import tracemalloc
+    @pytest.fixture(scope="class")
+    def large(self):
+        """A 2400-node graph, a 2-hop SGC and one 4-node request."""
         rng = np.random.default_rng(3)
         num_nodes, dim = 2400, 96
         rows = rng.integers(0, num_nodes, size=6 * num_nodes)
@@ -451,8 +483,6 @@ class TestReceptiveFieldServing:
         adjacency.eliminate_zeros()
         base = Graph(adjacency, rng.normal(size=(num_nodes, dim)),
                      rng.integers(0, 8, size=num_nodes))
-        model = _sgc(dim, 8, 2)
-        prepared = PreparedDeployment(model, "original", base)
         request = IncrementalBatch(
             features=rng.normal(size=(4, dim)),
             incremental=sp.csr_matrix(
@@ -460,17 +490,46 @@ class TestReceptiveFieldServing:
                                rng.choice(num_nodes, 12, replace=False))),
                 shape=(4, num_nodes)),
             intra=sp.csr_matrix((4, 4)), labels=np.zeros(4, dtype=np.int64))
+        return base, _sgc(dim, 8, 2), request
+
+    @staticmethod
+    def _peak_bytes(call) -> int:
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_request_allocations_stay_a_fraction_of_the_full_assembly(
+            self, large):
+        # guards against an O(|A|) or O(B·d) temporary creeping back in
+        base, model, request = large
+        prepared = PreparedDeployment(model, "original", base)
 
         def peak(call):
-            call()  # warm: caches, workspace, lazy imports
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            call()  # warm: caches, lazy imports
+            return self._peak_bytes(call)
 
         served = peak(lambda: prepared.serve_batch(request, "node"))
         full = peak(lambda: _full_assembly(prepared, request, "node"))
-        assert full > 3 * num_nodes * dim * 8  # stack + two hop results
+        # the stack + two hop results
+        assert full > 3 * base.num_nodes * base.feature_dim * 8
         assert served < full / 3
+
+    def test_predict_holds_no_base_sized_buffer(self, large):
+        # the classifier reads the request's (n, d) rows alone: neither a
+        # (B+n, d) operand nor a (B+n, C) product, on the first request of
+        # a fresh deployment or on any later one
+        base, model, request = large
+        PreparedDeployment(model, "original", base).serve_batch(
+            request, "node")  # lazy imports
+        prepared = PreparedDeployment(model, "original", base)
+
+        def two_requests():
+            for _ in range(2):
+                prepared.serve_batch(request, "node")
+
+        bound = base.num_nodes * base.feature_dim * 8 / 4
+        assert self._peak_bytes(two_requests) < bound

@@ -116,10 +116,10 @@ class TestApplyDeltaParity:
 
     @pytest.mark.parametrize("k_hops", (1, 2, 3))
     def test_reads_between_appends_stay_exact(self, tiny_split, k_hops):
-        """Serving materializes the standalone scale vector and the
-        classifier workspace of the receptive-field path; deltas keep
-        both current row-wise, so every read equals a fresh prepare()
-        and the naive Eq. 3 path bit for bit."""
+        """Serving materializes the standalone scale vector of the
+        receptive-field path; deltas keep it current row-wise, so every
+        read equals a fresh prepare() and the naive Eq. 3 path bit for
+        bit."""
         from repro.inference import InductiveServer
         model = make_model("sgc", tiny_split.original.feature_dim,
                            tiny_split.num_classes, seed=0, k_hops=k_hops)
@@ -138,7 +138,6 @@ class TestApplyDeltaParity:
                 intra=batch.intra[20:26][:, 20:26], labels=batch.labels[20:26])
 
         prepared.serve_batch(probe(), "graph")
-        first_capacity = prepared._workspace.shape[0]
         for step in range(6):
             delta = _random_delta(reference, batch, 2 * step, rng)
             # alternate the two refresh strategies: row-wise, from scratch
@@ -158,10 +157,7 @@ class TestApplyDeltaParity:
                         probe(), batch_mode)
                     assert np.array_equal(logits, expected)
                     assert memory == other_memory
-            # appended nodes became base rows: they read as zero again
-            assert not prepared._workspace[:prepared.num_base].any()
         assert prepared.num_base == tiny_split.original.num_nodes + 12
-        assert prepared._workspace.shape[0] > first_capacity  # regrown
 
     def test_forced_rebuild_matches_incremental(self, tiny_split, sgc):
         batch = tiny_split.incremental_batch("test")
