@@ -18,7 +18,16 @@ from repro.tensor.functional import (
     gradient_cosine_distance,
     l21_norm,
 )
-from repro.tensor.tensor import Tensor, as_tensor, gather_rows, mul, sub, tensor_sum
+from repro.tensor.tensor import (
+    Tensor,
+    as_tensor,
+    gather_rows,
+    matmul,
+    mul,
+    sub,
+    tensor_sum,
+    transpose,
+)
 
 __all__ = [
     "gradient_matching_loss",
@@ -40,19 +49,28 @@ def gradient_matching_loss(original_grads, synthetic_grads,
     return gradient_cosine_distance(detached, list(synthetic_grads), eps=eps)
 
 
-def structure_loss(reconstructed: Tensor, batch: EdgeBatch) -> Tensor:
+def structure_loss(mapping: Tensor | np.ndarray, embedding: Tensor,
+                   batch: EdgeBatch) -> Tensor:
     """Eq. (8): link reconstruction from approximate embeddings ``MH'``.
 
-    ``reconstructed`` is the ``(N, d)`` matrix ``M H'``; the loss is binary
-    cross-entropy of the inner products ``h_i . h_j`` over a batch of
-    positive and negative pairs.
+    Binary cross-entropy of the inner products ``h_i . h_j`` of rows of
+    ``h = M H'`` over a batch of positive and negative pairs.  ``mapping``
+    is the ``(N, N')`` matrix ``M`` and ``embedding`` the ``(N', d)``
+    matrix ``H'``.  Each logit is computed as ``M_i G M_j^T`` with the
+    ``(N', N')`` Gram matrix ``G = H' H'^T``, i.e. ``rowsum((M[rows] G) *
+    M[cols])``, so nothing of shape ``(N, d)`` is built: the cost is
+    ``O(N'^2 d + |batch| N'^2)`` whatever the size of the original graph.
     """
     if len(batch) == 0:
         raise CondensationError("structure loss received an empty edge batch")
-    h = as_tensor(reconstructed)
-    head = gather_rows(h, batch.rows)
-    tail = gather_rows(h, batch.cols)
-    logits = tensor_sum(mul(head, tail), axis=1)
+    m = as_tensor(mapping)
+    h_syn = as_tensor(embedding)
+    if m.ndim != 2 or m.shape[1] != h_syn.shape[0]:
+        raise CondensationError(
+            f"mapping shape {m.shape} incompatible with H' {h_syn.shape}")
+    gram = matmul(h_syn, transpose(h_syn))
+    head = matmul(gather_rows(m, batch.rows), gram)
+    logits = tensor_sum(mul(head, gather_rows(m, batch.cols)), axis=1)
     return binary_cross_entropy_with_logits(logits, batch.targets)
 
 

@@ -18,6 +18,13 @@ one-to-many mapping matrix ``M`` via alternating optimization
 
 Afterwards both ``A'`` and ``M`` are threshold-sparsified (Eq. 14) for
 deployment.
+
+``H'`` has only ``N'`` rows, so no loss builds anything of the original
+graph's ``(N, d)`` size: Eq. 8 scores pairs through the Gram matrix
+``H'H'^T`` (:func:`~repro.condense.losses.structure_loss`), and Eq. 10
+reads ``H`` only through ``H H'^T`` and its row norms
+(:class:`_TransductiveFactors`).  Eq. 11/12 works on the ``(N'+n)^2``
+augmented graph of the support nodes, which does not grow with ``N``.
 """
 
 from __future__ import annotations
@@ -51,7 +58,6 @@ from repro.tensor.tensor import (
     Tensor,
     concat,
     grad,
-    matmul,
     no_grad,
     slice_rows,
     transpose,
@@ -61,6 +67,9 @@ __all__ = ["MCondConfig", "MCondResult", "MCondReducer"]
 
 # ``l21_norm``'s default eps, under the square root of each row norm.
 _L21_EPS = 1e-12
+# A Gram-form ``||R_i||^2`` below this share of ``||H_i||^2`` has lost
+# most of its digits to cancellation; such rows use the explicit residual.
+_CANCELLATION = 1e-3
 
 
 @dataclass
@@ -119,6 +128,52 @@ class MCondResult:
             labels=self.condensed.labels,
             mapping=self.mapping.sparsified(delta),
             method=self.condensed.method)
+
+
+class _TransductiveFactors:
+    """Eq. (10) for one mapping phase, from ``N'``-sized factors.
+
+    ``H`` (``original``, N x d) and ``H'`` (``synthetic``, N' x d) are
+    constant while ``M`` updates, and the residual ``R = H - M H'`` enters
+    ``L_tra = sum_i rho_i / N`` and its gradient only through
+
+    - ``rho_i^2 = h2_i - 2 <M_i, P_i> + <Q_i, M_i>`` and
+    - ``dL_tra/dM = -(R / rho) H'^T / N = (Q - P) / (rho N)``,
+
+    with ``P = H H'^T`` (N x N'), ``G = H' H'^T`` (N' x N'),
+    ``h2_i = ||H_i||^2`` and ``Q = M G``.  ``P``, ``G`` and ``h2`` are
+    built once per phase, so a step costs one ``O(N N'^2)`` gemm instead
+    of two ``O(N N' d)`` ones.  Where ``rho_i^2`` falls below
+    ``_CANCELLATION`` of ``h2_i``, the difference has cancelled most of
+    its digits (or rounded below zero); those rows take ``rho_i^2`` and
+    ``-R_i H'^T`` from their explicit residual row instead, then share the
+    rest of the computation.
+    """
+
+    def __init__(self, original: np.ndarray, synthetic: np.ndarray) -> None:
+        self.original = original
+        self.sq_norms = np.einsum("ij,ij->i", original, original)
+        self.synthetic = synthetic
+        self.cross = original @ synthetic.T
+        self.gram = synthetic @ synthetic.T
+
+    def loss_and_grad(self, normalized: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(L_tra, dL_tra/dM)`` at the normalized mapping ``M``."""
+        num_original = normalized.shape[0]
+        grad_mapping = normalized @ self.gram
+        grad_mapping -= self.cross
+        sq_residual = (self.sq_norms
+                       + np.einsum("ij,ij->i", normalized, grad_mapping)
+                       - np.einsum("ij,ij->i", normalized, self.cross))
+        fragile = np.flatnonzero(sq_residual < _CANCELLATION * self.sq_norms)
+        if fragile.size:
+            residual = (self.original[fragile]
+                        - normalized[fragile] @ self.synthetic)
+            sq_residual[fragile] = np.sum(residual * residual, axis=1)
+            grad_mapping[fragile] = -(residual @ self.synthetic.T)
+        row_norms = (sq_residual + _L21_EPS) ** 0.5
+        grad_mapping /= row_norms[:, None] * float(num_original)
+        return float(np.sum(row_norms) / float(num_original)), grad_mapping
 
 
 class MCondReducer(GCondReducer):
@@ -204,11 +259,11 @@ class MCondReducer(GCondReducer):
                 operator_syn = dense_normalize_tensor(Tensor(adjacency_const))
                 synthetic_embed = relay.embed_tensor(
                     operator_syn, Tensor(synthetic_features.data)).data
+            transductive = _TransductiveFactors(propagated, synthetic_embed)
             for _ in range(config.mapping_steps):
-                self._mapping_step(mapping, mapping_opt, relay, propagated,
-                                   synthetic_embed, adjacency_const,
-                                   synthetic_features.data, support,
-                                   support_original, result)
+                self._mapping_step(mapping, mapping_opt, relay, transductive,
+                                   adjacency_const, synthetic_features.data,
+                                   support, support_original, result)
 
         # -------- sparsification (Algorithm 1 line 16) --------------------
         with no_grad():
@@ -240,26 +295,26 @@ class MCondReducer(GCondReducer):
             return Tensor(0.0)
         if self._mapping_snapshot is None or self._original_adjacency is None:
             return Tensor(0.0)
-        reconstructed = matmul(Tensor(self._mapping_snapshot), embedding)
         batch = sample_edge_batch(self._original_adjacency,
                                   config.edge_batch_size, self._edge_rng)
-        loss = structure_loss(reconstructed, batch)
+        loss = structure_loss(self._mapping_snapshot, embedding, batch)
         return Tensor(config.lambda_structure) * loss
 
     # ------------------------------------------------------------------
     # Mapping phase
     # ------------------------------------------------------------------
-    def _mapping_step(self, mapping, mapping_opt, relay, propagated,
-                      synthetic_embed, adjacency_const, synthetic_features,
-                      support, support_original, result) -> None:
+    def _mapping_step(self, mapping, mapping_opt, relay, transductive,
+                      adjacency_const, synthetic_features, support,
+                      support_original, result) -> None:
         """One Adam step on ``L_M = L_tra + beta * L_ind`` (Eq. 13).
 
         The gradient is assembled in closed form so nothing of shape
-        ``(N, N')`` enters the autodiff tape:
+        ``(N, N')`` enters the autodiff tape, and nothing of shape
+        ``(N, d)`` is built:
 
-        - Eq. 10: with ``R = H - M H'`` and ``rho_i = ||R_i||`` (the
-          ``l21_norm`` eps), ``L_tra = sum(rho) / N`` and
-          ``dL_tra/dM = -(R / rho) H'^T / N``;
+        - Eq. 10: ``transductive`` (:class:`_TransductiveFactors`) gives
+          ``L_tra`` and ``dL_tra/dM`` from the phase's Gram factors, at one
+          ``M G`` gemm per step;
         - Eq. 11/12: ``aM`` enters a small tape over the ``(N'+n)^2``
           augmented graph as a leaf, and its gradient is pulled back to
           ``M`` through the sparse ``a^T``;
@@ -268,13 +323,8 @@ class MCondReducer(GCondReducer):
         """
         config = self.config
         normalized, normalize_vjp = mapping.normalized_with_vjp()
-        num_original = propagated.shape[0]
-        residual = propagated - normalized @ synthetic_embed
-        row_norms = (np.sum(residual * residual, axis=1) + _L21_EPS) ** 0.5
-        loss = np.sum(row_norms) / float(num_original)
-        result.transductive_losses.append(float(loss))
-        residual /= row_norms[:, None] * -float(num_original)
-        grad_mapping = residual @ synthetic_embed.T
+        loss, grad_mapping = transductive.loss_and_grad(normalized)
+        result.transductive_losses.append(loss)
         if config.use_inductive_loss and config.beta_inductive > 0:
             converted = Tensor(support.incremental @ normalized,
                                requires_grad=True)

@@ -20,14 +20,19 @@ from repro.condense import (
     SgcRelay,
     dense_normalize_tensor,
 )
+from repro.condense import mcond as mcond_module
 from repro.condense.gcond import pretrain_adjacency_model
 from repro.condense.losses import (
     gradient_matching_loss,
     inductive_loss,
+    structure_loss,
     transductive_loss,
 )
+from repro.condense.mcond import _TransductiveFactors
 from repro.graph.datasets import IncrementalBatch
+from repro.graph.incremental import attach_to_synthetic
 from repro.graph.ops import symmetric_normalize
+from repro.graph.sampling import EdgeBatch, sample_edge_batch
 from repro.tensor import (
     Tensor,
     concat,
@@ -43,7 +48,7 @@ from repro.tensor import (
     tensor_sum,
 )
 from repro.tensor.tensor import make_op
-from test_condense_losses_mapping import taped_normalized
+from test_condense_losses_mapping import explicit_structure_loss, taped_normalized
 
 RNG = np.random.default_rng(6)
 
@@ -361,15 +366,31 @@ def _two_pass_matching_step(self, relay, propagated, graph, labeled,
 
 
 # ----------------------------------------------------------------------
-# Reference mapping step: L_M = L_tra + beta * L_ind with the whole of
-# Eq. 15, Eq. 10 and the Eq. 11 ``aM`` on the autodiff tape.
+# Reference Eq. 8 hook: the structure loss on the explicit (N, d)
+# reconstruction ``M H'``, drawing the same edge batch.
 # ----------------------------------------------------------------------
-def _taped_mapping_step(self, mapping, mapping_opt, relay, propagated,
-                        synthetic_embed, adjacency_const, synthetic_features,
-                        support, support_original, result):
+def _explicit_structure_hook(self, embedding):
+    config = self.config
+    if not config.use_structure_loss or config.lambda_structure == 0:
+        return Tensor(0.0)
+    batch = sample_edge_batch(self._original_adjacency,
+                              config.edge_batch_size, self._edge_rng)
+    loss = explicit_structure_loss(self._mapping_snapshot, embedding, batch)
+    return Tensor(config.lambda_structure) * loss
+
+
+# ----------------------------------------------------------------------
+# Reference mapping step: L_M = L_tra + beta * L_ind with the whole of
+# Eq. 15, Eq. 10 (explicit residual ``H - M H'``) and the Eq. 11 ``aM``
+# on the autodiff tape.
+# ----------------------------------------------------------------------
+def _taped_mapping_step(self, mapping, mapping_opt, relay, transductive,
+                        adjacency_const, synthetic_features, support,
+                        support_original, result):
     config = self.config
     normalized = taped_normalized(mapping)
-    loss = transductive_loss(propagated, synthetic_embed, normalized)
+    loss = transductive_loss(transductive.original, transductive.synthetic,
+                             normalized)
     result.transductive_losses.append(loss.item())
     if config.use_inductive_loss and config.beta_inductive > 0:
         support_synthetic = self._support_embedding_synthetic(
@@ -436,7 +457,7 @@ def _run_step(step, config, inputs):
     result = MCondResult(condensed=None, mapping=inputs["mapping"],
                          synthetic_adjacency_dense=None)
     step(MCondReducer(config), inputs["mapping"], capture, inputs["relay"],
-         inputs["propagated"], inputs["synthetic_embed"],
+         _TransductiveFactors(inputs["propagated"], inputs["synthetic_embed"]),
          inputs["adjacency_const"], inputs["synthetic_features"],
          inputs["support"], inputs["support_original"], result)
     return result, capture.grad
@@ -459,6 +480,8 @@ class TestClosedFormMappingStep:
     def test_matches_taped_oracle(self, config_kwargs, input_kwargs):
         config = MCondConfig(**config_kwargs)
         inputs = _mapping_inputs(**input_kwargs)
+        # the support block's self-loops are part of what is compared
+        assert inputs["support"].intra.diagonal().any()
         ours, our_grad = _run_step(MCondReducer._mapping_step, config, inputs)
         ref, ref_grad = _run_step(_taped_mapping_step, config, inputs)
         for name in _LOSS_LISTS:
@@ -525,8 +548,36 @@ class TestClosedFormMappingStep:
         assert np.count_nonzero(ours.adjacency) == np.count_nonzero(ref.adjacency)
         assert ours.mapping.nnz == ref.mapping.nnz
 
-    def test_peak_memory_below_half_the_oracle(self):
-        # the reddit-sim budget-82 shape: N=5082, N'=82, d=160, 256 supports
+    def test_reducer_matches_explicit_structure_loss(self, tiny_split,
+                                                     monkeypatch):
+        # the matching steps' Eq. 8 hook against the (N, d) reconstruction
+        config = MCondConfig(outer_loops=2, match_steps=3, mapping_steps=4,
+                             adjacency_pretrain_steps=20, lambda_structure=1.0,
+                             seed=11)
+        runs = []
+        for reference in (False, True):
+            with monkeypatch.context() as patch:
+                if reference:
+                    patch.setattr(MCondReducer, "_extra_synthetic_loss",
+                                  _explicit_structure_hook)
+                reducer = MCondReducer(config)
+                condensed = reducer.reduce(tiny_split, 9)
+            runs.append((condensed, reducer.last_result))
+        (ours, our_result), (ref, ref_result) = runs
+        np.testing.assert_allclose(ours.features, ref.features,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(our_result.mapping.normalized_array(),
+                                   ref_result.mapping.normalized_array(),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(our_result.synthetic_adjacency_dense,
+                                   ref_result.synthetic_adjacency_dense,
+                                   rtol=0, atol=1e-9)
+        assert np.count_nonzero(ours.adjacency) == np.count_nonzero(ref.adjacency)
+        assert ours.mapping.nnz == ref.mapping.nnz
+
+    def test_peak_memory_below_a_third_of_the_oracle(self):
+        # the reddit-sim budget-82 shape: N=5082, N'=82, d=160, 256
+        # supports; measured 32.3 MB against the oracle's 103.6 MB
         inputs = _mapping_inputs(num_original=5082, num_synthetic=82,
                                  feature_dim=160, num_support=256)
         config = MCondConfig()
@@ -539,4 +590,140 @@ class TestClosedFormMappingStep:
             finally:
                 tracemalloc.stop()
         ours, oracle = peaks
-        assert ours < oracle / 2, (ours, oracle)
+        assert ours < oracle / 3, (ours, oracle)
+
+
+class TestGramFormPrecision:
+    """Eq. 10 and Eq. 8 from ``N'``-sized factors, at their edge cases."""
+
+    def test_eq10_survives_cancellation(self, monkeypatch):
+        # identity Eq. 15, so the captured gradient is dL_tra/dM; M in
+        # eighths and H' in integers make M H' exact in any summation order
+        monkeypatch.setattr(MappingMatrix, "normalized_with_vjp",
+                            lambda self: (self.raw.data.copy(), np.copy))
+        rng = np.random.default_rng(13)
+        num_original, num_synthetic, dim = 40, 5, 4
+        normalized = rng.integers(0, 8, (num_original, num_synthetic)) / 8.0
+        synthetic_embed = rng.integers(-40, 41, (num_synthetic, dim)) * 1.0
+        exact = normalized @ synthetic_embed
+        propagated = 50.0 * rng.standard_normal((num_original, dim))
+        propagated[:6] = exact[:6]  # R_i = 0
+        # R_i ~ 1e-7: the Gram-form rho_i^2 (~1e-13) sits far below the
+        # rounding of h2_i (~1e-11), so some round below zero
+        propagated[6:24] = exact[6:24] + 1e-7 * rng.standard_normal((18, dim))
+        inputs = _mapping_inputs(num_original=num_original,
+                                 num_synthetic=num_synthetic, feature_dim=dim)
+        inputs.update(mapping=MappingMatrix(normalized),
+                      propagated=propagated, synthetic_embed=synthetic_embed)
+        config = MCondConfig(use_inductive_loss=False)
+
+        leaf = Tensor(normalized, requires_grad=True)
+        want_loss = transductive_loss(propagated, synthetic_embed, leaf)
+        (want_grad,) = grad(want_loss, [leaf])
+        bound = 1e-12 * np.abs(want_grad.data).max()
+
+        def close(result, g_raw):
+            loss = result.transductive_losses[0]
+            return (np.isfinite(loss) and np.isfinite(g_raw).all()
+                    and loss == pytest.approx(want_loss.item(), rel=1e-12)
+                    and np.abs(g_raw - want_grad.data).max() <= bound)
+
+        assert close(*_run_step(MCondReducer._mapping_step, config, inputs))
+        # the inputs need the explicit rows: without them they break
+        monkeypatch.setattr(mcond_module, "_CANCELLATION", -np.inf)
+        assert not close(*_run_step(MCondReducer._mapping_step, config,
+                                    inputs))
+
+    def test_eq8_gradcheck_through_the_generator(self):
+        # L_str of the Gram form w.r.t. X' and the generator's weights,
+        # through A' = MLP(X') -> normalize -> H' = Â'^K X'
+        model, features, _ = _generator(3, 4, 4, seed=4)
+        relay = SgcRelay(3, 2, k_hops=2, seed=0)
+        mapping = MappingMatrix.random(9, 4, seed=1).normalized_array()
+        rng = np.random.default_rng(2)
+        batch = EdgeBatch(rows=rng.integers(0, 9, 12),
+                          cols=rng.integers(0, 9, 12),
+                          targets=np.repeat([1.0, 0.0], 6))
+
+        def loss(x, *params):
+            embedding = relay.embed_tensor(dense_normalize_tensor(model(x)), x)
+            return structure_loss(mapping, embedding, batch)
+
+        assert gradcheck(loss, [features] + model.parameters())
+
+    def test_structure_hook_peak_below_one_original_sized_array(self):
+        # reddit-sim's shape: N=5082, N'=82, d=160, 512 edges + 512
+        # non-edges; the (N, d) reconstruction alone is 6.5 MB.  Measured:
+        # 4.7 MB (the (1024, N') tape), oracle 34.1 MB
+        num_original, num_synthetic, dim = 5082, 82, 160
+        rng = np.random.default_rng(3)
+        adjacency = sp.random(num_original, num_original, density=1e-3,
+                              random_state=3, format="csr")
+        adjacency = ((adjacency + adjacency.T) > 0).astype(np.float64).tocsr()
+        mapping = MappingMatrix.random(num_original, num_synthetic, seed=3)
+        embedding = Tensor(rng.standard_normal((num_synthetic, dim)),
+                           requires_grad=True)
+        reducer = MCondReducer(MCondConfig(edge_batch_size=512))
+        reducer._mapping_snapshot = mapping.normalized_array()
+        reducer._original_adjacency = adjacency
+        peaks = []
+        for hook in (MCondReducer._extra_synthetic_loss,
+                     _explicit_structure_hook):
+            reducer._edge_rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                grad(hook(reducer, embedding), [embedding])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        ours, oracle = peaks
+        one_array = num_original * dim * 8
+        assert ours < one_array < oracle, (ours, one_array, oracle)
+
+
+class TestTrainingOperatorMatchesServing:
+    """The Eq. 11 support embedding MCond trains ``M`` against is the one
+    a synthetic deployment serves through (ROADMAP item 2).
+
+    Reference: ``attach_to_synthetic`` -> ``symmetric_normalize`` ->
+    K-hop propagation, rows ``[N':]``.  The training side adds
+    ``dense_normalize_tensor``'s eps of 1e-9 to every degree (all >= 1,
+    from the self-loops), so the two differ by up to about ``K * 1e-9``
+    relative.  Measured: at most 7.7e-10 over these cases, and 2.8e-16
+    with the eps set to 0.  The declared bound is 1e-8.
+
+    ``intra`` has no diagonal here: where ``intra`` already has a
+    self-loop, training adds ``I`` on top (weight 2) and serving keeps
+    one (weight 1), a known divergence listed under ROADMAP item 2.
+    """
+
+    @pytest.mark.parametrize("k_hops", [1, 2, 3])
+    @pytest.mark.parametrize("graph_batch", [False, True])
+    def test_equals_the_serving_reference(self, k_hops, graph_batch):
+        inputs = _mapping_inputs(num_original=60, num_synthetic=7,
+                                 feature_dim=5, num_support=9, seed=k_hops)
+        support = inputs["support"]
+        if graph_batch:
+            intra = sp.triu(support.intra, 1)
+            intra = (intra + intra.T).tocsr()
+        else:
+            intra = sp.csr_matrix((9, 9))
+        support = IncrementalBatch(
+            features=support.features, incremental=support.incremental,
+            intra=intra, labels=support.labels)
+        relay = SgcRelay(5, 3, k_hops=k_hops, seed=0)
+        adjacency = inputs["adjacency_const"]
+        normalized = inputs["mapping"].normalized_array()
+        features = inputs["synthetic_features"]
+        trained = MCondReducer()._support_embedding_synthetic(
+            relay, adjacency, features, support,
+            Tensor(support.incremental @ normalized, requires_grad=True)).data
+
+        attached = attach_to_synthetic(adjacency, features,
+                                       support.incremental, support.features,
+                                       normalized, support.intra)
+        served = relay.propagate_const(symmetric_normalize(attached.adjacency),
+                                       attached.features)[attached.base_size:]
+        assert trained.shape == served.shape
+        gap = np.abs(trained - served).max() / np.abs(served).max()
+        assert gap <= 1e-8, gap

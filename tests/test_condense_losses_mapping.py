@@ -21,16 +21,19 @@ from repro.condense import (
 from repro.graph.sampling import EdgeBatch
 from repro.tensor import (
     Tensor,
+    binary_cross_entropy_with_logits,
     div,
+    gather_rows,
     grad,
     gradcheck,
+    matmul,
     maximum_const,
     mul,
     sigmoid,
     sub,
     tensor_sum,
 )
-from repro.tensor.tensor import make_op
+from repro.tensor.tensor import as_tensor, make_op
 
 RNG = np.random.default_rng(5)
 
@@ -43,6 +46,14 @@ def taped_normalized(mapping: MappingMatrix) -> Tensor:
     if mapping.epsilon > 0:
         normalized = maximum_const(sub(normalized, Tensor(mapping.epsilon)), 0.0)
     return normalized
+
+
+def explicit_structure_loss(mapping, embedding, batch: EdgeBatch) -> Tensor:
+    """Oracle: Eq. (8) on the explicit ``(N, d)`` reconstruction ``M H'``."""
+    reconstructed = matmul(as_tensor(mapping), as_tensor(embedding))
+    logits = tensor_sum(mul(gather_rows(reconstructed, batch.rows),
+                            gather_rows(reconstructed, batch.cols)), axis=1)
+    return binary_cross_entropy_with_logits(logits, batch.targets)
 
 
 def normalized_op(raw: Tensor, epsilon: float) -> Tensor:
@@ -73,28 +84,53 @@ class TestGradientMatchingLoss:
 
 class TestStructureLoss:
     def test_low_when_embeddings_predict_edges(self):
-        # Two clusters; edges only within clusters.
+        # Two clusters; edges only within clusters; M = I so M H' = H'.
         h = Tensor(np.array([[5.0, 0], [5.0, 0], [0, 5.0], [0, 5.0]]))
+        mapping = np.eye(4)
         good = EdgeBatch(rows=np.array([0, 2]), cols=np.array([1, 3]),
                          targets=np.array([1.0, 1.0]))
         bad = EdgeBatch(rows=np.array([0, 1]), cols=np.array([2, 3]),
                         targets=np.array([1.0, 1.0]))
-        assert structure_loss(h, good).item() < structure_loss(h, bad).item()
+        assert (structure_loss(mapping, h, good).item()
+                < structure_loss(mapping, h, bad).item())
 
     def test_empty_batch_rejected(self):
         empty = EdgeBatch(rows=np.array([], dtype=int),
                           cols=np.array([], dtype=int), targets=np.array([]))
         with pytest.raises(CondensationError):
-            structure_loss(Tensor(np.ones((2, 2))), empty)
+            structure_loss(np.eye(2), Tensor(np.ones((2, 2))), empty)
+
+    def test_shape_mismatch_rejected(self):
+        batch = EdgeBatch(rows=np.array([0]), cols=np.array([1]),
+                          targets=np.array([1.0]))
+        with pytest.raises(CondensationError):
+            structure_loss(np.ones((4, 3)), Tensor(np.ones((2, 5))), batch)
 
     def test_differentiable_through_reconstruction(self):
         mapping = Tensor(RNG.random((4, 2)), requires_grad=True)
-        h_syn = Tensor(RNG.standard_normal((2, 3)))
+        h_syn = Tensor(RNG.standard_normal((2, 3)), requires_grad=True)
         batch = EdgeBatch(rows=np.array([0, 1]), cols=np.array([2, 3]),
                           targets=np.array([1.0, 0.0]))
-        loss = structure_loss(mapping @ h_syn, batch)
-        (g,) = grad(loss, [mapping])
-        assert g.shape == mapping.shape
+        loss = structure_loss(mapping, h_syn, batch)
+        g_mapping, g_syn = grad(loss, [mapping, h_syn])
+        assert g_mapping.shape == mapping.shape
+        assert g_syn.shape == h_syn.shape
+
+    def test_gram_form_matches_explicit_reconstruction(self):
+        # repeated pairs and self-pairs, both signs of target
+        rows = RNG.integers(0, 30, 64)
+        cols = np.concatenate([RNG.integers(0, 30, 60), rows[:4]])
+        batch = EdgeBatch(rows=rows, cols=cols,
+                          targets=(RNG.random(64) < 0.5).astype(np.float64))
+        mapping = Tensor(RNG.random((30, 6)), requires_grad=True)
+        h_syn = Tensor(RNG.standard_normal((6, 5)), requires_grad=True)
+        ours = structure_loss(mapping, h_syn, batch)
+        ref = explicit_structure_loss(mapping, h_syn, batch)
+        assert ours.item() == pytest.approx(ref.item(), rel=1e-12)
+        for got, want in zip(grad(ours, [mapping, h_syn]),
+                             grad(ref, [mapping, h_syn])):
+            np.testing.assert_allclose(got.data, want.data, rtol=0,
+                                       atol=1e-12 * np.abs(want.data).max())
 
 
 class TestTransductiveInductiveLosses:
