@@ -1,18 +1,17 @@
 """Parity/dtype-discipline checker.
 
-The serving stack's headline guarantee is bitwise parity between the
-frozen float64 path and direct in-process serving; reduced precision is
-legal only inside the sanctioned quantization layer.  Two rules:
+The serving stack's headline guarantee is bitwise parity between every
+serving tier and direct in-process serving, and every tier computes in
+float64 (numeric precision is a storage format of the saved artifact,
+narrowed and widened in :mod:`repro.api`).  Two rules:
 
 **PAR001** — in the parity-critical modules (``serving/prepared.py``,
 ``graph/stream.py``, ``serving/protocol.py``), any *literal* narrowing
 dtype (``np.float32``/``float16``/``int8``/``int16``, as an attribute
 or a string, in ``.astype(...)`` or a ``dtype=`` keyword) is flagged
-unless the enclosing function is marked as the precision layer with a
-``# repro-check: precision-layer <reason>`` comment on its ``def``
-line.  Dtypes carried in variables (``self._dtype``) are the sanctioned
-way to thread precision through — the checker only hunts hard-coded
-narrowing.
+(annotate with ``# repro-check: parity <reason>`` if one is ever
+needed).  The checker only hunts hard-coded narrowing; the wire
+protocol's declared dtype table is data, not a cast.
 
 **PAR002** — ``time.time()`` anywhere under ``serving/`` or
 ``telemetry/``: wall-clock time can step backwards under NTP and has
@@ -43,8 +42,6 @@ LATENCY_PREFIXES = ("src/repro/serving/", "src/repro/telemetry/")
 
 NARROW_DTYPES = frozenset({"float32", "float16", "int8", "int16"})
 
-PRECISION_MARKER = "precision-layer"
-
 
 def _narrow_literal(node) -> str | None:
     """'float32' if the node is a literal narrowing dtype, else None."""
@@ -58,26 +55,8 @@ def _narrow_literal(node) -> str | None:
     return None
 
 
-def _precision_layer_functions(source: SourceFile) -> list:
-    """Functions whose ``def`` line carries the precision-layer marker."""
-    sanctioned = []
-    for node in ast.walk(source.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        comment = source.comment_on(node.lineno)
-        at = comment.find(PRECISION_MARKER)
-        if at >= 0 and comment[at + len(PRECISION_MARKER):].strip():
-            sanctioned.append(node)
-    return sanctioned
-
-
 def _check_dtypes(source: SourceFile) -> list:
     violations = []
-    sanctioned = _precision_layer_functions(source)
-
-    def in_sanctioned(line: int) -> bool:
-        return any(fn.lineno <= line <= fn.end_lineno for fn in sanctioned)
-
     for node in ast.walk(source.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -92,17 +71,14 @@ def _check_dtypes(source: SourceFile) -> list:
                 found = found or _narrow_literal(keyword.value)
         if found is None:
             continue
-        if in_sanctioned(node.lineno):
-            continue
         if source.suppressed(node.lineno, "parity"):
             continue
         violations.append(Violation(
             checker="parity", code="PAR001",
             path=source.relpath, line=node.lineno,
-            message=(f"literal dtype narrowing to {found} outside the "
-                     "sanctioned precision layer (mark the function "
-                     "'# repro-check: precision-layer <reason>' if it "
-                     "IS the precision layer)")))
+            message=(f"literal dtype narrowing to {found} in a parity "
+                     "module; serving computes in float64 (narrow "
+                     "artifacts at save time in repro.api)")))
     return violations
 
 
@@ -129,8 +105,8 @@ def _check_clocks(source: SourceFile) -> list:
 
 @register_checker(
     "parity",
-    description=("no literal dtype narrowing outside the precision "
-                 "layer; no time.time() in latency paths"))
+    description=("no literal dtype narrowing in parity modules; no "
+                 "time.time() in latency paths"))
 def check_parity(context: AnalysisContext) -> list:
     violations = []
     for source in context.files:

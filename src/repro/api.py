@@ -52,12 +52,7 @@ from repro.graph.graph import Graph
 from repro.inference.engine import InductiveServer, InferenceReport
 from repro.nn.metrics import accuracy as _accuracy
 from repro.nn.models import GNNModel, make_model
-from repro.serving.prepared import (
-    PRECISIONS,
-    PreparedDeployment,
-    _dequantize,
-    _quantize_columns,
-)
+from repro.serving.prepared import PreparedDeployment
 from repro.serving.runtime import ServingRuntime
 from repro.tensor.sparse import dense_memory_bytes, sparse_memory_bytes
 from repro.utils.artifacts import normalize_npz_path, open_npz_archive, save_npz
@@ -166,13 +161,6 @@ class DeploymentBundle:
     metadata:
         Provenance: dataset/seed/scale, method, budget, profile, library
         version.  ``serve`` uses it to regenerate evaluation batches.
-    precision:
-        Numeric serving mode the artifact carries: ``"float64"``
-        (default, bitwise parity), ``"float32"``, or ``"int8"``.
-        Reduced modes store the artifact's float arrays narrowed
-        (float32, with int8 + per-column absmax scales for feature
-        matrices) and make :meth:`prepare` default to the same mode —
-        see ``docs/precision.md``.
     """
 
     model_name: str
@@ -182,17 +170,12 @@ class DeploymentBundle:
     condensed: CondensedGraph | None = None
     base: Graph | None = None
     metadata: dict = field(default_factory=dict)
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
         if self.deployment not in ("original", "synthetic"):
             raise ConfigError(
                 f"deployment must be 'original' or 'synthetic', "
                 f"got {self.deployment!r}")
-        if self.precision not in PRECISIONS:
-            raise ConfigError(
-                f"precision must be one of {', '.join(PRECISIONS)}, "
-                f"got {self.precision!r}")
         if self.deployment == "synthetic" and self.condensed is None:
             raise ConfigError("synthetic deployment requires a condensed graph")
         if self.deployment == "original" and self.base is None:
@@ -224,17 +207,9 @@ class DeploymentBundle:
         return InductiveServer(self.model(), self.deployment, self.base,
                                self.condensed)
 
-    def prepare(self, *, precision: str | None = None,
-                fused: bool = True) -> PreparedDeployment:
-        """The request-invariant serving cache for this bundle.
-
-        ``precision=None`` uses the bundle's own mode (``"float64"``
-        unless the artifact was saved reduced); pass ``"float32"`` or
-        ``"int8"`` to opt into a reduced-precision serving cache — see
-        :mod:`repro.serving.prepared` for the mode semantics.
-        """
-        return PreparedDeployment.from_bundle(self, precision=precision,
-                                              fused=fused)
+    def prepare(self) -> PreparedDeployment:
+        """The request-invariant serving cache for this bundle."""
+        return PreparedDeployment.from_bundle(self)
 
     def serve(self, batches=None, *, batch_mode: str = "graph",
               batch_size: int = 1000) -> InferenceReport:
@@ -255,7 +230,7 @@ class DeploymentBundle:
     # Persistence — one .npz per bundle, extending CondensedGraph's scheme.
     # ------------------------------------------------------------------
     def save(self, path: str | Path, *, layout: str = "compressed",
-             precision: str | None = None) -> Path:
+             precision: str = "float64") -> Path:
         """Persist the bundle; returns the normalized ``.npz`` path.
 
         ``layout="compressed"`` (default) deflates the archive — the
@@ -264,18 +239,16 @@ class DeploymentBundle:
         serving replica on a host then shares one page-cache copy of the
         arrays instead of holding a private decompressed one.
 
-        ``precision`` (default: the bundle's own mode) narrows the stored
-        arrays: ``"float32"`` halves every float member, ``"int8"``
-        additionally quantizes the feature matrices with per-column
-        absmax scales (~8x smaller features).  The mode is recorded in
-        the artifact metadata, so :meth:`load` + :meth:`prepare` serve in
-        the same mode by default.
+        ``precision`` is the storage format — the one place a numeric
+        mode is chosen: ``"float32"`` halves every float member,
+        ``"int8"`` additionally quantizes the feature matrices with
+        per-column absmax scales (~8x smaller features).  The mode is
+        recorded in the artifact metadata; :meth:`load` widens the
+        members back to float64, so serving always computes in float64.
         """
         if layout not in ("compressed", "mmap"):
             raise ConfigError(
                 f"layout must be 'compressed' or 'mmap', got {layout!r}")
-        if precision is None:
-            precision = self.precision
         if precision not in PRECISIONS:
             raise ConfigError(
                 f"precision must be one of {', '.join(PRECISIONS)}, "
@@ -319,7 +292,9 @@ class DeploymentBundle:
         buffer-backed, non-writable views over the shared mapping — the
         zero-copy path serving replicas use — while compressed members
         fall back to an eager read.  Serving is bit-for-bit identical
-        either way (the parity tests assert it).
+        either way (the parity tests assert it).  A narrowed artifact
+        (``save(precision="float32" | "int8")``) is read eagerly and
+        widened to float64 member by member.
         """
         target = normalize_npz_path(path)
         with open_npz_archive(target, "deployment bundle",
@@ -333,17 +308,13 @@ class DeploymentBundle:
             if meta.get("kind") != "deployment-bundle":
                 raise ArtifactError(
                     f"{target} has unexpected artifact kind {meta.get('kind')!r}")
-            precision = meta.get("precision", "float64")
+            if meta.get("precision", "float64") != "float64":
+                archive = _WidenedArchive(archive)
             state = {name[len("param::"):]: archive[name]
                      for name in archive.files if name.startswith("param::")}
-            if precision != "float64":
-                # widening float32 weights is exact; model math runs float64
-                state = {name: np.asarray(value, dtype=np.float64)
-                         for name, value in state.items()}
             condensed = None
             if "condensed::adjacency" in archive.files:
-                condensed = CondensedGraph.from_payload(
-                    _widened_archive(archive, precision), "condensed::")
+                condensed = CondensedGraph.from_payload(archive, "condensed::")
             base = None
             if "base::features" in archive.files:
                 shape = tuple(int(v) for v in archive["base::adj_shape"])
@@ -353,19 +324,14 @@ class DeploymentBundle:
                     shape=shape).tocsr()
                 labels = (archive["base::labels"]
                           if "base::labels" in archive.files else None)
-                features = archive["base::features"]
-                if "base::features_scale" in archive.files:
-                    features = _dequantize(features,
-                                           archive["base::features_scale"])
-                base = Graph(adjacency, features, labels)
+                base = Graph(adjacency, archive["base::features"], labels)
             return cls(model_name=meta["model_name"],
                        model_config=meta["model_config"],
                        state=state,
                        deployment=meta["deployment"],
                        condensed=condensed,
                        base=base,
-                       metadata=meta.get("metadata", {}),
-                       precision=precision)
+                       metadata=meta.get("metadata", {}))
 
     def __repr__(self) -> str:
         graph = (f"condensed={self.condensed.num_nodes} nodes"
@@ -376,9 +342,35 @@ class DeploymentBundle:
                 f"method={self.metadata.get('method')!r})")
 
 
+#: Storage precisions an artifact can be saved in, in decreasing width.
+PRECISIONS = ("float64", "float32", "int8")
+
 #: Feature matrices that int8 artifacts store quantized (with a sibling
 #: ``<name>_scale`` per-column absmax row).
 _QUANTIZED_MEMBERS = ("base::features", "condensed::features")
+
+
+def _quantize_columns(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column absmax int8 quantization: ``(q, scale)``.
+
+    ``scale[j] = absmax(column j) / 127`` (1.0 for all-zero columns, so
+    dequantization is well-defined), ``q = round(matrix / scale)`` clipped
+    to ``[-127, 127]``.  Exact zeros quantize to exactly 0 and
+    dequantize to exactly 0.0.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.size:
+        absmax = np.abs(matrix).max(axis=0)
+    else:
+        absmax = np.zeros(matrix.shape[1], dtype=np.float64)
+    scale = np.where(absmax > 0, absmax / 127.0, 1.0).astype(np.float32)
+    q = np.clip(np.rint(matrix / scale), -127, 127).astype(np.int8)
+    return q, scale
+
+
+def _dequantize(q: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_quantize_columns`, in float64."""
+    return q.astype(np.float64) * scale
 
 
 def _narrow_payload(payload: dict, precision: str) -> dict:
@@ -402,16 +394,21 @@ def _narrow_payload(payload: dict, precision: str) -> dict:
     return narrowed
 
 
-def _widened_archive(archive, precision: str):
-    """Dequantize int8 condensed features so ``from_payload`` can rebuild."""
-    if precision != "int8" or "condensed::features_scale" not in archive.files:
-        return archive
-    members = {name: archive[name] for name in archive.files
-               if name.startswith("condensed::")}
-    members["condensed::features"] = _dequantize(
-        members["condensed::features"],
-        members.pop("condensed::features_scale"))
-    return members
+class _WidenedArchive(dict):
+    """A narrowed artifact's members back at float64: int8 features
+    dequantized with their column scales, float32 members widened (exact).
+    Exposes the ``.files`` listing the readers expect of an archive."""
+
+    def __init__(self, archive) -> None:
+        members = {name: archive[name] for name in archive.files}
+        for name in _QUANTIZED_MEMBERS:
+            if f"{name}_scale" in members:
+                members[name] = _dequantize(members[name],
+                                            members.pop(f"{name}_scale"))
+        super().__init__(
+            (name, value.astype(np.float64) if value.dtype == np.float32
+             else value) for name, value in members.items())
+        self.files = list(self)
 
 
 # ----------------------------------------------------------------------
@@ -508,8 +505,8 @@ def serve(bundle: DeploymentBundle | str | Path,
 def open_runtime(bundle: DeploymentBundle | str | Path, *,
                  scheduler: str = "microbatch", batch_mode: str = "graph",
                  max_batch_size: int = 32, max_wait_ms: float = 2.0,
-                 queue_capacity: int = 1024, overflow: str = "block",
-                 precision: str = "exact") -> ServingRuntime:
+                 queue_capacity: int = 1024,
+                 overflow: str = "block") -> ServingRuntime:
     """Open a long-lived :class:`~repro.serving.runtime.ServingRuntime`.
 
     ``bundle`` may be a :class:`DeploymentBundle` or a path to one.  The
@@ -519,7 +516,8 @@ def open_runtime(bundle: DeploymentBundle | str | Path, *,
 
     Requests are task-typed: wrap the batch in a
     :class:`~repro.serving.embeddings.ServeTask` and pick ``predict``
-    (default), ``embed``, ``link_score``, or ``topk``.
+    (default), ``embed``, ``link_score``, or ``topk``.  ``frozen=True``
+    on the task selects the approximate frozen path (SGC only).
 
     >>> from repro.serving import ServeTask             # doctest: +SKIP
     >>> runtime = api.open_runtime("artifact.npz")      # doctest: +SKIP
@@ -534,7 +532,7 @@ def open_runtime(bundle: DeploymentBundle | str | Path, *,
     return ServingRuntime(
         bundle.prepare(), scheduler,
         batch_mode=batch_mode, queue_capacity=queue_capacity,
-        overflow=overflow, precision=precision,
+        overflow=overflow,
         scheduler_options={"max_batch_size": max_batch_size,
                            "max_wait_ms": max_wait_ms})
 
@@ -543,8 +541,8 @@ def open_stream(bundle: DeploymentBundle | str | Path, *,
                 staleness_threshold: float = 0.25,
                 scheduler: str = "microbatch", batch_mode: str = "graph",
                 max_batch_size: int = 32, max_wait_ms: float = 2.0,
-                queue_capacity: int = 1024, overflow: str = "block",
-                precision: str = "exact") -> ServingRuntime:
+                queue_capacity: int = 1024,
+                overflow: str = "block") -> ServingRuntime:
     """Open a runtime that serves *and evolves*: a streaming deployment.
 
     Like :func:`open_runtime`, but the deployment is prepared for
@@ -566,8 +564,7 @@ def open_stream(bundle: DeploymentBundle | str | Path, *,
     runtime = open_runtime(
         bundle, scheduler=scheduler, batch_mode=batch_mode,
         max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
-        queue_capacity=queue_capacity, overflow=overflow,
-        precision=precision)
+        queue_capacity=queue_capacity, overflow=overflow)
     runtime.staleness_threshold = staleness_threshold
     prepared = runtime.prepared
     if prepared.deployment == "original":
@@ -583,8 +580,7 @@ def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
                router: str = "round-robin", batch_mode: str = "node",
                mmap: bool = True, start_method: str | None = None,
                telemetry: bool = True,
-               slow_trace_ms: float | None = None,
-               precision: str | None = None):
+               slow_trace_ms: float | None = None):
     """Open a multi-replica :class:`~repro.serving.fleet.ServingFleet`.
 
     ``bundle`` is normally a path to a saved artifact — each replica
@@ -594,10 +590,6 @@ def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     with ``bundle.save(path, layout="mmap")`` to make every member
     mappable.  An in-memory :class:`DeploymentBundle` is persisted to a
     temporary mmap-layout artifact first (removed when the fleet closes).
-
-    ``precision`` selects the replicas' numeric serving mode
-    (``"float64"``/``"float32"``/``"int8"``); ``None`` (default) keeps
-    the mode recorded in the artifact.
 
     Replicas probe for the artifact's embedding-index sidecar (see
     :func:`save_embedding_index`) and memory-map it when present, so
@@ -624,8 +616,7 @@ def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
         fleet = ServingFleet(artifact, replicas, router=router,
                              batch_mode=batch_mode, mmap=mmap,
                              start_method=start_method, telemetry=telemetry,
-                             slow_trace_ms=slow_trace_ms,
-                             precision=precision)
+                             slow_trace_ms=slow_trace_ms)
     except Exception:
         if owns:
             artifact.unlink(missing_ok=True)
@@ -646,8 +637,7 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
                  autoscale_interval: float = 0.25,
                  scale_cooldown: float = 2.0, start: bool = True,
                  telemetry: bool = True,
-                 slow_trace_ms: float | None = None,
-                 precision: str | None = None):
+                 slow_trace_ms: float | None = None):
     """Open a network :class:`~repro.serving.gateway.ServingGateway`.
 
     Builds a fleet exactly like :func:`open_fleet` and puts the TCP
@@ -662,8 +652,7 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     the replica pool from queue depth and rolling p95.  The gateway owns
     the fleet: closing it closes the fleet (and removes a temp artifact
     if ``bundle`` was in-memory).  With ``port=0`` the OS picks a free
-    port; read ``gateway.port`` after start.  ``precision`` is forwarded
-    to the fleet replicas (see :func:`open_fleet`).
+    port; read ``gateway.port`` after start.
 
     >>> gw = api.open_gateway("artifact.npz", replicas=2,  # doctest: +SKIP
     ...                       scale_policy="queue-depth")
@@ -681,7 +670,7 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     fleet = open_fleet(bundle, replicas, router=router,
                        batch_mode=batch_mode, mmap=mmap,
                        start_method=start_method, telemetry=telemetry,
-                       slow_trace_ms=slow_trace_ms, precision=precision)
+                       slow_trace_ms=slow_trace_ms)
     try:
         gateway = ServingGateway(
             fleet, host=host, port=port, shed_policy=shed,

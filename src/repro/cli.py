@@ -151,15 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "mmap (uncompressed members that serving "
                                "replicas can memory-map zero-copy); "
                                "default: compressed")
-    condense.add_argument("--precision",
-                          choices=("float64", "float32", "int8"),
+    condense.add_argument("--precision", choices=api.PRECISIONS,
                           default="float64",
-                          help="numeric precision recorded in the saved "
-                               "artifact: float64 keeps bitwise serve "
-                               "parity, float32 halves artifact payloads, "
-                               "int8 additionally quantizes stored features "
-                               "with per-column absmax calibration "
-                               "(default: float64)")
+                          help="storage precision of the saved artifact: "
+                               "float32 halves its float arrays, int8 "
+                               "additionally quantizes stored features "
+                               "with per-column absmax scales; serving "
+                               "always widens to float64 (default: "
+                               "float64)")
 
     serve = sub.add_parser(
         "serve",
@@ -265,10 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--no-mmap", dest="mmap", action="store_false",
                        help="load the artifact eagerly in every replica "
                             "instead of memory-mapping it")
-    fleet.add_argument("--precision",
-                       choices=("float64", "float32", "int8"), default=None,
-                       help="numeric serving mode override; default keeps "
-                            "the mode recorded in the artifact")
     fleet.add_argument("--kill-one", action="store_true",
                        help="failover drill: kill one replica mid-stream "
                             "and report re-routing stats")
@@ -319,10 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--no-mmap", dest="mmap", action="store_false",
                          help="load the artifact eagerly in every replica "
                               "instead of memory-mapping it")
-    gateway.add_argument("--precision",
-                         choices=("float64", "float32", "int8"), default=None,
-                         help="numeric serving mode override; default keeps "
-                              "the mode recorded in the artifact")
 
     top = sub.add_parser(
         "top",
@@ -574,8 +565,7 @@ def _cmd_serve_fleet(args) -> int:
     requests = _tasked(args, split_requests(batch, args.requests,
                                             args.nodes_per_request))
     fleet = api.open_fleet(args.artifact, args.replicas, router=args.router,
-                           batch_mode=args.batch_mode, mmap=args.mmap,
-                           precision=args.precision)
+                           batch_mode=args.batch_mode, mmap=args.mmap)
     with fleet:
         import time
         started = time.perf_counter()
@@ -597,10 +587,9 @@ def _cmd_serve_fleet(args) -> int:
         stats = fleet.stats()
     served = sum(result is not None for result in results)
     loading = "memory-mapped" if args.mmap else "eagerly loaded"
-    mode = args.precision or "artifact default"
     print(f"served {served}/{len(requests)} requests across "
           f"{args.replicas} replicas ({loading} artifact, "
-          f"{args.router} router, {mode} precision)")
+          f"{args.router} router)")
     print(f"  throughput            {served / wall:.0f} req/s")
     p50, p95 = stats["latency_p50_ms"], stats["latency_p95_ms"]
     if p50 is not None:
@@ -631,7 +620,7 @@ def _cmd_serve_gateway(args) -> int:
         shed_policy=shed, max_inflight=args.max_inflight,
         scale_policy=scale, scale_options=scale_options,
         autoscale_interval=args.autoscale_interval,
-        scale_cooldown=args.scale_cooldown, precision=args.precision)
+        scale_cooldown=args.scale_cooldown)
     stop = threading.Event()
 
     def _request_stop(signum, frame):

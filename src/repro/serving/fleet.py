@@ -179,14 +179,12 @@ def _consistent_hash(virtual_nodes: int = 64,
 # Worker process
 # ----------------------------------------------------------------------
 def _replica_worker(replica_id: int, generation: int, artifact: str,
-                    mmap_load: bool, batch_mode: str, precision: str | None,
-                    inbox, outbox) -> None:
+                    mmap_load: bool, batch_mode: str, inbox, outbox) -> None:
     """Load the artifact, announce readiness, then serve until ``stop``.
 
     Runs in a child process.  The bundle is loaded *here* — with
     ``mmap_load`` every replica maps the same file, sharing one page-cache
-    copy of the stored arrays across the fleet.  ``precision`` overrides
-    the numeric serving mode recorded in the artifact (``None`` keeps it).
+    copy of the stored arrays across the fleet.
     """
     started = time.perf_counter()
     try:
@@ -196,7 +194,7 @@ def _replica_worker(replica_id: int, generation: int, artifact: str,
             sidecar_index_path,
         )
         bundle = DeploymentBundle.load(artifact, mmap=mmap_load)
-        prepared = bundle.prepare(precision=precision)
+        prepared = bundle.prepare()
         sidecar = sidecar_index_path(artifact)
         if sidecar.exists():
             # one precomputed top-k matrix, memory-mapped by every
@@ -299,15 +297,13 @@ class ReplicaPool:
     def __init__(self, artifact: str | Path, size: int, *,
                  mmap: bool = True, batch_mode: str = "node",
                  start_method: str | None = None,
-                 max_spawn_retries: int = 2,
-                 precision: str | None = None) -> None:
+                 max_spawn_retries: int = 2) -> None:
         if size <= 0:
             raise ServingError(f"fleet size must be positive, got {size}")
         self.artifact = Path(artifact)
         self.size = size
         self.mmap = mmap
         self.batch_mode = batch_mode
-        self.precision = precision
         self.max_spawn_retries = max_spawn_retries
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -325,7 +321,7 @@ class ReplicaPool:
         process = self._context.Process(
             target=_replica_worker,
             args=(replica_id, generation, str(self.artifact), self.mmap,
-                  self.batch_mode, self.precision, inbox, self.results),
+                  self.batch_mode, inbox, self.results),
             name=f"repro-replica-{replica_id}", daemon=True)
         process.start()
         return _Replica(replica_id=replica_id, generation=generation,
@@ -468,8 +464,7 @@ class ServingFleet:
                  latency_window: int = 4096, telemetry: bool = True,
                  metrics: MetricsRegistry | None = None,
                  trace_capacity: int = 256,
-                 slow_trace_ms: float | None = None,
-                 precision: str | None = None) -> None:
+                 slow_trace_ms: float | None = None) -> None:
         if batch_mode not in ("graph", "node"):
             raise ServingError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
@@ -520,8 +515,7 @@ class ServingFleet:
             ("component", "stage"))
         self.pool = ReplicaPool(artifact, replicas, mmap=mmap,
                                 batch_mode=batch_mode,
-                                start_method=start_method,
-                                precision=precision)
+                                start_method=start_method)
         self._collector = threading.Thread(target=self._collect_forever,
                                            name="repro-fleet-collector",
                                            daemon=True)
@@ -965,7 +959,6 @@ class ServingFleet:
             summary = {
                 "replicas": self.pool.size,
                 "router": getattr(self.router, "name", type(self.router).__name__),
-                "precision": self.pool.precision,
                 "completed": self.completed,
                 "failed": self.failed,
                 "rerouted": self.rerouted,

@@ -65,35 +65,21 @@ Cheby, MLP) run row-count-sensitive gemms over all ``B+n`` rows at every
 layer, so they keep the full assembly.  The parity tests assert every
 path against the naive one.
 
-Precision modes
----------------
-The cache can be built in one of three numeric modes (``precision``):
+Every path computes in float64.  Numeric precision is a property of the
+saved artifact only (``DeploymentBundle.save(precision=...)``), and
+``DeploymentBundle.load`` widens narrowed members back to float64
+before anything here sees them.
 
-- ``"float64"`` (default) — the exactness contract above holds end to
-  end; this is the only mode that supports streaming deltas.
-- ``"float32"`` — the standalone operator, the base features, and the
-  propagated K-hop caches are cast to float32 once at prepare time
-  (~2x memory bandwidth on the frozen path); logits are gated by an
-  accuracy delta against float64, not bitwise parity.
-- ``"int8"`` — the frozen K-hop feature caches are quantized with a
-  per-column absmax calibration step at prepare time and dequantized on
-  gather; everything else behaves like ``"float32"``.
-
-Zero-degree masking is dtype-independent: :func:`_inv_sqrt` leaves
-zero-degree rows at exactly ``0.0`` in every mode (the reduced modes
-inherit the float64 mask by casting, never by recomputing in low
-precision), so isolated nodes serve identically across modes.
-
-Fused kernels
--------------
+Frozen path
+-----------
 The frozen fast path applies the ``D^-1/2`` row/col scaling in a single
 traversal of each block's CSR arrays (:func:`_fused_scale`) instead of
 materializing scaled operator copies, and cache-blocks the base-row
 gather: the SpMV's dense operand shrinks to just the hop rows the batch
 references.  Both transformations preserve the per-entry multiply order
-and scipy's per-row fold order, so the fused float64 path is bitwise
-identical to the unfused baseline (``fused=False``, kept as the
-reference the benchmark gate compares against).
+and scipy's per-row fold order, so the path is bitwise identical to an
+unfused one (materialized scaled blocks, full-width hop SpMVs) — the
+oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -123,10 +109,7 @@ from repro.telemetry import stage_span
 from repro.tensor.sparse import sparse_memory_bytes
 from repro.tensor.tensor import Tensor, no_grad
 
-__all__ = ["PreparedDeployment", "DeltaRefreshReport", "PRECISIONS"]
-
-#: Supported numeric serving modes, in decreasing storage width.
-PRECISIONS = ("float64", "float32", "int8")
+__all__ = ["PreparedDeployment", "DeltaRefreshReport"]
 
 
 @dataclass(frozen=True)
@@ -227,57 +210,29 @@ def _intra_loops(intra, n: int) -> tuple[sp.csr_matrix, int]:
     return eye, 0
 
 
-def _csr_storage_bytes(nnz: int, rows: int, cols: int,
-                       value_bytes: int = 8) -> int:
-    """Storage of a CSR matrix as scipy would build it (int32 indices when
-    they fit, which mirrors ``sp.bmat``'s index-dtype choice)."""
+def _csr_storage_bytes(nnz: int, rows: int, cols: int) -> int:
+    """Storage of a float64 CSR matrix as scipy would build it (int32
+    indices when they fit, which mirrors ``sp.bmat``'s index-dtype
+    choice)."""
     index_bytes = 4 if max(nnz, rows, cols) < np.iinfo(np.int32).max else 8
-    return nnz * (value_bytes + index_bytes) + (rows + 1) * index_bytes
+    return nnz * (8 + index_bytes) + (rows + 1) * index_bytes
 
 
 def _fused_scale(block: sp.csr_matrix, inv_row: np.ndarray,
-                 inv_col: np.ndarray, dtype) -> np.ndarray:
+                 inv_col: np.ndarray) -> np.ndarray:
     """Single-pass ``D^-1/2`` row/col scaling of one CSR block's data.
 
     One traversal of the block's ``indptr``/``indices``/``data``: every
     stored entry ``a_ij`` becomes ``(inv_row[i] * a_ij) * inv_col[j]``,
     written into a fresh scratch buffer — the block's index structure is
-    never copied (the unfused baseline materializes whole scaled operator
-    copies instead).  The multiply order matches the exactness contract,
-    so a downstream SpMV over this buffer is bitwise identical to the
-    unfused path in float64.  Zero entries of ``inv_row``/``inv_col``
-    (zero-degree masking) propagate exact zeros in every dtype.
+    never copied.  The multiply order matches the exactness contract, so
+    a downstream SpMV over this buffer is bitwise identical to one over
+    a materialized scaled copy.  Zero entries of ``inv_row``/``inv_col``
+    (zero-degree masking) propagate exact zeros.
     """
     rows = np.repeat(np.arange(block.shape[0], dtype=np.int64),
                      np.diff(block.indptr))
-    data = block.data.astype(dtype, copy=False)
-    return (inv_row[rows] * data) * inv_col[block.indices]
-
-
-def _quantize_columns(  # repro-check: precision-layer the int8 quantizer
-        matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column absmax int8 quantization: ``(q, scale)``.
-
-    ``scale[j] = absmax(column j) / 127`` (1.0 for all-zero columns, so
-    dequantization is well-defined), ``q = round(matrix / scale)`` clipped
-    to ``[-127, 127]``.  Dequantize as ``q.astype(float32) * scale``;
-    exact zeros quantize to exactly 0 and dequantize to exactly 0.0, which
-    keeps zero-degree masking semantics intact.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.size:
-        absmax = np.abs(matrix).max(axis=0)
-    else:
-        absmax = np.zeros(matrix.shape[1], dtype=np.float64)
-    scale = np.where(absmax > 0, absmax / 127.0, 1.0).astype(np.float32)
-    q = np.clip(np.rint(matrix / scale), -127, 127).astype(np.int8)
-    return q, scale
-
-
-def _dequantize(  # repro-check: precision-layer int8 -> float32 inverse
-        q: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_quantize_columns`, in float32."""
-    return q.astype(np.float32) * scale
+    return (inv_row[rows] * block.data) * inv_col[block.indices]
 
 
 class PreparedDeployment:
@@ -285,26 +240,15 @@ class PreparedDeployment:
 
     Parameters mirror :class:`repro.inference.engine.InductiveServer`:
     a trained model, a ``deployment`` kind, and the graph it serves on.
-    ``precision`` selects the numeric mode (see the module docstring);
-    ``fused=False`` keeps the unfused frozen-path baseline that the
-    benchmark's bitwise gate compares the fused kernels against.
     """
 
     def __init__(self, model: GNNModel, deployment: str, base: Graph | None,
-                 condensed: CondensedGraph | None = None, *,
-                 precision: str = "float64", fused: bool = True) -> None:
+                 condensed: CondensedGraph | None = None) -> None:
         validate_deployment(deployment, base, condensed)
-        if precision not in PRECISIONS:
-            raise ServingError(
-                f"precision must be one of {', '.join(PRECISIONS)}, "
-                f"got {precision!r}")
         self.model = model
         self.deployment = deployment
         self.base = base
         self.condensed = condensed
-        self.precision = precision
-        self._fused = bool(fused)
-        self._dtype = np.float64 if precision == "float64" else np.float32
         if deployment == "synthetic":
             raw = condensed.sparse_adjacency()
             raw_features = condensed.features
@@ -322,7 +266,7 @@ class PreparedDeployment:
         self.num_base = int(self.base_loops.shape[0])
         self._base_counts = np.diff(self.base_loops.indptr)
         self.base_features = np.ascontiguousarray(raw_features,
-                                                  dtype=self._dtype)
+                                                  dtype=np.float64)
         if self.base_features.shape[0] != self.num_base:
             raise GraphError(
                 f"base features rows ({self.base_features.shape[0]}) != "
@@ -343,33 +287,15 @@ class PreparedDeployment:
         # attached from an mmap sidecar artifact or built lazily; dropped
         # whenever a delta changes the base graph
         self._embedding_index = None
-        self._frozen_inv_base: np.ndarray | None = None
-        #: int8 mode: per-hop ``(q, scale)`` pairs from absmax calibration.
-        self._quantized: list[tuple[np.ndarray, np.ndarray]] | None = None
         # the evolving view of the deployed graph, created on first delta
         self._stream: StreamingGraph | None = None
-        if precision != "float64" and isinstance(model, SGC):
-            # the cast (float32) / calibration (int8) step happens at
-            # prepare time, not on the first frozen request
-            if precision == "int8":
-                self._quantized_hops()
-            else:
-                self.propagated_base_features()
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_bundle(cls, bundle, *, precision: str | None = None,
-                    fused: bool = True) -> "PreparedDeployment":
-        """Prepare a persisted :class:`repro.api.DeploymentBundle`.
-
-        ``precision=None`` uses the mode the artifact was saved with
-        (``bundle.precision``, ``"float64"`` for bundles predating the
-        precision axis).
-        """
-        if precision is None:
-            precision = getattr(bundle, "precision", "float64") or "float64"
+    def from_bundle(cls, bundle) -> "PreparedDeployment":
+        """Prepare a persisted :class:`repro.api.DeploymentBundle`."""
         return cls(bundle.model(), bundle.deployment, bundle.base,
-                   bundle.condensed, precision=precision, fused=fused)
+                   bundle.condensed)
 
     # ------------------------------------------------------------------
     # Exact cached attach + normalize
@@ -380,10 +306,8 @@ class PreparedDeployment:
 
         ``incremental`` is the raw ``(n, N)`` adjacency into the *original*
         graph; for synthetic deployments it is converted through the
-        mapping (Eq. 11) first.  In float64 mode the operator and stacked
-        features are bit-for-bit equal to normalizing the naive ``bmat``
-        assembly; reduced modes cast the assembled operator data and the
-        feature stack to float32 (accuracy-gated, not bitwise).
+        mapping (Eq. 11) first.  The operator and stacked features are
+        bit-for-bit equal to normalizing the naive ``bmat`` assembly.
         ``memory_bytes`` mirrors the naive serving-footprint accounting.
         """
         new_feats = self._request_features(new_features)
@@ -392,16 +316,15 @@ class PreparedDeployment:
         ea_loops, ea_nnz_raw = _intra_loops(intra, n)
         data, indices, indptr = self._assemble_normalized(inc, ea_loops)
         total = self.num_base + n
-        operator = sp.csr_matrix(
-            (data.astype(self._dtype, copy=False), indices, indptr),
-            shape=(total, total))
+        operator = sp.csr_matrix((data, indices, indptr),
+                                 shape=(total, total))
         operator.has_sorted_indices = True
         features = np.vstack([self.base_features, new_feats])
         memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw, total)
         return operator, features, memory
 
     def _request_features(self, new_features) -> np.ndarray:
-        new_feats = np.asarray(new_features, dtype=self._dtype)
+        new_feats = np.asarray(new_features, dtype=np.float64)
         if new_feats.ndim != 2 or new_feats.shape[1] != self.feature_dim:
             raise GraphError(
                 f"feature dims differ: base {self.feature_dim} vs new "
@@ -503,13 +426,11 @@ class PreparedDeployment:
 
     def _memory_bytes(self, n: int, inc_nnz: int, ea_nnz: int,
                       feature_rows: int) -> int:
-        """Serving footprint, matching the naive accounting bit for bit in
-        float64 (8-byte values); reduced modes count their 4-byte storage."""
-        value_bytes = int(np.dtype(self._dtype).itemsize)
+        """Serving footprint, matching the naive accounting bit for bit."""
         attached_nnz = self._raw_nnz + 2 * inc_nnz + ea_nnz
         total = self.num_base + n
-        memory = _csr_storage_bytes(attached_nnz, total, total, value_bytes)
-        memory += feature_rows * self.feature_dim * value_bytes
+        memory = _csr_storage_bytes(attached_nnz, total, total)
+        memory += feature_rows * self.feature_dim * 8
         return memory + self._mapping_bytes
 
     # ------------------------------------------------------------------
@@ -608,17 +529,14 @@ class PreparedDeployment:
             # alone, but the touched rows' merged degrees are still needed
             data, indices, indptr = self._assemble_normalized(
                 inc, ea_loops, base[min(hops - 1, 1)])
-            data = data.astype(self._dtype, copy=False)
         with stage_span("propagate"):
             gathered = base[0].size
             hidden = np.empty((gathered + n, self.feature_dim),
-                              dtype=self._dtype)
+                              dtype=np.float64)
             # mode="clip" writes straight into ``out`` (ids are in range)
             np.take(self.base_features, base[0], axis=0,
                     out=hidden[:gathered], mode="clip")
             hidden[gathered:] = new_feats
-            # reduced modes: Tensor() widens the rounded stack the same way
-            hidden = hidden.astype(np.float64, copy=False)
             for k in range(1, hops + 1):
                 ranks = _ranks(levels[k - 1], B + n)
                 if levels[k].size < indptr.size - 1:
@@ -683,8 +601,6 @@ class PreparedDeployment:
         rows = np.repeat(np.arange(self.num_base, dtype=np.int64),
                          self._base_counts)
         data = (inv_sqrt[rows] * loops.data) * inv_sqrt[loops.indices]
-        if self._dtype is not np.float64:
-            data = data.astype(self._dtype)  # the cast-once-at-prepare step
         operator = sp.csr_matrix((data, loops.indices, loops.indptr),
                                  shape=loops.shape)
         operator.has_sorted_indices = True
@@ -787,57 +703,6 @@ class PreparedDeployment:
             self._hop_buffers = None  # fresh arrays, no grown capacity yet
         return self._propagated
 
-    def _standalone_inv_sqrt_degrees(self) -> np.ndarray:
-        """``D^{-1/2}`` of the standalone base graph — request-invariant,
-        computed once for the frozen path, in storage dtype (the float64
-        mask is cast, so zero-degree rows stay exactly zero)."""
-        if self._frozen_inv_base is None:
-            self._frozen_inv_base = self._inv_sqrt_degrees().astype(
-                self._dtype, copy=False)
-        return self._frozen_inv_base
-
-    def _quantized_hops(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """int8 mode: the per-column absmax calibration of the K-hop caches.
-
-        The float32 hops are propagated once (through the float32
-        standalone operator), quantized column-wise, and only the int8
-        arrays plus their scale rows are retained — ~8x smaller than the
-        float64 caches.  Dequantization happens on gather in
-        :meth:`serve_batch_frozen`.
-        """
-        if self.precision != "int8":
-            raise ServingError(
-                f"quantized hops exist only in int8 mode, "
-                f"not {self.precision!r}")
-        if self._quantized is None:
-            if not isinstance(self.model, SGC):
-                raise ServingError(
-                    "propagated-feature caching needs linear propagation "
-                    f"(SGC); got {type(self.model).__name__}")
-            operator = self.base_operator()
-            hop = self.base_features
-            quantized = [_quantize_columns(hop)]
-            for _ in range(self.model.k_hops):
-                hop = np.asarray(operator @ hop)
-                quantized.append(_quantize_columns(hop))
-            self._quantized = quantized
-        return self._quantized
-
-    def _hop_block(self, k: int, cols: np.ndarray | None) -> np.ndarray:
-        """Rows ``cols`` of hop ``k`` (all rows for ``cols=None``).
-
-        This gather is the cache-blocking step of the frozen path: the
-        SpMV's dense operand shrinks from the full ``(N, d)`` hop array to
-        the contiguous block of rows the batch actually references.  In
-        int8 mode the gathered rows are dequantized here — on gather —
-        with the per-column calibration scale.
-        """
-        if self.precision == "int8":
-            q, scale = self._quantized_hops()[k]
-            return _dequantize(q[cols] if cols is not None else q, scale)
-        hops = self.propagated_base_features()
-        return hops[k][cols] if cols is not None else hops[k]
-
     def serve_batch_frozen(self, batch: IncrementalBatch,
                            batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
         """Fast approximate serve: per-request work on incremental rows only.
@@ -849,12 +714,10 @@ class PreparedDeployment:
         not bitwise equal to — :meth:`serve_batch`; the exact path stays
         the default.
 
-        The default (fused) kernels scale each block in a single CSR
-        traversal (:func:`_fused_scale`, no materialized operator copies)
-        and cache-block the base-row gather (:meth:`_hop_block`); the
-        float64 fused path is bitwise identical to the unfused baseline
-        (``fused=False``).  Reduced precision modes run this path in
-        float32, dequantizing int8 hop caches on gather.
+        Each block is scaled in a single CSR traversal
+        (:func:`_fused_scale`, no materialized operator copies) and the
+        base-row gather is cache-blocked to the hop rows the batch
+        references — bitwise the same logits as the unfused products.
         """
         start = time.perf_counter()
         h, memory = self._frozen_hidden(batch, batch_mode)
@@ -881,61 +744,45 @@ class PreparedDeployment:
                        batch_mode: str) -> tuple[np.ndarray, int]:
         """The frozen path up to (excluding) the classifier: ``(h, memory)``.
 
-        Factored out so :meth:`serve_batch_frozen` and
-        :meth:`embed_batch_frozen` share one implementation — every
-        operation and its order is unchanged from the original frozen
-        serve, so frozen logits remain bitwise stable.
+        Shared by :meth:`serve_batch_frozen` and
+        :meth:`embed_batch_frozen`, so frozen logits and embeddings come
+        from the same bits.
         """
         intra = self._enter_request(batch, batch_mode)
-        # validates the model and pays any first-touch calibration up front
-        if self.precision == "int8":
-            self._quantized_hops()
-        else:
-            self.propagated_base_features()
-        dtype = self._dtype
+        hops = self.propagated_base_features()  # validates the model
         with stage_span("operator"):
-            new_feats = np.asarray(batch.features, dtype=dtype)
+            new_feats = np.asarray(batch.features, dtype=np.float64)
             n = new_feats.shape[0]
             inc, inc_nnz_raw = self._converted_incremental(batch.incremental, n)
             ea_loops, ea_nnz_raw = _intra_loops(intra, n)
 
-            # degrees of the *new* rows only (always float64 — masking
-            # happens before the cast); base rows keep standalone scaling
+            # degrees of the *new* rows only; base rows keep standalone
+            # scaling
             deg_new = (np.asarray(inc.sum(axis=1)).reshape(-1)
                        + np.asarray(ea_loops.sum(axis=1)).reshape(-1))
-            inv_new = _inv_sqrt(deg_new).astype(dtype, copy=False)
-            inv_base = self._standalone_inv_sqrt_degrees()
-
-            nb_data = _fused_scale(inc, inv_new, inv_base, dtype)
-            nn_data = _fused_scale(ea_loops, inv_new, inv_new, dtype)
-            cols: np.ndarray | None = None
-            if self._fused:
-                # zero-copy views share the blocks' index structure
-                op_nn = sp.csr_matrix(
-                    (nn_data, ea_loops.indices, ea_loops.indptr),
-                    shape=(n, n))
-                gathered = np.unique(inc.indices)
-                if gathered.size < self.num_base:
-                    # compress the column space onto the touched base rows
-                    cols = gathered
-                    local = np.searchsorted(cols, inc.indices)
-                    op_nb = sp.csr_matrix((nb_data, local, inc.indptr),
-                                          shape=(n, int(cols.size)))
-                else:
-                    op_nb = sp.csr_matrix((nb_data, inc.indices, inc.indptr),
-                                          shape=inc.shape)
+            inv_new = _inv_sqrt(deg_new)
+            nb_data = _fused_scale(inc, inv_new, self._inv_sqrt_degrees())
+            # zero-copy views share the blocks' index structure
+            op_nn = sp.csr_matrix(
+                (_fused_scale(ea_loops, inv_new, inv_new), ea_loops.indices,
+                 ea_loops.indptr), shape=(n, n))
+            cols = np.unique(inc.indices)
+            if cols.size < self.num_base:
+                # compress the column space onto the touched base rows
+                local = np.searchsorted(cols, inc.indices)
+                op_nb = sp.csr_matrix((nb_data, local, inc.indptr),
+                                      shape=(n, int(cols.size)))
             else:
-                # unfused baseline: materialized scaled operator copies,
-                # full-width hop SpMVs — the bitwise reference
-                op_nb = inc.copy()
-                op_nb.data = nb_data
-                op_nn = ea_loops.copy()
-                op_nn.data = nn_data
+                cols = None
+                op_nb = sp.csr_matrix((nb_data, inc.indices, inc.indptr),
+                                      shape=inc.shape)
 
         with stage_span("propagate"):
             h = new_feats
             for k in range(self.model.k_hops):
-                h = op_nb @ self._hop_block(k, cols) + op_nn @ h
+                # the cache-blocking gather: only the hop rows referenced
+                block = hops[k] if cols is None else hops[k][cols]
+                h = op_nb @ block + op_nn @ h
         memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw,
                                     self.num_base + n)
         return h, memory
@@ -949,8 +796,8 @@ class PreparedDeployment:
 
         The base block (``base_loops``, row counts, features) is always
         updated by row splicing.  Materialized warm caches — the degree
-        vector, the standalone normalized operator, the frozen-path
-        scaling and the K-hop propagated features — are refreshed
+        vector and its ``D^{-1/2}``, the standalone normalized operator
+        and the K-hop propagated features — are refreshed
         *incrementally*: only rows whose (per-hop) neighborhood touches
         the delta are recomputed.  When the affected row fraction exceeds
         ``staleness_threshold`` the materialized caches are rebuilt from
@@ -968,12 +815,6 @@ class PreparedDeployment:
         if not isinstance(delta, GraphDelta):
             raise ServingError(
                 f"apply_delta needs a GraphDelta, got {type(delta).__name__}")
-        if self.precision != "float64":
-            raise ServingError(
-                "streaming deltas require the float64 (bit-parity) "
-                f"precision mode; this deployment was prepared with "
-                f"precision={self.precision!r} — re-prepare with "
-                "precision='float64' to ingest deltas")
         if not 0.0 <= staleness_threshold <= 1.0:
             raise ServingError(
                 f"staleness_threshold must be in [0, 1], "
@@ -1015,7 +856,6 @@ class PreparedDeployment:
         # --- derived caches -------------------------------------------
         materialized = (self._loop_degrees is not None
                         or self._base_operator is not None
-                        or self._frozen_inv_base is not None
                         or self._propagated is not None)
         invalidated: list[str] = []
         if self._base_logits is not None:
@@ -1157,13 +997,11 @@ class PreparedDeployment:
     def _rebuild_caches(self) -> tuple[str, ...]:
         """Full from-scratch rematerialization of whatever was built."""
         had_operator = self._base_operator is not None
-        had_frozen = self._frozen_inv_base is not None
         had_propagated = self._propagated is not None
         had_degrees = self._loop_degrees is not None
         self._loop_degrees = None
         self._loop_inv_sqrt = None
         self._base_operator = None
-        self._frozen_inv_base = None
         self._propagated = None
         self._hop_buffers = None
         refreshed = []
@@ -1173,9 +1011,6 @@ class PreparedDeployment:
         if had_operator:
             self.base_operator()
             refreshed.append("operator")
-        if had_frozen:
-            self._standalone_inv_sqrt_degrees()
-            refreshed.append("frozen_scale")
         if had_propagated:
             self.propagated_base_features()
             refreshed.append("propagated")
@@ -1214,9 +1049,6 @@ class PreparedDeployment:
         if self._base_operator is not None:
             self._base_operator = self._respliced_operator(affected, old_base)
             refreshed.append("operator")
-        if self._frozen_inv_base is not None:
-            self._frozen_inv_base = self._inv_sqrt_degrees()
-            refreshed.append("frozen_scale")
         if self._propagated is not None:
             self._refresh_propagated(effect, affected, old_base)
             refreshed.append("propagated")
@@ -1269,5 +1101,4 @@ class PreparedDeployment:
     def __repr__(self) -> str:
         return (f"PreparedDeployment(deployment={self.deployment!r}, "
                 f"base_nodes={self.num_base}, "
-                f"model={type(self.model).__name__}, "
-                f"precision={self.precision!r})")
+                f"model={type(self.model).__name__})")

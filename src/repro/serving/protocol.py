@@ -16,25 +16,24 @@ ship as CSR triples under the same two encodings.
 
 Wire precision contract
 -----------------------
-The wire format is independent of the server's numeric serving mode
-(``float64``/``float32``/``int8`` — see ``docs/precision.md``):
+The replicas always compute in float64 (an artifact's storage precision
+is widened at load — see ``docs/precision.md``):
 
 - ``encoding="json"`` carries float64 exactly: Python's ``repr``-based
-  JSON serialization round-trips IEEE-754 doubles bit-for-bit, so a
-  float64-mode server behind the gateway preserves the end-to-end
-  bitwise-parity guarantee over JSON frames.
+  JSON serialization round-trips IEEE-754 doubles bit-for-bit, so the
+  gateway preserves the end-to-end bitwise-parity guarantee over JSON
+  frames.
 - ``encoding="binary"`` declares its dtype per array (``float64`` or
   ``float32``).  A float32 buffer halves request bandwidth; the server
   widens it to float64 **once at decode time** (exact — every float32
-  is representable as a float64), then serves under whatever numeric
-  mode the replicas run.  Sending float32 therefore changes the inputs
-  (the client already rounded), never the server's arithmetic.
-- Replies always encode logits as float64, whatever mode produced
-  them, so client-side decoding is mode-agnostic.
+  is representable as a float64).  Sending float32 therefore changes
+  the inputs (the client already rounded), never the server's
+  arithmetic.
+- Replies always encode logits as float64.
 
-``int8`` never appears on the wire: it is an *artifact/storage* format
-(per-column absmax-quantized frozen features, dequantized on gather),
-not a transport format.
+``int8`` never appears on the wire: it is an artifact storage format
+(per-column absmax-quantized features, dequantized at load), not a
+transport format.
 
 Request operations:
 

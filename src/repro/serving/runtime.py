@@ -195,9 +195,6 @@ class ServingRuntime:
     queue_capacity / overflow:
         Bounded admission queue configuration; see
         :class:`~repro.serving.queue.BoundedRequestQueue`.
-    precision:
-        ``"exact"`` (default — bitwise-parity path) or ``"frozen"`` (the
-        cached-propagation approximation; SGC only).
     telemetry:
         Feed the per-stage latency histograms
         (``repro_stage_latency_seconds{component="runtime"}``); the
@@ -212,7 +209,7 @@ class ServingRuntime:
     def __init__(self, prepared: PreparedDeployment,
                  scheduler: MicroBatchScheduler | str = "microbatch",
                  *, batch_mode: str = "graph", queue_capacity: int = 1024,
-                 overflow: str = "block", precision: str = "exact",
+                 overflow: str = "block",
                  scheduler_options: dict | None = None,
                  telemetry: bool = True,
                  metrics: MetricsRegistry | None = None,
@@ -221,17 +218,11 @@ class ServingRuntime:
         if batch_mode not in ("graph", "node"):
             raise InferenceError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
-        if precision not in ("exact", "frozen"):
-            raise ServingError(
-                f"precision must be 'exact' or 'frozen', got {precision!r}")
         self.prepared = prepared
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler, **(scheduler_options or {}))
         self.scheduler = scheduler
         self.batch_mode = batch_mode
-        self.precision = precision
-        if precision == "frozen":
-            prepared.propagated_base_features()  # validate model support early
         self.queue = BoundedRequestQueue(queue_capacity, overflow)
         self.accounting = LatencyAccounting()
         self.telemetry = bool(telemetry)
@@ -562,9 +553,9 @@ class ServingRuntime:
         started = time.perf_counter()
         try:
             task = self._merged_task(requests)
-            frozen = requests[0].task.frozen or self.precision == "frozen"
             result, compute_seconds, _ = self.prepared.serve_task(
-                task, batch_mode=self.batch_mode, frozen=frozen)
+                task, batch_mode=self.batch_mode,
+                frozen=requests[0].task.frozen)
         except Exception as error:  # noqa: BLE001 — forwarded to futures
             for request in requests:
                 request.future._fail(error)
@@ -659,4 +650,4 @@ class ServingRuntime:
     def __repr__(self) -> str:
         return (f"ServingRuntime({self.prepared!r}, "
                 f"scheduler={self.scheduler!r}, batch_mode={self.batch_mode!r}, "
-                f"precision={self.precision!r}, pending={len(self.queue)})")
+                f"pending={len(self.queue)})")

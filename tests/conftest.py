@@ -93,8 +93,17 @@ def pad_incremental():
 @pytest.fixture(scope="session")
 def pubmed_original_bundle():
     """pubmed-sim (quick, quarter scale) served on its original graph by
-    an mcond-trained model — the deployment the precision and
-    link-prediction accuracy bounds are stated on."""
+    an mcond-trained model — the deployment the storage-precision,
+    frozen-path and link-prediction accuracy bounds are stated on."""
     from repro import api
     return api.deploy("pubmed-sim", "mcond", 30, deployment="original",
                       seed=0, scale=0.25, profile="quick")
+
+
+@pytest.fixture(scope="session")
+def pubmed_synthetic_bundle():
+    """The same condensation served on its 30-node synthetic graph
+    through the mapping (Eq. 11) — the frozen path's second deployment."""
+    from repro import api
+    return api.deploy("pubmed-sim", "mcond", 30, seed=0, scale=0.25,
+                      profile="quick")

@@ -355,16 +355,6 @@ class TestParityChecker:
             """}, ["parity"])
         assert [v.code for v in violations] == ["PAR001"]
 
-    def test_precision_layer_marker_sanctions_function(self, tmp_path):
-        violations = findings(tmp_path, {
-            "src/repro/serving/prepared.py": """\
-                import numpy as np
-
-                def quantize(x):  # repro-check: precision-layer by design
-                    return x.astype(np.int8)
-            """}, ["parity"])
-        assert violations == []
-
     def test_variable_dtype_passes(self, tmp_path):
         violations = findings(tmp_path, {
             "src/repro/serving/prepared.py": """\

@@ -378,29 +378,6 @@ class TestReceptiveFieldServing:
             logits, _, _ = prepared.serve_batch(merged, batch_mode)
             assert np.array_equal(expected, logits)
 
-    @pytest.mark.parametrize("precision", ("float32", "int8"))
-    @pytest.mark.parametrize("k_hops", (1, 2, 3))
-    def test_reduced_precision_equals_full_assembly(self, weighted,
-                                                    precision, k_hops):
-        # same casts, same fold order: the row-restricted products see the
-        # float32-rounded operator and features the full assembly sees,
-        # and the head classifies the same inductive rows
-        from repro.tensor.tensor import Tensor
-        base, batch = weighted
-        model = _sgc(base.feature_dim, 3, k_hops)
-        prepared = PreparedDeployment(model, "original", base,
-                                      precision=precision)
-        for batch_mode in ("graph", "node"):
-            for size in (1, 4, None):
-                sub = batch if size is None else batch.subset(np.arange(size))
-                hidden, memory = _full_assembly(prepared, sub, batch_mode,
-                                                model.embed)
-                expected = model.head(Tensor(hidden)).data
-                logits, _, served_memory = prepared.serve_batch(sub,
-                                                                batch_mode)
-                assert np.array_equal(expected, logits)
-                assert memory == served_memory
-
     @pytest.mark.parametrize("model_name",
                              ("gcn", "graphsage", "appnp", "cheby", "mlp"))
     def test_other_models_keep_the_full_assembly(self, weighted, model_name,

@@ -407,24 +407,39 @@ class TestRuntimeBehaviour:
                                     intra=sp.csr_matrix((3, 3))))
         assert len(runtime.queue) == 0
 
-    def test_precision_validation(self, sgc, split, condensed):
-        with pytest.raises(ServingError):
-            _runtime(sgc, split, condensed, "original", precision="loose")
+    def test_frozen_task_on_a_nonlinear_model_fails_its_future(
+            self, split, raw_task):
         gcn = make_model("gcn", split.original.feature_dim,
                          split.num_classes, seed=0)
-        prepared = PreparedDeployment(gcn, "original", split.original)
-        with pytest.raises(ServingError):
-            ServingRuntime(prepared, precision="frozen")
+        runtime = ServingRuntime(
+            PreparedDeployment(gcn, "original", split.original))
+        n = split.original.num_nodes
+        future = runtime.submit(raw_task(
+            np.zeros((1, split.original.feature_dim)),
+            sp.csr_matrix((1, n)), intra=sp.csr_matrix((1, 1)),
+            frozen=True))
+        runtime.run_pending()
+        with pytest.raises(ServingError, match="linear propagation"):
+            future.result()
 
-    def test_frozen_runtime_serves(self, sgc, split, condensed):
+    def test_frozen_tasks_serve_the_frozen_path(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "synthetic",
-                           scheduler="sizecap", precision="frozen",
-                           batch_mode="node")
-        stream = _stream(split.incremental_batch("val"), 4, 1)
+                           scheduler="sizecap", batch_mode="node")
+        stream = [ServeTask(task.batch, frozen=True) for task in
+                  _stream(split.incremental_batch("val"), 4, 1)]
         futures = [runtime.submit(request) for request in stream]
         runtime.run_pending()
-        for future in futures:
-            assert np.isfinite(future.result()).all()
+        gaps = []
+        for task, future in zip(stream, futures):
+            # coalesced replies match row-wise up to the classifier
+            # gemm's row-count sensitivity
+            frozen, _, _ = runtime.prepared.serve_batch_frozen(task.batch,
+                                                              "node")
+            exact, _, _ = runtime.prepared.serve_batch(task.batch, "node")
+            np.testing.assert_allclose(future.result(), frozen, rtol=1e-12,
+                                       atol=1e-12)
+            gaps.append(np.abs(future.result() - exact).max())
+        assert max(gaps) > 1e-9  # the approximation, not the exact path
 
     def test_warm_base_passthrough(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "original")

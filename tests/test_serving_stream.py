@@ -71,8 +71,8 @@ def _assert_prepared_parity(evolved: PreparedDeployment,
                             fresh.propagated_base_features()):
         assert np.array_equal(hop_a, hop_b)
     assert np.array_equal(evolved.warm_base(), fresh.warm_base())
-    assert np.array_equal(evolved._standalone_inv_sqrt_degrees(),
-                          fresh._standalone_inv_sqrt_degrees())
+    assert np.array_equal(evolved._inv_sqrt_degrees(),
+                          fresh._inv_sqrt_degrees())
     inc = batch.incremental.tocsr()
     probe = IncrementalBatch(
         features=batch.features,
