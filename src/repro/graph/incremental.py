@@ -120,7 +120,9 @@ def _canonical_incremental(incremental, dedup: str) -> sp.csr_matrix:
     - ``"sum"`` (default) — duplicates accumulate weight, canonicalized
       with ``sum_duplicates()`` so the ``a @ M`` accumulation order is
       deterministic.  This keeps the historical Eq. (11) semantics for
-      genuinely weighted multi-edges.
+      genuinely weighted multi-edges.  A float64 CSR input already in
+      canonical form is returned as it is; anything else is canonicalized
+      in a copy, so the caller's arrays are never written.
     - ``"distinct"`` — duplicated pairs collapse to a single edge keeping
       the largest weight (for 0/1 adjacencies: exactly one edge), the
       right policy for at-least-once edge feeds.
@@ -131,7 +133,10 @@ def _canonical_incremental(incremental, dedup: str) -> sp.csr_matrix:
         # a dense array cannot express duplicate entries
         return sp.csr_matrix(np.asarray(incremental, dtype=np.float64))
     if dedup == "sum":
-        inc = incremental.tocsr().astype(np.float64)
+        inc = incremental.tocsr()
+        if inc.dtype == np.float64 and inc.has_canonical_format:
+            return inc
+        inc = inc.astype(np.float64)
         inc.sum_duplicates()
         return inc
     coo = incremental.tocoo()
@@ -169,7 +174,9 @@ def convert_connections(incremental: sp.spmatrix,
             f"incremental columns ({inc.shape[1]}) != "
             f"mapping rows ({mapping.shape[0]})")
     if sp.issparse(mapping):
-        converted = (inc @ mapping.tocsr().astype(np.float64)).tocsr()
+        # a float64 CSR mapping is multiplied as stored, never copied
+        converted = (inc @ mapping.tocsr().astype(np.float64,
+                                                  copy=False)).tocsr()
     else:
         converted = sp.csr_matrix(inc @ mapping)
     converted.eliminate_zeros()

@@ -336,7 +336,15 @@ class PreparedDeployment:
         """The ``(n, B)`` incremental block in canonical, zero-free CSR and
         its stored-entry count *before* explicit zeros were dropped (the
         naive path eliminates after assembly, so its footprint counts
-        them)."""
+        them).  A block already in that form is used as it is; any other
+        is canonicalized in a copy, never in the caller's arrays."""
+        if (self.mapping is None and sp.issparse(incremental)
+                and incremental.format == "csr"
+                and incremental.dtype == np.float64
+                and incremental.shape == (n, self.num_base)
+                and incremental.has_canonical_format
+                and incremental.data.all()):
+            return incremental, int(incremental.nnz)
         if self.mapping is not None:
             expected = (n, int(self.mapping.shape[0]))
             if incremental is None:

@@ -143,13 +143,15 @@ class ServingFuture:
 @dataclass
 class Request:
     """One admitted request: the :class:`ServeTask` as submitted, plus the
-    arrays ``_build_request`` canonicalised from its batch (float64,
-    CSR, widened to the current base width), its future and stamps."""
+    blocks ``_build_request`` canonicalised from its batch (float64 CSR,
+    duplicates summed, indices sorted; ``intra`` is ``None`` when the
+    batch has none or the runtime serves node mode), its future and
+    stamps."""
 
     task: ServeTask
     features: np.ndarray
     incremental: sp.csr_matrix
-    intra: sp.csr_matrix
+    intra: sp.csr_matrix | None
     future: ServingFuture = field(default_factory=ServingFuture)
     enqueued_at: float = 0.0
     trace: TraceContext | None = None
@@ -166,17 +168,94 @@ class Request:
         return self.num_nodes
 
 
+def _canonical(block) -> sp.csr_matrix:
+    """``block`` as float64 CSR with duplicates summed and indices sorted.
+
+    A block already in that form is returned as it is; anything else is
+    converted into fresh arrays, so the caller's are never written.
+    """
+    if sp.issparse(block):
+        csr = block.tocsr()
+        if csr.dtype == np.float64 and csr.has_canonical_format:
+            return csr
+        csr = csr.astype(np.float64)  # a copy: sum_duplicates works in place
+    else:
+        csr = sp.csr_matrix(np.atleast_2d(np.asarray(block, dtype=np.float64)))
+    csr.sum_duplicates()
+    return csr
+
+
+def _stack(blocks: list, rows: list[int], width: int | None) -> sp.csr_matrix:
+    """Row-stack canonical CSR blocks by concatenating their arrays.
+
+    ``None`` is an empty block of its ``rows``.  With a ``width`` the
+    result has that many columns (narrower blocks gain empty ones);
+    without, block ``i``'s columns shift past blocks ``0..i-1`` — the
+    block diagonal of square blocks.  A lone block already at the target
+    shape is returned as it is.
+    """
+    total = sum(rows)
+    shape = (total, total) if width is None else (total, width)
+    if len(blocks) == 1 and blocks[0] is not None and blocks[0].shape == shape:
+        return blocks[0]
+    data, indices, indptr = [], [], [np.zeros(1, dtype=np.int64)]
+    stored = column = 0
+    for block, count in zip(blocks, rows):
+        if block is not None:
+            data.append(block.data)
+            indices.append(block.indices if width is not None
+                           else block.indices + column)
+            indptr.append(block.indptr[1:] + stored)
+            stored += block.nnz
+        else:
+            indptr.append(np.full(count, stored, dtype=np.int64))
+        column += count
+    empty = np.zeros(0, dtype=np.int64)
+    return sp.csr_matrix((np.concatenate(data) if data else np.zeros(0),
+                          np.concatenate(indices) if indices else empty,
+                          np.concatenate(indptr)), shape=shape)
+
+
+def _merge(requests, width: int | None, intra: bool) -> IncrementalBatch:
+    """:func:`merge_requests` at base ``width`` (``None``: the one width
+    every request cites); ``intra=False`` leaves the merged intra out."""
+    incremental = [_canonical(r.incremental) for r in requests]
+    rows = [block.shape[0] for block in incremental]
+    widths = {block.shape[1] for block in incremental}
+    if width is None and len(widths) == 1:
+        width = widths.pop()
+    elif width is None or max(widths) > width:
+        raise ServingError(
+            f"cannot merge requests citing base widths {sorted(widths)}"
+            + ("" if width is None else f" into width {width}"))
+    if len(requests) == 1:
+        features = np.atleast_2d(requests[0].features)
+    else:
+        features = np.vstack([r.features for r in requests])
+    merged_intra = None
+    if intra:
+        merged_intra = _stack(
+            [None if r.intra is None else _canonical(r.intra)
+             for r in requests], rows, None)
+    return IncrementalBatch(
+        features=features, incremental=_stack(incremental, rows, width),
+        intra=merged_intra,
+        labels=np.full(features.shape[0], -1, dtype=np.int64))
+
+
 def merge_requests(
         requests: list[Request] | list[IncrementalBatch]) -> IncrementalBatch:
-    """Coalesce requests (or plain batches) into one batch (cross-request
-    intra edges are zero — independently arriving requests share no
-    known edges)."""
-    features = np.vstack([r.features for r in requests])
-    incremental = sp.vstack([r.incremental for r in requests]).tocsr()
-    intra = sp.block_diag([r.intra for r in requests]).tocsr()
-    labels = np.full(features.shape[0], -1, dtype=np.int64)
-    return IncrementalBatch(features=features, incremental=incremental,
-                            intra=intra, labels=labels)
+    """Coalesce requests (or plain batches) into one batch.
+
+    The incremental blocks are stacked row-wise and the intra blocks
+    block-diagonally, both by concatenating canonical CSR arrays (see
+    ``docs/serving.md``); cross-request intra edges are zero, because
+    independently arriving requests share no known edges.  A plain
+    batch is canonicalised the way admission would be, and its ``intra``
+    may be ``None`` (an empty block).  Every request must cite the same
+    base width, or :class:`ServingError` is raised.
+    """
+    return _merge(requests, None, intra=True)
 
 
 class ServingRuntime:
@@ -306,9 +385,15 @@ class ServingRuntime:
         return request.future
 
     def _build_request(self, task: ServeTask) -> Request:
-        """Canonicalise the task's batch arrays once, at admission."""
+        """Canonicalise the task's batch arrays once, at admission.
+
+        A float64 CSR block already in canonical form is kept as it is;
+        anything else is converted into fresh arrays (see
+        :func:`_canonical`), so the caller's arrays are never written.
+        The intra block is shape-checked in both modes but kept only in
+        graph mode, the one mode that reads it.
+        """
         batch = task.batch
-        incremental, intra = batch.incremental, batch.intra
         feats = np.asarray(batch.features, dtype=np.float64)
         if feats.ndim == 1:
             feats = feats[None, :]
@@ -322,40 +407,34 @@ class ServingRuntime:
                 f"request feature dim {feats.shape[1]} != deployment "
                 f"feature dim {self.prepared.feature_dim}")
         n = feats.shape[0]
-        if sp.issparse(incremental):
-            inc = incremental.tocsr().astype(np.float64)
-        else:
-            inc = sp.csr_matrix(
-                np.atleast_2d(np.asarray(incremental, dtype=np.float64)))
+        inc = _canonical(batch.incremental)
         # Valid widths span every base size this runtime has exposed: a
         # client that has not yet observed streamed appends may cite a
         # historical (narrower) id space down to the opening width, and
         # one that just ingested a delta may already cite its promised
-        # nodes before the loop applies it.  The pending count is read
-        # *before* the current width: a delta applying between the two
-        # reads then raises the width instead of shrinking the bound.
+        # nodes before the loop applies it.  A narrower block gains its
+        # zero columns when its micro-batch is merged.  The pending count
+        # is read *before* the current width: a delta applying between
+        # the two reads then raises the width instead of shrinking the
+        # bound.
         pending = self._pending_appended()
         width = self._original_columns
-        if self._floor_columns <= inc.shape[1] < width and inc.shape[0] == n:
-            # widen with zero columns for the base nodes it predates
-            inc = sp.csr_matrix((inc.data, inc.indices, inc.indptr),
-                                shape=(n, width))
         if inc.shape[0] != n or not (
-                width <= inc.shape[1] <= width + pending):
+                self._floor_columns <= inc.shape[1] <= width + pending):
             raise ServingError(
                 f"incremental adjacency has shape {inc.shape}, expected "
                 f"({n}, {width})")
-        if intra is None:
-            ea = sp.csr_matrix((n, n), dtype=np.float64)
-        elif sp.issparse(intra):
-            ea = intra.tocsr().astype(np.float64)
-        else:
-            ea = sp.csr_matrix(np.asarray(intra, dtype=np.float64))
-        if ea.shape != (n, n):
-            raise ServingError(
-                f"intra adjacency has shape {ea.shape}, expected ({n}, {n})")
+        intra = batch.intra
+        if intra is not None:
+            # checked unconverted: node mode drops the block unread
+            shape = (intra.shape if sp.issparse(intra)
+                     else np.atleast_2d(np.asarray(intra)).shape)
+            if shape != (n, n):
+                raise ServingError(
+                    f"intra adjacency has shape {shape}, expected ({n}, {n})")
+            intra = _canonical(intra) if self.batch_mode == "graph" else None
         return Request(task=task, features=feats, incremental=inc,
-                       intra=ea)
+                       intra=intra)
 
     # ------------------------------------------------------------------
     # Streaming ingest
@@ -466,17 +545,17 @@ class ServingRuntime:
             batch.append(nxt)
         return batch, time.perf_counter() - assembly_started
 
-    def _align_request_widths(self, requests: list[Request]) -> list[Request]:
-        """Bring every request in the batch to the current base width.
+    def _check_request_widths(self, requests: list[Request]) -> list[Request]:
+        """The requests of the batch the current base width can serve.
 
-        Caller holds ``_serve_lock``.  Requests admitted before an append
-        landed are widened with zero columns; a request admitted *ahead*
-        of a still-pending ingested delta forces that delta to apply
-        first (its ids only exist in the promised width).  A request
-        whose promised width never materialized — its delta failed to
-        apply — is failed *individually* here, so it cannot poison the
-        co-batched requests with a merge-shape error; the survivors are
-        returned.
+        Caller holds ``_serve_lock``.  A request admitted *ahead* of a
+        still-pending ingested delta forces that delta to apply first
+        (its ids only exist in the promised width).  A request whose
+        promised width never materialized — its delta failed to apply —
+        is failed *individually* here, so it cannot poison the co-batched
+        requests with a merge-shape error; the survivors are returned.
+        Requests admitted before an append landed are narrower; the merge
+        widens them (:func:`_merge`).
         """
         width = self._original_columns
         if any(r.incremental.shape[1] > width for r in requests):
@@ -484,26 +563,22 @@ class ServingRuntime:
             width = self._original_columns
         kept = []
         for request in requests:
-            inc = request.incremental
-            if inc.shape[1] > width:
+            cited = request.incremental.shape[1]
+            if cited > width:
                 request.future._fail(ServingError(
-                    f"request cites base width {inc.shape[1]}, promised by "
+                    f"request cites base width {cited}, promised by "
                     f"an ingested delta that failed to apply (current "
                     f"width {width})"))
                 self.accounting.observe_failure(1)
                 self._requests_total.inc(outcome="failed")
                 continue
-            if inc.shape[1] < width:
-                request.incremental = sp.csr_matrix(
-                    (inc.data, inc.indices, inc.indptr),
-                    shape=(inc.shape[0], width))
             kept.append(request)
         return kept
 
     def _execute(self, requests: list[Request],
                  assembly_seconds: float = 0.0) -> None:
         try:
-            requests = self._align_request_widths(requests)
+            requests = self._check_request_widths(requests)
         except Exception as error:  # noqa: BLE001 — forwarded to futures
             for request in requests:
                 request.future._fail(error)
@@ -528,13 +603,15 @@ class ServingRuntime:
             self._execute_group(group, assembly_seconds)
 
     def _merged_task(self, requests: list[Request]) -> ServeTask:
-        """The group's merged :class:`ServeTask` (shared task options).
+        """The group's merged :class:`ServeTask` (shared task options),
+        at the current base width.
 
         ``link_score`` pairs cite batch-local rows, so each request's
         pair block is shifted by its row offset in the merged batch.
         """
         proto = requests[0].task
-        merged = merge_requests(requests)
+        merged = _merge(requests, self._original_columns,
+                        intra=self.batch_mode == "graph")
         pairs = None
         if proto.task == "link_score":
             blocks = []
@@ -553,7 +630,7 @@ class ServingRuntime:
         started = time.perf_counter()
         try:
             task = self._merged_task(requests)
-            result, compute_seconds, _ = self.prepared.serve_task(
+            result, _, _ = self.prepared.serve_task(
                 task, batch_mode=self.batch_mode,
                 frozen=requests[0].task.frozen)
         except Exception as error:  # noqa: BLE001 — forwarded to futures
@@ -563,6 +640,8 @@ class ServingRuntime:
             self._requests_total.inc(len(requests), outcome="failed")
             return
         finished = time.perf_counter()
+        # the group's wall span: the merge and dispatch count as compute
+        compute_seconds = finished - started
         if self.telemetry:
             self._stage_latency.observe(
                 compute_seconds, component="runtime", stage="serve")

@@ -1,8 +1,8 @@
 """Per-request latency accounting for the serving runtime.
 
 Each served request contributes one :class:`RequestRecord` with its queue
-wait (enqueue → dequeue) and compute time (its micro-batch's attach +
-forward, shared by every request in the batch).  :class:`LatencyAccounting`
+wait (enqueue → dequeue) and compute time (its micro-batch's merge,
+attach and forward, shared by every request in the batch).  :class:`LatencyAccounting`
 aggregates them into the percentile summary the ROADMAP's serving story is
 measured by — p50/p95/p99 end-to-end latency, the wait/compute split, and
 throughput.  Quantiles come from :func:`latency_percentiles`, which the

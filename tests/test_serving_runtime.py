@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.errors import ServingError
+from repro.graph.datasets import IncrementalBatch
+from repro.graph.stream import GraphDelta
 from repro.inference import InductiveServer
 from repro.nn import make_model
 from repro.registry import SCHEDULERS, make_scheduler
@@ -23,6 +27,7 @@ from repro.serving import (
     split_requests,
     tasked_requests,
 )
+from repro.serving.prepared import _canonical_csr
 
 
 def _stream(batch, num_requests, nodes_per_request):
@@ -55,6 +60,91 @@ def _runtime(sgc, split, condensed, deployment, **kwargs):
     cond = condensed if deployment == "synthetic" else None
     prepared = PreparedDeployment(sgc, deployment, base, cond)
     return ServingRuntime(prepared, **kwargs)
+
+
+def _oracle_merge(batches, width):
+    """The merge as scipy builds it: each batch widened to ``width`` base
+    columns, then ``sp.vstack(...).tocsr()`` and
+    ``sp.block_diag(...).tocsr()`` (``intra=None`` an empty block)."""
+    incremental, intra = [], []
+    for batch in batches:
+        inc = batch.incremental.tocsr().astype(np.float64)
+        n = inc.shape[0]
+        incremental.append(sp.csr_matrix((inc.data, inc.indices, inc.indptr),
+                                         shape=(n, width)))
+        intra.append(sp.csr_matrix((n, n)) if batch.intra is None
+                     else batch.intra.tocsr().astype(np.float64))
+    features = np.vstack([batch.features for batch in batches])
+    return IncrementalBatch(
+        features=features, incremental=sp.vstack(incremental).tocsr(),
+        intra=sp.block_diag(intra).tocsr(),
+        labels=np.full(features.shape[0], -1, dtype=np.int64))
+
+
+def _stored_csr(rows, shape, index_dtype=np.int64):
+    """A CSR matrix storing exactly ``rows``' ``(column, value)`` pairs, in
+    order — unsorted columns, duplicates and explicit zeros included."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([c for row in rows for c, _ in row], dtype=np.int64)
+    data = np.array([v for row in rows for _, v in row], dtype=np.float64)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=shape)
+    matrix.indices = indices.astype(index_dtype)
+    matrix.indptr = indptr.astype(index_dtype)
+    return matrix
+
+
+def _edges(batch, row):
+    inc = batch.incremental.tocsr()
+    start, stop = inc.indptr[row], inc.indptr[row + 1]
+    return list(zip(inc.indices[start:stop].tolist(),
+                    inc.data[start:stop].tolist()))
+
+
+def _awkward_batches(source, width, appended):
+    """Four 2-node requests whose blocks no merge may take at face value.
+
+    Mixed int32/int64 index dtypes; reversed (unsorted) rows with a
+    duplicated edge and an explicit zero; an edgeless row; intra blocks
+    with duplicate and unsorted entries; a canonical block carrying an
+    explicit zero; and requests cut at the narrower pre-append ``width``
+    next to ones citing the ``appended`` base nodes beyond it.
+    """
+    wide = width + appended
+    batches = []
+    for index in range(4):
+        rows = [_edges(source, 2 * index), _edges(source, 2 * index + 1)]
+        if index == 0:   # unsorted, duplicated edge, explicit zero
+            rows = [row[::-1] + row[:1] + [(width - 1, 0.0)] for row in rows]
+            intra = _stored_csr([[(1, 1.0), (0, 0.0), (1, 0.5)], [(0, 1.0)]],
+                                (2, 2), np.int32)
+        elif index == 1:  # an edgeless row, int32 indices, no intra
+            rows = [sorted(rows[0]), []]
+            intra = None
+        elif index == 2:  # canonical with an explicit zero; cites appended
+            rows = [sorted({**dict(rows[0]), wide - 1: 2.0}.items()),
+                    sorted({wide - 2: 0.0, **dict(rows[1])}.items())]
+            intra = _stored_csr([[(1, 1.0)], [(0, 1.0)]], (2, 2))
+        else:             # unsorted intra with a duplicate
+            intra = _stored_csr([[(1, 0.25), (1, 0.75)], [(0, 1.0)]], (2, 2))
+        cited = width if index in (0, 1) else wide
+        incremental = _stored_csr(rows, (2, cited),
+                                  np.int32 if index == 1 else np.int64)
+        batches.append(IncrementalBatch(
+            features=source.features[2 * index:2 * index + 2],
+            incremental=incremental, intra=intra,
+            labels=np.full(2, -1, dtype=np.int64)))
+    return batches
+
+
+def _snapshot(batches):
+    """Every array a caller handed in, as bytes and dtype."""
+    arrays = []
+    for batch in batches:
+        arrays.append(np.asarray(batch.features))
+        for block in (batch.incremental, batch.intra):
+            if block is not None:
+                arrays.extend((block.data, block.indices, block.indptr))
+    return [(array.dtype, array.shape, array.tobytes()) for array in arrays]
 
 
 # ----------------------------------------------------------------------
@@ -256,18 +346,76 @@ class TestRuntimeParity:
         assert runtime.run_pending() == 8
         served = np.vstack([future.result() for future in futures])
 
-        # the scheduler groups FIFO into fours; serving each merged group
-        # through the naive engine must give bitwise-identical logits
+        # the scheduler groups FIFO into fours; serving each group, merged
+        # by the scipy oracle, through the naive engine must give
+        # bitwise-identical logits
         base = split.original if deployment == "original" else None
         cond = condensed if deployment == "synthetic" else None
         naive = InductiveServer(sgc, deployment, base, cond, use_cache=False)
         expected = []
         for start in range(0, 8, 4):
-            merged = merge_requests(
-                [runtime._build_request(r) for r in stream[start:start + 4]])
+            merged = _oracle_merge([task.batch for task in
+                                    stream[start:start + 4]],
+                                   split.original.num_nodes)
             logits, _, _ = naive.serve_batch(merged, batch_mode)
             expected.append(logits)
         assert np.array_equal(served, np.vstack(expected))
+
+    @pytest.mark.parametrize("deployment", ("original", "synthetic"))
+    @pytest.mark.parametrize("batch_mode", ("graph", "node"))
+    def test_merge_matches_the_scipy_oracle(self, sgc, split, condensed,
+                                            deployment, batch_mode):
+        runtime = _runtime(sgc, split, condensed, deployment,
+                           scheduler="sizecap", batch_mode=batch_mode,
+                           scheduler_options={"max_batch_size": 8})
+        source = split.incremental_batch("test")
+        width = split.original.num_nodes
+        batches = _awkward_batches(source, width, appended=2)
+        runtime.ingest(GraphDelta(add_features=source.features[8:10],
+                                  add_labels=source.labels[8:10]))
+        with runtime._serve_lock:
+            runtime._apply_pending_deltas()  # the base is now width + 2
+        requests = [runtime._build_request(ServeTask(b)) for b in batches]
+        merged = runtime._merged_task(requests).batch
+        oracle = _oracle_merge(batches, width + 2)
+        pairs = [(merged.incremental, oracle.incremental)]
+        if batch_mode == "graph":
+            pairs.append((merged.intra, oracle.intra))
+        else:
+            assert merged.intra is None  # node mode never reads it
+        for got, want in pairs:
+            got = _canonical_csr(got, want.shape, "merged")
+            want = _canonical_csr(want, want.shape, "oracle")
+            assert got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(merged.features, oracle.features)
+
+        futures = [runtime.submit(ServeTask(b)) for b in batches]
+        assert runtime.run_pending() == 4
+        expected, _, _ = runtime.prepared.serve_batch(oracle, batch_mode)
+        assert np.array_equal(np.vstack([f.result() for f in futures]),
+                              expected)
+
+    @pytest.mark.parametrize("deployment", ("original", "synthetic"))
+    @pytest.mark.parametrize("batch_mode", ("graph", "node"))
+    def test_caller_arrays_are_never_written(self, sgc, split, condensed,
+                                             deployment, batch_mode):
+        source = split.incremental_batch("test")
+        batches = _awkward_batches(source, split.original.num_nodes, 0)
+        before = _snapshot(batches)
+        runtime = _runtime(sgc, split, condensed, deployment,
+                           scheduler="sizecap", batch_mode=batch_mode,
+                           scheduler_options={"max_batch_size": 8})
+        futures = [runtime.submit(ServeTask(b)) for b in batches]
+        runtime.run_pending()  # one merged group
+        for batch in batches:  # and each one alone
+            futures.append(runtime.submit(ServeTask(batch)))
+            runtime.run_pending()
+            runtime.prepared.serve_batch(batch, batch_mode)
+        assert all(f.result().shape == (2, split.num_classes)
+                   for f in futures)
+        assert _snapshot(batches) == before
 
     def test_single_node_submit(self, sgc, split, condensed, raw_task):
         runtime = _runtime(sgc, split, condensed, "original",
@@ -489,3 +637,112 @@ class TestMergeRequests:
         # cross-request blocks must stay empty
         assert not intra[:3, 3:].any()
         assert not intra[3:, :3].any()
+
+    def test_plain_batches_without_intra(self, split):
+        source = split.incremental_batch("test")
+        batches = [source.subset(np.arange(0, 2)), source.subset(np.arange(2, 5))]
+        batches[0] = IncrementalBatch(features=batches[0].features,
+                                      incremental=batches[0].incremental,
+                                      intra=None, labels=batches[0].labels)
+        merged = merge_requests(batches)
+        intra = merged.intra.toarray()
+        assert intra.shape == (5, 5)
+        assert not intra[:2].any() and not intra[:, :2].any()
+        assert np.array_equal(intra[2:, 2:], batches[1].intra.toarray())
+        assert np.array_equal(merged.incremental.toarray(),
+                              source.incremental[:5].toarray())
+
+    def test_width_mismatch_is_a_serving_error(self, split, pad_incremental):
+        source = split.incremental_batch("test")
+        narrow = source.subset(np.arange(2))
+        wide = pad_incremental(source.subset(np.arange(2, 4)),
+                               split.original.num_nodes + 3)
+        with pytest.raises(ServingError, match="base widths"):
+            merge_requests([narrow, wide])
+
+
+class TestRequestAccounting:
+    def test_latency_covers_a_slow_merge(self, sgc, split, condensed,
+                                         monkeypatch):
+        """A micro-batch's compute time is its wall span, merge included."""
+        from repro.telemetry import TraceContext
+        runtime = _runtime(sgc, split, condensed, "synthetic",
+                           batch_mode="node")
+        merged_task = runtime._merged_task
+
+        def slow(requests):
+            time.sleep(0.005)
+            return merged_task(requests)
+
+        monkeypatch.setattr(runtime, "_merged_task", slow)
+        trace = TraceContext(trace_id="slow-merge")
+        future = runtime.submit(_stream(split.incremental_batch("test"),
+                                        1, 2)[0], trace=trace)
+        runtime.run_pending()
+        assert future.result().shape == (2, split.num_classes)
+        assert future.record.compute_seconds >= 0.005
+        assert future.record.latency_seconds >= 0.005
+        assert runtime.stats().latency_p50 >= 0.005
+        assert runtime.stats().compute_mean >= 0.005
+        serve = [span.seconds for span in trace.spans if span.stage == "serve"]
+        assert serve and serve[0] >= 0.005
+
+
+@pytest.fixture
+def containers(monkeypatch):
+    """Counts scipy CSR/CSC and COO constructions."""
+    import scipy.sparse._compressed as compressed
+    import scipy.sparse._coo as coo
+    counts = {"compressed": 0, "coo": 0}
+
+    def counting(cls, key):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            counts[key] += 1
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    counting(compressed._cs_matrix, "compressed")
+    counting(coo._coo_base, "coo")
+    return counts
+
+
+class TestRequestPathContainers:
+    """A node-mode predict through the runtime builds only the sparse
+    containers it multiplies with — no merge or copy churn."""
+
+    @pytest.mark.parametrize("deployment, burst, expected", (
+        ("synthetic", 1, 6), ("synthetic", 8, 14),
+        ("original", 1, 4), ("original", 8, 12)))
+    def test_container_count(self, sgc, split, condensed, deployment, burst,
+                             expected, containers):
+        runtime = _runtime(sgc, split, condensed, deployment,
+                           scheduler="sizecap", batch_mode="node",
+                           scheduler_options={"max_batch_size": 8})
+        stream = _stream(split.incremental_batch("test"), 9, 2)
+        runtime.submit(stream[0])
+        runtime.run_pending()  # warm every lazy cache first
+        containers.update(compressed=0, coo=0)
+        futures = [runtime.submit(task) for task in stream[1:1 + burst]]
+        assert runtime.run_pending() == burst
+        assert all(f.result() is not None for f in futures)
+        # the dataset's blocks are unsorted: admission copies each once
+        assert containers == {"compressed": expected, "coo": 0}
+
+    def test_canonical_input_is_admitted_without_a_copy(self, sgc, split,
+                                                        condensed, containers):
+        runtime = _runtime(sgc, split, condensed, "synthetic",
+                           batch_mode="node")
+        task = _stream(split.incremental_batch("test"), 1, 2)[0]
+        canonical = task.batch.incremental.copy()
+        canonical.sort_indices()
+        containers.update(compressed=0, coo=0)
+        request = runtime._build_request(ServeTask(IncrementalBatch(
+            features=task.batch.features, incremental=canonical,
+            intra=task.batch.intra, labels=task.batch.labels)))
+        assert request.incremental is canonical
+        assert request.intra is None
+        assert containers == {"compressed": 0, "coo": 0}
+        runtime._build_request(task)
+        assert containers == {"compressed": 1, "coo": 0}
