@@ -33,6 +33,7 @@ import scipy.sparse as sp
 from repro.errors import GraphError
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.graph import Graph
+from repro.graph.ops import _sorted_unique
 
 __all__ = ["GraphDelta", "DeltaEffect", "StreamingGraph", "splice_csr_rows",
            "csr_row_positions", "grow_buffer", "make_delta_trace"]
@@ -42,7 +43,7 @@ def csr_row_positions(indptr, rows: np.ndarray) -> np.ndarray:
     """Flat positions of the stored entries of ``rows``, in row order.
 
     The one copy of the start/cumsum gather arithmetic every row-wise
-    splice and refresh in the streaming stack shares.
+    gather and refresh in the streaming stack shares.
     """
     starts = indptr[rows].astype(np.int64)
     counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
@@ -201,20 +202,48 @@ class DeltaEffect:
 # ----------------------------------------------------------------------
 # Row splicing
 # ----------------------------------------------------------------------
-def _copy_rows(dst_indices, dst_data, dst_starts, src: sp.csr_matrix,
-               src_rows: np.ndarray) -> None:
-    """Copy ``src_rows`` of ``src`` into the destination arrays, each row
-    landing at its ``dst_starts`` offset."""
-    src_pos = csr_row_positions(src.indptr, src_rows)
-    if src_pos.size == 0:
-        return
-    counts = (src.indptr[src_rows + 1] - src.indptr[src_rows]).astype(np.int64)
-    rep = np.repeat(np.arange(src_rows.size, dtype=np.int64), counts)
-    within = (np.arange(src_pos.size, dtype=np.int64)
-              - np.repeat(np.cumsum(counts) - counts, counts))
-    dst_pos = dst_starts[rep] + within
-    dst_indices[dst_pos] = src.indices[src_pos]
-    dst_data[dst_pos] = src.data[src_pos]
+def _kept_row_runs(rows: np.ndarray,
+                   num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end rows of the ``[start, end)`` runs of
+    ``range(num_rows)`` between the strictly increasing ``rows``: one
+    before each of them and one after the last (runs may be empty)."""
+    return (np.concatenate(([0], rows + 1)),
+            np.concatenate((rows, [num_rows])))
+
+
+def _splice_rows(matrix: sp.csr_matrix, rows: np.ndarray, data: np.ndarray,
+                 indices: np.ndarray, indptr: np.ndarray,
+                 width: int) -> sp.csr_matrix:
+    """:func:`splice_csr_rows` on raw block arrays: the first
+    ``len(rows)`` rows of ``(data, indices, indptr)`` replace ``rows``,
+    any further rows are appended.  The result is one concatenation of
+    slices: runs of kept rows interleaved with the block's rows."""
+    block_counts = np.diff(indptr)
+    counts = np.diff(matrix.indptr).astype(np.int64)
+    counts[rows] = block_counts[:rows.size]
+    out_indptr = np.concatenate(
+        ([0], np.cumsum(np.concatenate((counts, block_counts[rows.size:])))))
+    # the index dtype scipy would pick, so its constructor neither scans
+    # nor copies the arrays
+    index_dtype = (np.int32 if max(int(out_indptr[-1]), out_indptr.size, width)
+                   < np.iinfo(np.int32).max else np.int64)
+    cuts = indptr.tolist()
+    # block row i follows kept run i; the appended rows follow the last run
+    block_spans = zip(cuts[:rows.size + 1], cuts[1:rows.size + 1] + cuts[-1:])
+    starts, ends = _kept_row_runs(rows, matrix.shape[0])
+    kept_spans = zip(matrix.indptr[starts].tolist(),
+                     matrix.indptr[ends].tolist())
+    index_parts, data_parts = [], []
+    for (start, end), (lo, hi) in zip(kept_spans, block_spans):
+        index_parts += (matrix.indices[start:end], indices[lo:hi])
+        data_parts += (matrix.data[start:end], data[lo:hi])
+    out = sp.csr_matrix(
+        (np.concatenate(data_parts, dtype=np.float64),
+         np.concatenate(index_parts, dtype=index_dtype),
+         out_indptr.astype(index_dtype)),
+        shape=(out_indptr.size - 1, width))
+    out.has_sorted_indices = True
+    return out
 
 
 def splice_csr_rows(matrix: sp.csr_matrix, rows: np.ndarray,
@@ -222,11 +251,11 @@ def splice_csr_rows(matrix: sp.csr_matrix, rows: np.ndarray,
                     append: sp.csr_matrix | None = None) -> sp.csr_matrix:
     """Replace ``rows`` of ``matrix`` with the rows of ``block``.
 
-    Untouched rows keep their index/data bytes verbatim (structural
-    sharing at row granularity); the column dimension may widen to
+    Untouched rows keep their index/data bytes verbatim (copied as whole
+    runs between replaced rows); the column dimension may widen to
     ``num_cols`` and ``append`` rows may be stacked at the bottom.
-    ``rows`` must be sorted unique and ``block`` must hold ``len(rows)``
-    canonical (column-sorted) rows.
+    ``rows`` must be strictly increasing and ``block`` must hold
+    ``len(rows)`` canonical (column-sorted) rows.
     """
     rows = np.asarray(rows, dtype=np.int64)
     num_rows = matrix.shape[0]
@@ -236,32 +265,16 @@ def splice_csr_rows(matrix: sp.csr_matrix, rows: np.ndarray,
     if rows.size != block.shape[0]:
         raise GraphError(
             f"{rows.size} rows to replace but block has {block.shape[0]}")
-    if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+    if rows.size > 1 and np.any(rows[1:] <= rows[:-1]):
+        raise GraphError("replacement rows must be strictly increasing")
+    if rows.size and (rows[0] < 0 or rows[-1] >= num_rows):
         raise GraphError(f"replacement rows out of range [0, {num_rows})")
-    counts = np.diff(matrix.indptr).astype(np.int64)
-    counts[rows] = np.diff(block.indptr).astype(np.int64)
-    append_counts = (np.diff(append.indptr).astype(np.int64)
-                     if append is not None else np.empty(0, np.int64))
-    all_counts = np.concatenate([counts, append_counts])
-    total_rows = num_rows + append_counts.size
-    indptr = np.zeros(total_rows + 1, dtype=np.int64)
-    np.cumsum(all_counts, out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz, dtype=np.float64)
-
-    kept = np.ones(num_rows, dtype=bool)
-    kept[rows] = False
-    kept_rows = np.flatnonzero(kept)
-    _copy_rows(indices, data, indptr[kept_rows], matrix, kept_rows)
-    _copy_rows(indices, data, indptr[rows], block,
-               np.arange(rows.size, dtype=np.int64))
-    if append is not None and append_counts.size:
-        _copy_rows(indices, data, indptr[num_rows:num_rows + append.shape[0]],
-                   append, np.arange(append.shape[0], dtype=np.int64))
-    out = sp.csr_matrix((data, indices, indptr), shape=(total_rows, width))
-    out.has_sorted_indices = True
-    return out
+    data, indices, indptr = block.data, block.indices, block.indptr
+    if append is not None and append.shape[0]:
+        data = np.concatenate((data, append.data))
+        indices = np.concatenate((indices, append.indices))
+        indptr = np.concatenate((indptr, append.indptr[1:] + indptr[-1]))
+    return _splice_rows(matrix, rows, data, indices, indptr, width)
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +366,8 @@ class StreamingGraph:
             raise GraphError(
                 "a delta may not add and remove the same edge")
 
-        touched = np.unique(np.concatenate(
-            [add[:, 0], remove[:, 0], np.arange(old_n, new_n)]))
+        touched = _sorted_unique(np.concatenate(
+            [add[:, 0], remove[:, 0], np.arange(old_n, new_n)]), new_n)
         touched_existing = touched[touched < old_n]
 
         replaced = self._rebuilt_rows(graph.adjacency, touched_existing, add,
@@ -375,8 +388,8 @@ class StreamingGraph:
         self.version += 1
         feature_rows = np.arange(old_n, new_n)
         if delta.update_index is not None:
-            feature_rows = np.unique(np.concatenate(
-                [delta.update_index, feature_rows]))
+            feature_rows = _sorted_unique(np.concatenate(
+                [delta.update_index, feature_rows]), new_n)
         return DeltaEffect(self.graph, touched, feature_rows, m, new_n,
                            replaced_block=replaced,
                            appended_block=appended_block)
@@ -390,21 +403,21 @@ class StreamingGraph:
         summed with ``np.add.reduceat`` — deterministic, column-sorted,
         no intermediate scipy matrices.
         """
+        member = np.zeros(new_n, dtype=bool)
+        member[rows] = True
         if adjacency is not None and rows.size:
-            start = adjacency.indptr[rows].astype(np.int64)
-            cnt = (adjacency.indptr[rows + 1] - adjacency.indptr[rows]
-                   ).astype(np.int64)
-            total = int(cnt.sum())
-            rep = np.repeat(np.arange(rows.size, dtype=np.int64), cnt)
-            src = (start[rep] + np.arange(total, dtype=np.int64)
-                   - np.repeat(np.cumsum(cnt) - cnt, cnt))
+            src = csr_row_positions(adjacency.indptr, rows)
+            rep = np.repeat(np.arange(rows.size, dtype=np.int64),
+                            adjacency.indptr[rows + 1] - adjacency.indptr[rows])
             old_cols = adjacency.indices[src].astype(np.int64)
             old_vals = adjacency.data[src]
             if remove_keys.size:
-                hit = np.isin(rows[rep] * new_n + old_cols, remove_keys)
+                # a canonical row's entry keys are unique, and a repeated
+                # remove key can only flag an entry, never unflag one
+                hit = np.isin(rows[rep] * new_n + old_cols, remove_keys,
+                              assume_unique=True)
                 if check_removals:
-                    expected = int(
-                        np.isin(remove_keys // new_n, rows).sum())
+                    expected = int(member[remove_keys // new_n].sum())
                     if int(hit.sum()) != expected:
                         raise GraphError(
                             "remove_edges references edges the graph does "
@@ -416,7 +429,7 @@ class StreamingGraph:
             old_cols = np.empty(0, np.int64)
             old_vals = np.empty(0, np.float64)
         if add.size:
-            sel = np.isin(add[:, 0], rows)
+            sel = member[add[:, 0]]
             if sel.any():
                 rep = np.concatenate(
                     [rep, np.searchsorted(rows, add[sel, 0])])
@@ -527,12 +540,15 @@ def make_delta_trace(base: Graph, batch: IncrementalBatch, *,
         adj = sim.graph.adjacency
         remove_edges = None
         if removals_per_delta:
-            upper = sp.triu(adj, k=1).tocoo()
-            if upper.nnz:
-                take = min(removals_per_delta, upper.nnz)
-                picks = rng.choice(upper.nnz, size=take, replace=False)
+            # strictly-upper entries in row-major order, straight from CSR
+            row_of = np.repeat(np.arange(old_n), np.diff(adj.indptr))
+            upper = np.flatnonzero(adj.indices > row_of)
+            if upper.size:
+                take = min(removals_per_delta, upper.size)
+                picks = upper[rng.choice(upper.size, size=take,
+                                         replace=False)]
                 remove_edges = np.column_stack(
-                    [upper.row[picks], upper.col[picks]])
+                    [row_of[picks], adj.indices[picks]])
         if edges_per_delta:
             endpoints = rng.integers(0, old_n, size=(edges_per_delta, 2))
             endpoints = endpoints[endpoints[:, 0] != endpoints[:, 1]]

@@ -154,3 +154,12 @@ def test_symmetric_normalization_spectral_radius_property(n):
     adj = ring(n)
     norm = symmetric_normalize(adj).toarray()
     assert np.abs(np.linalg.eigvalsh(norm)).max() <= 1.0 + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=50), max_size=40))
+def test_sorted_unique_matches_np_unique(ids):
+    from repro.graph.ops import _sorted_unique
+
+    ids = np.asarray(ids, dtype=np.int64)
+    assert np.array_equal(_sorted_unique(ids, 51), np.unique(ids))

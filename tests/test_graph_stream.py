@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graph import Graph
@@ -223,6 +224,85 @@ class TestSpliceCsrRows:
         with pytest.raises(GraphError, match="rows to replace"):
             splice_csr_rows(matrix, np.array([0, 1]), sp.csr_matrix((1, 3)))
 
+    @pytest.mark.parametrize("rows", ([2, 2], [3, 1]))
+    def test_rows_must_be_strictly_increasing(self, rows):
+        """A repeated row would silently drop a block row; an unsorted one
+        would land block rows out of place — both are rejected."""
+        matrix = sp.csr_matrix(np.eye(5))
+        block = sp.csr_matrix(np.ones((2, 5)))
+        with pytest.raises(GraphError, match="strictly increasing"):
+            splice_csr_rows(matrix, np.array(rows), block)
+
+    @pytest.mark.parametrize("rows, appended, widen", (
+        ([0], 0, 0),            # first row
+        ([7], 0, 0),            # last row
+        ([3, 4, 5], 0, 0),      # adjacent rows
+        ([0, 7], 2, 3),         # both ends, append, widened
+        ([], 0, 0),             # empty row set
+        ([], 3, 2),             # append-only splice
+        ([1, 2, 6], 1, 1),      # adjacent pair plus a lone row
+    ))
+    @pytest.mark.parametrize("dtype", (np.int32, np.int64))
+    def test_named_cases_match_vstack_oracle(self, rows, appended, widen,
+                                             dtype):
+        rng = np.random.default_rng(len(rows) + appended + widen)
+        matrix = _canonical_random(rng, 8, 6, dtype, empty_rows=(2, 5))
+        width = 6 + widen
+        block = _canonical_random(rng, len(rows), width, dtype,
+                                  empty_rows=(0,))
+        append = (_canonical_random(rng, appended, width, dtype)
+                  if appended else None)
+        _assert_splice_matches_oracle(matrix, np.array(rows, dtype=np.int64),
+                                      block, width, append)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_splice_matches_vstack_oracle(self, data):
+        num_rows = data.draw(st.integers(1, 10))
+        num_cols = data.draw(st.integers(1, 8))
+        width = num_cols + data.draw(st.integers(0, 3))
+        dtype = data.draw(st.sampled_from((np.int32, np.int64)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        replaced = data.draw(st.lists(st.booleans(), min_size=num_rows,
+                                      max_size=num_rows))
+        rows = np.flatnonzero(replaced)
+        appended = data.draw(st.integers(0, 3))
+        matrix = _canonical_random(rng, num_rows, num_cols, dtype)
+        block = _canonical_random(rng, rows.size, width, dtype)
+        append = (_canonical_random(rng, appended, width, dtype)
+                  if appended else None)
+        _assert_splice_matches_oracle(matrix, rows, block, width, append)
+
+
+def _canonical_random(rng, num_rows, num_cols, dtype, empty_rows=()):
+    """A canonical CSR matrix whose index arrays have ``dtype``."""
+    dense = rng.uniform(0.5, 2.0, (num_rows, num_cols))
+    dense[rng.random((num_rows, num_cols)) < 0.5] = 0.0
+    dense[[row for row in empty_rows if row < num_rows]] = 0.0
+    matrix = sp.csr_matrix(dense)
+    matrix.indices = matrix.indices.astype(dtype)
+    matrix.indptr = matrix.indptr.astype(dtype)
+    return matrix
+
+
+def _assert_splice_matches_oracle(matrix, rows, block, width, append):
+    """Bitwise comparison with the splice rebuilt by ``sp.vstack`` of
+    one-row slices."""
+    wide = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                         shape=(matrix.shape[0], width))
+    position = {int(row): i for i, row in enumerate(rows)}
+    pieces = [block[position[i]:position[i] + 1] if i in position
+              else wide[i:i + 1] for i in range(matrix.shape[0])]
+    if append is not None:
+        pieces.append(append)
+    want = sp.vstack(pieces, format="csr")
+    out = splice_csr_rows(matrix, rows, block, num_cols=width, append=append)
+    assert out.shape == want.shape
+    assert out.has_sorted_indices
+    assert np.array_equal(out.indptr, want.indptr)
+    assert np.array_equal(out.indices, want.indices)
+    assert np.array_equal(out.data, want.data)
+
 
 class TestMakeDeltaTrace:
     def test_deterministic_and_exact_cover(self, tiny_split):
@@ -261,3 +341,68 @@ class TestMakeDeltaTrace:
         with pytest.raises(GraphError, match="holds"):
             make_delta_trace(tiny_split.original, batch, num_deltas=4,
                              nodes_per_delta=2)
+
+    @pytest.mark.parametrize("removals", (1, 3))
+    @pytest.mark.parametrize("seed", (0, 4, 9))
+    def test_removal_picks_match_triu_oracle(self, tiny_split, seed,
+                                             removals):
+        """Removals are picked from the strictly-upper entries in
+        row-major order, exactly as from ``sp.triu(adj, k=1).tocoo()``."""
+        batch = tiny_split.incremental_batch("test")
+        kwargs = dict(num_deltas=6, nodes_per_delta=2, edges_per_delta=3,
+                      removals_per_delta=removals, updates_per_delta=2,
+                      seed=seed)
+        trace = make_delta_trace(tiny_split.original, batch, **kwargs)
+        oracle = _triu_reference_trace(tiny_split.original, batch, **kwargs)
+        for got, want in zip(trace, oracle, strict=True):
+            assert np.array_equal(got.remove_edges, want.remove_edges)
+            assert np.array_equal(got.add_edges, want.add_edges)
+            assert np.array_equal(got.add_weights, want.add_weights)
+            assert np.array_equal(got.update_index, want.update_index)
+            assert np.array_equal(got.update_features, want.update_features)
+
+
+def _triu_reference_trace(base, batch, *, num_deltas, nodes_per_delta,
+                          edges_per_delta, removals_per_delta,
+                          updates_per_delta, seed, update_scale=0.05):
+    """:func:`make_delta_trace` with its removals drawn from a whole-matrix
+    ``sp.triu(adj, k=1).tocoo()``, the same random stream otherwise."""
+    rng = np.random.default_rng(seed)
+    sim = StreamingGraph(base.copy())
+    deltas = []
+    for step in range(num_deltas):
+        old_n = sim.num_nodes
+        sel = np.arange(step * nodes_per_delta, (step + 1) * nodes_per_delta)
+        inc = batch.incremental[sel].tocoo()
+        intra = sp.triu(batch.intra[sel][:, sel], k=1).tocoo()
+        rows = [np.column_stack([inc.row + old_n, inc.col])]
+        vals = [inc.data]
+        if intra.nnz:
+            rows.append(np.column_stack([intra.row + old_n,
+                                         intra.col + old_n]))
+            vals.append(intra.data)
+        upper = sp.triu(sim.graph.adjacency, k=1).tocoo()
+        picks = rng.choice(upper.nnz, size=min(removals_per_delta, upper.nnz),
+                           replace=False)
+        remove_edges = np.column_stack([upper.row[picks], upper.col[picks]])
+        endpoints = rng.integers(0, old_n, size=(edges_per_delta, 2))
+        endpoints = endpoints[endpoints[:, 0] != endpoints[:, 1]]
+        lo = np.minimum(endpoints[:, 0], endpoints[:, 1])
+        hi = np.maximum(endpoints[:, 0], endpoints[:, 1])
+        removed_keys = remove_edges[:, 0] * old_n + remove_edges[:, 1]
+        endpoints = endpoints[~np.isin(lo * old_n + hi, removed_keys)]
+        if endpoints.size:
+            rows.append(endpoints)
+            vals.append(np.ones(endpoints.shape[0], dtype=np.float64))
+        update_index = np.sort(rng.choice(
+            old_n, size=min(updates_per_delta, old_n), replace=False))
+        drift = rng.standard_normal(
+            (update_index.size, base.feature_dim)) * update_scale
+        delta = GraphDelta(
+            add_features=batch.features[sel], add_labels=batch.labels[sel],
+            add_edges=np.vstack(rows), add_weights=np.concatenate(vals),
+            remove_edges=remove_edges, update_index=update_index,
+            update_features=sim.graph.features[update_index] + drift)
+        sim.apply(delta)
+        deltas.append(delta)
+    return deltas

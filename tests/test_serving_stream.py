@@ -20,8 +20,10 @@ def sgc(tiny_split):
 
 
 def _random_delta(stream: StreamingGraph, batch, cursor: int, rng,
-                  *, append: bool = True):
-    """One random-but-valid delta against the stream's current state."""
+                  *, append: bool = True, symmetric: bool = True):
+    """One random-but-valid delta against the stream's current state; a
+    directed one (``symmetric=False``) changes single entries, so the
+    graph drifts away from symmetric."""
     n = stream.num_nodes
     add_edges = rng.integers(0, n, size=(3, 2))
     add_edges = add_edges[add_edges[:, 0] != add_edges[:, 1]]
@@ -34,9 +36,12 @@ def _random_delta(stream: StreamingGraph, batch, cursor: int, rng,
         inc = batch.incremental[sel].tocoo()
         rows.append(np.column_stack([inc.row + n, inc.col]))
         vals.append(inc.data)
-    upper = sp.triu(stream.graph.adjacency, k=1).tocoo()
-    picks = rng.choice(upper.nnz, size=2, replace=False)
-    remove = np.column_stack([upper.row[picks], upper.col[picks]])
+    adjacency = stream.graph.adjacency
+    # a symmetric removal needs the entry in both directions
+    pool = (sp.triu(adjacency.minimum(adjacency.T), k=1) if symmetric
+            else sp.triu(adjacency, k=1) + sp.tril(adjacency, k=-1)).tocoo()
+    picks = rng.choice(pool.nnz, size=2, replace=False)
+    remove = np.column_stack([pool.row[picks], pool.col[picks]])
     added = np.vstack(rows)
     lo = np.minimum(added[:, 0], added[:, 1])
     hi = np.maximum(added[:, 0], added[:, 1])
@@ -51,7 +56,8 @@ def _random_delta(stream: StreamingGraph, batch, cursor: int, rng,
         remove_edges=remove,
         update_index=update_index,
         update_features=stream.graph.features[update_index]
-        + rng.standard_normal((3, batch.features.shape[1])) * 0.1)
+        + rng.standard_normal((3, batch.features.shape[1])) * 0.1,
+        symmetric=symmetric)
 
 
 def _assert_prepared_parity(evolved: PreparedDeployment,
@@ -158,6 +164,73 @@ class TestApplyDeltaParity:
                     assert np.array_equal(logits, expected)
                     assert memory == other_memory
         assert prepared.num_base == tiny_split.original.num_nodes + 12
+
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    def test_long_mixed_direction_sequence_stays_exact(self, tiny_split,
+                                                       k_hops):
+        """Forty incremental refreshes, symmetric and directed deltas
+        interleaved, each bitwise equal to a fresh prepare()."""
+        model = make_model("sgc", tiny_split.original.feature_dim,
+                           tiny_split.num_classes, seed=0, k_hops=k_hops)
+        rng = np.random.default_rng(10 + k_hops)
+        batch = tiny_split.incremental_batch("test")
+        prepared = PreparedDeployment(model, "original", tiny_split.original)
+        prepared.base_operator()
+        prepared.propagated_base_features()
+        prepared.warm_base()
+        reference = StreamingGraph(tiny_split.original.copy())
+        probe = batch.subset(np.arange(60, 64))
+        cursor = 0
+        for step in range(40):
+            delta = _random_delta(reference, batch, cursor, rng,
+                                  append=step % 2 == 0,
+                                  symmetric=step % 3 != 1)
+            cursor += delta.num_new_nodes
+            report = prepared.apply_delta(delta, staleness_threshold=1.0)
+            assert report.mode == "incremental"
+            reference.apply(delta)
+            fresh = PreparedDeployment(model, "original", reference.graph)
+            _assert_prepared_parity(prepared, fresh, probe,
+                                    ("graph", "node")[step % 2])
+        adjacency = reference.graph.adjacency
+        assert (adjacency != adjacency.T).nnz  # the directed deltas landed
+
+    @pytest.mark.parametrize("k_hops, built", ((1, 6), (2, 7), (3, 8)))
+    def test_incremental_delta_sparse_constructions(self, tiny_split, k_hops,
+                                                    built, monkeypatch):
+        """An incremental original-graph delta with warm caches builds one
+        CSR matrix per refreshed object: the stream's rebuilt-rows and
+        appended blocks and its spliced adjacency, the spliced
+        ``base_loops``, the respliced operator, and one row gather per
+        hop — never more than eight."""
+        from scipy.sparse._compressed import _cs_matrix
+
+        model = make_model("sgc", tiny_split.original.feature_dim,
+                           tiny_split.num_classes, seed=0, k_hops=k_hops)
+        batch = tiny_split.incremental_batch("test")
+        trace = make_delta_trace(tiny_split.original, batch, num_deltas=5,
+                                 nodes_per_delta=2, edges_per_delta=3,
+                                 removals_per_delta=2, updates_per_delta=2,
+                                 seed=k_hops)
+        prepared = PreparedDeployment(model, "original", tiny_split.original)
+        prepared.base_operator()
+        prepared.propagated_base_features()
+        prepared.warm_base()
+        prepared.apply_delta(trace[0], staleness_threshold=1.0)  # opens the stream
+        constructed = []
+        init = _cs_matrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counting_init)
+        for delta in trace[1:]:
+            constructed.clear()
+            report = prepared.apply_delta(delta, staleness_threshold=1.0)
+            assert report.mode == "incremental"
+            assert len(constructed) == built
+        assert built <= 8
 
     def test_forced_rebuild_matches_incremental(self, tiny_split, sgc):
         batch = tiny_split.incremental_batch("test")
