@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from repro.errors import ArtifactError, CondensationError
 from repro.graph.datasets import InductiveSplit
 from repro.graph.graph import Graph
-from repro.graph.ops import dense_symmetric_normalize
+from repro.graph.ops import canonical_csr, dense_symmetric_normalize
 from repro.tensor.sparse import dense_memory_bytes, sparse_memory_bytes
 from repro.utils.artifacts import normalize_npz_path, open_npz_archive, save_npz
 
@@ -72,7 +72,7 @@ class CondensedGraph:
                 f"{self.adjacency.shape[0]}, {self.features.shape[0]}, "
                 f"{self.labels.shape[0]}")
         if self.mapping is not None:
-            self.mapping = self.mapping.tocsr().astype(np.float64)
+            self.mapping = canonical_csr(self.mapping)
             if self.mapping.shape[1] != n:
                 raise CondensationError(
                     f"mapping columns ({self.mapping.shape[1]}) != N' ({n})")

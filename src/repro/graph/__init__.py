@@ -2,17 +2,13 @@
 
 from repro.graph.graph import Graph
 from repro.graph.ops import (
+    canonical_csr,
     add_self_loops,
     remove_self_loops,
     symmetric_normalize,
-    row_normalize,
-    normalize_adjacency,
-    symmetrize,
     dense_symmetric_normalize,
     edge_homophily,
-    connected_components_count,
     adjacency_from_edges,
-    laplacian,
 )
 from repro.graph.incremental import (
     AttachedGraph,
@@ -50,10 +46,9 @@ from repro.graph.partition import (
 
 __all__ = [
     "Graph",
-    "add_self_loops", "remove_self_loops", "symmetric_normalize",
-    "row_normalize", "normalize_adjacency", "symmetrize",
-    "dense_symmetric_normalize", "edge_homophily",
-    "connected_components_count", "adjacency_from_edges", "laplacian",
+    "canonical_csr", "add_self_loops", "remove_self_loops",
+    "symmetric_normalize", "dense_symmetric_normalize", "edge_homophily",
+    "adjacency_from_edges",
     "AttachedGraph", "attach_to_original", "attach_to_synthetic",
     "convert_connections",
     "SbmConfig", "generate_sbm_graph", "smooth_features",

@@ -54,8 +54,11 @@ class Graph:
         if feats.shape[0] != adj.shape[0]:
             raise GraphError(
                 f"feature rows ({feats.shape[0]}) != number of nodes ({adj.shape[0]})")
-        if adj.nnz and adj.data.min() < 0:
-            raise GraphError("adjacency weights must be non-negative")
+        # ``min`` is NaN when any weight is, and NaN >= 0 is False
+        if adj.nnz and not (adj.data.min() >= 0
+                            and np.isfinite(adj.data.max())):
+            raise GraphError(
+                "adjacency weights must be non-negative and finite")
 
         self.adjacency: sp.csr_matrix = adj
         self.features: np.ndarray = feats

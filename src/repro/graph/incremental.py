@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphError
+from repro.graph.ops import canonical_csr
 
 __all__ = ["AttachedGraph", "attach_to_original", "attach_to_synthetic",
            "convert_connections"]
@@ -54,16 +55,6 @@ class AttachedGraph:
         return np.arange(self.base_size, self.base_size + self.num_new)
 
 
-def _as_csr(matrix, shape: tuple[int, int], name: str) -> sp.csr_matrix:
-    if matrix is None:
-        return sp.csr_matrix(shape, dtype=np.float64)
-    csr = matrix.tocsr().astype(np.float64) if sp.issparse(matrix) else sp.csr_matrix(
-        np.asarray(matrix, dtype=np.float64))
-    if csr.shape != shape:
-        raise GraphError(f"{name} has shape {csr.shape}, expected {shape}")
-    return csr
-
-
 def attach_to_original(
     base_adjacency: sp.spmatrix,
     base_features: np.ndarray,
@@ -87,13 +78,15 @@ def attach_to_original(
         Optional ``(n, n)`` adjacency ``ea`` among inductive nodes (graph
         batch); ``None`` means the node-batch setting (zero matrix).
     """
-    base = (base_adjacency.tocsr().astype(np.float64)
-            if sp.issparse(base_adjacency)
-            else sp.csr_matrix(np.asarray(base_adjacency, dtype=np.float64)))
+    base = canonical_csr(base_adjacency)
     num_base = base.shape[0]
     new_feats = np.asarray(new_features, dtype=np.float64)
-    num_new = new_feats.shape[0]
     base_feats = np.asarray(base_features, dtype=np.float64)
+    if new_feats.ndim != 2 or base_feats.ndim != 2:
+        raise GraphError(
+            f"features must be 2-D: base {base_feats.shape}, "
+            f"new {new_feats.shape}")
+    num_new = new_feats.shape[0]
     if base_feats.shape[0] != num_base:
         raise GraphError(
             f"base features rows ({base_feats.shape[0]}) != base nodes ({num_base})")
@@ -101,72 +94,27 @@ def attach_to_original(
         raise GraphError(
             f"feature dims differ: base {base_feats.shape[1]} "
             f"vs new {new_feats.shape[1]}")
-    inc = _as_csr(incremental, (num_new, num_base), "incremental adjacency")
-    ea = _as_csr(intra, (num_new, num_new), "intra adjacency")
+    inc = canonical_csr(incremental, (num_new, num_base),
+                        name="incremental adjacency")
+    ea = canonical_csr(intra, (num_new, num_new), name="intra adjacency")
     augmented = sp.bmat([[base, inc.T], [inc, ea]], format="csr")
     features = np.vstack([base_feats, new_feats])
     return AttachedGraph(augmented, features, num_base, num_new)
 
 
-def _canonical_incremental(incremental, dedup: str) -> sp.csr_matrix:
-    """Canonicalize the raw incremental adjacency under a dedup policy.
-
-    Edge feeds (COO triplet lists, logs of arrivals) can name the same
-    ``(row, col)`` pair more than once.  Before this was made explicit,
-    duplicated pairs were silently *summed* by the CSR conversion —
-    double-counting what the producer meant as one edge.  The policy is
-    now a named choice:
-
-    - ``"sum"`` (default) — duplicates accumulate weight, canonicalized
-      with ``sum_duplicates()`` so the ``a @ M`` accumulation order is
-      deterministic.  This keeps the historical Eq. (11) semantics for
-      genuinely weighted multi-edges.  A float64 CSR input already in
-      canonical form is returned as it is; anything else is canonicalized
-      in a copy, so the caller's arrays are never written.
-    - ``"distinct"`` — duplicated pairs collapse to a single edge keeping
-      the largest weight (for 0/1 adjacencies: exactly one edge), the
-      right policy for at-least-once edge feeds.
-    """
-    if dedup not in ("sum", "distinct"):
-        raise GraphError(f"dedup must be 'sum' or 'distinct', got {dedup!r}")
-    if not sp.issparse(incremental):
-        # a dense array cannot express duplicate entries
-        return sp.csr_matrix(np.asarray(incremental, dtype=np.float64))
-    if dedup == "sum":
-        inc = incremental.tocsr()
-        if inc.dtype == np.float64 and inc.has_canonical_format:
-            return inc
-        inc = inc.astype(np.float64)
-        inc.sum_duplicates()
-        return inc
-    coo = incremental.tocoo()
-    if coo.nnz == 0:
-        return sp.csr_matrix(coo.shape, dtype=np.float64)
-    order = np.lexsort((coo.data, coo.col, coo.row))
-    row, col = coo.row[order], coo.col[order]
-    data = coo.data.astype(np.float64)[order]
-    # the last entry of each sorted duplicate run holds the max weight
-    last = np.ones(order.size, dtype=bool)
-    last[:-1] = (row[:-1] != row[1:]) | (col[:-1] != col[1:])
-    return sp.csr_matrix((data[last], (row[last], col[last])), shape=coo.shape)
-
-
 def convert_connections(incremental: sp.spmatrix,
-                        mapping: np.ndarray | sp.spmatrix, *,
-                        dedup: str = "sum") -> sp.csr_matrix:
+                        mapping: np.ndarray | sp.spmatrix) -> sp.csr_matrix:
     """Compute the converted connections ``aM`` of Eq. (11).
 
     ``incremental`` is the ``(n, N)`` incremental adjacency into the original
     graph; ``mapping`` is the ``(N, N')`` mapping matrix.  Returns a sparse
     ``(n, N')`` matrix of weighted edges onto the synthetic nodes.
 
-    ``dedup`` names the policy for duplicated ``(row, col)`` entries in
-    the raw input (see :func:`_canonical_incremental`): ``"sum"``
-    accumulates them, ``"distinct"`` collapses them to one edge.  Either
-    way the input is canonicalized first, so duplicate entries can no
-    longer be double-counted silently by the CSR conversion.
+    The input is brought to :func:`~repro.graph.ops.canonical_csr` form
+    first: duplicated ``(row, col)`` entries are summed (a weighted
+    multi-edge), and the ``a @ M`` accumulation order is deterministic.
     """
-    inc = _canonical_incremental(incremental, dedup)
+    inc = canonical_csr(incremental)
     if not sp.issparse(mapping):
         mapping = np.asarray(mapping, dtype=np.float64)
     if inc.shape[1] != mapping.shape[0]:
@@ -190,16 +138,13 @@ def attach_to_synthetic(
     new_features: np.ndarray,
     mapping: np.ndarray | sp.spmatrix,
     intra: sp.spmatrix | None = None,
-    dedup: str = "sum",
 ) -> AttachedGraph:
     """Eq. (11): append inductive nodes to the *synthetic* graph via ``aM``.
 
     Parameters mirror :func:`attach_to_original`, except the base graph is
     the synthetic one (``A'``, ``X'``) and ``mapping`` is the learned
     ``(N, N')`` matrix used to convert the incremental adjacency.
-    ``dedup`` is the duplicate-entry policy forwarded to
-    :func:`convert_connections`.
     """
-    converted = convert_connections(incremental, mapping, dedup=dedup)
+    converted = convert_connections(incremental, mapping)
     return attach_to_original(
         synthetic_adjacency, synthetic_features, converted, new_features, intra)

@@ -56,7 +56,6 @@ def from_networkx(nx_graph: nx.Graph, feature_key: str = "x",
         weights.extend((weight, weight))
     adjacency = sp.coo_matrix((weights, (rows, cols)),
                               shape=(len(nodes), len(nodes))).tocsr()
-    adjacency.sum_duplicates()
     label_array = np.asarray(labels, dtype=np.int64) if labelled else None
     return Graph(adjacency, feature_matrix, label_array)
 

@@ -14,17 +14,13 @@ import scipy.sparse as sp
 from repro.errors import GraphError
 
 __all__ = [
+    "canonical_csr",
     "add_self_loops",
     "remove_self_loops",
     "symmetric_normalize",
-    "row_normalize",
-    "normalize_adjacency",
-    "symmetrize",
     "dense_symmetric_normalize",
     "edge_homophily",
-    "connected_components_count",
     "adjacency_from_edges",
-    "laplacian",
 ]
 
 
@@ -42,11 +38,37 @@ def _sorted_unique(ids: np.ndarray, size: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def add_self_loops(adjacency: sp.spmatrix, weight: float = 1.0) -> sp.csr_matrix:
-    """Return ``A + weight * I`` (existing diagonal entries are replaced)."""
+def canonical_csr(matrix, shape: tuple[int, int] | None = None, *,
+                  name: str = "matrix") -> sp.csr_matrix:
+    """``matrix`` as float64 CSR with duplicates summed and indices sorted.
+
+    The one canonical form of the Eq. 3 / Eq. 11 inputs (the incremental
+    ``a``, the intra ``ea``, the mapping ``M`` and the deployed base).
+    Explicit zeros are kept.  A float64 CSR matrix already in that form is
+    returned as it is; anything else is converted into fresh arrays, so
+    the caller's are never written.  ``None`` is the empty matrix of
+    ``shape`` and a 1-D dense input is one row.
+    """
+    if matrix is None:
+        return sp.csr_matrix(shape, dtype=np.float64)
+    if sp.issparse(matrix):
+        csr = matrix.tocsr()
+    else:
+        csr = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
+    if shape is not None and csr.shape != tuple(shape):
+        raise GraphError(f"{name} has shape {csr.shape}, expected {shape}")
+    if csr.dtype != np.float64 or not csr.has_canonical_format:
+        # a copy when ``tocsr`` handed back the caller's own arrays
+        csr = csr.astype(np.float64, copy=csr is matrix)
+        csr.sum_duplicates()
+    return csr
+
+
+def add_self_loops(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """Return ``A + I`` (existing diagonal entries are replaced)."""
     _require_square(adjacency)
     adj = remove_self_loops(adjacency)
-    eye = sp.identity(adj.shape[0], format="csr", dtype=np.float64) * weight
+    eye = sp.identity(adj.shape[0], format="csr", dtype=np.float64)
     return (adj + eye).tocsr()
 
 
@@ -58,12 +80,6 @@ def remove_self_loops(adjacency: sp.spmatrix) -> sp.csr_matrix:
     adj.eliminate_zeros()
     return adj
 
-
-def symmetrize(adjacency: sp.spmatrix) -> sp.csr_matrix:
-    """Make the adjacency symmetric via ``max(A, A^T)``."""
-    _require_square(adjacency)
-    adj = adjacency.tocsr().astype(np.float64)
-    return adj.maximum(adj.T).tocsr()
 
 
 def symmetric_normalize(adjacency: sp.spmatrix,
@@ -80,26 +96,6 @@ def symmetric_normalize(adjacency: sp.spmatrix,
     return (scale @ adj @ scale).tocsr()
 
 
-def row_normalize(adjacency: sp.spmatrix, self_loops: bool = False) -> sp.csr_matrix:
-    """Random-walk normalization ``D^{-1} A`` used by label propagation."""
-    _require_square(adjacency)
-    adj = (add_self_loops(adjacency) if self_loops
-           else adjacency.tocsr().astype(np.float64))
-    degree = np.asarray(adj.sum(axis=1)).reshape(-1)
-    inv = np.zeros_like(degree)
-    positive = degree > 0
-    inv[positive] = 1.0 / degree[positive]
-    return (sp.diags(inv) @ adj).tocsr()
-
-
-def normalize_adjacency(adjacency: sp.spmatrix, method: str = "sym",
-                        self_loops: bool = True) -> sp.csr_matrix:
-    """Dispatch to symmetric or row normalization by name."""
-    if method == "sym":
-        return symmetric_normalize(adjacency, self_loops=self_loops)
-    if method == "row":
-        return row_normalize(adjacency, self_loops=self_loops)
-    raise GraphError(f"unknown normalization method {method!r}; use 'sym' or 'row'")
 
 
 def dense_symmetric_normalize(adjacency: np.ndarray,
@@ -132,12 +128,6 @@ def edge_homophily(adjacency: sp.spmatrix, labels: np.ndarray) -> float:
     return float(same.mean())
 
 
-def connected_components_count(adjacency: sp.spmatrix) -> int:
-    """Number of connected components (undirected view)."""
-    count, _ = sp.csgraph.connected_components(adjacency, directed=False)
-    return int(count)
-
-
 def adjacency_from_edges(edges: np.ndarray, num_nodes: int,
                          symmetric: bool = True) -> sp.csr_matrix:
     """Build a 0/1 CSR adjacency from an ``(m, 2)`` edge array."""
@@ -155,18 +145,3 @@ def adjacency_from_edges(edges: np.ndarray, num_nodes: int,
         adj = adj.maximum(adj.T)
     adj.data[:] = 1.0
     return adj.tocsr()
-
-
-def laplacian(adjacency: sp.spmatrix, normalized: bool = True) -> sp.csr_matrix:
-    """Graph Laplacian ``L = I - D^{-1/2} A D^{-1/2}`` (or ``D - A``).
-
-    The normalized form is what ChebNet filters are defined over.
-    """
-    _require_square(adjacency)
-    adj = remove_self_loops(adjacency)
-    if normalized:
-        norm = symmetric_normalize(adj, self_loops=False)
-        eye = sp.identity(adj.shape[0], format="csr", dtype=np.float64)
-        return (eye - norm).tocsr()
-    degree = sp.diags(np.asarray(adj.sum(axis=1)).reshape(-1))
-    return (degree - adj).tocsr()

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from repro.errors import GraphError
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.graph import Graph
-from repro.graph.ops import _sorted_unique
+from repro.graph.ops import _sorted_unique, canonical_csr
 
 __all__ = ["GraphDelta", "DeltaEffect", "StreamingGraph", "splice_csr_rows",
            "csr_row_positions", "grow_buffer", "make_delta_trace"]
@@ -144,8 +144,10 @@ class GraphDelta:
             if weights.shape != (edges.shape[0],):
                 raise GraphError(
                     f"add_weights shape {weights.shape} != ({edges.shape[0]},)")
-            if weights.size and weights.min() <= 0:
-                raise GraphError("edge weights must be positive")
+            # ``min`` is NaN when any weight is, and NaN > 0 is False
+            if weights.size and not (weights.min() > 0
+                                     and np.isfinite(weights.max())):
+                raise GraphError("edge weights must be positive and finite")
             object.__setattr__(self, "add_weights", weights)
         else:
             object.__setattr__(self, "add_weights",
@@ -291,9 +293,7 @@ class StreamingGraph:
     """
 
     def __init__(self, graph: Graph) -> None:
-        adjacency = graph.adjacency.tocsr().astype(np.float64)
-        adjacency.sum_duplicates()
-        adjacency.sort_indices()
+        adjacency = canonical_csr(graph.adjacency)
         # The stream owns its feature storage: an amortized-capacity
         # buffer (grown geometrically on appends) whose leading rows the
         # current graph views.  Feature updates mutate rows in place, so

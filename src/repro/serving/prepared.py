@@ -95,7 +95,7 @@ from repro.condense.base import CondensedGraph
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.graph import Graph
 from repro.graph.incremental import convert_connections
-from repro.graph.ops import _sorted_unique, add_self_loops
+from repro.graph.ops import _sorted_unique, add_self_loops, canonical_csr
 from repro.graph.stream import (
     GraphDelta,
     StreamingGraph,
@@ -138,21 +138,6 @@ class DeltaRefreshReport:
     invalidated: tuple[str, ...] = ()
 
 
-def _canonical_csr(matrix, shape: tuple[int, int], name: str) -> sp.csr_matrix:
-    """Coerce to canonical float64 CSR (duplicates summed, sorted indices)."""
-    if matrix is None:
-        return sp.csr_matrix(shape, dtype=np.float64)
-    if sp.issparse(matrix):
-        csr = matrix.tocsr().astype(np.float64)
-    else:
-        csr = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
-    if csr.shape != shape:
-        raise GraphError(f"{name} has shape {csr.shape}, expected {shape}")
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return csr
-
-
 def _reduceat_row_sums(data: np.ndarray, indptr: np.ndarray,
                        counts: np.ndarray) -> np.ndarray:
     """Row sums exactly as ``scipy.sparse.csr_matrix.sum(axis=1)``.
@@ -190,7 +175,7 @@ def _intra_loops(intra, n: int) -> tuple[sp.csr_matrix, int]:
     """``ea + I`` in canonical CSR, and the stored-entry count of ``ea``
     itself (explicit zeros included — the naive attach keeps them)."""
     if intra is not None:
-        ea_raw = _canonical_csr(intra, (n, n), "intra adjacency")
+        ea_raw = canonical_csr(intra, (n, n), name="intra adjacency")
         if ea_raw.nnz:
             ea_loops = add_self_loops(ea_raw)
             ea_loops.sort_indices()
@@ -247,12 +232,12 @@ class PreparedDeployment:
             raw_features = condensed.features
             self.mapping: sp.csr_matrix | None = condensed.mapping
         else:
-            raw = base.adjacency.tocsr().astype(np.float64)
+            raw = base.adjacency
             raw_features = base.features
             self.mapping = None
 
         # --- request-invariant precomputation -------------------------
-        raw.sum_duplicates()
+        raw = canonical_csr(raw)
         self._raw_nnz = int(raw.nnz)  # the naive attach keeps explicit zeros
         self.base_loops = add_self_loops(raw)
         self.base_loops.sort_indices()
@@ -329,32 +314,19 @@ class PreparedDeployment:
         """The ``(n, B)`` incremental block in canonical, zero-free CSR and
         its stored-entry count *before* explicit zeros were dropped (the
         naive path eliminates after assembly, so its footprint counts
-        them).  A block already in that form is used as it is; any other
-        is canonicalized in a copy, never in the caller's arrays."""
-        if (self.mapping is None and sp.issparse(incremental)
-                and incremental.format == "csr"
-                and incremental.dtype == np.float64
-                and incremental.shape == (n, self.num_base)
-                and incremental.has_canonical_format
-                and incremental.data.all()):
-            return incremental, int(incremental.nnz)
+        them).  A canonical block is used as it is; explicit zeros are
+        dropped in a copy, never in the caller's arrays."""
+        columns = self.num_base if self.mapping is None else int(
+            self.mapping.shape[0])
+        inc = canonical_csr(incremental, (n, columns),
+                            name="incremental adjacency")
         if self.mapping is not None:
-            expected = (n, int(self.mapping.shape[0]))
-            if incremental is None:
-                incremental = sp.csr_matrix(expected, dtype=np.float64)
-            elif tuple(incremental.shape) != expected:
-                raise GraphError(
-                    f"incremental adjacency has shape {incremental.shape}, "
-                    f"expected {expected}")
-            # Convert the *raw* matrix: pre-canonicalizing would reorder the
-            # ``a @ M`` accumulation and break bitwise parity with Eq. 11.
-            inc = convert_connections(incremental, self.mapping)
+            inc = convert_connections(inc, self.mapping)
             inc.sort_indices()
-        else:
-            inc = _canonical_csr(incremental, (n, self.num_base),
-                                 "incremental adjacency")
         raw_nnz = int(inc.nnz)
-        inc.eliminate_zeros()
+        if not inc.data.all():
+            inc = inc.copy() if inc is incremental else inc
+            inc.eliminate_zeros()
         return inc, raw_nnz
 
     def _assemble_normalized(

@@ -37,6 +37,7 @@ import scipy.sparse as sp
 
 from repro.errors import InferenceError, ServingError
 from repro.graph.datasets import IncrementalBatch
+from repro.graph.ops import canonical_csr
 from repro.graph.stream import GraphDelta
 from repro.registry import make_scheduler
 from repro.serving.embeddings import ServeTask
@@ -168,23 +169,6 @@ class Request:
         return self.num_nodes
 
 
-def _canonical(block) -> sp.csr_matrix:
-    """``block`` as float64 CSR with duplicates summed and indices sorted.
-
-    A block already in that form is returned as it is; anything else is
-    converted into fresh arrays, so the caller's are never written.
-    """
-    if sp.issparse(block):
-        csr = block.tocsr()
-        if csr.dtype == np.float64 and csr.has_canonical_format:
-            return csr
-        csr = csr.astype(np.float64)  # a copy: sum_duplicates works in place
-    else:
-        csr = sp.csr_matrix(np.atleast_2d(np.asarray(block, dtype=np.float64)))
-    csr.sum_duplicates()
-    return csr
-
-
 def _stack(blocks: list, rows: list[int], width: int | None) -> sp.csr_matrix:
     """Row-stack canonical CSR blocks by concatenating their arrays.
 
@@ -219,7 +203,7 @@ def _stack(blocks: list, rows: list[int], width: int | None) -> sp.csr_matrix:
 def _merge(requests, width: int | None, intra: bool) -> IncrementalBatch:
     """:func:`merge_requests` at base ``width`` (``None``: the one width
     every request cites); ``intra=False`` leaves the merged intra out."""
-    incremental = [_canonical(r.incremental) for r in requests]
+    incremental = [canonical_csr(r.incremental) for r in requests]
     rows = [block.shape[0] for block in incremental]
     widths = {block.shape[1] for block in incremental}
     if width is None and len(widths) == 1:
@@ -235,7 +219,7 @@ def _merge(requests, width: int | None, intra: bool) -> IncrementalBatch:
     merged_intra = None
     if intra:
         merged_intra = _stack(
-            [None if r.intra is None else _canonical(r.intra)
+            [None if r.intra is None else canonical_csr(r.intra)
              for r in requests], rows, None)
     return IncrementalBatch(
         features=features, incremental=_stack(incremental, rows, width),
@@ -389,7 +373,8 @@ class ServingRuntime:
 
         A float64 CSR block already in canonical form is kept as it is;
         anything else is converted into fresh arrays (see
-        :func:`_canonical`), so the caller's arrays are never written.
+        :func:`~repro.graph.ops.canonical_csr`), so the caller's arrays
+        are never written.
         The intra block is shape-checked in both modes but kept only in
         graph mode, the one mode that reads it.
         """
@@ -407,7 +392,7 @@ class ServingRuntime:
                 f"request feature dim {feats.shape[1]} != deployment "
                 f"feature dim {self.prepared.feature_dim}")
         n = feats.shape[0]
-        inc = _canonical(batch.incremental)
+        inc = canonical_csr(batch.incremental)
         # Valid widths span every base size this runtime has exposed: a
         # client that has not yet observed streamed appends may cite a
         # historical (narrower) id space down to the opening width, and
@@ -432,7 +417,8 @@ class ServingRuntime:
             if shape != (n, n):
                 raise ServingError(
                     f"intra adjacency has shape {shape}, expected ({n}, {n})")
-            intra = _canonical(intra) if self.batch_mode == "graph" else None
+            intra = (canonical_csr(intra) if self.batch_mode == "graph"
+                     else None)
         return Request(task=task, features=feats, incremental=inc,
                        intra=intra)
 

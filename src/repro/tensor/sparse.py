@@ -15,17 +15,7 @@ import scipy.sparse as sp
 from repro.errors import ShapeError
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled, make_op
 
-__all__ = ["spmm", "to_csr", "sparse_memory_bytes", "dense_memory_bytes"]
-
-
-def to_csr(matrix) -> sp.csr_matrix:
-    """Coerce a dense array or any scipy sparse matrix into CSR float64."""
-    if sp.issparse(matrix):
-        return matrix.tocsr().astype(np.float64)
-    dense = np.asarray(matrix, dtype=np.float64)
-    if dense.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {dense.shape}")
-    return sp.csr_matrix(dense)
+__all__ = ["spmm", "sparse_memory_bytes", "dense_memory_bytes"]
 
 
 def spmm(sparse_const: sp.spmatrix, dense: Tensor) -> Tensor:

@@ -36,6 +36,11 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(adj, np.ones((2, 1)))
 
+    def test_rejects_nan_weights(self):
+        adj = sp.csr_matrix(np.array([[0.0, 1.0], [np.nan, 0.0]]))
+        with pytest.raises(GraphError, match="finite"):
+            Graph(adj, np.ones((2, 1)))
+
     def test_rejects_bad_label_shape(self):
         with pytest.raises(GraphError):
             Graph(np.eye(3), np.ones((3, 1)), labels=np.array([0, 1]))

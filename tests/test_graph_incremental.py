@@ -72,6 +72,12 @@ class TestAttachOriginal:
         with pytest.raises(GraphError):
             attach_to_original(adjacency, features, inc, np.zeros((1, 5)))
 
+    def test_1d_features_rejected(self, base):
+        adjacency, features = base
+        inc = sp.csr_matrix(np.zeros((1, 3)))
+        with pytest.raises(GraphError, match="2-D"):
+            attach_to_original(adjacency, features, inc, np.zeros(2))
+
     def test_incremental_shape_mismatch_rejected(self, base):
         adjacency, features = base
         with pytest.raises(GraphError):
@@ -110,9 +116,8 @@ class TestConvertConnections:
 
 
 class TestDuplicateEntryPolicy:
-    """Regression: duplicated (row, col) pairs in the raw COO input used
-    to be summed silently by the CSR conversion, double-counting what an
-    at-least-once edge feed meant as one edge."""
+    """Duplicated (row, col) pairs in the raw input are one weighted
+    multi-edge: they are summed before the ``a @ M`` product."""
 
     def _dup_coo(self):
         # edge (0, 1) reported twice, edge (0, 0) once
@@ -125,53 +130,13 @@ class TestDuplicateEntryPolicy:
         converted = convert_connections(self._dup_coo(), mapping)
         assert np.allclose(converted.toarray(), [[1.0, 2.0, 0.0]])
 
-    def test_distinct_policy_collapses_duplicates(self):
-        mapping = np.eye(3)
-        converted = convert_connections(self._dup_coo(), mapping,
-                                        dedup="distinct")
-        assert np.allclose(converted.toarray(), [[1.0, 1.0, 0.0]])
-
-    def test_distinct_keeps_largest_weight(self):
-        inc = sp.coo_matrix(
-            (np.array([0.5, 2.0]), (np.array([0, 0]), np.array([1, 1]))),
-            shape=(1, 2))
-        converted = convert_connections(inc, np.eye(2), dedup="distinct")
-        assert converted.toarray()[0, 1] == 2.0
-
-    def test_distinct_matches_deduped_input_bitwise(self):
-        rng = np.random.default_rng(4)
-        mapping = sp.csr_matrix(rng.random((6, 3)))
-        row = np.array([0, 0, 1, 1, 1, 2])
-        col = np.array([2, 2, 0, 0, 5, 3])
-        dup = sp.coo_matrix((np.ones(6), (row, col)), shape=(3, 6))
-        clean = sp.coo_matrix(
-            (np.ones(4), (np.array([0, 1, 1, 2]), np.array([2, 0, 5, 3]))),
-            shape=(3, 6))
-        a = convert_connections(dup, mapping, dedup="distinct")
-        b = convert_connections(clean, mapping, dedup="distinct")
-        assert np.array_equal(a.toarray(), b.toarray())
-
     def test_duplicate_csr_stored_entries_canonicalized(self):
         # a CSR built from raw arrays can hold duplicate stored entries
         inc = sp.csr_matrix(
             (np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])),
             shape=(1, 2))
         summed = convert_connections(inc, np.eye(2))
-        distinct = convert_connections(inc, np.eye(2), dedup="distinct")
         assert summed.toarray()[0, 0] == 2.0
-        assert distinct.toarray()[0, 0] == 1.0
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(GraphError, match="dedup"):
-            convert_connections(self._dup_coo(), np.eye(3), dedup="first")
-
-    def test_attach_to_synthetic_forwards_policy(self):
-        inc = self._dup_coo()
-        mapping = np.eye(3)
-        attached = attach_to_synthetic(np.zeros((3, 3)), np.zeros((3, 2)),
-                                       inc, np.zeros((1, 2)), mapping,
-                                       dedup="distinct")
-        assert attached.adjacency.toarray()[3, 1] == 1.0  # not 2.0
 
 
 class TestAttachSynthetic:
@@ -195,6 +160,12 @@ class TestAttachSynthetic:
         attached = attach_to_synthetic(np.zeros((2, 2)), np.zeros((2, 3)),
                                        inc, np.zeros((1, 3)), mapping)
         assert attached.adjacency.toarray()[2, 1] == 1.0
+
+    def test_1d_features_rejected(self):
+        inc = sp.csr_matrix(np.array([[1.0, 0.0]]))
+        with pytest.raises(GraphError, match="2-D"):
+            attach_to_synthetic(np.zeros((2, 2)), np.zeros((2, 3)), inc,
+                                np.zeros(3), np.eye(2))
 
 
 class TestEdgeCases:

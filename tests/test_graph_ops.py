@@ -1,26 +1,114 @@
-"""Graph-matrix operations: normalization, Laplacian, statistics."""
+"""Graph-matrix operations: canonical form, normalization, statistics."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graph import (
     add_self_loops,
     adjacency_from_edges,
-    connected_components_count,
+    canonical_csr,
     dense_symmetric_normalize,
     edge_homophily,
-    laplacian,
-    normalize_adjacency,
     remove_self_loops,
-    row_normalize,
     symmetric_normalize,
-    symmetrize,
 )
+
+
+def _canonical_oracle(matrix, shape):
+    """The canonical form spelled the long way, independent of the code
+    under test."""
+    if matrix is None:
+        return sp.csr_matrix(shape, dtype=np.float64)
+    coo = (matrix if sp.issparse(matrix)
+           else sp.coo_matrix(np.atleast_2d(matrix))).tocoo()
+    csr = coo.tocsr().astype(np.float64)
+    csr.sum_duplicates()
+    return csr
+
+
+@st.composite
+def _raw_inputs(draw):
+    """A matrix in one of the forms callers hand over, with duplicates,
+    explicit zeros and unsorted indices; returns ``(matrix, shape)``."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    form = draw(st.sampled_from(
+        ("coo", "csr", "csc", "dense", "dense-1d", "none", "canonical")))
+    dtype = draw(st.sampled_from((np.int32, np.int64, np.float64)))
+    if form == "dense-1d":
+        rows = 1
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                  st.integers(-8, 8)), max_size=12))
+    row, col, values = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    # quarter-integers sum exactly in any order
+    data = (values / 4.0 if dtype == np.float64 else values).astype(dtype)
+    shape = (rows, cols)
+    coo = sp.coo_matrix((data, (row, col)), shape=shape)
+    if form == "none":
+        return None, shape
+    if form == "coo":
+        return coo, shape
+    if form in ("dense", "dense-1d"):
+        dense = coo.toarray()
+        return (dense[0] if form == "dense-1d" else dense), shape
+    if form == "canonical":
+        return _canonical_oracle(coo, shape), shape
+    # CSR (CSC) straight from arrays: arrival order within a row (column)
+    # is kept, so indices may be unsorted and duplicated
+    major, minor = (row, col) if form == "csr" else (col, row)
+    order = np.argsort(major, kind="stable")
+    indptr = np.zeros((rows if form == "csr" else cols) + 1, dtype=np.int32)
+    np.add.at(indptr, major + 1, 1)
+    cls = sp.csr_matrix if form == "csr" else sp.csc_matrix
+    return cls((data[order], minor[order].astype(np.int32),
+                np.cumsum(indptr, dtype=np.int32)), shape=shape), shape
+
+
+def _arrays(matrix):
+    if matrix is None:
+        return ()
+    if not sp.issparse(matrix):
+        return (np.array(matrix),)
+    if matrix.format == "coo":
+        return tuple(a.copy() for a in (matrix.data, matrix.row, matrix.col))
+    return tuple(a.copy()
+                 for a in (matrix.data, matrix.indices, matrix.indptr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_inputs())
+# always: an unsorted float64 CSR holding a duplicate and an explicit zero
+@example((sp.csr_matrix((np.array([1.5, 0.0, 2.0, 0.25]),
+                         np.array([2, 1, 2, 0], dtype=np.int32),
+                         np.array([0, 3, 4], dtype=np.int32)), shape=(2, 3)),
+          (2, 3)))
+def test_canonical_csr_matches_oracle(raw):
+    matrix, shape = raw
+    before = _arrays(matrix)
+    already = (sp.issparse(matrix) and matrix.format == "csr"
+               and matrix.dtype == np.float64
+               and sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                                 shape=matrix.shape).has_canonical_format)
+    result = canonical_csr(matrix, shape)
+    expected = _canonical_oracle(matrix, shape)
+    assert result.format == "csr" and result.dtype == np.float64
+    assert result.shape == shape
+    assert np.array_equal(result.data.view(np.uint64),
+                          expected.data.view(np.uint64))
+    assert np.array_equal(result.indices, expected.indices)
+    assert np.array_equal(result.indptr, expected.indptr)
+    assert (result is matrix) == already
+    for old, new in zip(before, _arrays(matrix)):
+        assert np.array_equal(old, new)
+    if matrix is not None:
+        with pytest.raises(GraphError, match="block has shape"):
+            canonical_csr(matrix, (shape[0] + 1, shape[1]), name="block")
 
 
 def ring(n=5):
@@ -35,8 +123,8 @@ class TestSelfLoops:
 
     def test_add_replaces_existing_diagonal(self):
         adj = sp.identity(3, format="csr") * 5.0
-        out = add_self_loops(adj, weight=2.0)
-        assert np.allclose(out.diagonal(), 2.0)
+        out = add_self_loops(adj)
+        assert np.allclose(out.diagonal(), 1.0)
 
     def test_remove_self_loops(self):
         adj = add_self_loops(ring())
@@ -59,26 +147,6 @@ class TestNormalization:
         norm = symmetric_normalize(ring(6)).toarray()
         assert np.allclose(norm, norm.T)
 
-    def test_row_normalize_rows_sum_to_one(self):
-        norm = row_normalize(ring(5), self_loops=True)
-        assert np.allclose(np.asarray(norm.sum(axis=1)).reshape(-1), 1.0)
-
-    def test_row_normalize_isolated_node_zero_row(self):
-        adj = sp.csr_matrix((3, 3))
-        norm = row_normalize(adj, self_loops=False)
-        assert norm.nnz == 0
-
-    def test_normalize_dispatch(self):
-        # A star graph is irregular, so sym and row normalization differ.
-        star = adjacency_from_edges(np.array([[0, 1], [0, 2], [0, 3]]), 4)
-        sym = normalize_adjacency(star, method="sym")
-        row = normalize_adjacency(star, method="row")
-        assert not np.allclose(sym.toarray(), row.toarray())
-
-    def test_normalize_unknown_method(self):
-        with pytest.raises(GraphError):
-            normalize_adjacency(ring(), method="bogus")
-
     def test_dense_matches_sparse_normalization(self):
         adj = ring(7)
         dense = dense_symmetric_normalize(adj.toarray(), self_loops=True)
@@ -92,11 +160,6 @@ class TestNormalization:
 
 
 class TestStructureStats:
-    def test_symmetrize(self):
-        adj = sp.csr_matrix(np.triu(np.ones((3, 3)), 1))
-        sym = symmetrize(adj)
-        assert (sym != sym.T).nnz == 0
-
     def test_homophily_perfect(self):
         adj = adjacency_from_edges(np.array([[0, 1], [2, 3]]), 4)
         labels = np.array([0, 0, 1, 1])
@@ -109,19 +172,6 @@ class TestStructureStats:
     def test_homophily_empty_graph(self):
         assert edge_homophily(sp.csr_matrix((3, 3)), np.zeros(3)) == 0.0
 
-    def test_connected_components(self):
-        adj = adjacency_from_edges(np.array([[0, 1], [2, 3]]), 5)
-        assert connected_components_count(adj) == 3
-
-    def test_laplacian_normalized_psd(self):
-        lap = laplacian(ring(6), normalized=True).toarray()
-        eigenvalues = np.linalg.eigvalsh(lap)
-        assert eigenvalues.min() >= -1e-9
-        assert eigenvalues.max() <= 2.0 + 1e-9
-
-    def test_laplacian_unnormalized_row_sums_zero(self):
-        lap = laplacian(ring(5), normalized=False).toarray()
-        assert np.allclose(lap.sum(axis=1), 0.0)
 
 
 class TestAdjacencyFromEdges:

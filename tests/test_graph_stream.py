@@ -50,6 +50,12 @@ class TestGraphDelta:
         with pytest.raises(GraphError, match="positive"):
             GraphDelta(add_edges=[[0, 1]], add_weights=[0.0])
 
+    @pytest.mark.parametrize("weight", (np.nan, np.inf))
+    def test_nonfinite_weights_rejected(self, weight):
+        # NaN compares False against every bound, so it needs its own check
+        with pytest.raises(GraphError, match="finite"):
+            GraphDelta(add_edges=[[0, 1], [1, 2]], add_weights=[1.0, weight])
+
     def test_update_requires_both_fields(self):
         with pytest.raises(GraphError, match="together"):
             GraphDelta(update_index=[0])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import ConfigError, ShapeError
 from repro.nn import (
@@ -24,7 +25,7 @@ from repro.nn import (
     predictions_from_logits,
     propagate,
 )
-from repro.tensor import Tensor, tensor_sum, to_csr
+from repro.tensor import Tensor, tensor_sum
 
 RNG = np.random.default_rng(4)
 
@@ -97,7 +98,7 @@ class TestLayers:
     def test_propagate_dispatch_sparse_dense_equal(self):
         dense = RNG.random((4, 4))
         h = Tensor(RNG.standard_normal((4, 3)))
-        from_sparse = propagate(to_csr(dense), h).data
+        from_sparse = propagate(sp.csr_matrix(dense), h).data
         from_tensor = propagate(Tensor(dense), h).data
         from_array = propagate(dense, h).data
         assert np.allclose(from_sparse, from_tensor)

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
+from repro.graph.ops import canonical_csr
 from repro.graph.stream import GraphDelta
 from repro.inference import InductiveServer
 from repro.nn import make_model
@@ -27,7 +28,6 @@ from repro.serving import (
     split_requests,
     tasked_requests,
 )
-from repro.serving.prepared import _canonical_csr
 
 
 def _stream(batch, num_requests, nodes_per_request):
@@ -384,8 +384,8 @@ class TestRuntimeParity:
         else:
             assert merged.intra is None  # node mode never reads it
         for got, want in pairs:
-            got = _canonical_csr(got, want.shape, "merged")
-            want = _canonical_csr(want, want.shape, "oracle")
+            got = canonical_csr(got, want.shape, name="merged")
+            want = canonical_csr(want, want.shape, name="oracle")
             assert got.shape == want.shape
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -709,16 +709,19 @@ def containers(monkeypatch):
 
 
 class TestRequestPathContainers:
-    """A node-mode predict through the runtime builds only the sparse
-    containers it multiplies with — no merge or copy churn."""
+    """A predict through the runtime builds only the sparse containers it
+    multiplies with — no merge or copy churn.  Graph mode adds one: the
+    ``ea + I`` block of the merged intra adjacency."""
 
-    @pytest.mark.parametrize("deployment, burst, expected", (
-        ("synthetic", 1, 6), ("synthetic", 8, 14),
-        ("original", 1, 4), ("original", 8, 12)))
-    def test_container_count(self, sgc, split, condensed, deployment, burst,
-                             expected, containers):
+    @pytest.mark.parametrize("batch_mode, deployment, burst, expected", (
+        ("node", "synthetic", 1, 6), ("node", "synthetic", 8, 14),
+        ("node", "original", 1, 4), ("node", "original", 8, 12),
+        ("graph", "synthetic", 1, 6), ("graph", "synthetic", 8, 15),
+        ("graph", "original", 1, 4), ("graph", "original", 8, 13)))
+    def test_container_count(self, sgc, split, condensed, batch_mode,
+                             deployment, burst, expected, containers):
         runtime = _runtime(sgc, split, condensed, deployment,
-                           scheduler="sizecap", batch_mode="node",
+                           scheduler="sizecap", batch_mode=batch_mode,
                            scheduler_options={"max_batch_size": 8})
         stream = _stream(split.incremental_batch("test"), 9, 2)
         runtime.submit(stream[0])

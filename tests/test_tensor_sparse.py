@@ -18,26 +18,10 @@ from repro.tensor import (
     sparse_memory_bytes,
     spmm,
     tensor_sum,
-    to_csr,
 )
 
 RNG = np.random.default_rng(3)
 
-
-class TestToCsr:
-    def test_from_dense(self):
-        dense = np.array([[1.0, 0.0], [0.0, 2.0]])
-        csr = to_csr(dense)
-        assert sp.issparse(csr)
-        assert csr.nnz == 2
-
-    def test_from_coo(self):
-        coo = sp.coo_matrix(np.eye(3))
-        assert to_csr(coo).format == "csr"
-
-    def test_rejects_1d(self):
-        with pytest.raises(ShapeError):
-            to_csr(np.ones(3))
 
 
 class TestSpmm:
@@ -48,12 +32,12 @@ class TestSpmm:
         assert np.allclose(out.data, matrix.toarray() @ dense)
 
     def test_gradcheck(self):
-        matrix = to_csr(RNG.random((5, 4)) * (RNG.random((5, 4)) > 0.5))
+        matrix = sp.csr_matrix(RNG.random((5, 4)) * (RNG.random((5, 4)) > 0.5))
         h = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
         gradcheck(lambda h: tensor_sum(mul(spmm(matrix, h), spmm(matrix, h))), [h])
 
     def test_double_backward(self):
-        matrix = to_csr(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        matrix = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
         h = Tensor(RNG.standard_normal((2, 2)), requires_grad=True)
         y = tensor_sum(mul(spmm(matrix, h), spmm(matrix, h)))
         (g1,) = grad(y, [h], create_graph=True)
@@ -63,20 +47,20 @@ class TestSpmm:
         assert np.allclose(g2.data, expected)
 
     def test_vector_operand(self):
-        matrix = to_csr(np.eye(3))
+        matrix = sp.csr_matrix(np.eye(3))
         v = Tensor(np.array([1.0, 2.0, 3.0]))
         assert np.allclose(spmm(matrix, v).data, v.data)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            spmm(to_csr(np.eye(3)), Tensor(np.ones((4, 2))))
+            spmm(sp.csr_matrix(np.eye(3)), Tensor(np.ones((4, 2))))
 
     def test_dense_first_operand_rejected(self):
         with pytest.raises(ShapeError):
             spmm(np.eye(3), Tensor(np.ones((3, 2))))
 
     def test_gradgradcheck(self):
-        matrix = to_csr(RNG.random((5, 4)) * (RNG.random((5, 4)) > 0.5))
+        matrix = sp.csr_matrix(RNG.random((5, 4)) * (RNG.random((5, 4)) > 0.5))
         h = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
         assert gradgradcheck(
             lambda h: tensor_sum(mul(spmm(matrix, h), spmm(matrix, h))), [h])
