@@ -138,6 +138,37 @@ class TestDuplicateEntryPolicy:
         summed = convert_connections(inc, np.eye(2))
         assert summed.toarray()[0, 0] == 2.0
 
+    def test_summed_duplicates_match_presummed_input_bitwise(self):
+        rng = np.random.default_rng(4)
+        mapping = sp.csr_matrix(rng.random((6, 3)))
+        row = np.array([0, 0, 1, 1, 1, 2])
+        col = np.array([2, 2, 0, 0, 5, 3])
+        dup = sp.coo_matrix((np.ones(6), (row, col)), shape=(3, 6))
+        presummed = sp.coo_matrix(
+            (np.array([2.0, 2.0, 1.0, 1.0]),
+             (np.array([0, 1, 1, 2]), np.array([2, 0, 5, 3]))),
+            shape=(3, 6))
+        a = convert_connections(dup, mapping)
+        b = convert_connections(presummed, mapping)
+        assert np.array_equal(a.toarray(), b.toarray())
+
+    def test_callers_arrays_not_written(self):
+        # unsorted, duplicated stored entries and an explicit zero
+        data = np.array([1.0, 0.0, 1.0])
+        indices = np.array([1, 0, 1], dtype=np.int32)
+        indptr = np.array([0, 3], dtype=np.int32)
+        inc = sp.csr_matrix((data, indices, indptr), shape=(1, 2))
+        convert_connections(inc, np.eye(2))
+        assert np.array_equal(inc.data, [1.0, 0.0, 1.0])
+        assert np.array_equal(inc.indices, [1, 0, 1])
+        assert np.array_equal(inc.indptr, [0, 3])
+
+    def test_attach_to_synthetic_sums_duplicates(self):
+        attached = attach_to_synthetic(np.zeros((3, 3)), np.zeros((3, 2)),
+                                       self._dup_coo(), np.zeros((1, 2)),
+                                       np.eye(3))
+        assert attached.adjacency.toarray()[3, 1] == 2.0
+
 
 class TestAttachSynthetic:
     def test_full_equation_11(self):

@@ -111,6 +111,35 @@ def test_canonical_csr_matches_oracle(raw):
             canonical_csr(matrix, (shape[0] + 1, shape[1]), name="block")
 
 
+class TestCanonicalCsr:
+    """The contract cases of :func:`canonical_csr`, one at a time."""
+
+    def test_canonical_float64_csr_passes_through_uncopied(self):
+        csr = sp.csr_matrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        out = canonical_csr(csr, (2, 2))
+        assert out is csr
+        assert np.shares_memory(out.data, csr.data)
+
+    def test_float32_input_gets_fresh_float64_arrays(self):
+        csr = sp.csr_matrix(np.array([[0.0, 2.5], [1.0, 0.0]],
+                                     dtype=np.float32))
+        out = canonical_csr(csr)
+        assert out is not csr and out.dtype == np.float64
+        assert not np.shares_memory(out.data, csr.data)
+        assert csr.dtype == np.float32
+        assert np.array_equal(out.toarray(), [[0.0, 2.5], [1.0, 0.0]])
+
+    def test_none_is_empty_matrix_of_shape(self):
+        out = canonical_csr(None, (3, 4))
+        assert out.format == "csr" and out.dtype == np.float64
+        assert out.shape == (3, 4) and out.nnz == 0
+
+    def test_1d_dense_is_one_row(self):
+        out = canonical_csr(np.array([0.0, 3.0, 0.5]), (1, 3))
+        assert out.shape == (1, 3)
+        assert np.array_equal(out.toarray(), [[0.0, 3.0, 0.5]])
+
+
 def ring(n=5):
     edges = np.array([[i, (i + 1) % n] for i in range(n)])
     return adjacency_from_edges(edges, n)

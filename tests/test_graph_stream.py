@@ -192,6 +192,21 @@ class TestStreamingGraph:
             loops = add_self_loops(adj)
             assert loops.shape[0] == stream.num_nodes
 
+    def test_apply_leaves_the_shared_base_untouched(self, rng):
+        # the stream reads a canonical base as it is, so every delta must
+        # splice into fresh arrays rather than write the caller's
+        graph = _random_graph(rng)
+        stream = StreamingGraph(graph)
+        before = graph.adjacency.copy()
+        coo = sp.triu(graph.adjacency, k=1).tocoo()
+        u, v = int(coo.row[0]), int(coo.col[0])
+        x, y = int(coo.row[1]), int(coo.col[1])
+        stream.apply(GraphDelta(add_edges=[[u, v]], add_weights=[0.5]))
+        stream.apply(GraphDelta(remove_edges=[[x, y]]))
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(graph.adjacency, name),
+                                  getattr(before, name))
+
     def test_out_of_range_endpoints_rejected(self, rng):
         stream = StreamingGraph(_random_graph(rng))
         with pytest.raises(GraphError, match="out of range"):
