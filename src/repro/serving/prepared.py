@@ -163,11 +163,19 @@ def _inv_sqrt(degree: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _index_dtype(largest: int) -> type:
+    """int32 when every index value fits, as scipy would choose: a CSR
+    built from int32 arrays is taken as it is, while int64 ones are
+    rescanned and downcast on every construction."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
 def _ranks(ids: np.ndarray, size: int) -> np.ndarray:
     """Table mapping each member of the sorted id set ``ids`` to its rank;
     slots of non-members are uninitialised and must not be read."""
-    table = np.empty(size, dtype=np.int64)
-    table[ids] = np.arange(ids.size, dtype=np.int64)
+    dtype = _index_dtype(size)
+    table = np.empty(size, dtype=dtype)
+    table[ids] = np.arange(ids.size, dtype=dtype)
     return table
 
 
@@ -510,14 +518,21 @@ class PreparedDeployment:
             np.take(self.base_features, base[0], axis=0,
                     out=hidden[:gathered], mode="clip")
             hidden[gathered:] = new_feats
+            indptr = indptr.astype(_index_dtype(indptr[-1]), copy=False)
             for k in range(1, hops + 1):
                 ranks = _ranks(levels[k - 1], B + n)
-                if levels[k].size < indptr.size - 1:
+                held = indptr.size - 1
+                if k == hops and n < held:
+                    # S_K is the new rows, the trailing n of S_{K-1}
+                    start = indptr[held - n]
+                    indptr = indptr[held - n:] - start
+                    data, indices = data[start:], indices[start:]
+                elif levels[k].size < held:
                     # the rows held are S_{k-1}; keep those in S_k
                     rows = ranks[levels[k]]
                     position = csr_row_positions(indptr, rows)
                     counts = indptr[rows + 1] - indptr[rows]
-                    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+                    indptr = np.zeros(rows.size + 1, dtype=indptr.dtype)
                     np.cumsum(counts, out=indptr[1:])
                     data, indices = data[position], indices[position]
                 # relabelling columns monotonically keeps each row's
@@ -724,7 +739,7 @@ class PreparedDeployment:
         intra = self._enter_request(batch, batch_mode)
         hops = self.propagated_base_features()  # validates the model
         with stage_span("operator"):
-            new_feats = np.asarray(batch.features, dtype=np.float64)
+            new_feats = self._request_features(batch.features)
             n = new_feats.shape[0]
             inc, inc_nnz_raw = self._converted_incremental(batch.incremental, n)
             ea_loops, ea_nnz_raw = _intra_loops(intra, n)

@@ -26,6 +26,16 @@ the bytes.  Deflated members (the ``np.savez_compressed`` layout) fall
 back to an eager per-member read, so ``mmap=True`` is always safe to
 request.  Write ``save_npz(path, payload, compressed=False)`` (the
 ``layout="mmap"`` bundle option) to produce fully mappable artifacts.
+
+That writer lays the zip out itself so every member's array payload
+starts on a 64-byte file offset (numpy's own ``.npy`` header alignment);
+the mapping is page-aligned, so the mapped arrays are 64-byte aligned in
+memory too.  ``np.savez`` leaves offsets to chance, and a float64 matrix
+at an address ≡ 4 (mod 8) is gathered 3-4x slower (a 2,164-row
+``np.take`` of the reddit-sim features: 2.0 ms against 0.46 ms).
+Artifacts written before that still load: a member whose payload is
+misaligned for its dtype is served as one private aligned copy and left
+out of :attr:`MappedNpzArchive.mapped`.
 """
 
 from __future__ import annotations
@@ -71,20 +81,111 @@ def save_npz(path: str | Path, payload: dict, *,
     """Write ``payload`` as an ``.npz``; returns the real path.
 
     ``compressed=True`` (default) deflates every member — the smallest
-    artifact.  ``compressed=False`` stores members raw, which is what
-    makes :class:`MappedNpzArchive` zero-copy: stored members can be
-    memory-mapped in place.  Unwritable targets (missing parent
-    directory, permissions, full disk) raise :class:`ArtifactError` with
-    the offending path in the message.
+    artifact.  ``compressed=False`` stores members raw, each payload on
+    a 64-byte offset, which is what makes :class:`MappedNpzArchive`
+    zero-copy: stored members are memory-mapped in place as aligned
+    arrays.  Unwritable targets (missing parent directory, permissions,
+    full disk) raise :class:`ArtifactError` with the offending path in
+    the message.
     """
     target = normalize_npz_path(path)
-    writer = np.savez_compressed if compressed else np.savez
     try:
-        writer(target, **payload)
+        if compressed:
+            np.savez_compressed(target, **payload)
+        else:
+            with open(target, "wb") as handle:
+                _write_stored_zip(handle, payload)
     except OSError as exc:
         raise ArtifactError(
             f"cannot write artifact {target}: {exc}") from exc
     return target
+
+
+#: Payload alignment of every stored member, in file offset and hence in
+#: mapped memory (numpy's ``.npy`` header alignment).
+_ALIGN = 64
+#: A zip size or offset at or past this is stored in a zip64 record, its
+#: 32-bit field holding the 0xFFFFFFFF marker.
+_ZIP64_LIMIT = 0xFFFFFFFF
+#: zipalign's extra-field id: ``<id, size, alignment>`` then zero bytes.
+_PAD_ID = 0xD935
+#: DOS date of 1980-01-01, so equal payloads give byte-identical files.
+_DOS_DATE = (1 << 5) | 1
+
+
+def _npy_parts(value) -> tuple[bytes, np.ndarray]:
+    """The ``.npy`` header ``np.save`` writes for ``value`` and the
+    payload as a flat byte view (a copy only for a non-contiguous array)."""
+    array = np.asarray(value)
+    fields = np.lib.format.header_data_from_array_1_0(array)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, fields)
+    flat = array.T if fields["fortran_order"] else np.ascontiguousarray(array)
+    return header.getvalue(), flat.reshape(-1).view(np.uint8)
+
+
+def _u32(value: int) -> int:
+    """A 32-bit zip field: the value, or the zip64 marker past the limit."""
+    return value if value < _ZIP64_LIMIT else 0xFFFFFFFF
+
+
+def _write_stored_zip(handle, arrays: dict) -> None:
+    """Write ``arrays`` as a stored zip of ``<key>.npy`` members.
+
+    Each local header carries a zipalign pad so the array payload (the
+    ``.npy`` header is a multiple of 64 bytes) starts on a 64-byte
+    offset.  Zip64 records appear only where a field overflows, unlike
+    ``np.savez``, which forces one onto every member.
+    """
+    central = []
+    for key, value in arrays.items():
+        header, payload = _npy_parts(value)
+        try:
+            name, flags = f"{key}.npy".encode("ascii"), 0
+        except UnicodeEncodeError:
+            name, flags = f"{key}.npy".encode("utf-8"), 0x800  # utf-8 bit
+        size = len(header) + payload.nbytes
+        crc = zlib.crc32(payload, zlib.crc32(header))
+        offset = handle.tell()
+        extra = (struct.pack("<HHQQ", 1, 16, size, size)
+                 if size >= _ZIP64_LIMIT else b"")
+        pad = -(offset + 30 + len(name) + len(extra)) % _ALIGN
+        if 0 < pad < 6:  # a pad record needs six bytes
+            pad += _ALIGN
+        if pad:
+            extra += struct.pack("<HHH", _PAD_ID, pad - 4, _ALIGN)
+            extra += bytes(pad - 6)
+        handle.write(struct.pack(
+            "<IHHHHHIIIHH", 0x04034B50, 45 if size >= _ZIP64_LIMIT else 20,
+            flags, 0, 0, _DOS_DATE, crc, _u32(size), _u32(size), len(name),
+            len(extra)))
+        for chunk in (name, extra, header, payload):
+            handle.write(chunk)
+        central.append((name, flags, crc, size, offset))
+
+    start = handle.tell()
+    for name, flags, crc, size, offset in central:
+        # zip64 values follow the order size, compressed size, offset
+        wide = [value for value in (size, size, offset)
+                if value >= _ZIP64_LIMIT]
+        extra = (struct.pack(f"<HH{len(wide)}Q", 1, 8 * len(wide), *wide)
+                 if wide else b"")
+        version = 45 if wide else 20
+        handle.write(struct.pack(
+            "<IHHHHHHIIIHHHHHII", 0x02014B50, (3 << 8) | version, version,
+            flags, 0, 0, _DOS_DATE, crc, _u32(size), _u32(size), len(name),
+            len(extra), 0, 0, 0, 0o644 << 16, _u32(offset)))
+        handle.write(name)
+        handle.write(extra)
+    end = handle.tell()
+    count, length = len(central), end - start
+    if count >= 0xFFFF or max(length, start) >= _ZIP64_LIMIT:
+        handle.write(struct.pack("<IQHHIIQQQQ", 0x06064B50, 44, 45, 45, 0, 0,
+                                 count, count, length, start))
+        handle.write(struct.pack("<IIQI", 0x07064B50, 0, end, 1))
+    handle.write(struct.pack(
+        "<IHHHHIIH", 0x06054B50, 0, 0, min(count, 0xFFFF),
+        min(count, 0xFFFF), _u32(length), _u32(start), 0))
 
 
 class MappedNpzArchive:
@@ -116,7 +217,8 @@ class MappedNpzArchive:
             raise
         self.files = list(self._members)
         self._cache: dict[str, np.ndarray] = {}
-        #: Member names served zero-copy from the mapping (diagnostics).
+        #: Member names served zero-copy from the mapping (diagnostics);
+        #: a stored member misaligned for its dtype is copied, not listed.
         self.mapped: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -126,8 +228,14 @@ class MappedNpzArchive:
         if name not in self._cache:
             info = self._members[name]
             if info.compress_type == zipfile.ZIP_STORED:
-                self._cache[name] = self._mapped_member(info)
-                self.mapped.add(name)
+                array = self._mapped_member(info)
+                if array.flags.aligned:
+                    self.mapped.add(name)
+                else:
+                    # a misaligned view (an ``np.savez`` artifact) slows
+                    # every read of it; one private copy is aligned
+                    array = array.copy()
+                self._cache[name] = array
             else:
                 with self._zip.open(info) as member:
                     self._cache[name] = np.lib.format.read_array(

@@ -189,6 +189,21 @@ class TestValidation:
                 sp.csr_matrix((1, split.original.num_nodes)),
                 np.zeros((1, split.original.feature_dim + 2)))
 
+    @pytest.mark.parametrize("method", ("serve_batch", "embed_batch",
+                                        "serve_batch_frozen",
+                                        "embed_batch_frozen"))
+    def test_request_feature_width_mismatch(self, split, sgc, method):
+        # the frozen path validates request features like the exact one,
+        # rather than failing later inside a numpy broadcast
+        prepared = PreparedDeployment(sgc, "original", split.original)
+        batch = IncrementalBatch(
+            features=np.zeros((1, split.original.feature_dim + 2)),
+            incremental=sp.csr_matrix((1, split.original.num_nodes)),
+            intra=sp.csr_matrix((1, 1)),
+            labels=np.zeros(1, dtype=np.int64))
+        with pytest.raises(GraphError, match="feature dims differ"):
+            getattr(prepared, method)(batch, "node")
+
     def test_incremental_shape_mismatch(self, split, sgc):
         prepared = PreparedDeployment(sgc, "original", split.original)
         with pytest.raises(GraphError):
