@@ -26,11 +26,13 @@ Layers underneath the facade:
   fleet and network gateway.
 - :mod:`repro.propagation` — label propagation and error propagation
   calibration.
-- :mod:`repro.experiments` — harnesses regenerating every table and figure.
+- :mod:`repro.experiments` — the experiment grid regenerating every
+  table and figure.
 
 The ``repro`` command (``python -m repro``) exposes the same flow as
 subcommands: ``repro condense``, ``repro serve``, ``repro eval``,
-``repro list``, plus the paper's ``table*``/``fig*`` reports.
+``repro list``, plus ``repro grid <preset>`` for the paper's tables and
+figures.
 """
 
 __version__ = "1.1.0"

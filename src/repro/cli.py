@@ -9,11 +9,12 @@ The pipeline commands mirror the paper's offline/online split::
     repro eval     --dataset pubmed-sim --method mcond_ss --budget 30
     repro list                                # registry contents
 
-The paper's tables and figures remain available as thin wrappers over the
-same machinery::
+Every paper table and figure is a preset of one experiment grid
+(:mod:`repro.experiments.grid`), run through the same cell runner as
+``repro eval``::
 
-    repro table2 --dataset pubmed-sim
-    repro fig6   --dataset pubmed-sim --effort full
+    repro grid table2 --dataset pubmed-sim --output table2.json
+    repro grid fig6   --dataset pubmed-sim --effort full
 
 Unknown dataset/method/model names exit with status 2 and list the
 registered alternatives.
@@ -28,25 +29,18 @@ from repro import api
 from repro.errors import ConfigError, DatasetError, ReproError
 from repro.experiments import (
     FULL,
+    PRESETS,
     QUICK,
+    Cell,
     ExperimentContext,
     METHODS,
     dataset_budgets,
     format_table,
+    paper_orderings,
     prepare_dataset,
-    run_fig34,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
+    run_grid,
 )
 from repro.registry import DATASETS, MODELS, REDUCERS
-
-_EXPERIMENTS = ("table2", "table3", "table4", "table5",
-                "fig3", "fig4", "fig5", "fig6", "fig7")
 
 
 # ----------------------------------------------------------------------
@@ -385,14 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
     top.set_defaults(handler=_cmd_top)
     evaluate.set_defaults(handler=_cmd_eval)
 
-    for name in _EXPERIMENTS:
-        experiment = sub.add_parser(
-            name, help=f"regenerate the paper's {name}")
-        _add_common(experiment)
-        experiment.add_argument("--budget", type=int, default=None,
-                                help="synthetic node budget (default: the "
-                                     "dataset's registered budgets)")
-        experiment.set_defaults(handler=_cmd_experiment, experiment=name)
+    grid = sub.add_parser(
+        "grid", help="regenerate one paper table or figure as a preset of "
+                     "the experiment grid, and report its violated "
+                     "paper orderings")
+    grid.add_argument("preset", choices=tuple(PRESETS),
+                      help="paper artefact to regenerate")
+    _add_common(grid)
+    grid.add_argument("--budget", type=int, default=None,
+                      help="synthetic node budget (default: the dataset's "
+                           "registered budgets)")
+    grid.add_argument("--output", default=None, metavar="FILE",
+                      help="also write the rows and violations as JSON to "
+                           "FILE")
+    grid.set_defaults(handler=_cmd_grid)
 
     return parser
 
@@ -772,9 +772,9 @@ def _cmd_eval(args) -> int:
     budget = _default_budget(args)
     context = ExperimentContext(
         prepare_dataset(args.dataset, seed=args.seed), _profile(args))
-    report = context.run_method(args.method, budget,
-                                batch_mode=args.batch_mode,
-                                model_name=args.model, seed=args.seed)
+    report = context.run_method(Cell(args.method, budget, model=args.model,
+                                     batch_mode=args.batch_mode,
+                                     seed=args.seed))
     print(f"{args.method} on {args.dataset} "
           f"(budget={budget}, model={args.model})")
     _print_report(report)
@@ -846,56 +846,36 @@ def _cmd_list(args) -> int:
     print("\ntable-II method columns (repro eval --method):")
     for name, spec in METHODS.items():
         print(f"  {name:<10} {spec.setting}")
-    print("\nexperiments (repro <name>):")
-    print(f"  {', '.join(_EXPERIMENTS)}")
+    print("\ngrid presets (repro grid):")
+    print(f"  {', '.join(PRESETS)}")
     return 0
 
 
 # ----------------------------------------------------------------------
-# Paper table/figure wrappers
+# The experiment grid
 # ----------------------------------------------------------------------
-def _cmd_experiment(args) -> int:
+def _cmd_grid(args) -> int:
+    import json
+    from pathlib import Path
+
     context = ExperimentContext(
         prepare_dataset(args.dataset, seed=args.seed), _profile(args))
     budgets = (dataset_budgets(args.dataset) if args.budget is None
                else (args.budget,))
-    rows, title = _dispatch(args.experiment, context, budgets)
-    if isinstance(rows, dict):
-        print(title)
-        for key, value in rows.items():
-            if isinstance(value, float):
-                print(f"  {key:36s} {value:.4f}")
-            elif not isinstance(value, list):
-                print(f"  {key:36s} {value}")
-    else:
-        print(format_table(rows, title=title))
+    rows = run_grid(context, PRESETS[args.preset](budgets))
+    violations = paper_orderings(rows)
+    shown = [name for name in rows[0]
+             if any(row[name] not in (None, {}) for row in rows)]
+    print(format_table(rows, shown, title=f"{args.preset} — {args.dataset}"))
+    print(f"\npaper orderings: {len(violations)} violated")
+    for violation in violations:
+        print(f"  {violation}")
+    if args.output:
+        payload = {"preset": args.preset, "dataset": args.dataset,
+                   "profile": context.profile.name, "rows": rows,
+                   "violations": violations}
+        Path(args.output).write_text(json.dumps(payload, indent=1) + "\n")
     return 0
-
-
-def _dispatch(experiment: str, context: ExperimentContext, budgets):
-    name = context.prepared.name
-    last = budgets[-1]
-    if experiment == "table2":
-        return run_table2(context, budgets=budgets), f"Table II — {name}"
-    if experiment == "table3":
-        return run_table3(context, budget=last), f"Table III — {name}"
-    if experiment == "table4":
-        return run_table4(context, budget=last), f"Table IV — {name}"
-    if experiment == "table5":
-        return run_table5(context, budget=last), f"Table V — {name}"
-    if experiment == "fig3":
-        return (run_fig34(context, budgets=budgets, batch_mode="graph"),
-                f"Fig. 3 — {name}")
-    if experiment == "fig4":
-        return (run_fig34(context, budgets=budgets, batch_mode="node"),
-                f"Fig. 4 — {name}")
-    if experiment == "fig5":
-        return run_fig5(context, budget=budgets[0]), f"Fig. 5 — {name}"
-    if experiment == "fig6":
-        return run_fig6(context, budget=last), f"Fig. 6 — {name}"
-    if experiment == "fig7":
-        return run_fig7(context, budget=last), f"Fig. 7 — {name}"
-    raise AssertionError(f"unhandled experiment {experiment}")
 
 
 if __name__ == "__main__":

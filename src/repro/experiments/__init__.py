@@ -1,4 +1,4 @@
-"""Experiment harnesses regenerating every table and figure of the paper."""
+"""The experiment grid regenerating every table and figure of the paper."""
 
 from repro.experiments.settings import (
     MethodSpec,
@@ -12,27 +12,15 @@ from repro.experiments.settings import (
 )
 from repro.experiments.pipeline import (PreparedDataset, prepare_dataset,
                                         ExperimentContext)
-from repro.experiments.reporting import format_table, mean_std, format_mean_std
-from repro.experiments.table2 import run_table2, TABLE2_METHODS
-from repro.experiments.fig34 import run_fig34, FIG34_METHODS
-from repro.experiments.table3 import run_table3
-from repro.experiments.table4 import run_table4, TABLE4_ARCHITECTURES
-from repro.experiments.table5 import run_table5, ABLATIONS
-from repro.experiments.fig5 import run_fig5, diagonal_dominance
-from repro.experiments.fig6 import run_fig6, DEFAULT_DELTAS
-from repro.experiments.fig7 import run_fig7, DEFAULT_LAMBDAS, DEFAULT_BETAS
+from repro.experiments.reporting import format_table, mean_std
+from repro.experiments.grid import (Cell, PRESETS, run_grid, paper_orderings,
+                                    diagonal_dominance)
 
 __all__ = [
     "MethodSpec", "METHODS", "method_names", "dataset_budgets",
     "EffortProfile", "QUICK", "FULL", "current_profile",
     "PreparedDataset", "prepare_dataset", "ExperimentContext",
-    "format_table", "mean_std", "format_mean_std",
-    "run_table2", "TABLE2_METHODS",
-    "run_fig34", "FIG34_METHODS",
-    "run_table3",
-    "run_table4", "TABLE4_ARCHITECTURES",
-    "run_table5", "ABLATIONS",
-    "run_fig5", "diagonal_dominance",
-    "run_fig6", "DEFAULT_DELTAS",
-    "run_fig7", "DEFAULT_LAMBDAS", "DEFAULT_BETAS",
+    "format_table", "mean_std",
+    "Cell", "PRESETS", "run_grid", "paper_orderings",
+    "diagonal_dominance",
 ]

@@ -1,15 +1,16 @@
 """Shared experiment pipeline: prepare → reduce → train → evaluate.
 
 :class:`ExperimentContext` memoizes the expensive stages (condensation and
-model training) so the table/figure harnesses can share work — e.g.
-Table II evaluates MCond under three deployment settings from a single
-condensation run, exactly as the paper does.
+model training) so every grid cell (:mod:`repro.experiments.grid`) can
+share work — e.g. Table II evaluates MCond under three deployment settings
+from a single condensation run, exactly as the paper does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from repro.nn.metrics import accuracy
 from repro.nn.models import GNNModel, make_model
 from repro.nn.trainer import TrainConfig, train_node_classifier
 from repro.registry import REDUCERS
+
+if TYPE_CHECKING:
+    from repro.experiments.grid import Cell
 
 __all__ = ["PreparedDataset", "prepare_dataset", "ExperimentContext"]
 
@@ -68,9 +72,10 @@ class ExperimentContext:
                  profile: EffortProfile | None = None) -> None:
         self.prepared = prepared
         self.profile = profile or current_profile()
-        self._condensed: dict[tuple, CondensedGraph] = {}
-        self._method_results: dict[tuple, object] = {}
-        self._models: dict[tuple, GNNModel] = {}
+        self._reductions: dict[tuple, tuple[CondensedGraph, object]] = {}
+        # keyed by id(condensed); each entry holds the graph itself, so the
+        # id cannot be recycled by another graph while the entry lives
+        self._models: dict[tuple, tuple[CondensedGraph | None, GNNModel]] = {}
 
     # ------------------------------------------------------------------
     # Reduction
@@ -109,26 +114,26 @@ class ExperimentContext:
     def reduce(self, method: str, budget: int, seed: int = 0,
                **overrides) -> CondensedGraph:
         """Run (or fetch) a registered reduction method at the given budget."""
-        entry = REDUCERS.get(method)
-        key = (entry.name, budget, seed, tuple(sorted(overrides.items())))
-        if key in self._condensed:
-            return self._condensed[key]
-        reducer = entry.factory(
-            seed=seed, **self.reducer_config(method, **overrides))
-        condensed = reducer.reduce(self.prepared.split, budget)
-        if entry.keeps_result:
-            result = getattr(reducer, "last_result", None)
-            assert result is not None
-            self._method_results[key] = result
-        self._condensed[key] = condensed
-        return condensed
+        return self._reduction(method, budget, seed, overrides)[0]
 
     def mcond_result(self, budget: int, seed: int = 0, **overrides) -> MCondResult:
         """Full MCond result (mapping module + loss histories)."""
-        key = ("mcond", budget, seed, tuple(sorted(overrides.items())))
-        if key not in self._method_results:
-            self.reduce("mcond", budget, seed, **overrides)
-        return self._method_results[key]
+        return self._reduction("mcond", budget, seed, overrides)[1]
+
+    def _reduction(self, method: str, budget: int, seed: int,
+                   overrides: dict) -> tuple[CondensedGraph, object]:
+        """``(condensed, kept result or None)``, memoized on the built
+        reducer's resolved settings: an override that restates a default
+        or a tuned weight is the same run as leaving it out."""
+        entry = REDUCERS.get(method)
+        reducer = entry.factory(
+            seed=seed, **self.reducer_config(method, **overrides))
+        key = (entry.name, budget, _resolved_settings(reducer))
+        if key not in self._reductions:
+            condensed = reducer.reduce(self.prepared.split, budget)
+            result = reducer.last_result if entry.keeps_result else None
+            self._reductions[key] = (condensed, result)
+        return self._reductions[key]
 
     # ------------------------------------------------------------------
     # Training
@@ -154,8 +159,9 @@ class ExperimentContext:
         condensed_key = None if condensed is None else id(condensed)
         key = (train_source, model_name, condensed_key, validate_deployment,
                seed, tuple(sorted(model_kwargs.items())))
-        if key in self._models:
-            return self._models[key]
+        cached = self._models.get(key)
+        if cached is not None and cached[0] is condensed:
+            return cached[1]
 
         split = self.prepared.split
         graph = self.prepared.original
@@ -180,7 +186,7 @@ class ExperimentContext:
                 model, operator, condensed.features, condensed.labels,
                 np.arange(condensed.num_nodes), validator=validator,
                 config=self.train_config())
-        self._models[key] = model
+        self._models[key] = (condensed, model)
         return model
 
     def _make_validator(self, model: GNNModel, deployment: str,
@@ -204,31 +210,63 @@ class ExperimentContext:
     def evaluate(self, model: GNNModel, deployment: str,
                  condensed: CondensedGraph | None = None,
                  which: str = "test", batch_mode: str = "graph",
-                 batch_size: int = 1000) -> InferenceReport:
+                 batch_size: int = 1000, frozen: bool = False) -> InferenceReport:
         """Serve an evaluation batch and report accuracy/latency/memory."""
         batch = self.prepared.test_batch if which == "test" else self.prepared.val_batch
         server = InductiveServer(model, deployment, self.prepared.original,
                                  condensed)
-        return server.run(batch, batch_size=batch_size, batch_mode=batch_mode)
+        return server.run(batch, batch_size=batch_size, batch_mode=batch_mode,
+                          frozen=frozen)
 
     # ------------------------------------------------------------------
-    # Whole-method assembly (one Table II cell)
+    # One grid cell
     # ------------------------------------------------------------------
-    def run_method(self, method: str, budget: int, batch_mode: str = "graph",
-                   model_name: str = "sgc", seed: int = 0,
-                   batch_size: int = 1000) -> InferenceReport:
-        """Reduce (if needed), train, and evaluate one method end to end."""
-        if method not in METHODS:
-            raise ConfigError(
-                f"unknown method {method!r}; known: {', '.join(METHODS)}")
-        spec: MethodSpec = METHODS[method]
-        condensed = None
+    def assemble(self, cell: Cell) -> tuple[GNNModel, str, CondensedGraph | None]:
+        """``(model, deployment, served graph)`` behind one grid cell.
+
+        Reduces (if the method does) and trains; with ``cell.delta`` set the
+        served graph is the trained mapping re-thresholded at that Eq. 14
+        ``delta``, while the model stays the one trained on the reducer's
+        own graph (Fig. 6 needs no retraining).
+        """
+        spec: MethodSpec = METHODS[cell.method]
+        condensed = result = None
         if spec.reducer is not None:
-            condensed = self.reduce(spec.reducer, budget, seed=seed)
-        model = self.train(spec.train_source, model_name=model_name,
+            condensed, result = self._reduction(spec.reducer, cell.budget,
+                                                cell.seed, dict(cell.overrides))
+        model = self.train(spec.train_source, model_name=cell.model,
                            condensed=condensed,
                            validate_deployment=spec.eval_deployment
                            if condensed is not None else "original",
-                           seed=seed)
-        return self.evaluate(model, spec.eval_deployment, condensed,
-                             batch_mode=batch_mode, batch_size=batch_size)
+                           seed=cell.seed)
+        if cell.delta is not None:
+            if result is None:
+                raise ConfigError(
+                    f"method {cell.method!r} keeps no trained mapping to "
+                    "re-threshold at delta")
+            condensed = result.condensed_with_threshold(cell.delta)
+        return model, spec.eval_deployment, condensed
+
+    def run_method(self, cell: Cell) -> InferenceReport:
+        """Reduce (if needed), train, and evaluate one cell end to end."""
+        model, deployment, condensed = self.assemble(cell)
+        return self.evaluate(model, deployment, condensed,
+                             batch_mode=cell.batch_mode,
+                             batch_size=cell.request_size or 1000,
+                             frozen=cell.operator == "frozen")
+
+
+def _resolved_settings(reducer) -> tuple:
+    """Every public setting of a built reducer, hashable; a dataclass
+    config is expanded field by field."""
+    def freeze(value):
+        if is_dataclass(value):
+            value = asdict(value)
+        if isinstance(value, dict):
+            return tuple(sorted((k, freeze(v)) for k, v in value.items()))
+        if isinstance(value, (list, tuple)):
+            return tuple(freeze(v) for v in value)
+        return value
+
+    return freeze({name: value for name, value in vars(reducer).items()
+                   if not name.startswith(("_", "last_"))})

@@ -6,7 +6,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["format_table", "mean_std", "format_mean_std"]
+__all__ = ["format_table", "mean_std"]
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -15,13 +15,6 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
     if arr.size == 0:
         return float("nan"), float("nan")
     return float(arr.mean()), float(arr.std())
-
-
-def format_mean_std(values: Sequence[float], scale: float = 100.0,
-                    digits: int = 2) -> str:
-    """Render e.g. accuracies as ``76.94±0.01`` (paper convention)."""
-    mean, std = mean_std(values)
-    return f"{mean * scale:.{digits}f}±{std * scale:.{digits}f}"
 
 
 def format_table(rows: Sequence[Mapping[str, object]],

@@ -12,9 +12,11 @@ herding/
 kcenter        coreset         original (O)        reduced (S)
 vng            VNG             original (O)        virtual (S)
 gcond          GCond           synthetic (S)       original (O)
+doscond        DosCond         synthetic (S)       original (O)
 mcond_os       MCond           original (O)        synthetic (S)
 mcond_so       MCond           synthetic (S)       original (O)
 mcond_ss       MCond           synthetic (S)       synthetic (S)
+sharded        MCond per shard synthetic (S)       synthetic (S)
 =============  ==============  ==================  =================
 
 Budgets: the paper quotes reduction ratios ``r`` relative to the training
@@ -60,9 +62,11 @@ METHODS: dict[str, MethodSpec] = {
     "kcenter": MethodSpec("kcenter", "kcenter", "original", "synthetic"),
     "vng": MethodSpec("vng", "vng", "original", "synthetic"),
     "gcond": MethodSpec("gcond", "gcond", "synthetic", "original"),
+    "doscond": MethodSpec("doscond", "doscond", "synthetic", "original"),
     "mcond_os": MethodSpec("mcond_os", "mcond", "original", "synthetic"),
     "mcond_so": MethodSpec("mcond_so", "mcond", "synthetic", "original"),
     "mcond_ss": MethodSpec("mcond_ss", "mcond", "synthetic", "synthetic"),
+    "sharded": MethodSpec("sharded", "sharded", "synthetic", "synthetic"),
 }
 
 

@@ -216,8 +216,14 @@ class InductiveServer:
         return inductive, elapsed, memory
 
     def run(self, batch: IncrementalBatch, batch_size: int = 1000,
-            batch_mode: str = "graph") -> InferenceReport:
-        """Serve the full workload in mini-batches (paper: batch size 1000)."""
+            batch_mode: str = "graph", frozen: bool = False) -> InferenceReport:
+        """Serve the full workload in mini-batches (paper: batch size 1000).
+
+        ``frozen`` serves every mini-batch through
+        :meth:`~repro.serving.prepared.PreparedDeployment.serve_batch_frozen`
+        (SGC only) instead of the exact Eq. 3 / Eq. 11 :meth:`serve_batch`.
+        """
+        serve = self.prepared.serve_batch_frozen if frozen else self.serve_batch
         total_nodes = batch.num_nodes
         if total_nodes == 0:
             raise InferenceError("cannot serve an empty inductive batch")
@@ -226,7 +232,7 @@ class InductiveServer:
         memories = []
         for idx in iterate_minibatches(total_nodes, batch_size):
             sub = batch.subset(idx) if idx.size != total_nodes else batch
-            logits, elapsed, memory = self.serve_batch(sub, batch_mode)
+            logits, elapsed, memory = serve(sub, batch_mode)
             all_logits.append(logits)
             seconds.append(elapsed)
             memories.append(memory)

@@ -352,7 +352,7 @@ class TestShardedAccuracy:
                                     shards=2, **inner),
         }
         accuracy = {}
-        condensed = {}  # kept alive: the context caches models by id()
+        condensed = {}
         for name, reducer in reducers.items():
             condensed[name] = reducer.reduce(context.prepared.split, 30)
             model = context.train("synthetic", condensed=condensed[name],

@@ -2,31 +2,25 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import (
-    ABLATIONS,
+    Cell,
     EffortProfile,
     ExperimentContext,
     METHODS,
     current_profile,
     dataset_budgets,
-    diagonal_dominance,
-    format_mean_std,
     format_table,
     mean_std,
     method_names,
     prepare_dataset,
-    run_fig34,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
 )
 
 FAST = EffortProfile(
@@ -83,9 +77,6 @@ class TestReporting:
         mean, std = mean_std([])
         assert np.isnan(mean)
 
-    def test_format_mean_std_paper_style(self):
-        assert format_mean_std([0.5, 0.5]) == "50.00±0.00"
-
     def test_format_table_alignment(self):
         text = format_table([{"a": 1, "b": "x"}, {"a": 22, "b": "yy"}],
                             title="T")
@@ -108,6 +99,25 @@ class TestPipeline:
         b = context.reduce("mcond", 9, seed=0, use_structure_loss=False)
         assert a is not b
 
+    def test_reduce_keys_on_the_resolved_config(self, context):
+        # restating a default is the same run: Fig. 5's class-aware cell
+        # reuses Table II's condensation
+        assert (context.reduce("mcond", 9, class_aware_init=True)
+                is context.reduce("mcond", 9))
+        assert (context.mcond_result(9, class_aware_init=True)
+                is context.mcond_result(9))
+
+    def test_train_cache_keeps_its_keyed_graph_alive(self, context):
+        # the model memo keys on id(condensed); a freed graph's id could be
+        # recycled by another graph, which would then get a stale model
+        condensed = replace(context.reduce("mcond", 9))
+        context.train("synthetic", condensed=condensed,
+                      validate_deployment="synthetic")
+        ref = weakref.ref(condensed)
+        del condensed
+        gc.collect()
+        assert ref() is not None
+
     def test_train_cached(self, context):
         a = context.train("original", seed=0)
         b = context.train("original", seed=0)
@@ -115,14 +125,14 @@ class TestPipeline:
 
     def test_unknown_method_rejected(self, context):
         with pytest.raises(ConfigError):
-            context.run_method("magic", 9)
+            Cell("magic", 9)
         with pytest.raises(ConfigError):
             context.reduce("magic", 9)
         with pytest.raises(ConfigError):
             context.train("sideways")
 
     def test_run_method_produces_report(self, context):
-        report = context.run_method("random", 9, batch_mode="node")
+        report = context.run_method(Cell("random", 9, batch_mode="node"))
         assert 0.0 <= report.accuracy <= 1.0
         assert report.deployment == "synthetic"
 
@@ -130,60 +140,3 @@ class TestPipeline:
         ratio = context.prepared.reduction_ratio(9)
         assert ratio == pytest.approx(9 / context.prepared.original.num_nodes)
 
-
-class TestHarnessSchemas:
-    def test_table2_rows(self, context):
-        rows = run_table2(context, budgets=[9], batch_modes=["node"],
-                          methods=("whole", "random", "mcond_ss"))
-        assert len(rows) == 3
-        for row in rows:
-            assert {"dataset", "batch", "budget", "method", "setting",
-                    "accuracy", "display"} <= set(row)
-
-    def test_fig34_rows_include_whole(self, context):
-        rows = run_fig34(context, budgets=[9], batch_mode="node",
-                         methods=("random", "mcond_ss"))
-        methods = [row["method"] for row in rows]
-        assert "whole" in methods
-        for row in rows:
-            assert row["time_ms"] > 0
-            assert row["memory_mb"] > 0
-
-    def test_table3_rows(self, context):
-        rows = run_table3(context, budget=9, batch_modes=("node",))
-        graphs = {row["graph"] for row in rows}
-        assert graphs == {"O", "S"}
-        for row in rows:
-            assert 0.0 <= row["vanilla"] <= 1.0
-            assert 0.0 <= row["lp"] <= 1.0
-            assert 0.0 <= row["ep"] <= 1.0
-
-    def test_table4_rows(self, context):
-        rows = run_table4(context, budget=9, architectures=("gcn",),
-                          batch_modes=("node",), hidden=8)
-        assert len(rows) == 2  # SO and SS
-        assert {row["method"] for row in rows} == {"mcond_so", "mcond_ss"}
-
-    def test_table5_rows(self, context):
-        rows = run_table5(context, budget=9, batch_modes=("node",))
-        assert {row["ablation"] for row in rows} == set(ABLATIONS)
-
-    def test_fig5_summary(self, context):
-        out = run_fig5(context, budget=9)
-        assert 0.0 <= out["trained_diagonal_dominance"] <= 1.0
-        assert out["init_diagonal_dominance"] > 0.5
-        assert len(out["losses_class_aware"]) > 0
-
-    def test_fig6_rows_monotone_sparsity(self, context):
-        rows = run_fig6(context, budget=9, deltas=(0.0, 0.05, 0.2))
-        sparsities = [row["sparsity"] for row in rows]
-        assert all(b >= a - 1e-12 for a, b in zip(sparsities, sparsities[1:]))
-
-    def test_fig7_rows(self, context):
-        rows = run_fig7(context, budget=9, lambdas=(0.1,), betas=(100.0,))
-        assert len(rows) == 2
-        assert {row["axis"] for row in rows} == {"lambda", "beta"}
-
-    def test_diagonal_dominance_identity(self):
-        assert diagonal_dominance(np.eye(3)) == 1.0
-        assert diagonal_dominance(np.zeros((2, 2))) == 0.0

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.condense import MCondConfig, MCondReducer, make_coreset
-from repro.experiments import ExperimentContext, EffortProfile, prepare_dataset
+from repro.experiments import (Cell, ExperimentContext, EffortProfile,
+                               prepare_dataset)
 from repro.graph import load_dataset, symmetric_normalize
 from repro.inference import run_inference
 from repro.nn import TrainConfig, make_model, train_node_classifier
@@ -28,13 +29,13 @@ class TestPaperClaims:
     def test_mcond_serves_on_synthetic_graph(self, context):
         """The headline capability: inductive inference without the original
         graph, at accuracy comparable to full-graph serving."""
-        whole = context.run_method("whole", 15, batch_mode="graph")
-        mcond = context.run_method("mcond_ss", 15, batch_mode="graph")
+        whole = context.run_method(Cell("whole", 15, batch_mode="graph"))
+        mcond = context.run_method(Cell("mcond_ss", 15, batch_mode="graph"))
         assert mcond.accuracy >= whole.accuracy - 0.15
 
     def test_mcond_beats_random_coreset(self, context):
-        random_report = context.run_method("random", 15, batch_mode="graph")
-        mcond_report = context.run_method("mcond_os", 15, batch_mode="graph")
+        random_report = context.run_method(Cell("random", 15, batch_mode="graph"))
+        mcond_report = context.run_method(Cell("mcond_os", 15, batch_mode="graph"))
         assert mcond_report.accuracy >= random_report.accuracy - 0.02
 
     def test_gcond_cannot_attach_but_mcond_can(self, context):
@@ -55,8 +56,8 @@ class TestPaperClaims:
 
     def test_graph_batch_at_least_node_batch_on_average(self, context):
         """Graph batches carry extra edges; accuracy should not collapse."""
-        graph_mode = context.run_method("mcond_ss", 15, batch_mode="graph")
-        node_mode = context.run_method("mcond_ss", 15, batch_mode="node")
+        graph_mode = context.run_method(Cell("mcond_ss", 15, batch_mode="graph"))
+        node_mode = context.run_method(Cell("mcond_ss", 15, batch_mode="node"))
         assert abs(graph_mode.accuracy - node_mode.accuracy) < 0.2
 
     def test_label_propagation_calibrates_synthetic_serving(self, context):

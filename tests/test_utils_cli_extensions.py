@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -70,17 +72,19 @@ def _fast_profile(monkeypatch):
 class TestCli:
     def test_parser_experiments(self):
         parser = build_parser()
-        args = parser.parse_args(["table2", "--dataset", "tiny-sim"])
-        assert args.experiment == "table2"
+        args = parser.parse_args(["grid", "table2", "--dataset", "tiny-sim"])
+        assert args.preset == "table2"
         assert args.dataset == "tiny-sim"
 
     def test_unknown_experiment_rejected(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
-            parser.parse_args(["table9"])
+            parser.parse_args(["grid", "table9"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["table2"])  # the grid is the only front door
 
     def test_unknown_dataset_exits_cleanly(self, capsys):
-        code = main(["table2", "--dataset", "does-not-exist"])
+        code = main(["grid", "table2", "--dataset", "does-not-exist"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -227,13 +231,19 @@ class TestCli:
         assert code == 2
         assert "whole" in capsys.readouterr().err  # known methods listed
 
-    def test_table5_runs_on_tiny(self, capsys, monkeypatch):
+    def test_table5_runs_on_tiny(self, capsys, monkeypatch, tmp_path):
         _fast_profile(monkeypatch)
-        code = main(["table5", "--dataset", "tiny-sim", "--budget", "9"])
+        output = tmp_path / "table5.json"
+        code = main(["grid", "table5", "--dataset", "tiny-sim", "--budget",
+                     "9", "--output", str(output)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "Table V" in out
-        assert "full" in out
+        assert "table5 — tiny-sim" in out
+        assert "paper orderings:" in out
+        payload = json.loads(output.read_text())
+        assert payload["preset"] == "table5"
+        assert len(payload["rows"]) == 8  # 4 ablations x 2 batch modes
+        assert {row["budget"] for row in payload["rows"]} == {9}
 
 
 class TestServingCli:
