@@ -5,10 +5,11 @@ runs the scenario the paper's inductive regime ultimately points at: a
 live deployment whose base graph changes *while it serves* — new users
 join permanently, edges appear and disappear, features drift.  A
 :class:`~repro.graph.stream.GraphDelta` trace (built from the dataset's
-inductive batch) is ingested through the runtime between micro-batches,
-and every delta refreshes the prepared serving caches incrementally —
-bit-for-bit what rebuilding them from scratch would produce, at a
-fraction of the cost.
+inductive batch) is ingested through the runtime between micro-batches.
+Each delta updates only what exact serving reads; the derived warm
+caches (the normalized operator, the propagated features) catch up on
+their next read — bit-for-bit what rebuilding them from scratch would
+produce, at a fraction of the cost.
 
 Run:  python examples/streaming_serving.py
 """

@@ -548,11 +548,14 @@ def open_stream(bundle: DeploymentBundle | str | Path, *,
     Like :func:`open_runtime`, but the deployment is prepared for
     :class:`~repro.graph.stream.GraphDelta` ingest: the warm serving
     caches (normalized operator, degree vector, and — for linear models —
-    the K-hop propagated features) are materialized up front so every
-    ``runtime.ingest(delta)`` refreshes them incrementally instead of
-    paying a first-touch rebuild mid-traffic.  ``staleness_threshold`` is
-    the affected-row fraction beyond which a delta falls back to a full
-    cache rebuild (see
+    the K-hop propagated features) are materialized up front.  Each
+    ``runtime.ingest(delta)`` then updates only what exact serving reads
+    (the base block and the degrees); the operator and the propagated
+    features catch up on their next read, the hops with one row-wise
+    refresh over every delta since the last one instead of a full
+    recompute.  ``staleness_threshold`` is the affected-row fraction
+    beyond which a delta recomputes the degrees from scratch and drops
+    the propagated features for a full recompute on read (see
     :meth:`~repro.serving.prepared.PreparedDeployment.apply_delta`).
 
     >>> runtime = api.open_stream("artifact.npz")       # doctest: +SKIP

@@ -18,8 +18,9 @@ the delta model for that evolution:
   graph delta by delta, with optional edge churn and feature drift.
 
 :class:`repro.serving.prepared.PreparedDeployment.apply_delta` consumes
-the same deltas to refresh its serving caches incrementally; the parity
-suite asserts the refreshed state is bit-for-bit what a from-scratch
+the same deltas: it splices what exact serving reads at once and lets the
+derived warm caches catch up on their next read; the parity suite
+asserts that state, once read, is bit-for-bit what a from-scratch
 ``prepare()`` on the post-delta graph produces.
 """
 
@@ -163,6 +164,8 @@ class GraphDelta:
                 raise GraphError(
                     f"feature update shapes mismatch: index {idx.shape}, "
                     f"values {values.shape}")
+            if idx.size and idx.min() < 0:
+                raise GraphError("update_index must reference existing nodes")
             if np.unique(idx).size != idx.size:
                 raise GraphError("update_index must be unique")
             object.__setattr__(self, "update_index", idx)

@@ -13,7 +13,9 @@ serving path re-derives on every batch:
 - lazily, the standalone normalized operator of the deployed graph, its
   K-hop propagated features and base logits (``warm_base``) — the cache
   behind answering queries about *known* nodes with zero graph work and
-  behind the frozen-base fast path.
+  behind the frozen-base fast path.  A streaming delta
+  (:meth:`PreparedDeployment.apply_delta`) updates only what exact
+  serving reads; these caches catch up on their next read.
 
 Exactness contract
 ------------------
@@ -99,7 +101,6 @@ from repro.graph.ops import _sorted_unique, add_self_loops, canonical_csr
 from repro.graph.stream import (
     GraphDelta,
     StreamingGraph,
-    _kept_row_runs,
     _splice_rows,
     csr_row_positions,
     grow_buffer,
@@ -112,20 +113,26 @@ from repro.tensor.tensor import Tensor, no_grad
 
 __all__ = ["PreparedDeployment", "DeltaRefreshReport"]
 
+#: Pending per-delta row sets the hop arrays hold before they are folded
+#: into one union, so a stream no frozen read follows stays O(N) in memory.
+_MAX_STALE_SETS = 64
+
 
 @dataclass(frozen=True)
 class DeltaRefreshReport:
     """What one :meth:`PreparedDeployment.apply_delta` call did.
 
-    ``mode`` is ``"incremental"`` (touched rows respliced, materialized
-    caches refreshed row-wise), ``"rebuild"`` (past the staleness
-    threshold — materialized caches recomputed from scratch),
+    ``mode`` is ``"incremental"`` (touched rows respliced, degrees
+    patched row-wise), ``"rebuild"`` (past the staleness threshold —
+    degrees recomputed from scratch, hop arrays dropped),
     ``"append-mapping"`` (synthetic deployment: mapping grew zero rows),
-    or ``"noop"``.  ``refreshed`` names the caches brought up to date,
-    ``invalidated`` the ones dropped for lazy recomputation (the warm
-    base logits and the base embeddings / top-k index — full model
-    forwards — are never patched in place because BLAS row-subset
-    products are not bitwise reproducible).
+    or ``"noop"``.  ``refreshed`` names what the call itself brought up
+    to date; ``invalidated`` names the held caches that catch up on
+    their next read: the normalized operator (rebuilt), the K-hop
+    propagated features (refreshed row-wise, or recomputed after a
+    rebuild), and the warm base logits and base embeddings / top-k
+    index (full model forwards, recomputed — never patched in place
+    because BLAS row-subset products are not bitwise reproducible).
     """
 
     mode: str
@@ -267,6 +274,9 @@ class PreparedDeployment:
         self._base_operator: sp.csr_matrix | None = None
         self._propagated: list[np.ndarray] | None = None
         self._hop_buffers: list[np.ndarray] | None = None
+        # (affected rows, feature rows) of each delta the hop arrays have
+        # not caught up with yet
+        self._stale_rows: list[tuple[np.ndarray, np.ndarray]] = []
         self._base_logits: np.ndarray | None = None
         self._base_embeddings: np.ndarray | None = None
         # the top-k similarity index over the base embeddings — either
@@ -595,7 +605,8 @@ class PreparedDeployment:
         return operator
 
     def base_operator(self) -> sp.csr_matrix:
-        """Standalone normalized operator of the deployed graph."""
+        """Standalone normalized operator of the deployed graph, cached
+        until the next delta drops it."""
         if self._base_operator is None:
             self._base_operator = self._scaled_operator(
                 self._inv_sqrt_degrees())
@@ -676,7 +687,8 @@ class PreparedDeployment:
 
         Only defined for SGC-style linear propagation; this feeds the
         frozen-base fast path where per-request work touches nothing but
-        the incremental rows.
+        the incremental rows.  After deltas, the first read recomputes
+        the rows their k-hop neighborhoods reach, once for all of them.
         """
         if not isinstance(self.model, SGC):
             raise ServingError(
@@ -689,6 +701,10 @@ class PreparedDeployment:
                 hops.append(np.asarray(operator @ hops[-1]))
             self._propagated = hops
             self._hop_buffers = None  # fresh arrays, no grown capacity yet
+        elif self._stale_rows:
+            # one refresh over every delta applied since the last read
+            self._refresh_propagated(*self._stale_union())
+            self._stale_rows = []
         return self._propagated
 
     def serve_batch_frozen(self, batch: IncrementalBatch,
@@ -782,17 +798,21 @@ class PreparedDeployment:
                     staleness_threshold: float = 0.25) -> DeltaRefreshReport:
         """Evolve the deployed base graph by one :class:`GraphDelta`.
 
-        The base block (``base_loops``, row counts, features) is always
-        updated by row splicing.  Materialized warm caches — the degree
-        vector and its ``D^{-1/2}``, the standalone normalized operator
-        and the K-hop propagated features — are refreshed
-        *incrementally*: only rows whose (per-hop) neighborhood touches
-        the delta are recomputed.  When the affected row fraction exceeds
-        ``staleness_threshold`` the materialized caches are rebuilt from
-        scratch instead.  Either way the resulting state is bit-for-bit
-        what a from-scratch ``PreparedDeployment`` on the post-delta
-        graph would hold (the parity suite asserts this), so served
-        logits are bitwise unchanged by the refresh strategy.
+        The delta pays only for what the exact serve path reads: the base
+        block (``base_loops``, row counts, features) is updated by row
+        splicing, and the degree vector and its ``D^{-1/2}`` are patched
+        at the touched rows.  The derived warm caches catch up on their
+        next read instead: the standalone normalized operator is dropped
+        and rebuilt by :meth:`base_operator`, and the K-hop propagated
+        features record the rows the delta may change, so
+        :meth:`propagated_base_features` recomputes the union of every
+        pending delta's k-hop neighborhood in one refresh.  When the
+        affected row fraction exceeds ``staleness_threshold`` the degrees
+        are recomputed from scratch and the hop arrays are dropped too,
+        to be recomputed in full on read.  Either way every cache, once
+        read, is bit-for-bit what a from-scratch ``PreparedDeployment`` on
+        the post-delta graph would hold (the parity suite asserts this),
+        so served logits are bitwise unchanged by the refresh strategy.
 
         Synthetic deployments serve through the mapping matrix and never
         hold the original graph; for them only node appends are
@@ -821,24 +841,20 @@ class PreparedDeployment:
         effect = self._stream.apply(delta)
         old_base = self.num_base
         self.base = effect.graph
-        raw = effect.graph.adjacency
         new_n = effect.num_nodes
         touched = effect.touched_rows
-        touched_existing = touched[touched < old_base]
 
         # --- base block: row splice (always incremental) --------------
         loops_rows = self._loops_rows(effect)
-        self.base_loops = _splice_rows(self.base_loops, touched_existing,
+        self.base_loops = _splice_rows(self.base_loops,
+                                       touched[touched < old_base],
                                        *loops_rows, new_n)
         self.num_base = new_n
         self._base_counts = np.diff(self.base_loops.indptr)
-        self._raw_nnz = int(raw.nnz)
+        self._raw_nnz = int(effect.graph.adjacency.nnz)
         self.base_features = np.ascontiguousarray(effect.graph.features)
 
-        # --- derived caches -------------------------------------------
-        materialized = (self._loop_degrees is not None
-                        or self._base_operator is not None
-                        or self._propagated is not None)
+        # --- derived caches: dropped, or caught up on their next read --
         invalidated: list[str] = []
         if self._base_logits is not None:
             self._base_logits = None
@@ -851,29 +867,35 @@ class PreparedDeployment:
             # bitwise reproducible)
             self.invalidate_embeddings()
             invalidated.append("embeddings")
-        if not materialized:
-            return DeltaRefreshReport(
-                mode="incremental", seconds=time.perf_counter() - start,
-                num_base=new_n, appended=effect.appended,
-                touched_rows=int(touched.size), affected_rows=0,
-                invalidated=tuple(invalidated))
-
-        affected = self._affected_operator_rows(touched)
-        if affected.size > staleness_threshold * new_n:
-            refreshed = self._rebuild_caches()
-            return DeltaRefreshReport(
-                mode="rebuild", seconds=time.perf_counter() - start,
-                num_base=new_n, appended=effect.appended,
-                touched_rows=int(touched.size),
-                affected_rows=int(affected.size),
-                refreshed=refreshed, invalidated=tuple(invalidated))
-        refreshed = self._refresh_caches(effect, affected, old_base,
-                                         touched_existing, loops_rows)
+        if self._base_operator is not None:
+            self._base_operator = None
+            invalidated.append("operator")
+        mode, affected_rows, refreshed = "incremental", 0, ()
+        # the hop arrays are never held without the degrees they were
+        # normalized by
+        if self._loop_degrees is not None:
+            affected = self._affected_operator_rows(touched)
+            affected_rows, refreshed = int(affected.size), ("degrees",)
+            if self._propagated is not None:
+                invalidated.append("propagated")
+            if affected.size > staleness_threshold * new_n:
+                mode = "rebuild"
+                self._loop_degrees = self._loop_inv_sqrt = None
+                self._propagated = self._hop_buffers = None
+                self._stale_rows = []
+                self._degrees()
+            else:
+                self._patch_degrees(touched, old_base, loops_rows)
+                if self._propagated is not None:
+                    self._stale_rows.append((affected, effect.feature_rows))
+                    if len(self._stale_rows) > _MAX_STALE_SETS:
+                        # bound the pending list by its union
+                        self._stale_rows = [self._stale_union()]
         return DeltaRefreshReport(
-            mode="incremental", seconds=time.perf_counter() - start,
-            num_base=new_n, appended=effect.appended,
-            touched_rows=int(touched.size), affected_rows=int(affected.size),
-            refreshed=refreshed, invalidated=tuple(invalidated))
+            mode=mode, seconds=time.perf_counter() - start, num_base=new_n,
+            appended=effect.appended, touched_rows=int(touched.size),
+            affected_rows=affected_rows, refreshed=refreshed,
+            invalidated=tuple(invalidated))
 
     def _apply_delta_synthetic(self, delta: GraphDelta,
                                start: float) -> DeltaRefreshReport:
@@ -945,108 +967,49 @@ class PreparedDeployment:
         rows = np.searchsorted(matrix.indptr, hits, "right") - 1
         return _sorted_unique(np.concatenate([also, rows]), matrix.shape[0])
 
-    def _respliced_operator(self, affected: np.ndarray,
-                            touched_existing: np.ndarray,
-                            old_base: int) -> sp.csr_matrix:
-        """Row-wise operator refresh: unaffected rows copy their old data
-        bytes (their entries and both scale factors are unchanged, so the
-        bits are the fresh bits); affected rows are rescaled elementwise.
-        O(affected nnz) flops plus one O(nnz) memcpy — no full rescale."""
-        loops = self.base_loops
-        old = self._base_operator
-        inv_sqrt = self._inv_sqrt_degrees()
-        indptr = loops.indptr
-        data = np.empty(int(indptr[-1]), dtype=np.float64)
-        # Offsets only move at touched rows, so the rows between them sit
-        # contiguously in both data arrays: copy them as whole runs (the
-        # affected ones among them are rescaled below).
-        starts, ends = _kept_row_runs(touched_existing, old_base)
-        for at, start, end in zip(indptr[starts].tolist(),
-                                  old.indptr[starts].tolist(),
-                                  old.indptr[ends].tolist()):
-            data[at:at + end - start] = old.data[start:end]
-        if affected.size:
-            pos = csr_row_positions(indptr, affected)
-            counts = (indptr[affected + 1] - indptr[affected]).astype(np.int64)
-            rows = np.repeat(affected, counts)
-            data[pos] = ((inv_sqrt[rows] * loops.data[pos])
-                         * inv_sqrt[loops.indices[pos]])
-        operator = sp.csr_matrix((data, loops.indices, indptr),
-                                 shape=loops.shape)
-        operator.has_sorted_indices = True
-        return operator
-
-    def _rebuild_caches(self) -> tuple[str, ...]:
-        """Full from-scratch rematerialization of whatever was built."""
-        had_operator = self._base_operator is not None
-        had_propagated = self._propagated is not None
-        had_degrees = self._loop_degrees is not None
-        self._loop_degrees = None
-        self._loop_inv_sqrt = None
-        self._base_operator = None
-        self._propagated = None
-        self._hop_buffers = None
-        refreshed = []
-        if had_degrees:
-            self._degrees()
-            refreshed.append("degrees")
-        if had_operator:
-            self.base_operator()
-            refreshed.append("operator")
-        if had_propagated:
-            self.propagated_base_features()
-            refreshed.append("propagated")
-        return tuple(refreshed)
-
-    def _refresh_caches(self, effect, affected: np.ndarray, old_base: int,
-                        touched_existing: np.ndarray,
-                        loops_rows: tuple) -> tuple[str, ...]:
-        """Row-wise refresh of the materialized caches (bit-exact)."""
-        refreshed = []
-        touched = effect.touched_rows
+    def _patch_degrees(self, touched: np.ndarray, old_base: int,
+                       loops_rows: tuple) -> None:
+        """Row-wise refresh of the degrees and ``D^{-1/2}`` (bit-exact):
+        the spliced block holds exactly the touched rows' content, so
+        their row sums come from it, no re-slice of ``base_loops``."""
         appended = self.num_base - old_base
-        if self._loop_degrees is not None:
-            degrees = self._loop_degrees
-            if appended:
-                degrees = np.concatenate(
-                    [degrees, np.zeros(appended, dtype=np.float64)])
-            else:
-                degrees = degrees.copy()
-            # the spliced block holds exactly the touched rows' content —
-            # row sums come from it, no re-slice of base_loops needed
-            data, _, indptr = loops_rows
-            degrees[touched] = _reduceat_row_sums(data, indptr[:-1],
-                                                  np.diff(indptr))
-            self._loop_degrees = degrees
-            refreshed.append("degrees")
-            if self._loop_inv_sqrt is not None:
-                inv_sqrt = np.zeros_like(degrees)
-                inv_sqrt[:old_base] = self._loop_inv_sqrt
-                inv_sqrt[touched] = _inv_sqrt(degrees[touched])
-                self._loop_inv_sqrt = inv_sqrt
-        if self._base_operator is not None:
-            self._base_operator = self._respliced_operator(
-                affected, touched_existing, old_base)
-            refreshed.append("operator")
-        if self._propagated is not None:
-            self._refresh_propagated(effect, affected, old_base)
-            refreshed.append("propagated")
-        return tuple(refreshed)
+        degrees = np.concatenate(
+            [self._loop_degrees, np.zeros(appended, dtype=np.float64)])
+        data, _, indptr = loops_rows
+        degrees[touched] = _reduceat_row_sums(data, indptr[:-1],
+                                              np.diff(indptr))
+        self._loop_degrees = degrees
+        if self._loop_inv_sqrt is not None:
+            inv_sqrt = np.concatenate(
+                [self._loop_inv_sqrt, np.zeros(appended, dtype=np.float64)])
+            inv_sqrt[touched] = _inv_sqrt(degrees[touched])
+            self._loop_inv_sqrt = inv_sqrt
 
-    def _refresh_propagated(self, effect, affected: np.ndarray,
-                            old_base: int) -> None:
-        """Per-hop refresh: a hop-``k`` row is recomputed when its
-        operator row changed or a neighbor's hop-``k-1`` row changed —
-        the delta's k-hop neighborhood, exactly.  Hop arrays are updated
-        in place (or grown once per hop on node appends); untouched rows
-        keep their bytes."""
-        operator = self.base_operator()  # already refreshed
+    def _stale_union(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pending deltas' affected rows and feature rows, each
+        united into one sorted set."""
+        affected, features = zip(*self._stale_rows)
+        return (_sorted_unique(np.concatenate(affected), self.num_base),
+                _sorted_unique(np.concatenate(features), self.num_base))
+
+    def _refresh_propagated(self, affected: np.ndarray,
+                            changed: np.ndarray) -> None:
+        """Per-hop refresh over the rows whose operator row changed
+        (``affected``) and whose features changed (``changed``): a hop-``k``
+        row is recomputed when its operator row changed or a neighbor's
+        hop-``k-1`` row changed — the deltas' k-hop neighborhood, exactly.
+        Node ids are only ever appended, so every row outside that set has
+        the same operator row and inputs as when the hops were last
+        computed, hence the same bits.  Hop arrays are updated in place
+        (or grown once per hop on node appends); untouched rows keep their
+        bytes."""
+        operator = self.base_operator()
         old_hops = self._propagated
+        old_base = old_hops[-1].shape[0]
         grew = self.num_base > old_base
         if self._hop_buffers is None or len(self._hop_buffers) != len(old_hops):
             # the current hop arrays double as capacity-N buffers
             self._hop_buffers = list(old_hops)
-        changed = effect.feature_rows
         new_hops = [self.base_features]
         for k in range(1, len(old_hops)):
             changed = (self._rows_with_columns_in(operator, changed,

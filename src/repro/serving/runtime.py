@@ -432,7 +432,9 @@ class ServingRuntime:
         the same loop that serves requests, in admission order; the
         returned :class:`IngestFuture` resolves with the
         :class:`~repro.serving.prepared.DeltaRefreshReport` once the
-        deployment caches are refreshed.  In stepped mode call
+        delta is applied: the exact serve path's state is current, and
+        the report's ``invalidated`` caches catch up on their next read.
+        In stepped mode call
         :meth:`step` (or :meth:`run_pending`) to drain pending deltas.
         """
         if not isinstance(delta, GraphDelta):
@@ -709,8 +711,13 @@ class ServingRuntime:
         return self.accounting.summary()
 
     def warm_base(self) -> np.ndarray:
-        """Cached logits for the deployed (known) nodes."""
-        return self.prepared.warm_base()
+        """Cached logits for the deployed (known) nodes.
+
+        Taken under the serve lock: a read may bring the prepared caches
+        up to date, and the serving loop applies deltas under that lock.
+        """
+        with self._serve_lock:
+            return self.prepared.warm_base()
 
     def __repr__(self) -> str:
         return (f"ServingRuntime({self.prepared!r}, "

@@ -65,6 +65,12 @@ class TestGraphDelta:
             GraphDelta(update_index=[0, 0],
                        update_features=np.zeros((2, 3)))
 
+    def test_negative_update_index_rejected(self):
+        # -1 would wrap around onto the last node's feature row
+        with pytest.raises(GraphError, match="existing nodes"):
+            GraphDelta(update_index=[3, -1],
+                       update_features=np.zeros((2, 3)))
+
     def test_labels_without_features_rejected(self):
         with pytest.raises(GraphError, match="add_labels"):
             GraphDelta(add_labels=[1])

@@ -594,6 +594,23 @@ class TestRuntimeBehaviour:
         warm = runtime.warm_base()
         assert warm.shape == (split.original.num_nodes, split.num_classes)
 
+    def test_warm_base_waits_for_the_serve_lock(self, sgc, split, condensed):
+        """The serving loop applies deltas under the serve lock, so a
+        warm-base read must not run beside one."""
+        import threading
+
+        runtime = _runtime(sgc, split, condensed, "original")
+        results = []
+        reader = threading.Thread(
+            target=lambda: results.append(runtime.warm_base()))
+        with runtime._serve_lock:
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive() and results == []
+        reader.join(timeout=30.0)
+        assert not reader.is_alive()
+        assert np.array_equal(results[0], runtime.prepared.warm_base())
+
     def test_replay_returns_none_for_shed_requests(self, sgc, split,
                                                    condensed):
         # load shedding must not abort the replay harness: shed requests

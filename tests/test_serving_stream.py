@@ -195,14 +195,92 @@ class TestApplyDeltaParity:
         adjacency = reference.graph.adjacency
         assert (adjacency != adjacency.T).nnz  # the directed deltas landed
 
-    @pytest.mark.parametrize("k_hops, built", ((1, 6), (2, 7), (3, 8)))
-    def test_incremental_delta_sparse_constructions(self, tiny_split, k_hops,
-                                                    built, monkeypatch):
-        """An incremental original-graph delta with warm caches builds one
-        CSR matrix per refreshed object: the stream's rebuilt-rows and
-        appended blocks and its spliced adjacency, the spliced
-        ``base_loops``, the respliced operator, and one row gather per
-        hop — never more than eight."""
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    @pytest.mark.parametrize("between", (1, 3, 7))
+    def test_caches_catch_up_after_deltas_between_reads(self, tiny_split,
+                                                        k_hops, between,
+                                                        monkeypatch):
+        """Deltas drop the operator and leave the hop arrays behind; the
+        next read brings them up to date in one refresh, bitwise equal to
+        a fresh prepare() however many deltas it covers (seven also fold
+        the pending row sets into their union on the way)."""
+        import repro.serving.prepared as prepared_module
+
+        monkeypatch.setattr(prepared_module, "_MAX_STALE_SETS", 4)
+        model = make_model("sgc", tiny_split.original.feature_dim,
+                           tiny_split.num_classes, seed=0, k_hops=k_hops)
+        rng = np.random.default_rng(100 * k_hops + between)
+        batch = tiny_split.incremental_batch("test")
+        prepared = PreparedDeployment(model, "original", tiny_split.original)
+        prepared.base_operator()
+        prepared.propagated_base_features()
+        prepared.warm_base()
+        reference = StreamingGraph(tiny_split.original.copy())
+        probe = batch.subset(np.arange(60, 64))
+        cursor = 0
+        for read in range(2):
+            for step in range(between):
+                delta = _random_delta(reference, batch, cursor, rng,
+                                      append=step % 2 == 0,
+                                      symmetric=step % 3 != 1)
+                cursor += delta.num_new_nodes
+                report = prepared.apply_delta(delta, staleness_threshold=1.0)
+                assert report.mode == "incremental"
+                assert report.refreshed == ("degrees",)
+                assert "propagated" in report.invalidated
+                reference.apply(delta)
+            assert len(prepared._stale_rows) == (between - 1) % 4 + 1
+            if read:
+                # the hop refresh rebuilds the operator it needs itself
+                prepared.propagated_base_features()
+            fresh = PreparedDeployment(model, "original", reference.graph)
+            _assert_prepared_parity(prepared, fresh, probe,
+                                    ("graph", "node")[read])
+
+    def test_warm_delta_runs_no_hop_product(self, tiny_split, sgc,
+                                            monkeypatch):
+        """A delta on fully warm caches multiplies nothing: the operator is
+        dropped and the hop arrays keep their bytes until a read."""
+        from scipy.sparse._base import _spbase
+
+        batch = tiny_split.incremental_batch("test")
+        trace = make_delta_trace(tiny_split.original, batch, num_deltas=3,
+                                 nodes_per_delta=2, edges_per_delta=3,
+                                 removals_per_delta=2, updates_per_delta=2,
+                                 seed=4)
+        prepared = PreparedDeployment(sgc, "original", tiny_split.original)
+        prepared.base_operator()
+        hops = [hop.copy() for hop in prepared.propagated_base_features()]
+        prepared.warm_base()
+        products = []
+        dispatch = _spbase._matmul_dispatch
+
+        def counting_dispatch(self, other):
+            products.append(self.shape)
+            return dispatch(self, other)
+
+        monkeypatch.setattr(_spbase, "_matmul_dispatch", counting_dispatch)
+        reports = [prepared.apply_delta(delta, staleness_threshold=1.0)
+                   for delta in trace]
+        assert products == []
+        assert {r.mode for r in reports} == {"incremental"}
+        # the first delta drops what was held; the hops wait for a read
+        assert reports[0].invalidated == ("warm_logits", "operator",
+                                          "propagated")
+        assert [r.invalidated for r in reports[1:]] == [("propagated",)] * 2
+        assert prepared._base_operator is None
+        for before, held in zip(hops[1:], prepared._propagated[1:]):
+            assert np.array_equal(before, held)
+        prepared.propagated_base_features()
+        assert len(products) == sgc.k_hops  # one refresh for three deltas
+
+    @pytest.mark.parametrize("k_hops", (1, 2, 3))
+    def test_incremental_delta_sparse_constructions(self, tiny_split,
+                                                    k_hops, monkeypatch):
+        """An incremental original-graph delta with warm caches builds four
+        CSR matrices whatever K is: the stream's rebuilt-rows and appended
+        blocks and its spliced adjacency, and the spliced ``base_loops``.
+        The operator and the hops are rebuilt by their next read."""
         from scipy.sparse._compressed import _cs_matrix
 
         model = make_model("sgc", tiny_split.original.feature_dim,
@@ -229,8 +307,7 @@ class TestApplyDeltaParity:
             constructed.clear()
             report = prepared.apply_delta(delta, staleness_threshold=1.0)
             assert report.mode == "incremental"
-            assert len(constructed) == built
-        assert built <= 8
+            assert len(constructed) == 4
 
     def test_forced_rebuild_matches_incremental(self, tiny_split, sgc):
         batch = tiny_split.incremental_batch("test")
