@@ -6,10 +6,10 @@ live deployment whose base graph changes *while it serves* — new users
 join permanently, edges appear and disappear, features drift.  A
 :class:`~repro.graph.stream.GraphDelta` trace (built from the dataset's
 inductive batch) is ingested through the runtime between micro-batches.
-Each delta updates only what exact serving reads; the derived warm
-caches (the normalized operator, the propagated features) catch up on
-their next read — bit-for-bit what rebuilding them from scratch would
-produce, at a fraction of the cost.
+Each delta updates only what exact serving reads, bit-for-bit what
+rebuilding from scratch would produce at a fraction of the cost; the
+derived warm caches (the normalized operator, the propagated features)
+are dropped and recomputed on their next read.
 
 Run:  python examples/streaming_serving.py
 """

@@ -551,11 +551,9 @@ def open_stream(bundle: DeploymentBundle | str | Path, *,
     the K-hop propagated features) are materialized up front.  Each
     ``runtime.ingest(delta)`` then updates only what exact serving reads
     (the base block and the degrees); the operator and the propagated
-    features catch up on their next read, the hops with one row-wise
-    refresh over every delta since the last one instead of a full
-    recompute.  ``staleness_threshold`` is the affected-row fraction
-    beyond which a delta recomputes the degrees from scratch and drops
-    the propagated features for a full recompute on read (see
+    features are dropped and recomputed on their next read.
+    ``staleness_threshold`` is the affected-row fraction beyond which
+    a delta reports mode ``"rebuild"`` (see
     :meth:`~repro.serving.prepared.PreparedDeployment.apply_delta`).
 
     >>> runtime = api.open_stream("artifact.npz")       # doctest: +SKIP

@@ -18,9 +18,9 @@ the delta model for that evolution:
   graph delta by delta, with optional edge churn and feature drift.
 
 :class:`repro.serving.prepared.PreparedDeployment.apply_delta` consumes
-the same deltas: it splices what exact serving reads at once and lets the
-derived warm caches catch up on their next read; the parity suite
-asserts that state, once read, is bit-for-bit what a from-scratch
+the same deltas: it splices what exact serving reads at once and drops
+the derived warm caches for their next read to rebuild; the parity
+suite asserts that state, once read, is bit-for-bit what a from-scratch
 ``prepare()`` on the post-delta graph produces.
 """
 

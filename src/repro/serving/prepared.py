@@ -15,7 +15,7 @@ serving path re-derives on every batch:
   behind answering queries about *known* nodes with zero graph work and
   behind the frozen-base fast path.  A streaming delta
   (:meth:`PreparedDeployment.apply_delta`) updates only what exact
-  serving reads; these caches catch up on their next read.
+  serving reads; it drops these caches for their next read to rebuild.
 
 Exactness contract
 ------------------
@@ -103,7 +103,6 @@ from repro.graph.stream import (
     StreamingGraph,
     _splice_rows,
     csr_row_positions,
-    grow_buffer,
 )
 from repro.inference.engine import validate_deployment
 from repro.nn.models import GNNModel, SGC
@@ -113,26 +112,22 @@ from repro.tensor.tensor import Tensor, no_grad
 
 __all__ = ["PreparedDeployment", "DeltaRefreshReport"]
 
-#: Pending per-delta row sets the hop arrays hold before they are folded
-#: into one union, so a stream no frozen read follows stays O(N) in memory.
-_MAX_STALE_SETS = 64
-
 
 @dataclass(frozen=True)
 class DeltaRefreshReport:
     """What one :meth:`PreparedDeployment.apply_delta` call did.
 
     ``mode`` is ``"incremental"`` (touched rows respliced, degrees
-    patched row-wise), ``"rebuild"`` (past the staleness threshold —
-    degrees recomputed from scratch, hop arrays dropped),
+    patched row-wise), ``"rebuild"`` (the same work, but the rows whose
+    operator content changed exceed the staleness threshold),
     ``"append-mapping"`` (synthetic deployment: mapping grew zero rows),
     or ``"noop"``.  ``refreshed`` names what the call itself brought up
-    to date; ``invalidated`` names the held caches that catch up on
-    their next read: the normalized operator (rebuilt), the K-hop
-    propagated features (refreshed row-wise, or recomputed after a
-    rebuild), and the warm base logits and base embeddings / top-k
-    index (full model forwards, recomputed — never patched in place
-    because BLAS row-subset products are not bitwise reproducible).
+    to date; ``invalidated`` names the held caches it dropped, which
+    are recomputed in full on their next read: the normalized operator,
+    the K-hop propagated features, and the warm base logits and base
+    embeddings / top-k index (full model forwards — never patched in
+    place because BLAS row-subset products are not bitwise
+    reproducible).
     """
 
     mode: str
@@ -273,10 +268,6 @@ class PreparedDeployment:
         self._loop_inv_sqrt: np.ndarray | None = None
         self._base_operator: sp.csr_matrix | None = None
         self._propagated: list[np.ndarray] | None = None
-        self._hop_buffers: list[np.ndarray] | None = None
-        # (affected rows, feature rows) of each delta the hop arrays have
-        # not caught up with yet
-        self._stale_rows: list[tuple[np.ndarray, np.ndarray]] = []
         self._base_logits: np.ndarray | None = None
         self._base_embeddings: np.ndarray | None = None
         # the top-k similarity index over the base embeddings — either
@@ -687,8 +678,7 @@ class PreparedDeployment:
 
         Only defined for SGC-style linear propagation; this feeds the
         frozen-base fast path where per-request work touches nothing but
-        the incremental rows.  After deltas, the first read recomputes
-        the rows their k-hop neighborhoods reach, once for all of them.
+        the incremental rows.  Cached until the next delta drops it.
         """
         if not isinstance(self.model, SGC):
             raise ServingError(
@@ -700,11 +690,6 @@ class PreparedDeployment:
             for _ in range(self.model.k_hops):
                 hops.append(np.asarray(operator @ hops[-1]))
             self._propagated = hops
-            self._hop_buffers = None  # fresh arrays, no grown capacity yet
-        elif self._stale_rows:
-            # one refresh over every delta applied since the last read
-            self._refresh_propagated(*self._stale_union())
-            self._stale_rows = []
         return self._propagated
 
     def serve_batch_frozen(self, batch: IncrementalBatch,
@@ -801,18 +786,16 @@ class PreparedDeployment:
         The delta pays only for what the exact serve path reads: the base
         block (``base_loops``, row counts, features) is updated by row
         splicing, and the degree vector and its ``D^{-1/2}`` are patched
-        at the touched rows.  The derived warm caches catch up on their
-        next read instead: the standalone normalized operator is dropped
-        and rebuilt by :meth:`base_operator`, and the K-hop propagated
-        features record the rows the delta may change, so
-        :meth:`propagated_base_features` recomputes the union of every
-        pending delta's k-hop neighborhood in one refresh.  When the
-        affected row fraction exceeds ``staleness_threshold`` the degrees
-        are recomputed from scratch and the hop arrays are dropped too,
-        to be recomputed in full on read.  Either way every cache, once
-        read, is bit-for-bit what a from-scratch ``PreparedDeployment`` on
-        the post-delta graph would hold (the parity suite asserts this),
-        so served logits are bitwise unchanged by the refresh strategy.
+        at the touched rows.  The derived warm caches are dropped and
+        recomputed in full by their next read: the standalone normalized
+        operator by :meth:`base_operator`, the K-hop propagated features
+        by :meth:`propagated_base_features`.  The report's mode is
+        ``"rebuild"`` when the affected row fraction exceeds
+        ``staleness_threshold`` and ``"incremental"`` otherwise; the work
+        is the same.  Every cache, once read, is bit-for-bit what a
+        from-scratch ``PreparedDeployment`` on the post-delta graph would
+        hold (the parity suite asserts this), so served logits are
+        bitwise unchanged by the delta path.
 
         Synthetic deployments serve through the mapping matrix and never
         hold the original graph; for them only node appends are
@@ -870,27 +853,16 @@ class PreparedDeployment:
         if self._base_operator is not None:
             self._base_operator = None
             invalidated.append("operator")
+        if self._propagated is not None:
+            self._propagated = None
+            invalidated.append("propagated")
         mode, affected_rows, refreshed = "incremental", 0, ()
-        # the hop arrays are never held without the degrees they were
-        # normalized by
         if self._loop_degrees is not None:
-            affected = self._affected_operator_rows(touched)
-            affected_rows, refreshed = int(affected.size), ("degrees",)
-            if self._propagated is not None:
-                invalidated.append("propagated")
-            if affected.size > staleness_threshold * new_n:
+            affected_rows = int(self._affected_operator_rows(touched).size)
+            if affected_rows > staleness_threshold * new_n:
                 mode = "rebuild"
-                self._loop_degrees = self._loop_inv_sqrt = None
-                self._propagated = self._hop_buffers = None
-                self._stale_rows = []
-                self._degrees()
-            else:
-                self._patch_degrees(touched, old_base, loops_rows)
-                if self._propagated is not None:
-                    self._stale_rows.append((affected, effect.feature_rows))
-                    if len(self._stale_rows) > _MAX_STALE_SETS:
-                        # bound the pending list by its union
-                        self._stale_rows = [self._stale_union()]
+            self._patch_degrees(touched, old_base, loops_rows)
+            refreshed = ("degrees",)
         return DeltaRefreshReport(
             mode=mode, seconds=time.perf_counter() - start, num_base=new_n,
             appended=effect.appended, touched_rows=int(touched.size),
@@ -952,20 +924,13 @@ class PreparedDeployment:
         """Rows whose normalized-operator content the delta changes:
         the touched rows plus every row holding an entry in a touched
         column (their scale factor changed)."""
-        return self._rows_with_columns_in(self.base_loops, touched,
-                                          also=touched)
-
-    @staticmethod
-    def _rows_with_columns_in(matrix: sp.csr_matrix, columns: np.ndarray,
-                              also: np.ndarray) -> np.ndarray:
-        """Sorted rows of ``matrix`` holding an entry in ``columns``,
-        united with the rows ``also``."""
-        mask = np.zeros(matrix.shape[1], dtype=bool)
-        mask[columns] = True
+        loops = self.base_loops
+        mask = np.zeros(loops.shape[1], dtype=bool)
+        mask[touched] = True
         # take() gathers through int32 indices about twice as fast as []
-        hits = np.flatnonzero(mask.take(matrix.indices))
-        rows = np.searchsorted(matrix.indptr, hits, "right") - 1
-        return _sorted_unique(np.concatenate([also, rows]), matrix.shape[0])
+        hits = np.flatnonzero(mask.take(loops.indices))
+        rows = np.searchsorted(loops.indptr, hits, "right") - 1
+        return _sorted_unique(np.concatenate([touched, rows]), loops.shape[0])
 
     def _patch_degrees(self, touched: np.ndarray, old_base: int,
                        loops_rows: tuple) -> None:
@@ -984,50 +949,6 @@ class PreparedDeployment:
                 [self._loop_inv_sqrt, np.zeros(appended, dtype=np.float64)])
             inv_sqrt[touched] = _inv_sqrt(degrees[touched])
             self._loop_inv_sqrt = inv_sqrt
-
-    def _stale_union(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pending deltas' affected rows and feature rows, each
-        united into one sorted set."""
-        affected, features = zip(*self._stale_rows)
-        return (_sorted_unique(np.concatenate(affected), self.num_base),
-                _sorted_unique(np.concatenate(features), self.num_base))
-
-    def _refresh_propagated(self, affected: np.ndarray,
-                            changed: np.ndarray) -> None:
-        """Per-hop refresh over the rows whose operator row changed
-        (``affected``) and whose features changed (``changed``): a hop-``k``
-        row is recomputed when its operator row changed or a neighbor's
-        hop-``k-1`` row changed — the deltas' k-hop neighborhood, exactly.
-        Node ids are only ever appended, so every row outside that set has
-        the same operator row and inputs as when the hops were last
-        computed, hence the same bits.  Hop arrays are updated in place
-        (or grown once per hop on node appends); untouched rows keep their
-        bytes."""
-        operator = self.base_operator()
-        old_hops = self._propagated
-        old_base = old_hops[-1].shape[0]
-        grew = self.num_base > old_base
-        if self._hop_buffers is None or len(self._hop_buffers) != len(old_hops):
-            # the current hop arrays double as capacity-N buffers
-            self._hop_buffers = list(old_hops)
-        new_hops = [self.base_features]
-        for k in range(1, len(old_hops)):
-            changed = (self._rows_with_columns_in(operator, changed,
-                                                  also=affected)
-                       if changed.size else affected)
-            if grew:
-                buffer = self._hop_buffers[k]
-                if buffer.shape[0] < self.num_base:
-                    buffer = grow_buffer(buffer, self.num_base, 0)
-                    buffer[:old_base] = old_hops[k]
-                    self._hop_buffers[k] = buffer
-                hop = buffer[:self.num_base]
-            else:
-                hop = old_hops[k]
-            if changed.size:
-                hop[changed] = operator[changed] @ new_hops[k - 1]
-            new_hops.append(hop)
-        self._propagated = new_hops
 
     def __repr__(self) -> str:
         return (f"PreparedDeployment(deployment={self.deployment!r}, "

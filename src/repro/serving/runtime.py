@@ -433,9 +433,9 @@ class ServingRuntime:
         returned :class:`IngestFuture` resolves with the
         :class:`~repro.serving.prepared.DeltaRefreshReport` once the
         delta is applied: the exact serve path's state is current, and
-        the report's ``invalidated`` caches catch up on their next read.
-        In stepped mode call
-        :meth:`step` (or :meth:`run_pending`) to drain pending deltas.
+        the report's ``invalidated`` caches are recomputed on their next
+        read.  In stepped mode call :meth:`step` (or :meth:`run_pending`)
+        to drain pending deltas.
         """
         if not isinstance(delta, GraphDelta):
             raise ServingError(

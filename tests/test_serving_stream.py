@@ -198,15 +198,10 @@ class TestApplyDeltaParity:
     @pytest.mark.parametrize("k_hops", (1, 2, 3))
     @pytest.mark.parametrize("between", (1, 3, 7))
     def test_caches_catch_up_after_deltas_between_reads(self, tiny_split,
-                                                        k_hops, between,
-                                                        monkeypatch):
-        """Deltas drop the operator and leave the hop arrays behind; the
-        next read brings them up to date in one refresh, bitwise equal to
-        a fresh prepare() however many deltas it covers (seven also fold
-        the pending row sets into their union on the way)."""
-        import repro.serving.prepared as prepared_module
-
-        monkeypatch.setattr(prepared_module, "_MAX_STALE_SETS", 4)
+                                                        k_hops, between):
+        """Deltas drop the operator and the hop arrays; the next read
+        rebuilds them bitwise equal to a fresh prepare() however many
+        deltas it covers."""
         model = make_model("sgc", tiny_split.original.feature_dim,
                            tiny_split.num_classes, seed=0, k_hops=k_hops)
         rng = np.random.default_rng(100 * k_hops + between)
@@ -227,9 +222,10 @@ class TestApplyDeltaParity:
                 report = prepared.apply_delta(delta, staleness_threshold=1.0)
                 assert report.mode == "incremental"
                 assert report.refreshed == ("degrees",)
-                assert "propagated" in report.invalidated
+                # the first delta drops the hops; later ones find none
+                assert ("propagated" in report.invalidated) == (step == 0)
                 reference.apply(delta)
-            assert len(prepared._stale_rows) == (between - 1) % 4 + 1
+            assert prepared._propagated is None
             if read:
                 # the hop refresh rebuilds the operator it needs itself
                 prepared.propagated_base_features()
@@ -239,8 +235,8 @@ class TestApplyDeltaParity:
 
     def test_warm_delta_runs_no_hop_product(self, tiny_split, sgc,
                                             monkeypatch):
-        """A delta on fully warm caches multiplies nothing: the operator is
-        dropped and the hop arrays keep their bytes until a read."""
+        """A delta on fully warm caches multiplies nothing: the operator and
+        the hop arrays are dropped for the next read to rebuild."""
         from scipy.sparse._base import _spbase
 
         batch = tiny_split.incremental_batch("test")
@@ -250,7 +246,7 @@ class TestApplyDeltaParity:
                                  seed=4)
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
         prepared.base_operator()
-        hops = [hop.copy() for hop in prepared.propagated_base_features()]
+        prepared.propagated_base_features()
         prepared.warm_base()
         products = []
         dispatch = _spbase._matmul_dispatch
@@ -264,15 +260,14 @@ class TestApplyDeltaParity:
                    for delta in trace]
         assert products == []
         assert {r.mode for r in reports} == {"incremental"}
-        # the first delta drops what was held; the hops wait for a read
+        # the first delta drops what was held; the rest find nothing held
         assert reports[0].invalidated == ("warm_logits", "operator",
                                           "propagated")
-        assert [r.invalidated for r in reports[1:]] == [("propagated",)] * 2
+        assert [r.invalidated for r in reports[1:]] == [()] * 2
         assert prepared._base_operator is None
-        for before, held in zip(hops[1:], prepared._propagated[1:]):
-            assert np.array_equal(before, held)
+        assert prepared._propagated is None
         prepared.propagated_base_features()
-        assert len(products) == sgc.k_hops  # one refresh for three deltas
+        assert len(products) == sgc.k_hops  # one rebuild for three deltas
 
     @pytest.mark.parametrize("k_hops", (1, 2, 3))
     def test_incremental_delta_sparse_constructions(self, tiny_split,
