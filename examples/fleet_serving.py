@@ -4,8 +4,8 @@ Where ``online_serving.py`` drives a single in-process runtime, this
 walkthrough runs the deployment the way a horizontally-scaled system
 would: a :class:`~repro.serving.fleet.ServingFleet` of replica
 *processes*, each preparing its deployment over the same memory-mapped
-artifact (one page-cache copy of the arrays for the whole host), behind
-a pluggable router.  It then exercises the two operational moves that
+artifact (one page-cache copy of the arrays for the whole host), taking
+requests round-robin.  It then exercises the two operational moves that
 make a fleet worth having:
 
 - **failover** — a replica is killed mid-stream; its in-flight requests
@@ -51,9 +51,8 @@ def main() -> None:
 
     requests = [ServeTask(request)
                 for request in split_requests(batch, NUM_REQUESTS, 4)]
-    print(f"opening a {REPLICAS}-replica fleet (least-loaded router)...")
-    with api.open_fleet(artifact, REPLICAS, router="least-loaded",
-                        batch_mode="node") as fleet:
+    print(f"opening a {REPLICAS}-replica fleet...")
+    with api.open_fleet(artifact, REPLICAS, batch_mode="node") as fleet:
         for rid, replica in fleet.stats()["per_replica"].items():
             print(f"  replica {rid}: cold start "
                   f"{replica['cold_start_ms']:.1f} ms")

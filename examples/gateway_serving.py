@@ -12,10 +12,10 @@ a remote caller would, over localhost TCP with the stdlib
 - **load shedding** — a burst past a deliberately tiny in-flight cap
   comes back as retriable ``shed`` replies with ``retry_after_ms``
   hints, with exact accounting (offered == served + shed);
-- **autoscaling** — a client ramp builds real queue depth against one
-  replica; the queue-depth policy reacts with a scale-up event while
-  the ramp is still climbing, then walks the fleet back down once the
-  traffic drains.
+- **autoscaling** — Poisson traffic at 1200 req/s builds real queue
+  depth against one replica; the queue-depth policy reacts with a
+  scale-up event while the traffic is still arriving, then walks the
+  fleet back down once it drains.
 
 Run:  python examples/gateway_serving.py
 """
@@ -27,12 +27,13 @@ import time
 import numpy as np
 
 from repro import api
-from repro.serving import (GatewayClient, RampWorkload, ServeTask,
+from repro.serving import (GatewayClient, PoissonWorkload, ServeTask,
                            split_requests)
 from repro.serving.gateway import QueueDepthScale, WatermarkShed
 
 DATASET = "pubmed-sim"
-RAMP_REQUESTS = 200
+LOAD_REQUESTS = 200
+LOAD_RATE = 1200.0  # requests/second
 
 
 def main() -> None:
@@ -79,14 +80,13 @@ def main() -> None:
     finally:
         gateway.close()
 
-    # --- autoscaling under a client ramp -----------------------------
-    print("\nclient ramp against 1 replica (queue-depth autoscaling):")
-    ramp = RampWorkload(start_rate=100.0, end_rate=1200.0, duration_s=1.5)
-    arrivals = ramp.arrivals(RAMP_REQUESTS, rng=0)
+    # --- autoscaling under Poisson load -------------------------------
+    print("\nPoisson load against 1 replica (queue-depth autoscaling):")
+    arrivals = PoissonWorkload(LOAD_RATE).arrivals(LOAD_REQUESTS, rng=0)
     stream = [ServeTask(request)
-              for request in split_requests(batch, RAMP_REQUESTS, 4)]
+              for request in split_requests(batch, LOAD_REQUESTS, 4)]
     gateway = api.open_gateway(
-        bundle, 1, max_inflight=4 * RAMP_REQUESTS,
+        bundle, 1, max_inflight=4 * LOAD_REQUESTS,
         scale_policy=QueueDepthScale(min_replicas=1, max_replicas=2,
                                      up_backlog=2.0, down_backlog=0.5),
         autoscale_interval=0.05, scale_cooldown=0.3)
@@ -100,11 +100,10 @@ def main() -> None:
                 if wait > 0:
                     time.sleep(wait)
                 client.submit(request)
-            replies = client.drain(RAMP_REQUESTS)
+            replies = client.drain(LOAD_REQUESTS)
             ok = sum(reply.ok for reply in replies.values())
-            print(f"  ramp {ramp.start_rate:.0f} -> {ramp.end_rate:.0f} "
-                  f"req/s over {arrivals[-1]:.2f}s; "
-                  f"{ok}/{RAMP_REQUESTS} served")
+            print(f"  {LOAD_RATE:.0f} req/s over {arrivals[-1]:.2f}s; "
+                  f"{ok}/{LOAD_REQUESTS} served")
             deadline = time.monotonic() + 30.0
             while (gateway.fleet.num_replicas > 1
                    and time.monotonic() < deadline):

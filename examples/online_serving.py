@@ -4,12 +4,14 @@ Where ``inductive_serving.py`` replays the paper's two fixed batch modes,
 this example runs the deployment the way a production system would: a
 long-lived :class:`~repro.serving.runtime.ServingRuntime` with a
 micro-batching scheduler, fed by a Poisson arrival process of single-node
-classification requests.  It contrasts two scheduling policies on the
+classification requests.  It contrasts two micro-batch settings on the
 same traffic:
 
-- ``immediate``   — every request is its own forward pass (latency-first);
-- ``microbatch``  — requests arriving within a few milliseconds share one
-  attach+normalize+forward pass (throughput-first).
+- ``max_batch_size=1, max_wait_ms=0`` — every request is its own
+  forward pass (latency-first);
+- the default cap of 32 requests with a 5 ms wait — requests arriving
+  within a few milliseconds share one attach+normalize+forward pass
+  (throughput-first).
 
 Run:  python examples/online_serving.py
 """
@@ -19,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import api
-from repro.registry import make_workload
-from repro.serving import ServeTask, replay, split_requests
+from repro.serving import PoissonWorkload, ServeTask, replay, split_requests
 
 DATASET = "pubmed-sim"
 NUM_REQUESTS = 200
@@ -35,23 +36,24 @@ def main() -> None:
 
     stream = [ServeTask(request) for request in split_requests(
         api.evaluation_batch(bundle), NUM_REQUESTS, 1)]
-    workload = make_workload("poisson", rate=RATE)
-    arrivals = workload.arrivals(NUM_REQUESTS, np.random.default_rng(0))
+    arrivals = PoissonWorkload(RATE).arrivals(NUM_REQUESTS,
+                                              np.random.default_rng(0))
     print(f"replaying {NUM_REQUESTS} single-node requests, Poisson @ "
           f"{RATE:.0f} req/s ({arrivals[-1]:.2f}s of traffic)\n")
 
-    header = (f"{'scheduler':<12} {'p50 ms':>8} {'p95 ms':>8} {'p99 ms':>8} "
+    header = (f"{'batching':<12} {'p50 ms':>8} {'p95 ms':>8} {'p99 ms':>8} "
               f"{'wait ms':>8} {'req/batch':>10} {'req/s':>8}")
     print(header)
     print("-" * len(header))
-    for scheduler in ("immediate", "microbatch"):
-        runtime = api.open_runtime(bundle, scheduler=scheduler,
-                                   batch_mode="node", max_batch_size=32,
-                                   max_wait_ms=5.0)
+    for label, max_batch_size, max_wait_ms in (("one-by-one", 1, 0.0),
+                                               ("micro-batch", 32, 5.0)):
+        runtime = api.open_runtime(bundle, batch_mode="node",
+                                   max_batch_size=max_batch_size,
+                                   max_wait_ms=max_wait_ms)
         with runtime:
             replay(runtime, stream, arrivals)
         stats = runtime.stats()
-        print(f"{scheduler:<12} {stats.latency_p50 * 1e3:>8.2f} "
+        print(f"{label:<12} {stats.latency_p50 * 1e3:>8.2f} "
               f"{stats.latency_p95 * 1e3:>8.2f} "
               f"{stats.latency_p99 * 1e3:>8.2f} "
               f"{stats.queue_wait_mean * 1e3:>8.2f} "

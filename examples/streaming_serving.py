@@ -47,7 +47,7 @@ def main() -> None:
         batch.subset(np.arange(reserved, batch.num_nodes)), NUM_REQUESTS, 1)]
 
     runtime = api.open_stream(bundle, batch_mode="node",
-                              scheduler="sizecap", max_batch_size=8)
+                              max_batch_size=8, max_wait_ms=0.0)
     print(f"\nserving {NUM_REQUESTS} requests, ingesting one delta every "
           f"{INGEST_EVERY} requests ({NUM_DELTAS} deltas total)\n")
     deltas = iter(trace)

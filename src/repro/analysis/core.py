@@ -7,7 +7,7 @@ that parity-critical modules must not narrow dtypes, that metric names
 follow ``repro_<component>_<what>[_total|_seconds]``.  This package
 machine-checks them: each *checker* is a small AST pass registered in
 :data:`CHECKERS` (the same decorator-registry pattern the reducers and
-routers use) that receives one shared :class:`AnalysisContext` and
+serving tasks use) that receives one shared :class:`AnalysisContext` and
 returns :class:`Violation`\\ s.
 
 Suppressions are explicit and carry a reason:

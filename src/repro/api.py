@@ -53,7 +53,7 @@ from repro.inference.engine import InductiveServer, InferenceReport
 from repro.nn.metrics import accuracy as _accuracy
 from repro.nn.models import GNNModel, make_model
 from repro.serving.prepared import PreparedDeployment
-from repro.serving.runtime import ServingRuntime
+from repro.serving.runtime import MicroBatchScheduler, ServingRuntime
 from repro.tensor.sparse import dense_memory_bytes, sparse_memory_bytes
 from repro.utils.artifacts import normalize_npz_path, open_npz_archive, save_npz
 
@@ -503,16 +503,18 @@ def serve(bundle: DeploymentBundle | str | Path,
 
 
 def open_runtime(bundle: DeploymentBundle | str | Path, *,
-                 scheduler: str = "microbatch", batch_mode: str = "graph",
+                 batch_mode: str = "graph",
                  max_batch_size: int = 32, max_wait_ms: float = 2.0,
                  queue_capacity: int = 1024,
                  overflow: str = "block") -> ServingRuntime:
     """Open a long-lived :class:`~repro.serving.runtime.ServingRuntime`.
 
     ``bundle`` may be a :class:`DeploymentBundle` or a path to one.  The
-    runtime coalesces concurrent requests through the named micro-batch
-    scheduler (a :data:`repro.registry.SCHEDULERS` key) over a prepared
-    deployment cache; see :mod:`repro.serving` for the moving parts.
+    runtime coalesces concurrent requests into micro-batches of up to
+    ``max_batch_size`` requests, waiting at most ``max_wait_ms`` for
+    companions (``max_batch_size=1`` serves each request alone), over a
+    prepared deployment cache; see :mod:`repro.serving` for the moving
+    parts.
 
     Requests are task-typed: wrap the batch in a
     :class:`~repro.serving.embeddings.ServeTask` and pick ``predict``
@@ -530,30 +532,28 @@ def open_runtime(bundle: DeploymentBundle | str | Path, *,
     if not isinstance(bundle, DeploymentBundle):
         bundle = DeploymentBundle.load(bundle)
     return ServingRuntime(
-        bundle.prepare(), scheduler,
+        bundle.prepare(), MicroBatchScheduler(max_batch_size, max_wait_ms),
         batch_mode=batch_mode, queue_capacity=queue_capacity,
-        overflow=overflow,
-        scheduler_options={"max_batch_size": max_batch_size,
-                           "max_wait_ms": max_wait_ms})
+        overflow=overflow)
 
 
 def open_stream(bundle: DeploymentBundle | str | Path, *,
                 staleness_threshold: float = 0.25,
-                scheduler: str = "microbatch", batch_mode: str = "graph",
+                batch_mode: str = "graph",
                 max_batch_size: int = 32, max_wait_ms: float = 2.0,
                 queue_capacity: int = 1024,
                 overflow: str = "block") -> ServingRuntime:
     """Open a runtime that serves *and evolves*: a streaming deployment.
 
-    Like :func:`open_runtime`, but the deployment is prepared for
-    :class:`~repro.graph.stream.GraphDelta` ingest: the warm serving
-    caches (normalized operator, degree vector, and — for linear models —
-    the K-hop propagated features) are materialized up front.  Each
-    ``runtime.ingest(delta)`` then updates only what exact serving reads
-    (the base block and the degrees); the operator and the propagated
-    features are dropped and recomputed on their next read.
-    ``staleness_threshold`` is the affected-row fraction beyond which
-    a delta reports mode ``"rebuild"`` (see
+    Like :func:`open_runtime`, for a deployment that ingests
+    :class:`~repro.graph.stream.GraphDelta` traffic.  Each
+    ``runtime.ingest(delta)`` updates only what exact serving reads (the
+    base block and the degrees); the normalized operator and the
+    propagated features are dropped and recomputed on their next read,
+    so none is warmed up front.  ``staleness_threshold`` is the
+    affected-row fraction beyond which a delta reports mode
+    ``"rebuild"`` instead of ``"incremental"``; both modes do the same
+    work, so it only picks the reported mode (see
     :meth:`~repro.serving.prepared.PreparedDeployment.apply_delta`).
 
     >>> runtime = api.open_stream("artifact.npz")       # doctest: +SKIP
@@ -561,24 +561,16 @@ def open_stream(bundle: DeploymentBundle | str | Path, *,
     ...     runtime.ingest(delta)                       # evolve the base
     ...     future = runtime.submit(ServeTask(batch=batch))  # serve it
     """
-    from repro.errors import ServingError
     runtime = open_runtime(
-        bundle, scheduler=scheduler, batch_mode=batch_mode,
-        max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
-        queue_capacity=queue_capacity, overflow=overflow)
+        bundle, batch_mode=batch_mode, max_batch_size=max_batch_size,
+        max_wait_ms=max_wait_ms, queue_capacity=queue_capacity,
+        overflow=overflow)
     runtime.staleness_threshold = staleness_threshold
-    prepared = runtime.prepared
-    if prepared.deployment == "original":
-        prepared.base_operator()
-        try:
-            prepared.propagated_base_features()
-        except ServingError:
-            pass  # non-linear model: no propagated-feature cache to warm
     return runtime
 
 
 def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
-               router: str = "round-robin", batch_mode: str = "node",
+               batch_mode: str = "node",
                mmap: bool = True, start_method: str | None = None,
                telemetry: bool = True,
                slow_trace_ms: float | None = None):
@@ -598,7 +590,7 @@ def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
 
     >>> fleet = api.open_fleet("artifact.npz", replicas=4)  # doctest: +SKIP
     >>> with fleet:                                         # doctest: +SKIP
-    ...     future = fleet.submit(ServeTask(batch=batch, key="user-17"))
+    ...     future = fleet.submit(ServeTask(batch=batch))
     ...     logits = future.result()
     ...     fleet.swap("artifact-v2.npz")   # rolling, zero dropped traffic
     """
@@ -614,10 +606,9 @@ def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     else:
         artifact = Path(bundle)
     try:
-        fleet = ServingFleet(artifact, replicas, router=router,
-                             batch_mode=batch_mode, mmap=mmap,
-                             start_method=start_method, telemetry=telemetry,
-                             slow_trace_ms=slow_trace_ms)
+        fleet = ServingFleet(artifact, replicas, batch_mode=batch_mode,
+                             mmap=mmap, start_method=start_method,
+                             telemetry=telemetry, slow_trace_ms=slow_trace_ms)
     except Exception:
         if owns:
             artifact.unlink(missing_ok=True)
@@ -626,15 +617,17 @@ def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     return fleet
 
 
+#: ``open_gateway``'s default ``shed_policy``: a fresh ``WatermarkShed``.
+_WATERMARK = object()
+
+
 def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 router: str = "round-robin", batch_mode: str = "node",
+                 batch_mode: str = "node",
                  mmap: bool = True, start_method: str | None = None,
-                 shed_policy="watermark",
+                 shed_policy=_WATERMARK,
                  max_inflight: int = 256,
                  scale_policy=None,
-                 shed_options: dict | None = None,
-                 scale_options: dict | None = None,
                  autoscale_interval: float = 0.25,
                  scale_cooldown: float = 2.0, start: bool = True,
                  telemetry: bool = True,
@@ -643,39 +636,35 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
 
     Builds a fleet exactly like :func:`open_fleet` and puts the TCP
     front door in front of it: framed-protocol serving
-    (:mod:`repro.serving.protocol`), watermark admission control
-    (``shed_policy``, a :data:`repro.registry.SHED_POLICIES` key or a
-    :class:`~repro.serving.gateway.ShedPolicy` instance), and — when
-    ``scale_policy`` names a :data:`repro.registry.SCALE_POLICIES`
-    entry such as ``"queue-depth"`` (or is a
-    :class:`~repro.serving.gateway.ScalePolicy`) — an autoscaler
-    that grows/shrinks
-    the replica pool from queue depth and rolling p95.  The gateway owns
-    the fleet: closing it closes the fleet (and removes a temp artifact
-    if ``bundle`` was in-memory).  With ``port=0`` the OS picks a free
-    port; read ``gateway.port`` after start.
+    (:mod:`repro.serving.protocol`), admission control, and an optional
+    autoscaler.  ``shed_policy`` is a
+    :class:`~repro.serving.gateway.WatermarkShed` or ``None`` (shed only
+    at the ``max_inflight`` ceiling); by default each gateway gets a
+    fresh ``WatermarkShed()``.  A
+    :class:`~repro.serving.gateway.QueueDepthScale` as ``scale_policy``
+    grows/shrinks the replica pool from queue depth and rolling p95.
+    The gateway owns the fleet: closing it closes the fleet (and removes
+    a temp artifact if ``bundle`` was in-memory).  With ``port=0`` the
+    OS picks a free port; read ``gateway.port`` after start.
 
     >>> gw = api.open_gateway("artifact.npz", replicas=2,  # doctest: +SKIP
-    ...                       scale_policy="queue-depth")
+    ...                       scale_policy=QueueDepthScale())
     >>> with gw:                                           # doctest: +SKIP
     ...     client = GatewayClient(*gw.address)
     ...     reply = client.serve_batch(ServeTask(batch=batch))
     """
-    from repro.registry import make_scale_policy, make_shed_policy
-    from repro.serving.gateway import ServingGateway
+    from repro.serving.gateway import ServingGateway, WatermarkShed
 
-    shed = (make_shed_policy(shed_policy, **(shed_options or {}))
-            if isinstance(shed_policy, str) else shed_policy)
-    scale = (make_scale_policy(scale_policy, **(scale_options or {}))
-             if isinstance(scale_policy, str) else scale_policy)
-    fleet = open_fleet(bundle, replicas, router=router,
-                       batch_mode=batch_mode, mmap=mmap,
+    if shed_policy is _WATERMARK:
+        # fresh per gateway: the policy holds hysteresis state
+        shed_policy = WatermarkShed()
+    fleet = open_fleet(bundle, replicas, batch_mode=batch_mode, mmap=mmap,
                        start_method=start_method, telemetry=telemetry,
                        slow_trace_ms=slow_trace_ms)
     try:
         gateway = ServingGateway(
-            fleet, host=host, port=port, shed_policy=shed,
-            max_inflight=max_inflight, scale_policy=scale,
+            fleet, host=host, port=port, shed_policy=shed_policy,
+            max_inflight=max_inflight, scale_policy=scale_policy,
             autoscale_interval=autoscale_interval,
             scale_cooldown=scale_cooldown, owns_fleet=True,
             telemetry=telemetry, slow_trace_ms=slow_trace_ms)

@@ -5,7 +5,7 @@ The pipeline commands mirror the paper's offline/online split::
     repro condense --dataset pubmed-sim --method mcond --budget 30 \\
                    --output artifact.npz     # offline: condense + train
     repro serve    --artifact artifact.npz --batch-mode node
-    repro serve-online --artifact artifact.npz --workload poisson --rate 400
+    repro serve-online --artifact artifact.npz --rate 400
     repro eval     --dataset pubmed-sim --method mcond_ss --budget 30
     repro list                                # registry contents
 
@@ -166,32 +166,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     online = sub.add_parser(
         "serve-online",
-        help="drive the micro-batching serving runtime with a synthetic "
-             "request workload and report latency percentiles")
+        help="drive the micro-batching serving runtime with Poisson "
+             "request arrivals and report latency percentiles")
     online.add_argument("--artifact", required=True,
                         help="deployment bundle produced by "
                              "'repro condense --output'")
-    online.add_argument("--workload", default="poisson",
-                        help="workload generator registry key "
-                             "(default: poisson)")
     online.add_argument("--rate", type=float, default=200.0,
-                        help="mean arrival rate in requests/s; bursty/ramp "
-                             "keep their shape around this mean "
+                        help="Poisson arrival rate in requests/s "
                              "(default: 200)")
     online.add_argument("--requests", type=int, default=200,
                         help="number of requests to replay (default: 200)")
     online.add_argument("--nodes-per-request", type=int, default=1,
                         help="inductive nodes per request (default: 1)")
-    online.add_argument("--scheduler", default="microbatch",
-                        help="micro-batch scheduler registry key "
-                             "(default: microbatch)")
     online.add_argument("--max-batch-size", type=int, default=32,
-                        help="scheduler batch-size cap (default: 32)")
+                        help="micro-batch size cap; 1 serves each request "
+                             "alone (default: 32)")
     online.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="scheduler wait cap in ms (default: 2)")
+                        help="micro-batch wait cap in ms (default: 2)")
     _add_batch_mode_flag(online)
     online.add_argument("--seed", type=int, default=0,
-                        help="workload arrival seed (default: 0)")
+                        help="arrival seed (default: 0)")
     online.add_argument("--closed-loop", action="store_true",
                         help="submit eagerly instead of honouring arrival "
                              "times (no sleeps; measures drain rate)")
@@ -225,12 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 4)")
     stream.add_argument("--staleness", type=float, default=0.25,
                         help="affected-row fraction beyond which a delta "
-                             "rebuilds the caches (default: 0.25)")
-    stream.add_argument("--scheduler", default="sizecap",
-                        help="micro-batch scheduler registry key "
-                             "(default: sizecap)")
+                             "is reported as a rebuild; both modes do the "
+                             "same work (default: 0.25)")
     stream.add_argument("--max-batch-size", type=int, default=8,
-                        help="scheduler batch-size cap (default: 8)")
+                        help="micro-batch size cap; batches take what is "
+                             "queued, never wait (default: 8)")
     _add_batch_mode_flag(stream)
     stream.add_argument("--seed", type=int, default=0,
                         help="delta-trace seed (default: 0)")
@@ -247,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "replica loading)")
     fleet.add_argument("--replicas", type=int, default=2,
                        help="replica worker processes (default: 2)")
-    fleet.add_argument("--router", default="round-robin",
-                       help="routing policy registry key "
-                            "(default: round-robin)")
     fleet.add_argument("--requests", type=int, default=64,
                        help="requests to replay closed-loop (default: 64)")
     fleet.add_argument("--nodes-per-request", type=int, default=4,
@@ -282,19 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
                               "scripts and CI)")
     gateway.add_argument("--replicas", type=int, default=2,
                          help="initial replica worker processes (default: 2)")
-    gateway.add_argument("--router", default="round-robin",
-                         help="routing policy registry key "
-                              "(default: round-robin)")
     _add_batch_mode_flag(gateway)
     gateway.add_argument("--shed-policy", default="watermark",
-                         help="admission/shed policy registry key, or "
-                              "'none' (default: watermark)")
+                         choices=("watermark", "none"),
+                         help="shed above a high in-flight watermark until "
+                              "below a low one, or 'none' for the hard cap "
+                              "only (default: watermark)")
     gateway.add_argument("--max-inflight", type=int, default=256,
                          help="hard cap on admitted-but-unanswered "
                               "requests (default: 256)")
     gateway.add_argument("--scale-policy", default="none",
-                         help="autoscaling policy registry key, e.g. "
-                              "queue-depth, or 'none' (default: none)")
+                         choices=("queue-depth", "none"),
+                         help="autoscale one replica at a time on "
+                              "per-replica backlog, or 'none' "
+                              "(default: none)")
     gateway.add_argument("--min-replicas", type=int, default=1,
                          help="autoscaler lower bound (default: 1)")
     gateway.add_argument("--max-replicas", type=int, default=4,
@@ -471,28 +462,25 @@ def _cmd_serve(args) -> int:
 def _cmd_serve_online(args) -> int:
     import numpy as np
 
-    from repro.registry import make_workload
-    from repro.serving import replay, split_requests
+    from repro.serving import PoissonWorkload, replay, split_requests
 
     bundle = api.DeploymentBundle.load(args.artifact)
     print(bundle)
-    runtime = api.open_runtime(bundle, scheduler=args.scheduler,
-                               batch_mode=args.batch_mode,
+    runtime = api.open_runtime(bundle, batch_mode=args.batch_mode,
                                max_batch_size=args.max_batch_size,
                                max_wait_ms=args.max_wait_ms)
     batch = api.evaluation_batch(bundle)
     requests = _tasked(args, split_requests(batch, args.requests,
                                             args.nodes_per_request))
-    workload = make_workload(args.workload, rate=args.rate)
     arrivals = None
     if not args.closed_loop:
-        arrivals = workload.arrivals(args.requests,
-                                     np.random.default_rng(args.seed))
+        arrivals = PoissonWorkload(args.rate).arrivals(
+            args.requests, np.random.default_rng(args.seed))
     with runtime:
         replay(runtime, requests, arrivals)
     stats = runtime.stats()
     mode = "closed loop" if args.closed_loop else (
-        f"open loop, {args.workload} @ {args.rate:g} req/s")
+        f"open loop, poisson @ {args.rate:g} req/s")
     print(f"served {stats.requests} requests ({stats.nodes} nodes) "
           f"in {stats.batches} micro-batches — {mode}")
     print(f"  latency p50/p95/p99   {stats.latency_p50 * 1e3:.2f} / "
@@ -512,9 +500,9 @@ def _cmd_serve_stream(args) -> int:
 
     bundle = api.DeploymentBundle.load(args.artifact)
     print(bundle)
-    runtime = api.open_stream(bundle, scheduler=args.scheduler,
-                              batch_mode=args.batch_mode,
+    runtime = api.open_stream(bundle, batch_mode=args.batch_mode,
                               max_batch_size=args.max_batch_size,
+                              max_wait_ms=0.0,
                               staleness_threshold=args.staleness)
     batch = api.evaluation_batch(bundle)
     reserved = args.deltas * args.nodes_per_delta
@@ -553,7 +541,50 @@ def _cmd_serve_stream(args) -> int:
           f"{stream['rebuilds']} rebuilds ({refresh})")
     print(f"  base graph            {runtime.prepared.num_base} nodes "
           f"(+{stream['appended_nodes']} streamed)")
+    if bundle.deployment != "original":
+        return 0
+    difference = _probe_against_fresh(runtime.prepared, requests[:4],
+                                      args.batch_mode)
+    if difference is not None:
+        print(f"error: evolved deployment differs from a fresh prepare(): "
+              f"{difference}", file=sys.stderr)
+        return 1
+    print("  evolved == fresh prepare(): ok")
     return 0
+
+
+def _probe_against_fresh(prepared, tasks, batch_mode: str) -> str | None:
+    """Serve ``tasks`` on an evolved original deployment and on a fresh
+    ``PreparedDeployment`` over its current base graph; describes the
+    first task whose replies are not bitwise equal (or that only the
+    evolved deployment fails to serve), else returns ``None``.
+
+    The tasks may cite the pre-delta base width; appended node ids only
+    extend it, so each incremental block is widened to the current one.
+    """
+    from dataclasses import replace
+
+    import numpy as np
+    import scipy.sparse as sp
+
+    from repro.serving.prepared import PreparedDeployment
+
+    fresh = PreparedDeployment(prepared.model, prepared.deployment,
+                               prepared.base)
+    for index, task in enumerate(tasks):
+        inc = task.batch.incremental.tocsr()
+        widened = sp.csr_matrix((inc.data, inc.indices, inc.indptr),
+                                shape=(inc.shape[0], prepared.num_base))
+        probe = replace(task, batch=replace(task.batch, incremental=widened))
+        mode = probe.mode or batch_mode
+        expected, _, _ = fresh.serve_task(probe, batch_mode=mode)
+        try:
+            evolved, _, _ = prepared.serve_task(probe, batch_mode=mode)
+        except Exception as error:  # noqa: BLE001 — reported as a mismatch
+            return f"probe {index} failed: {type(error).__name__}: {error}"
+        if not np.array_equal(evolved, expected):
+            return f"probe {index} replies differ"
+    return None
 
 
 def _cmd_serve_fleet(args) -> int:
@@ -564,7 +595,7 @@ def _cmd_serve_fleet(args) -> int:
     batch = api.evaluation_batch(bundle)
     requests = _tasked(args, split_requests(batch, args.requests,
                                             args.nodes_per_request))
-    fleet = api.open_fleet(args.artifact, args.replicas, router=args.router,
+    fleet = api.open_fleet(args.artifact, args.replicas,
                            batch_mode=args.batch_mode, mmap=args.mmap)
     with fleet:
         import time
@@ -588,8 +619,7 @@ def _cmd_serve_fleet(args) -> int:
     served = sum(result is not None for result in results)
     loading = "memory-mapped" if args.mmap else "eagerly loaded"
     print(f"served {served}/{len(requests)} requests across "
-          f"{args.replicas} replicas ({loading} artifact, "
-          f"{args.router} router)")
+          f"{args.replicas} replicas ({loading} artifact)")
     print(f"  throughput            {served / wall:.0f} req/s")
     p50, p95 = stats["latency_p50_ms"], stats["latency_p95_ms"]
     if p50 is not None:
@@ -608,17 +638,18 @@ def _cmd_serve_gateway(args) -> int:
     import signal
     import threading
 
-    shed = None if args.shed_policy == "none" else args.shed_policy
-    scale = None if args.scale_policy == "none" else args.scale_policy
-    scale_options = None
-    if scale is not None:
-        scale_options = {"min_replicas": args.min_replicas,
-                         "max_replicas": args.max_replicas}
+    from repro.serving import QueueDepthScale, WatermarkShed
+
+    shed = WatermarkShed() if args.shed_policy == "watermark" else None
+    scale = None
+    if args.scale_policy == "queue-depth":
+        scale = QueueDepthScale(min_replicas=args.min_replicas,
+                                max_replicas=args.max_replicas)
     gateway = api.open_gateway(
         args.artifact, args.replicas, host=args.host, port=args.port,
-        router=args.router, batch_mode=args.batch_mode, mmap=args.mmap,
+        batch_mode=args.batch_mode, mmap=args.mmap,
         shed_policy=shed, max_inflight=args.max_inflight,
-        scale_policy=scale, scale_options=scale_options,
+        scale_policy=scale,
         autoscale_interval=args.autoscale_interval,
         scale_cooldown=args.scale_cooldown)
     stop = threading.Event()
@@ -634,10 +665,9 @@ def _cmd_serve_gateway(args) -> int:
         if args.port_file:
             with open(args.port_file, "w") as handle:
                 handle.write(f"{gateway.port}\n")
-        policies = (f"shed={shed or 'none'}, scale={scale or 'none'}")
         print(f"gateway listening on {gateway.host}:{gateway.port} "
-              f"({args.replicas} replicas, {args.router} router, "
-              f"{policies})", flush=True)
+              f"({args.replicas} replicas, shed={args.shed_policy}, "
+              f"scale={args.scale_policy})", flush=True)
         print("probe with GET /healthz; stop with SIGTERM for a "
               "graceful drain", flush=True)
         while not stop.wait(0.5):
@@ -805,10 +835,9 @@ def _entry_help(entry) -> str:
 
 
 def _cmd_list(args) -> int:
-    import repro.serving  # noqa: F401 — populates scheduler/workload registries
+    import repro.serving  # noqa: F401 — populates the task registry
     from repro.graph.partition import PARTITIONERS
-    from repro.registry import (SCALE_POLICIES, SHED_POLICIES, ROUTERS,
-                                SCHEDULERS, TASKS, WORKLOADS)
+    from repro.registry import TASKS
 
     print("reduction methods (repro condense --method):")
     for name, entry in REDUCERS.items():
@@ -820,21 +849,6 @@ def _cmd_list(args) -> int:
     print(f"  {', '.join(MODELS.keys())}")
     print("\ndatasets (--dataset):")
     print(f"  {', '.join(DATASETS.keys())}")
-    print("\nmicro-batch schedulers (repro serve-online --scheduler):")
-    for name, entry in SCHEDULERS.items():
-        print(f"  {name:<10} {_entry_help(entry)}")
-    print("\nworkload generators (repro serve-online --workload):")
-    for name, entry in WORKLOADS.items():
-        print(f"  {name:<10} {_entry_help(entry)}")
-    print("\nfleet routing policies (repro serve-fleet --router):")
-    for name, entry in ROUTERS.items():
-        print(f"  {name:<16} {_entry_help(entry)}")
-    print("\ngateway shed policies (repro serve-gateway --shed-policy):")
-    for name, entry in SHED_POLICIES.items():
-        print(f"  {name:<16} {_entry_help(entry)}")
-    print("\ngateway scale policies (repro serve-gateway --scale-policy):")
-    for name, entry in SCALE_POLICIES.items():
-        print(f"  {name:<16} {_entry_help(entry)}")
     print("\nserving tasks (repro serve-online --task):")
     for name, entry in TASKS.items():
         print(f"  {name:<12} {_entry_help(entry)}")

@@ -1,7 +1,7 @@
 """String-keyed plugin registries for reducers, models, and datasets.
 
 The facade (:mod:`repro.api`), the experiment pipeline, and the CLI all
-resolve components through the three registries defined here instead of
+resolve components through the registries defined here instead of
 hard-coded ``if method == ...`` chains.  Each registry maps a lower-case
 name to an entry carrying a factory plus optional metadata; components
 self-register at import time with the ``@register_*`` decorators, so adding
@@ -29,27 +29,12 @@ __all__ = [
     "REDUCERS",
     "MODELS",
     "DATASETS",
-    "SCHEDULERS",
-    "WORKLOADS",
-    "ROUTERS",
-    "SHED_POLICIES",
-    "SCALE_POLICIES",
     "TASKS",
     "register_reducer",
     "register_model",
     "register_dataset",
-    "register_scheduler",
-    "register_workload",
-    "register_router",
-    "register_shed_policy",
-    "register_scale_policy",
     "register_task",
     "make_reducer",
-    "make_scheduler",
-    "make_workload",
-    "make_router",
-    "make_shed_policy",
-    "make_scale_policy",
     "make_task",
 ]
 
@@ -146,8 +131,8 @@ class ReducerEntry:
 class FactoryEntry:
     """A registered factory with a one-line description for ``repro list``.
 
-    Used by the serving registries: ``factory(**config)`` builds a
-    micro-batch scheduler or a workload generator.
+    Used by :data:`TASKS` and the graph partitioners
+    (:data:`repro.graph.partition.PARTITIONERS`).
     """
 
     name: str
@@ -158,11 +143,6 @@ class FactoryEntry:
 REDUCERS: Registry[ReducerEntry] = Registry("reduction method")
 MODELS: Registry[type] = Registry("model architecture")
 DATASETS: Registry[Any] = Registry("dataset")
-SCHEDULERS: Registry[FactoryEntry] = Registry("micro-batch scheduler")
-WORKLOADS: Registry[FactoryEntry] = Registry("workload generator")
-ROUTERS: Registry[FactoryEntry] = Registry("fleet routing policy")
-SHED_POLICIES: Registry[FactoryEntry] = Registry("gateway shed policy")
-SCALE_POLICIES: Registry[FactoryEntry] = Registry("gateway scale policy")
 TASKS: Registry[FactoryEntry] = Registry("serving task")
 
 
@@ -207,76 +187,6 @@ def register_dataset(name: str, *, overwrite: bool = False):
     return wrap
 
 
-def register_scheduler(name: str, *, description: str = "",
-                       overwrite: bool = False):
-    """Decorator registering a micro-batch scheduler factory under ``name``."""
-
-    def wrap(factory):
-        SCHEDULERS.register(
-            name, FactoryEntry(name=name.lower(), factory=factory,
-                               description=description),
-            overwrite=overwrite)
-        return factory
-
-    return wrap
-
-
-def register_workload(name: str, *, description: str = "",
-                      overwrite: bool = False):
-    """Decorator registering a workload-generator factory under ``name``."""
-
-    def wrap(factory):
-        WORKLOADS.register(
-            name, FactoryEntry(name=name.lower(), factory=factory,
-                               description=description),
-            overwrite=overwrite)
-        return factory
-
-    return wrap
-
-
-def register_router(name: str, *, description: str = "",
-                    overwrite: bool = False):
-    """Decorator registering a fleet routing-policy factory under ``name``."""
-
-    def wrap(factory):
-        ROUTERS.register(
-            name, FactoryEntry(name=name.lower(), factory=factory,
-                               description=description),
-            overwrite=overwrite)
-        return factory
-
-    return wrap
-
-
-def register_shed_policy(name: str, *, description: str = "",
-                         overwrite: bool = False):
-    """Decorator registering a gateway admission/shed-policy factory."""
-
-    def wrap(factory):
-        SHED_POLICIES.register(
-            name, FactoryEntry(name=name.lower(), factory=factory,
-                               description=description),
-            overwrite=overwrite)
-        return factory
-
-    return wrap
-
-
-def register_scale_policy(name: str, *, description: str = "",
-                          overwrite: bool = False):
-    """Decorator registering a gateway autoscaling-policy factory."""
-
-    def wrap(factory):
-        SCALE_POLICIES.register(
-            name, FactoryEntry(name=name.lower(), factory=factory,
-                               description=description),
-            overwrite=overwrite)
-        return factory
-
-    return wrap
-
-
 def register_task(name: str, *, description: str = "",
                   overwrite: bool = False):
     """Decorator registering a serving-task executor factory under ``name``.
@@ -305,31 +215,6 @@ def make_reducer(method: str, seed: int = 0, **cfg):
     """
     entry = REDUCERS.get(method)
     return entry.factory(seed=seed, **cfg)
-
-
-def make_scheduler(name: str, **cfg):
-    """Instantiate a registered micro-batch scheduler."""
-    return SCHEDULERS.get(name).factory(**cfg)
-
-
-def make_workload(name: str, **cfg):
-    """Instantiate a registered workload generator."""
-    return WORKLOADS.get(name).factory(**cfg)
-
-
-def make_router(name: str, **cfg):
-    """Instantiate a registered fleet routing policy."""
-    return ROUTERS.get(name).factory(**cfg)
-
-
-def make_shed_policy(name: str, **cfg):
-    """Instantiate a registered gateway shed policy."""
-    return SHED_POLICIES.get(name).factory(**cfg)
-
-
-def make_scale_policy(name: str, **cfg):
-    """Instantiate a registered gateway scale policy."""
-    return SCALE_POLICIES.get(name).factory(**cfg)
 
 
 def make_task(name: str, **cfg):

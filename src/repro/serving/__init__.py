@@ -11,18 +11,18 @@ for.  The pieces:
   | ``link_score`` | ``topk``), the :data:`repro.registry.TASKS`
   executors, the link-prediction scorer/holdout, and the mmap-shareable
   :class:`~repro.serving.embeddings.EmbeddingIndex` sidecar;
-- :mod:`~repro.serving.runtime` — micro-batching runtime with futures;
-- :mod:`~repro.serving.scheduler` — pluggable batch-formation policies;
+- :mod:`~repro.serving.runtime` — micro-batching runtime with futures
+  and its :class:`~repro.serving.runtime.MicroBatchScheduler`;
 - :mod:`~repro.serving.queue` — bounded admission with backpressure;
-- :mod:`~repro.serving.workload` — Poisson/bursty/ramp traffic shapes;
+- :mod:`~repro.serving.workload` — Poisson arrivals and request replay;
 - :mod:`~repro.serving.stats` — p50/p95/p99 latency accounting;
 - :mod:`~repro.serving.fleet` — the multi-replica process fleet: replica
-  pool over a shared memory-mapped artifact, pluggable routers,
+  pool over a shared memory-mapped artifact, round-robin dispatch,
   health-checked failover, zero-downtime hot swaps;
 - :mod:`~repro.serving.protocol` — the gateway's length-prefixed wire
   protocol (JSON or binary payloads) and the stdlib-socket client;
 - :mod:`~repro.serving.gateway` — the asyncio TCP/HTTP front door:
-  admission control with load shedding, queue-driven replica
+  admission control with watermark load shedding, queue-driven replica
   autoscaling, and the Prometheus-scrapeable ``GET /metrics`` page.
 
 Every layer reports into :mod:`repro.telemetry`: registry-backed
@@ -54,44 +54,29 @@ from repro.serving.embeddings import (
 from repro.serving.queue import BoundedRequestQueue, QueueFullError
 from repro.serving.runtime import (
     IngestFuture,
+    MicroBatchScheduler,
     Request,
     ServingFuture,
     ServingRuntime,
     merge_requests,
 )
-from repro.serving.scheduler import (
-    ImmediateScheduler,
-    MicroBatchScheduler,
-    SizeCapScheduler,
-)
 from repro.serving.stats import LatencyAccounting, RequestRecord, RuntimeStats
 from repro.serving.workload import (
-    BurstyWorkload,
     PoissonWorkload,
-    RampWorkload,
-    WorkloadGenerator,
     replay,
     replay_stream,
     split_requests,
 )
 from repro.serving.fleet import (
-    ConsistentHashRouter,
     FleetFuture,
-    LeastLoadedRouter,
     ReplicaPool,
-    Router,
-    RoundRobinRouter,
     ServingFleet,
     replay_fleet,
 )
 from repro.serving.protocol import GatewayClient, GatewayReply, ProtocolError
 from repro.serving.gateway import (
-    AdmitAllShed,
-    PinnedScale,
     QueueDepthScale,
-    ScalePolicy,
     ServingGateway,
-    ShedPolicy,
     WatermarkShed,
 )
 
@@ -103,14 +88,10 @@ __all__ = [
     "BoundedRequestQueue", "QueueFullError",
     "ServingRuntime", "ServingFuture", "IngestFuture", "Request",
     "merge_requests",
-    "MicroBatchScheduler", "ImmediateScheduler", "SizeCapScheduler",
+    "MicroBatchScheduler",
     "LatencyAccounting", "RequestRecord", "RuntimeStats",
-    "WorkloadGenerator", "PoissonWorkload", "BurstyWorkload", "RampWorkload",
-    "split_requests", "replay", "replay_stream",
-    "ServingFleet", "ReplicaPool", "FleetFuture", "Router",
-    "RoundRobinRouter", "LeastLoadedRouter", "ConsistentHashRouter",
-    "replay_fleet",
+    "PoissonWorkload", "split_requests", "replay", "replay_stream",
+    "ServingFleet", "ReplicaPool", "FleetFuture", "replay_fleet",
     "GatewayClient", "GatewayReply", "ProtocolError",
-    "ServingGateway", "ShedPolicy", "AdmitAllShed", "WatermarkShed",
-    "ScalePolicy", "PinnedScale", "QueueDepthScale",
+    "ServingGateway", "WatermarkShed", "QueueDepthScale",
 ]

@@ -69,8 +69,8 @@ class ServeTask:
 
     ``batch`` carries the inductive nodes (features, incremental
     connections, optional intra edges); ``task`` selects the executor
-    from :data:`repro.registry.TASKS`.  ``mode``, ``frozen``, ``key``
-    and ``trace_id`` are the per-request options — every tier's
+    from :data:`repro.registry.TASKS`.  ``mode``, ``frozen`` and
+    ``trace_id`` are the per-request options — every tier's
     ``submit`` reads them from here and takes no overrides;
     ``k``/``pairs``/``scorer`` only matter to the ``topk`` and
     ``link_score`` tasks.
@@ -80,7 +80,6 @@ class ServeTask:
     task: str = "predict"
     mode: str | None = None
     frozen: bool = False
-    key: str | None = None
     k: int = 10
     pairs: np.ndarray | None = None
     scorer: str = "dot"

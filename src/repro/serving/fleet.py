@@ -1,4 +1,4 @@
-"""Horizontally-scaled serving: a fleet of replica processes, one router.
+"""Horizontally-scaled serving: a fleet of replica processes.
 
 One :class:`~repro.serving.runtime.ServingRuntime` owns one
 :class:`~repro.serving.prepared.PreparedDeployment` in one process — the
@@ -6,15 +6,12 @@ single-host deployment shape.  This module is the fleet shape behind the
 ROADMAP's "heavy traffic" north star: ``N`` replica *processes*, each
 holding a prepared deployment built over the same memory-mapped artifact
 (so the big arrays live once in the host's page cache, not ``N`` times),
-behind a router with pluggable balancing policies.
+taking requests round-robin.
 
 The moving parts:
 
 - :class:`ReplicaPool` — spawns/respawns the worker processes, watches
   their health, and drains them one at a time for hot swaps;
-- :class:`Router` policies (:data:`repro.registry.ROUTERS`):
-  ``round-robin``, ``least-loaded``, and ``consistent-hash`` on an
-  optional per-request key;
 - :class:`ServingFleet` — the public facade: ``submit`` returns a
   :class:`FleetFuture`; a killed replica's in-flight requests are
   re-routed to survivors and the pool respawns the dead slot;
@@ -33,12 +30,10 @@ sits next to the ``.npz``, so ``topk`` never recomputes the base matrix.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import queue as _queue
 import threading
 import time
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ServingError
-from repro.registry import make_router, register_router
 from repro.serving.embeddings import ServeTask
 from repro.serving.runtime import ServingFuture
 from repro.serving.stats import RequestRecord, latency_percentiles
@@ -57,122 +51,7 @@ from repro.telemetry import (
     use_trace,
 )
 
-__all__ = ["ServingFleet", "ReplicaPool", "FleetFuture", "Router",
-           "RoundRobinRouter", "LeastLoadedRouter", "ConsistentHashRouter",
-           "replay_fleet"]
-
-
-# ----------------------------------------------------------------------
-# Routing policies
-# ----------------------------------------------------------------------
-class Router:
-    """Pick the replica that serves a request.
-
-    ``select`` receives the request's optional ``key``, the ready replica
-    ids (sorted, never empty), and the in-flight load per replica.  It
-    must return one of the candidates.
-    """
-
-    name = "base"
-
-    def select(self, key: str | None, candidates: list[int],
-               loads: dict[int, int]) -> int:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class RoundRobinRouter(Router):
-    """Cycle through the ready replicas in id order."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def select(self, key: str | None, candidates: list[int],
-               loads: dict[int, int]) -> int:
-        choice = candidates[self._next % len(candidates)]
-        self._next += 1
-        return choice
-
-
-class LeastLoadedRouter(Router):
-    """Send each request to the replica with the fewest in-flight ones."""
-
-    name = "least-loaded"
-
-    def select(self, key: str | None, candidates: list[int],
-               loads: dict[int, int]) -> int:
-        return min(candidates, key=lambda rid: (loads.get(rid, 0), rid))
-
-
-def _stable_hash(value: str) -> int:
-    """Process-independent 64-bit hash (``hash()`` is salted per run)."""
-    digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-class ConsistentHashRouter(Router):
-    """Hash the request key onto a ring of replica virtual nodes.
-
-    The same key lands on the same replica for as long as that replica is
-    alive (session affinity for its warm caches); when the candidate set
-    changes, only the keys that hashed to the lost/gained arcs move.
-    Keyless requests fall back to round-robin.
-    """
-
-    name = "consistent-hash"
-
-    def __init__(self, virtual_nodes: int = 64) -> None:
-        if virtual_nodes <= 0:
-            raise ServingError(
-                f"virtual_nodes must be positive, got {virtual_nodes}")
-        self.virtual_nodes = virtual_nodes
-        self._fallback = RoundRobinRouter()
-        self._rings: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-
-    def _ring(self, candidates: list[int]) -> tuple[list[int], list[int]]:
-        signature = tuple(candidates)
-        if signature not in self._rings:
-            points = []
-            for rid in candidates:
-                for v in range(self.virtual_nodes):
-                    points.append((_stable_hash(f"replica-{rid}#{v}"), rid))
-            points.sort()
-            self._rings[signature] = ([p[0] for p in points],
-                                      [p[1] for p in points])
-        return self._rings[signature]
-
-    def select(self, key: str | None, candidates: list[int],
-               loads: dict[int, int]) -> int:
-        if key is None:
-            return self._fallback.select(key, candidates, loads)
-        hashes, owners = self._ring(candidates)
-        position = bisect_right(hashes, _stable_hash(str(key)))
-        return owners[position % len(owners)]
-
-
-@register_router("round-robin",
-                 description="cycle through the ready replicas in id order")
-def _round_robin(**_ignored) -> RoundRobinRouter:
-    return RoundRobinRouter()
-
-
-@register_router("least-loaded",
-                 description="pick the replica with the fewest in-flight "
-                             "requests")
-def _least_loaded(**_ignored) -> LeastLoadedRouter:
-    return LeastLoadedRouter()
-
-
-@register_router("consistent-hash",
-                 description="hash the request key onto a replica ring "
-                             "(session affinity)")
-def _consistent_hash(virtual_nodes: int = 64,
-                     **_ignored) -> ConsistentHashRouter:
-    return ConsistentHashRouter(virtual_nodes=virtual_nodes)
+__all__ = ["ServingFleet", "ReplicaPool", "FleetFuture", "replay_fleet"]
 
 
 # ----------------------------------------------------------------------
@@ -428,10 +307,8 @@ class ServingFleet:
         the page cache (``mmap=True`` is still safe — compressed members
         just load eagerly per replica).
     replicas:
-        Number of worker processes.
-    router:
-        A :class:`Router` instance or a :data:`repro.registry.ROUTERS`
-        key (``round-robin``, ``least-loaded``, ``consistent-hash``).
+        Number of worker processes; requests go to the ready ones in
+        turn (round-robin, in id order).
     batch_mode:
         ``"graph"`` or ``"node"`` — fixed per fleet, like a runtime.
     mmap:
@@ -457,7 +334,6 @@ class ServingFleet:
     _POLL_SECONDS = 0.02
 
     def __init__(self, artifact: str | Path, replicas: int = 2, *,
-                 router: Router | str = "round-robin",
                  batch_mode: str = "node", mmap: bool = True,
                  start_method: str | None = None, max_retries: int = 3,
                  start_timeout: float = 120.0,
@@ -468,9 +344,7 @@ class ServingFleet:
         if batch_mode not in ("graph", "node"):
             raise ServingError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
-        if isinstance(router, str):
-            router = make_router(router)
-        self.router = router
+        self._next_replica = 0  # round-robin cursor over the ready ids
         self.batch_mode = batch_mode
         self.max_retries = max_retries
         self._lock = threading.RLock()
@@ -555,7 +429,7 @@ class ServingFleet:
         its :class:`FleetFuture`.
 
         The task carries the batch and every per-request option (task
-        type, routing key, mode override, frozen flag, top-k depth, link
+        type, mode override, frozen flag, top-k depth, link
         pairs).  A caller that already opened a trace (the gateway)
         passes it via ``trace`` and stays responsible for finishing it;
         otherwise the fleet stamps its own (when ``telemetry`` is on)
@@ -591,10 +465,7 @@ class ServingFleet:
 
         With no ready replica — mid-failover or mid-swap on a small fleet
         — the request parks and is re-dispatched the moment a replica
-        reports ready, so traffic queues instead of dropping.  A
-        misbehaving router fails the *request*, not the dispatching
-        thread: this runs inside the collector/monitor loops too, where
-        an escaped exception would silently kill health checking.
+        reports ready, so traffic queues instead of dropping.
         """
         if entry.attempts >= self.max_retries:
             self._fail_entry(entry, ServingError(
@@ -605,20 +476,8 @@ class ServingFleet:
         if not candidates:
             self._orphans.append(entry)
             return
-        loads = {rid: len(self.pool.replicas[rid].inflight)
-                 for rid in candidates}
-        try:
-            replica_id = self.router.select(entry.task.key, candidates, loads)
-        except Exception as error:  # noqa: BLE001 — routed to the future
-            self._fail_entry(entry, ServingError(
-                f"router {self.router!r} failed to pick a replica: "
-                f"{type(error).__name__}: {error}"))
-            return
-        if replica_id not in candidates:
-            self._fail_entry(entry, ServingError(
-                f"router {self.router!r} picked replica {replica_id}, "
-                f"not one of the ready candidates {candidates}"))
-            return
+        replica_id = candidates[self._next_replica % len(candidates)]
+        self._next_replica += 1
         replica = self.pool.replicas[replica_id]
         entry.replica_id = replica_id
         entry.attempts += 1
@@ -958,7 +817,6 @@ class ServingFleet:
                 for rid, r in sorted(self.pool.replicas.items())}
             summary = {
                 "replicas": self.pool.size,
-                "router": getattr(self.router, "name", type(self.router).__name__),
                 "completed": self.completed,
                 "failed": self.failed,
                 "rerouted": self.rerouted,
@@ -1011,7 +869,6 @@ class ServingFleet:
 
     def __repr__(self) -> str:
         return (f"ServingFleet(replicas={self.pool.size}, "
-                f"router={getattr(self.router, 'name', '?')!r}, "
                 f"batch_mode={self.batch_mode!r}, "
                 f"pending={len(self._pending)})")
 

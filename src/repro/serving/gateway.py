@@ -8,17 +8,16 @@ it layers the two things a network tier owes its operators:
 
 - **Admission control / load shedding.**  Every admitted request holds a
   token in a :class:`~repro.serving.queue.BoundedRequestQueue`
-  (``overflow="reject"``) — the hard in-flight ceiling — while a
-  pluggable *shed policy* (:data:`repro.registry.SHED_POLICIES`) sheds
-  softly before the ceiling: the default ``watermark`` policy starts
-  refusing work when queue depth crosses a high watermark and keeps
-  refusing (hysteresis) until it falls back below the low one.  A shed
-  response is retriable and carries a ``retry_after_ms`` hint.
+  (``overflow="reject"``) — the hard in-flight ceiling — while an
+  optional :class:`WatermarkShed` sheds softly before the ceiling: it
+  starts refusing work when queue depth crosses a high watermark and
+  keeps refusing (hysteresis) until it falls back below the low one.
+  A shed response is retriable and carries a ``retry_after_ms`` hint.
 - **Queue-driven autoscaling.**  A background loop samples queue depth
-  and the fleet's rolling p95, asks a *scale policy*
-  (:data:`repro.registry.SCALE_POLICIES`) for a target replica count,
-  and applies it through :meth:`ServingFleet.scale_to` — bounded by
-  min/max replicas and a cooldown so one burst cannot thrash the pool.
+  and the fleet's rolling p95, asks an optional :class:`QueueDepthScale`
+  for a target replica count, and applies it through
+  :meth:`ServingFleet.scale_to` — bounded by min/max replicas and a
+  cooldown so one burst cannot thrash the pool.
 
 The event loop thread only does protocol work; serving happens in the
 fleet's replica processes.  Completions hop back onto the loop via
@@ -40,8 +39,6 @@ import threading
 import time
 
 from repro.errors import ServingError
-from repro.registry import (make_scale_policy, make_shed_policy,
-                            register_scale_policy, register_shed_policy)
 from repro.serving import protocol
 from repro.serving.fleet import ServingFleet
 from repro.serving.queue import (BoundedRequestQueue, QueueClosedError,
@@ -53,52 +50,22 @@ from repro.telemetry import (
     render_exposition,
 )
 
-__all__ = ["ServingGateway", "ShedPolicy", "AdmitAllShed", "WatermarkShed",
-           "ScalePolicy", "PinnedScale", "QueueDepthScale"]
+__all__ = ["ServingGateway", "WatermarkShed", "QueueDepthScale"]
 
 
 # ----------------------------------------------------------------------
 # Shed policies (admission control)
 # ----------------------------------------------------------------------
-class ShedPolicy:
-    """Decide whether to admit one request given current congestion.
-
-    ``admit`` returns ``None`` to admit, or a retry-after hint in
-    milliseconds to shed.  Called on the gateway's event-loop thread
-    only, so implementations may keep unsynchronized state.
-    """
-
-    name = "base"
-
-    def admit(self, *, queue_depth: int, capacity: int) -> float | None:
-        raise NotImplementedError
-
-    def state(self) -> dict:
-        """JSON-ready view of the policy's internal state (for
-        ``GET /stats``); stateless policies report ``{}``."""
-        return {}
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class AdmitAllShed(ShedPolicy):
-    """Never shed — the hard in-flight ceiling is the only brake."""
-
-    name = "admit-all"
-
-    def admit(self, *, queue_depth: int, capacity: int) -> float | None:
-        return None
-
-
-class WatermarkShed(ShedPolicy):
+class WatermarkShed:
     """Shed above a high watermark, recover below a low one.
 
     Watermarks are fractions of the gateway's in-flight capacity.  The
     hysteresis band prevents flapping right at the threshold: once
     shedding starts it continues until depth falls to the low watermark.
     The retry hint grows with the overload so heavier congestion pushes
-    retries further out.
+    retries further out.  ``admit`` returns ``None`` to admit, or the
+    retry-after hint in milliseconds to shed; it runs on the gateway's
+    event-loop thread only, so the hysteresis state needs no lock.
     """
 
     name = "watermark"
@@ -131,6 +98,7 @@ class WatermarkShed(ShedPolicy):
         return self.retry_after_ms * max(1.0, fill / self.high)
 
     def state(self) -> dict:
+        """JSON-ready view of the hysteresis state (``GET /stats``)."""
         return {"shedding": self._shedding, "high": self.high,
                 "low": self.low}
 
@@ -139,68 +107,17 @@ class WatermarkShed(ShedPolicy):
                 f"retry_after_ms={self.retry_after_ms})")
 
 
-@register_shed_policy(
-    "admit-all",
-    description="no soft shedding; only the hard in-flight cap refuses work")
-def _admit_all(**_ignored) -> AdmitAllShed:
-    return AdmitAllShed()
-
-
-@register_shed_policy(
-    "watermark",
-    description="shed with a retry-after hint above a high queue-depth "
-                "watermark, recover below the low one (hysteresis)")
-def _watermark(high: float = 0.75, low: float = 0.5,
-               retry_after_ms: float = 50.0, **_ignored) -> WatermarkShed:
-    return WatermarkShed(high=high, low=low, retry_after_ms=retry_after_ms)
-
-
 # ----------------------------------------------------------------------
 # Scale policies (autoscaling)
 # ----------------------------------------------------------------------
-class ScalePolicy:
-    """Pick a target replica count from congestion signals.
-
-    ``target`` receives the current replica count, the gateway queue
-    depth, and the fleet's rolling p95 (ms, ``None`` until the window
-    has data) and returns the desired count; the gateway applies it
-    under its cooldown.  Called from the autoscaler thread only.
-    """
-
-    name = "base"
-
-    def target(self, *, replicas: int, queue_depth: int,
-               p95_ms: float | None) -> int:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class PinnedScale(ScalePolicy):
-    """Hold the fleet at its current (or a fixed) size — no autoscaling."""
-
-    name = "pinned"
-
-    def __init__(self, replicas: int | None = None) -> None:
-        if replicas is not None and replicas <= 0:
-            raise ServingError(
-                f"pinned replica count must be positive, got {replicas}")
-        self.replicas = replicas
-
-    def target(self, *, replicas: int, queue_depth: int,
-               p95_ms: float | None) -> int:
-        return self.replicas if self.replicas is not None else replicas
-
-
-class QueueDepthScale(ScalePolicy):
+class QueueDepthScale:
     """Scale on per-replica backlog, with an optional p95 trip wire.
 
     Grow one replica when the backlog per replica reaches
     ``up_backlog`` (or the rolling p95 crosses ``p95_up_ms``), shrink
     one when it falls to ``down_backlog`` — always one step at a time,
     inside ``[min_replicas, max_replicas]``; the gateway's cooldown
-    spaces the steps out.
+    spaces the steps out.  ``target`` runs on the autoscaler thread only.
     """
 
     name = "queue-depth"
@@ -245,25 +162,6 @@ class QueueDepthScale(ScalePolicy):
                 f"down={self.down_backlog}, p95_up_ms={self.p95_up_ms})")
 
 
-@register_scale_policy(
-    "pinned", description="hold the fleet at a fixed size (no autoscaling)")
-def _pinned(replicas: int | None = None, **_ignored) -> PinnedScale:
-    return PinnedScale(replicas=replicas)
-
-
-@register_scale_policy(
-    "queue-depth",
-    description="one replica up/down on per-replica backlog thresholds, "
-                "optional rolling-p95 trip wire, min/max bounds")
-def _queue_depth(min_replicas: int = 1, max_replicas: int = 4,
-                 up_backlog: float = 4.0, down_backlog: float = 1.0,
-                 p95_up_ms: float | None = None,
-                 **_ignored) -> QueueDepthScale:
-    return QueueDepthScale(min_replicas=min_replicas,
-                           max_replicas=max_replicas, up_backlog=up_backlog,
-                           down_backlog=down_backlog, p95_up_ms=p95_up_ms)
-
-
 # ----------------------------------------------------------------------
 # The gateway
 # ----------------------------------------------------------------------
@@ -286,15 +184,16 @@ class ServingGateway:
         Bind address; ``port=0`` picks an ephemeral port (read the bound
         one from :attr:`port` after :meth:`start`).
     shed_policy:
-        A :class:`ShedPolicy`, a :data:`~repro.registry.SHED_POLICIES`
-        key, or ``None`` for ``admit-all``.
+        A :class:`WatermarkShed`, or ``None`` to shed only at the hard
+        ``max_inflight`` ceiling.  It holds hysteresis state, so give
+        each gateway its own.
     max_inflight:
         Hard ceiling on requests admitted but unanswered — the capacity
         of the admission :class:`BoundedRequestQueue` and the base of the
         shed policy's watermarks.
     scale_policy:
-        A :class:`ScalePolicy`, a :data:`~repro.registry.SCALE_POLICIES`
-        key, or ``None`` to disable the autoscaler loop entirely.
+        A :class:`QueueDepthScale`, or ``None`` to disable the autoscaler
+        loop entirely.
     autoscale_interval / scale_cooldown:
         Sampling period of the autoscaler and the minimum spacing
         between consecutive scaling actions, in seconds.
@@ -318,9 +217,9 @@ class ServingGateway:
     """
 
     def __init__(self, fleet: ServingFleet, *, host: str = "127.0.0.1",
-                 port: int = 0, shed_policy: ShedPolicy | str | None = None,
+                 port: int = 0, shed_policy: WatermarkShed | None = None,
                  max_inflight: int = 256,
-                 scale_policy: ScalePolicy | str | None = None,
+                 scale_policy: QueueDepthScale | None = None,
                  autoscale_interval: float = 0.25,
                  scale_cooldown: float = 2.0,
                  owns_fleet: bool = False, telemetry: bool = True,
@@ -337,12 +236,6 @@ class ServingGateway:
         if scale_cooldown < 0:
             raise ServingError(
                 f"scale_cooldown must be non-negative, got {scale_cooldown}")
-        if shed_policy is None:
-            shed_policy = AdmitAllShed()
-        elif isinstance(shed_policy, str):
-            shed_policy = make_shed_policy(shed_policy)
-        if isinstance(scale_policy, str):
-            scale_policy = make_scale_policy(scale_policy)
         self.fleet = fleet
         self.host = host
         self.port = port
@@ -628,8 +521,8 @@ class ServingGateway:
             self._shed_reply(connection, request, "gateway is draining",
                              retry_after_ms=None, policy="draining")
             return
-        hint = self.shed_policy.admit(queue_depth=len(self._admission),
-                                      capacity=self.max_inflight)
+        hint = None if self.shed_policy is None else self.shed_policy.admit(
+            queue_depth=len(self._admission), capacity=self.max_inflight)
         if hint is not None:
             self._shed_reply(
                 connection, request,
@@ -823,8 +716,10 @@ class ServingGateway:
             "inflight": len(self._admission),
             "max_inflight": self.max_inflight,
             "draining": self._draining,
-            "shed_policy": self.shed_policy.name,
-            "shed_policy_state": self.shed_policy.state(),
+            "shed_policy": (None if self.shed_policy is None
+                            else self.shed_policy.name),
+            "shed_policy_state": ({} if self.shed_policy is None
+                                  else self.shed_policy.state()),
             "scale_policy": (None if self.scale_policy is None
                              else self.scale_policy.name),
             "scale_events": list(self.scale_events),
@@ -834,7 +729,8 @@ class ServingGateway:
         }
 
     def __repr__(self) -> str:
+        shed = None if self.shed_policy is None else self.shed_policy.name
         scale = None if self.scale_policy is None else self.scale_policy.name
         return (f"ServingGateway(host={self.host!r}, port={self.port}, "
-                f"shed={self.shed_policy.name!r}, scale={scale!r}, "
+                f"shed={shed!r}, scale={scale!r}, "
                 f"inflight={len(self._admission)}/{self.max_inflight})")

@@ -39,8 +39,8 @@ Request operations:
 
 - ``serve``  — one inductive request: ``features`` ``(n, d)``,
   ``incremental`` ``(n, N)``, optional ``intra`` ``(n, n)``, optional
-  ``mode`` (``graph``/``node``), ``frozen`` (cached-propagation path),
-  and routing ``key``;
+  ``mode`` (``graph``/``node``) and ``frozen`` (cached-propagation
+  path);
 - ``ping``   — liveness probe;
 - ``stats``  — the gateway's JSON accounting snapshot.
 
@@ -259,7 +259,7 @@ def encode_serve_request(request_id: int, task: ServeTask, *,
 
     Every field that differs from the :class:`ServeTask` defaults is
     emitted (``task``/``k``/``pairs``/``scorer``, ``mode``, ``frozen``,
-    routing ``key``, and ``trace`` — a client-chosen trace id the
+    and ``trace`` — a client-chosen trace id the
     gateway's request tracing adopts; without one it stamps its own).
     ``pairs`` always travels inline in the header (small integer lists
     round-trip exactly under both encodings).
@@ -297,8 +297,6 @@ def encode_serve_request(request_id: int, task: ServeTask, *,
         header["mode"] = task.mode
     if task.frozen:
         header["frozen"] = True
-    if task.key is not None:
-        header["key"] = task.key
     if task.trace_id is not None:
         header["trace"] = task.trace_id
     return encode_frame(header, bytes(payload))
@@ -329,9 +327,6 @@ def decode_serve_request(header: dict, payload: bytes) -> ServeRequest:
     frozen = header.get("frozen", False)
     if not isinstance(frozen, bool):
         raise ProtocolError(f"frozen must be a boolean, got {frozen!r}")
-    key = header.get("key")
-    if key is not None and not isinstance(key, str):
-        raise ProtocolError(f"routing key must be a string, got {key!r}")
     trace_id = header.get("trace")
     if trace_id is not None and not isinstance(trace_id, str):
         raise ProtocolError(f"trace id must be a string, got {trace_id!r}")
@@ -374,7 +369,7 @@ def decode_serve_request(header: dict, payload: bytes) -> ServeRequest:
                              labels=np.full(n, -1, dtype=np.int64))
     try:
         task = ServeTask(batch=batch, task=task_name,
-                         mode=header.get("mode"), frozen=frozen, key=key,
+                         mode=header.get("mode"), frozen=frozen,
                          k=k, pairs=pairs, scorer=header.get("scorer", "dot"),
                          trace_id=trace_id)
     except ServingError as error:
@@ -469,8 +464,8 @@ class GatewayClient:
     One client owns one TCP connection.  :meth:`serve_batch` is the
     simple request/response path; :meth:`submit` + :meth:`drain`
     pipeline many requests down the same connection without waiting for
-    replies in between — the shape the ramp benchmark uses to build real
-    queue depth from a single thread.
+    replies in between — the shape that builds real queue depth from a
+    single thread (``examples/gateway_serving.py``).
     """
 
     def __init__(self, host: str, port: int, *,

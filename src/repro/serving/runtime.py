@@ -3,7 +3,7 @@
 ``ServingRuntime`` turns the one-shot inference engine into a service:
 requests (single inductive nodes or small node groups) are admitted
 through a :class:`~repro.serving.queue.BoundedRequestQueue`, coalesced by
-a pluggable micro-batch scheduler into one attach+normalize+forward pass
+a :class:`MicroBatchScheduler` into one attach+normalize+forward pass
 over the :class:`~repro.serving.prepared.PreparedDeployment` cache, and
 answered through futures carrying per-request latency accounting.
 
@@ -39,16 +39,14 @@ from repro.errors import InferenceError, ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.ops import canonical_csr
 from repro.graph.stream import GraphDelta
-from repro.registry import make_scheduler
 from repro.serving.embeddings import ServeTask
 from repro.serving.prepared import DeltaRefreshReport, PreparedDeployment
 from repro.serving.queue import BoundedRequestQueue, QueueFullError
-from repro.serving.scheduler import MicroBatchScheduler
 from repro.serving.stats import LatencyAccounting, RequestRecord, RuntimeStats
 from repro.telemetry import MetricsRegistry, TraceContext, TraceLog
 
-__all__ = ["ServingRuntime", "ServingFuture", "IngestFuture", "Request",
-           "merge_requests"]
+__all__ = ["ServingRuntime", "MicroBatchScheduler", "ServingFuture",
+           "IngestFuture", "Request", "merge_requests"]
 
 
 class IngestFuture:
@@ -242,6 +240,41 @@ def merge_requests(
     return _merge(requests, None, intra=True)
 
 
+class MicroBatchScheduler:
+    """Coalesce up to ``max_batch_size`` requests or until ``max_wait_ms``.
+
+    Coalescing amortizes the per-pass fixed costs (operator assembly,
+    python dispatch, BLAS call overhead) across requests at the price of
+    queueing delay.  ``deadline(first_enqueue)`` tells the runtime how
+    long it may keep waiting for companions of the batch's first
+    request; ``full(count)`` caps the batch size.  ``max_wait_ms=0``
+    disables waiting (each batch takes only what is already queued), and
+    ``max_batch_size=1`` serves every request alone.
+    """
+
+    def __init__(self, max_batch_size: int = 32,
+                 max_wait_ms: float = 2.0) -> None:
+        if max_batch_size <= 0:
+            raise ServingError(
+                f"max_batch_size must be positive, got {max_batch_size}")
+        if max_wait_ms < 0:
+            raise ServingError(
+                f"max_wait_ms must be non-negative, got {max_wait_ms}")
+        self.max_batch_size = max_batch_size
+        self.max_wait_ms = max_wait_ms
+
+    def full(self, count: int) -> bool:
+        return count >= self.max_batch_size
+
+    def deadline(self, first_enqueue: float) -> float:
+        """Latest time (perf_counter seconds) the batch may keep filling."""
+        return first_enqueue + self.max_wait_ms / 1e3
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(max_batch_size={self.max_batch_size}, "
+                f"max_wait_ms={self.max_wait_ms})")
+
+
 class ServingRuntime:
     """Serve a stream of inductive requests against one prepared deployment.
 
@@ -250,9 +283,9 @@ class ServingRuntime:
     prepared:
         The request-invariant cache (build via
         ``PreparedDeployment.from_bundle`` or :func:`repro.api.open_runtime`).
-    scheduler:
-        A :class:`~repro.serving.scheduler.MicroBatchScheduler`, or a
-        registry key of :data:`repro.registry.SCHEDULERS`.
+    scheduler / scheduler_options:
+        A :class:`MicroBatchScheduler`, or the name ``"microbatch"`` to
+        build one from ``scheduler_options`` (its keyword arguments).
     batch_mode:
         ``"graph"`` (requests may carry intra edges) or ``"node"``.
     queue_capacity / overflow:
@@ -283,7 +316,12 @@ class ServingRuntime:
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
         self.prepared = prepared
         if isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler, **(scheduler_options or {}))
+            if scheduler != "microbatch":
+                raise ServingError(
+                    f"unknown scheduler {scheduler!r}; the only named "
+                    "scheduler is 'microbatch' (or pass a "
+                    "MicroBatchScheduler)")
+            scheduler = MicroBatchScheduler(**(scheduler_options or {}))
         self.scheduler = scheduler
         self.batch_mode = batch_mode
         self.queue = BoundedRequestQueue(queue_capacity, overflow)

@@ -1,17 +1,16 @@
-"""Synthetic request workloads: arrival processes over an inductive stream.
+"""Synthetic request workloads: Poisson arrivals over an inductive stream.
 
 The paper evaluates exactly two serving regimes (one big graph batch, one
 big node batch).  Real deployments see *traffic*: requests arriving over
-time, unevenly.  A workload generator produces arrival offsets for a
-request stream; :func:`split_requests` slices a dataset's inductive batch
+time.  :class:`PoissonWorkload` produces arrival offsets for a request
+stream; :func:`split_requests` slices a dataset's inductive batch
 into the per-request payloads; :func:`replay` drives a
 :class:`~repro.serving.runtime.ServingRuntime` with them, either open-loop
 (honour arrival times with real sleeps) or closed-loop (submit eagerly,
 let the scheduler drain — the reproducible mode used by tests and CI).
 
-Generators are pluggable through :data:`repro.registry.WORKLOADS` and are
-deterministic given a seed (or an explicit ``numpy`` Generator), which is
-what keeps benchmark runs comparable across commits.
+Arrivals are deterministic given a seed (or an explicit ``numpy``
+Generator), which is what keeps runs comparable across commits.
 """
 
 from __future__ import annotations
@@ -23,45 +22,13 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
-from repro.registry import register_workload
 from repro.serving.embeddings import ServeTask
 
-__all__ = ["WorkloadGenerator", "PoissonWorkload", "BurstyWorkload",
-           "RampWorkload", "split_requests", "replay", "replay_stream"]
-
-
-class WorkloadGenerator:
-    """Base class: produce non-decreasing arrival offsets (seconds)."""
-
-    def rate_at(self, t: float) -> float:
-        raise NotImplementedError
-
-    def arrivals(self, num_requests: int,
-                 rng: np.random.Generator | int | None = None) -> np.ndarray:
-        """``num_requests`` arrival offsets from a (possibly varying) rate.
-
-        Uses sequential exponential gaps at the instantaneous rate — exact
-        for constant-rate processes, a standard fine-grained approximation
-        for the time-varying ones.
-        """
-        if num_requests < 0:
-            raise ServingError(
-                f"num_requests must be non-negative, got {num_requests}")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        offsets = np.empty(num_requests, dtype=np.float64)
-        t = 0.0
-        for i in range(num_requests):
-            rate = self.rate_at(t)
-            if rate <= 0:
-                raise ServingError(f"arrival rate must stay positive, got {rate}")
-            t += rng.exponential(1.0 / rate)
-            offsets[i] = t
-        return offsets
+__all__ = ["PoissonWorkload", "split_requests", "replay", "replay_stream"]
 
 
 @dataclass
-class PoissonWorkload(WorkloadGenerator):
+class PoissonWorkload:
     """Memoryless arrivals at a constant ``rate`` (requests/second)."""
 
     rate: float = 200.0
@@ -70,94 +37,16 @@ class PoissonWorkload(WorkloadGenerator):
         if self.rate <= 0:
             raise ServingError(f"rate must be positive, got {self.rate}")
 
-    def rate_at(self, t: float) -> float:
-        return self.rate
-
-
-@dataclass
-class BurstyWorkload(WorkloadGenerator):
-    """Alternating calm/burst phases (square-wave rate).
-
-    Each ``period_s`` window spends ``duty`` of its length at
-    ``burst_rate`` and the rest at ``base_rate`` — the shape that stresses
-    queue bounds and the scheduler's wait cap.
-    """
-
-    base_rate: float = 50.0
-    burst_rate: float = 500.0
-    period_s: float = 1.0
-    duty: float = 0.2
-
-    def __post_init__(self) -> None:
-        if min(self.base_rate, self.burst_rate) <= 0:
-            raise ServingError("bursty rates must be positive")
-        if self.period_s <= 0:
-            raise ServingError(f"period_s must be positive, got {self.period_s}")
-        if not 0.0 < self.duty < 1.0:
-            raise ServingError(f"duty must be in (0, 1), got {self.duty}")
-
-    def rate_at(self, t: float) -> float:
-        phase = (t % self.period_s) / self.period_s
-        return self.burst_rate if phase < self.duty else self.base_rate
-
-
-@dataclass
-class RampWorkload(WorkloadGenerator):
-    """Linearly increasing rate — find where the runtime saturates.
-
-    The rate climbs from ``start_rate`` to ``end_rate`` over ``duration_s``
-    and stays at ``end_rate`` afterwards.
-    """
-
-    start_rate: float = 20.0
-    end_rate: float = 400.0
-    duration_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if min(self.start_rate, self.end_rate) <= 0:
-            raise ServingError("ramp rates must be positive")
-        if self.duration_s <= 0:
+    def arrivals(self, num_requests: int,
+                 rng: np.random.Generator | int | None = None) -> np.ndarray:
+        """``num_requests`` non-decreasing arrival offsets (seconds): the
+        running sum of exponential gaps with mean ``1 / rate``."""
+        if num_requests < 0:
             raise ServingError(
-                f"duration_s must be positive, got {self.duration_s}")
-
-    def rate_at(self, t: float) -> float:
-        if t >= self.duration_s:
-            return self.end_rate
-        frac = t / self.duration_s
-        return self.start_rate + frac * (self.end_rate - self.start_rate)
-
-
-@register_workload("poisson",
-                   description="memoryless arrivals at a constant rate")
-def _poisson(rate: float = 200.0, **_ignored) -> PoissonWorkload:
-    return PoissonWorkload(rate=rate)
-
-
-@register_workload("bursty",
-                   description="square-wave calm/burst arrival rate")
-def _bursty(rate: float | None = None, base_rate: float = 50.0,
-            burst_rate: float = 500.0, period_s: float = 1.0,
-            duty: float = 0.2, **_ignored) -> BurstyWorkload:
-    """``rate``, when given, sets the *duty-weighted mean* rate while
-    keeping the burst/calm shape (burst stays 4x the calm rate)."""
-    if rate is not None:
-        base_rate = rate / (1.0 + 3.0 * duty)
-        burst_rate = 4.0 * base_rate
-    return BurstyWorkload(base_rate=base_rate, burst_rate=burst_rate,
-                          period_s=period_s, duty=duty)
-
-
-@register_workload("ramp",
-                   description="linearly increasing rate up to saturation")
-def _ramp(rate: float | None = None, start_rate: float = 20.0,
-          end_rate: float = 400.0, duration_s: float = 2.0,
-          **_ignored) -> RampWorkload:
-    """``rate``, when given, centres the ramp on it (rate/2 → 3·rate/2)."""
-    if rate is not None:
-        start_rate = rate * 0.5
-        end_rate = rate * 1.5
-    return RampWorkload(start_rate=start_rate, end_rate=end_rate,
-                        duration_s=duration_s)
+                f"num_requests must be non-negative, got {num_requests}")
+        if not isinstance(rng, np.random.Generator):
+            rng = np.random.default_rng(rng)
+        return np.cumsum(rng.exponential(1.0 / self.rate, num_requests))
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Fleet serving: routers, zero-copy mmap artifacts, failover, hot swap."""
+"""Fleet serving: round-robin dispatch, zero-copy mmap artifacts,
+failover, hot swap."""
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +10,9 @@ from hypothesis import given, settings, strategies as st
 from repro import api
 from repro.api import DeploymentBundle
 from repro.cli import main
-from repro.errors import ArtifactError, GraphError, RegistryError, ServingError
-from repro.registry import ROUTERS, make_router
+from repro.errors import ArtifactError, GraphError, ServingError
 from repro.serving import (ServingFleet, replay_fleet, split_requests,
                            tasked_requests)
-from repro.serving.fleet import (
-    ConsistentHashRouter,
-    LeastLoadedRouter,
-    RoundRobinRouter,
-    Router,
-)
 from repro.serving.prepared import PreparedDeployment
 from repro.utils.artifacts import open_npz_archive, save_npz
 
@@ -64,64 +56,6 @@ def synthetic_requests(fleet_bundles):
     bundle, _ = fleet_bundles["synthetic"]
     return tasked_requests(
         split_requests(api.evaluation_batch(bundle), 16, 2), "predict")
-
-
-# ----------------------------------------------------------------------
-# Routing policies
-# ----------------------------------------------------------------------
-class TestRouters:
-    def test_round_robin_cycles_evenly(self):
-        router = RoundRobinRouter()
-        picks = [router.select(None, [0, 1, 2], {}) for _ in range(9)]
-        assert picks == [0, 1, 2] * 3
-
-    def test_round_robin_adapts_to_candidate_changes(self):
-        router = RoundRobinRouter()
-        router.select(None, [0, 1], {})
-        assert router.select(None, [1], {}) == 1
-
-    def test_least_loaded_picks_minimum(self):
-        router = LeastLoadedRouter()
-        assert router.select(None, [0, 1, 2], {0: 4, 1: 1, 2: 3}) == 1
-
-    def test_least_loaded_breaks_ties_by_id(self):
-        router = LeastLoadedRouter()
-        assert router.select(None, [2, 0, 1], {0: 1, 1: 1, 2: 1}) == 0
-
-    def test_consistent_hash_is_sticky(self):
-        router = ConsistentHashRouter()
-        picks = {router.select("user-7", [0, 1, 2], {}) for _ in range(10)}
-        assert len(picks) == 1
-
-    def test_consistent_hash_is_deterministic_across_instances(self):
-        first = ConsistentHashRouter()
-        second = ConsistentHashRouter()
-        for key in ("a", "b", "user-42"):
-            assert (first.select(key, [0, 1, 2], {})
-                    == second.select(key, [0, 1, 2], {}))
-
-    def test_consistent_hash_only_remaps_lost_arcs(self):
-        router = ConsistentHashRouter()
-        keys = [f"key-{i}" for i in range(64)]
-        before = {key: router.select(key, [0, 1, 2], {}) for key in keys}
-        after = {key: router.select(key, [0, 2], {}) for key in keys}
-        for key in keys:
-            if before[key] != 1:  # survivors keep their keys
-                assert after[key] == before[key]
-            else:
-                assert after[key] in (0, 2)
-
-    def test_consistent_hash_keyless_falls_back_round_robin(self):
-        router = ConsistentHashRouter()
-        picks = [router.select(None, [0, 1], {}) for _ in range(4)]
-        assert picks == [0, 1, 0, 1]
-
-    def test_registry_exposes_policies(self):
-        for name in ("round-robin", "least-loaded", "consistent-hash"):
-            assert name in ROUTERS
-            assert make_router(name) is not None
-        with pytest.raises(RegistryError):
-            make_router("no-such-policy")
 
 
 # ----------------------------------------------------------------------
@@ -275,15 +209,14 @@ class TestServingFleet:
         assert all(r["generation"] >= 1
                    for r in stats["per_replica"].values())
 
-    def test_consistent_hash_affinity_in_fleet(self, synthetic_artifact,
-                                               synthetic_requests):
-        with ServingFleet(synthetic_artifact, 2, router="consistent-hash",
+    def test_round_robin_spreads_requests_evenly(self, synthetic_artifact,
+                                                 synthetic_requests):
+        with ServingFleet(synthetic_artifact, 2,
                           batch_mode="node") as fleet:
-            replay_fleet(fleet, [replace(r, key="sticky")
-                                 for r in synthetic_requests[:8]])
+            replay_fleet(fleet, synthetic_requests[:8])
             served = [r["served"]
                       for r in fleet.stats()["per_replica"].values()]
-        assert sorted(served) == [0, 8]
+        assert served == [4, 4]
 
     def test_fleet_traces_cover_dispatch_serve_collect(
             self, synthetic_artifact, synthetic_requests):
@@ -380,26 +313,6 @@ class TestServingFleet:
         with pytest.raises(ServingError):
             ServingFleet(synthetic_artifact, 1, batch_mode="banana")
 
-    def test_misbehaving_router_fails_request_not_fleet(
-            self, synthetic_artifact, synthetic_requests):
-        class RogueRouter(Router):
-            name = "rogue"
-
-            def select(self, key, candidates, loads):
-                return 999  # never a valid candidate
-
-        with ServingFleet(synthetic_artifact, 1, router=RogueRouter(),
-                          batch_mode="node") as fleet:
-            future = fleet.submit(synthetic_requests[0])
-            with pytest.raises(ServingError, match="picked replica"):
-                future.result(timeout=30.0)
-            stats = fleet.stats()
-            # the dispatching thread survived: accounting is intact and
-            # the health monitor is still running
-            assert stats["failed"] == 1
-            assert stats["pending"] == 0
-            assert fleet._monitor.is_alive()
-
     def test_parked_request_fails_once_on_close(self, synthetic_artifact,
                                                 synthetic_requests):
         fleet = ServingFleet(synthetic_artifact, 1, batch_mode="node")
@@ -424,8 +337,8 @@ class TestServingFleet:
         bundle, _ = fleet_bundles["synthetic"]
         tmp = Path(tempfile.gettempdir())
         before = set(tmp.glob("repro-fleet-*.npz"))
-        with pytest.raises(RegistryError):
-            api.open_fleet(bundle, replicas=1, router="no-such-policy")
+        with pytest.raises(ServingError):
+            api.open_fleet(bundle, replicas=1, batch_mode="banana")
         assert set(tmp.glob("repro-fleet-*.npz")) == before
 
 
@@ -441,12 +354,6 @@ class TestFleetCli:
         out = capsys.readouterr().out
         assert "req/s" in out
         assert "served 4/4" in out
-
-    def test_list_shows_routers(self, capsys):
-        main(["list"])
-        out = capsys.readouterr().out
-        for name in ("round-robin", "least-loaded", "consistent-hash"):
-            assert name in out
 
 
 class TestCorruptArtifactRegression:

@@ -15,15 +15,11 @@ import scipy.sparse as sp
 
 from repro import api
 from repro.cli import main
-from repro.errors import RegistryError, ServingError
+from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
-from repro.registry import (SCALE_POLICIES, SHED_POLICIES, make_scale_policy,
-                            make_shed_policy)
 from repro.serving import (ServeTask, ServingFleet, split_requests,
                            tasked_requests)
 from repro.serving.gateway import (
-    AdmitAllShed,
-    PinnedScale,
     QueueDepthScale,
     ServingGateway,
     WatermarkShed,
@@ -66,7 +62,7 @@ def gw_requests(gw_bundle):
 @pytest.fixture(scope="module")
 def gateway(gw_artifact):
     """One long-lived 1-replica gateway for the read-mostly tests."""
-    fleet = ServingFleet(gw_artifact, 1, router="round-robin",
+    fleet = ServingFleet(gw_artifact, 1,
                         batch_mode="node")
     gw = ServingGateway(fleet, max_inflight=64, owns_fleet=True)
     gw.start()
@@ -103,13 +99,13 @@ class TestProtocol:
     @pytest.mark.parametrize("encoding", ["json", "binary"])
     def test_serve_round_trip_is_bitwise(self, encoding):
         batch = _toy_batch()
-        request = _round_trip(batch, mode="graph", frozen=True, key="k1",
+        request = _round_trip(batch, mode="graph", frozen=True,
                               encoding=encoding)
         assert request.request_id == 7
         assert request.encoding == encoding
         task = request.task
-        assert (task.task, task.mode, task.frozen, task.key) == (
-            "predict", "graph", True, "k1")
+        assert (task.task, task.mode, task.frozen) == (
+            "predict", "graph", True)
         assert np.array_equal(task.batch.features, batch.features)
         assert np.array_equal(task.batch.incremental.toarray(),
                               batch.incremental.toarray())
@@ -239,10 +235,6 @@ class TestProtocol:
 # Shed policies
 # ----------------------------------------------------------------------
 class TestShedPolicies:
-    def test_admit_all_never_sheds(self):
-        policy = AdmitAllShed()
-        assert policy.admit(queue_depth=10 ** 6, capacity=1) is None
-
     def test_watermark_hysteresis(self):
         policy = WatermarkShed(high=0.75, low=0.5, retry_after_ms=50.0)
         assert policy.admit(queue_depth=74, capacity=100) is None
@@ -268,27 +260,11 @@ class TestShedPolicies:
         with pytest.raises(ServingError):
             WatermarkShed(retry_after_ms=0)
 
-    def test_registry_builds_policies(self):
-        assert {"admit-all", "watermark"} <= set(SHED_POLICIES.keys())
-        policy = make_shed_policy("watermark", high=0.9, low=0.1)
-        assert isinstance(policy, WatermarkShed) and policy.high == 0.9
-        assert isinstance(make_shed_policy("admit-all"), AdmitAllShed)
-        with pytest.raises(RegistryError):
-            make_shed_policy("coin-flip")
-
 
 # ----------------------------------------------------------------------
 # Scale policies
 # ----------------------------------------------------------------------
 class TestScalePolicies:
-    def test_pinned_holds_size(self):
-        assert PinnedScale().target(replicas=3, queue_depth=100,
-                                    p95_ms=None) == 3
-        assert PinnedScale(replicas=2).target(replicas=5, queue_depth=0,
-                                              p95_ms=None) == 2
-        with pytest.raises(ServingError):
-            PinnedScale(replicas=0)
-
     def test_queue_depth_steps_one_at_a_time(self):
         policy = QueueDepthScale(min_replicas=1, max_replicas=4,
                                  up_backlog=4.0, down_backlog=1.0)
@@ -317,21 +293,13 @@ class TestScalePolicies:
         with pytest.raises(ServingError):
             QueueDepthScale(up_backlog=1.0, down_backlog=2.0)
 
-    def test_registry_builds_policies(self):
-        assert {"pinned", "queue-depth"} <= set(SCALE_POLICIES.keys())
-        policy = make_scale_policy("queue-depth", min_replicas=2,
-                                   max_replicas=6)
-        assert isinstance(policy, QueueDepthScale)
-        assert (policy.min_replicas, policy.max_replicas) == (2, 6)
-        assert isinstance(make_scale_policy("pinned"), PinnedScale)
-
 
 # ----------------------------------------------------------------------
 # Fleet elasticity (scale_to / reset_latencies / queue_depth)
 # ----------------------------------------------------------------------
 class TestFleetElasticity:
     def test_scale_up_and_down_loses_nothing(self, gw_artifact, gw_requests):
-        with ServingFleet(gw_artifact, 1, router="round-robin",
+        with ServingFleet(gw_artifact, 1,
                           batch_mode="node") as fleet:
             futures = [fleet.submit(r) for r in gw_requests]
             assert fleet.scale_to(2) == 2
@@ -347,7 +315,7 @@ class TestFleetElasticity:
 
     def test_reset_latencies_keeps_request_counters(self, gw_artifact,
                                                     gw_requests):
-        with ServingFleet(gw_artifact, 1, router="round-robin",
+        with ServingFleet(gw_artifact, 1,
                           batch_mode="node") as fleet:
             for request in gw_requests[:4]:
                 fleet.submit(request).result(timeout=120.0)
@@ -407,7 +375,7 @@ class TestGatewayServing:
             stats = client.stats()
         assert stats["port"] == gateway.port
         assert stats["served"] <= stats["offered"]
-        assert stats["shed_policy"] == "admit-all"
+        assert stats["shed_policy"] is None
         assert stats["fleet"]["replicas"] == 1
 
     def test_unknown_op_gets_error_reply(self, gateway):
@@ -534,14 +502,14 @@ class TestGatewayServing:
         with GatewayClient(*gateway.address, encoding="binary") as client:
             assert client.serve_batch(gw_requests[0]).ok
         stats = gateway.stats()
-        assert stats["shed_policy_state"] == {}  # AdmitAllShed is stateless
+        assert stats["shed_policy_state"] == {}  # no shed policy, no state
         assert stats["slowest"]
         entry = stats["slowest"][0]
         assert "trace_id" in entry and "stages_ms" in entry
         json.dumps(stats)  # the whole stats page must stay JSON-clean
 
     def test_watermark_stats_expose_hysteresis_state(self, gw_artifact):
-        fleet = ServingFleet(gw_artifact, 1, router="round-robin",
+        fleet = ServingFleet(gw_artifact, 1,
                              batch_mode="node")
         gw = ServingGateway(fleet, owns_fleet=True,
                             shed_policy=WatermarkShed(high=0.75, low=0.5))
@@ -557,7 +525,7 @@ class TestGatewayServing:
         with GatewayClient(*gateway.address, encoding="binary") as client:
             instrumented = client.serve_batch(gw_requests[0])
         assert instrumented.ok and instrumented.trace_id is not None
-        fleet = ServingFleet(gw_artifact, 1, router="round-robin",
+        fleet = ServingFleet(gw_artifact, 1,
                              batch_mode="node", telemetry=False)
         gw = ServingGateway(fleet, owns_fleet=True, telemetry=False)
         try:
@@ -592,7 +560,7 @@ class TestGatewayServing:
 class TestGatewayAdmission:
     def test_watermark_burst_sheds_and_accounts_exactly(self, gw_artifact,
                                                         gw_requests):
-        fleet = ServingFleet(gw_artifact, 1, router="round-robin",
+        fleet = ServingFleet(gw_artifact, 1,
                             batch_mode="node")
         gateway = ServingGateway(
             fleet, owns_fleet=True, max_inflight=4,
@@ -627,10 +595,10 @@ class TestGatewayAdmission:
 
     def test_hard_cap_sheds_with_fallback_hint(self, gw_artifact,
                                                gw_requests):
-        fleet = ServingFleet(gw_artifact, 1, router="round-robin",
+        fleet = ServingFleet(gw_artifact, 1,
                             batch_mode="node")
         gateway = ServingGateway(fleet, owns_fleet=True, max_inflight=1,
-                                 shed_policy=AdmitAllShed())
+                                 shed_policy=None)
         gateway.start()
         try:
             with GatewayClient(*gateway.address,
@@ -654,7 +622,7 @@ class TestGatewayAutoscale:
     def test_burst_scales_up_then_back_down(self, gw_artifact, gw_requests):
         import time
 
-        fleet = ServingFleet(gw_artifact, 1, router="round-robin",
+        fleet = ServingFleet(gw_artifact, 1,
                             batch_mode="node")
         gateway = ServingGateway(
             fleet, owns_fleet=True, max_inflight=1024,
@@ -704,27 +672,37 @@ class TestOpenGateway:
         with pytest.raises(ServingError):
             gateway.fleet.submit(gw_requests[0])
 
-    def test_policy_options_forwarded(self, gw_bundle):
-        gateway = api.open_gateway(
-            gw_bundle, 1, scale_policy="queue-depth",
-            scale_options={"min_replicas": 1, "max_replicas": 3},
-            shed_policy="watermark", shed_options={"high": 0.9},
-            start=False)
+    def test_default_shed_policy_is_fresh_per_gateway(self, gw_bundle):
+        # WatermarkShed holds hysteresis state: a shared default would
+        # leak one gateway's shedding into the next
+        first = api.open_gateway(gw_bundle, 1, start=False)
+        second = api.open_gateway(gw_bundle, 1, start=False)
         try:
-            assert isinstance(gateway.scale_policy, QueueDepthScale)
-            assert gateway.scale_policy.max_replicas == 3
-            assert isinstance(gateway.shed_policy, WatermarkShed)
-            assert gateway.shed_policy.high == 0.9
+            for gateway in (first, second):
+                assert isinstance(gateway.shed_policy, WatermarkShed)
+                assert gateway.scale_policy is None
+            assert first.shed_policy is not second.shed_policy
+        finally:
+            first.close()
+            second.close()
+
+    def test_shed_policy_none_disables_shedding(self, gw_bundle):
+        gateway = api.open_gateway(gw_bundle, 1, shed_policy=None,
+                                   start=False)
+        try:
+            assert gateway.shed_policy is None
+            assert gateway.stats()["shed_policy"] is None
         finally:
             gateway.close()
 
     def test_policy_instances_pass_through(self, gw_bundle):
         shed = WatermarkShed(high=0.6)
+        scale = QueueDepthScale(max_replicas=3)
         gateway = api.open_gateway(gw_bundle, 1, shed_policy=shed,
-                                   scale_policy=PinnedScale(), start=False)
+                                   scale_policy=scale, start=False)
         try:
             assert gateway.shed_policy is shed
-            assert isinstance(gateway.scale_policy, PinnedScale)
+            assert gateway.scale_policy is scale
         finally:
             gateway.close()
 
@@ -733,14 +711,6 @@ class TestOpenGateway:
 # CLI
 # ----------------------------------------------------------------------
 class TestGatewayCli:
-    def test_list_shows_gateway_policies(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "gateway shed policies" in out
-        assert "watermark" in out
-        assert "gateway scale policies" in out
-        assert "queue-depth" in out
-
     def test_top_polls_live_gateway(self, capsys, gateway, gw_requests):
         with GatewayClient(*gateway.address, encoding="binary") as client:
             assert client.serve_batch(gw_requests[0]).ok

@@ -14,16 +14,13 @@ from repro.graph.ops import canonical_csr
 from repro.graph.stream import GraphDelta
 from repro.inference import InductiveServer
 from repro.nn import make_model
-from repro.registry import SCHEDULERS, make_scheduler
 from repro.serving import (
     BoundedRequestQueue,
-    ImmediateScheduler,
     MicroBatchScheduler,
     PreparedDeployment,
     QueueFullError,
     ServeTask,
     ServingRuntime,
-    SizeCapScheduler,
     merge_requests,
     split_requests,
     tasked_requests,
@@ -301,27 +298,48 @@ class TestBoundedQueueConcurrency:
 # Schedulers
 # ----------------------------------------------------------------------
 class TestSchedulers:
-    def test_registry_entries(self):
-        for name in ("microbatch", "immediate", "sizecap"):
-            assert name in SCHEDULERS
-
     def test_microbatch_limits(self):
-        scheduler = make_scheduler("microbatch", max_batch_size=3,
-                                   max_wait_ms=10.0)
-        assert isinstance(scheduler, MicroBatchScheduler)
+        scheduler = MicroBatchScheduler(max_batch_size=3, max_wait_ms=10.0)
         assert not scheduler.full(2)
         assert scheduler.full(3)
         assert scheduler.deadline(100.0) == pytest.approx(100.010)
 
-    def test_immediate_is_batch_of_one(self):
-        scheduler = make_scheduler("immediate")
-        assert isinstance(scheduler, ImmediateScheduler)
-        assert scheduler.full(1)
+    def test_batch_of_one(self):
+        assert MicroBatchScheduler(1, 0.0).full(1)
 
-    def test_sizecap_never_waits(self):
-        scheduler = make_scheduler("sizecap", max_batch_size=5)
-        assert isinstance(scheduler, SizeCapScheduler)
+    def test_zero_wait_never_waits(self):
+        scheduler = MicroBatchScheduler(5, 0.0)
         assert scheduler.deadline(42.0) == pytest.approx(42.0)
+
+    def test_microbatch_name_builds_from_options(self, sgc, split,
+                                                 condensed):
+        runtime = _runtime(sgc, split, condensed, "original",
+                           scheduler="microbatch",
+                           scheduler_options={"max_batch_size": 3,
+                                              "max_wait_ms": 0.0})
+        assert isinstance(runtime.scheduler, MicroBatchScheduler)
+        assert (runtime.scheduler.max_batch_size,
+                runtime.scheduler.max_wait_ms) == (3, 0.0)
+
+    def test_default_is_microbatch_with_its_defaults(self, sgc, split,
+                                                     condensed):
+        runtime = _runtime(sgc, split, condensed, "original")
+        default = MicroBatchScheduler()
+        assert isinstance(runtime.scheduler, MicroBatchScheduler)
+        assert (runtime.scheduler.max_batch_size,
+                runtime.scheduler.max_wait_ms) == (default.max_batch_size,
+                                                   default.max_wait_ms)
+
+    def test_instance_passes_through(self, sgc, split, condensed):
+        scheduler = MicroBatchScheduler(2, 0.0)
+        runtime = _runtime(sgc, split, condensed, "original",
+                           scheduler=scheduler)
+        assert runtime.scheduler is scheduler
+
+    def test_other_scheduler_names_rejected(self, sgc, split, condensed):
+        with pytest.raises(ServingError, match="microbatch"):
+            _runtime(sgc, split, condensed, "original",
+                     scheduler="immediate")
 
     def test_validation(self):
         with pytest.raises(ServingError):
@@ -339,8 +357,8 @@ class TestRuntimeParity:
     def test_stream_matches_engine(self, sgc, split, condensed, deployment,
                                    batch_mode):
         runtime = _runtime(sgc, split, condensed, deployment,
-                           scheduler="sizecap", batch_mode=batch_mode,
-                           scheduler_options={"max_batch_size": 4})
+                           scheduler=MicroBatchScheduler(4, 0.0),
+                           batch_mode=batch_mode)
         stream = _stream(split.incremental_batch("test"), 8, 2)
         futures = [runtime.submit(request) for request in stream]
         assert runtime.run_pending() == 8
@@ -366,8 +384,8 @@ class TestRuntimeParity:
     def test_merge_matches_the_scipy_oracle(self, sgc, split, condensed,
                                             deployment, batch_mode):
         runtime = _runtime(sgc, split, condensed, deployment,
-                           scheduler="sizecap", batch_mode=batch_mode,
-                           scheduler_options={"max_batch_size": 8})
+                           scheduler=MicroBatchScheduler(8, 0.0),
+                           batch_mode=batch_mode)
         source = split.incremental_batch("test")
         width = split.original.num_nodes
         batches = _awkward_batches(source, width, appended=2)
@@ -405,8 +423,8 @@ class TestRuntimeParity:
         batches = _awkward_batches(source, split.original.num_nodes, 0)
         before = _snapshot(batches)
         runtime = _runtime(sgc, split, condensed, deployment,
-                           scheduler="sizecap", batch_mode=batch_mode,
-                           scheduler_options={"max_batch_size": 8})
+                           scheduler=MicroBatchScheduler(8, 0.0),
+                           batch_mode=batch_mode)
         futures = [runtime.submit(ServeTask(b)) for b in batches]
         runtime.run_pending()  # one merged group
         for batch in batches:  # and each one alone
@@ -419,7 +437,7 @@ class TestRuntimeParity:
 
     def test_single_node_submit(self, sgc, split, condensed, raw_task):
         runtime = _runtime(sgc, split, condensed, "original",
-                           scheduler="immediate")
+                           scheduler=MicroBatchScheduler(1, 0.0))
         batch = split.incremental_batch("test").subset(np.array([0]))
         # 1-D features, no intra: admission canonicalises both
         future = runtime.submit(raw_task(batch.features[0],
@@ -438,8 +456,7 @@ class TestRuntimeParity:
 class TestRuntimeBehaviour:
     def test_stats_accounting(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "original",
-                           scheduler="sizecap",
-                           scheduler_options={"max_batch_size": 3})
+                           scheduler=MicroBatchScheduler(3, 0.0))
         stream = _stream(split.incremental_batch("val"), 6, 1)
         for request in stream:
             runtime.submit(request)
@@ -572,7 +589,8 @@ class TestRuntimeBehaviour:
 
     def test_frozen_tasks_serve_the_frozen_path(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "synthetic",
-                           scheduler="sizecap", batch_mode="node")
+                           scheduler=MicroBatchScheduler(128, 0.0),
+                           batch_mode="node")
         stream = [ServeTask(task.batch, frozen=True) for task in
                   _stream(split.incremental_batch("val"), 4, 1)]
         futures = [runtime.submit(request) for request in stream]
@@ -617,9 +635,9 @@ class TestRuntimeBehaviour:
         # come back as None, served ones keep their logits
         from repro.serving import replay
         runtime = _runtime(sgc, split, condensed, "original",
-                           scheduler="sizecap", queue_capacity=2,
-                           overflow="reject",
-                           scheduler_options={"max_batch_size": 2})
+                           scheduler=MicroBatchScheduler(2, 0.0),
+                           queue_capacity=2,
+                           overflow="reject")
         stream = _stream(split.incremental_batch("val"), 5, 1)
         results = replay(runtime, stream, timeout=10.0)
         assert len(results) == 5
@@ -634,8 +652,8 @@ class TestRuntimeBehaviour:
         # consumer thread, replay used to deadlock in queue.put
         from repro.serving import replay
         runtime = _runtime(sgc, split, condensed, "original",
-                           scheduler="sizecap", queue_capacity=3,
-                           scheduler_options={"max_batch_size": 2})
+                           scheduler=MicroBatchScheduler(2, 0.0),
+                           queue_capacity=3)
         stream = _stream(split.incremental_batch("val"), 8, 1)
         results = replay(runtime, stream, timeout=10.0)
         assert len(results) == 8
@@ -738,8 +756,8 @@ class TestRequestPathContainers:
     def test_container_count(self, sgc, split, condensed, batch_mode,
                              deployment, burst, expected, containers):
         runtime = _runtime(sgc, split, condensed, deployment,
-                           scheduler="sizecap", batch_mode=batch_mode,
-                           scheduler_options={"max_batch_size": 8})
+                           scheduler=MicroBatchScheduler(8, 0.0),
+                           batch_mode=batch_mode)
         stream = _stream(split.incremental_batch("test"), 9, 2)
         runtime.submit(stream[0])
         runtime.run_pending()  # warm every lazy cache first

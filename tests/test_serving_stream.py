@@ -10,7 +10,8 @@ from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.stream import GraphDelta, StreamingGraph, make_delta_trace
 from repro.nn import make_model
-from repro.serving import PreparedDeployment, ServeTask, ServingRuntime
+from repro.serving import (MicroBatchScheduler, PreparedDeployment, ServeTask,
+                           ServingRuntime)
 
 
 @pytest.fixture()
@@ -380,7 +381,8 @@ class TestApplyDeltaParity:
 class TestRuntimeIngest:
     def test_ingest_interleaves_with_serving(self, tiny_split, sgc):
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "immediate", batch_mode="node")
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0),
+                                 batch_mode="node")
         batch = tiny_split.incremental_batch("test")
         trace = make_delta_trace(tiny_split.original, batch, num_deltas=2,
                                  nodes_per_delta=2, edges_per_delta=2,
@@ -404,7 +406,8 @@ class TestRuntimeIngest:
     def test_stale_width_requests_still_serve(self, tiny_split, sgc):
         """Requests admitted before an append serve after it lands."""
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "immediate", batch_mode="node")
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0),
+                                 batch_mode="node")
         batch = tiny_split.incremental_batch("test")
         future = runtime.submit(ServeTask(batch.subset(np.array([0]))))
         runtime.ingest(GraphDelta(add_features=batch.features[1:3],
@@ -419,8 +422,8 @@ class TestRuntimeIngest:
         merge_requests for the whole batch."""
         n = tiny_split.original.num_nodes
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "sizecap", batch_mode="node",
-                                 scheduler_options={"max_batch_size": 4})
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(4, 0.0),
+                                 batch_mode="node")
         batch = tiny_split.incremental_batch("test")
         old_width = batch.subset(np.array([0]))
         # admitted at width n
@@ -444,7 +447,8 @@ class TestRuntimeIngest:
         serving loop has applied the delta."""
         n = tiny_split.original.num_nodes
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "immediate", batch_mode="node")
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0),
+                                 batch_mode="node")
         batch = tiny_split.incremental_batch("test")
         runtime.ingest(GraphDelta(add_features=batch.features[:2],
                                   add_labels=batch.labels[:2]))
@@ -462,7 +466,7 @@ class TestRuntimeIngest:
     def test_ingest_rejects_non_delta_and_closed_runtime(self, tiny_split,
                                                          sgc):
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "immediate")
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0))
         with pytest.raises(ServingError, match="GraphDelta"):
             runtime.ingest("nope")
         runtime.stop()
@@ -475,7 +479,8 @@ class TestRuntimeIngest:
         a frozen runtime — a too-narrow incremental is malformed there."""
         n = tiny_split.original.num_nodes
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "immediate", batch_mode="node")
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0),
+                                 batch_mode="node")
         batch = tiny_split.incremental_batch("test")
         with pytest.raises(ServingError, match="incremental adjacency"):
             runtime.submit(raw_task(batch.features[0],
@@ -486,7 +491,8 @@ class TestRuntimeIngest:
         below what the runtime opened with."""
         n = tiny_split.original.num_nodes
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "immediate", batch_mode="node")
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0),
+                                 batch_mode="node")
         batch = tiny_split.incremental_batch("test")
         runtime.ingest(GraphDelta(add_features=batch.features[:2],
                                   add_labels=batch.labels[:2]))
@@ -503,7 +509,7 @@ class TestRuntimeIngest:
         """Regression: stop(drain=False) must resolve pending delta
         futures (with an error) instead of leaving waiters hanging."""
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "immediate")
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0))
         batch = tiny_split.incremental_batch("test")
         future = runtime.ingest(GraphDelta(add_features=batch.features[:1],
                                            add_labels=batch.labels[:1]))
@@ -514,7 +520,8 @@ class TestRuntimeIngest:
 
     def test_failed_delta_fails_future_not_runtime(self, tiny_split, sgc):
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "immediate", batch_mode="node")
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0),
+                                 batch_mode="node")
         bad = GraphDelta(remove_edges=[[0, 1], [0, 2]])
         # make sure at least one of those edges does not exist
         adj = tiny_split.original.adjacency
@@ -535,8 +542,8 @@ class TestRuntimeIngest:
         micro-batch with a merge-shape error."""
         n = tiny_split.original.num_nodes
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, "sizecap", batch_mode="node",
-                                 scheduler_options={"max_batch_size": 2})
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(2, 0.0),
+                                 batch_mode="node")
         batch = tiny_split.incremental_batch("test")
         adj = tiny_split.original.adjacency
         assert adj[0, 1] == 0 or adj[0, 2] == 0  # the delta must fail
@@ -554,11 +561,13 @@ class TestRuntimeIngest:
             poisoned.result(timeout=5.0)
         assert ok.result(timeout=5.0).shape[0] == 1
 
-    def test_open_stream_warms_caches(self):
+    def test_open_stream_leaves_derived_caches_cold(self):
+        # exact serving reads neither cache and the first delta drops
+        # both, so open_stream warms neither
         from repro import api
         bundle = api.deploy("tiny-sim", "whole", 0, deployment="original",
                             profile="quick", seed=7)
         runtime = api.open_stream(bundle, staleness_threshold=0.4)
         assert runtime.staleness_threshold == 0.4
-        assert runtime.prepared._base_operator is not None
-        assert runtime.prepared._propagated is not None
+        assert runtime.prepared._base_operator is None
+        assert runtime.prepared._propagated is None

@@ -70,15 +70,13 @@ def prepared(task_bundle):
 
 @pytest.fixture(scope="module")
 def task_fleet(task_artifact):
-    with ServingFleet(task_artifact, 1, router="round-robin",
-                      batch_mode="node") as fleet:
+    with ServingFleet(task_artifact, 1, batch_mode="node") as fleet:
         yield fleet
 
 
 @pytest.fixture(scope="module")
 def task_gateway(task_artifact):
-    fleet = ServingFleet(task_artifact, 1, router="round-robin",
-                         batch_mode="node")
+    fleet = ServingFleet(task_artifact, 1, batch_mode="node")
     gw = ServingGateway(fleet, max_inflight=64, owns_fleet=True)
     gw.start()
     yield gw
@@ -134,6 +132,11 @@ class TestServeTask:
         link = ServeTask(batch=batch, task="link_score", pairs=pairs)
         assert link.result_rows() == 5
         assert link.pairs.dtype == np.int64
+
+    def test_carries_no_routing_key(self):
+        # the fleet round-robins over identical replicas: nothing reads a key
+        with pytest.raises(TypeError, match="key"):
+            ServeTask(batch=_toy_batch(), key="user-7")
 
     def test_tasked_requests_wraps_every_batch(self, task_requests):
         tasks = tasked_requests(task_requests, "topk", k=3)
@@ -355,9 +358,8 @@ class TestProtocolVersions:
         frame = encode_serve_request(3, ServeTask(batch), encoding=encoding)
         assert frame[4] == version == 2  # the one version frames carry
         task = _round_trip_frame(frame).task
-        assert (task.task, task.mode, task.frozen, task.key, task.k,
-                task.pairs, task.scorer) == (
-            "predict", None, False, None, 10, None, "dot")
+        assert (task.task, task.mode, task.frozen, task.k, task.pairs,
+                task.scorer) == ("predict", None, False, 10, None, "dot")
         assert np.array_equal(task.batch.features, batch.features)
         assert np.array_equal(task.batch.incremental.toarray(),
                               batch.incremental.toarray())
@@ -367,10 +369,9 @@ class TestProtocolVersions:
         batch = _toy_batch()
         pairs = np.array([[0, 1], [2, 7]], dtype=np.int64)
         topk = _round_trip_frame(encode_serve_request(
-            4, ServeTask(batch=batch, task="topk", k=3, key="user-9",
-                         trace_id="t-1"), encoding=encoding)).task
-        assert (topk.task, topk.k, topk.key, topk.trace_id) == (
-            "topk", 3, "user-9", "t-1")
+            4, ServeTask(batch=batch, task="topk", k=3, trace_id="t-1"),
+            encoding=encoding)).task
+        assert (topk.task, topk.k, topk.trace_id) == ("topk", 3, "t-1")
         link = _round_trip_frame(encode_serve_request(
             5, ServeTask(batch=batch, task="link_score", pairs=pairs,
                          scorer="hadamard"), encoding=encoding)).task
@@ -407,6 +408,29 @@ def _all_task_requests(batch):
             ServeTask(batch=batch, task="embed"),
             ServeTask(batch=batch, task="link_score", pairs=pairs),
             ServeTask(batch=batch, task="topk", k=3)]
+
+
+class TestOpeners:
+    @pytest.mark.parametrize("opener", ["open_runtime", "open_stream"])
+    def test_scheduler_built_from_limits(self, task_bundle, opener):
+        with getattr(api, opener)(task_bundle, batch_mode="node",
+                                  max_batch_size=5,
+                                  max_wait_ms=1.5) as runtime:
+            assert (runtime.scheduler.max_batch_size,
+                    runtime.scheduler.max_wait_ms) == (5, 1.5)
+
+    @pytest.mark.parametrize("opener, keyword", [
+        ("open_runtime", "scheduler"),
+        ("open_stream", "scheduler"),
+        ("open_fleet", "router"),
+        ("open_gateway", "router"),
+        ("open_gateway", "shed_options"),
+        ("open_gateway", "scale_options"),
+    ])
+    def test_removed_policy_keywords_rejected(self, opener, keyword):
+        # binding fails before the bundle is opened: no process starts
+        with pytest.raises(TypeError, match=keyword):
+            getattr(api, opener)("bundle.npz", **{keyword: None})
 
 
 class TestEveryLayerServesEveryTask:
@@ -447,7 +471,8 @@ class TestEveryLayerServesEveryTask:
         a reply that demuxed the wrong rows or the wrong task.
         """
         with api.open_runtime(task_bundle, batch_mode="node",
-                              scheduler="immediate") as runtime:
+                              max_batch_size=1,
+                              max_wait_ms=0.0) as runtime:
             futures = [(task, runtime.submit(task))
                        for batch in task_requests[:3]
                        for task in _all_task_requests(batch)]

@@ -1,4 +1,4 @@
-"""Workload generators, request splitting and latency accounting."""
+"""Poisson arrivals, request splitting and latency accounting."""
 
 from __future__ import annotations
 
@@ -6,21 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import InferenceError, ServingError
-from repro.registry import WORKLOADS, make_workload
-from repro.serving import (
-    BurstyWorkload,
-    PoissonWorkload,
-    RampWorkload,
-    split_requests,
-)
+from repro.serving import PoissonWorkload, split_requests
 from repro.serving.stats import latency_percentiles
 
 
 class TestWorkloads:
-    def test_registry_entries(self):
-        for name in ("poisson", "bursty", "ramp"):
-            assert name in WORKLOADS
-
     def test_arrivals_deterministic_and_increasing(self):
         workload = PoissonWorkload(rate=100.0)
         first = workload.arrivals(50, 123)
@@ -34,32 +24,30 @@ class TestWorkloads:
         mean_gap = float(np.diff(arrivals).mean())
         assert mean_gap == pytest.approx(1.0 / 200.0, rel=0.1)
 
-    def test_bursty_phases(self):
-        workload = BurstyWorkload(base_rate=10.0, burst_rate=100.0,
-                                  period_s=1.0, duty=0.25)
-        assert workload.rate_at(0.1) == 100.0
-        assert workload.rate_at(0.5) == 10.0
-        assert workload.rate_at(1.1) == 100.0
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("rate", [5.0, 200.0, 500.0])
+    def test_arrivals_equal_sequential_gap_sum(self, seed, rate):
+        # one exponential gap per request, summed in order: the draws
+        # and the additions match a scalar loop bit for bit
+        rng = np.random.default_rng(seed)
+        expected, t = [], 0.0
+        for _ in range(300):
+            t += rng.exponential(1.0 / rate)
+            expected.append(t)
+        got = PoissonWorkload(rate).arrivals(300, np.random.default_rng(seed))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.array(expected))
+        assert PoissonWorkload(rate).arrivals(0, seed).shape == (0,)
 
-    def test_ramp_endpoints(self):
-        workload = RampWorkload(start_rate=10.0, end_rate=110.0,
-                                duration_s=2.0)
-        assert workload.rate_at(0.0) == 10.0
-        assert workload.rate_at(1.0) == pytest.approx(60.0)
-        assert workload.rate_at(5.0) == 110.0
-
-    def test_factory_kwargs(self):
-        workload = make_workload("bursty", base_rate=5.0, burst_rate=50.0)
-        assert isinstance(workload, BurstyWorkload)
-        assert workload.base_rate == 5.0
+    def test_seed_and_generator_draw_the_same_arrivals(self):
+        workload = PoissonWorkload(rate=50.0)
+        assert np.array_equal(workload.arrivals(40, 3),
+                              workload.arrivals(40,
+                                                np.random.default_rng(3)))
 
     def test_validation(self):
         with pytest.raises(ServingError):
             PoissonWorkload(rate=0.0)
-        with pytest.raises(ServingError):
-            BurstyWorkload(duty=1.5)
-        with pytest.raises(ServingError):
-            RampWorkload(duration_s=0.0)
         with pytest.raises(ServingError):
             PoissonWorkload(rate=5.0).arrivals(-1)
 

@@ -186,6 +186,29 @@ class TestCli:
         assert "ingesting 2 deltas" in out
         assert "delta refresh" in out
         assert "+4 streamed" in out
+        assert "evolved == fresh prepare(): ok" in out
+
+    def test_serve_stream_exits_1_when_evolved_deployment_drifts(
+            self, capsys, monkeypatch, tmp_path):
+        # a delta that skips the degree patch leaves the evolved
+        # deployment serving different bits than a fresh prepare()
+        from repro.serving.prepared import PreparedDeployment
+
+        _fast_profile(monkeypatch)
+        artifact = tmp_path / "streamable.npz"
+        assert main(["condense", "--dataset", "tiny-sim", "--method",
+                     "whole", "--deployment", "original",
+                     "--output", str(artifact)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(PreparedDeployment, "_patch_degrees",
+                            lambda self, *args: None)
+        code = main(["serve-stream", "--artifact", str(artifact),
+                     "--deltas", "2", "--nodes-per-delta", "2",
+                     "--requests", "8", "--batch-mode", "node"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "differs from a fresh prepare()" in captured.err
+        assert "fresh prepare(): ok" not in captured.out
 
     def test_serve_stream_on_synthetic_bundle_appends_only(
             self, capsys, monkeypatch, tmp_path):
@@ -262,31 +285,25 @@ class TestServingCli:
         assert {n for n, d in defaults.items() if d == "graph"} == {
             "serve", "eval"}
 
-    def test_list_includes_serving_registries(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for key in ("microbatch", "immediate", "sizecap",
-                    "poisson", "bursty", "ramp"):
-            assert key in out
-
     def test_list_falls_back_for_undescribed_entries(self, capsys):
-        # policies registered without a docstring must fall back to the
+        # entries registered without a description must fall back to the
         # factory name in `repro list`, never print None/blank
-        from repro.registry import SHED_POLICIES, FactoryEntry
+        from repro.graph.partition import PARTITIONERS
+        from repro.registry import FactoryEntry
 
-        def quiet_policy():  # no docstring on purpose
+        def quiet_partitioner():  # no docstring on purpose
             raise NotImplementedError
 
-        SHED_POLICIES.register("quiet-test", FactoryEntry(
-            name="quiet-test", factory=quiet_policy))
+        PARTITIONERS.register("quiet-test", FactoryEntry(
+            name="quiet-test", factory=quiet_partitioner))
         try:
             assert main(["list"]) == 0
             out = capsys.readouterr().out
             line = next(ln for ln in out.splitlines() if "quiet-test" in ln)
             assert "None" not in line
-            assert "quiet_policy" in line
+            assert "quiet_partitioner" in line
         finally:
-            SHED_POLICIES.unregister("quiet-test")
+            PARTITIONERS.unregister("quiet-test")
 
     def test_entry_help_fallbacks(self):
         from repro.cli import _entry_help
@@ -328,6 +345,32 @@ class TestServingCli:
         assert "stratified" in out
         assert "degree" in out
         assert "sharded" in out
+
+    def test_list_has_no_serving_policy_sections(self, capsys):
+        # schedulers, arrivals, routing and gateway policies are fixed
+        # objects now, not registries with selectable entries
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        for heading in ("schedulers", "workload generators",
+                        "routing policies", "shed policies",
+                        "scale policies"):
+            assert heading not in out
+        assert "serving tasks" in out
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("serve-online", "--workload", "bursty"),
+        ("serve-online", "--scheduler", "immediate"),
+        ("serve-stream", "--scheduler", "sizecap"),
+        ("serve-fleet", "--router", "least-loaded"),
+        ("serve-gateway", "--router", "consistent-hash"),
+    ])
+    def test_removed_policy_flags_rejected(self, capsys, command, flag,
+                                           value):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                [command, "--artifact", "bundle.npz", flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestDosCond:
