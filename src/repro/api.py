@@ -518,8 +518,9 @@ def open_runtime(bundle: DeploymentBundle | str | Path, *,
 
     Requests are task-typed: wrap the batch in a
     :class:`~repro.serving.embeddings.ServeTask` and pick ``predict``
-    (default), ``embed``, ``link_score``, or ``topk``.  ``frozen=True``
-    on the task selects the approximate frozen path (SGC only).
+    (default), ``embed``, ``link_score``, or ``topk``.  Every task is
+    served through the deployment's exact operator: Eq. 3 on the
+    original graph, Eq. 11 through the mapping ``M``.
 
     >>> from repro.serving import ServeTask             # doctest: +SKIP
     >>> runtime = api.open_runtime("artifact.npz")      # doctest: +SKIP
@@ -571,9 +572,7 @@ def open_stream(bundle: DeploymentBundle | str | Path, *,
 
 def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
                batch_mode: str = "node",
-               mmap: bool = True, start_method: str | None = None,
-               telemetry: bool = True,
-               slow_trace_ms: float | None = None):
+               mmap: bool = True, telemetry: bool = True):
     """Open a multi-replica :class:`~repro.serving.fleet.ServingFleet`.
 
     ``bundle`` is normally a path to a saved artifact — each replica
@@ -607,8 +606,7 @@ def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
         artifact = Path(bundle)
     try:
         fleet = ServingFleet(artifact, replicas, batch_mode=batch_mode,
-                             mmap=mmap, start_method=start_method,
-                             telemetry=telemetry, slow_trace_ms=slow_trace_ms)
+                             mmap=mmap, telemetry=telemetry)
     except Exception:
         if owns:
             artifact.unlink(missing_ok=True)
@@ -624,14 +622,13 @@ _WATERMARK = object()
 def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
                  host: str = "127.0.0.1", port: int = 0,
                  batch_mode: str = "node",
-                 mmap: bool = True, start_method: str | None = None,
+                 mmap: bool = True,
                  shed_policy=_WATERMARK,
                  max_inflight: int = 256,
                  scale_policy=None,
                  autoscale_interval: float = 0.25,
                  scale_cooldown: float = 2.0, start: bool = True,
-                 telemetry: bool = True,
-                 slow_trace_ms: float | None = None):
+                 telemetry: bool = True):
     """Open a network :class:`~repro.serving.gateway.ServingGateway`.
 
     Builds a fleet exactly like :func:`open_fleet` and puts the TCP
@@ -659,15 +656,14 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
         # fresh per gateway: the policy holds hysteresis state
         shed_policy = WatermarkShed()
     fleet = open_fleet(bundle, replicas, batch_mode=batch_mode, mmap=mmap,
-                       start_method=start_method, telemetry=telemetry,
-                       slow_trace_ms=slow_trace_ms)
+                       telemetry=telemetry)
     try:
         gateway = ServingGateway(
             fleet, host=host, port=port, shed_policy=shed_policy,
             max_inflight=max_inflight, scale_policy=scale_policy,
             autoscale_interval=autoscale_interval,
             scale_cooldown=scale_cooldown, owns_fleet=True,
-            telemetry=telemetry, slow_trace_ms=slow_trace_ms)
+            telemetry=telemetry)
         if start:
             gateway.start()
     except Exception:

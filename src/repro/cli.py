@@ -489,6 +489,15 @@ def _cmd_serve_online(args) -> int:
           f"{stats.compute_mean * 1e3:.2f} ms (means)")
     print(f"  throughput            {stats.throughput_rps:.0f} req/s "
           f"({stats.mean_batch_requests:.1f} req/batch)")
+    return _report_failed(stats.failed + stats.rejected, len(requests))
+
+
+def _report_failed(failed: int, total: int) -> int:
+    """Print a serve command's failed-request count; its exit status."""
+    print(f"  failed                {failed} of {total} requests")
+    if failed:
+        print(f"error: {failed} of {total} requests failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -541,16 +550,15 @@ def _cmd_serve_stream(args) -> int:
           f"{stream['rebuilds']} rebuilds ({refresh})")
     print(f"  base graph            {runtime.prepared.num_base} nodes "
           f"(+{stream['appended_nodes']} streamed)")
-    if bundle.deployment != "original":
-        return 0
-    difference = _probe_against_fresh(runtime.prepared, requests[:4],
-                                      args.batch_mode)
-    if difference is not None:
-        print(f"error: evolved deployment differs from a fresh prepare(): "
-              f"{difference}", file=sys.stderr)
-        return 1
-    print("  evolved == fresh prepare(): ok")
-    return 0
+    if bundle.deployment == "original":
+        difference = _probe_against_fresh(runtime.prepared, requests[:4],
+                                          args.batch_mode)
+        if difference is not None:
+            print(f"error: evolved deployment differs from a fresh "
+                  f"prepare(): {difference}", file=sys.stderr)
+            return 1
+        print("  evolved == fresh prepare(): ok")
+    return _report_failed(stats.failed + stats.rejected, len(requests))
 
 
 def _probe_against_fresh(prepared, tasks, batch_mode: str) -> str | None:
@@ -631,7 +639,7 @@ def _cmd_serve_fleet(args) -> int:
         cold_part = f", cold start {cold:.1f} ms" if cold is not None else ""
         print(f"  replica {rid}             {replica['served']} served "
               f"(gen {replica['generation']}{cold_part})")
-    return 0
+    return _report_failed(len(requests) - served, len(requests))
 
 
 def _cmd_serve_gateway(args) -> int:

@@ -192,7 +192,7 @@ def register_task(name: str, *, description: str = "",
     """Decorator registering a serving-task executor factory under ``name``.
 
     The decorated callable takes no arguments and returns the executor —
-    ``executor(prepared, task, batch_mode=..., frozen=...)`` — that every
+    ``executor(prepared, task, batch_mode=...)`` — that every
     serving layer dispatches :class:`~repro.serving.embeddings.ServeTask`
     requests through.
     """

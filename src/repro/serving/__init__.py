@@ -30,7 +30,7 @@ counters/gauges, the shared ``repro_stage_latency_seconds`` histogram,
 and per-request :class:`~repro.telemetry.TraceContext` stage spans
 (see README "Observability").
 
-Entry points: ``repro.api.open_runtime(bundle)`` for a frozen deployment,
+Entry points: ``repro.api.open_runtime(bundle)`` for a static deployment,
 ``repro.api.open_stream(bundle)`` for one that ingests
 :class:`~repro.graph.stream.GraphDelta` traffic while serving,
 ``repro.api.open_fleet(artifact)`` for a horizontally-scaled replica

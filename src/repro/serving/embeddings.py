@@ -9,8 +9,7 @@ protocol — accepts one request object, :class:`ServeTask`, whose
 - ``predict`` — class logits of the request's inductive nodes.  The
   default, and bit-for-bit identical to the pre-task serving path (it
   dispatches to the very same
-  :meth:`~repro.serving.prepared.PreparedDeployment.serve_batch` /
-  ``serve_batch_frozen`` calls).
+  :meth:`~repro.serving.prepared.PreparedDeployment.serve_batch` call).
 - ``embed`` — the penultimate representation ``H = f(A, X)`` of the
   request's nodes, via the models' existing ``embed()`` contract,
   through the same request-invariant cache path as ``predict``.
@@ -69,8 +68,8 @@ class ServeTask:
 
     ``batch`` carries the inductive nodes (features, incremental
     connections, optional intra edges); ``task`` selects the executor
-    from :data:`repro.registry.TASKS`.  ``mode``, ``frozen`` and
-    ``trace_id`` are the per-request options — every tier's
+    from :data:`repro.registry.TASKS`.  ``mode`` and ``trace_id`` are
+    the per-request options — every tier's
     ``submit`` reads them from here and takes no overrides;
     ``k``/``pairs``/``scorer`` only matter to the ``topk`` and
     ``link_score`` tasks.
@@ -79,7 +78,6 @@ class ServeTask:
     batch: IncrementalBatch
     task: str = "predict"
     mode: str | None = None
-    frozen: bool = False
     k: int = 10
     pairs: np.ndarray | None = None
     scorer: str = "dot"
@@ -295,31 +293,20 @@ def sidecar_index_path(artifact: str | Path) -> Path:
 # ----------------------------------------------------------------------
 # Task executors (the TASKS registry)
 # ----------------------------------------------------------------------
-def _serve_calls(prepared, frozen: bool):
-    if frozen:
-        return prepared.serve_batch_frozen, prepared.embed_batch_frozen
-    return prepared.serve_batch, prepared.embed_batch
+def _execute_predict(prepared, task: ServeTask, *, batch_mode: str = "graph"):
+    return prepared.serve_batch(task.batch, batch_mode)
 
 
-def _execute_predict(prepared, task: ServeTask, *, batch_mode: str = "graph",
-                     frozen: bool = False):
-    serve, _ = _serve_calls(prepared, frozen)
-    return serve(task.batch, batch_mode)
-
-
-def _execute_embed(prepared, task: ServeTask, *, batch_mode: str = "graph",
-                   frozen: bool = False):
-    _, embed = _serve_calls(prepared, frozen)
-    return embed(task.batch, batch_mode)
+def _execute_embed(prepared, task: ServeTask, *, batch_mode: str = "graph"):
+    return prepared.embed_batch(task.batch, batch_mode)
 
 
 def _execute_link_score(prepared, task: ServeTask, *,
-                        batch_mode: str = "graph", frozen: bool = False):
+                        batch_mode: str = "graph"):
     if task.pairs is None:
         raise ServingError("link_score needs pairs of endpoint indices")
     start = time.perf_counter()
-    _, embed = _serve_calls(prepared, frozen)
-    embeddings, _, memory = embed(task.batch, batch_mode)
+    embeddings, _, memory = prepared.embed_batch(task.batch, batch_mode)
     with stage_span("score"):
         local, base = task.pairs[:, 0], task.pairs[:, 1]
         n = embeddings.shape[0]
@@ -337,11 +324,9 @@ def _execute_link_score(prepared, task: ServeTask, *,
     return scores, time.perf_counter() - start, memory
 
 
-def _execute_topk(prepared, task: ServeTask, *, batch_mode: str = "graph",
-                  frozen: bool = False):
+def _execute_topk(prepared, task: ServeTask, *, batch_mode: str = "graph"):
     start = time.perf_counter()
-    _, embed = _serve_calls(prepared, frozen)
-    embeddings, _, memory = embed(task.batch, batch_mode)
+    embeddings, _, memory = prepared.embed_batch(task.batch, batch_mode)
     with stage_span("score"):
         packed = prepared.embedding_index().packed_topk(embeddings, task.k)
     return packed, time.perf_counter() - start, memory
@@ -371,15 +356,14 @@ def _topk_task():
     return _execute_topk
 
 
-def execute_task(prepared, task: ServeTask, *, batch_mode: str = "graph",
-                 frozen: bool = False):
+def execute_task(prepared, task: ServeTask, *, batch_mode: str = "graph"):
     """Dispatch one :class:`ServeTask` through the registry.
 
     Returns the executor's ``(result, seconds, memory_bytes)`` triple —
     the same contract as ``PreparedDeployment.serve_batch``.
     """
     executor = make_task(task.task)
-    return executor(prepared, task, batch_mode=batch_mode, frozen=frozen)
+    return executor(prepared, task, batch_mode=batch_mode)
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +452,7 @@ def sample_link_pairs(batch: IncrementalBatch, *, num_pairs: int = 8,
 
 def evaluate_link_holdout(prepared, batch: IncrementalBatch, *,
                           num_pairs: int = 64, scorer: str = "dot",
-                          batch_mode: str = "graph", frozen: bool = False,
+                          batch_mode: str = "graph",
                           seed: int = 0) -> dict:
     """Inductive edge-holdout AUC of the ``link_score`` task.
 
@@ -480,8 +464,7 @@ def evaluate_link_holdout(prepared, batch: IncrementalBatch, *,
         batch, num_pairs=num_pairs, seed=seed)
     task = ServeTask(batch=heldout_batch, task="link_score", pairs=pairs,
                      scorer=scorer)
-    scores, seconds, _ = execute_task(prepared, task, batch_mode=batch_mode,
-                                      frozen=frozen)
+    scores, seconds, _ = execute_task(prepared, task, batch_mode=batch_mode)
     return {
         "auc": auc_score(scores, labels),
         "num_positive": int(labels.sum()),

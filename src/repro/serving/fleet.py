@@ -53,6 +53,12 @@ from repro.telemetry import (
 
 __all__ = ["ServingFleet", "ReplicaPool", "FleetFuture", "replay_fleet"]
 
+#: Dispatch attempts per request before its future fails (failover
+#: re-routes count against them).
+_MAX_DISPATCH_ATTEMPTS = 3
+#: Respawns a slot that keeps dying at startup gets before it is given up.
+_MAX_SPAWN_RETRIES = 2
+
 
 # ----------------------------------------------------------------------
 # Worker process
@@ -100,14 +106,12 @@ def _replica_worker(replica_id: int, generation: int, artifact: str,
                 trace = TraceContext(trace_id=f"replica-{request_id}")
                 with use_trace(trace):
                     result, seconds, _ = prepared.serve_task(
-                        task, batch_mode=task.mode or batch_mode,
-                        frozen=task.frozen)
+                        task, batch_mode=task.mode or batch_mode)
                 spans = tuple((span.stage, span.seconds)
                               for span in trace.spans)
             else:
                 result, seconds, _ = prepared.serve_task(
-                    task, batch_mode=task.mode or batch_mode,
-                    frozen=task.frozen)
+                    task, batch_mode=task.mode or batch_mode)
                 spans = ()
             outbox.put(("done", replica_id, generation, request_id,
                         result, seconds, t_start, spans))
@@ -171,23 +175,20 @@ class ReplicaPool:
 
     The pool knows nothing about requests — :class:`ServingFleet` layers
     dispatch and failover on top through the callbacks it registers.
+    Workers start by ``fork`` where the platform has it, else ``spawn``.
     """
 
     def __init__(self, artifact: str | Path, size: int, *,
-                 mmap: bool = True, batch_mode: str = "node",
-                 start_method: str | None = None,
-                 max_spawn_retries: int = 2) -> None:
+                 mmap: bool = True, batch_mode: str = "node") -> None:
         if size <= 0:
             raise ServingError(f"fleet size must be positive, got {size}")
         self.artifact = Path(artifact)
         self.size = size
         self.mmap = mmap
         self.batch_mode = batch_mode
-        self.max_spawn_retries = max_spawn_retries
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._context = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         self.results = self._context.Queue()
         self.replicas: dict[int, _Replica] = {}
         self.respawns = 0
@@ -313,53 +314,43 @@ class ServingFleet:
         ``"graph"`` or ``"node"`` — fixed per fleet, like a runtime.
     mmap:
         Memory-map the artifact in every replica (zero-copy load).
-    max_retries:
-        Dispatch attempts per request before its future fails (failover
-        re-routes count against this).
     telemetry:
         Stamp a :class:`~repro.telemetry.TraceContext` on every request
         (per-stage spans, slow-request ring) and feed the per-stage
         latency histograms.  Off, only the exact volume counters and the
         wall-latency window remain — the uninstrumented baseline the
-        telemetry-overhead gate compares against.
-    metrics:
-        A :class:`~repro.telemetry.MetricsRegistry` to report into
-        (default: a private one, exposed as ``fleet.metrics``).
-    slow_trace_ms:
-        Threshold for the structured slow-request log line (``None``
-        disables logging; the ring still retains traces for
-        ``slowest``).
+        telemetry-overhead gate compares against.  The fleet reports
+        into its own :class:`~repro.telemetry.MetricsRegistry`,
+        ``fleet.metrics``.
+
+    The constructor returns once every replica is ready, or raises after
+    two minutes.  A request fails after three dispatch attempts (failover
+    re-routes count against them); :meth:`stats` reads its latency
+    percentiles off the last 4096 completed requests.
     """
 
     _POLL_SECONDS = 0.02
 
     def __init__(self, artifact: str | Path, replicas: int = 2, *,
                  batch_mode: str = "node", mmap: bool = True,
-                 start_method: str | None = None, max_retries: int = 3,
-                 start_timeout: float = 120.0,
-                 latency_window: int = 4096, telemetry: bool = True,
-                 metrics: MetricsRegistry | None = None,
-                 trace_capacity: int = 256,
-                 slow_trace_ms: float | None = None) -> None:
+                 telemetry: bool = True) -> None:
         if batch_mode not in ("graph", "node"):
             raise ServingError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
         self._next_replica = 0  # round-robin cursor over the ready ids
         self.batch_mode = batch_mode
-        self.max_retries = max_retries
         self._lock = threading.RLock()
         self._pending: dict[int, _Pending] = {}
         self._orphans: deque[_Pending] = deque()
         self._request_ids = iter(range(1, 2**63))
         self._closing = threading.Event()
-        self._latencies: deque[float] = deque(maxlen=latency_window)
+        self._latencies: deque[float] = deque(maxlen=4096)
         #: Set by ``api.open_fleet`` when it persisted a temp artifact for
         #: an in-memory bundle; ``close`` then removes the file.
         self.owns_artifact = False
         self.telemetry = bool(telemetry)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.trace_log = TraceLog(capacity=trace_capacity,
-                                  slow_ms=slow_trace_ms)
+        self.metrics = MetricsRegistry()
+        self.trace_log = TraceLog()
         # the volume counters are registry-backed (and exact regardless
         # of the telemetry flag); completed/failed/rerouted read them back
         self._requests_total = self.metrics.counter(
@@ -388,8 +379,7 @@ class ServingFleet:
             "Per-stage request latency across the serving layers.",
             ("component", "stage"))
         self.pool = ReplicaPool(artifact, replicas, mmap=mmap,
-                                batch_mode=batch_mode,
-                                start_method=start_method)
+                                batch_mode=batch_mode)
         self._collector = threading.Thread(target=self._collect_forever,
                                            name="repro-fleet-collector",
                                            daemon=True)
@@ -398,7 +388,7 @@ class ServingFleet:
                                          daemon=True)
         self._collector.start()
         self._monitor.start()
-        self.wait_ready(timeout=start_timeout)
+        self.wait_ready()
 
     # ------------------------------------------------------------------
     # Registry-backed accounting (the ints these replaced read back the
@@ -429,11 +419,11 @@ class ServingFleet:
         its :class:`FleetFuture`.
 
         The task carries the batch and every per-request option (task
-        type, mode override, frozen flag, top-k depth, link
-        pairs).  A caller that already opened a trace (the gateway)
-        passes it via ``trace`` and stays responsible for finishing it;
-        otherwise the fleet stamps its own (when ``telemetry`` is on)
-        and completes it into its slow-request ring.
+        type, mode override, top-k depth, link pairs).  A caller that
+        already opened a trace (the gateway) passes it via ``trace``
+        and stays responsible for finishing it; otherwise the fleet
+        stamps its own (when ``telemetry`` is on) and completes it into
+        its slow-request ring.
         """
         if not isinstance(task, ServeTask):
             raise ServingError(
@@ -467,7 +457,7 @@ class ServingFleet:
         — the request parks and is re-dispatched the moment a replica
         reports ready, so traffic queues instead of dropping.
         """
-        if entry.attempts >= self.max_retries:
+        if entry.attempts >= _MAX_DISPATCH_ATTEMPTS:
             self._fail_entry(entry, ServingError(
                 f"request failed after {entry.attempts} dispatch attempts "
                 "(replicas kept dying mid-serve)"))
@@ -605,7 +595,7 @@ class ServingFleet:
         replica.inflight.clear()
         if failed_start:
             replica.spawn_failures += 1
-        if replica.spawn_failures <= self.pool.max_spawn_retries:
+        if replica.spawn_failures <= _MAX_SPAWN_RETRIES:
             self.pool.respawn(replica.replica_id)
             self._replica_respawned.inc(replica=str(replica.replica_id))
         for entry in stranded:
@@ -622,13 +612,13 @@ class ServingFleet:
                           if r.last_error]
                 exhausted = [r for r in self.pool.replicas.values()
                              if r.state == "dead"
-                             and r.spawn_failures > self.pool.max_spawn_retries]
+                             and r.spawn_failures > _MAX_SPAWN_RETRIES]
             if exhausted:
                 self.close(drain=False)
                 detail = errors[-1] if errors else "worker exited at startup"
                 raise ServingError(
                     f"replica {exhausted[0].replica_id} failed to start "
-                    f"after {self.pool.max_spawn_retries + 1} attempts: "
+                    f"after {_MAX_SPAWN_RETRIES + 1} attempts: "
                     f"{detail}")
             if all(state == "ready" for state in states):
                 return
@@ -692,7 +682,7 @@ class ServingFleet:
                 if replica.state == "ready":
                     return
                 if (replica.state == "dead"
-                        and replica.spawn_failures > self.pool.max_spawn_retries):
+                        and replica.spawn_failures > _MAX_SPAWN_RETRIES):
                     raise ServingError(
                         f"swap failed: replica {replica_id} could not start "
                         f"on the new artifact: {replica.last_error}")

@@ -205,15 +205,9 @@ class ServingGateway:
         request (per-stage spans through the fleet, slow-request ring,
         stage breakdown echoed on the reply frame) and feed the
         per-stage histograms.  The exact offered/served/shed/errors
-        counters report either way.
-    metrics:
-        A :class:`~repro.telemetry.MetricsRegistry` to report into
-        (default: a private one, exposed as ``gateway.metrics``);
+        counters report either way, into the gateway's own
+        :class:`~repro.telemetry.MetricsRegistry`, ``gateway.metrics``;
         ``GET /metrics`` merges it with the fleet's.
-    slow_trace_ms:
-        Threshold for the structured slow-request log line (``None``
-        disables logging; the ring still retains traces for
-        :meth:`slowest`).
     """
 
     def __init__(self, fleet: ServingFleet, *, host: str = "127.0.0.1",
@@ -222,10 +216,7 @@ class ServingGateway:
                  scale_policy: QueueDepthScale | None = None,
                  autoscale_interval: float = 0.25,
                  scale_cooldown: float = 2.0,
-                 owns_fleet: bool = False, telemetry: bool = True,
-                 metrics: MetricsRegistry | None = None,
-                 trace_capacity: int = 256,
-                 slow_trace_ms: float | None = None) -> None:
+                 owns_fleet: bool = False, telemetry: bool = True) -> None:
         if max_inflight <= 0:
             raise ServingError(
                 f"max_inflight must be positive, got {max_inflight}")
@@ -250,9 +241,8 @@ class ServingGateway:
         self._admission = BoundedRequestQueue(capacity=max_inflight,
                                               overflow="reject")
         self.telemetry = bool(telemetry)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.trace_log = TraceLog(capacity=trace_capacity,
-                                  slow_ms=slow_trace_ms)
+        self.metrics = MetricsRegistry()
+        self.trace_log = TraceLog()
         # registry-backed counters, written on the event-loop thread only;
         # offered/served/shed/errors read them back (dict shape unchanged)
         self._requests_total = self.metrics.counter(

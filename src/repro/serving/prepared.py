@@ -545,18 +545,16 @@ class PreparedDeployment:
         memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw, B + n)
         return hidden, memory
 
-    def serve_task(self, task, *, batch_mode: str = "graph",
-                   frozen: bool = False):
+    def serve_task(self, task, *, batch_mode: str = "graph"):
         """Execute one :class:`~repro.serving.embeddings.ServeTask`.
 
         Dispatches through the :data:`repro.registry.TASKS` registry;
-        ``task="predict"`` lands on the very same :meth:`serve_batch` /
-        :meth:`serve_batch_frozen` calls as the keyword API, so its
-        replies stay bitwise identical.  Returns the executor's
-        ``(result, seconds, memory_bytes)`` triple.
+        ``task="predict"`` lands on the very same :meth:`serve_batch`
+        call as the keyword API, so its replies stay bitwise identical.
+        Returns the executor's ``(result, seconds, memory_bytes)`` triple.
         """
         from repro.serving.embeddings import execute_task
-        return execute_task(self, task, batch_mode=batch_mode, frozen=frozen)
+        return execute_task(self, task, batch_mode=batch_mode)
 
     # ------------------------------------------------------------------
     # Warm base cache (standalone graph, no inductive nodes)
@@ -709,34 +707,6 @@ class PreparedDeployment:
         references — bitwise the same logits as the unfused products.
         """
         start = time.perf_counter()
-        h, memory = self._frozen_hidden(batch, batch_mode)
-        with stage_span("forward"), no_grad():
-            logits = self.model.classifier(Tensor(h))
-        elapsed = time.perf_counter() - start
-        return logits.data, elapsed, memory
-
-    def embed_batch_frozen(self, batch: IncrementalBatch,
-                           batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
-        """Frozen-path embeddings: the K-hop hidden state pre-classifier.
-
-        For SGC the embedding *is* the propagated feature block, so the
-        frozen hidden state (:meth:`_frozen_hidden`) — computed with the
-        identical fused kernels and fold order as
-        :meth:`serve_batch_frozen` — is returned as-is, just without the
-        classifier applied.
-        """
-        start = time.perf_counter()
-        h, memory = self._frozen_hidden(batch, batch_mode)
-        return h, time.perf_counter() - start, memory
-
-    def _frozen_hidden(self, batch: IncrementalBatch,
-                       batch_mode: str) -> tuple[np.ndarray, int]:
-        """The frozen path up to (excluding) the classifier: ``(h, memory)``.
-
-        Shared by :meth:`serve_batch_frozen` and
-        :meth:`embed_batch_frozen`, so frozen logits and embeddings come
-        from the same bits.
-        """
         intra = self._enter_request(batch, batch_mode)
         hops = self.propagated_base_features()  # validates the model
         with stage_span("operator"):
@@ -774,7 +744,10 @@ class PreparedDeployment:
                 h = op_nb @ block + op_nn @ h
         memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw,
                                     self.num_base + n)
-        return h, memory
+        with stage_span("forward"), no_grad():
+            logits = self.model.classifier(Tensor(h))
+        elapsed = time.perf_counter() - start
+        return logits.data, elapsed, memory
 
     # ------------------------------------------------------------------
     # Streaming evolution (incremental cache refresh)
@@ -856,11 +829,11 @@ class PreparedDeployment:
         if self._propagated is not None:
             self._propagated = None
             invalidated.append("propagated")
-        mode, affected_rows, refreshed = "incremental", 0, ()
+        affected_rows = int(self._affected_operator_rows(touched).size)
+        mode = ("rebuild" if affected_rows > staleness_threshold * new_n
+                else "incremental")
+        refreshed = ()
         if self._loop_degrees is not None:
-            affected_rows = int(self._affected_operator_rows(touched).size)
-            if affected_rows > staleness_threshold * new_n:
-                mode = "rebuild"
             self._patch_degrees(touched, old_base, loops_rows)
             refreshed = ("degrees",)
         return DeltaRefreshReport(

@@ -38,17 +38,20 @@ transport format.
 Request operations:
 
 - ``serve``  — one inductive request: ``features`` ``(n, d)``,
-  ``incremental`` ``(n, N)``, optional ``intra`` ``(n, n)``, optional
-  ``mode`` (``graph``/``node``) and ``frozen`` (cached-propagation
-  path);
+  ``incremental`` ``(n, N)``, optional ``intra`` ``(n, n)`` and
+  optional ``mode`` (``graph``/``node``);
 - ``ping``   — liveness probe;
 - ``stats``  — the gateway's JSON accounting snapshot.
 
 Wire version
 ------------
-The prefix byte is ``2`` and that is the only version this build
+The prefix byte is ``3`` and that is the only version this build
 speaks: any other value draws a structured ``unsupported protocol
-version`` error reply and a clean close.  The serve header's optional
+version`` error reply and a clean close.  Version 3 removed version 2's
+per-request switch to the approximate cached-propagation operator:
+every reply comes from the deployment's exact operator, so a version-2
+peer is refused rather than silently answered through another
+operator than the one it asked for.  The serve header's optional
 ``task`` field (``predict`` | ``embed`` | ``link_score`` | ``topk``)
 plus the task-specific ``k`` / ``pairs`` / ``scorer`` options select
 what the reply carries; see ``docs/tasks.md``.  A header without
@@ -91,7 +94,7 @@ __all__ = ["MAGIC", "PROTOCOL_VERSION", "ProtocolError", "GatewayReply",
            "read_frame_from"]
 
 MAGIC = b"RPRO"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 _PREFIX = struct.Struct("!4sBII")
 
 #: Hard ceilings a single frame may not exceed — a corrupted or hostile
@@ -258,8 +261,8 @@ def encode_serve_request(request_id: int, task: ServeTask, *,
     """Build one ``serve`` frame from a :class:`ServeTask`.
 
     Every field that differs from the :class:`ServeTask` defaults is
-    emitted (``task``/``k``/``pairs``/``scorer``, ``mode``, ``frozen``,
-    and ``trace`` — a client-chosen trace id the
+    emitted (``task``/``k``/``pairs``/``scorer``, ``mode``, and
+    ``trace`` — a client-chosen trace id the
     gateway's request tracing adopts; without one it stamps its own).
     ``pairs`` always travels inline in the header (small integer lists
     round-trip exactly under both encodings).
@@ -295,8 +298,6 @@ def encode_serve_request(request_id: int, task: ServeTask, *,
         header["scorer"] = task.scorer
     if task.mode is not None:
         header["mode"] = task.mode
-    if task.frozen:
-        header["frozen"] = True
     if task.trace_id is not None:
         header["trace"] = task.trace_id
     return encode_frame(header, bytes(payload))
@@ -324,9 +325,6 @@ def decode_serve_request(header: dict, payload: bytes) -> ServeRequest:
     request_id = header.get("id")
     if not isinstance(request_id, int):
         raise ProtocolError(f"request id must be an integer, got {request_id!r}")
-    frozen = header.get("frozen", False)
-    if not isinstance(frozen, bool):
-        raise ProtocolError(f"frozen must be a boolean, got {frozen!r}")
     trace_id = header.get("trace")
     if trace_id is not None and not isinstance(trace_id, str):
         raise ProtocolError(f"trace id must be a string, got {trace_id!r}")
@@ -369,8 +367,8 @@ def decode_serve_request(header: dict, payload: bytes) -> ServeRequest:
                              labels=np.full(n, -1, dtype=np.int64))
     try:
         task = ServeTask(batch=batch, task=task_name,
-                         mode=header.get("mode"), frozen=frozen,
-                         k=k, pairs=pairs, scorer=header.get("scorer", "dot"),
+                         mode=header.get("mode"), k=k, pairs=pairs,
+                         scorer=header.get("scorer", "dot"),
                          trace_id=trace_id)
     except ServingError as error:
         raise ProtocolError(str(error)) from None

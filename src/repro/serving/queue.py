@@ -6,9 +6,7 @@ serving loop the ``overflow`` policy decides what happens:
 - ``"block"``  — backpressure: ``put`` waits for capacity (optionally up
   to ``timeout`` seconds, then raises);
 - ``"reject"`` — fail fast: ``put`` raises :class:`~repro.errors.ServingError`
-  immediately, which the runtime converts into a rejected future;
-- ``"drop_oldest"`` — load shedding: the oldest queued request is evicted
-  (its future fails) to admit the new one.
+  immediately, which the runtime converts into a rejected future.
 
 All operations are thread-safe; the queue is the only synchronization
 point between producer threads and the serving loop.
@@ -24,7 +22,7 @@ from repro.errors import ServingError
 __all__ = ["OVERFLOW_POLICIES", "BoundedRequestQueue", "QueueFullError",
            "QueueClosedError"]
 
-OVERFLOW_POLICIES = ("block", "reject", "drop_oldest")
+OVERFLOW_POLICIES = ("block", "reject")
 
 
 class QueueFullError(ServingError):
@@ -54,33 +52,29 @@ class BoundedRequestQueue:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def put(self, item, timeout: float | None = None):
-        """Admit ``item``; returns the evicted item under ``drop_oldest``
-        (else ``None``)."""
+    def put(self, item, timeout: float | None = None) -> None:
+        """Admit ``item``, or raise :class:`QueueFullError` as the
+        overflow policy decides."""
         with self._lock:
             if self._closed:
                 raise QueueClosedError("queue is closed")
-            evicted = None
             if len(self._items) >= self.capacity:
                 if self.overflow == "reject":
                     raise QueueFullError(
                         f"queue full ({self.capacity} requests); "
                         "request rejected")
-                if self.overflow == "drop_oldest":
-                    evicted = self._items.popleft()
-                else:  # block — backpressure on the producer
-                    if not self._not_full.wait_for(
-                            lambda: len(self._items) < self.capacity
-                            or self._closed,
-                            timeout=timeout):
-                        raise QueueFullError(
-                            f"queue full ({self.capacity} requests); "
-                            f"timed out after {timeout}s of backpressure")
-                    if self._closed:
-                        raise QueueClosedError("queue closed while waiting")
+                # block — backpressure on the producer
+                if not self._not_full.wait_for(
+                        lambda: len(self._items) < self.capacity
+                        or self._closed,
+                        timeout=timeout):
+                    raise QueueFullError(
+                        f"queue full ({self.capacity} requests); "
+                        f"timed out after {timeout}s of backpressure")
+                if self._closed:
+                    raise QueueClosedError("queue closed while waiting")
             self._items.append(item)
             self._not_empty.notify()
-            return evicted
 
     def get(self, timeout: float | None = None):
         """Pop the oldest request; ``None`` on timeout or when closed-and-empty."""

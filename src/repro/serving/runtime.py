@@ -296,10 +296,8 @@ class ServingRuntime:
         (``repro_stage_latency_seconds{component="runtime"}``); the
         exact ``repro_runtime_requests_total`` counters report either
         way.  Traces are never auto-created here — a caller that wants
-        one passes it to :meth:`submit`.
-    metrics:
-        A :class:`~repro.telemetry.MetricsRegistry` to report into
-        (default: a private one, exposed as ``runtime.metrics``).
+        one passes it to :meth:`submit`.  The runtime reports into its
+        own :class:`~repro.telemetry.MetricsRegistry`, ``runtime.metrics``.
     """
 
     def __init__(self, prepared: PreparedDeployment,
@@ -307,10 +305,7 @@ class ServingRuntime:
                  *, batch_mode: str = "graph", queue_capacity: int = 1024,
                  overflow: str = "block",
                  scheduler_options: dict | None = None,
-                 telemetry: bool = True,
-                 metrics: MetricsRegistry | None = None,
-                 trace_capacity: int = 256,
-                 slow_trace_ms: float | None = None) -> None:
+                 telemetry: bool = True) -> None:
         if batch_mode not in ("graph", "node"):
             raise InferenceError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
@@ -327,9 +322,8 @@ class ServingRuntime:
         self.queue = BoundedRequestQueue(queue_capacity, overflow)
         self.accounting = LatencyAccounting()
         self.telemetry = bool(telemetry)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.trace_log = TraceLog(capacity=trace_capacity,
-                                  slow_ms=slow_trace_ms)
+        self.metrics = MetricsRegistry()
+        self.trace_log = TraceLog()
         self._requests_total = self.metrics.counter(
             "repro_runtime_requests_total",
             "Requests resolved by the runtime, by terminal outcome.",
@@ -392,18 +386,12 @@ class ServingRuntime:
         request.enqueued_at = time.perf_counter()
         request.trace = trace
         try:
-            evicted = self.queue.put(request, timeout=timeout)
+            self.queue.put(request, timeout=timeout)
         except QueueFullError:
             self.accounting.observe_rejection()
             self._requests_total.inc(outcome="rejected")
             request.future._fail(ServingError(
                 "request rejected: serving queue is full"))
-            return request.future
-        if evicted is not None:
-            self.accounting.observe_rejection()
-            self._requests_total.inc(outcome="rejected")
-            evicted.future._fail(ServingError(
-                "request dropped: evicted by a newer arrival (drop_oldest)"))
         return request.future
 
     def _build_request(self, task: ServeTask) -> Request:
@@ -623,7 +611,7 @@ class ServingRuntime:
         groups: dict[tuple, list[Request]] = {}
         for request in requests:
             task = request.task
-            key = (task.task, task.frozen, task.k, task.scorer)
+            key = (task.task, task.k, task.scorer)
             groups.setdefault(key, []).append(request)
         for group in groups.values():
             self._execute_group(group, assembly_seconds)
@@ -657,8 +645,7 @@ class ServingRuntime:
         try:
             task = self._merged_task(requests)
             result, _, _ = self.prepared.serve_task(
-                task, batch_mode=self.batch_mode,
-                frozen=requests[0].task.frozen)
+                task, batch_mode=self.batch_mode)
         except Exception as error:  # noqa: BLE001 — forwarded to futures
             for request in requests:
                 request.future._fail(error)

@@ -82,7 +82,7 @@ def replay(runtime, requests: list[ServeTask],
     runtime's loop is not running, pending work is served inline, which
     keeps the mode usable (and deterministic) without threads.
 
-    Requests the runtime sheds (``reject``/``drop_oldest`` overflow) or
+    Requests the runtime sheds (``reject`` overflow) or
     fails while serving yield ``None`` in the result list instead of
     aborting the replay — ``runtime.stats()`` carries the rejected/failed
     counts.  A request that never completes within ``timeout`` still
@@ -97,7 +97,7 @@ def replay(runtime, requests: list[ServeTask],
     started = time.perf_counter()
     inline = runtime._thread is None
     # With no consumer thread a 'block' put would deadlock on a full
-    # queue, so drain first; 'reject'/'drop_oldest' shed as configured.
+    # queue, so drain first; 'reject' sheds as configured.
     drain_before_block = inline and runtime.queue.overflow == "block"
     for i, request in enumerate(requests):
         if arrivals is not None:

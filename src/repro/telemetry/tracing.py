@@ -26,15 +26,12 @@ signature: :func:`use_trace` installs it, :func:`stage_span` /
 trace is active — the uninstrumented fast path stays allocation-free.
 
 Completed traces land in a :class:`TraceLog`: a bounded ring with
-``slowest(n)`` for postmortems and an optional slow-request threshold
-that emits one structured (JSON) log line per offender.
+``slowest(n)`` for postmortems.
 """
 
 from __future__ import annotations
 
 import contextvars
-import json
-import logging
 import threading
 import time
 import uuid
@@ -61,8 +58,6 @@ __all__ = [
 GATEWAY_STAGES = ("admission", "dispatch", "serve", "collect", "reply")
 #: Canonical stage names of the in-process micro-batching runtime.
 RUNTIME_STAGES = ("queue_wait", "assembly", "serve")
-
-logger = logging.getLogger("repro.telemetry")
 
 
 def new_trace_id() -> str:
@@ -198,34 +193,23 @@ def stage_span(stage: str, histogram=None, /, **labels):
 
 
 class TraceLog:
-    """Bounded ring of completed traces with a slow-request threshold.
+    """Bounded ring of completed traces.
 
-    ``observe`` finishes the trace, keeps it in a ``capacity``-deep
-    ring (``slowest(n)`` reads it back, worst first), and — when
-    ``slow_ms`` is set and the trace exceeds it — emits one structured
-    ``WARNING`` line whose message payload is the trace's JSON dict.
+    ``observe`` finishes the trace and keeps it in a ``capacity``-deep
+    ring; ``slowest(n)`` reads it back, worst first.
     """
 
-    def __init__(self, capacity: int = 256,
-                 slow_ms: float | None = None,
-                 log: logging.Logger | None = None) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity <= 0:
             raise TelemetryError(f"capacity must be positive, got {capacity}")
-        if slow_ms is not None and slow_ms <= 0:
-            raise TelemetryError(f"slow_ms must be positive, got {slow_ms}")
         self.capacity = capacity
-        self.slow_ms = slow_ms
-        self._log = log or logger
         self._lock = threading.Lock()
         self._ring: deque[TraceContext] = deque(maxlen=capacity)
 
     def observe(self, trace: TraceContext) -> None:
-        total = trace.finish()
+        trace.finish()
         with self._lock:
             self._ring.append(trace)
-        if self.slow_ms is not None and total * 1e3 >= self.slow_ms:
-            self._log.warning("slow request %s",
-                              json.dumps(trace.as_dict(), sort_keys=True))
 
     def slowest(self, n: int = 10) -> list[TraceContext]:
         """The ``n`` slowest retained traces, slowest first."""
@@ -244,4 +228,4 @@ class TraceLog:
 
     def __repr__(self) -> str:
         return (f"TraceLog(capacity={self.capacity}, "
-                f"slow_ms={self.slow_ms}, retained={len(self)})")
+                f"retained={len(self)})")

@@ -99,13 +99,11 @@ class TestProtocol:
     @pytest.mark.parametrize("encoding", ["json", "binary"])
     def test_serve_round_trip_is_bitwise(self, encoding):
         batch = _toy_batch()
-        request = _round_trip(batch, mode="graph", frozen=True,
-                              encoding=encoding)
+        request = _round_trip(batch, mode="graph", encoding=encoding)
         assert request.request_id == 7
         assert request.encoding == encoding
         task = request.task
-        assert (task.task, task.mode, task.frozen) == (
-            "predict", "graph", True)
+        assert (task.task, task.mode) == ("predict", "graph")
         assert np.array_equal(task.batch.features, batch.features)
         assert np.array_equal(task.batch.incremental.toarray(),
                               batch.incremental.toarray())
@@ -128,7 +126,7 @@ class TestProtocol:
         task = _round_trip(_toy_batch(with_intra=False)).task
         assert task.batch.intra.shape == (3, 3)
         assert task.batch.intra.nnz == 0
-        assert task.mode is None and task.frozen is False
+        assert task.mode is None
 
     def test_reply_round_trip(self):
         logits = np.random.default_rng(0).standard_normal((3, 5))
@@ -151,7 +149,7 @@ class TestProtocol:
             decode_prefix(prefix)
 
     def test_bad_version_rejected(self):
-        for version in (1, 99):  # v1 is gone: the wire speaks v2 only
+        for version in (1, 2, 99):  # the wire speaks v3 only
             prefix = struct.pack("!4sBII", protocol.MAGIC, version, 2, 0)
             with pytest.raises(ProtocolError,
                                match="unsupported protocol version"):
@@ -353,15 +351,6 @@ class TestGatewayServing:
                         assert reply.logits.dtype == np.float64
                         assert np.array_equal(direct, reply.logits)
 
-    def test_frozen_path_parity(self, gateway, gw_requests):
-        fleet = gateway.fleet
-        frozen = replace(gw_requests[0], frozen=True)
-        direct = fleet.submit(frozen).result(timeout=120.0)
-        with GatewayClient(*gateway.address, encoding="binary") as client:
-            reply = client.serve_batch(frozen)
-        assert reply.ok, reply.error
-        assert np.array_equal(direct, reply.logits)
-
     def test_pipelined_replies_come_back_by_id(self, gateway, gw_requests):
         with GatewayClient(*gateway.address, encoding="binary") as client:
             ids = [client.submit(r) for r in gw_requests[:6]]
@@ -394,21 +383,31 @@ class TestGatewayServing:
             # the error was per-request, not per-connection
             assert client.ping().status == "pong"
 
-    def test_v1_prefix_gets_error_reply_and_clean_close(self, gateway,
-                                                        gw_requests):
-        """Wire v1 is gone: a v1-stamped frame draws the structured
-        ``unsupported protocol version`` reply, then EOF — never a hang."""
-        frame = bytearray(encode_serve_request(1, gw_requests[0]))
+    @staticmethod
+    def _assert_version_refused(gateway, request, version):
+        """A frame stamped ``version`` draws the structured ``unsupported
+        protocol version`` reply, then EOF — never a hang."""
+        frame = bytearray(encode_serve_request(1, request))
         assert frame[4] == protocol.PROTOCOL_VERSION
-        frame[4] = 1
+        frame[4] = version
         with GatewayClient(*gateway.address, timeout=10.0) as client:
             client._sock.sendall(bytes(frame))
             reply = client._read_reply()
             assert reply.status == "error" and reply.request_id is None
-            assert "unsupported protocol version 1" in reply.error
+            assert f"unsupported protocol version {version}" in reply.error
             assert client._sock.recv(1) == b""  # closed, not stalled
         with GatewayClient(*gateway.address) as client:
             assert client.ping().status == "pong"  # the gateway lives on
+
+    def test_v1_prefix_gets_error_reply_and_clean_close(self, gateway,
+                                                        gw_requests):
+        self._assert_version_refused(gateway, gw_requests[0], 1)
+
+    def test_v2_prefix_gets_error_reply_and_clean_close(self, gateway,
+                                                        gw_requests):
+        """A v2 peer could ask for the approximate operator per request;
+        v3 serves only the exact one, so v2 is refused, not answered."""
+        self._assert_version_refused(gateway, gw_requests[0], 2)
 
     def test_http_probes(self, gateway):
         for path, expect in (("/healthz", 200), ("/stats", 200),

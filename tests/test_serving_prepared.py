@@ -190,8 +190,7 @@ class TestValidation:
                 np.zeros((1, split.original.feature_dim + 2)))
 
     @pytest.mark.parametrize("method", ("serve_batch", "embed_batch",
-                                        "serve_batch_frozen",
-                                        "embed_batch_frozen"))
+                                        "serve_batch_frozen"))
     def test_request_feature_width_mismatch(self, split, sgc, method):
         # the frozen path validates request features like the exact one,
         # rather than failing later inside a numpy broadcast

@@ -25,6 +25,7 @@ from repro.serving import (
     split_requests,
     tasked_requests,
 )
+from repro.serving.queue import OVERFLOW_POLICIES
 
 
 def _stream(batch, num_requests, nodes_per_request):
@@ -161,15 +162,6 @@ class TestBoundedQueue:
         with pytest.raises(QueueFullError):
             queue.put("b")
 
-    def test_drop_oldest_policy(self):
-        queue = BoundedRequestQueue(capacity=2, overflow="drop_oldest")
-        queue.put("a")
-        queue.put("b")
-        evicted = queue.put("c")
-        assert evicted == "a"
-        assert len(queue) == 2
-        assert queue.get_nowait() == "b"
-
     def test_block_policy_times_out(self):
         queue = BoundedRequestQueue(capacity=1, overflow="block")
         queue.put("a")
@@ -190,6 +182,11 @@ class TestBoundedQueue:
             BoundedRequestQueue(capacity=0)
         with pytest.raises(ServingError):
             BoundedRequestQueue(overflow="explode")
+
+    def test_a_full_queue_blocks_or_rejects_never_evicts(self):
+        assert OVERFLOW_POLICIES == ("block", "reject")
+        with pytest.raises(ServingError, match="unknown overflow policy"):
+            BoundedRequestQueue(overflow="drop_oldest")
 
 
 class TestBoundedQueueConcurrency:
@@ -270,28 +267,6 @@ class TestBoundedQueueConcurrency:
         while queue.get_nowait() is not None:
             drained += 1
         assert drained == admitted
-
-    def test_drop_oldest_policy_keeps_newest_under_contention(self):
-        capacity = 4
-        queue = BoundedRequestQueue(capacity=capacity, overflow="drop_oldest")
-
-        def produce(pid):
-            evicted = 0
-            for i in range(self.PER_PRODUCER):
-                evicted += queue.put((pid, i)) is not None
-            return evicted
-
-        evicted = sum(self._hammer(queue, produce))
-        survivors = []
-        while (item := queue.get_nowait()) is not None:
-            survivors.append(item)
-        # puts never block or fail; every item was either evicted or kept
-        assert len(survivors) == capacity
-        total = self.PRODUCERS * self.PER_PRODUCER
-        assert evicted + len(survivors) == total
-        # the queue kept late arrivals, not the opening burst
-        assert all(i >= self.PER_PRODUCER - capacity
-                   for _, i in survivors)
 
 
 # ----------------------------------------------------------------------
@@ -501,17 +476,6 @@ class TestRuntimeBehaviour:
         assert futures[0].result().shape[0] == 1
         assert runtime.stats().rejected == 1
 
-    def test_drop_oldest_evicts_first(self, sgc, split, condensed):
-        runtime = _runtime(sgc, split, condensed, "original",
-                           queue_capacity=2, overflow="drop_oldest")
-        stream = _stream(split.incremental_batch("val"), 3, 1)
-        futures = [runtime.submit(request) for request in stream]
-        runtime.run_pending()
-        with pytest.raises(ServingError):
-            futures[0].result()
-        assert futures[1].result() is not None
-        assert futures[2].result() is not None
-
     def test_threaded_lifecycle(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "original",
                            scheduler="microbatch",
@@ -571,41 +535,6 @@ class TestRuntimeBehaviour:
                                     sp.csr_matrix((2, n)),
                                     intra=sp.csr_matrix((3, 3))))
         assert len(runtime.queue) == 0
-
-    def test_frozen_task_on_a_nonlinear_model_fails_its_future(
-            self, split, raw_task):
-        gcn = make_model("gcn", split.original.feature_dim,
-                         split.num_classes, seed=0)
-        runtime = ServingRuntime(
-            PreparedDeployment(gcn, "original", split.original))
-        n = split.original.num_nodes
-        future = runtime.submit(raw_task(
-            np.zeros((1, split.original.feature_dim)),
-            sp.csr_matrix((1, n)), intra=sp.csr_matrix((1, 1)),
-            frozen=True))
-        runtime.run_pending()
-        with pytest.raises(ServingError, match="linear propagation"):
-            future.result()
-
-    def test_frozen_tasks_serve_the_frozen_path(self, sgc, split, condensed):
-        runtime = _runtime(sgc, split, condensed, "synthetic",
-                           scheduler=MicroBatchScheduler(128, 0.0),
-                           batch_mode="node")
-        stream = [ServeTask(task.batch, frozen=True) for task in
-                  _stream(split.incremental_batch("val"), 4, 1)]
-        futures = [runtime.submit(request) for request in stream]
-        runtime.run_pending()
-        gaps = []
-        for task, future in zip(stream, futures):
-            # coalesced replies match row-wise up to the classifier
-            # gemm's row-count sensitivity
-            frozen, _, _ = runtime.prepared.serve_batch_frozen(task.batch,
-                                                              "node")
-            exact, _, _ = runtime.prepared.serve_batch(task.batch, "node")
-            np.testing.assert_allclose(future.result(), frozen, rtol=1e-12,
-                                       atol=1e-12)
-            gaps.append(np.abs(future.result() - exact).max())
-        assert max(gaps) > 1e-9  # the approximation, not the exact path
 
     def test_warm_base_passthrough(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "original")

@@ -571,3 +571,28 @@ class TestRuntimeIngest:
         assert runtime.staleness_threshold == 0.4
         assert runtime.prepared._base_operator is None
         assert runtime.prepared._propagated is None
+
+    def test_cold_first_delta_reports_like_a_warm_one(self):
+        # the report counts the rows a delta affects whether or not the
+        # degree vector is held yet
+        from repro import api
+        bundle = api.deploy("tiny-sim", "whole", 0, deployment="original",
+                            profile="quick", seed=7)
+        batch = api.evaluation_batch(bundle)
+        delta = make_delta_trace(
+            bundle.base, batch.subset(np.arange(2)), num_deltas=1,
+            nodes_per_delta=2, edges_per_delta=3, removals_per_delta=1,
+            updates_per_delta=2, seed=3)[0]
+        cold = api.open_stream(bundle, staleness_threshold=0.0)
+        warm = api.open_stream(bundle, staleness_threshold=0.0)
+        warm.warm_base()
+        reports = []
+        for runtime in (cold, warm):
+            future = runtime.ingest(delta)
+            runtime.run_pending()
+            reports.append(future.result(timeout=5.0))
+        cold_report, warm_report = reports
+        assert (cold_report.refreshed, warm_report.refreshed) == (
+            (), ("degrees",))
+        assert cold_report.affected_rows == warm_report.affected_rows > 0
+        assert cold_report.mode == warm_report.mode == "rebuild"

@@ -1,8 +1,9 @@
-"""Task-typed serving: ServeTask, executors, wire v2, one admission
+"""Task-typed serving: ServeTask, executors, wire v3, one admission
 type per tier, invalidation."""
 
 from __future__ import annotations
 
+import inspect
 import io
 import time
 
@@ -19,9 +20,11 @@ from repro.serving import (
     EmbeddingIndex,
     GatewayClient,
     PreparedDeployment,
+    ReplicaPool,
     ServeTask,
     ServingFleet,
     ServingGateway,
+    ServingRuntime,
     SCORERS,
     auc_score,
     evaluate_link_holdout,
@@ -315,6 +318,29 @@ def tier(request, task_bundle):
                    counters)
 
 
+def test_serve_task_has_no_operator_option():
+    """The operator is the deployment's, never a per-request choice."""
+    with pytest.raises(TypeError):
+        ServeTask(_toy_batch(), frozen=True)
+
+
+@pytest.mark.parametrize("target, removed", [
+    (ServingRuntime, ("metrics", "trace_capacity", "slow_trace_ms")),
+    (ServingFleet, ("metrics", "trace_capacity", "slow_trace_ms",
+                    "start_method", "max_retries", "start_timeout",
+                    "latency_window")),
+    (ReplicaPool, ("start_method", "max_spawn_retries")),
+    (ServingGateway, ("metrics", "trace_capacity", "slow_trace_ms")),
+    (api.open_fleet, ("start_method", "slow_trace_ms")),
+    (api.open_gateway, ("start_method", "slow_trace_ms")),
+], ids=["ServingRuntime", "ServingFleet", "ReplicaPool", "ServingGateway",
+        "open_fleet", "open_gateway"])
+def test_serving_tiers_take_no_fixed_settings(target, removed):
+    """Settings no caller varied are constants, not parameters."""
+    parameters = inspect.signature(target).parameters
+    assert not set(removed) & set(parameters)
+
+
 class TestOnlyServeTaskAdmits:
     @pytest.mark.parametrize("attempt, error", [
         (lambda surface, batch: surface.submit(batch), ServingError),
@@ -343,7 +369,7 @@ class TestOnlyServeTaskAdmits:
 
 
 # ----------------------------------------------------------------------
-# Wire protocol v2 (the only version)
+# Wire protocol v3 (the only version)
 # ----------------------------------------------------------------------
 def _round_trip_frame(frame):
     header, payload = read_frame_from(io.BytesIO(frame).read)
@@ -356,10 +382,10 @@ class TestProtocolVersions:
     def test_decode_matrix_defaults_to_predict(self, version, encoding):
         batch = _toy_batch()
         frame = encode_serve_request(3, ServeTask(batch), encoding=encoding)
-        assert frame[4] == version == 2  # the one version frames carry
+        assert frame[4] == version == 3  # the one version frames carry
         task = _round_trip_frame(frame).task
-        assert (task.task, task.mode, task.frozen, task.k, task.pairs,
-                task.scorer) == ("predict", None, False, 10, None, "dot")
+        assert (task.task, task.mode, task.k, task.pairs,
+                task.scorer) == ("predict", None, 10, None, "dot")
         assert np.array_equal(task.batch.features, batch.features)
         assert np.array_equal(task.batch.incremental.toarray(),
                               batch.incremental.toarray())

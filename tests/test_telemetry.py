@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import logging
 import math
 import threading
 
@@ -370,21 +369,9 @@ class TestTraceLog:
         totals = [trace.total_seconds for trace in ring.slowest(2)]
         assert totals == [0.5, 0.2]
 
-    def test_slow_threshold_emits_structured_warning(self, caplog):
-        ring = TraceLog(capacity=4, slow_ms=100.0)
-        with caplog.at_level(logging.WARNING, logger="repro.telemetry"):
-            ring.observe(self._trace(0.001))
-            ring.observe(self._trace(0.5))
-        assert len(caplog.records) == 1
-        payload = json.loads(caplog.records[0].getMessage()
-                             .removeprefix("slow request "))
-        assert payload["stages_ms"]["serve"] == pytest.approx(500.0)
-
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             TraceLog(capacity=0)
-        with pytest.raises(ValueError, match="slow_ms"):
-            TraceLog(slow_ms=0.0)
 
     def test_clear_empties_ring(self):
         ring = TraceLog(capacity=4)

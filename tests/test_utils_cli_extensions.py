@@ -339,6 +339,34 @@ class TestServingCli:
         assert "latency p50/p95/p99" in out
         assert "throughput" in out
 
+    @pytest.mark.parametrize("command, options", [
+        ("serve-online", ["--closed-loop"]),
+        ("serve-stream", ["--deltas", "2", "--nodes-per-delta", "1"]),
+        ("serve-fleet", ["--replicas", "1"]),
+    ])
+    def test_serve_commands_exit_1_on_failed_requests(
+            self, capsys, monkeypatch, tmp_path, command, options):
+        # the replica worker forks after the patch, so the fleet's
+        # requests fail in the child process too
+        from repro.serving.prepared import PreparedDeployment
+
+        _fast_profile(monkeypatch)
+        artifact = tmp_path / "bundle.npz"
+        assert main(["condense", "--dataset", "tiny-sim", "--method", "mcond",
+                     "--budget", "9", "--output", str(artifact)]) == 0
+        capsys.readouterr()
+
+        def boom(self, *args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(PreparedDeployment, "serve_batch", boom)
+        code = main([command, "--artifact", str(artifact), "--requests", "4",
+                     "--batch-mode", "node", *options])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "failed                4 of 4 requests" in captured.out
+        assert "error: 4 of 4 requests failed" in captured.err
+
     def test_list_includes_partitioners(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
