@@ -519,8 +519,9 @@ def open_runtime(bundle: DeploymentBundle | str | Path, *,
     Requests are task-typed: wrap the batch in a
     :class:`~repro.serving.embeddings.ServeTask` and pick ``predict``
     (default), ``embed``, ``link_score``, or ``topk``.  Every task is
-    served through the deployment's exact operator: Eq. 3 on the
-    original graph, Eq. 11 through the mapping ``M``.
+    served through the deployment's operator: the frozen one on a
+    synthetic SGC deployment, else Eq. 3 on the original graph or
+    Eq. 11 through the mapping ``M``.
 
     >>> from repro.serving import ServeTask             # doctest: +SKIP
     >>> runtime = api.open_runtime("artifact.npz")      # doctest: +SKIP

@@ -75,8 +75,8 @@ class Cell:
     mapping at Eq. 14's threshold without retraining.  ``request_size``
     is the number of inductive nodes per served request; ``None`` serves
     the whole evaluation batch in the paper's 1000-node mini-batches.
-    ``operator`` is ``exact`` (Eq. 3 / Eq. 11, ``serve_batch``) or
-    ``frozen`` (base rows keep their standalone normalization,
+    ``operator`` is ``exact`` (Eq. 3 / Eq. 11, ``InductiveServer.run``)
+    or ``frozen`` (base rows keep their standalone normalization,
     ``serve_batch_frozen``; SGC only).  :func:`run_grid` sets ``seed``
     from the effort profile.
     """

@@ -21,7 +21,6 @@ from repro.experiments.settings import (EffortProfile, MethodSpec, METHODS,
 from repro.graph.datasets import IncrementalBatch, InductiveSplit, load_dataset
 from repro.graph.ops import symmetric_normalize
 from repro.inference.engine import InductiveServer, InferenceReport
-from repro.nn.metrics import accuracy
 from repro.nn.models import GNNModel, make_model
 from repro.nn.trainer import TrainConfig, train_node_classifier
 from repro.registry import REDUCERS
@@ -191,16 +190,18 @@ class ExperimentContext:
 
     def _make_validator(self, model: GNNModel, deployment: str,
                         condensed: CondensedGraph | None):
-        prepared = self.prepared
+        """Validation accuracy through the exact Eq. 3 / Eq. 11 operator
+        (``run``).  A fresh server per call: one held across training
+        keeps its deployment alive and raises the training peak memory."""
+        val_batch, original = self.prepared.val_batch, self.prepared.original
         if deployment == "synthetic" and (
                 condensed is None or not condensed.supports_attachment()):
             deployment = "original"
 
         def validator(current: GNNModel) -> float:
-            server = InductiveServer(current, deployment, prepared.original,
-                                     condensed)
-            logits, _, _ = server.serve_batch(prepared.val_batch, "graph")
-            return accuracy(logits, prepared.val_batch.labels)
+            server = InductiveServer(current, deployment, original, condensed)
+            return server.run(val_batch, batch_size=val_batch.num_nodes,
+                              batch_mode="graph").accuracy
 
         return validator
 

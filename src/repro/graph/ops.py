@@ -88,14 +88,17 @@ def symmetric_normalize(adjacency: sp.spmatrix,
     _require_square(adjacency)
     adj = (add_self_loops(adjacency) if self_loops
            else adjacency.tocsr().astype(np.float64))
-    degree = np.asarray(adj.sum(axis=1)).reshape(-1)
-    inv_sqrt = np.zeros_like(degree)
-    positive = degree > 0
-    inv_sqrt[positive] = degree[positive] ** -0.5
-    scale = sp.diags(inv_sqrt)
+    scale = sp.diags(_inv_sqrt(np.asarray(adj.sum(axis=1)).reshape(-1)))
     return (scale @ adj @ scale).tocsr()
 
 
+def _inv_sqrt(degree: np.ndarray) -> np.ndarray:
+    """``D^{-1/2}`` with zero-degree rows left at zero — the masking every
+    normalization shares (bitwise parity between paths depends on it)."""
+    inv = np.zeros_like(degree)
+    positive = degree > 0
+    inv[positive] = degree[positive] ** -0.5
+    return inv
 
 
 def dense_symmetric_normalize(adjacency: np.ndarray,
@@ -111,10 +114,7 @@ def dense_symmetric_normalize(adjacency: np.ndarray,
     if self_loops:
         adj = adj.copy()
         np.fill_diagonal(adj, np.maximum(adj.diagonal(), 0.0) + 1.0)
-    degree = adj.sum(axis=1)
-    inv_sqrt = np.zeros_like(degree)
-    positive = degree > 0
-    inv_sqrt[positive] = degree[positive] ** -0.5
+    inv_sqrt = _inv_sqrt(adj.sum(axis=1))
     return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import InferenceError
 from repro.condense.base import CondensedGraph
@@ -27,7 +29,7 @@ from repro.graph.datasets import IncrementalBatch
 from repro.graph.graph import Graph
 from repro.graph.incremental import (AttachedGraph, attach_to_original,
                                      attach_to_synthetic)
-from repro.graph.ops import symmetric_normalize
+from repro.graph.ops import _inv_sqrt, add_self_loops, symmetric_normalize
 from repro.graph.sampling import iterate_minibatches
 from repro.nn.metrics import accuracy
 from repro.nn.models import GNNModel, SGC
@@ -38,7 +40,7 @@ if TYPE_CHECKING:  # serving sits above inference; import it lazily at runtime
     from repro.serving.prepared import PreparedDeployment
 
 __all__ = ["InferenceReport", "InductiveServer", "run_inference",
-           "validate_deployment"]
+           "serves_frozen", "validate_deployment"]
 
 
 def validate_deployment(deployment: str, base: Graph | None,
@@ -62,6 +64,12 @@ def validate_deployment(deployment: str, base: Graph | None,
                 f"method {condensed.method!r} has no mapping matrix; "
                 "it cannot attach inductive nodes to the synthetic graph "
                 "(this is exactly the limitation of conventional GC)")
+
+
+def serves_frozen(model: GNNModel, deployment: str) -> bool:
+    """Whether the deployment serves the frozen operator (a synthetic
+    graph under SGC) rather than the exact Eq. 3 / Eq. 11 one."""
+    return deployment == "synthetic" and isinstance(model, SGC)
 
 
 @dataclass
@@ -123,55 +131,39 @@ class InductiveServer:
     That is still Eq. 3 / Eq. 11, within a tested ``1e-12`` relative
     bound of the full-shape forward (``docs/precision.md``, "Parity
     contract").
+
+    On a synthetic SGC deployment :meth:`serve_batch` serves the frozen
+    operator (:func:`serves_frozen`; the naive path builds it from plain
+    scipy products), while :meth:`run` evaluates through Eq. 11.
     """
 
     def __init__(self, model: GNNModel, deployment: str, base: Graph | None,
                  condensed: CondensedGraph | None = None, *,
                  use_cache: bool = True) -> None:
         validate_deployment(deployment, base, condensed)
-        # Both serving states are built on first use: the cached server
-        # never materializes the naive adjacency/feature views, and the
-        # uncached server never pays the cache's O(nnz) construction.
-        self._prepared = None
-        self._naive_state: tuple | None = None
         self.model = model
         self.deployment = deployment
         self.base = base
         self.condensed = condensed
         self.use_cache = use_cache
 
-    @property
+    # Both serving states are built on first use: the cached server never
+    # materializes the naive adjacency, and the uncached server never pays
+    # the cache's O(nnz) construction.
+    @cached_property
     def prepared(self) -> "PreparedDeployment":
         """The request-invariant cache this server serves through."""
-        if self._prepared is None:
-            from repro.serving.prepared import PreparedDeployment
-            self._prepared = PreparedDeployment(self.model, self.deployment,
-                                                self.base, self.condensed)
-        return self._prepared
+        from repro.serving.prepared import PreparedDeployment
+        return PreparedDeployment(self.model, self.deployment, self.base,
+                                  self.condensed)
 
-    @property
-    def _adjacency(self):
-        return self._naive()[0]
-
-    @property
-    def _features(self):
-        return self._naive()[1]
-
-    @property
-    def _mapping(self):
-        return self._naive()[2]
-
-    def _naive(self) -> tuple:
-        if self._naive_state is None:
-            if self.deployment == "synthetic":
-                assert self.condensed is not None
-                self._naive_state = (self.condensed.sparse_adjacency(),
-                                     self.condensed.features,
-                                     self.condensed.mapping)
-            else:
-                self._naive_state = (self.base.adjacency,
-                                     self.base.features, None)
-        return self._naive_state
+    @cached_property
+    def _deployed(self) -> tuple:
+        """``(adjacency, features, mapping)`` of the deployed graph."""
+        if self.deployment == "synthetic":
+            return (self.condensed.sparse_adjacency(),
+                    self.condensed.features, self.condensed.mapping)
+        return self.base.adjacency, self.base.features, None
 
     # ------------------------------------------------------------------
     def attach(self, batch: IncrementalBatch,
@@ -181,49 +173,86 @@ class InductiveServer:
             raise InferenceError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
         intra = batch.intra if batch_mode == "graph" else None
-        if self.deployment == "original":
-            return attach_to_original(self._adjacency, self._features,
-                                      batch.incremental, batch.features, intra)
-        return attach_to_synthetic(self._adjacency, self._features,
-                                   batch.incremental, batch.features,
-                                   self._mapping, intra)
+        adjacency, features, mapping = self._deployed
+        if mapping is None:
+            return attach_to_original(adjacency, features, batch.incremental,
+                                      batch.features, intra)
+        return attach_to_synthetic(adjacency, features, batch.incremental,
+                                   batch.features, mapping, intra)
 
     def serve_batch(self, batch: IncrementalBatch,
                     batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
-        """Serve one batch; returns ``(logits, seconds, memory_bytes)``."""
+        """Serve one batch through the deployment's operator; returns
+        ``(logits, seconds, memory_bytes)``."""
+        return self._serve(batch, batch_mode,
+                           serves_frozen(self.model, self.deployment))
+
+    def _serve(self, batch: IncrementalBatch, batch_mode: str,
+               frozen: bool) -> tuple[np.ndarray, float, int]:
+        """One batch through the frozen or the exact Eq. 3 / Eq. 11
+        operator."""
         if self.use_cache:
-            return self.prepared.serve_batch(batch, batch_mode)
+            return (self.prepared.serve_batch_frozen if frozen else
+                    self.prepared.serve_batch_exact)(batch, batch_mode)
         self.model.eval()
         start = time.perf_counter()
         attached = self.attach(batch, batch_mode)
-        operator = symmetric_normalize(attached.adjacency)
         base_size = attached.base_size
         with no_grad():
-            features = Tensor(attached.features)
-            if isinstance(self.model, SGC):
+            if frozen:
+                hidden = self._frozen_hidden(attached)
+                inductive = self.model.head(Tensor(hidden)).data
+            elif isinstance(self.model, SGC):
                 # the classifier is row-wise, so only the inductive rows of
                 # Â'^K X' reach it — the (n, d) operand every serving tier
                 # hands the same call
-                hidden = self.model.embed(operator, features).data
+                hidden = self.model.embed(symmetric_normalize(
+                    attached.adjacency), Tensor(attached.features)).data
                 inductive = self.model.head(Tensor(hidden[base_size:])).data
             else:
-                inductive = self.model(operator, features).data[base_size:]
+                inductive = self.model(
+                    symmetric_normalize(attached.adjacency),
+                    Tensor(attached.features)).data[base_size:]
         elapsed = time.perf_counter() - start
         memory = sparse_memory_bytes(attached.adjacency)
         memory += dense_memory_bytes(attached.features)
-        if self._mapping is not None:
-            memory += sparse_memory_bytes(self._mapping)
+        if self._deployed[2] is not None:
+            memory += sparse_memory_bytes(self._deployed[2])
         return inductive, elapsed, memory
+
+    def _frozen_hidden(self, attached: AttachedGraph) -> np.ndarray:
+        """``h_K`` of the frozen operator from plain scipy products over
+        the blocks of the attached graph: the base rows keep the
+        standalone normalization of ``A' + I``; a new row is normalized
+        by its own ``aM`` and ``ea + I`` entries."""
+        size = attached.base_size
+        base_loops = add_self_loops(attached.adjacency[:size, :size])
+        inc = attached.adjacency[size:, :size]
+        ea_loops = add_self_loops(attached.adjacency[size:, size:])
+        ea_loops.sort_indices()
+        inv_new = sp.diags(_inv_sqrt(np.asarray(
+            inc.sum(axis=1) + ea_loops.sum(axis=1)).reshape(-1)))
+        op_nb = inv_new @ inc @ sp.diags(_inv_sqrt(
+            np.asarray(base_loops.sum(axis=1)).reshape(-1)))
+        op_nn = inv_new @ ea_loops @ inv_new
+        base_operator = symmetric_normalize(base_loops, self_loops=False)
+        base_hop, hidden = attached.features[:size], attached.features[size:]
+        for _ in range(self.model.k_hops):
+            hidden = op_nb @ base_hop + op_nn @ hidden
+            base_hop = base_operator @ base_hop
+        return hidden
 
     def run(self, batch: IncrementalBatch, batch_size: int = 1000,
             batch_mode: str = "graph", frozen: bool = False) -> InferenceReport:
         """Serve the full workload in mini-batches (paper: batch size 1000).
 
-        ``frozen`` serves every mini-batch through
-        :meth:`~repro.serving.prepared.PreparedDeployment.serve_batch_frozen`
-        (SGC only) instead of the exact Eq. 3 / Eq. 11 :meth:`serve_batch`.
+        Every mini-batch goes through the exact Eq. 3 / Eq. 11 operator —
+        on a synthetic SGC deployment too, where :meth:`serve_batch`
+        serves the frozen one — unless ``frozen`` asks for the frozen
+        operator (SGC only).  The paper grid's ``operator`` cells and the
+        training validator evaluate through here.
         """
-        serve = self.prepared.serve_batch_frozen if frozen else self.serve_batch
+        serve = partial(self._serve, frozen=frozen)
         total_nodes = batch.num_nodes
         if total_nodes == 0:
             raise InferenceError("cannot serve an empty inductive batch")

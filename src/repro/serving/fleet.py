@@ -164,7 +164,6 @@ class _Replica:
     inbox: object
     state: str = "starting"  # starting|ready|draining|stopping|dead
     inflight: set = field(default_factory=set)
-    served: int = 0
     cold_start_seconds: float | None = None
     last_error: str | None = None
     spawn_failures: int = 0
@@ -528,9 +527,8 @@ class ServingFleet:
                     wall = time.perf_counter() - entry.submitted_at
                     self._latencies.append(wall)
                     self._requests_total.inc(outcome="completed")
-                    if current:
-                        replica.served += 1
-                        self._replica_served.inc(replica=str(replica_id))
+                    # per slot, so a respawned replica keeps its count
+                    self._replica_served.inc(replica=str(replica_id))
                     # the worker's dequeue stamp splits the wall time into
                     # the canonical fleet stages (clamped: perf_counter is
                     # shared-monotonic, but paranoia is free)
@@ -791,15 +789,15 @@ class ServingFleet:
             if counters:
                 self._requests_total.clear()
                 self._replica_served.clear()
-                for replica in self.pool.replicas.values():
-                    replica.served = 0
 
     def stats(self) -> dict:
         """JSON-ready fleet accounting: volume, failover, tail latency."""
         with self._lock:
             latencies = list(self._latencies)
+            served = self._replica_served
             per_replica = {
-                str(rid): {"served": r.served, "state": r.state,
+                str(rid): {"served": int(served.value(replica=str(rid))),
+                           "state": r.state,
                            "generation": r.generation,
                            "cold_start_ms":
                                None if r.cold_start_seconds is None

@@ -17,15 +17,23 @@ serving path re-derives on every batch:
   (:meth:`PreparedDeployment.apply_delta`) updates only what exact
   serving reads; it drops these caches for their next read to rebuild.
 
+A synthetic deployment serving SGC answers through the *frozen*
+operator (below), so a reply depends on its own request alone; every
+other deployment answers through the exact Eq. 3 / Eq. 11 operator
+(:meth:`PreparedDeployment.serve_batch_exact`), which the training
+validator and the paper grid also reach on a synthetic deployment
+through :meth:`repro.inference.engine.InductiveServer.run`.
+
 Exactness contract
 ------------------
-Served replies are bit for bit what the naive path produces: with
+Replies from the exact operator are bit for bit what the naive path
+produces: with
 
     op = symmetric_normalize(bmat([[base, inc.T], [inc, ea]]))
 
 that is ``model(op, X')[B:]``, and for SGC ``model.head(model.embed(op,
 X')[B:])`` (fact 4).  ``attach_normalize`` reproduces ``op`` in full; the SGC
-serve path (``serve_batch`` / ``embed_batch`` on a linear-propagation
+exact path (``serve_batch_exact`` and ``embed_batch`` on a linear-propagation
 model) never materialises it and builds only the rows a request can
 reach.  Both rest on the same facts about scipy and BLAS, deliberately
 mirrored here:
@@ -74,14 +82,14 @@ before anything here sees them.
 
 Frozen path
 -----------
-The frozen fast path applies the ``D^-1/2`` row/col scaling in a single
-traversal of each block's CSR arrays (:func:`_fused_scale`) instead of
-materializing scaled operator copies, and cache-blocks the base-row
-gather: the SpMV's dense operand shrinks to just the hop rows the batch
-references.  Both transformations preserve the per-entry multiply order
-and scipy's per-row fold order, so the path is bitwise identical to an
-unfused one (materialized scaled blocks, full-width hop SpMVs) — the
-oracle the tests compare it against.
+The base rows keep their standalone ``D'^{-1/2}`` and propagate on their
+own, so the cached hops ``H_k = Â'^k X'`` stand in for them; only the
+``n`` new rows are computed, ``h_k = Â_nb H_{k-1} + Â_nn h_{k-1}``.
+``Â_nb = (d_new^{-1/2} · aM) · d'^{-1/2}`` is one scaled ``(n, B)`` CSR
+per request, ``d_new`` sums a new row's ``aM`` and ``ea + I`` entries,
+and without intra edges the self-loop is the row scale ``d_new^{-1/2} ·
+d_new^{-1/2}``.  By facts 1 and 3 this is bitwise what plain scipy
+products give — the uncached ``InductiveServer`` reference.
 """
 
 from __future__ import annotations
@@ -97,14 +105,15 @@ from repro.condense.base import CondensedGraph
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.graph import Graph
 from repro.graph.incremental import convert_connections
-from repro.graph.ops import _sorted_unique, add_self_loops, canonical_csr
+from repro.graph.ops import (_inv_sqrt, _sorted_unique, add_self_loops,
+                             canonical_csr)
 from repro.graph.stream import (
     GraphDelta,
     StreamingGraph,
     _splice_rows,
     csr_row_positions,
 )
-from repro.inference.engine import validate_deployment
+from repro.inference.engine import serves_frozen, validate_deployment
 from repro.nn.models import GNNModel, SGC
 from repro.telemetry import stage_span
 from repro.tensor.sparse import sparse_memory_bytes
@@ -154,15 +163,6 @@ def _reduceat_row_sums(data: np.ndarray, indptr: np.ndarray,
     if nonempty.size:
         out[nonempty] = np.add.reduceat(data, indptr[nonempty])
     return out
-
-
-def _inv_sqrt(degree: np.ndarray) -> np.ndarray:
-    """``D^{-1/2}`` with zero-degree rows left at zero — the exact masking
-    the naive ``symmetric_normalize`` applies (parity depends on it)."""
-    inv = np.zeros_like(degree)
-    positive = degree > 0
-    inv[positive] = degree[positive] ** -0.5
-    return inv
 
 
 def _index_dtype(largest: int) -> type:
@@ -218,9 +218,8 @@ def _fused_scale(block: sp.csr_matrix, inv_row: np.ndarray,
     a materialized scaled copy.  Zero entries of ``inv_row``/``inv_col``
     (zero-degree masking) propagate exact zeros.
     """
-    rows = np.repeat(np.arange(block.shape[0], dtype=np.int64),
-                     np.diff(block.indptr))
-    return (inv_row[rows] * block.data) * inv_col[block.indices]
+    return ((np.repeat(inv_row, np.diff(block.indptr)) * block.data)
+            * inv_col[block.indices])
 
 
 class PreparedDeployment:
@@ -431,59 +430,70 @@ class PreparedDeployment:
                     batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
         """Serve one batch; returns ``(logits, seconds, memory_bytes)``.
 
-        Same contract — and bitwise the same logits — as
+        The operator is the frozen one on a synthetic SGC deployment, else
+        the exact one.  Same contract — and bitwise the same logits — as
         :meth:`repro.inference.engine.InductiveServer.serve_batch`.
         """
-        intra = self._enter_request(batch, batch_mode)
-        start = time.perf_counter()
-        hops = self._linear_hops()
-        if not hops:
-            logits, memory = self._attached_forward(
-                batch, intra, self.model, "forward")
-            return logits, time.perf_counter() - start, memory
-        hidden, memory = self._receptive_hidden(batch, intra, hops)
-        # the sub-spans only reach a trace when the caller installed one
-        # (use_trace); otherwise stage_span is a contextvar-read no-op
-        with stage_span("forward"), no_grad():
-            logits = self.model.head(Tensor(hidden)).data
-        return logits, time.perf_counter() - start, memory
+        return self._serve(batch, batch_mode,
+                           serves_frozen(self.model, self.deployment))
+
+    def serve_batch_exact(self, batch: IncrementalBatch,
+                          batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
+        """Serve one batch through the exact Eq. 3 / Eq. 11 operator, which
+        re-normalizes the base rows the request touches."""
+        return self._serve(batch, batch_mode, frozen=False)
+
+    def serve_batch_frozen(self, batch: IncrementalBatch,
+                           batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
+        """Serve one batch through the frozen operator (SGC only): arriving
+        nodes read the base graph but do not perturb it.  What
+        :meth:`serve_batch` serves on a synthetic deployment; on an
+        original one, the grid's ``operator="frozen"`` approximation."""
+        return self._serve(batch, batch_mode, frozen=True)
 
     def embed_batch(self, batch: IncrementalBatch,
                     batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
         """Penultimate representations of the batch's inductive nodes.
 
-        Runs the models' ``embed()`` contract through the *same* exact
-        attach/normalize arithmetic as :meth:`serve_batch` — only the
-        final classifier layer is skipped.  Under ``eval()`` dropout is
-        the identity, so embeddings are deterministic.  Returns
-        ``(embeddings, seconds, memory_bytes)``.
+        Runs the models' ``embed()`` contract through the operator
+        :meth:`serve_batch` serves — only the final classifier layer is
+        skipped.  Under ``eval()`` dropout is the identity, so embeddings
+        are deterministic.  Returns ``(embeddings, seconds, memory_bytes)``.
         """
+        return self._serve(batch, batch_mode,
+                           serves_frozen(self.model, self.deployment),
+                           classify=False)
+
+    def _serve(self, batch: IncrementalBatch, batch_mode: str, frozen: bool,
+               classify: bool = True) -> tuple[np.ndarray, float, int]:
+        """One batch through the frozen or the exact operator; without
+        ``classify``, the penultimate rows."""
         intra = self._enter_request(batch, batch_mode)
         start = time.perf_counter()
-        hops = self._linear_hops()
-        if hops:
-            hidden, memory = self._receptive_hidden(batch, intra, hops)
+        if frozen:
+            hidden, memory = self._frozen_hidden(batch, intra)
+        elif isinstance(self.model, SGC) and self.model.k_hops:
+            # Â^K X, then one classifier: only the receptive field's rows
+            hidden, memory = self._receptive_hidden(batch, intra,
+                                                    self.model.k_hops)
         else:
-            hidden, memory = self._attached_forward(
-                batch, intra, self.model.embed, "embed")
+            # dense layers see all B+n rows: the fully assembled graph
+            with stage_span("operator"):
+                operator, features, memory = self.attach_normalize(
+                    batch.incremental, batch.features, intra)
+            with stage_span("forward" if classify else "embed"), no_grad():
+                out = (self.model if classify else self.model.embed)(
+                    operator, Tensor(features))
+            # a copy, so the reply does not pin the (B+n, ·) output
+            return (out.data[self.num_base:].copy(),
+                    time.perf_counter() - start, memory)
+        if classify:
+            # the sub-spans only reach a trace when the caller installed
+            # one (use_trace); otherwise stage_span is a contextvar-read
+            # no-op
+            with stage_span("forward"), no_grad():
+                hidden = self.model.head(Tensor(hidden)).data
         return hidden, time.perf_counter() - start, memory
-
-    def _linear_hops(self) -> int:
-        """``K`` when the model is ``Â^K X`` followed by one classifier
-        (SGC) — what the receptive-field path needs — else 0."""
-        return self.model.k_hops if isinstance(self.model, SGC) else 0
-
-    def _attached_forward(self, batch: IncrementalBatch, intra, forward,
-                          span: str) -> tuple[np.ndarray, int]:
-        """``forward`` over the fully assembled attached graph — the path
-        of every model whose dense layers see all ``B+n`` rows."""
-        with stage_span("operator"):
-            operator, features, memory = self.attach_normalize(
-                batch.incremental, batch.features, intra)
-        with stage_span(span), no_grad():
-            out = forward(operator, Tensor(features))
-        # a copy, so the reply does not pin the (B+n, ·) output
-        return out.data[self.num_base:].copy(), memory
 
     def _receptive_hidden(self, batch: IncrementalBatch, intra,
                           hops: int) -> tuple[np.ndarray, int]:
@@ -690,64 +700,44 @@ class PreparedDeployment:
             self._propagated = hops
         return self._propagated
 
-    def serve_batch_frozen(self, batch: IncrementalBatch,
-                           batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
-        """Fast approximate serve: per-request work on incremental rows only.
-
-        Freezes the base-block normalization at its standalone value (the
-        classic serving approximation: arriving nodes read from the base
-        graph but do not perturb it), so the cached propagated features
-        substitute for the base-row forward.  Logits are close to — but
-        not bitwise equal to — :meth:`serve_batch`; the exact path stays
-        the default.
-
-        Each block is scaled in a single CSR traversal
-        (:func:`_fused_scale`, no materialized operator copies) and the
-        base-row gather is cache-blocked to the hop rows the batch
-        references — bitwise the same logits as the unfused products.
-        """
-        start = time.perf_counter()
-        intra = self._enter_request(batch, batch_mode)
+    def _frozen_hidden(self, batch: IncrementalBatch,
+                       intra) -> tuple[np.ndarray, int]:
+        """``h_K`` of the frozen operator for the ``n`` new rows, plus the
+        serving footprint (the module docstring's "Frozen path")."""
         hops = self.propagated_base_features()  # validates the model
         with stage_span("operator"):
             new_feats = self._request_features(batch.features)
             n = new_feats.shape[0]
             inc, inc_nnz_raw = self._converted_incremental(batch.incremental, n)
-            ea_loops, ea_nnz_raw = _intra_loops(intra, n)
-
-            # degrees of the *new* rows only; base rows keep standalone
-            # scaling
-            deg_new = (np.asarray(inc.sum(axis=1)).reshape(-1)
-                       + np.asarray(ea_loops.sum(axis=1)).reshape(-1))
-            inv_new = _inv_sqrt(deg_new)
-            nb_data = _fused_scale(inc, inv_new, self._inv_sqrt_degrees())
-            # zero-copy views share the blocks' index structure
-            op_nn = sp.csr_matrix(
-                (_fused_scale(ea_loops, inv_new, inv_new), ea_loops.indices,
-                 ea_loops.indptr), shape=(n, n))
-            cols = np.unique(inc.indices)
-            if cols.size < self.num_base:
-                # compress the column space onto the touched base rows
-                local = np.searchsorted(cols, inc.indices)
-                op_nb = sp.csr_matrix((nb_data, local, inc.indptr),
-                                      shape=(n, int(cols.size)))
+            ea_loops, ea_nnz_raw = (_intra_loops(intra, n)
+                                    if intra is not None else (None, 0))
+            # degrees of the new rows only; base rows keep standalone scaling
+            degree = _reduceat_row_sums(inc.data, inc.indptr[:-1],
+                                        np.diff(inc.indptr))
+            if ea_nnz_raw:
+                inv_new = _inv_sqrt(degree + _reduceat_row_sums(
+                    ea_loops.data, ea_loops.indptr[:-1],
+                    np.diff(ea_loops.indptr)))
+                op_nn = sp.csr_matrix(
+                    (_fused_scale(ea_loops, inv_new, inv_new),
+                     ea_loops.indices, ea_loops.indptr), shape=(n, n))
             else:
-                cols = None
-                op_nb = sp.csr_matrix((nb_data, inc.indices, inc.indptr),
-                                      shape=inc.shape)
-
+                # ea + I is the identity, never built: a row's one entry
+                # adds 1.0 to its degree and scales to (d^{-1/2} * 1) *
+                # d^{-1/2}, a row scale of the same bits
+                inv_new = _inv_sqrt(degree + 1.0)
+                loop_scale = (inv_new * inv_new)[:, None]
+            op_nb = sp.csr_matrix(
+                (_fused_scale(inc, inv_new, self._inv_sqrt_degrees()),
+                 inc.indices, inc.indptr), shape=inc.shape)
         with stage_span("propagate"):
             h = new_feats
             for k in range(self.model.k_hops):
-                # the cache-blocking gather: only the hop rows referenced
-                block = hops[k] if cols is None else hops[k][cols]
-                h = op_nb @ block + op_nn @ h
+                h = op_nb @ hops[k] + (op_nn @ h if ea_nnz_raw
+                                       else loop_scale * h)
         memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw,
                                     self.num_base + n)
-        with stage_span("forward"), no_grad():
-            logits = self.model.classifier(Tensor(h))
-        elapsed = time.perf_counter() - start
-        return logits.data, elapsed, memory
+        return h, memory
 
     # ------------------------------------------------------------------
     # Streaming evolution (incremental cache refresh)

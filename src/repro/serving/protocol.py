@@ -48,10 +48,10 @@ Wire version
 The prefix byte is ``3`` and that is the only version this build
 speaks: any other value draws a structured ``unsupported protocol
 version`` error reply and a clean close.  Version 3 removed version 2's
-per-request switch to the approximate cached-propagation operator:
-every reply comes from the deployment's exact operator, so a version-2
-peer is refused rather than silently answered through another
-operator than the one it asked for.  The serve header's optional
+per-request switch to the cached-propagation operator: every reply
+comes from the operator the deployment serves, so a version-2 peer is
+refused rather than silently answered through another operator than
+the one it asked for.  The serve header's optional
 ``task`` field (``predict`` | ``embed`` | ``link_score`` | ``topk``)
 plus the task-specific ``k`` / ``pairs`` / ``scorer`` options select
 what the reply carries; see ``docs/tasks.md``.  A header without

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from repro.condense import CondensedGraph, MCondConfig, MCondReducer
 from repro.graph import Graph, load_dataset
@@ -88,6 +89,42 @@ def _pad_incremental(batch: IncrementalBatch, width: int) -> IncrementalBatch:
 def pad_incremental():
     """``pad_incremental(batch, width) -> IncrementalBatch``."""
     return _pad_incremental
+
+
+def _isolation_requests(data, batch: IncrementalBatch) -> list:
+    """One to eight node-mode requests of one to four of ``batch``'s
+    nodes each, drawn from a hypothesis ``data`` strategy."""
+    count = data.draw(st.integers(1, 8), label="requests")
+    node = st.integers(0, batch.num_nodes - 1)
+    return [batch.subset(np.array(data.draw(
+        st.lists(node, min_size=1, max_size=4, unique=True),
+        label="nodes"))) for _ in range(count)]
+
+
+@pytest.fixture(scope="session")
+def isolation_requests():
+    """``isolation_requests(data, batch) -> [IncrementalBatch]``."""
+    return _isolation_requests
+
+
+def _assert_isolated(task: str, alone, batched) -> None:
+    """Replies served alone match the same requests served together:
+    ``embed`` bitwise; a ``predict`` reply's classifier gemm follows the
+    operand's row count, so it agrees within the 1e-12 relative bound
+    of ``docs/precision.md``."""
+    assert len(alone) == len(batched)
+    for one, many in zip(alone, batched):
+        if task == "embed":
+            assert np.array_equal(one, many)
+        else:
+            assert np.abs(one - many).max() <= 1e-12 * np.abs(many).max()
+            assert np.array_equal(one.argmax(axis=1), many.argmax(axis=1))
+
+
+@pytest.fixture(scope="session")
+def assert_isolated():
+    """``assert_isolated(task, alone, batched)``."""
+    return _assert_isolated
 
 
 @pytest.fixture(scope="session")

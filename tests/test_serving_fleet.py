@@ -3,6 +3,8 @@ failover, hot swap."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,8 @@ from repro import api
 from repro.api import DeploymentBundle
 from repro.cli import main
 from repro.errors import ArtifactError, GraphError, ServingError
-from repro.serving import (ServingFleet, replay_fleet, split_requests,
+from repro.serving import (MicroBatchScheduler, ServeTask, ServingFleet,
+                           ServingRuntime, replay_fleet, split_requests,
                            tasked_requests)
 from repro.serving.prepared import PreparedDeployment
 from repro.utils.artifacts import open_npz_archive, save_npz
@@ -189,6 +192,27 @@ class TestServingFleet:
         assert stats["completed"] == 2 * len(synthetic_requests)
         assert stats["respawns"] >= 1
 
+    def test_per_replica_served_sums_to_completed_after_respawn(
+            self, synthetic_artifact, synthetic_requests):
+        # the per-replica count lives on the slot, so a respawned replica
+        # neither forgets what the slot served before nor double counts
+        with ServingFleet(synthetic_artifact, 2,
+                          batch_mode="node") as fleet:
+            replay_fleet(fleet, synthetic_requests[:4])
+            fleet.kill_replica(0)
+            futures = [fleet.submit(r) for r in synthetic_requests[4:]]
+            assert all(f.result(timeout=120.0) is not None for f in futures)
+            deadline = time.monotonic() + 60.0
+            while (fleet.stats()["respawns"] < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            stats = fleet.stats()
+        assert stats["respawns"] >= 1
+        assert stats["per_replica"]["0"]["generation"] >= 1
+        assert stats["completed"] == len(synthetic_requests)
+        assert sum(r["served"] for r in stats["per_replica"].values()) == (
+            stats["completed"])
+
     def test_hot_swap_rolls_to_new_artifact(self, synthetic_artifact,
                                             synthetic_requests, tmp_path):
         swapped = api.deploy("tiny-sim", "mcond", 6, profile="quick")
@@ -340,6 +364,33 @@ class TestServingFleet:
         with pytest.raises(ServingError):
             api.open_fleet(bundle, replicas=1, batch_mode="banana")
         assert set(tmp.glob("repro-fleet-*.npz")) == before
+
+
+class TestRequestIsolation:
+    """A replica serves every request alone; on a synthetic SGC
+    deployment that is what the request gets inside any micro-batch."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self, synthetic_artifact):
+        with ServingFleet(synthetic_artifact, 1, batch_mode="node") as fleet:
+            yield fleet
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_fleet_reply_equals_the_micro_batched_one(
+            self, fleet, fleet_bundles, isolation_requests, assert_isolated,
+            data):
+        bundle, _ = fleet_bundles["synthetic"]
+        requests = isolation_requests(data, api.evaluation_batch(bundle))
+        runtime = ServingRuntime(bundle.prepare(),
+                                 scheduler=MicroBatchScheduler(8, 0.0),
+                                 batch_mode="node")
+        for task in ("embed", "predict"):
+            tasks = [ServeTask(request, task=task) for request in requests]
+            futures = [runtime.submit(t) for t in tasks]
+            assert runtime.run_pending() == len(tasks)
+            alone = [fleet.submit(t).result(timeout=120.0) for t in tasks]
+            assert_isolated(task, alone, [f.result() for f in futures])
 
 
 # ----------------------------------------------------------------------

@@ -284,8 +284,9 @@ def _scaled_copy(block: sp.csr_matrix, inv_row, inv_col) -> sp.csr_matrix:
 
 def _unfused_frozen(prepared: PreparedDeployment, batch: IncrementalBatch,
                     batch_mode: str) -> np.ndarray:
-    """The frozen path without the fused kernels: materialized scaled
-    block copies and full-width hop SpMVs over the whole cached hops."""
+    """The frozen path without its row-scale shortcut: materialized
+    scaled block copies, an ``ea + I`` CSR product in every batch mode,
+    and scipy's ``sum(axis=1)`` degrees."""
     n = batch.features.shape[0]
     inc, _ = prepared._converted_incremental(batch.incremental, n)
     ea_loops, _ = _intra_loops(batch.intra if batch_mode == "graph"
@@ -330,7 +331,7 @@ class TestFrozenPath:
         so a 0.5-point bound would demand frozen ≥ exact outright."""
         prepared, batch = pubmed_deployments[deployment]
         labels = np.asarray(batch.labels)
-        exact, _, _ = prepared.serve_batch(batch, batch_mode)
+        exact, _, _ = prepared.serve_batch_exact(batch, batch_mode)
         frozen, _, _ = prepared.serve_batch_frozen(batch, batch_mode)
         exact_hits = int((exact.argmax(axis=1) == labels).sum())
         frozen_hits = int((frozen.argmax(axis=1) == labels).sum())

@@ -34,6 +34,23 @@ def sgc(split):
                       seed=0)
 
 
+def _joint_oracle(model, condensed, batch, batch_mode):
+    """Eq. 11 from its definition: attach the batch through ``aM``,
+    normalize the joint graph, propagate, classify the new rows."""
+    from repro.graph.incremental import attach_to_synthetic
+    from repro.graph.ops import symmetric_normalize
+    from repro.tensor.tensor import Tensor, no_grad
+    model.eval()
+    attached = attach_to_synthetic(
+        condensed.sparse_adjacency(), condensed.features, batch.incremental,
+        batch.features, condensed.mapping,
+        batch.intra if batch_mode == "graph" else None)
+    with no_grad():
+        hidden = model.embed(symmetric_normalize(attached.adjacency),
+                             Tensor(attached.features)).data
+        return model.head(Tensor(hidden[attached.base_size:])).data
+
+
 def _servers(model, deployment, split, condensed):
     base = split.original if deployment == "original" else None
     cond = condensed if deployment == "synthetic" else None
@@ -47,15 +64,22 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("batch_mode", ("graph", "node"))
     def test_serve_batch_parity(self, sgc, split, condensed, deployment,
                                 batch_mode):
+        # on the synthetic deployment both sides serve the frozen operator
         naive, cached = _servers(sgc, deployment, split, condensed)
         batch = split.incremental_batch("test")
         logits_naive, _, memory_naive = naive.serve_batch(batch, batch_mode)
         logits_cached, _, memory_cached = cached.serve_batch(batch, batch_mode)
         assert np.array_equal(logits_naive, logits_cached)  # exact, not close
         assert memory_naive == memory_cached
+        if deployment == "synthetic":
+            joint, _, _ = cached.prepared.serve_batch_exact(batch, batch_mode)
+            assert np.array_equal(
+                joint, _joint_oracle(sgc, condensed, batch, batch_mode))
+            assert not np.array_equal(joint, logits_cached)
 
     @pytest.mark.parametrize("deployment", ("original", "synthetic"))
     def test_minibatched_run_parity(self, sgc, split, condensed, deployment):
+        # run() serves the exact Eq. 3 / Eq. 11 operator on every deployment
         naive, cached = _servers(sgc, deployment, split, condensed)
         batch = split.incremental_batch("test")
         report_naive = naive.run(batch, batch_size=16, batch_mode="graph")
@@ -63,6 +87,10 @@ class TestBitwiseParity:
         assert np.array_equal(report_naive.logits, report_cached.logits)
         assert report_naive.accuracy == report_cached.accuracy
         assert report_naive.memory_bytes == report_cached.memory_bytes
+        if deployment == "synthetic":
+            first = batch.subset(np.arange(16))
+            assert np.array_equal(report_cached.logits[:16], _joint_oracle(
+                sgc, condensed, first, "graph"))
 
     @pytest.mark.parametrize("model_name", ("gcn", "appnp"))
     def test_parity_across_architectures(self, split, condensed, model_name):
@@ -285,6 +313,8 @@ class TestReceptiveFieldServing:
     @pytest.mark.parametrize("batch_mode", ("graph", "node"))
     def test_synthetic_equals_naive_bitwise(self, split, condensed, k_hops,
                                             batch_mode):
+        # served: the frozen kernel against the uncached frozen reference;
+        # the joint Eq. 11 kernel against the test-local oracle
         model = _sgc(split.original.feature_dim, split.num_classes, k_hops)
         naive = InductiveServer(model, "synthetic", None, condensed,
                                 use_cache=False)
@@ -296,6 +326,12 @@ class TestReceptiveFieldServing:
             logits, _, served_memory = prepared.serve_batch(sub, batch_mode)
             assert np.array_equal(expected, logits), (k_hops, size)
             assert memory == served_memory
+            joint, _, joint_memory = prepared.serve_batch_exact(sub,
+                                                                batch_mode)
+            assert np.array_equal(
+                joint, _joint_oracle(model, condensed, sub, batch_mode)), (
+                    k_hops, size)
+            assert joint_memory == memory
 
     @pytest.mark.parametrize("k_hops", (1, 2, 3))
     @pytest.mark.parametrize("batch_mode", ("graph", "node"))
@@ -318,7 +354,9 @@ class TestReceptiveFieldServing:
         full_shape = PreparedDeployment(model, deployment, base, cond)
         for size in self.SIZES[1:]:
             sub = batch if size is None else batch.subset(np.arange(size))
-            reference, _, _ = naive.serve_batch(sub, batch_mode)
+            # run() is the exact reference on the synthetic deployment too
+            reference = naive.run(sub, batch_size=sub.num_nodes,
+                                  batch_mode=batch_mode).logits
             full, _ = _full_assembly(full_shape, sub, batch_mode)
             assert reference.shape == full.shape
             assert (np.abs(reference - full).max()
