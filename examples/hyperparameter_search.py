@@ -12,13 +12,14 @@ Run:  python examples/hyperparameter_search.py
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.condense import MCondConfig, MCondReducer
 from repro.graph import load_dataset, symmetric_normalize
 from repro.inference import InductiveServer
 from repro.nn import TrainConfig, make_model, train_node_classifier
-from repro.telemetry import Stopwatch, format_seconds
 
 GRID = [(k_hops, lr) for k_hops in (1, 2, 3) for lr in (0.01, 0.05, 0.2)]
 
@@ -26,20 +27,20 @@ GRID = [(k_hops, lr) for k_hops in (1, 2, 3) for lr in (0.01, 0.05, 0.2)]
 def tune(split, operator, features, labels, train_idx, validate, tag):
     """Grid-search SGC on one graph; returns (best_config, best_acc, time)."""
     best = (None, -1.0)
-    with Stopwatch() as watch:
-        for k_hops, lr in GRID:
-            model = make_model("sgc", split.original.feature_dim,
-                               split.num_classes, seed=0, k_hops=k_hops)
-            train_node_classifier(model, operator, features, labels,
-                                  train_idx,
-                                  config=TrainConfig(epochs=60, patience=60,
-                                                     lr=lr))
-            score = validate(model)
-            if score > best[1]:
-                best = ((k_hops, lr), score)
+    start = time.perf_counter()
+    for k_hops, lr in GRID:
+        model = make_model("sgc", split.original.feature_dim,
+                           split.num_classes, seed=0, k_hops=k_hops)
+        train_node_classifier(model, operator, features, labels, train_idx,
+                              config=TrainConfig(epochs=60, patience=60,
+                                                 lr=lr))
+        score = validate(model)
+        if score > best[1]:
+            best = ((k_hops, lr), score)
+    elapsed = time.perf_counter() - start
     print(f"{tag:<18} best={best[0]} val_acc={best[1]:.3f} "
-          f"total={format_seconds(watch.elapsed)}")
-    return best, watch.elapsed
+          f"total={elapsed:.2f}s")
+    return best, elapsed
 
 
 def main() -> None:
@@ -74,8 +75,7 @@ def main() -> None:
         validator_for("synthetic", condensed), "on synthetic")
 
     print(f"\ntuning speedup: {time_original / time_synthetic:.1f}x "
-          f"({format_seconds(time_original)} -> "
-          f"{format_seconds(time_synthetic)})")
+          f"({time_original:.2f}s -> {time_synthetic:.2f}s)")
 
     # Deploy the winner on the synthetic graph and report test accuracy.
     k_hops, lr = best_cfg

@@ -573,7 +573,7 @@ def open_stream(bundle: DeploymentBundle | str | Path, *,
 
 def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
                batch_mode: str = "node",
-               mmap: bool = True, telemetry: bool = True):
+               mmap: bool = True):
     """Open a multi-replica :class:`~repro.serving.fleet.ServingFleet`.
 
     ``bundle`` is normally a path to a saved artifact — each replica
@@ -607,7 +607,7 @@ def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
         artifact = Path(bundle)
     try:
         fleet = ServingFleet(artifact, replicas, batch_mode=batch_mode,
-                             mmap=mmap, telemetry=telemetry)
+                             mmap=mmap)
     except Exception:
         if owns:
             artifact.unlink(missing_ok=True)
@@ -628,8 +628,7 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
                  max_inflight: int = 256,
                  scale_policy=None,
                  autoscale_interval: float = 0.25,
-                 scale_cooldown: float = 2.0, start: bool = True,
-                 telemetry: bool = True):
+                 scale_cooldown: float = 2.0, start: bool = True):
     """Open a network :class:`~repro.serving.gateway.ServingGateway`.
 
     Builds a fleet exactly like :func:`open_fleet` and puts the TCP
@@ -656,15 +655,13 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     if shed_policy is _WATERMARK:
         # fresh per gateway: the policy holds hysteresis state
         shed_policy = WatermarkShed()
-    fleet = open_fleet(bundle, replicas, batch_mode=batch_mode, mmap=mmap,
-                       telemetry=telemetry)
+    fleet = open_fleet(bundle, replicas, batch_mode=batch_mode, mmap=mmap)
     try:
         gateway = ServingGateway(
             fleet, host=host, port=port, shed_policy=shed_policy,
             max_inflight=max_inflight, scale_policy=scale_policy,
             autoscale_interval=autoscale_interval,
-            scale_cooldown=scale_cooldown, owns_fleet=True,
-            telemetry=telemetry)
+            scale_cooldown=scale_cooldown, owns_fleet=True)
         if start:
             gateway.start()
     except Exception:

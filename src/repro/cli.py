@@ -683,7 +683,7 @@ def _cmd_serve_gateway(args) -> int:
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
-        gateway.close(drain=True)
+        gateway.close()
     stats = gateway.stats()
     print(f"drained: {stats['served']} served, {stats['shed']} shed, "
           f"{stats['errors']} errors of {stats['offered']} offered")

@@ -25,10 +25,12 @@ for.  The pieces:
   admission control with watermark load shedding, queue-driven replica
   autoscaling, and the Prometheus-scrapeable ``GET /metrics`` page.
 
-Every layer reports into :mod:`repro.telemetry`: registry-backed
-counters/gauges, the shared ``repro_stage_latency_seconds`` histogram,
-and per-request :class:`~repro.telemetry.TraceContext` stage spans
-(see README "Observability").
+The fleet and the gateway report into :mod:`repro.telemetry`:
+registry-backed counters and callback gauges, the shared
+``repro_stage_latency_seconds`` histogram, and per-request
+:class:`~repro.telemetry.TraceContext` stage spans (see
+``docs/serving.md``, "Observability").  The in-process runtime's one
+accounting is ``runtime.stats()``.
 
 Entry points: ``repro.api.open_runtime(bundle)`` for a static deployment,
 ``repro.api.open_stream(bundle)`` for one that ingests

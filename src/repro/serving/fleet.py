@@ -96,23 +96,17 @@ def _replica_worker(replica_id: int, generation: int, artifact: str,
         message = inbox.get()
         if message[0] == "stop":
             return
-        _, request_id, task, traced = message
+        _, request_id, task = message
         # dequeue timestamp: perf_counter is CLOCK_MONOTONIC on Linux, so
         # the parent can subtract its own submit stamp to get the true
         # dispatch (IPC + inbox wait) span for this request
         t_start = time.perf_counter()
         try:
-            if traced:
-                trace = TraceContext(trace_id=f"replica-{request_id}")
-                with use_trace(trace):
-                    result, seconds, _ = prepared.serve_task(
-                        task, batch_mode=task.mode or batch_mode)
-                spans = tuple((span.stage, span.seconds)
-                              for span in trace.spans)
-            else:
+            trace = TraceContext(trace_id=f"replica-{request_id}")
+            with use_trace(trace):
                 result, seconds, _ = prepared.serve_task(
                     task, batch_mode=task.mode or batch_mode)
-                spans = ()
+            spans = tuple((span.stage, span.seconds) for span in trace.spans)
             outbox.put(("done", replica_id, generation, request_id,
                         result, seconds, t_start, spans))
         except Exception as error:  # noqa: BLE001 — forwarded to the future
@@ -135,8 +129,8 @@ class FleetFuture(ServingFuture):
         super().__init__()
         self.replica_id: int | None = None
         self.attempts: int = 0
-        #: The request's :class:`~repro.telemetry.TraceContext` (``None``
-        #: with telemetry off) — complete once the future resolves.
+        #: The request's :class:`~repro.telemetry.TraceContext` —
+        #: complete once the future resolves.
         self.trace: TraceContext | None = None
 
 
@@ -148,10 +142,10 @@ class _Pending:
     task: ServeTask
     future: FleetFuture
     submitted_at: float
+    trace: TraceContext
+    owns_trace: bool  # fleet (not a gateway) finishes + logs it
     replica_id: int | None = None
     attempts: int = 0
-    trace: TraceContext | None = None
-    owns_trace: bool = False  # fleet (not a gateway) finishes + logs it
 
 
 @dataclass
@@ -313,14 +307,11 @@ class ServingFleet:
         ``"graph"`` or ``"node"`` — fixed per fleet, like a runtime.
     mmap:
         Memory-map the artifact in every replica (zero-copy load).
-    telemetry:
-        Stamp a :class:`~repro.telemetry.TraceContext` on every request
-        (per-stage spans, slow-request ring) and feed the per-stage
-        latency histograms.  Off, only the exact volume counters and the
-        wall-latency window remain — the uninstrumented baseline the
-        telemetry-overhead gate compares against.  The fleet reports
-        into its own :class:`~repro.telemetry.MetricsRegistry`,
-        ``fleet.metrics``.
+
+    Every request carries a :class:`~repro.telemetry.TraceContext`
+    (per-stage spans, slow-request ring) and feeds the per-stage latency
+    histograms of the fleet's :class:`~repro.telemetry.MetricsRegistry`,
+    ``fleet.metrics``.
 
     The constructor returns once every replica is ready, or raises after
     two minutes.  A request fails after three dispatch attempts (failover
@@ -331,8 +322,7 @@ class ServingFleet:
     _POLL_SECONDS = 0.02
 
     def __init__(self, artifact: str | Path, replicas: int = 2, *,
-                 batch_mode: str = "node", mmap: bool = True,
-                 telemetry: bool = True) -> None:
+                 batch_mode: str = "node", mmap: bool = True) -> None:
         if batch_mode not in ("graph", "node"):
             raise ServingError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
@@ -347,11 +337,10 @@ class ServingFleet:
         #: Set by ``api.open_fleet`` when it persisted a temp artifact for
         #: an in-memory bundle; ``close`` then removes the file.
         self.owns_artifact = False
-        self.telemetry = bool(telemetry)
         self.metrics = MetricsRegistry()
         self.trace_log = TraceLog()
-        # the volume counters are registry-backed (and exact regardless
-        # of the telemetry flag); completed/failed/rerouted read them back
+        # the volume counters are registry-backed; completed/failed/
+        # rerouted read them back
         self._requests_total = self.metrics.counter(
             "repro_fleet_requests_total",
             "Requests resolved by the fleet, by terminal outcome.",
@@ -421,17 +410,15 @@ class ServingFleet:
         type, mode override, top-k depth, link pairs).  A caller that
         already opened a trace (the gateway) passes it via ``trace``
         and stays responsible for finishing it; otherwise the fleet
-        stamps its own (when ``telemetry`` is on) and completes it into
-        its slow-request ring.
+        stamps its own and completes it into its slow-request ring.
         """
         if not isinstance(task, ServeTask):
             raise ServingError(
                 f"submit expects a ServeTask, got {type(task).__name__}")
-        owns_trace = False
-        if trace is None and self.telemetry:
+        owns_trace = trace is None
+        if owns_trace:
             trace = TraceContext(labels={"mode": task.mode or self.batch_mode,
                                          "task": task.task})
-            owns_trace = True
         entry = _Pending(request_id=next(self._request_ids), task=task,
                          future=FleetFuture(),
                          submitted_at=time.perf_counter(),
@@ -471,8 +458,7 @@ class ServingFleet:
         entry.replica_id = replica_id
         entry.attempts += 1
         replica.inflight.add(entry.request_id)
-        replica.inbox.put(("serve", entry.request_id, entry.task,
-                           self.telemetry and entry.trace is not None))
+        replica.inbox.put(("serve", entry.request_id, entry.task))
 
     def _fail_entry(self, entry: _Pending, error: ServingError) -> None:
         """Terminal failure of one request (caller holds the lock)."""
@@ -534,23 +520,21 @@ class ServingFleet:
                     # shared-monotonic, but paranoia is free)
                     dispatch = max(t_start - entry.submitted_at, 0.0)
                     collect = max(wall - dispatch - compute_seconds, 0.0)
-                    if self.telemetry:
-                        self._stage_latency.observe(
-                            dispatch, component="fleet", stage="dispatch")
-                        self._stage_latency.observe(
-                            compute_seconds, component="fleet", stage="serve")
-                        self._stage_latency.observe(
-                            collect, component="fleet", stage="collect")
-                    if entry.trace is not None:
-                        trace = entry.trace
-                        trace.labels.setdefault("replica", str(replica_id))
-                        trace.add_stage("dispatch", dispatch)
-                        trace.add_stage("serve", compute_seconds)
-                        for stage, seconds in worker_spans:
-                            trace.add_stage(f"serve.{stage}", seconds)
-                        trace.add_stage("collect", collect)
-                        if entry.owns_trace:
-                            self.trace_log.observe(trace)
+                    self._stage_latency.observe(
+                        dispatch, component="fleet", stage="dispatch")
+                    self._stage_latency.observe(
+                        compute_seconds, component="fleet", stage="serve")
+                    self._stage_latency.observe(
+                        collect, component="fleet", stage="collect")
+                    trace = entry.trace
+                    trace.labels.setdefault("replica", str(replica_id))
+                    trace.add_stage("dispatch", dispatch)
+                    trace.add_stage("serve", compute_seconds)
+                    for stage, seconds in worker_spans:
+                        trace.add_stage(f"serve.{stage}", seconds)
+                    trace.add_stage("collect", collect)
+                    if entry.owns_trace:
+                        self.trace_log.observe(trace)
                     entry.future.replica_id = replica_id
                     entry.future.attempts = entry.attempts
                     entry.future._resolve(logits, RequestRecord(
@@ -764,31 +748,6 @@ class ServingFleet:
             if time.monotonic() > deadline:
                 raise ServingError(f"fleet did not drain within {timeout}s")
             time.sleep(self._POLL_SECONDS)
-
-    def reset_latencies(self, *, counters: bool = False) -> None:
-        """Drop the recorded wall latencies (e.g. after cache warm-up),
-        so :meth:`stats` percentiles reflect steady-state serving only.
-
-        Everything latency-shaped resets together: the wall-latency
-        window, the per-stage histograms, and the slow-request trace
-        ring — they are three views of the same measurement epoch.
-        In-flight requests keep their (already-stamped) traces and simply
-        complete into the fresh window.
-
-        The volume counters reset independently: by default the
-        completed/failed/rerouted totals (and per-replica served counts)
-        survive, so excluding warm-up traffic from the percentiles does
-        not erase the request accounting the shed/scale gates audit.
-        Pass ``counters=True`` to zero those too (a full
-        measurement-epoch reset, e.g. between benchmark phases).
-        """
-        with self._lock:
-            self._latencies.clear()
-            self.trace_log.clear()
-            self._stage_latency.clear()
-            if counters:
-                self._requests_total.clear()
-                self._replica_served.clear()
 
     def stats(self) -> dict:
         """JSON-ready fleet accounting: volume, failover, tail latency."""

@@ -200,14 +200,13 @@ class ServingGateway:
     owns_fleet:
         When set (``api.open_gateway``), :meth:`close` also closes the
         fleet.
-    telemetry:
-        Stamp a :class:`~repro.telemetry.TraceContext` on every admitted
-        request (per-stage spans through the fleet, slow-request ring,
-        stage breakdown echoed on the reply frame) and feed the
-        per-stage histograms.  The exact offered/served/shed/errors
-        counters report either way, into the gateway's own
-        :class:`~repro.telemetry.MetricsRegistry`, ``gateway.metrics``;
-        ``GET /metrics`` merges it with the fleet's.
+
+    Every admitted request carries a :class:`~repro.telemetry.TraceContext`
+    (per-stage spans through the fleet, slow-request ring, stage
+    breakdown echoed on the reply frame).  The offered/served/shed/errors
+    counters and the per-stage histograms live in the gateway's own
+    :class:`~repro.telemetry.MetricsRegistry`, ``gateway.metrics``;
+    ``GET /metrics`` merges it with the fleet's.
     """
 
     def __init__(self, fleet: ServingFleet, *, host: str = "127.0.0.1",
@@ -216,7 +215,7 @@ class ServingGateway:
                  scale_policy: QueueDepthScale | None = None,
                  autoscale_interval: float = 0.25,
                  scale_cooldown: float = 2.0,
-                 owns_fleet: bool = False, telemetry: bool = True) -> None:
+                 owns_fleet: bool = False) -> None:
         if max_inflight <= 0:
             raise ServingError(
                 f"max_inflight must be positive, got {max_inflight}")
@@ -240,7 +239,6 @@ class ServingGateway:
         #: the hard backstop behind the soft shed policy
         self._admission = BoundedRequestQueue(capacity=max_inflight,
                                               overflow="reject")
-        self.telemetry = bool(telemetry)
         self.metrics = MetricsRegistry()
         self.trace_log = TraceLog()
         # registry-backed counters, written on the event-loop thread only;
@@ -360,8 +358,8 @@ class ServingGateway:
         of every ``scale_events`` entry's ``t_s``."""
         return self._started_at
 
-    def close(self, drain: bool = True, timeout: float = 60.0) -> None:
-        """Stop the gateway; by default answers admitted requests first.
+    def close(self, timeout: float = 60.0) -> None:
+        """Stop the gateway after answering the admitted requests.
 
         The drain sequence (also what SIGTERM triggers in the CLI):
         stop accepting connections, shed any new ``serve`` frames from
@@ -377,7 +375,7 @@ class ServingGateway:
             self._autoscaler.join(timeout=10.0)
         if self._loop is not None:
             future = asyncio.run_coroutine_threadsafe(
-                self._shutdown(drain, timeout), self._loop)
+                self._shutdown(timeout), self._loop)
             try:
                 future.result(timeout=timeout + 10.0)
             except Exception:  # noqa: BLE001 — tear the loop down anyway
@@ -385,16 +383,15 @@ class ServingGateway:
             self._stop_loop()
         self._admission.close()
         if self.owns_fleet:
-            self.fleet.close(drain=drain)
+            self.fleet.close()
 
-    async def _shutdown(self, drain: bool, timeout: float) -> None:
+    async def _shutdown(self, timeout: float) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if drain:
-            deadline = self._loop.time() + timeout
-            while len(self._admission) and self._loop.time() < deadline:
-                await asyncio.sleep(0.01)
+        deadline = self._loop.time() + timeout
+        while len(self._admission) and self._loop.time() < deadline:
+            await asyncio.sleep(0.01)
         for connection in list(self._connections):
             connection.outbox.put_nowait(None)
         # the sentinel makes each writer flush and close its transport,
@@ -527,19 +524,17 @@ class ServingGateway:
                              retry_after_ms=self._fallback_retry_ms(),
                              policy="capacity")
             return
-        trace = None
-        if self.telemetry:
-            # the admission span covers decode + shed decision + the
-            # queue token; the fleet adds dispatch/serve/collect, and
-            # _complete closes with the reply span
-            trace = TraceContext(
-                trace_id=request.task.trace_id,
-                labels={"mode": request.task.mode or self.fleet.batch_mode,
-                        "task": request.task.task})
-            admission = time.perf_counter() - admitted_at
-            trace.add_stage("admission", admission)
-            self._stage_latency.observe(
-                admission, component="gateway", stage="admission")
+        # the admission span covers decode + shed decision + the queue
+        # token; the fleet adds dispatch/serve/collect, and _complete
+        # closes with the reply span
+        trace = TraceContext(
+            trace_id=request.task.trace_id,
+            labels={"mode": request.task.mode or self.fleet.batch_mode,
+                    "task": request.task.task})
+        admission = time.perf_counter() - admitted_at
+        trace.add_stage("admission", admission)
+        self._stage_latency.observe(
+            admission, component="gateway", stage="admission")
         try:
             future = self.fleet.submit(request.task, trace=trace)
         except ServingError as error:
@@ -571,7 +566,7 @@ class ServingGateway:
                   request: "protocol.ServeRequest", future) -> None:
         """A fleet future resolved — encode and enqueue the reply."""
         self._admission.get_nowait()
-        trace = getattr(future, "trace", None)
+        trace = future.trace
         try:
             logits = future.result(timeout=0)
         except ServingError as error:
@@ -579,35 +574,25 @@ class ServingGateway:
             connection.outbox.put_nowait(protocol.encode_reply(
                 request.request_id, "error", error=str(error),
                 replica_id=future.replica_id, attempts=future.attempts))
-            if trace is not None:
-                self.trace_log.observe(trace)
+            self.trace_log.observe(trace)
             return
-        record = future.record
         self._requests_total.inc(outcome="served")
-        trace_id = None
-        stages_ms = None
         reply_started = time.perf_counter()
-        if trace is not None:
-            # the wire breakdown carries the stages known before the
-            # reply is encoded; the reply span itself lands in the
-            # histogram and the retained trace
-            trace_id = trace.trace_id
-            stages_ms = {stage: seconds * 1e3
-                         for stage, seconds in trace.stages().items()}
+        # the wire breakdown carries the stages known before the reply
+        # is encoded; the reply span itself lands in the histogram and
+        # the retained trace
+        stages_ms = {stage: seconds * 1e3
+                     for stage, seconds in trace.stages().items()}
         connection.outbox.put_nowait(protocol.encode_reply(
             request.request_id, "ok", logits=logits,
             replica_id=future.replica_id, attempts=future.attempts,
-            compute_ms=None if record is None
-            else record.compute_seconds * 1e3,
+            compute_ms=future.record.compute_seconds * 1e3,
             encoding=request.encoding,
-            trace_id=trace_id, stages=stages_ms))
-        if trace is not None:
-            reply = time.perf_counter() - reply_started
-            trace.add_stage("reply", reply)
-            self._stage_latency.observe(
-                reply, component="gateway", stage="reply")
-            trace.finish()
-            self.trace_log.observe(trace)
+            trace_id=trace.trace_id, stages=stages_ms))
+        reply = time.perf_counter() - reply_started
+        trace.add_stage("reply", reply)
+        self._stage_latency.observe(reply, component="gateway", stage="reply")
+        self.trace_log.observe(trace)
 
     # ------------------------------------------------------------------
     # HTTP probes

@@ -17,13 +17,15 @@ Two execution modes share the same batching/serving code path:
   parity tests and the closed-loop benchmark.
 
 Requests coalesced into one micro-batch are merged with
-:func:`merge_requests`; the served logits are bitwise identical to
-serving the merged batch through ``InductiveServer`` directly (parity
-tests assert this for both deployments and both batch modes).  Note the
-guarantee is *per merged batch*: as with any serving batch size in this
-engine, which requests share a batch affects the augmented graph's
-degrees and therefore the logits slightly — under the threaded loop,
-batch composition depends on arrival timing.
+:func:`merge_requests` and served in one pass.  A synthetic SGC
+deployment serves the frozen operator, which never re-normalizes the
+base around batch-mates: a node-mode request's embedding is bitwise
+what it gets served alone and its logits agree to 1e-12 relative,
+whatever shares its batch.  Every other deployment (the original graph,
+or a model other than SGC) is exact *per merged batch*: which requests
+share a batch moves the augmented graph's degrees and therefore the
+logits slightly, and under the threaded loop batch composition depends
+on arrival timing.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from repro.serving.embeddings import ServeTask
 from repro.serving.prepared import DeltaRefreshReport, PreparedDeployment
 from repro.serving.queue import BoundedRequestQueue, QueueFullError
 from repro.serving.stats import LatencyAccounting, RequestRecord, RuntimeStats
-from repro.telemetry import MetricsRegistry, TraceContext, TraceLog
 
 __all__ = ["ServingRuntime", "MicroBatchScheduler", "ServingFuture",
            "IngestFuture", "Request", "merge_requests"]
@@ -153,7 +154,6 @@ class Request:
     intra: sp.csr_matrix | None
     future: ServingFuture = field(default_factory=ServingFuture)
     enqueued_at: float = 0.0
-    trace: TraceContext | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -291,21 +291,17 @@ class ServingRuntime:
     queue_capacity / overflow:
         Bounded admission queue configuration; see
         :class:`~repro.serving.queue.BoundedRequestQueue`.
-    telemetry:
-        Feed the per-stage latency histograms
-        (``repro_stage_latency_seconds{component="runtime"}``); the
-        exact ``repro_runtime_requests_total`` counters report either
-        way.  Traces are never auto-created here — a caller that wants
-        one passes it to :meth:`submit`.  The runtime reports into its
-        own :class:`~repro.telemetry.MetricsRegistry`, ``runtime.metrics``.
+
+    :meth:`stats` is the runtime's one accounting: every well-formed
+    submitted request ends in it exactly once, as served, failed, or
+    rejected at a full queue.
     """
 
     def __init__(self, prepared: PreparedDeployment,
                  scheduler: MicroBatchScheduler | str = "microbatch",
                  *, batch_mode: str = "graph", queue_capacity: int = 1024,
                  overflow: str = "block",
-                 scheduler_options: dict | None = None,
-                 telemetry: bool = True) -> None:
+                 scheduler_options: dict | None = None) -> None:
         if batch_mode not in ("graph", "node"):
             raise InferenceError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
@@ -321,21 +317,6 @@ class ServingRuntime:
         self.batch_mode = batch_mode
         self.queue = BoundedRequestQueue(queue_capacity, overflow)
         self.accounting = LatencyAccounting()
-        self.telemetry = bool(telemetry)
-        self.metrics = MetricsRegistry()
-        self.trace_log = TraceLog()
-        self._requests_total = self.metrics.counter(
-            "repro_runtime_requests_total",
-            "Requests resolved by the runtime, by terminal outcome.",
-            ("outcome",))
-        self.metrics.gauge(
-            "repro_runtime_queue_depth",
-            "Requests waiting in the runtime's admission queue.",
-            callback=lambda: len(self.queue))
-        self._stage_latency = self.metrics.histogram(
-            "repro_stage_latency_seconds",
-            "Per-stage request latency across the serving layers.",
-            ("component", "stage"))
         self._serve_lock = threading.Lock()
         self._thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -365,15 +346,14 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(self, task: ServeTask, timeout: float | None = None,
-               trace: TraceContext | None = None) -> ServingFuture:
+    def submit(self, task: ServeTask,
+               timeout: float | None = None) -> ServingFuture:
         """Admit one :class:`~repro.serving.embeddings.ServeTask`; returns
         its :class:`ServingFuture`.
 
         The task carries the batch plus the task type and every
-        per-request option.  Pass a ``trace`` to collect the request's
-        ``queue_wait``/``assembly``/``serve`` stage spans.  A malformed
-        request raises :class:`ServingError` before anything is enqueued.
+        per-request option.  A malformed request raises
+        :class:`ServingError` before anything is enqueued.
         """
         if not isinstance(task, ServeTask):
             raise ServingError(
@@ -384,12 +364,10 @@ class ServingRuntime:
                 f"the request asked for mode={task.mode!r}")
         request = self._build_request(task)
         request.enqueued_at = time.perf_counter()
-        request.trace = trace
         try:
             self.queue.put(request, timeout=timeout)
         except QueueFullError:
             self.accounting.observe_rejection()
-            self._requests_total.inc(outcome="rejected")
             request.future._fail(ServingError(
                 "request rejected: serving queue is full"))
         return request.future
@@ -520,10 +498,10 @@ class ServingRuntime:
         """
         with self._serve_lock:
             self._apply_pending_deltas()
-            batch, assembly_seconds = self._collect(timeout)
+            batch = self._collect(timeout)
             if not batch:
                 return 0
-            self._execute(batch, assembly_seconds)
+            self._execute(batch)
             return len(batch)
 
     def run_pending(self) -> int:
@@ -535,17 +513,12 @@ class ServingRuntime:
                 return total
             total += served
 
-    def _collect(self, timeout: float | None) -> tuple[list[Request], float]:
-        """Form one micro-batch; returns ``(batch, assembly_seconds)``.
-
-        Assembly time runs from the first dequeue to the batch closing —
-        the micro-batch coalescing wait the scheduler trades against
-        batching efficiency (the runtime's ``assembly`` stage).
-        """
+    def _collect(self, timeout: float | None) -> list[Request]:
+        """Form one micro-batch: the first request plus every companion
+        that arrives before the scheduler's deadline or size cap."""
         first = self.queue.get(timeout=timeout)
         if first is None:
-            return [], 0.0
-        assembly_started = time.perf_counter()
+            return []
         batch = [first]
         deadline = self.scheduler.deadline(first.enqueued_at)
         while not self.scheduler.full(len(batch)):
@@ -557,7 +530,7 @@ class ServingRuntime:
             if nxt is None:
                 break
             batch.append(nxt)
-        return batch, time.perf_counter() - assembly_started
+        return batch
 
     def _check_request_widths(self, requests: list[Request]) -> list[Request]:
         """The requests of the batch the current base width can serve.
@@ -584,26 +557,18 @@ class ServingRuntime:
                     f"an ingested delta that failed to apply (current "
                     f"width {width})"))
                 self.accounting.observe_failure(1)
-                self._requests_total.inc(outcome="failed")
                 continue
             kept.append(request)
         return kept
 
-    def _execute(self, requests: list[Request],
-                 assembly_seconds: float = 0.0) -> None:
+    def _execute(self, requests: list[Request]) -> None:
         try:
             requests = self._check_request_widths(requests)
         except Exception as error:  # noqa: BLE001 — forwarded to futures
             for request in requests:
                 request.future._fail(error)
             self.accounting.observe_failure(len(requests))
-            self._requests_total.inc(len(requests), outcome="failed")
             return
-        if not requests:
-            return
-        if self.telemetry:
-            self._stage_latency.observe(
-                assembly_seconds, component="runtime", stage="assembly")
         # one forward per execution signature: requests of the same task
         # (and task options) coalesce exactly as before — a micro-batch
         # of only predict requests takes the identical merged path the
@@ -614,7 +579,7 @@ class ServingRuntime:
             key = (task.task, task.k, task.scorer)
             groups.setdefault(key, []).append(request)
         for group in groups.values():
-            self._execute_group(group, assembly_seconds)
+            self._execute_group(group)
 
     def _merged_task(self, requests: list[Request]) -> ServeTask:
         """The group's merged :class:`ServeTask` (shared task options),
@@ -639,8 +604,7 @@ class ServingRuntime:
         return ServeTask(batch=merged, task=proto.task, k=proto.k,
                          pairs=pairs, scorer=proto.scorer)
 
-    def _execute_group(self, requests: list[Request],
-                       assembly_seconds: float) -> None:
+    def _execute_group(self, requests: list[Request]) -> None:
         started = time.perf_counter()
         try:
             task = self._merged_task(requests)
@@ -650,37 +614,23 @@ class ServingRuntime:
             for request in requests:
                 request.future._fail(error)
             self.accounting.observe_failure(len(requests))
-            self._requests_total.inc(len(requests), outcome="failed")
             return
         finished = time.perf_counter()
         # the group's wall span: the merge and dispatch count as compute
         compute_seconds = finished - started
-        if self.telemetry:
-            self._stage_latency.observe(
-                compute_seconds, component="runtime", stage="serve")
         records = []
         offset = 0
         for request in requests:
             rows = result[offset:offset + request.result_rows]
             offset += request.result_rows
-            queue_wait = max(started - request.enqueued_at, 0.0)
-            if self.telemetry:
-                self._stage_latency.observe(
-                    queue_wait, component="runtime", stage="queue_wait")
-            if request.trace is not None:
-                request.trace.add_stage("queue_wait", queue_wait)
-                request.trace.add_stage("assembly", assembly_seconds)
-                request.trace.add_stage("serve", compute_seconds)
-                self.trace_log.observe(request.trace)
             record = RequestRecord(
                 num_nodes=request.num_nodes,
-                queue_seconds=queue_wait,
+                queue_seconds=max(started - request.enqueued_at, 0.0),
                 compute_seconds=compute_seconds,
                 batch_size=len(requests))
             records.append(record)
             request.future._resolve(rows, record)
         self.accounting.observe_batch(records, started, finished)
-        self._requests_total.inc(len(requests), outcome="served")
 
     # ------------------------------------------------------------------
     # Lifecycle (threaded mode)
@@ -704,25 +654,19 @@ class ServingRuntime:
             self.step(timeout=0.05)
         self.run_pending()  # drain what was admitted before shutdown
 
-    def stop(self, drain: bool = True) -> None:
-        """Close admissions and stop the loop; drains the queue by default.
+    def stop(self) -> None:
+        """Close admissions, stop the loop, and drain what was admitted.
 
-        Draining also applies admitted deltas; without draining their
-        :class:`IngestFuture`\\ s are failed so no waiter blocks forever.
+        Every queued request is served and every ingested delta applied,
+        so each future resolves and :meth:`stats` accounts for every
+        request.
         """
         self.queue.close()
         self._stopping.set()
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        if drain:
-            self.run_pending()
-        else:
-            with self._delta_lock:
-                abandoned, self._pending_deltas = self._pending_deltas, []
-            for _, future in abandoned:
-                future._fail(ServingError(
-                    "runtime stopped before the delta was applied"))
+        self.run_pending()
 
     def __enter__(self) -> "ServingRuntime":
         return self.start()

@@ -9,10 +9,10 @@ throughput.  Quantiles come from :func:`latency_percentiles`, which the
 fleet's stats page shares, so every latency report in the repo
 interpolates the same way.
 
-This module predates :mod:`repro.telemetry` and stays the exact-sample
-view (true percentiles over a sliding window); the telemetry histograms
-(``repro_stage_latency_seconds``, fixed buckets) are the scrapeable
-approximation of the same latencies.  The runtime feeds both.
+This is the runtime's only accounting: exact counters plus true
+percentiles over a sliding window.  The fleet and the gateway, which
+serve ``GET /metrics``, additionally feed the fixed-bucket
+``repro_stage_latency_seconds`` histograms of :mod:`repro.telemetry`.
 """
 
 from __future__ import annotations

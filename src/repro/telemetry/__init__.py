@@ -1,21 +1,20 @@
-"""End-to-end observability: metrics registry plus request tracing.
+"""Observability of the networked serving tiers: metrics plus tracing.
 
-The serving stack spans five layers (gateway → fleet → replica →
-runtime → prepared caches); this package is the stdlib-only measurement
-substrate threaded through all of them:
+The gateway and the fleet measure every request they handle, and
+``GET /metrics``, ``GET /stats``, ``repro top`` and the reply frame's
+``stages`` read what they measure.  The in-process
+:class:`~repro.serving.runtime.ServingRuntime` keeps only its exact
+``stats()`` accounting.  This package is the stdlib-only substrate:
 
-- :mod:`~repro.telemetry.metrics` — thread-safe counters, gauges, and
-  fixed-bucket histograms with labels, rendered in Prometheus text
-  exposition format (the gateway's ``GET /metrics``) and parsed back
-  (``repro top``, CI smoke assertions);
+- :mod:`~repro.telemetry.metrics` — thread-safe counters, callback
+  gauges and fixed-bucket histograms with labels, rendered in Prometheus
+  text exposition format (the gateway's ``GET /metrics``) and parsed
+  back (``repro top``, CI smoke assertions);
 - :mod:`~repro.telemetry.tracing` — per-request
   :class:`TraceContext` stage spans (admission / dispatch / serve /
-  collect / reply), contextvar-carried through deep layers, collected
-  into per-stage histograms and a bounded :class:`TraceLog` ring of
-  slow-request traces;
-- :mod:`~repro.telemetry.timers` — :class:`Stopwatch` /
-  :func:`format_seconds` (formerly ``repro.utils.timers``), now able to
-  report into the stage-span API.
+  collect / reply), contextvar-carried into the replica's
+  ``prepared.serve_task`` for its ``serve.*`` sub-spans, and a bounded
+  :class:`TraceLog` ring of completed traces.
 """
 
 from repro.telemetry.metrics import (
@@ -30,27 +29,19 @@ from repro.telemetry.metrics import (
     render_exposition,
 )
 from repro.telemetry.tracing import (
-    GATEWAY_STAGES,
-    RUNTIME_STAGES,
     StageSpan,
     TraceContext,
     TraceLog,
-    current_trace,
     new_trace_id,
-    record_stage,
     stage_span,
     use_trace,
 )
-from repro.telemetry.timers import Stopwatch, format_seconds
 
 __all__ = [
     "TelemetryError",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "render_exposition", "parse_exposition", "histogram_quantile",
-    "GATEWAY_STAGES", "RUNTIME_STAGES",
     "StageSpan", "TraceContext", "TraceLog",
-    "new_trace_id", "current_trace", "use_trace", "record_stage",
-    "stage_span",
-    "Stopwatch", "format_seconds",
+    "new_trace_id", "use_trace", "stage_span",
 ]

@@ -1,16 +1,17 @@
 """Thread-safe metrics registry with Prometheus text exposition.
 
-The registry is the measurement substrate every serving layer reports
-into: counters for volumes, gauges for levels, fixed-bucket histograms
-for latencies.  Metrics optionally carry a labels dimension (``mode``,
-``replica``, ``policy``, ``stage``, ``tenant``, ...) so one series name
-covers a family of label sets, exactly like Prometheus client libraries.
+The registry is the measurement substrate the gateway and the fleet
+report into: counters for volumes, callback gauges for levels,
+fixed-bucket histograms for latencies.  Counters and histograms
+optionally carry a labels dimension (``outcome``, ``replica``,
+``policy``, ``stage``, ...) so one series name covers a family of label
+sets, exactly like Prometheus client libraries.
 
 Naming convention (applies repo-wide; see README "Observability"):
 
 - every series is ``repro_<component>_<what>[_total|_seconds]`` —
   component is the serving layer that owns the number (``gateway``,
-  ``fleet``, ``runtime``);
+  ``fleet``);
 - counters end in ``_total``, durations are base-unit ``_seconds``;
 - the shared per-stage latency histogram is
   ``repro_stage_latency_seconds{component,stage}`` so one query shape
@@ -119,11 +120,6 @@ class Metric:
     def _labels_of(self, key: tuple[str, ...]) -> dict[str, str]:
         return dict(zip(self.labelnames, key))
 
-    def clear(self) -> None:
-        """Drop every child (a measurement-epoch reset)."""
-        with self._lock:
-            self._children.clear()
-
     def samples(self) -> list[tuple[str, dict, float]]:
         """Flat exposition samples: ``(sample_name, labels, value)``."""
         raise NotImplementedError
@@ -164,57 +160,24 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A level that moves both ways (in-flight requests, replica count).
+    """A level read at collection time (in-flight requests, replica count).
 
-    A label-less gauge may instead carry a ``callback`` evaluated at
-    collection time — the idiomatic way to expose a value that already
-    lives somewhere (queue depth, pool size) without update churn.
+    The ``callback`` is evaluated on every read — the idiomatic way to
+    expose a value that already lives somewhere (queue depth, pool size)
+    without update churn.  A gauge carries no labels.
     """
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str,
-                 labelnames: tuple[str, ...] = (), *,
-                 callback=None) -> None:
-        super().__init__(name, help, labelnames)
-        if callback is not None and labelnames:
-            raise TelemetryError(
-                f"gauge {name!r}: a callback gauge cannot carry labels")
+    def __init__(self, name: str, help: str, *, callback) -> None:
+        super().__init__(name, help)
         self.callback = callback
 
-    def set(self, value: float, **labels) -> None:
-        if self.callback is not None:
-            raise TelemetryError(
-                f"gauge {self.name!r} is callback-driven; cannot set()")
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        if self.callback is not None:
-            raise TelemetryError(
-                f"gauge {self.name!r} is callback-driven; cannot inc()")
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = self._children.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels) -> float:
-        if self.callback is not None:
-            return float(self.callback())
-        key = self._key(labels)
-        with self._lock:
-            return float(self._children.get(key, 0.0))
+    def value(self) -> float:
+        return float(self.callback())
 
     def samples(self) -> list[tuple[str, dict, float]]:
-        if self.callback is not None:
-            return [(self.name, {}, float(self.callback()))]
-        with self._lock:
-            children = dict(self._children)
-        return [(self.name, self._labels_of(key), float(value))
-                for key, value in sorted(children.items())]
+        return [(self.name, {}, self.value())]
 
 
 class _HistogramChild:
@@ -316,8 +279,8 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[str, Metric] = {}
 
-    def _get_or_create(self, cls, name: str, help: str,
-                       labelnames: tuple[str, ...], **kwargs) -> Metric:
+    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
+        labelnames = tuple(kwargs.get("labelnames", ()))
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -325,30 +288,28 @@ class MetricsRegistry:
                     raise TelemetryError(
                         f"metric {name!r} already registered as "
                         f"{existing.kind}, not {cls.kind}")
-                if existing.labelnames != tuple(labelnames):
+                if existing.labelnames != labelnames:
                     raise TelemetryError(
                         f"metric {name!r} already registered with labels "
-                        f"{existing.labelnames}, not {tuple(labelnames)}")
+                        f"{existing.labelnames}, not {labelnames}")
                 return existing
-            metric = cls(name, help, tuple(labelnames), **kwargs)
+            metric = cls(name, help, **kwargs)
             self._metrics[name] = metric
             return metric
 
     def counter(self, name: str, help: str,
                 labelnames: tuple[str, ...] = ()) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames)
+        return self._get_or_create(Counter, name, help,
+                                   labelnames=labelnames)
 
-    def gauge(self, name: str, help: str,
-              labelnames: tuple[str, ...] = (), *,
-              callback=None) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames,
-                                   callback=callback)
+    def gauge(self, name: str, help: str, *, callback) -> Gauge:
+        return self._get_or_create(Gauge, name, help, callback=callback)
 
     def histogram(self, name: str, help: str,
                   labelnames: tuple[str, ...] = (),
                   buckets: tuple[float, ...] | None = None) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labelnames,
-                                   buckets=buckets)
+        return self._get_or_create(Histogram, name, help,
+                                   labelnames=labelnames, buckets=buckets)
 
     def get(self, name: str) -> Metric | None:
         with self._lock:
@@ -357,12 +318,6 @@ class MetricsRegistry:
     def metrics(self) -> list[Metric]:
         with self._lock:
             return list(self._metrics.values())
-
-    def clear_histograms(self) -> None:
-        """Reset every histogram's observations (latency-window reset)."""
-        for metric in self.metrics():
-            if isinstance(metric, Histogram):
-                metric.clear()
 
     def render(self) -> str:
         return render_exposition(self)

@@ -1,12 +1,11 @@
 """Per-request stage tracing across the serving layers.
 
 A :class:`TraceContext` is stamped where a request enters the system
-(gateway admission, or fleet/runtime submit), carried by reference
-through the layers that touch the request — the frame protocol header
-contributes the trace id, the fleet dispatch pickle tells the replica
-worker to time its sub-stages — and accumulates one
-:class:`StageSpan` per serving stage.  The canonical gateway-path
-stages, in request order:
+(gateway admission, or fleet submit), carried by reference through the
+layers that touch the request — the frame protocol header contributes
+the trace id, and the replica worker times its sub-stages under a trace
+of its own — and accumulates one :class:`StageSpan` per serving stage.
+The gateway-path stages, in request order:
 
 - ``admission``  — gateway: decode + shed decision + admission queue;
 - ``dispatch``   — fleet: submit → the replica worker dequeues (IPC +
@@ -17,13 +16,11 @@ stages, in request order:
 - ``collect``    — fleet: worker reply → parent resolves the future;
 - ``reply``      — gateway: encode + enqueue the reply frame.
 
-The in-process runtime path records ``queue_wait``/``assembly``/
-``serve`` instead.  Within one thread the *current* trace travels in a
-:mod:`contextvars` variable so deep layers (``prepared.serve_batch``)
-can contribute sub-spans without threading a handle through every
-signature: :func:`use_trace` installs it, :func:`stage_span` /
-:func:`record_stage` write through it, and both are no-ops when no
-trace is active — the uninstrumented fast path stays allocation-free.
+Within one thread the *current* trace travels in a :mod:`contextvars`
+variable so deep layers (``prepared.serve_batch``) can contribute
+sub-spans without threading a handle through every signature:
+:func:`use_trace` installs it and :func:`stage_span` writes through it;
+without an active trace a span does nothing.
 
 Completed traces land in a :class:`TraceLog`: a bounded ring with
 ``slowest(n)`` for postmortems.
@@ -42,22 +39,13 @@ from dataclasses import dataclass
 from repro.telemetry.metrics import TelemetryError
 
 __all__ = [
-    "GATEWAY_STAGES",
-    "RUNTIME_STAGES",
     "StageSpan",
     "TraceContext",
     "TraceLog",
     "new_trace_id",
-    "current_trace",
     "use_trace",
-    "record_stage",
     "stage_span",
 ]
-
-#: Canonical stage names of the gateway → fleet → replica path.
-GATEWAY_STAGES = ("admission", "dispatch", "serve", "collect", "reply")
-#: Canonical stage names of the in-process micro-batching runtime.
-RUNTIME_STAGES = ("queue_wait", "assembly", "serve")
 
 
 def new_trace_id() -> str:
@@ -142,11 +130,6 @@ _CURRENT: contextvars.ContextVar[TraceContext | None] = (
     contextvars.ContextVar("repro_trace", default=None))
 
 
-def current_trace() -> TraceContext | None:
-    """The thread/task-local active trace, if any."""
-    return _CURRENT.get()
-
-
 @contextmanager
 def use_trace(trace: TraceContext | None):
     """Install ``trace`` as the current trace for the ``with`` body."""
@@ -157,39 +140,25 @@ def use_trace(trace: TraceContext | None):
         _CURRENT.reset(token)
 
 
-def record_stage(stage: str, seconds: float) -> None:
-    """Add a span to the current trace; silently no-op without one."""
-    trace = _CURRENT.get()
-    if trace is not None:
-        trace.add_stage(stage, seconds)
-
-
 @contextmanager
-def stage_span(stage: str, histogram=None, /, **labels):
+def stage_span(stage: str):
     """Time the ``with`` body as one stage of the current trace.
 
     Nested spans compose dotted names (``serve`` > ``operator`` becomes
-    ``serve.operator``).  With ``histogram`` the elapsed seconds are
-    also observed there (with ``labels``) whether or not a trace is
-    active — the per-stage histograms see every request, the trace ring
-    only the sampled/slow ones.  The first two parameters are
-    positional-only so ``labels`` may legally contain ``stage`` (the
-    shared stage histogram's own label).
+    ``serve.operator``).
     """
     trace = _CURRENT.get()
-    if trace is not None:
-        trace._stack.append(stage)
+    if trace is None:
+        yield
+        return
+    trace._stack.append(stage)
     start = time.perf_counter()
     try:
         yield
     finally:
         elapsed = time.perf_counter() - start
-        if trace is not None:
-            trace._stack.pop()
-            name = ".".join((*trace._stack, stage))
-            trace.add_stage(name, elapsed)
-        if histogram is not None:
-            histogram.observe(elapsed, **labels)
+        trace._stack.pop()
+        trace.add_stage(".".join((*trace._stack, stage)), elapsed)
 
 
 class TraceLog:
@@ -217,10 +186,6 @@ class TraceLog:
             traces = list(self._ring)
         traces.sort(key=lambda trace: trace.total_seconds, reverse=True)
         return traces[:max(n, 0)]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -254,61 +254,6 @@ class TestServingFleet:
             assert {"serve.operator", "serve.forward"} <= stages
             assert fleet.slowest(1)[0] is future.trace
 
-    def test_reset_latencies_clears_trace_ring_with_windows(
-            self, synthetic_artifact, synthetic_requests):
-        """The ring, the wall window, and the stage histograms are three
-        views of one measurement epoch — reset drops them together."""
-        with ServingFleet(synthetic_artifact, 1,
-                          batch_mode="node") as fleet:
-            for request in synthetic_requests[:3]:
-                fleet.submit(request).result(timeout=120.0)
-            stage_latency = fleet.metrics.get("repro_stage_latency_seconds")
-            assert len(fleet.slowest(10)) == 3
-            assert stage_latency.snapshot(
-                component="fleet", stage="serve")["count"] == 3
-            fleet.reset_latencies()
-            assert fleet.slowest(10) == []
-            assert stage_latency.snapshot(
-                component="fleet", stage="serve")["count"] == 0
-            assert fleet.stats()["latency_p50_ms"] is None
-            # counters=False keeps the volume accounting
-            assert fleet.completed == 3
-
-    def test_reset_latencies_does_not_orphan_inflight_traces(
-            self, synthetic_artifact, synthetic_requests):
-        """A reset racing in-flight requests must not detach their traces:
-        entries keep their span refs and complete into the fresh ring."""
-        with ServingFleet(synthetic_artifact, 2,
-                          batch_mode="node") as fleet:
-            futures = [fleet.submit(r) for r in synthetic_requests]
-            fleet.reset_latencies()  # some requests are still in flight
-            results = [f.result(timeout=120.0) for f in futures]
-            assert all(r is not None for r in results)
-            for future in futures:
-                assert future.trace is not None
-                assert {"dispatch", "serve",
-                        "collect"} <= set(future.trace.stages())
-            # whatever completed after the reset landed in the new epoch
-            ring = fleet.slowest(len(futures) + 1)
-            assert len(ring) <= len(futures)
-            traces = {id(f.trace) for f in futures}
-            assert all(id(trace) in traces for trace in ring)
-            assert fleet.completed == len(futures)
-
-    def test_telemetry_off_keeps_counters_exact(self, synthetic_artifact,
-                                                synthetic_requests):
-        with ServingFleet(synthetic_artifact, 1, batch_mode="node",
-                          telemetry=False) as fleet:
-            futures = [fleet.submit(r)
-                       for r in synthetic_requests[:3]]
-            assert all(f.result(timeout=120.0) is not None for f in futures)
-            assert all(f.trace is None for f in futures)
-            assert fleet.slowest(5) == []
-            assert fleet.completed == 3
-            stats = fleet.stats()
-            assert stats["completed"] == 3
-            assert stats["latency_p50_ms"] is not None
-
     def test_submit_after_close_raises(self, synthetic_artifact,
                                        synthetic_requests):
         fleet = ServingFleet(synthetic_artifact, 1, batch_mode="node")

@@ -293,7 +293,7 @@ class TestScalePolicies:
 
 
 # ----------------------------------------------------------------------
-# Fleet elasticity (scale_to / reset_latencies / queue_depth)
+# Fleet elasticity (scale_to / queue_depth)
 # ----------------------------------------------------------------------
 class TestFleetElasticity:
     def test_scale_up_and_down_loses_nothing(self, gw_artifact, gw_requests):
@@ -310,27 +310,6 @@ class TestFleetElasticity:
             assert fleet.queue_depth() == 0
             with pytest.raises(ServingError):
                 fleet.scale_to(0)
-
-    def test_reset_latencies_keeps_request_counters(self, gw_artifact,
-                                                    gw_requests):
-        with ServingFleet(gw_artifact, 1,
-                          batch_mode="node") as fleet:
-            for request in gw_requests[:4]:
-                fleet.submit(request).result(timeout=120.0)
-            stats = fleet.stats()
-            assert stats["completed"] == 4
-            assert stats["latency_p50_ms"] is not None
-            fleet.reset_latencies()
-            stats = fleet.stats()
-            # percentiles reset, the accounting the gates audit survives
-            assert stats["latency_p50_ms"] is None
-            assert stats["completed"] == 4
-            assert sum(r["served"] for r in stats["per_replica"].values()) == 4
-            fleet.reset_latencies(counters=True)
-            stats = fleet.stats()
-            assert stats["completed"] == 0
-            assert all(r["served"] == 0
-                       for r in stats["per_replica"].values())
 
 
 # ----------------------------------------------------------------------
@@ -516,31 +495,6 @@ class TestGatewayServing:
             gw.start()
             state = gw.stats()["shed_policy_state"]
             assert state == {"shedding": False, "high": 0.75, "low": 0.5}
-        finally:
-            gw.close()
-
-    def test_telemetry_off_serves_without_traces(self, gateway, gw_artifact,
-                                                 gw_requests):
-        with GatewayClient(*gateway.address, encoding="binary") as client:
-            instrumented = client.serve_batch(gw_requests[0])
-        assert instrumented.ok and instrumented.trace_id is not None
-        fleet = ServingFleet(gw_artifact, 1,
-                             batch_mode="node", telemetry=False)
-        gw = ServingGateway(fleet, owns_fleet=True, telemetry=False)
-        try:
-            gw.start()
-            with GatewayClient(*gw.address, encoding="binary") as client:
-                reply = client.serve_batch(gw_requests[0])
-            assert reply.ok
-            # telemetry only observes: same request, bitwise-equal logits
-            assert np.array_equal(reply.logits, instrumented.logits)
-            assert reply.trace_id is None
-            assert reply.stages is None
-            assert gw.slowest(5) == []
-            assert fleet.slowest(5) == []
-            # counters are exact with or without telemetry
-            assert gw.served == 1
-            assert fleet.completed == 1
         finally:
             gw.close()
 

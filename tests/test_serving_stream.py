@@ -505,18 +505,28 @@ class TestRuntimeIngest:
             runtime.submit(raw_task(batch.features[0],
                                     sp.csr_matrix((1, n - 1))))
 
-    def test_stop_without_drain_fails_pending_ingest(self, tiny_split, sgc):
-        """Regression: stop(drain=False) must resolve pending delta
-        futures (with an error) instead of leaving waiters hanging."""
+    def test_stop_drains_queued_requests_and_pending_ingest(self, tiny_split,
+                                                           sgc):
+        """Regression: stop() on a stepped runtime serves every queued
+        request and applies every ingested delta, so no future is left
+        pending and stats() accounts for every request."""
+        n = tiny_split.original.num_nodes
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
-        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0))
+        runtime = ServingRuntime(prepared, MicroBatchScheduler(1, 0.0),
+                                 batch_mode="node")
         batch = tiny_split.incremental_batch("test")
-        future = runtime.ingest(GraphDelta(add_features=batch.features[:1],
+        futures = [runtime.submit(ServeTask(batch.subset(np.array([i]))))
+                   for i in range(3)]
+        ingest = runtime.ingest(GraphDelta(add_features=batch.features[:1],
                                            add_labels=batch.labels[:1]))
-        runtime.stop(drain=False)
-        assert future.done()
-        with pytest.raises(ServingError, match="stopped before"):
-            future.result(timeout=1.0)
+        runtime.stop()
+        assert all(future.done() for future in futures)
+        assert all(future.result(timeout=1.0).shape[0] == 1
+                   for future in futures)
+        assert runtime.stats().requests == 3
+        assert ingest.done()
+        assert ingest.result(timeout=1.0).appended == 1
+        assert runtime.prepared.num_base == n + 1
 
     def test_failed_delta_fails_future_not_runtime(self, tiny_split, sgc):
         prepared = PreparedDeployment(sgc, "original", tiny_split.original)
@@ -560,6 +570,9 @@ class TestRuntimeIngest:
         with pytest.raises(ServingError, match="failed to apply"):
             poisoned.result(timeout=5.0)
         assert ok.result(timeout=5.0).shape[0] == 1
+        # the width-check failure is counted once, beside the one served
+        assert runtime.stats().failed == 1
+        assert runtime.stats().requests == 1
 
     def test_open_stream_leaves_derived_caches_cold(self):
         # exact serving reads neither cache and the first delta drops

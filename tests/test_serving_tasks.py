@@ -41,6 +41,7 @@ from repro.serving.protocol import (
     encode_serve_request,
     read_frame_from,
 )
+from repro.telemetry import stage_span
 
 
 # ----------------------------------------------------------------------
@@ -325,20 +326,28 @@ def test_serve_task_has_no_operator_option():
 
 
 @pytest.mark.parametrize("target, removed", [
-    (ServingRuntime, ("metrics", "trace_capacity", "slow_trace_ms")),
+    (ServingRuntime, ("metrics", "trace_capacity", "slow_trace_ms",
+                      "telemetry")),
     (ServingFleet, ("metrics", "trace_capacity", "slow_trace_ms",
                     "start_method", "max_retries", "start_timeout",
-                    "latency_window")),
+                    "latency_window", "telemetry", "reset_latencies")),
     (ReplicaPool, ("start_method", "max_spawn_retries")),
-    (ServingGateway, ("metrics", "trace_capacity", "slow_trace_ms")),
-    (api.open_fleet, ("start_method", "slow_trace_ms")),
-    (api.open_gateway, ("start_method", "slow_trace_ms")),
+    (ServingGateway, ("metrics", "trace_capacity", "slow_trace_ms",
+                      "telemetry")),
+    (api.open_fleet, ("start_method", "slow_trace_ms", "telemetry")),
+    (api.open_gateway, ("start_method", "slow_trace_ms", "telemetry")),
+    (ServingRuntime.submit, ("trace",)),
+    (ServingRuntime.stop, ("drain",)),
+    (ServingGateway.close, ("drain",)),
+    (stage_span, ("histogram",)),
 ], ids=["ServingRuntime", "ServingFleet", "ReplicaPool", "ServingGateway",
-        "open_fleet", "open_gateway"])
+        "open_fleet", "open_gateway", "ServingRuntime.submit",
+        "ServingRuntime.stop", "ServingGateway.close", "stage_span"])
 def test_serving_tiers_take_no_fixed_settings(target, removed):
-    """Settings no caller varied are constants, not parameters."""
-    parameters = inspect.signature(target).parameters
-    assert not set(removed) & set(parameters)
+    """Settings no caller varied are constants, not parameters, and
+    measurement nothing reads has no switch or reset method."""
+    names = set(inspect.signature(target).parameters) | set(dir(target))
+    assert not set(removed) & names
 
 
 class TestOnlyServeTaskAdmits:

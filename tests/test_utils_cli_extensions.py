@@ -12,7 +12,6 @@ from repro.condense import DosCondConfig, DosCondReducer
 from repro.errors import ConfigError
 from repro.graph import adjacency_from_edges, attach_to_original
 from repro.propagation import correct_and_smooth, smooth_predictions
-from repro.telemetry import Stopwatch, format_seconds
 from repro.utils import seed_everything, spawn_rngs
 
 
@@ -40,23 +39,6 @@ class TestSeeding:
     def test_spawn_rngs_count_validation(self):
         with pytest.raises(ConfigError):
             spawn_rngs(0, 0)
-
-
-class TestTimers:
-    def test_stopwatch_measures(self):
-        with Stopwatch() as watch:
-            sum(range(10000))
-        assert watch.elapsed > 0.0
-
-    def test_format_seconds_ranges(self):
-        assert format_seconds(5e-5).endswith("us")
-        assert format_seconds(0.005).endswith("ms")
-        assert format_seconds(2.5) == "2.5s"
-        assert format_seconds(125.0) == "2m05.0s"
-
-    def test_format_seconds_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_seconds(-1.0)
 
 
 def _fast_profile(monkeypatch):
