@@ -254,6 +254,26 @@ class TestServingFleet:
             assert {"serve.operator", "serve.forward"} <= stages
             assert fleet.slowest(1)[0] is future.trace
 
+    def test_every_request_is_traced_and_counted_once(
+            self, synthetic_artifact, synthetic_requests):
+        """Tracing has no off switch: each future carries its own trace,
+        the ring retains them, and the counters stay exact."""
+        with ServingFleet(synthetic_artifact, 1,
+                          batch_mode="node") as fleet:
+            futures = [fleet.submit(r) for r in synthetic_requests[:3]]
+            assert all(f.result(timeout=120.0) is not None for f in futures)
+            traces = [future.trace for future in futures]
+            assert len({trace.trace_id for trace in traces}) == 3
+            for trace in traces:
+                assert {"dispatch", "serve",
+                        "collect"} <= set(trace.stages())
+            assert ({id(trace) for trace in fleet.slowest(5)}
+                    == {id(trace) for trace in traces})
+            stats = fleet.stats()
+        assert stats["completed"] == 3
+        assert sum(r["served"] for r in stats["per_replica"].values()) == 3
+        assert stats["latency_p50_ms"] is not None
+
     def test_submit_after_close_raises(self, synthetic_artifact,
                                        synthetic_requests):
         fleet = ServingFleet(synthetic_artifact, 1, batch_mode="node")

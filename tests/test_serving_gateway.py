@@ -419,6 +419,22 @@ class TestGatewayServing:
                 "collect"} <= set(reply.stages)
         assert all(ms >= 0.0 for ms in reply.stages.values())
 
+    def test_every_pipelined_reply_is_traced(self, gateway, gw_requests):
+        """Tracing has no off switch: every ok reply carries its own trace
+        id and the stage breakdown, and each is counted once."""
+        served, completed = gateway.served, gateway.fleet.completed
+        with GatewayClient(*gateway.address, encoding="binary") as client:
+            ids = [client.submit(r) for r in gw_requests[:4]]
+            replies = list(client.drain(len(ids)).values())
+        assert all(reply.ok for reply in replies)
+        trace_ids = {reply.trace_id for reply in replies}
+        assert None not in trace_ids and len(trace_ids) == 4
+        for reply in replies:
+            assert {"admission", "dispatch", "serve",
+                    "collect"} <= set(reply.stages)
+        assert gateway.served - served == 4
+        assert gateway.fleet.completed - completed == 4
+
     def test_slowest_trace_covers_all_gateway_stages(self, gateway,
                                                      gw_requests):
         """Acceptance: a slow request shows up with all five spans."""

@@ -605,6 +605,42 @@ class TestRuntimeBehaviour:
         finally:
             gc.enable()
 
+    def test_threaded_stop_serves_every_admitted_request(self, sgc, split,
+                                                         condensed):
+        """stop() on a running loop serves what is still queued: every
+        future resolves and stats() counts each request once."""
+        runtime = _runtime(sgc, split, condensed, "original",
+                           scheduler=MicroBatchScheduler(2, 0.0))
+        stream = _stream(split.incremental_batch("test"), 6, 1)
+        runtime.start()
+        futures = [runtime.submit(request) for request in stream]
+        runtime.stop()
+        assert all(future.done() for future in futures)
+        assert all(future.result(timeout=1.0).shape == (1, split.num_classes)
+                   for future in futures)
+        stats = runtime.stats()
+        assert (stats.requests, stats.failed, stats.rejected) == (6, 0, 0)
+
+    def test_second_stop_changes_nothing(self, sgc, split, condensed):
+        runtime = _runtime(sgc, split, condensed, "original")
+        future = runtime.submit(ServeTask(split.incremental_batch("test")
+                                          .subset(np.arange(2))))
+        runtime.stop()
+        runtime.stop()
+        assert future.result(timeout=1.0).shape == (2, split.num_classes)
+        assert runtime.stats().requests == 1
+
+    def test_stopped_runtime_refuses_without_counting(self, sgc, split,
+                                                      condensed):
+        # a refused submit raises to its caller and never reaches stats()
+        runtime = _runtime(sgc, split, condensed, "original")
+        runtime.stop()
+        with pytest.raises(ServingError):
+            runtime.submit(_stream(split.incremental_batch("test"), 1, 1)[0])
+        stats = runtime.stats()
+        assert (stats.requests, stats.failed, stats.rejected) == (0, 0, 0)
+        assert len(runtime.queue) == 0
+
     def test_replay_returns_none_for_shed_requests(self, sgc, split,
                                                    condensed):
         # load shedding must not abort the replay harness: shed requests
@@ -693,6 +729,31 @@ class TestRequestAccounting:
         assert future.record.latency_seconds >= 0.005
         assert runtime.stats().latency_p50 >= 0.005
         assert runtime.stats().compute_mean >= 0.005
+
+    @pytest.mark.parametrize("outcome, expected", [
+        ("served", (4, 0, 0)),
+        ("failed", (0, 4, 0)),
+        ("rejected", (1, 0, 3)),
+    ])
+    def test_each_outcome_is_counted_once(self, sgc, split, condensed,
+                                          monkeypatch, outcome, expected):
+        """stats() is the runtime's one accounting: each submitted
+        request lands in exactly one of requests/failed/rejected."""
+        runtime = _runtime(sgc, split, condensed, "original",
+                           scheduler=MicroBatchScheduler(2, 0.0),
+                           queue_capacity=1 if outcome == "rejected" else 8,
+                           overflow="reject")
+        if outcome == "failed":
+            monkeypatch.setattr(
+                runtime.prepared, "serve_batch",
+                lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
+        futures = [runtime.submit(request) for request in
+                   _stream(split.incremental_batch("val"), 4, 1)]
+        runtime.run_pending()
+        assert all(future.done() for future in futures)
+        stats = runtime.stats()
+        assert (stats.requests, stats.failed, stats.rejected) == expected
+        assert sum(expected) == len(futures)
 
 
 @pytest.fixture

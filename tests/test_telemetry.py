@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,19 @@ class TestGauge:
         state["depth"] = 2
         assert depth.value() == 2.0
         assert depth.samples() == [("repro_t_depth", {}, 2.0)]
+
+    def test_gauge_needs_a_callback(self):
+        registry = MetricsRegistry()
+        with pytest.raises(TypeError):
+            registry.gauge("repro_t_depth", "d")
+
+    def test_gauge_is_read_only(self):
+        # a gauge reports a value that lives elsewhere; nothing writes it
+        registry = MetricsRegistry()
+        depth = registry.gauge("repro_t_depth", "d", callback=lambda: 5)
+        for writer in ("set", "inc", "dec"):
+            assert not hasattr(depth, writer)
+        assert depth.value() == 5.0
 
     def test_callback_gauge_rejects_labels(self):
         registry = MetricsRegistry()
@@ -292,6 +306,44 @@ class TestContextVarPlumbing:
         # spans outside the with body reach no trace
         assert [span.stage for span in trace.spans] == ["inside"]
 
+    def test_stage_span_without_trace_runs_body_and_records_nothing(self):
+        ran = []
+        with stage_span("serve"):
+            with stage_span("operator"):
+                ran.append(True)
+        assert ran == [True]
+        # the untraced spans left nothing on a trace installed afterwards
+        trace = TraceContext()
+        with use_trace(trace):
+            with stage_span("collect"):
+                pass
+        assert [span.stage for span in trace.spans] == ["collect"]
+
+    def test_stage_span_records_a_raising_body(self):
+        trace = TraceContext()
+        with use_trace(trace):
+            with pytest.raises(RuntimeError):
+                with stage_span("serve"):
+                    raise RuntimeError("boom")
+            # the failed span popped its name: the next one is not nested
+            with stage_span("collect"):
+                pass
+        assert [span.stage for span in trace.spans] == ["serve", "collect"]
+
+    def test_inner_use_trace_shadows_outer(self):
+        outer, inner = TraceContext(), TraceContext()
+        with use_trace(outer):
+            with use_trace(inner):
+                with stage_span("serve"):
+                    pass
+            with use_trace(None):
+                with stage_span("hidden"):
+                    pass
+            with stage_span("reply"):
+                pass
+        assert [span.stage for span in inner.spans] == ["serve"]
+        assert [span.stage for span in outer.spans] == ["reply"]
+
     def test_stage_span_nests_dotted_names(self):
         trace = TraceContext()
         with use_trace(trace):
@@ -325,6 +377,21 @@ class TestTraceLog:
             ring.observe(self._trace(seconds))
         totals = [trace.total_seconds for trace in ring.slowest(2)]
         assert totals == [0.5, 0.2]
+
+    def test_observe_freezes_the_total(self):
+        ring = TraceLog(capacity=2)
+        trace = TraceContext()
+        ring.observe(trace)
+        total = trace.total_seconds
+        time.sleep(0.002)
+        assert trace.total_seconds == total
+        assert ring.slowest(1)[0].total_seconds == total
+
+    def test_slowest_of_no_traces_is_empty(self):
+        ring = TraceLog(capacity=2)
+        ring.observe(self._trace(0.1))
+        assert ring.slowest(0) == []
+        assert ring.slowest(-1) == []
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
