@@ -14,8 +14,6 @@ from repro.analysis.core import (
     Violation,
     build_report,
     check_analysis_report_schema,
-    format_baseline,
-    load_baseline,
     register_checker,
     render_text_report,
     run_checkers,
@@ -31,8 +29,6 @@ __all__ = [
     "Violation",
     "build_report",
     "check_analysis_report_schema",
-    "format_baseline",
-    "load_baseline",
     "register_checker",
     "render_text_report",
     "run_checkers",

@@ -6,17 +6,13 @@ intentional ``raise`` derives from :class:`~repro.errors.ReproError`,
 that parity-critical modules must not narrow dtypes, that metric names
 follow ``repro_<component>_<what>[_total|_seconds]``.  This package
 machine-checks them: each *checker* is a small AST pass registered in
-:data:`CHECKERS` (the same decorator-registry pattern the reducers and
-serving tasks use) that receives one shared :class:`AnalysisContext` and
+:data:`CHECKERS` (the same decorator-registry pattern the reducers use)
+that receives one shared :class:`AnalysisContext` and
 returns :class:`Violation`\\ s.
 
-Suppressions are explicit and carry a reason:
-
-- an inline ``# repro-check: <checker> <reason>`` comment on the
-  offending line waives that line for that checker;
-- a *baseline file* (``repro check --baseline``) waives known legacy
-  findings by stable key, so the gate can be adopted before the last
-  violation is fixed and ratchets from there.
+Suppressions are explicit and carry a reason: an inline
+``# repro-check: <checker> <reason>`` comment on the offending line
+waives that line for that checker.
 
 The CLI surface is ``repro check`` (text or JSON report, per-checker
 enable/disable); CI runs it as a hard gate.  See ``docs/analysis.md``.
@@ -26,7 +22,6 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,15 +38,13 @@ __all__ = [
     "CHECKERS",
     "register_checker",
     "run_checkers",
-    "load_baseline",
-    "format_baseline",
     "build_report",
     "render_text_report",
     "check_analysis_report_schema",
     "ANALYSIS_REPORT_SCHEMA_VERSION",
 ]
 
-ANALYSIS_REPORT_SCHEMA_VERSION = 1
+ANALYSIS_REPORT_SCHEMA_VERSION = 2
 
 #: Inline-suppression marker: ``# repro-check: <checker> <reason>``.
 SUPPRESS_MARKER = "repro-check:"
@@ -70,10 +63,6 @@ class Violation:
     path: str  # repo-relative posix path
     line: int
     message: str
-
-    def key(self) -> str:
-        """Baseline identity: stable across unrelated line-number drift."""
-        return f"{self.checker}::{self.path}::{self.code}::{self.message}"
 
     def as_dict(self) -> dict:
         return {"checker": self.checker, "code": self.code,
@@ -256,8 +245,8 @@ def run_checkers(root: str | Path, *, only: list[str] | None = None,
                  ) -> tuple[list[Violation], dict, AnalysisContext]:
     """Run the selected checkers; returns ``(violations, per_checker, ctx)``.
 
-    ``per_checker`` maps checker name → finding count (before any
-    baseline suppression), in registry order.
+    ``per_checker`` maps checker name → finding count, in registry
+    order.
     """
     entries = selected_checkers(only, disable)
     context = AnalysisContext.collect(root)
@@ -272,41 +261,11 @@ def run_checkers(root: str | Path, *, only: list[str] | None = None,
 
 
 # ----------------------------------------------------------------------
-# Baseline files
-# ----------------------------------------------------------------------
-def load_baseline(path: str | Path) -> set[str]:
-    """Read a baseline file into its set of suppression keys."""
-    target = Path(path)
-    try:
-        payload = json.loads(target.read_text())
-    except FileNotFoundError:
-        raise AnalysisError(f"baseline file {target} does not exist")
-    except json.JSONDecodeError as exc:
-        raise AnalysisError(f"baseline file {target} is not JSON: {exc}")
-    if (not isinstance(payload, dict)
-            or not isinstance(payload.get("entries"), list)):
-        raise AnalysisError(
-            f"baseline file {target} must be "
-            '{"version": 1, "entries": [...]}')
-    return {str(entry) for entry in payload["entries"]}
-
-
-def format_baseline(violations: list[Violation]) -> str:
-    """Serialize findings as a baseline file (``--write-baseline``)."""
-    entries = sorted({violation.key() for violation in violations})
-    return json.dumps({"version": 1, "entries": entries}, indent=2) + "\n"
-
-
-# ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
 def build_report(violations: list[Violation], per_checker: dict,
-                 context: AnalysisContext,
-                 baseline: set[str] | None = None) -> dict:
+                 context: AnalysisContext) -> dict:
     """The JSON report ``repro check --format json`` emits (CI artifact)."""
-    baseline = baseline or set()
-    active = [v for v in violations if v.key() not in baseline]
-    suppressed = len(violations) - len(active)
     _load_all_checkers()
     return {
         "kind": "analysis-report",
@@ -316,9 +275,8 @@ def build_report(violations: list[Violation], per_checker: dict,
             "description": CHECKERS.get(name).description,
             "violations": count,
         } for name, count in per_checker.items()},
-        "violations": [v.as_dict() for v in active],
-        "suppressed": suppressed,
-        "clean": not active,
+        "violations": [v.as_dict() for v in violations],
+        "clean": not violations,
     }
 
 
@@ -331,7 +289,6 @@ def render_text_report(report: dict) -> str:
     status = "clean" if report["clean"] else (
         f"{len(report['violations'])} violation(s)")
     lines.append(f"repro check: {status} ({counts}; "
-                 f"{report['suppressed']} baseline-suppressed, "
                  f"{report['files_scanned']} files)")
     return "\n".join(lines)
 
@@ -348,7 +305,7 @@ def check_analysis_report_schema(result: dict) -> None:
     if not isinstance(result, dict):
         raise AnalysisError("analysis report must be a JSON object")
     _require_keys(result, ("kind", "schema_version", "files_scanned",
-                           "checkers", "violations", "suppressed", "clean"),
+                           "checkers", "violations", "clean"),
                   "analysis report")
     if result["kind"] != "analysis-report":
         raise AnalysisError(

@@ -5,8 +5,8 @@ family must follow::
 
     repro_<component>_<what>[_total|_seconds]
 
-with ``component`` one of ``gateway``, ``fleet``, ``runtime`` — plus
-the shared cross-layer ``stage`` family.  This checker finds every
+with ``component`` one of ``gateway``, ``fleet`` — plus the shared
+cross-layer ``stage`` family.  This checker finds every
 ``registry.counter(...)``/``.gauge(...)``/``.histogram(...)`` call with
 a literal name and enforces:
 
@@ -32,7 +32,7 @@ from repro.analysis.core import (
 
 NAME_RE = re.compile(r"^repro_[a-z][a-z0-9]*(?:_[a-z0-9]+)+$")
 
-COMPONENTS = frozenset({"gateway", "fleet", "runtime", "stage"})
+COMPONENTS = frozenset({"gateway", "fleet", "stage"})
 
 RESERVED_GAUGE_SUFFIXES = ("_total", "_seconds", "_count", "_sum",
                            "_bucket")

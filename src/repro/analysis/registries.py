@@ -1,6 +1,6 @@
 """Registry-drift checker.
 
-The condensation methods, models, datasets, serving tasks, … are all wired
+The condensation methods, models, datasets and checkers are all wired
 through ``repro.registry.Registry`` instances and surfaced by ``repro
 list``.  Two kinds of drift creep in as registries grow:
 

@@ -29,7 +29,6 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,8 +48,11 @@ from repro.experiments.pipeline import ExperimentContext, prepare_dataset
 from repro.experiments.settings import EffortProfile, FULL, QUICK, current_profile
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.graph import Graph
-from repro.inference.engine import InductiveServer, InferenceReport
-from repro.nn.metrics import accuracy as _accuracy
+from repro.inference.engine import (
+    InductiveServer,
+    InferenceReport,
+    serves_frozen,
+)
 from repro.nn.models import GNNModel, make_model
 from repro.serving.prepared import PreparedDeployment
 from repro.serving.runtime import MicroBatchScheduler, ServingRuntime
@@ -59,7 +61,7 @@ from repro.utils.artifacts import normalize_npz_path, open_npz_archive, save_npz
 
 __all__ = ["condense", "deploy", "serve", "open_runtime", "open_stream",
            "open_fleet", "open_gateway", "evaluation_batch",
-           "save_embedding_index", "DeploymentBundle"]
+           "DeploymentBundle"]
 
 
 # ----------------------------------------------------------------------
@@ -202,20 +204,9 @@ class DeploymentBundle:
         assert self.base is not None
         return symmetric_normalize(self.base.adjacency)
 
-    def server(self) -> InductiveServer:
-        """An :class:`~repro.inference.engine.InductiveServer` ready to run."""
-        return InductiveServer(self.model(), self.deployment, self.base,
-                               self.condensed)
-
     def prepare(self) -> PreparedDeployment:
         """The request-invariant serving cache for this bundle."""
         return PreparedDeployment.from_bundle(self)
-
-    def serve(self, batches=None, *, batch_mode: str = "graph",
-              batch_size: int = 1000) -> InferenceReport:
-        """Convenience alias for :func:`repro.api.serve` on this bundle."""
-        return serve(self, batches, batch_mode=batch_mode,
-                     batch_size=batch_size)
 
     def storage_bytes(self) -> int:
         """Resident deployment storage of the served graph (paper metric):
@@ -475,31 +466,29 @@ def deploy(dataset: str, method: str | None = "mcond", budget: int = 30, *,
 # serve
 # ----------------------------------------------------------------------
 def serve(bundle: DeploymentBundle | str | Path,
-          batches: IncrementalBatch | Sequence[IncrementalBatch] | None = None,
-          *, batch_mode: str = "graph",
+          batch: IncrementalBatch | None = None, *,
+          batch_mode: str = "graph",
           batch_size: int = 1000) -> InferenceReport:
-    """Serve inductive batches against a deployment bundle.
+    """Serve one inductive batch against a deployment bundle.
 
     ``bundle`` may be a :class:`DeploymentBundle` or a path to one.  When
-    ``batches`` is omitted, the evaluation (test) batch of the bundle's
+    ``batch`` is omitted, the evaluation (test) batch of the bundle's
     recorded dataset is regenerated from its metadata — the simulators
     are deterministic, so this reproduces the in-memory pipeline exactly.
-    A sequence of batches is served in order and merged into one report.
+    The batch is served in mini-batches of ``batch_size`` through the
+    operator every serving tier serves: the frozen one on a synthetic
+    SGC deployment (:func:`~repro.inference.engine.serves_frozen`), else
+    Eq. 3 / Eq. 11.
     """
     if not isinstance(bundle, DeploymentBundle):
         bundle = DeploymentBundle.load(bundle)
-    if batches is None:
-        batches = evaluation_batch(bundle)
-    if isinstance(batches, IncrementalBatch):
-        batches = [batches]
-    if not batches:
-        raise ConfigError("serve needs at least one batch")
-    server = bundle.server()
-    reports = [server.run(batch, batch_size=batch_size, batch_mode=batch_mode)
-               for batch in batches]
-    if len(reports) == 1:
-        return reports[0]
-    return _merge_reports(reports, [b.labels for b in batches])
+    if batch is None:
+        batch = evaluation_batch(bundle)
+    model = bundle.model()
+    server = InductiveServer(model, bundle.deployment, bundle.base,
+                             bundle.condensed)
+    return server.run(batch, batch_size=batch_size, batch_mode=batch_mode,
+                      frozen=serves_frozen(model, bundle.deployment))
 
 
 def open_runtime(bundle: DeploymentBundle | str | Path, *,
@@ -572,21 +561,17 @@ def open_stream(bundle: DeploymentBundle | str | Path, *,
 
 
 def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
-               batch_mode: str = "node",
-               mmap: bool = True):
+               batch_mode: str = "node"):
     """Open a multi-replica :class:`~repro.serving.fleet.ServingFleet`.
 
     ``bundle`` is normally a path to a saved artifact — each replica
-    process loads it independently, and with ``mmap=True`` (default) the
-    stored arrays are memory-mapped so every replica on the host shares
-    one page-cache copy instead of holding a private one.  Save artifacts
-    with ``bundle.save(path, layout="mmap")`` to make every member
-    mappable.  An in-memory :class:`DeploymentBundle` is persisted to a
-    temporary mmap-layout artifact first (removed when the fleet closes).
-
-    Replicas probe for the artifact's embedding-index sidecar (see
-    :func:`save_embedding_index`) and memory-map it when present, so
-    ``topk`` requests share one precomputed matrix per host.
+    process loads it independently and memory-maps the stored arrays, so
+    every replica on the host shares one page-cache copy instead of
+    holding a private one.  Save artifacts with
+    ``bundle.save(path, layout="mmap")`` to make every member mappable;
+    compressed and narrowed members load eagerly per replica.  An
+    in-memory :class:`DeploymentBundle` is persisted to a temporary
+    mmap-layout artifact first (removed when the fleet closes).
 
     >>> fleet = api.open_fleet("artifact.npz", replicas=4)  # doctest: +SKIP
     >>> with fleet:                                         # doctest: +SKIP
@@ -606,8 +591,7 @@ def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     else:
         artifact = Path(bundle)
     try:
-        fleet = ServingFleet(artifact, replicas, batch_mode=batch_mode,
-                             mmap=mmap)
+        fleet = ServingFleet(artifact, replicas, batch_mode=batch_mode)
     except Exception:
         if owns:
             artifact.unlink(missing_ok=True)
@@ -623,7 +607,6 @@ _WATERMARK = object()
 def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
                  host: str = "127.0.0.1", port: int = 0,
                  batch_mode: str = "node",
-                 mmap: bool = True,
                  shed_policy=_WATERMARK,
                  max_inflight: int = 256,
                  scale_policy=None,
@@ -655,7 +638,7 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     if shed_policy is _WATERMARK:
         # fresh per gateway: the policy holds hysteresis state
         shed_policy = WatermarkShed()
-    fleet = open_fleet(bundle, replicas, batch_mode=batch_mode, mmap=mmap)
+    fleet = open_fleet(bundle, replicas, batch_mode=batch_mode)
     try:
         gateway = ServingGateway(
             fleet, host=host, port=port, shed_policy=shed_policy,
@@ -670,39 +653,6 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
     return gateway
 
 
-def save_embedding_index(bundle: DeploymentBundle | str | Path,
-                         artifact: str | Path | None = None) -> Path:
-    """Precompute an artifact's embedding-index sidecar; returns its path.
-
-    Builds the base-node :class:`~repro.serving.embeddings.EmbeddingIndex`
-    from the bundle's prepared deployment and saves it uncompressed
-    (memory-mappable) next to the artifact ``.npz``
-    (``artifact.npz`` → ``artifact.embeddings.npz``).  Fleet replicas
-    probe that path on startup and attach the shared mapping, so
-    ``topk`` and ``link_score`` requests read one page-cache copy of
-    the matrix per host instead of each process paying a base
-    ``embed()`` forward.  :meth:`PreparedDeployment.apply_delta`
-    invalidates an attached index, so a streamed deployment falls back
-    to lazy recomputation the moment the graph changes.
-
-    ``bundle`` may be a :class:`DeploymentBundle` or a path to one; when
-    it is a path and ``artifact`` is omitted, the sidecar lands next to
-    that same file.
-    """
-    from repro.serving.embeddings import EmbeddingIndex, sidecar_index_path
-    if not isinstance(bundle, DeploymentBundle):
-        if artifact is None:
-            artifact = bundle
-        bundle = DeploymentBundle.load(bundle)
-    if artifact is None:
-        raise ConfigError(
-            "an in-memory bundle needs an explicit artifact path for its "
-            "embedding-index sidecar to sit next to")
-    prepared = bundle.prepare()
-    index = EmbeddingIndex(prepared.base_embeddings())
-    return index.save(sidecar_index_path(artifact))
-
-
 def evaluation_batch(bundle: DeploymentBundle) -> IncrementalBatch:
     """Regenerate the evaluation (test) batch a bundle was deployed for.
 
@@ -714,24 +664,7 @@ def evaluation_batch(bundle: DeploymentBundle) -> IncrementalBatch:
     dataset = bundle.metadata.get("dataset")
     if not dataset:
         raise ConfigError(
-            "bundle metadata records no dataset; pass batches explicitly")
+            "bundle metadata records no dataset; pass a batch explicitly")
     return _prepared(dataset, int(bundle.metadata.get("seed", 0)),
                      float(bundle.metadata.get("scale", 1.0))).test_batch
 
-
-def _merge_reports(reports: list[InferenceReport],
-                   labels: list[np.ndarray]) -> InferenceReport:
-    logits = np.vstack([r.logits for r in reports])
-    merged_labels = np.concatenate(labels)
-    total_seconds = float(sum(r.total_seconds for r in reports))
-    num_batches = int(sum(r.num_batches for r in reports))
-    return InferenceReport(
-        accuracy=_accuracy(logits, merged_labels),
-        mean_batch_seconds=total_seconds / num_batches,
-        total_seconds=total_seconds,
-        memory_bytes=max(r.memory_bytes for r in reports),
-        num_batches=num_batches,
-        num_nodes=int(sum(r.num_nodes for r in reports)),
-        deployment=reports[0].deployment,
-        batch_mode=reports[0].batch_mode,
-        logits=logits)

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="parallel worker processes for --shards "
                                "(default: 1, serial)")
     condense.add_argument("--partitioner", default="stratified",
-                          help="graph partitioner registry key for --shards "
+                          help="graph partitioner name for --shards "
                                "(default: stratified)")
     condense.add_argument("--deployment", choices=("auto", "synthetic",
                                                    "original"),
@@ -245,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--nodes-per-request", type=int, default=4,
                        help="inductive nodes per request (default: 4)")
     _add_batch_mode_flag(fleet)
-    fleet.add_argument("--no-mmap", dest="mmap", action="store_false",
-                       help="load the artifact eagerly in every replica "
-                            "instead of memory-mapping it")
     fleet.add_argument("--kill-one", action="store_true",
                        help="failover drill: kill one replica mid-stream "
                             "and report re-routing stats")
@@ -296,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--scale-cooldown", type=float, default=2.0,
                          help="minimum seconds between scaling actions "
                               "(default: 2.0)")
-    gateway.add_argument("--no-mmap", dest="mmap", action="store_false",
-                         help="load the artifact eagerly in every replica "
-                              "instead of memory-mapping it")
 
     top = sub.add_parser(
         "top",
@@ -342,12 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--output", default=None, metavar="FILE",
                        help="also write the JSON report to FILE "
                             "(the CI artifact)")
-    check.add_argument("--baseline", default=None, metavar="FILE",
-                       help="suppression file of known legacy findings "
-                            "(JSON written by --write-baseline)")
-    check.add_argument("--write-baseline", default=None, metavar="FILE",
-                       help="write the current findings as a baseline "
-                            "file and exit 0")
     check.add_argument("--only", action="append", default=None,
                        metavar="CHECKER",
                        help="run only this checker (repeatable)")
@@ -604,7 +592,7 @@ def _cmd_serve_fleet(args) -> int:
     requests = _tasked(args, split_requests(batch, args.requests,
                                             args.nodes_per_request))
     fleet = api.open_fleet(args.artifact, args.replicas,
-                           batch_mode=args.batch_mode, mmap=args.mmap)
+                           batch_mode=args.batch_mode)
     with fleet:
         import time
         started = time.perf_counter()
@@ -625,9 +613,8 @@ def _cmd_serve_fleet(args) -> int:
         wall = time.perf_counter() - started
         stats = fleet.stats()
     served = sum(result is not None for result in results)
-    loading = "memory-mapped" if args.mmap else "eagerly loaded"
     print(f"served {served}/{len(requests)} requests across "
-          f"{args.replicas} replicas ({loading} artifact)")
+          f"{args.replicas} replicas (memory-mapped artifact)")
     print(f"  throughput            {served / wall:.0f} req/s")
     p50, p95 = stats["latency_p50_ms"], stats["latency_p95_ms"]
     if p50 is not None:
@@ -655,8 +642,7 @@ def _cmd_serve_gateway(args) -> int:
                                 max_replicas=args.max_replicas)
     gateway = api.open_gateway(
         args.artifact, args.replicas, host=args.host, port=args.port,
-        batch_mode=args.batch_mode, mmap=args.mmap,
-        shed_policy=shed, max_inflight=args.max_inflight,
+        batch_mode=args.batch_mode, shed_policy=shed, max_inflight=args.max_inflight,
         scale_policy=scale,
         autoscale_interval=args.autoscale_interval,
         scale_cooldown=args.scale_cooldown)
@@ -781,22 +767,13 @@ def _cmd_check(args) -> int:
     from repro.analysis import (
         build_report,
         check_analysis_report_schema,
-        format_baseline,
-        load_baseline,
         render_text_report,
         run_checkers,
     )
 
     violations, per_checker, context = run_checkers(
         args.root, only=args.only, disable=args.disable)
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(format_baseline(violations))
-        print(f"wrote {len(violations)} baseline entr"
-              f"{'y' if len(violations) == 1 else 'ies'} to "
-              f"{args.write_baseline}")
-        return 0
-    baseline = load_baseline(args.baseline) if args.baseline else set()
-    report = build_report(violations, per_checker, context, baseline)
+    report = build_report(violations, per_checker, context)
     check_analysis_report_schema(report)
     rendered = json.dumps(report, indent=2, sort_keys=True)
     print(rendered if args.format == "json"
@@ -843,23 +820,22 @@ def _entry_help(entry) -> str:
 
 
 def _cmd_list(args) -> int:
-    import repro.serving  # noqa: F401 — populates the task registry
     from repro.graph.partition import PARTITIONERS
-    from repro.registry import TASKS
+    from repro.serving.embeddings import TASKS
 
     print("reduction methods (repro condense --method):")
     for name, entry in REDUCERS.items():
         print(f"  {name:<10} {_entry_help(entry)}")
     print("\ngraph partitioners (repro condense --shards K --partitioner):")
-    for name, entry in PARTITIONERS.items():
-        print(f"  {name:<10} {_entry_help(entry)}")
+    for name, (_, description) in sorted(PARTITIONERS.items()):
+        print(f"  {name:<10} {description}")
     print("\nmodel architectures (--model):")
     print(f"  {', '.join(MODELS.keys())}")
     print("\ndatasets (--dataset):")
     print(f"  {', '.join(DATASETS.keys())}")
     print("\nserving tasks (repro serve-online --task):")
-    for name, entry in TASKS.items():
-        print(f"  {name:<12} {_entry_help(entry)}")
+    for name, (_, description) in sorted(TASKS.items()):
+        print(f"  {name:<12} {description}")
     print("\nstatic-analysis checkers (repro check --only):")
     from repro.analysis.core import CHECKERS, selected_checkers
     selected_checkers()  # import every checker module into CHECKERS

@@ -40,7 +40,6 @@ from repro.graph.partition import (
     check_partition,
     degree_balanced_partition,
     make_partitioner,
-    register_partitioner,
     stratified_partition,
 )
 
@@ -58,6 +57,5 @@ __all__ = [
     "DeltaEffect", "GraphDelta", "StreamingGraph", "make_delta_trace",
     "splice_csr_rows",
     "PARTITIONERS", "bfs_order", "check_partition",
-    "degree_balanced_partition", "make_partitioner", "register_partitioner",
-    "stratified_partition",
+    "degree_balanced_partition", "make_partitioner", "stratified_partition",
 ]

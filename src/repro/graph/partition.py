@@ -8,7 +8,7 @@ per-worker wall-clock even, while label- and locality-aware shards keep
 per-shard condensation faithful to the class structure the reducers
 preserve.
 
-Two strategies ship behind the :data:`PARTITIONERS` registry:
+Two strategies ship in the :data:`PARTITIONERS` table:
 
 - ``stratified`` — label-stratified BFS chunking.  Nodes are ordered by a
   seeded breadth-first traversal (so contiguous chunks are locally
@@ -33,13 +33,11 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import GraphError
+from repro.errors import GraphError, RegistryError
 from repro.graph.graph import Graph
-from repro.registry import FactoryEntry, Registry
 
 __all__ = [
     "PARTITIONERS",
-    "register_partitioner",
     "make_partitioner",
     "check_partition",
     "bfs_order",
@@ -47,29 +45,8 @@ __all__ = [
     "degree_balanced_partition",
 ]
 
-#: Signature every registered partitioner implements.
+#: Signature every partitioner implements.
 Partitioner = Callable[..., "list[np.ndarray]"]
-
-PARTITIONERS: Registry[FactoryEntry] = Registry("graph partitioner")
-
-
-def register_partitioner(name: str, *, description: str = "",
-                         overwrite: bool = False):
-    """Decorator registering a partitioner callable under ``name``."""
-
-    def wrap(fn: Partitioner) -> Partitioner:
-        PARTITIONERS.register(
-            name, FactoryEntry(name=name.lower(), factory=fn,
-                               description=description),
-            overwrite=overwrite)
-        return fn
-
-    return wrap
-
-
-def make_partitioner(name: str) -> Partitioner:
-    """Resolve a registered partitioner by name."""
-    return PARTITIONERS.get(name).factory
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +122,6 @@ def bfs_order(graph: Graph, seed: int = 0) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
-@register_partitioner(
-    "stratified",
-    description="label-stratified BFS chunking (balanced labels + locality)")
 def stratified_partition(graph: Graph, num_shards: int, *,
                          seed: int = 0) -> list[np.ndarray]:
     """Label-stratified BFS partition.
@@ -175,9 +149,6 @@ def stratified_partition(graph: Graph, num_shards: int, *,
             np.empty(0, dtype=np.int64) for parts in shards]
 
 
-@register_partitioner(
-    "degree",
-    description="degree-balanced greedy packing (even edge work per shard)")
 def degree_balanced_partition(graph: Graph, num_shards: int, *,
                               seed: int = 0) -> list[np.ndarray]:
     """Degree-balanced LPT partition.
@@ -200,3 +171,22 @@ def degree_balanced_partition(graph: Graph, num_shards: int, *,
         loads[shard] += degrees[node] + 1.0
     return [np.flatnonzero(assignment == shard)
             for shard in range(num_shards)]
+
+
+#: The partitioners: name -> (partitioner, the one-line description
+#: ``repro list`` prints).
+PARTITIONERS = {
+    "stratified": (stratified_partition, "label-stratified BFS chunking "
+                   "(balanced labels + locality)"),
+    "degree": (degree_balanced_partition, "degree-balanced greedy packing "
+               "(even edge work per shard)"),
+}
+
+
+def make_partitioner(name: str) -> Partitioner:
+    """Resolve a partitioner by name."""
+    if name not in PARTITIONERS:
+        raise RegistryError(
+            f"unknown graph partitioner {name!r}; "
+            f"available: {', '.join(sorted(PARTITIONERS))}")
+    return PARTITIONERS[name][0]

@@ -4,6 +4,6 @@ For the packaged offline→online flow (persistable bundles, cold-process
 serving) see :mod:`repro.api`.
 """
 
-from repro.inference.engine import InferenceReport, InductiveServer, run_inference
+from repro.inference.engine import InferenceReport, InductiveServer
 
-__all__ = ["InferenceReport", "InductiveServer", "run_inference"]
+__all__ = ["InferenceReport", "InductiveServer"]

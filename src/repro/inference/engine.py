@@ -39,8 +39,8 @@ from repro.tensor.tensor import Tensor, no_grad
 if TYPE_CHECKING:  # serving sits above inference; import it lazily at runtime
     from repro.serving.prepared import PreparedDeployment
 
-__all__ = ["InferenceReport", "InductiveServer", "run_inference",
-           "serves_frozen", "validate_deployment"]
+__all__ = ["InferenceReport", "InductiveServer", "serves_frozen",
+           "validate_deployment"]
 
 
 def validate_deployment(deployment: str, base: Graph | None,
@@ -249,8 +249,8 @@ class InductiveServer:
         Every mini-batch goes through the exact Eq. 3 / Eq. 11 operator —
         on a synthetic SGC deployment too, where :meth:`serve_batch`
         serves the frozen one — unless ``frozen`` asks for the frozen
-        operator (SGC only).  The paper grid's ``operator`` cells and the
-        training validator evaluate through here.
+        operator (SGC only).  The paper grid's ``operator`` cells, the
+        training validator and ``api.serve`` evaluate through here.
         """
         serve = partial(self._serve, frozen=frozen)
         total_nodes = batch.num_nodes
@@ -277,12 +277,3 @@ class InductiveServer:
             batch_mode=batch_mode,
             logits=logits)
 
-
-def run_inference(model: GNNModel, deployment: str, base: Graph,
-                  batch: IncrementalBatch,
-                  condensed: CondensedGraph | None = None,
-                  batch_size: int = 1000,
-                  batch_mode: str = "graph") -> InferenceReport:
-    """One-shot convenience wrapper around :class:`InductiveServer`."""
-    server = InductiveServer(model, deployment, base, condensed)
-    return server.run(batch, batch_size=batch_size, batch_mode=batch_mode)

@@ -25,17 +25,13 @@ from repro.errors import RegistryError
 __all__ = [
     "Registry",
     "ReducerEntry",
-    "FactoryEntry",
     "REDUCERS",
     "MODELS",
     "DATASETS",
-    "TASKS",
     "register_reducer",
     "register_model",
     "register_dataset",
-    "register_task",
     "make_reducer",
-    "make_task",
 ]
 
 T = TypeVar("T")
@@ -127,23 +123,9 @@ class ReducerEntry:
     keeps_result: bool = False  # factory's reducer exposes ``last_result``
 
 
-@dataclass(frozen=True)
-class FactoryEntry:
-    """A registered factory with a one-line description for ``repro list``.
-
-    Used by :data:`TASKS` and the graph partitioners
-    (:data:`repro.graph.partition.PARTITIONERS`).
-    """
-
-    name: str
-    factory: Callable[..., Any]
-    description: str = ""
-
-
 REDUCERS: Registry[ReducerEntry] = Registry("reduction method")
 MODELS: Registry[type] = Registry("model architecture")
 DATASETS: Registry[Any] = Registry("dataset")
-TASKS: Registry[FactoryEntry] = Registry("serving task")
 
 
 def register_reducer(name: str, *, profile_params: tuple[str, ...] = (),
@@ -187,26 +169,6 @@ def register_dataset(name: str, *, overwrite: bool = False):
     return wrap
 
 
-def register_task(name: str, *, description: str = "",
-                  overwrite: bool = False):
-    """Decorator registering a serving-task executor factory under ``name``.
-
-    The decorated callable takes no arguments and returns the executor —
-    ``executor(prepared, task, batch_mode=...)`` — that every
-    serving layer dispatches :class:`~repro.serving.embeddings.ServeTask`
-    requests through.
-    """
-
-    def wrap(factory):
-        TASKS.register(
-            name, FactoryEntry(name=name.lower(), factory=factory,
-                               description=description),
-            overwrite=overwrite)
-        return factory
-
-    return wrap
-
-
 def make_reducer(method: str, seed: int = 0, **cfg):
     """Instantiate a registered reduction method.
 
@@ -215,8 +177,3 @@ def make_reducer(method: str, seed: int = 0, **cfg):
     """
     entry = REDUCERS.get(method)
     return entry.factory(seed=seed, **cfg)
-
-
-def make_task(name: str, **cfg):
-    """Instantiate a registered serving-task executor."""
-    return TASKS.get(name).factory(**cfg)

@@ -8,9 +8,10 @@ for.  The pieces:
   (bitwise-parity) fast attach+normalize and a cached-propagation path;
 - :mod:`~repro.serving.embeddings` — the task-typed request surface:
   :class:`~repro.serving.embeddings.ServeTask` (``predict`` | ``embed``
-  | ``link_score`` | ``topk``), the :data:`repro.registry.TASKS`
-  executors, the link-prediction scorer/holdout, and the mmap-shareable
-  :class:`~repro.serving.embeddings.EmbeddingIndex` sidecar;
+  | ``link_score`` | ``topk``), the
+  :data:`~repro.serving.embeddings.TASKS` executors, the link-prediction
+  scorer/holdout, and the top-k
+  :class:`~repro.serving.embeddings.EmbeddingIndex`;
 - :mod:`~repro.serving.runtime` — micro-batching runtime with futures
   and its :class:`~repro.serving.runtime.MicroBatchScheduler`;
 - :mod:`~repro.serving.queue` — bounded admission with backpressure;
@@ -50,7 +51,6 @@ from repro.serving.embeddings import (
     holdout_split,
     sample_link_pairs,
     score_pairs,
-    sidecar_index_path,
     tasked_requests,
 )
 from repro.serving.queue import BoundedRequestQueue, QueueFullError
@@ -84,7 +84,7 @@ from repro.serving.gateway import (
 
 __all__ = [
     "PreparedDeployment", "DeltaRefreshReport",
-    "ServeTask", "EmbeddingIndex", "SCORERS", "sidecar_index_path",
+    "ServeTask", "EmbeddingIndex", "SCORERS",
     "score_pairs", "auc_score", "holdout_split", "sample_link_pairs",
     "evaluate_link_holdout", "tasked_requests",
     "BoundedRequestQueue", "QueueFullError",

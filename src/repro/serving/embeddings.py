@@ -18,40 +18,34 @@ protocol — accepts one request object, :class:`ServeTask`, whose
   base side reads the cached base-embedding matrix, and a registered
   scorer (``dot`` or ``hadamard``) combines them.
 - ``topk`` — for each request node, its ``k`` nearest base nodes by
-  cosine similarity against a precomputed :class:`EmbeddingIndex`; the
-  reply packs ``[k neighbor ids | k scores]`` per row (ids are exact as
-  float64).
+  cosine similarity against an :class:`EmbeddingIndex` over the base
+  embeddings; the reply packs ``[k neighbor ids | k scores]`` per row
+  (ids are exact as float64).
 
-Task executors live in the :data:`repro.registry.TASKS` registry, so
+The :data:`TASKS` table maps each task name to its executor, so
 ``repro list`` enumerates them and every layer dispatches through one
-``make_task`` call instead of per-task branches.
+:func:`execute_task` lookup instead of per-task branches.
 
-The :class:`EmbeddingIndex` persists with the same uncompressed ``.npz``
-scheme as ``DeploymentBundle.save(layout="mmap")``: saved next to a
-serving artifact, every replica on a host memory-maps one page-cache
-copy of the matrix.  ``PreparedDeployment.apply_delta`` invalidates the
-cached matrix (and any attached index), so top-k answers never go stale
-against a streamed base graph.
+Each process builds the :class:`EmbeddingIndex` from its own prepared
+deployment on the first ``topk`` request.
+``PreparedDeployment.apply_delta`` drops the cached matrix and the
+index, so top-k answers never go stale against a streamed base graph.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ArtifactError, ServingError
+from repro.errors import RegistryError, ServingError
 from repro.graph.datasets import IncrementalBatch
-from repro.registry import TASKS, make_task, register_task
 from repro.telemetry import stage_span
-from repro.utils.artifacts import normalize_npz_path, open_npz_archive, save_npz
 
-__all__ = ["ServeTask", "EmbeddingIndex", "SCORERS", "score_pairs",
+__all__ = ["ServeTask", "EmbeddingIndex", "SCORERS", "TASKS", "score_pairs",
            "auc_score", "holdout_split", "sample_link_pairs",
-           "evaluate_link_holdout", "tasked_requests", "execute_task",
-           "sidecar_index_path"]
+           "evaluate_link_holdout", "tasked_requests", "execute_task"]
 
 #: Registered link scorers: ``dot`` is the inner product of the endpoint
 #: embeddings; ``hadamard`` is the mean of their elementwise product.
@@ -67,8 +61,8 @@ class ServeTask:
     client to replica.
 
     ``batch`` carries the inductive nodes (features, incremental
-    connections, optional intra edges); ``task`` selects the executor
-    from :data:`repro.registry.TASKS`.  ``mode`` and ``trace_id`` are
+    connections, optional intra edges); ``task`` names the executor in
+    :data:`TASKS`.  ``mode`` and ``trace_id`` are
     the per-request options — every tier's
     ``submit`` reads them from here and takes no overrides;
     ``k``/``pairs``/``scorer`` only matter to the ``topk`` and
@@ -91,7 +85,7 @@ class ServeTask:
         if self.task not in TASKS:
             raise ServingError(
                 f"unknown serving task {self.task!r}; "
-                f"available: {', '.join(TASKS.keys())}")
+                f"available: {', '.join(sorted(TASKS))}")
         if self.mode is not None and self.mode not in ("graph", "node"):
             raise ServingError(
                 f"mode must be 'graph' or 'node', got {self.mode!r}")
@@ -190,27 +184,17 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
 class EmbeddingIndex:
     """A base-node embedding matrix packaged for top-k cosine queries.
 
-    Holds the raw matrix (link-prediction endpoints read it) and a
-    row-normalized copy (cosine queries are one dense matmul against
-    it).  :meth:`save` writes an uncompressed ``.npz`` — the same
-    mmap-friendly layout as ``DeploymentBundle.save(layout="mmap")`` —
-    so :meth:`load` with ``mmap=True`` maps both arrays zero-copy and
-    every serving replica on the host shares one page-cache copy.
+    Holds the raw matrix and a row-normalized copy (cosine queries are
+    one dense matmul against it).
     """
 
-    def __init__(self, embeddings: np.ndarray,
-                 normalized: np.ndarray | None = None) -> None:
+    def __init__(self, embeddings: np.ndarray) -> None:
         embeddings = np.asarray(embeddings)
         if embeddings.ndim != 2:
             raise ServingError(
                 f"embedding matrix must be (N, d), got {embeddings.shape}")
         self.embeddings = embeddings
-        self.normalized = (normalized if normalized is not None
-                           else _normalize_rows(embeddings))
-        if self.normalized.shape != embeddings.shape:
-            raise ServingError(
-                f"normalized matrix shape {self.normalized.shape} != "
-                f"embedding matrix shape {embeddings.shape}")
+        self.normalized = _normalize_rows(embeddings)
 
     @property
     def num_nodes(self) -> int:
@@ -237,7 +221,7 @@ class EmbeddingIndex:
         if queries.shape[1] != self.dim:
             raise ServingError(
                 f"query dim {queries.shape[1]} != index dim {self.dim}")
-        scores = _normalize_rows(queries) @ np.asarray(self.normalized).T
+        scores = _normalize_rows(queries) @ self.normalized.T
         order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         return order.astype(np.int64), np.take_along_axis(scores, order,
                                                           axis=1)
@@ -248,50 +232,13 @@ class EmbeddingIndex:
         indices, scores = self.topk(queries, k)
         return np.concatenate([indices.astype(np.float64), scores], axis=1)
 
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> Path:
-        """Persist uncompressed (mmap-able); returns the ``.npz`` path."""
-        target = normalize_npz_path(path)
-        payload = {
-            "kind": np.asarray("embedding-index"),
-            "embeddings": np.asarray(self.embeddings, dtype=np.float64),
-            "normalized": np.asarray(self.normalized, dtype=np.float64),
-        }
-        return save_npz(target, payload, compressed=False)
-
-    @classmethod
-    def load(cls, path: str | Path, *, mmap: bool = False) -> "EmbeddingIndex":
-        """Load an index saved by :meth:`save`; ``mmap=True`` maps the
-        matrices read-only instead of copying them into the process."""
-        target = normalize_npz_path(path)
-        with open_npz_archive(target, "embedding index",
-                              mmap=mmap) as archive:
-            if ("embeddings" not in archive.files
-                    or "normalized" not in archive.files):
-                raise ArtifactError(
-                    f"{target} is not an embedding index "
-                    "(missing embeddings/normalized members)")
-            if str(archive["kind"]) != "embedding-index":
-                raise ArtifactError(
-                    f"{target} has unexpected artifact kind "
-                    f"{str(archive['kind'])!r}")
-            return cls(archive["embeddings"], archive["normalized"])
-
     def __repr__(self) -> str:
         return (f"EmbeddingIndex(num_nodes={self.num_nodes}, "
                 f"dim={self.dim})")
 
 
-def sidecar_index_path(artifact: str | Path) -> Path:
-    """Where a serving artifact's embedding index lives on disk:
-    ``artifact.npz`` → ``artifact.embeddings.npz`` (replica workers probe
-    this path and memory-map the index when present)."""
-    target = normalize_npz_path(artifact)
-    return target.with_name(target.stem + ".embeddings.npz")
-
-
 # ----------------------------------------------------------------------
-# Task executors (the TASKS registry)
+# Task executors (the TASKS table)
 # ----------------------------------------------------------------------
 def _execute_predict(prepared, task: ServeTask, *, batch_mode: str = "graph"):
     return prepared.serve_batch(task.batch, batch_mode)
@@ -332,37 +279,32 @@ def _execute_topk(prepared, task: ServeTask, *, batch_mode: str = "graph"):
     return packed, time.perf_counter() - start, memory
 
 
-@register_task("predict", description="class logits of the request's "
-               "inductive nodes (the classic, bitwise-stable path)")
-def _predict_task():
-    return _execute_predict
-
-
-@register_task("embed", description="penultimate node representations via "
-               "the models' embed() contract")
-def _embed_task():
-    return _execute_embed
-
-
-@register_task("link_score", description="edge scores for (request node, "
-               "base node) pairs from cached endpoint embeddings")
-def _link_score_task():
-    return _execute_link_score
-
-
-@register_task("topk", description="k nearest base nodes per request node "
-               "from the precomputed embedding index")
-def _topk_task():
-    return _execute_topk
+#: The serving tasks: name -> (executor, the one-line description
+#: ``repro list`` prints).  Every executor returns the
+#: ``(result, seconds, memory_bytes)`` triple of ``serve_batch``.
+TASKS = {
+    "predict": (_execute_predict, "class logits of the request's inductive "
+                "nodes (the classic, bitwise-stable path)"),
+    "embed": (_execute_embed, "penultimate node representations via the "
+              "models' embed() contract"),
+    "link_score": (_execute_link_score, "edge scores for (request node, base "
+                   "node) pairs from cached endpoint embeddings"),
+    "topk": (_execute_topk, "k nearest base nodes per request node from the "
+             "precomputed embedding index"),
+}
 
 
 def execute_task(prepared, task: ServeTask, *, batch_mode: str = "graph"):
-    """Dispatch one :class:`ServeTask` through the registry.
+    """Dispatch one :class:`ServeTask` through :data:`TASKS`.
 
     Returns the executor's ``(result, seconds, memory_bytes)`` triple —
     the same contract as ``PreparedDeployment.serve_batch``.
     """
-    executor = make_task(task.task)
+    if task.task not in TASKS:
+        raise RegistryError(
+            f"unknown serving task {task.task!r}; "
+            f"available: {', '.join(sorted(TASKS))}")
+    executor, _ = TASKS[task.task]
     return executor(prepared, task, batch_mode=batch_mode)
 
 

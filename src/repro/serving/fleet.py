@@ -23,9 +23,7 @@ returned results are bitwise identical to
 ``PreparedDeployment.serve_task`` on the same request — which replica
 answers (and every failover re-route) is invisible in the outputs.
 Requests are task-typed :class:`~repro.serving.embeddings.ServeTask`
-objects (``predict`` | ``embed`` | ``link_score`` | ``topk``); replicas
-attach the artifact's memory-mapped embedding-index sidecar when one
-sits next to the ``.npz``, so ``topk`` never recomputes the base matrix.
+objects (``predict`` | ``embed`` | ``link_score`` | ``topk``).
 """
 
 from __future__ import annotations
@@ -64,28 +62,17 @@ _MAX_SPAWN_RETRIES = 2
 # Worker process
 # ----------------------------------------------------------------------
 def _replica_worker(replica_id: int, generation: int, artifact: str,
-                    mmap_load: bool, batch_mode: str, inbox, outbox) -> None:
+                    batch_mode: str, inbox, outbox) -> None:
     """Load the artifact, announce readiness, then serve until ``stop``.
 
-    Runs in a child process.  The bundle is loaded *here* — with
-    ``mmap_load`` every replica maps the same file, sharing one page-cache
-    copy of the stored arrays across the fleet.
+    Runs in a child process.  The bundle is loaded *here*, memory-mapped:
+    every replica maps the same file, sharing one page-cache copy of the
+    stored arrays across the fleet (compressed members load eagerly).
     """
     started = time.perf_counter()
     try:
         from repro.api import DeploymentBundle
-        from repro.serving.embeddings import (
-            EmbeddingIndex,
-            sidecar_index_path,
-        )
-        bundle = DeploymentBundle.load(artifact, mmap=mmap_load)
-        prepared = bundle.prepare()
-        sidecar = sidecar_index_path(artifact)
-        if sidecar.exists():
-            # one precomputed top-k matrix, memory-mapped by every
-            # replica — the page cache holds the arrays once per host
-            prepared.attach_embedding_index(
-                EmbeddingIndex.load(sidecar, mmap=mmap_load))
+        prepared = DeploymentBundle.load(artifact, mmap=True).prepare()
         cold_start = time.perf_counter() - started
         outbox.put(("ready", replica_id, generation, cold_start))
     except BaseException as error:  # noqa: BLE001 — reported to the pool
@@ -172,12 +159,11 @@ class ReplicaPool:
     """
 
     def __init__(self, artifact: str | Path, size: int, *,
-                 mmap: bool = True, batch_mode: str = "node") -> None:
+                 batch_mode: str = "node") -> None:
         if size <= 0:
             raise ServingError(f"fleet size must be positive, got {size}")
         self.artifact = Path(artifact)
         self.size = size
-        self.mmap = mmap
         self.batch_mode = batch_mode
         methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context(
@@ -193,7 +179,7 @@ class ReplicaPool:
         inbox = self._context.Queue()
         process = self._context.Process(
             target=_replica_worker,
-            args=(replica_id, generation, str(self.artifact), self.mmap,
+            args=(replica_id, generation, str(self.artifact),
                   self.batch_mode, inbox, self.results),
             name=f"repro-replica-{replica_id}", daemon=True)
         process.start()
@@ -283,8 +269,7 @@ class ReplicaPool:
 
     def __repr__(self) -> str:
         states = {rid: r.state for rid, r in sorted(self.replicas.items())}
-        return (f"ReplicaPool(size={self.size}, mmap={self.mmap}, "
-                f"states={states})")
+        return f"ReplicaPool(size={self.size}, states={states})"
 
 
 # ----------------------------------------------------------------------
@@ -298,15 +283,13 @@ class ServingFleet:
     artifact:
         Path to a :class:`repro.api.DeploymentBundle` ``.npz``.  Save it
         with ``layout="mmap"`` so the replicas share the arrays through
-        the page cache (``mmap=True`` is still safe — compressed members
+        the page cache (every replica memory-maps it; compressed members
         just load eagerly per replica).
     replicas:
         Number of worker processes; requests go to the ready ones in
         turn (round-robin, in id order).
     batch_mode:
         ``"graph"`` or ``"node"`` — fixed per fleet, like a runtime.
-    mmap:
-        Memory-map the artifact in every replica (zero-copy load).
 
     Every request carries a :class:`~repro.telemetry.TraceContext`
     (per-stage spans, slow-request ring) and feeds the per-stage latency
@@ -322,7 +305,7 @@ class ServingFleet:
     _POLL_SECONDS = 0.02
 
     def __init__(self, artifact: str | Path, replicas: int = 2, *,
-                 batch_mode: str = "node", mmap: bool = True) -> None:
+                 batch_mode: str = "node") -> None:
         if batch_mode not in ("graph", "node"):
             raise ServingError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
@@ -366,8 +349,7 @@ class ServingFleet:
             "repro_stage_latency_seconds",
             "Per-stage request latency across the serving layers.",
             ("component", "stage"))
-        self.pool = ReplicaPool(artifact, replicas, mmap=mmap,
-                                batch_mode=batch_mode)
+        self.pool = ReplicaPool(artifact, replicas, batch_mode=batch_mode)
         self._collector = threading.Thread(target=self._collect_forever,
                                            name="repro-fleet-collector",
                                            daemon=True)

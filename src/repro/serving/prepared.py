@@ -269,9 +269,8 @@ class PreparedDeployment:
         self._propagated: list[np.ndarray] | None = None
         self._base_logits: np.ndarray | None = None
         self._base_embeddings: np.ndarray | None = None
-        # the top-k similarity index over the base embeddings — either
-        # attached from an mmap sidecar artifact or built lazily; dropped
-        # whenever a delta changes the base graph
+        # the top-k similarity index over the base embeddings, built
+        # lazily; dropped whenever a delta changes the base graph
         self._embedding_index = None
         # the evolving view of the deployed graph, created on first delta
         self._stream: StreamingGraph | None = None
@@ -558,7 +557,8 @@ class PreparedDeployment:
     def serve_task(self, task, *, batch_mode: str = "graph"):
         """Execute one :class:`~repro.serving.embeddings.ServeTask`.
 
-        Dispatches through the :data:`repro.registry.TASKS` registry;
+        Dispatches through the :data:`repro.serving.embeddings.TASKS`
+        table;
         ``task="predict"`` lands on the very same :meth:`serve_batch`
         call as the keyword API, so its replies stay bitwise identical.
         Returns the executor's ``(result, seconds, memory_bytes)`` triple.
@@ -628,14 +628,10 @@ class PreparedDeployment:
     def base_embeddings(self) -> np.ndarray:
         """Embeddings of the deployed (known) nodes, computed once.
 
-        The link-prediction scorer reads its base endpoints here.  An
-        attached :class:`~repro.serving.embeddings.EmbeddingIndex` (the
-        mmap sidecar) supplies the matrix directly; otherwise one
+        The link-prediction scorer reads its base endpoints here.  One
         standalone ``embed()`` forward is cached, exactly like
         :meth:`warm_base` caches the base logits.
         """
-        if self._embedding_index is not None:
-            return np.asarray(self._embedding_index.embeddings)
         if self._base_embeddings is None:
             self.model.eval()
             with no_grad():
@@ -647,28 +643,13 @@ class PreparedDeployment:
     def embedding_index(self):
         """The top-k similarity index over the base embeddings.
 
-        Built lazily from :meth:`base_embeddings` unless an mmap sidecar
-        index was attached.  :meth:`apply_delta` drops it, so top-k
-        replies never cite a pre-delta matrix.
+        Built lazily from :meth:`base_embeddings`.  :meth:`apply_delta`
+        drops it, so top-k replies never cite a pre-delta matrix.
         """
         if self._embedding_index is None:
             from repro.serving.embeddings import EmbeddingIndex
             self._embedding_index = EmbeddingIndex(self.base_embeddings())
         return self._embedding_index
-
-    def attach_embedding_index(self, index) -> None:
-        """Adopt a precomputed (typically memory-mapped) embedding index.
-
-        Replica workers call this with the artifact's sidecar index so
-        every process on the host shares one page-cache copy of the
-        matrix instead of recomputing a base ``embed()`` forward each.
-        """
-        if int(index.num_nodes) != self.num_base:
-            raise ServingError(
-                f"embedding index covers {index.num_nodes} nodes but the "
-                f"deployment serves {self.num_base} base nodes")
-        self._embedding_index = index
-        self._base_embeddings = None
 
     def invalidate_embeddings(self) -> None:
         """Drop the cached base embeddings and top-k index.
@@ -805,10 +786,10 @@ class PreparedDeployment:
         if self._base_logits is not None:
             self._base_logits = None
             invalidated.append("warm_logits")
-        if (self._base_embeddings is not None
-                or self._embedding_index is not None):
-            # the top-k matrix must never outlive the graph it indexed;
-            # like the warm logits, embeddings are recomputed lazily
+        if self._base_embeddings is not None:
+            # the top-k index is built from these embeddings and must
+            # never outlive the graph it indexed; like the warm logits,
+            # both are recomputed lazily
             # (never patched row-wise — BLAS row-subset products are not
             # bitwise reproducible)
             self.invalidate_embeddings()

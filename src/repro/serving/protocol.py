@@ -84,8 +84,6 @@ import scipy.sparse as sp
 
 from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
-# importing the embeddings module also populates the TASKS registry the
-# decoder validates task names against
 from repro.serving.embeddings import ServeTask
 
 __all__ = ["MAGIC", "PROTOCOL_VERSION", "ProtocolError", "GatewayReply",

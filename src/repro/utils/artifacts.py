@@ -45,7 +45,7 @@ import mmap as _mmap
 import struct
 import zipfile
 import zlib
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -319,20 +319,28 @@ def open_npz_archive(path: str | Path, kind: str = "artifact", *,
     target = normalize_npz_path(path)
     if not target.exists():
         raise ArtifactError(f"no {kind} at {target}")
-    try:
-        archive = MappedNpzArchive(target) if mmap else np.load(target)
-    except _READ_ERRORS as exc:
-        raise ArtifactError(
-            f"cannot read {kind} {target}: {exc}") from exc
-    try:
-        yield archive
-    except ReproError:
-        raise
-    except _READ_ERRORS as exc:
-        # lazy member reads fail *inside* the block (truncation, bad CRC);
-        # the message repeats the cause rather than asserting corruption,
-        # since the block's parsing code shares these exception types
-        raise ArtifactError(
-            f"cannot read {kind} {target}: {exc}") from exc
-    finally:
-        archive.close()
+    with ExitStack() as owned:
+        try:
+            if mmap:
+                archive = owned.enter_context(MappedNpzArchive(target))
+            else:
+                # own the handle: np.load(path) leaks its own when the zip
+                # parse fails, and NpzFile never closes a handle it was
+                # given; NpzFile also refuses a non-zip payload, which
+                # np.load would return as a bare array
+                handle = owned.enter_context(open(target, "rb"))
+                archive = owned.enter_context(np.lib.npyio.NpzFile(handle))
+        except _READ_ERRORS as exc:
+            raise ArtifactError(
+                f"cannot read {kind} {target}: {exc}") from exc
+        try:
+            yield archive
+        except ReproError:
+            raise
+        except _READ_ERRORS as exc:
+            # lazy member reads fail *inside* the block (truncation, bad
+            # CRC); the message repeats the cause rather than asserting
+            # corruption, since the block's parsing code shares these
+            # exception types
+            raise ArtifactError(
+                f"cannot read {kind} {target}: {exc}") from exc

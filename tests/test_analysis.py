@@ -1,8 +1,8 @@
 """The static-analysis pass: framework, five checkers, CLI, and the gate.
 
 Fixture suites build tiny synthetic ``src/repro`` trees per checker
-(positive + negative cases), the baseline file round-trips, the JSON
-report validates against its schema checker, and — the gate
+(positive + negative cases), the JSON report validates against its
+schema checker, and — the gate
 itself — ``repro check`` must run clean on this repository at HEAD.
 """
 
@@ -19,8 +19,6 @@ from repro.analysis import (
     AnalysisError,
     build_report,
     check_analysis_report_schema,
-    format_baseline,
-    load_baseline,
     run_checkers,
 )
 from repro.cli import main
@@ -527,6 +525,12 @@ class TestNamingChecker:
             tmp_path, 'registry.counter("repro_widget_requests_total", "x")')
         assert [v.code for v in violations] == ["NAM002"]
 
+    def test_retired_runtime_component_flagged(self, tmp_path):
+        # the in-process runtime owns no metric family any more
+        violations = self._run(
+            tmp_path, 'registry.counter("repro_runtime_x_total", "x")')
+        assert [v.code for v in violations] == ["NAM002"]
+
     def test_counter_without_total_flagged(self, tmp_path):
         violations = self._run(
             tmp_path, 'registry.counter("repro_fleet_requests", "x")')
@@ -540,12 +544,12 @@ class TestNamingChecker:
 
     def test_gauge_with_reserved_suffix_flagged(self, tmp_path):
         violations = self._run(
-            tmp_path, 'registry.gauge("repro_runtime_queue_total", "x")')
+            tmp_path, 'registry.gauge("repro_fleet_queue_total", "x")')
         assert [v.code for v in violations] == ["NAM003"]
 
     def test_gauge_plain_name_passes(self, tmp_path):
         assert self._run(
-            tmp_path, 'registry.gauge("repro_runtime_queue_depth", "x")',
+            tmp_path, 'registry.gauge("repro_fleet_queue_depth", "x")',
         ) == []
 
     def test_non_literal_names_ignored(self, tmp_path):
@@ -553,7 +557,7 @@ class TestNamingChecker:
 
 
 # ----------------------------------------------------------------------
-# Baseline round-trip, report schema, CLI
+# Report schema, CLI
 # ----------------------------------------------------------------------
 VIOLATING_TREE = {
     "src/repro/mod.py": """\
@@ -563,41 +567,16 @@ VIOLATING_TREE = {
 }
 
 
-class TestBaselineAndReport:
-    def test_baseline_round_trip_suppresses_known_findings(self, tmp_path):
-        tree = make_tree(tmp_path, VIOLATING_TREE)
-        violations, counts, context = run_checkers(tree, only=["errors"])
-        assert len(violations) == 1
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_text(format_baseline(violations))
-        baseline = load_baseline(baseline_file)
-        assert baseline == {violations[0].key()}
-        report = build_report(violations, counts, context, baseline)
-        assert report["clean"] and report["suppressed"] == 1
-
-    def test_baseline_key_is_line_number_stable(self, tmp_path):
-        tree = make_tree(tmp_path, VIOLATING_TREE)
-        violations, _counts, _context = run_checkers(tree, only=["errors"])
-        baseline = set(load_baseline_text(format_baseline(violations)))
-        source = tree / "src/repro/mod.py"
-        source.write_text("# a new leading comment\n" + source.read_text())
-        moved, _counts, _context = run_checkers(tree, only=["errors"])
-        assert moved[0].line == violations[0].line + 1
-        assert moved[0].key() in baseline
-
-    def test_missing_and_malformed_baselines_raise(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            load_baseline(tmp_path / "nope.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        with pytest.raises(AnalysisError):
-            load_baseline(bad)
-
+class TestReport:
     def test_report_schema_accepts_real_report(self, tmp_path):
         tree = make_tree(tmp_path, VIOLATING_TREE)
         violations, counts, context = run_checkers(tree, only=["errors"])
         report = build_report(violations, counts, context)
         check_analysis_report_schema(report)
+        # every finding is reported: there is no suppression file
+        assert set(report) == {"kind", "schema_version", "files_scanned",
+                               "checkers", "violations", "clean"}
+        assert len(report["violations"]) == 1 and not report["clean"]
 
     @pytest.mark.parametrize("mutate", [
         lambda r: r.pop("violations"),
@@ -620,10 +599,6 @@ class TestBaselineAndReport:
         with pytest.raises(Exception) as excinfo:
             run_checkers(tree, only=["nope"])
         assert "nope" in str(excinfo.value)
-
-
-def load_baseline_text(text: str) -> set:
-    return set(json.loads(text)["entries"])
 
 
 class TestCheckCli:
@@ -656,15 +631,13 @@ class TestCheckCli:
         assert "files_scanned" in captured.err and captured.out == ""
         assert not out.exists()
 
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--baseline", "--write-baseline"])
+    def test_baseline_flags_are_gone(self, tmp_path, flag):
         tree = make_tree(tmp_path, VIOLATING_TREE)
-        baseline = tmp_path / "baseline.json"
-        assert main(["check", "--root", str(tree), "--only", "errors",
-                     "--write-baseline", str(baseline)]) == 0
-        assert main(["check", "--root", str(tree), "--only", "errors",
-                     "--baseline", str(baseline)]) == 0
-        summary = capsys.readouterr().out.splitlines()[-1]
-        assert "1 baseline-suppressed" in summary
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--root", str(tree), flag,
+                  str(tmp_path / "baseline.json")])
+        assert excinfo.value.code == 2
 
     def test_disable_skips_a_checker(self, tmp_path, capsys):
         tree = make_tree(tmp_path, VIOLATING_TREE)

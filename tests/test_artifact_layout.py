@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import api
-from repro.serving import EmbeddingIndex
 from repro.utils import artifacts
 from repro.utils.artifacts import open_npz_archive, save_npz
 
@@ -65,12 +64,6 @@ def test_bundle_mmap_layout_is_aligned(tmp_path, deployment, precision):
                         deployment=deployment)
     path = bundle.save(tmp_path / "bundle.npz", layout="mmap",
                        precision=precision)
-    _assert_aligned_artifact(path)
-
-
-def test_embedding_index_sidecar_is_aligned(tmp_path):
-    rng = np.random.default_rng(0)
-    path = EmbeddingIndex(rng.normal(size=(37, 5))).save(tmp_path / "ix")
     _assert_aligned_artifact(path)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.condense import CondensedGraph
-from repro.inference import run_inference
+from repro.inference import InductiveServer
 from repro.nn import make_model
 
 
@@ -39,11 +39,11 @@ class TestSaveLoad:
         model = make_model("sgc", tiny_split.original.feature_dim,
                            tiny_split.num_classes, seed=0)
         batch = tiny_split.incremental_batch("test")
-        original = run_inference(model, "synthetic", tiny_split.original,
-                                 batch, condensed=tiny_condensed,
-                                 batch_mode="node")
-        reloaded = run_inference(model, "synthetic", tiny_split.original,
-                                 batch, condensed=loaded, batch_mode="node")
+        original = InductiveServer(model, "synthetic", tiny_split.original,
+                                   tiny_condensed).run(batch,
+                                                       batch_mode="node")
+        reloaded = InductiveServer(model, "synthetic", tiny_split.original,
+                                   loaded).run(batch, batch_mode="node")
         assert np.allclose(original.logits, reloaded.logits, atol=1e-12)
 
     def test_storage_accounting_stable_after_roundtrip(self, tiny_condensed,

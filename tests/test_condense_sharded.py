@@ -92,21 +92,22 @@ class TestSingleClassShardApportionment:
             apportion_budget(np.array([5, 5]), np.array([50, 50]), 3,
                              np.array([3, 1]))
 
-    def test_single_class_shard_end_to_end(self, tiny_split):
+    def test_single_class_shard_end_to_end(self, tiny_split, monkeypatch):
         """A partition that isolates one class in its own shard condenses
         with a budget below shards * num_classes."""
-        from repro.graph.partition import register_partitioner
+        from repro.graph.partition import PARTITIONERS
 
         labels = tiny_split.original.labels
         lone = int(labels[0])
 
-        @register_partitioner("single-class-test", overwrite=True,
-                              description="test-only: isolate one class")
         def _single_class(graph, shards, seed=0):
             assert shards == 2
             members = np.flatnonzero(graph.labels == lone)
             rest = np.flatnonzero(graph.labels != lone)
             return [rest, members]
+
+        monkeypatch.setitem(PARTITIONERS, "single-class-test",
+                            (_single_class, "test-only: isolate one class"))
 
         reducer = make_reducer("sharded", inner="random", shards=2,
                                partitioner="single-class-test", seed=0)

@@ -8,7 +8,7 @@ import pytest
 from repro.api import DeploymentBundle
 from repro.errors import ConfigError, InferenceError
 from repro.condense import CondensedGraph
-from repro.inference import InductiveServer, run_inference
+from repro.inference import InductiveServer
 from repro.nn import make_model
 
 
@@ -61,8 +61,9 @@ class TestServerValidation:
 class TestServing:
     def test_original_report_fields(self, served, tiny_split_module):
         batch = tiny_split_module.incremental_batch("test")
-        report = run_inference(served, "original", tiny_split_module.original,
-                               batch, batch_size=32)
+        report = InductiveServer(served, "original",
+                                 tiny_split_module.original).run(
+            batch, batch_size=32)
         assert report.num_nodes == batch.num_nodes
         assert report.num_batches == int(np.ceil(batch.num_nodes / 32))
         assert report.logits.shape == (batch.num_nodes,
@@ -75,11 +76,11 @@ class TestServing:
                                                   tiny_split_module,
                                                   tiny_condensed_module):
         batch = tiny_split_module.incremental_batch("test")
-        original = run_inference(served, "original",
-                                 tiny_split_module.original, batch)
-        synthetic = run_inference(served, "synthetic",
-                                  tiny_split_module.original, batch,
-                                  condensed=tiny_condensed_module)
+        original = InductiveServer(served, "original",
+                                   tiny_split_module.original).run(batch)
+        synthetic = InductiveServer(served, "synthetic",
+                                    tiny_split_module.original,
+                                    tiny_condensed_module).run(batch)
         # The synthetic deployment's attached graph is far smaller; its
         # footprint is dominated by the (sparsified) mapping + batch features.
         assert synthetic.logits.shape == original.logits.shape
@@ -125,8 +126,8 @@ class TestServing:
 
     def test_report_unit_helpers(self, served, tiny_split_module):
         batch = tiny_split_module.incremental_batch("val")
-        report = run_inference(served, "original", tiny_split_module.original,
-                               batch)
+        report = InductiveServer(served, "original",
+                                 tiny_split_module.original).run(batch)
         assert report.mean_batch_milliseconds == pytest.approx(
             report.mean_batch_seconds * 1e3)
         assert report.memory_megabytes == pytest.approx(

@@ -10,7 +10,7 @@ from repro.condense import MCondConfig, MCondReducer, make_coreset
 from repro.experiments import (Cell, ExperimentContext, EffortProfile,
                                prepare_dataset)
 from repro.graph import load_dataset, symmetric_normalize
-from repro.inference import run_inference
+from repro.inference import InductiveServer
 from repro.nn import TrainConfig, make_model, train_node_classifier
 from repro.propagation import label_propagation, softmax_rows
 
@@ -94,9 +94,9 @@ class TestPaperClaims:
                               condensed.labels,
                               np.arange(condensed.num_nodes),
                               config=TrainConfig(epochs=40, patience=40))
-        report = run_inference(model, "synthetic", split.original,
-                               split.incremental_batch("test"),
-                               condensed=condensed)
+        report = InductiveServer(model, "synthetic", split.original,
+                                 condensed).run(
+            split.incremental_batch("test"))
         assert report.accuracy > 1.5 / split.num_classes  # well above chance
 
     def test_coreset_pipeline_from_scratch(self):
@@ -109,7 +109,7 @@ class TestPaperClaims:
                               split.original.labels,
                               split.labeled_in_original,
                               config=TrainConfig(epochs=40, patience=40))
-        report = run_inference(model, "synthetic", split.original,
-                               split.incremental_batch("test"),
-                               condensed=condensed)
+        report = InductiveServer(model, "synthetic", split.original,
+                                 condensed).run(
+            split.incremental_batch("test"))
         assert report.accuracy > 1.0 / split.num_classes

@@ -242,26 +242,21 @@ class TestFacade:
         split = load_dataset("tiny-sim", seed=1)
         assert report.num_nodes == split.test_idx.size
 
-    def test_serve_merges_multiple_batches(self, mcond_bundle):
-        from repro.graph import load_dataset
-        split = load_dataset("tiny-sim", seed=1)
-        batch = split.incremental_batch("test")
-        half = batch.num_nodes // 2
-        parts = [batch.subset(np.arange(half)),
-                 batch.subset(np.arange(half, batch.num_nodes))]
-        merged = api.serve(mcond_bundle, parts, batch_mode="node")
-        separate = [api.serve(mcond_bundle, part, batch_mode="node")
-                    for part in parts]
-        assert merged.num_nodes == batch.num_nodes
-        assert merged.num_batches == sum(r.num_batches for r in separate)
-        assert np.array_equal(
-            merged.logits, np.vstack([r.logits for r in separate]))
-        expected = sum(r.accuracy * r.num_nodes for r in separate)
-        assert merged.accuracy == pytest.approx(expected / merged.num_nodes)
+    def test_serve_scores_the_operator_every_tier_serves(self,
+                                                         mcond_bundle):
+        # a synthetic SGC deployment serves the frozen operator on every
+        # tier, so the accuracy api.serve reports is computed on it too
+        batch = api.evaluation_batch(mcond_bundle)
+        report = api.serve(mcond_bundle, batch_mode="node",
+                           batch_size=batch.num_nodes)
+        served, _, _ = mcond_bundle.prepare().serve_batch(batch, "node")
+        assert np.array_equal(report.logits, served)
 
-    def test_serve_rejects_empty_batch_list(self, mcond_bundle):
-        with pytest.raises(ConfigError):
-            api.serve(mcond_bundle, [])
+    def test_one_serve_entry_point(self, mcond_bundle):
+        import repro.inference
+        assert not hasattr(mcond_bundle, "serve")
+        assert not hasattr(mcond_bundle, "server")
+        assert not hasattr(repro.inference, "run_inference")
 
     def test_operator_shapes(self, mcond_bundle):
         operator = mcond_bundle.operator()

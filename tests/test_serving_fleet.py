@@ -3,7 +3,9 @@ failover, hot swap."""
 
 from __future__ import annotations
 
+import gc
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -101,10 +103,26 @@ class TestMappedArchive:
         path = save_npz(tmp_path / "raw.npz",
                         {"x": np.arange(64.0)}, compressed=False)
         path.write_bytes(path.read_bytes()[:80])
-        for mmap_flag in (False, True):
-            with pytest.raises(ArtifactError):
-                with open_npz_archive(path, mmap=mmap_flag):
-                    pass
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for mmap_flag in (False, True):
+                with pytest.raises(ArtifactError):
+                    with open_npz_archive(path, mmap=mmap_flag):
+                        pass
+            gc.collect()
+        # the failure path closes the file itself, not the collector
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("mmap_flag", [False, True])
+    def test_npy_payload_is_a_corrupt_archive(self, tmp_path, mmap_flag):
+        # np.load would hand back a bare array for this file
+        path = tmp_path / "array.npz"
+        with open(path, "wb") as handle:
+            np.save(handle, np.arange(4.0))
+        with pytest.raises(ArtifactError, match="not a zip file"):
+            with open_npz_archive(path, mmap=mmap_flag):
+                pass
 
     def test_mid_read_corruption_raises_artifact_error(self, tmp_path):
         path = save_npz(tmp_path / "big.npz",

@@ -603,7 +603,10 @@ class TestGatewayAutoscale:
             with GatewayClient(*gateway.address,
                                encoding="binary") as client:
                 client.serve_batch(gw_requests[0])  # warm the replica
-                count = len([client.submit(r) for r in gw_requests * 8])
+                # the burst must outlast several 50 ms autoscaler ticks:
+                # 96 requests drained within one tick in about half the
+                # runs, and the policy never saw a backlog
+                count = len([client.submit(r) for r in gw_requests * 32])
                 replies = client.drain(count)
                 assert all(r.ok for r in replies.values())
                 events = list(gateway.scale_events)

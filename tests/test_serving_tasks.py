@@ -3,6 +3,7 @@ type per tier, invalidation."""
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import io
 import time
@@ -15,7 +16,6 @@ from repro import api
 from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.stream import make_delta_trace
-from repro.registry import TASKS
 from repro.serving import (
     EmbeddingIndex,
     GatewayClient,
@@ -29,10 +29,10 @@ from repro.serving import (
     auc_score,
     evaluate_link_holdout,
     score_pairs,
-    sidecar_index_path,
     split_requests,
     tasked_requests,
 )
+from repro.serving.embeddings import TASKS
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -56,10 +56,7 @@ def task_bundle():
 @pytest.fixture(scope="module")
 def task_artifact(task_bundle, tmp_path_factory):
     root = tmp_path_factory.mktemp("task-artifacts")
-    artifact = task_bundle.save(root / "original.npz", layout="mmap")
-    # the sidecar index replicas probe for and memory-map on startup
-    api.save_embedding_index(task_bundle, artifact)
-    return artifact
+    return task_bundle.save(root / "original.npz", layout="mmap")
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +100,9 @@ def _toy_batch(n: int = 3, d: int = 4, total: int = 10) -> IncrementalBatch:
 # ----------------------------------------------------------------------
 class TestServeTask:
     def test_registry_covers_all_tasks(self):
-        assert set(TASKS.keys()) == {"predict", "embed", "link_score",
-                                     "topk"}
-        for _, entry in TASKS.items():
-            assert entry.description
+        assert set(TASKS) == {"predict", "embed", "link_score", "topk"}
+        for executor, description in TASKS.values():
+            assert callable(executor) and description
 
     def test_rejects_non_batch(self):
         with pytest.raises(ServingError, match="IncrementalBatch"):
@@ -202,42 +198,17 @@ class TestExecutors:
             assert np.array_equal(rows[row, :k].astype(np.int64), order)
             assert np.array_equal(rows[row, k:], sims[row][order])
 
-    def test_attached_index_answers_match_lazy_build(self, task_bundle,
-                                                     task_artifact,
-                                                     task_requests):
-        lazy = task_bundle.prepare()
-        attached = task_bundle.prepare()
-        attached.attach_embedding_index(
-            EmbeddingIndex.load(sidecar_index_path(task_artifact),
-                                mmap=True))
-        task = ServeTask(batch=task_requests[0], task="topk", k=3)
-        want, _, _ = lazy.serve_task(task, batch_mode="node")
-        got, _, _ = attached.serve_task(task, batch_mode="node")
-        assert np.array_equal(want, got)
-
 
 class TestEmbeddingIndex:
-    def test_save_load_mmap_parity(self, tmp_path):
-        matrix = np.random.default_rng(3).standard_normal((6, 4))
-        index = EmbeddingIndex(matrix)
-        path = index.save(tmp_path / "embed.npz")
-        loaded = EmbeddingIndex.load(path, mmap=True)
-        assert np.array_equal(loaded.embeddings, index.embeddings)
-        assert np.array_equal(loaded.normalized, index.normalized)
-        ids, scores = index.topk(matrix[:2], 3)
-        ids2, scores2 = loaded.topk(matrix[:2], 3)
-        assert np.array_equal(ids, ids2)
-        assert np.array_equal(scores, scores2)
-        assert ids[0, 0] == 0  # a row is its own nearest neighbour
-
     def test_topk_rejects_oversized_k(self):
         index = EmbeddingIndex(np.eye(3))
         with pytest.raises(ServingError, match="only 3 base nodes"):
             index.topk(np.eye(3), 4)
-
-    def test_sidecar_path_rides_the_artifact(self, tmp_path):
-        assert sidecar_index_path(tmp_path / "a.npz").name \
-            == "a.embeddings.npz"
+        matrix = np.random.default_rng(3).standard_normal((6, 4))
+        ids, scores = EmbeddingIndex(matrix).topk(matrix, 3)
+        # a row is its own nearest neighbour, at cosine 1
+        assert np.array_equal(ids[:, 0], np.arange(6))
+        assert np.allclose(scores[:, 0], 1.0)
 
     def test_auc_sanity(self):
         labels = np.array([1, 1, 0, 0])
@@ -330,24 +301,42 @@ def test_serve_task_has_no_operator_option():
                       "telemetry")),
     (ServingFleet, ("metrics", "trace_capacity", "slow_trace_ms",
                     "start_method", "max_retries", "start_timeout",
-                    "latency_window", "telemetry", "reset_latencies")),
-    (ReplicaPool, ("start_method", "max_spawn_retries")),
+                    "latency_window", "telemetry", "reset_latencies",
+                    "mmap")),
+    (ReplicaPool, ("start_method", "max_spawn_retries", "mmap")),
     (ServingGateway, ("metrics", "trace_capacity", "slow_trace_ms",
                       "telemetry")),
-    (api.open_fleet, ("start_method", "slow_trace_ms", "telemetry")),
-    (api.open_gateway, ("start_method", "slow_trace_ms", "telemetry")),
+    (api.open_fleet, ("start_method", "slow_trace_ms", "telemetry",
+                      "mmap")),
+    (api.open_gateway, ("start_method", "slow_trace_ms", "telemetry",
+                        "mmap")),
     (ServingRuntime.submit, ("trace",)),
     (ServingRuntime.stop, ("drain",)),
     (ServingGateway.close, ("drain",)),
     (stage_span, ("histogram",)),
+    (PreparedDeployment, ("attach_embedding_index",)),
+    (EmbeddingIndex, ("save", "load")),
 ], ids=["ServingRuntime", "ServingFleet", "ReplicaPool", "ServingGateway",
         "open_fleet", "open_gateway", "ServingRuntime.submit",
-        "ServingRuntime.stop", "ServingGateway.close", "stage_span"])
+        "ServingRuntime.stop", "ServingGateway.close", "stage_span",
+        "PreparedDeployment", "EmbeddingIndex"])
 def test_serving_tiers_take_no_fixed_settings(target, removed):
     """Settings no caller varied are constants, not parameters, and
-    measurement nothing reads has no switch or reset method."""
+    measurement nothing reads has no switch or reset method.  A replica
+    always memory-maps its one artifact, and the top-k index is built in
+    process: nothing saves, loads or attaches a second file."""
     names = set(inspect.signature(target).parameters) | set(dir(target))
     assert not set(removed) & names
+
+
+@pytest.mark.parametrize("name", [
+    "save_embedding_index", "sidecar_index_path", "TASKS", "FactoryEntry",
+    "register_task", "make_task"])
+def test_sidecar_and_task_registry_names_are_gone(name):
+    """The sidecar API and the task registry left the public surface:
+    the task set is a plain table in ``repro.serving.embeddings``."""
+    for module in ("repro.api", "repro.serving", "repro.registry"):
+        assert not hasattr(importlib.import_module(module), name), module
 
 
 class TestOnlyServeTaskAdmits:
@@ -484,6 +473,17 @@ class TestEveryLayerServesEveryTask:
             want, _, _ = prepared.serve_task(task, batch_mode="node")
             assert np.array_equal(got, want), task.task
 
+    def test_fleet_over_a_compressed_artifact(self, task_bundle, prepared,
+                                              task_requests, tmp_path):
+        # deflated members load eagerly on the replica's one mmap path
+        artifact = task_bundle.save(tmp_path / "deflated.npz")
+        batch = task_requests[4]
+        with ServingFleet(artifact, 1, batch_mode="node") as fleet:
+            for task in _all_task_requests(batch):
+                got = fleet.submit(task).result(timeout=60.0)
+                want, _, _ = prepared.serve_task(task, batch_mode="node")
+                assert np.array_equal(got, want), task.task
+
     def test_gateway_socket_matches_direct_bitwise(self, task_gateway,
                                                    prepared, task_requests):
         batch = task_requests[5]
@@ -546,16 +546,13 @@ class TestDeltaInvalidation:
         assert np.array_equal(fresh.base_embeddings(), before)
 
     def test_apply_delta_refreshes_stale_mmap_index(self, task_bundle,
-                                                    task_artifact,
                                                     task_requests,
                                                     pad_incremental):
-        """The ISSUE contract: after each delta, embed/topk answers on a
-        deployment with a pre-delta mmap index match a from-scratch
+        """After each delta, embed/topk answers on a deployment whose
+        top-k index was built before the delta match a from-scratch
         prepare on the evolved graph — zero stale rows."""
         evolving = task_bundle.prepare()
-        evolving.attach_embedding_index(
-            EmbeddingIndex.load(sidecar_index_path(task_artifact),
-                                mmap=True))
+        evolving.embedding_index()  # the pre-delta index, built in process
         batch = api.evaluation_batch(task_bundle)
         pool = batch.subset(np.arange(6))
         trace = make_delta_trace(task_bundle.base, pool, num_deltas=3,
@@ -576,9 +573,3 @@ class TestDeltaInvalidation:
             got_e, _, _ = evolving.embed_batch(padded, "node")
             want_e, _, _ = fresh.embed_batch(padded, "node")
             assert np.array_equal(got_e, want_e)
-
-    def test_attach_rejects_wrong_size_index(self, task_bundle):
-        fresh = task_bundle.prepare()
-        wrong = EmbeddingIndex(np.zeros((fresh.num_base + 1, 2)))
-        with pytest.raises(ServingError):
-            fresh.attach_embedding_index(wrong)

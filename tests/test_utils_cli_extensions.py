@@ -270,34 +270,33 @@ class TestServingCli:
     def test_list_falls_back_for_undescribed_entries(self, capsys):
         # entries registered without a description must fall back to the
         # factory name in `repro list`, never print None/blank
-        from repro.graph.partition import PARTITIONERS
-        from repro.registry import FactoryEntry
+        from repro.registry import REDUCERS, ReducerEntry
 
-        def quiet_partitioner():  # no docstring on purpose
+        def quiet_reducer():  # no docstring on purpose
             raise NotImplementedError
 
-        PARTITIONERS.register("quiet-test", FactoryEntry(
-            name="quiet-test", factory=quiet_partitioner))
+        REDUCERS.register("quiet-test", ReducerEntry(
+            name="quiet-test", factory=quiet_reducer))
         try:
             assert main(["list"]) == 0
             out = capsys.readouterr().out
             line = next(ln for ln in out.splitlines() if "quiet-test" in ln)
             assert "None" not in line
-            assert "quiet_partitioner" in line
+            assert "quiet_reducer" in line
         finally:
-            PARTITIONERS.unregister("quiet-test")
+            REDUCERS.unregister("quiet-test")
 
     def test_entry_help_fallbacks(self):
         from repro.cli import _entry_help
-        from repro.registry import FactoryEntry
+        from repro.registry import ReducerEntry
 
         def some_factory():
             raise NotImplementedError
 
-        described = FactoryEntry(name="a", factory=some_factory,
+        described = ReducerEntry(name="a", factory=some_factory,
                                  description="does a thing")
         assert _entry_help(described) == "does a thing"
-        bare = FactoryEntry(name="b", factory=some_factory)
+        bare = ReducerEntry(name="b", factory=some_factory)
         assert _entry_help(bare) == "some_factory"
 
     def test_serve_online_missing_artifact(self, capsys, tmp_path):
