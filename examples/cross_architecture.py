@@ -1,9 +1,9 @@
-"""Architecture generalizability: one condensed graph, every registered GNN.
+"""Architecture generalizability: one condensed graph, every GNN.
 
 A key property of graph condensation (paper Table IV): the synthetic graph
 and mapping matrix are model-agnostic.  This example condenses once with
-MCond, then sweeps **every architecture in the model registry** — adding a
-new ``@register_model`` class makes it part of this sweep automatically —
+MCond, then sweeps **every architecture in** ``repro.nn.models.MODELS`` —
+adding an entry to that table makes it part of this sweep —
 training each on the synthetic graph and serving inductive nodes both on
 the original graph (S→O) and on the synthetic graph (S→S).
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro import api
 from repro.graph import load_dataset
 from repro.inference import InductiveServer
-from repro.registry import MODELS
+from repro.nn.models import MODELS
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
               f"{'SO ms':>8} {'SS ms':>8}")
     print(header)
     print("-" * len(header))
-    for arch in MODELS.keys():
+    for arch in MODELS:
         bundle = api.deploy("flickr-sim", condensed=condensed, model=arch,
                             seed=0, profile="quick")
         model = bundle.model()

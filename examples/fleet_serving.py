@@ -60,7 +60,7 @@ def main() -> None:
         started = time.perf_counter()
         results = replay_fleet(fleet, requests)
         wall = time.perf_counter() - started
-        served = sum(result is not None for result in results)
+        served = sum(not isinstance(result, Exception) for result in results)
         print(f"closed-loop replay: {served}/{NUM_REQUESTS} requests in "
               f"{wall * 1e3:.0f} ms ({served / wall:.0f} req/s)\n")
 

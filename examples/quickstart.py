@@ -11,8 +11,8 @@ in under a minute:
    graph via Eq. (11) and classify them, from a reloaded artifact, and
    compare against the full-graph baseline.
 
-Every component is resolved by registry name ("pubmed-sim", "mcond",
-"sgc") — see ``repro list`` for what is available.
+Every component is resolved by name ("pubmed-sim", "mcond", "sgc") —
+see ``repro list`` for what is available.
 
 Run:  python examples/quickstart.py
 """

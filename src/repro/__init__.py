@@ -5,11 +5,10 @@ Representation Learning* (ICDE 2024), built from scratch on numpy/scipy.
 
 **Start at :mod:`repro.api`** — the one-call facade over the whole
 pipeline (``condense`` → ``deploy`` → ``serve``) and the persistable
-:class:`~repro.api.DeploymentBundle` artifact.  Components resolve through
-the string-keyed plugin registries in :mod:`repro.registry`
-(``REDUCERS``, ``MODELS``, ``DATASETS``); registering a new method, GNN
-backbone, or dataset makes it available to the facade, the experiment
-harnesses, and the ``repro`` CLI at once.
+:class:`~repro.api.DeploymentBundle` artifact.  Components resolve by name
+through one plain table each — :data:`repro.condense.REDUCERS`,
+:data:`repro.nn.models.MODELS`, :data:`repro.graph.datasets.DATASET_SPECS`
+— shared by the facade, the experiment harnesses, and the ``repro`` CLI.
 
 Layers underneath the facade:
 
@@ -39,14 +38,14 @@ __version__ = "1.1.0"
 
 from repro import errors
 
-__all__ = ["errors", "api", "registry", "__version__"]
+__all__ = ["errors", "api", "__version__"]
 
 
 def __getattr__(name: str):
-    # Lazy imports keep `import repro` light while making `repro.api` and
-    # `repro.registry` available without an explicit submodule import.
-    if name in ("api", "registry"):
+    # A lazy import keeps `import repro` light while making `repro.api`
+    # available without an explicit submodule import.
+    if name == "api":
         import importlib
 
-        return importlib.import_module(f"repro.{name}")
+        return importlib.import_module("repro.api")
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

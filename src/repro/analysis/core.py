@@ -5,10 +5,9 @@ correctness rests on — which attributes a ``_lock`` guards, that every
 intentional ``raise`` derives from :class:`~repro.errors.ReproError`,
 that parity-critical modules must not narrow dtypes, that metric names
 follow ``repro_<component>_<what>[_total|_seconds]``.  This package
-machine-checks them: each *checker* is a small AST pass registered in
-:data:`CHECKERS` (the same decorator-registry pattern the reducers use)
-that receives one shared :class:`AnalysisContext` and
-returns :class:`Violation`\\ s.
+machine-checks them: each *checker* is a small AST pass, listed in the
+plain table :data:`repro.analysis.CHECKERS`, that receives one shared
+:class:`AnalysisContext` and returns :class:`Violation`\\ s.
 
 Suppressions are explicit and carry a reason: an inline
 ``# repro-check: <checker> <reason>`` comment on the offending line
@@ -25,9 +24,9 @@ import io
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.errors import ReproError
-from repro.registry import Registry
 
 __all__ = [
     "AnalysisError",
@@ -35,10 +34,6 @@ __all__ = [
     "SourceFile",
     "AnalysisContext",
     "CheckerEntry",
-    "CHECKERS",
-    "register_checker",
-    "run_checkers",
-    "build_report",
     "render_text_report",
     "check_analysis_report_schema",
     "ANALYSIS_REPORT_SCHEMA_VERSION",
@@ -179,107 +174,22 @@ def _collect_error_hierarchy(files: list[SourceFile]) -> set[str]:
 
 
 # ----------------------------------------------------------------------
-# Checker registry
+# Checkers
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CheckerEntry:
-    """A registered checker: ``run(context) -> list[Violation]``."""
+    """One checker of :data:`repro.analysis.CHECKERS`:
+    ``run(context) -> list[Violation]``, and the line ``repro list``
+    prints."""
 
     name: str
-    factory: object  # the checker callable; named ``factory`` so the
-    # generic ``repro list`` entry help can introspect it uniformly
-    description: str = ""
-
-    def run(self, context: AnalysisContext) -> list:
-        return list(self.factory(context))
-
-
-CHECKERS: Registry[CheckerEntry] = Registry("static-analysis checker")
-
-
-def register_checker(name: str, *, description: str = "",
-                     overwrite: bool = False):
-    """Decorator registering ``fn(context) -> list[Violation]``."""
-
-    def wrap(fn):
-        CHECKERS.register(
-            name, CheckerEntry(name=name.lower(), factory=fn,
-                               description=description),
-            overwrite=overwrite)
-        return fn
-
-    return wrap
-
-
-def _load_all_checkers() -> None:
-    """Import every checker module so CHECKERS is fully populated."""
-    from repro.analysis import (  # noqa: F401 — imported for registration
-        docs,
-        errors_check,
-        locks,
-        naming,
-        parity,
-        registries,
-    )
-
-
-def selected_checkers(only: list[str] | None = None,
-                      disable: list[str] | None = None) -> list[CheckerEntry]:
-    """Resolve the checker set a run covers (validates the names)."""
-    _load_all_checkers()
-    names = list(CHECKERS.keys())
-    if only:
-        for name in only:
-            CHECKERS.get(name)  # raises with the available keys
-        names = [name for name in names if name in {n.lower() for n in only}]
-    if disable:
-        for name in disable:
-            CHECKERS.get(name)
-        names = [name for name in names
-                 if name not in {n.lower() for n in disable}]
-    return [CHECKERS.get(name) for name in names]
-
-
-def run_checkers(root: str | Path, *, only: list[str] | None = None,
-                 disable: list[str] | None = None,
-                 ) -> tuple[list[Violation], dict, AnalysisContext]:
-    """Run the selected checkers; returns ``(violations, per_checker, ctx)``.
-
-    ``per_checker`` maps checker name → finding count, in registry
-    order.
-    """
-    entries = selected_checkers(only, disable)
-    context = AnalysisContext.collect(root)
-    violations: list[Violation] = []
-    per_checker: dict[str, int] = {}
-    for entry in entries:
-        found = entry.run(context)
-        per_checker[entry.name] = len(found)
-        violations.extend(found)
-    violations.sort(key=lambda v: (v.path, v.line, v.checker, v.code))
-    return violations, per_checker, context
+    run: Callable[[AnalysisContext], list]
+    description: str
 
 
 # ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
-def build_report(violations: list[Violation], per_checker: dict,
-                 context: AnalysisContext) -> dict:
-    """The JSON report ``repro check --format json`` emits (CI artifact)."""
-    _load_all_checkers()
-    return {
-        "kind": "analysis-report",
-        "schema_version": ANALYSIS_REPORT_SCHEMA_VERSION,
-        "files_scanned": len(context.files),
-        "checkers": {name: {
-            "description": CHECKERS.get(name).description,
-            "violations": count,
-        } for name, count in per_checker.items()},
-        "violations": [v.as_dict() for v in violations],
-        "clean": not violations,
-    }
-
-
 def render_text_report(report: dict) -> str:
     """Human-readable report body (one line per finding + a summary)."""
     lines = [Violation(**entry).render()

@@ -24,7 +24,6 @@ from pathlib import Path
 from repro.analysis.core import (
     AnalysisContext,
     Violation,
-    register_checker,
 )
 
 LINK_RE = re.compile(r"\[([^\]]*)\]\(([^)\s]+)\)")
@@ -155,10 +154,6 @@ def check_snippets(path: Path,
     return problems
 
 
-@register_checker(
-    "docs",
-    description=("markdown links/anchors resolve; documented 'repro' "
-                 "snippets match the live CLI parser"))
 def check_docs(context: AnalysisContext) -> list:
     slug_cache: dict[Path, set[str]] = {}
     help_texts = cli_help_texts()

@@ -27,7 +27,6 @@ from repro.analysis.core import (
     AnalysisContext,
     SourceFile,
     Violation,
-    register_checker,
 )
 
 #: Exceptions whose semantics are not "a repro operation failed".
@@ -131,10 +130,6 @@ class _Walker(ast.NodeVisitor):
                      "'# noqa: BLE001 — <reason>'")))
 
 
-@register_checker(
-    "errors",
-    description=("every raise constructs a ReproError subclass or "
-                 "re-raises; broad excepts re-raise or carry a reason"))
 def check_errors(context: AnalysisContext) -> list:
     violations = []
     for source in context.files:

@@ -32,7 +32,6 @@ from repro.analysis.core import (
     AnalysisContext,
     SourceFile,
     Violation,
-    register_checker,
 )
 
 GUARDED_RE = re.compile(r"guarded by\s+`?`?(\w+)`?`?")
@@ -369,10 +368,6 @@ def _find_cycle(edges: dict, start: str) -> list | None:
     return walk(start)
 
 
-@register_checker(
-    "locks",
-    description=("guarded attributes only mutated under their owning "
-                 "lock; no cross-class lock-acquisition cycles"))
 def check_locks(context: AnalysisContext) -> list:
     violations = []
     classes = []

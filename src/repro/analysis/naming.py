@@ -27,7 +27,6 @@ import re
 from repro.analysis.core import (
     AnalysisContext,
     Violation,
-    register_checker,
 )
 
 NAME_RE = re.compile(r"^repro_[a-z][a-z0-9]*(?:_[a-z0-9]+)+$")
@@ -88,10 +87,6 @@ def _check_name(source, line: int, kind: str, name: str) -> list:
     return problems
 
 
-@register_checker(
-    "naming",
-    description=("metric families match repro_<component>_<what>"
-                 "[_total|_seconds] with a known component"))
 def check_naming(context: AnalysisContext) -> list:
     violations = []
     for source in context.files:

@@ -29,7 +29,6 @@ from repro.analysis.core import (
     AnalysisContext,
     SourceFile,
     Violation,
-    register_checker,
 )
 
 PARITY_MODULES = (
@@ -103,10 +102,6 @@ def _check_clocks(source: SourceFile) -> list:
     return violations
 
 
-@register_checker(
-    "parity",
-    description=("no literal dtype narrowing in parity modules; no "
-                 "time.time() in latency paths"))
 def check_parity(context: AnalysisContext) -> list:
     violations = []
     for source in context.files:

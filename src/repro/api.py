@@ -2,9 +2,10 @@
 
 The paper's value proposition is *condense offline once, serve inductive
 nodes online cheaply* (Eq. 11).  This module is the single public way to
-run that flow — everything resolves through the plugin registries in
-:mod:`repro.registry`, so any registered reduction method, model
-architecture, or dataset composes with any other:
+run that flow — components resolve by name through the plain tables
+:data:`repro.condense.REDUCERS`, :data:`repro.nn.models.MODELS` and
+:data:`repro.graph.datasets.DATASET_SPECS`, so any reduction method,
+model architecture, or dataset composes with any other:
 
 >>> from repro import api
 >>> condensed = api.condense("pubmed-sim", method="mcond", budget=30)
@@ -32,11 +33,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-
-# Importing these modules populates the registries as a side effect.
-import repro.condense  # noqa: F401
-import repro.graph.datasets  # noqa: F401
-import repro.nn.models  # noqa: F401
 
 from repro.condense.base import (
     FORMAT_VERSION,
@@ -112,14 +108,15 @@ def condense(dataset: str, method: str = "mcond", budget: int = 30, *,
              seed: int = 0, scale: float = 1.0,
              profile: EffortProfile | str | None = None,
              **config) -> CondensedGraph:
-    """Condense ``dataset`` with a registered reduction method.
+    """Condense ``dataset`` with a reduction method.
 
     Parameters
     ----------
     dataset:
-        A key of :data:`repro.registry.DATASETS` (e.g. ``"pubmed-sim"``).
+        A key of :data:`repro.graph.datasets.DATASET_SPECS` (e.g.
+        ``"pubmed-sim"``).
     method:
-        A key of :data:`repro.registry.REDUCERS` (e.g. ``"mcond"``).
+        A key of :data:`repro.condense.REDUCERS` (e.g. ``"mcond"``).
     budget:
         Number of synthetic nodes ``N'``.
     profile:
@@ -143,7 +140,7 @@ class DeploymentBundle:
     Attributes
     ----------
     model_name:
-        Registry key of the trained architecture.
+        The :data:`~repro.nn.models.MODELS` key of the trained architecture.
     model_config:
         Keyword arguments that rebuild the architecture via
         :func:`~repro.nn.models.make_model` (includes ``in_features`` and

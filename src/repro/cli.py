@@ -7,7 +7,7 @@ The pipeline commands mirror the paper's offline/online split::
     repro serve    --artifact artifact.npz --batch-mode node
     repro serve-online --artifact artifact.npz --rate 400
     repro eval     --dataset pubmed-sim --method mcond_ss --budget 30
-    repro list                                # registry contents
+    repro list                                # every named component
 
 Every paper table and figure is a preset of one experiment grid
 (:mod:`repro.experiments.grid`), run through the same cell runner as
@@ -17,15 +17,17 @@ Every paper table and figure is a preset of one experiment grid
     repro grid fig6   --dataset pubmed-sim --effort full
 
 Unknown dataset/method/model names exit with status 2 and list the
-registered alternatives.
+available alternatives.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from repro import api
+from repro.condense import REDUCERS
 from repro.errors import ConfigError, DatasetError, ReproError
 from repro.experiments import (
     FULL,
@@ -40,7 +42,8 @@ from repro.experiments import (
     prepare_dataset,
     run_grid,
 )
-from repro.registry import DATASETS, MODELS, REDUCERS
+from repro.graph.datasets import DATASET_SPECS, dataset_names
+from repro.nn.models import MODELS
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +51,7 @@ from repro.registry import DATASETS, MODELS, REDUCERS
 # ----------------------------------------------------------------------
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", default="pubmed-sim",
-                        help="dataset registry key (default: pubmed-sim)")
+                        help="dataset name (default: pubmed-sim)")
     parser.add_argument("--seed", type=int, default=0,
                         help="dataset/condensation seed (default: 0)")
     parser.add_argument("--effort", choices=("quick", "full"), default="quick",
@@ -74,7 +77,7 @@ def _add_task_flag(parser: argparse.ArgumentParser) -> None:
                         help="neighbours per row for --task topk "
                              "(default: 10)")
     parser.add_argument("--scorer", default="dot",
-                        help="pair scorer registry key for --task "
+                        help="pair scorer name for --task "
                              "link_score (default: dot)")
 
 
@@ -114,13 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
              "model, optionally save a servable bundle")
     _add_common(condense)
     condense.add_argument("--method", default="mcond",
-                          help="reduction method registry key, or 'whole' "
+                          help="reduction method name, or 'whole' "
                                "for the full-graph baseline (default: mcond)")
     condense.add_argument("--budget", type=int, default=None,
                           help="synthetic node budget (default: the "
                                "dataset's largest registered budget)")
     condense.add_argument("--model", default="sgc",
-                          help="model architecture registry key (default: sgc)")
+                          help="model architecture name (default: sgc)")
     condense.add_argument("--shards", type=int, default=None,
                           help="run the sharded condensation pipeline with "
                                "this many graph shards (default: unsharded)")
@@ -321,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="synthetic node budget (default: the "
                                "dataset's largest registered budget)")
     evaluate.add_argument("--model", default="sgc",
-                          help="model architecture registry key (default: sgc)")
+                          help="model architecture name (default: sgc)")
     _add_batch_mode_flag(evaluate, default="graph")
 
     check = sub.add_parser(
         "check",
         help="run the project-native static-analysis pass over src/repro "
-             "(lock/error/parity/registry/naming/docs checkers); exits 1 "
+             "(lock/error/parity/naming/docs checkers); exits 1 "
              "on violations")
     check.add_argument("--root", default=".",
                        help="repository root to analyze (default: .)")
@@ -345,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(handler=_cmd_check)
 
     listing = sub.add_parser(
-        "list", help="enumerate registered methods, models, datasets, and "
+        "list", help="enumerate the methods, models, datasets, and "
                      "experiments")
     listing.set_defaults(handler=_cmd_list)
 
@@ -390,10 +393,10 @@ def _profile(args):
 
 
 def _default_budget(args) -> int:
-    if args.dataset not in DATASETS:
+    if args.dataset not in DATASET_SPECS:
         raise DatasetError(
             f"unknown dataset {args.dataset!r}; "
-            f"available: {', '.join(DATASETS.keys())}")
+            f"available: {', '.join(dataset_names())}")
     return args.budget if args.budget is not None else dataset_budgets(args.dataset)[-1]
 
 
@@ -465,7 +468,7 @@ def _cmd_serve_online(args) -> int:
         arrivals = PoissonWorkload(args.rate).arrivals(
             args.requests, np.random.default_rng(args.seed))
     with runtime:
-        replay(runtime, requests, arrivals)
+        outcomes = replay(runtime, requests, arrivals)
     stats = runtime.stats()
     mode = "closed loop" if args.closed_loop else (
         f"open loop, poisson @ {args.rate:g} req/s")
@@ -477,16 +480,30 @@ def _cmd_serve_online(args) -> int:
           f"{stats.compute_mean * 1e3:.2f} ms (means)")
     print(f"  throughput            {stats.throughput_rps:.0f} req/s "
           f"({stats.mean_batch_requests:.1f} req/batch)")
-    return _report_failed(stats.failed + stats.rejected, len(requests))
+    return _report_failed(outcomes)
 
 
-def _report_failed(failed: int, total: int) -> int:
-    """Print a serve command's failed-request count; its exit status."""
+#: Distinct failure causes a serve command prints before its error line.
+SHOWN_FAILURE_CAUSES = 3
+
+
+def _report_failed(outcomes: list) -> int:
+    """Print a serve command's failed-request count and the distinct
+    causes of its failed requests (a replay's exception outcomes, the
+    first few causes only); its exit status."""
+    causes = Counter(f"{type(outcome).__name__}: {outcome}"
+                     for outcome in outcomes if isinstance(outcome, Exception))
+    failed, total = sum(causes.values()), len(outcomes)
     print(f"  failed                {failed} of {total} requests")
-    if failed:
-        print(f"error: {failed} of {total} requests failed", file=sys.stderr)
-        return 1
-    return 0
+    if not failed:
+        return 0
+    for cause, count in list(causes.items())[:SHOWN_FAILURE_CAUSES]:
+        print(f"cause ({count} of {total} requests): {cause}", file=sys.stderr)
+    if len(causes) > SHOWN_FAILURE_CAUSES:
+        print(f"cause: {len(causes) - SHOWN_FAILURE_CAUSES} more distinct "
+              "causes not shown", file=sys.stderr)
+    print(f"error: {failed} of {total} requests failed", file=sys.stderr)
+    return 1
 
 
 def _cmd_serve_stream(args) -> int:
@@ -524,7 +541,7 @@ def _cmd_serve_stream(args) -> int:
     request_pool = batch.subset(np.arange(reserved, batch.num_nodes))
     requests = _tasked(args, split_requests(request_pool, args.requests,
                                             args.nodes_per_request))
-    replay_stream(runtime, requests, trace, args.ingest_every)
+    outcomes = replay_stream(runtime, requests, trace, args.ingest_every)
     stats = runtime.stats()
     stream = runtime.stream_stats()
     print(f"served {stats.requests} requests ({stats.nodes} nodes) in "
@@ -546,7 +563,7 @@ def _cmd_serve_stream(args) -> int:
                   f"prepare(): {difference}", file=sys.stderr)
             return 1
         print("  evolved == fresh prepare(): ok")
-    return _report_failed(stats.failed + stats.rejected, len(requests))
+    return _report_failed(outcomes)
 
 
 def _probe_against_fresh(prepared, tasks, batch_mode: str) -> str | None:
@@ -585,6 +602,7 @@ def _probe_against_fresh(prepared, tasks, batch_mode: str) -> str | None:
 
 def _cmd_serve_fleet(args) -> int:
     from repro.serving import replay_fleet, split_requests
+    from repro.serving.workload import settle
 
     bundle = api.DeploymentBundle.load(args.artifact)
     print(bundle)
@@ -602,17 +620,12 @@ def _cmd_serve_fleet(args) -> int:
             fleet.kill_replica(0)
             print(f"failover drill: killed replica 0 after {half} requests")
             futures += [fleet.submit(r) for r in requests[half:]]
-            results = []
-            for future in futures:
-                try:
-                    results.append(future.result(timeout=120.0))
-                except ReproError:
-                    results.append(None)
+            outcomes = settle(futures, timeout=120.0)
         else:
-            results = replay_fleet(fleet, requests)
+            outcomes = replay_fleet(fleet, requests)
         wall = time.perf_counter() - started
         stats = fleet.stats()
-    served = sum(result is not None for result in results)
+    served = sum(not isinstance(outcome, Exception) for outcome in outcomes)
     print(f"served {served}/{len(requests)} requests across "
           f"{args.replicas} replicas (memory-mapped artifact)")
     print(f"  throughput            {served / wall:.0f} req/s")
@@ -626,7 +639,7 @@ def _cmd_serve_fleet(args) -> int:
         cold_part = f", cold start {cold:.1f} ms" if cold is not None else ""
         print(f"  replica {rid}             {replica['served']} served "
               f"(gen {replica['generation']}{cold_part})")
-    return _report_failed(len(requests) - served, len(requests))
+    return _report_failed(outcomes)
 
 
 def _cmd_serve_gateway(args) -> int:
@@ -806,41 +819,27 @@ def _print_report(report) -> None:
     print(f"  serving memory    {report.memory_megabytes:.3f} MB")
 
 
-def _entry_help(entry) -> str:
-    """One-line help for a registry entry.
-
-    Entries registered without a description (no docstring on the class)
-    fall back to the factory's name rather than printing ``None``/blank.
-    """
-    description = getattr(entry, "description", None)
-    if description:
-        return str(description)
-    factory = getattr(entry, "factory", None)
-    return getattr(factory, "__name__", type(entry).__name__)
-
-
 def _cmd_list(args) -> int:
     from repro.graph.partition import PARTITIONERS
     from repro.serving.embeddings import TASKS
 
     print("reduction methods (repro condense --method):")
-    for name, entry in REDUCERS.items():
-        print(f"  {name:<10} {_entry_help(entry)}")
+    for name, entry in sorted(REDUCERS.items()):
+        print(f"  {name:<10} {entry.description}")
     print("\ngraph partitioners (repro condense --shards K --partitioner):")
     for name, (_, description) in sorted(PARTITIONERS.items()):
         print(f"  {name:<10} {description}")
     print("\nmodel architectures (--model):")
-    print(f"  {', '.join(MODELS.keys())}")
+    print(f"  {', '.join(sorted(MODELS))}")
     print("\ndatasets (--dataset):")
-    print(f"  {', '.join(DATASETS.keys())}")
+    print(f"  {', '.join(dataset_names())}")
     print("\nserving tasks (repro serve-online --task):")
     for name, (_, description) in sorted(TASKS.items()):
         print(f"  {name:<12} {description}")
     print("\nstatic-analysis checkers (repro check --only):")
-    from repro.analysis.core import CHECKERS, selected_checkers
-    selected_checkers()  # import every checker module into CHECKERS
+    from repro.analysis import CHECKERS
     for name, entry in CHECKERS.items():
-        print(f"  {name:<10} {_entry_help(entry)}")
+        print(f"  {name:<10} {entry.description}")
     print("\ntable-II method columns (repro eval --method):")
     for name, spec in METHODS.items():
         print(f"  {name:<10} {spec.setting}")

@@ -26,10 +26,9 @@ from repro.condense.base import (
 from repro.graph.datasets import InductiveSplit
 from repro.graph.graph import Graph
 from repro.graph.ops import symmetric_normalize
-from repro.registry import register_reducer
 
 __all__ = ["CoresetReducer", "RandomCoreset", "DegreeCoreset", "HerdingCoreset",
-           "KCenterCoreset", "sgc_embeddings", "make_coreset"]
+           "KCenterCoreset", "sgc_embeddings"]
 
 
 def sgc_embeddings(graph: Graph, hops: int = 2) -> np.ndarray:
@@ -154,29 +153,3 @@ class KCenterCoreset(CoresetReducer):
                                    np.linalg.norm(feats - feats[pick], axis=1))
         return candidates[np.asarray(selected, dtype=np.int64)]
 
-
-_CORESETS: dict[str, type[CoresetReducer]] = {
-    "random": RandomCoreset,
-    "degree": DegreeCoreset,
-    "herding": HerdingCoreset,
-    "kcenter": KCenterCoreset,
-}
-
-_CORESET_DESCRIPTIONS = {
-    "random": "class-balanced random node selection",
-    "degree": "highest-degree nodes per class",
-    "herding": "Welling herding in the SGC latent space",
-    "kcenter": "greedy k-center in the SGC latent space",
-}
-
-for _name, _cls in _CORESETS.items():
-    register_reducer(_name, description=_CORESET_DESCRIPTIONS[_name])(_cls)
-
-
-def make_coreset(name: str, seed: int = 0) -> CoresetReducer:
-    """Instantiate a coreset method by name."""
-    key = name.lower()
-    if key not in _CORESETS:
-        raise CondensationError(
-            f"unknown coreset {name!r}; available: {', '.join(sorted(_CORESETS))}")
-    return _CORESETS[key](seed=seed)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.condense.gcond import GCondConfig, GCondReducer
-from repro.registry import register_reducer
 
 __all__ = ["DosCondConfig", "DosCondReducer"]
 
@@ -61,10 +60,6 @@ class DosCondReducer(GCondReducer):
         return None
 
 
-@register_reducer("doscond",
-                  profile_params=("outer_loops", "match_steps"),
-                  description="one-step gradient matching (no relay "
-                              "trajectory; fast, no inductive mapping)")
-def _doscond_factory(seed: int = 0, **cfg) -> DosCondReducer:
-    """Registry factory: build a :class:`DosCondReducer` from flat kwargs."""
+def doscond_factory(seed: int = 0, **cfg) -> DosCondReducer:
+    """Build a :class:`DosCondReducer` from flat kwargs."""
     return DosCondReducer(DosCondConfig(seed=seed, **cfg))

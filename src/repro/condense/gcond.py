@@ -27,7 +27,6 @@ from repro.graph.ops import symmetric_normalize
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
-from repro.registry import register_reducer
 from repro.tensor.functional import binary_cross_entropy_with_logits, cross_entropy
 from repro.tensor.tensor import (
     Tensor,
@@ -407,10 +406,6 @@ class GCondReducer(GraphReducer):
         return sparse.toarray()
 
 
-@register_reducer("gcond",
-                  profile_params=("outer_loops", "match_steps", "relay_steps"),
-                  description="gradient-matching condensation "
-                              "(no inductive mapping)")
-def _gcond_factory(seed: int = 0, **cfg) -> GCondReducer:
-    """Registry factory: build a :class:`GCondReducer` from flat kwargs."""
+def gcond_factory(seed: int = 0, **cfg) -> GCondReducer:
+    """Build a :class:`GCondReducer` from flat kwargs."""
     return GCondReducer(GCondConfig(seed=seed, **cfg))

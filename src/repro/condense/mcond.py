@@ -53,7 +53,6 @@ from repro.graph.ops import symmetric_normalize
 from repro.graph.sampling import sample_edge_batch
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
-from repro.registry import register_reducer
 from repro.tensor.tensor import (
     Tensor,
     concat,
@@ -383,12 +382,6 @@ class MCondReducer(GCondReducer):
         return slice_rows(embedded, base, base + support.num_nodes)
 
 
-@register_reducer("mcond",
-                  profile_params=("outer_loops", "match_steps",
-                                  "mapping_steps", "relay_steps"),
-                  description="mapping-aware condensation (the paper's "
-                              "method; learns the inductive mapping M)",
-                  keeps_result=True)
-def _mcond_factory(seed: int = 0, **cfg) -> MCondReducer:
-    """Registry factory: build a :class:`MCondReducer` from flat kwargs."""
+def mcond_factory(seed: int = 0, **cfg) -> MCondReducer:
+    """Build a :class:`MCondReducer` from flat kwargs."""
     return MCondReducer(MCondConfig(seed=seed, **cfg))

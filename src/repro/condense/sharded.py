@@ -8,10 +8,11 @@ super-linearly in the graph and budget sizes.  :class:`ShardedReducer`
 breaks that ceiling:
 
 1. **Partition** the original training graph into ``shards`` disjoint
-   node sets with a registered strategy from
+   node sets with a strategy from
    :data:`repro.graph.partition.PARTITIONERS` (label-stratified BFS by
    default, so every shard sees the global class mix).
-2. **Condense every shard independently** with any registered reducer,
+2. **Condense every shard independently** with any reducer in
+   :data:`repro.condense.REDUCERS`,
    in ``workers`` parallel processes (serial in-process fallback for
    ``workers=1``).  Each shard receives a label-aware slice of the total
    budget and its own slice of the support (validation) nodes, routed to
@@ -30,9 +31,10 @@ the full budget, and the merge is the identity — the output is
 bit-identical to running the wrapped reducer directly (asserted by the
 test suite).
 
-The reducer registers as ``"sharded"`` in :data:`repro.registry.REDUCERS`
+The reducer is the ``"sharded"`` entry of :data:`repro.condense.REDUCERS`
 so it composes with ``api.condense``/``api.deploy``, ``repro condense
---shards K --workers N``, and the untouched serving path.
+--shards K --workers N``, and the untouched serving path.  Being an entry
+of that table itself, it looks the table up at call time.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from repro.errors import CondensationError
 from repro.graph.datasets import InductiveSplit
 from repro.graph.graph import Graph
 from repro.graph.partition import check_partition, make_partitioner
-from repro.registry import REDUCERS, make_reducer, register_reducer
 
 __all__ = ["ShardTask", "ShardedReducer", "apportion_budget",
            "assign_support", "coalesce_shards", "merge_condensed",
@@ -199,6 +200,8 @@ class ShardTask:
 
 def _reduce_shard(task: ShardTask) -> CondensedGraph:
     """Worker entry point: build the inner reducer and condense one shard."""
+    from repro.condense import make_reducer
+
     reducer = make_reducer(task.method, seed=task.seed, **task.config)
     return reducer.reduce(task.split, task.budget)
 
@@ -274,7 +277,7 @@ def merge_condensed(graph: Graph, shard_positions: list[np.ndarray],
 # The reducer
 # ----------------------------------------------------------------------
 class ShardedReducer(GraphReducer):
-    """Run any registered reducer per shard, in parallel, and merge."""
+    """Run any reducer of the table per shard, in parallel, and merge."""
 
     name = "sharded"
 
@@ -282,7 +285,7 @@ class ShardedReducer(GraphReducer):
                  workers: int = 1, partitioner: str = "stratified",
                  cut_scale: float = 1.0, seed: int = 0,
                  inner_config: dict | None = None) -> None:
-        if method.lower() == self.name:
+        if method == self.name:
             raise CondensationError("sharded condensation cannot nest itself")
         if shards < 1:
             raise CondensationError(f"shards must be >= 1, got {shards}")
@@ -301,7 +304,9 @@ class ShardedReducer(GraphReducer):
     # ------------------------------------------------------------------
     def _inner_config(self) -> dict:
         """Inner-method config with undeclared profile fields dropped."""
-        entry = REDUCERS.get(self.method)
+        from repro.condense import reducer_entry
+
+        entry = reducer_entry(self.method)
         config = dict(self.inner_config)
         for field in SHARED_PROFILE_PARAMS:
             if field in config and field not in entry.profile_params:
@@ -375,17 +380,13 @@ class ShardedReducer(GraphReducer):
             return pool.map(_reduce_shard, tasks)
 
 
-@register_reducer("sharded",
-                  profile_params=SHARED_PROFILE_PARAMS,
-                  description="partition, condense per shard in parallel "
-                              "worker processes, and merge (wraps any "
-                              "registered method)")
-def _sharded_factory(seed: int = 0, inner: str = "mcond", shards: int = 2,
-                     workers: int = 1, partitioner: str = "stratified",
-                     cut_scale: float = 1.0, **inner_cfg) -> ShardedReducer:
-    """Registry factory: ``inner`` names the wrapped reduction method
-    (``method`` would collide with :func:`repro.registry.make_reducer`'s
-    positional argument); ``inner_cfg`` is forwarded to it."""
+def sharded_factory(seed: int = 0, inner: str = "mcond", shards: int = 2,
+                    workers: int = 1, partitioner: str = "stratified",
+                    cut_scale: float = 1.0, **inner_cfg) -> ShardedReducer:
+    """Build a :class:`ShardedReducer` from flat kwargs: ``inner`` names
+    the wrapped reduction method (``method`` would collide with
+    :func:`repro.condense.make_reducer`'s positional argument);
+    ``inner_cfg`` is forwarded to it."""
     return ShardedReducer(method=inner, shards=shards, workers=workers,
                           partitioner=partitioner, cut_scale=cut_scale,
                           seed=seed, inner_config=inner_cfg)

@@ -25,7 +25,6 @@ from repro.errors import CondensationError
 from repro.condense.base import CondensedGraph, GraphReducer, allocate_class_counts
 from repro.graph.datasets import InductiveSplit
 from repro.graph.ops import symmetric_normalize
-from repro.registry import register_reducer
 
 __all__ = ["VngReducer", "weighted_kmeans"]
 
@@ -85,8 +84,6 @@ def weighted_kmeans(points: np.ndarray, weights: np.ndarray, k: int,
     return assignment, centroids
 
 
-@register_reducer("vng", description="virtual node graph: weighted k-means "
-                                     "+ forward-pass adjacency fitting")
 class VngReducer(GraphReducer):
     """VNG: per-class weighted k-means + forward-pass adjacency fitting."""
 

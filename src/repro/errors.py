@@ -45,7 +45,7 @@ class ConfigError(ReproError, ValueError):
 
 
 class RegistryError(ConfigError):
-    """A registry lookup failed or a registration key collided."""
+    """A name is not in the table of its kind (reducers, models, …)."""
 
 
 class ArtifactError(ReproError, RuntimeError):

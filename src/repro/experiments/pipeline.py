@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.condense import CondensedGraph, MCondResult
+from repro.condense import CondensedGraph, MCondResult, reducer_entry
 from repro.experiments.settings import (EffortProfile, MethodSpec, METHODS,
                                         current_profile)
 from repro.graph.datasets import IncrementalBatch, InductiveSplit, load_dataset
@@ -23,7 +23,6 @@ from repro.graph.ops import symmetric_normalize
 from repro.inference.engine import InductiveServer, InferenceReport
 from repro.nn.models import GNNModel, make_model
 from repro.nn.trainer import TrainConfig, train_node_classifier
-from repro.registry import REDUCERS
 
 if TYPE_CHECKING:
     from repro.experiments.grid import Cell
@@ -93,11 +92,11 @@ class ExperimentContext:
     def reducer_config(self, method: str, **overrides) -> dict:
         """Flat config for ``method`` at the context's effort profile.
 
-        The registry entry declares which profile fields the method
-        understands (``profile_params``); per-dataset tuned weights and
-        caller overrides are layered on top.
+        The method's :data:`~repro.condense.REDUCERS` entry declares which
+        profile fields it understands (``profile_params``); per-dataset
+        tuned weights and caller overrides are layered on top.
         """
-        entry = REDUCERS.get(method)
+        entry = reducer_entry(method)
         cfg = {name: getattr(self.profile, name)
                for name in entry.profile_params}
         # The sharded wrapper runs another method per shard: layer the
@@ -105,14 +104,14 @@ class ExperimentContext:
         # per-dataset hyper-parameters as the direct run.
         tuned_key = entry.name
         if entry.name == "sharded":
-            tuned_key = str(overrides.get("inner", "mcond")).lower()
+            tuned_key = overrides.get("inner", "mcond")
         cfg.update(self._TUNED.get(tuned_key, {}).get(self.prepared.name, {}))
         cfg.update(overrides)
         return cfg
 
     def reduce(self, method: str, budget: int, seed: int = 0,
                **overrides) -> CondensedGraph:
-        """Run (or fetch) a registered reduction method at the given budget."""
+        """Run (or fetch) a reduction method at the given budget."""
         return self._reduction(method, budget, seed, overrides)[0]
 
     def mcond_result(self, budget: int, seed: int = 0, **overrides) -> MCondResult:
@@ -124,7 +123,7 @@ class ExperimentContext:
         """``(condensed, kept result or None)``, memoized on the built
         reducer's resolved settings: an override that restates a default
         or a tuned weight is the same run as leaving it out."""
-        entry = REDUCERS.get(method)
+        entry = reducer_entry(method)
         reducer = entry.factory(
             seed=seed, **self.reducer_config(method, **overrides))
         key = (entry.name, budget, _resolved_settings(reducer))

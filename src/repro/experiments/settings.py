@@ -42,7 +42,7 @@ class MethodSpec:
     """How one Table II column is assembled."""
 
     name: str
-    reducer: str | None        # registry key for the reduction method
+    reducer: str | None        # a repro.condense.REDUCERS key
     train_source: str          # "original" | "synthetic"
     eval_deployment: str       # "original" | "synthetic"
 

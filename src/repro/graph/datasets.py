@@ -1,4 +1,4 @@
-"""Dataset registry and the inductive split protocol.
+"""Dataset table and the inductive split protocol.
 
 Each simulated dataset mirrors one of the paper's benchmarks at 10-30x
 reduced scale (calibration table under "Reproduction substitutions" in
@@ -28,7 +28,6 @@ import scipy.sparse as sp
 from repro.errors import DatasetError
 from repro.graph.generators import SbmConfig, generate_sbm_graph
 from repro.graph.graph import Graph
-from repro.registry import DATASETS, register_dataset
 
 __all__ = [
     "DatasetSpec",
@@ -118,13 +117,9 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
 }
 
 
-for _spec in DATASET_SPECS.values():
-    register_dataset(_spec.name)(_spec)
-
-
 def dataset_names() -> list[str]:
-    """Registered dataset identifiers."""
-    return DATASETS.keys()
+    """The dataset names, sorted."""
+    return sorted(DATASET_SPECS)
 
 
 @dataclass(frozen=True)
@@ -290,7 +285,7 @@ def _ensure_class_coverage(graph: Graph, split: InductiveSplit) -> None:
 
 
 def load_dataset(name: str, seed: int = 0, scale: float = 1.0) -> InductiveSplit:
-    """Generate a simulated dataset by registry name.
+    """Generate the simulated dataset named ``name``.
 
     Parameters
     ----------
@@ -301,14 +296,10 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0) -> InductiveSplit
     scale:
         Multiplier on the node count (benchmarks use 1.0; tests use less).
     """
-    if name not in DATASETS:
+    if name not in DATASET_SPECS:
         raise DatasetError(
             f"unknown dataset {name!r}; available: {', '.join(dataset_names())}")
-    entry = DATASETS.get(name)
-    if not isinstance(entry, DatasetSpec):
-        # Plugin datasets register a loader callable instead of a spec.
-        return entry(seed=seed, scale=scale)
-    spec = entry
+    spec = DATASET_SPECS[name]
     if scale != 1.0:
         spec = spec.scaled(scale)
     rng = np.random.default_rng(seed)

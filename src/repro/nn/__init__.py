@@ -1,8 +1,8 @@
 """Neural substrate: modules, GNN models, optimizers, trainer, metrics.
 
-Importing this package registers every architecture in
-:data:`repro.registry.MODELS`; :func:`~repro.nn.models.make_model`
-resolves them by name, and :mod:`repro.api` builds on that.
+:data:`~repro.nn.models.MODELS` is the table of every architecture by
+name; :func:`~repro.nn.models.make_model` resolves them, and
+:mod:`repro.api` builds on that.
 """
 
 from repro.nn.module import Module, Parameter
@@ -24,6 +24,7 @@ from repro.nn.models import (
     APPNP,
     Cheby,
     MLP,
+    MODELS,
     make_model,
 )
 from repro.nn.optim import Optimizer, SGD, Adam
@@ -38,20 +39,13 @@ from repro.nn.metrics import (accuracy, macro_f1, confusion_matrix,
                               predictions_from_logits)
 
 
-def __getattr__(name: str):
-    if name == "MODEL_REGISTRY":  # live view — see repro.nn.models
-        from repro.nn import models
-        return models.MODEL_REGISTRY
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Module", "Parameter",
     "glorot_uniform", "glorot_normal", "zeros", "uniform",
     "propagate", "Linear", "GCNConv", "SAGEConv", "ChebConv",
     "APPNPPropagate", "MLPBlock",
     "GNNModel", "SGC", "GCN", "GraphSAGE", "APPNP", "Cheby", "MLP",
-    "make_model", "MODEL_REGISTRY",
+    "MODELS", "make_model",
     "Optimizer", "SGD", "Adam",
     "TrainConfig", "TrainResult", "train_node_classifier",
     "evaluate_logits", "evaluate_accuracy",

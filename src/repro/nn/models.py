@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RegistryError
 from repro.nn.layers import (APPNPPropagate, ChebConv, GCNConv, Linear,
                              SAGEConv, propagate)
 from repro.nn.module import Module
-from repro.registry import MODELS, register_model
 from repro.tensor.tensor import Tensor, as_tensor, dropout, relu
 
 __all__ = ["GNNModel", "SGC", "GCN", "GraphSAGE", "APPNP", "Cheby", "MLP",
-           "make_model", "MODEL_REGISTRY"]
+           "MODELS", "make_model"]
 
 
 class GNNModel(Module):
@@ -203,32 +202,25 @@ class MLP(GNNModel):
         return self.linear_out(self.embed(operator, x))
 
 
-for _name, _cls in (("sgc", SGC), ("gcn", GCN), ("graphsage", GraphSAGE),
-                    ("appnp", APPNP), ("cheby", Cheby), ("mlp", MLP)):
-    register_model(_name)(_cls)
-
-
-def __getattr__(name: str):
-    # Legacy alias kept for callers that enumerate architectures directly.
-    # A live read-only view: plugin models registered later appear, and the
-    # pre-1.1 mutation idiom (MODEL_REGISTRY["x"] = cls) fails loudly —
-    # registration goes through repro.registry.register_model now.
-    if name == "MODEL_REGISTRY":
-        return MODELS.view()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: Every architecture by name.
+MODELS = {"sgc": SGC, "gcn": GCN, "graphsage": GraphSAGE, "appnp": APPNP,
+          "cheby": Cheby, "mlp": MLP}
 
 
 def make_model(name: str, in_features: int, num_classes: int,
                seed: int = 0, **kwargs) -> GNNModel:
-    """Instantiate a model by registry name (case-insensitive).
+    """Instantiate the :data:`MODELS` architecture named ``name``.
 
     The returned model carries ``registry_name`` and ``build_config``
     attributes recording how to rebuild it — :class:`repro.api.DeploymentBundle`
     persists these alongside the weights.
     """
-    cls = MODELS.get(name)
-    model = cls(in_features, num_classes, seed=seed, **kwargs)
-    model.registry_name = name.lower()
+    if name not in MODELS:
+        raise RegistryError(
+            f"unknown model architecture {name!r}; "
+            f"available: {', '.join(sorted(MODELS))}")
+    model = MODELS[name](in_features, num_classes, seed=seed, **kwargs)
+    model.registry_name = name
     model.build_config = {"in_features": in_features,
                           "num_classes": num_classes, "seed": seed, **kwargs}
     return model

@@ -42,6 +42,7 @@ from repro.errors import ServingError
 from repro.serving.embeddings import ServeTask
 from repro.serving.runtime import ServingFuture
 from repro.serving.stats import RequestRecord, latency_percentiles
+from repro.serving.workload import settle
 from repro.telemetry import (
     MetricsRegistry,
     TraceContext,
@@ -361,7 +362,7 @@ class ServingFleet:
         self.wait_ready()
 
     # ------------------------------------------------------------------
-    # Registry-backed accounting (the ints these replaced read back the
+    # Metrics-backed accounting (the ints these replaced read back the
     # counter families, so stats()'s dict shape is unchanged)
     # ------------------------------------------------------------------
     @property
@@ -806,20 +807,11 @@ class ServingFleet:
 # Replay helper (CLI + benchmark)
 # ----------------------------------------------------------------------
 def replay_fleet(fleet: ServingFleet, requests: list[ServeTask], *,
-                 timeout: float = 120.0) -> list[np.ndarray | None]:
+                 timeout: float = 120.0) -> list:
     """Submit ``requests`` closed-loop and wait for every result.
 
-    Returns per-request results (``None`` for requests the fleet
+    Returns per-request results (the exception, for requests the fleet
     failed), in submission order — the fleet analogue of
     :func:`repro.serving.workload.replay`.
     """
-    futures = [fleet.submit(request) for request in requests]
-    results: list[np.ndarray | None] = []
-    for future in futures:
-        try:
-            results.append(future.result(timeout=timeout))
-        except ServingError:
-            if not future.done():
-                raise  # a genuine timeout, not a per-request failure
-            results.append(None)
-    return results
+    return settle([fleet.submit(request) for request in requests], timeout)

@@ -286,7 +286,7 @@ class ServingGateway:
         self._last_scale = float("-inf")
 
     # ------------------------------------------------------------------
-    # Registry-backed accounting (the ints these replaced read back the
+    # Metrics-backed accounting (the ints these replaced read back the
     # counter family, so stats()'s dict shape is unchanged)
     # ------------------------------------------------------------------
     @property

@@ -24,7 +24,8 @@ from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.serving.embeddings import ServeTask
 
-__all__ = ["PoissonWorkload", "split_requests", "replay", "replay_stream"]
+__all__ = ["PoissonWorkload", "split_requests", "replay", "replay_stream",
+           "settle"]
 
 
 @dataclass
@@ -70,10 +71,29 @@ def split_requests(batch: IncrementalBatch, num_requests: int,
     return requests
 
 
+def settle(futures, timeout: float) -> list:
+    """Each future's result, or the exception that failed its request.
+
+    Like ``asyncio.gather(..., return_exceptions=True)``: a failed or
+    shed request is an outcome, so one failure does not abort a replay
+    and its cause stays readable.  A future still pending after
+    ``timeout`` raises.
+    """
+    outcomes = []
+    for future in futures:
+        try:
+            outcomes.append(future.result(timeout=timeout))
+        except Exception as error:  # noqa: BLE001 — a failed request is an outcome
+            if not future.done():
+                raise  # a genuine timeout, not a per-request failure
+            outcomes.append(error)
+    return outcomes
+
+
 def replay(runtime, requests: list[ServeTask],
            arrivals: np.ndarray | None = None, *,
-           speed: float = 1.0, timeout: float = 60.0) -> list[np.ndarray | None]:
-    """Drive a runtime with a request stream; returns per-request logits.
+           speed: float = 1.0, timeout: float = 60.0) -> list:
+    """Drive a runtime with a request stream; returns per-request results.
 
     With ``arrivals`` (open loop) the caller sleeps until each arrival
     offset (divided by ``speed``) before submitting — queue waits then
@@ -83,10 +103,10 @@ def replay(runtime, requests: list[ServeTask],
     keeps the mode usable (and deterministic) without threads.
 
     Requests the runtime sheds (``reject`` overflow) or
-    fails while serving yield ``None`` in the result list instead of
-    aborting the replay — ``runtime.stats()`` carries the rejected/failed
-    counts.  A request that never completes within ``timeout`` still
-    raises.
+    fails while serving yield their exception in the result list instead
+    of aborting the replay (see :func:`settle`) — ``runtime.stats()``
+    carries the rejected/failed counts.  A request that never completes
+    within ``timeout`` still raises.
     """
     if arrivals is not None and len(arrivals) != len(requests):
         raise ServingError(
@@ -109,19 +129,11 @@ def replay(runtime, requests: list[ServeTask],
         futures.append(runtime.submit(request))
     if inline:
         runtime.run_pending()
-    results: list[np.ndarray | None] = []
-    for future in futures:
-        try:
-            results.append(future.result(timeout=timeout))
-        except Exception:  # noqa: BLE001 — shed/failed requests become None
-            if not future.done():
-                raise  # a genuine timeout, not a per-request failure
-            results.append(None)
-    return results
+    return settle(futures, timeout)
 
 
 def replay_stream(runtime, requests: list[ServeTask], deltas,
-                  ingest_every: int = 4) -> None:
+                  ingest_every: int = 4) -> list:
     """Closed-loop replay of serve traffic with deltas interleaved.
 
     Submits ``requests`` in groups of ``ingest_every``, ingests one delta
@@ -130,14 +142,17 @@ def replay_stream(runtime, requests: list[ServeTask], deltas,
     Deltas left over when the request stream ends are ingested and
     applied at the tail.  Shared by ``repro serve-stream`` and the
     streaming benchmark so the interleaving semantics cannot diverge.
+    Returns per-request results, a failed request's exception in its
+    slot (see :func:`settle`).
     """
     if ingest_every <= 0:
         raise ServingError(
             f"ingest_every must be positive, got {ingest_every}")
     pending = iter(deltas)
+    futures = []
     for start in range(0, len(requests), ingest_every):
         for request in requests[start:start + ingest_every]:
-            runtime.submit(request)
+            futures.append(runtime.submit(request))
         delta = next(pending, None)
         if delta is not None:
             runtime.ingest(delta)
@@ -145,3 +160,4 @@ def replay_stream(runtime, requests: list[ServeTask], deltas,
     for delta in pending:
         runtime.ingest(delta)
     runtime.run_pending()
+    return settle(futures, timeout=0.0)

@@ -48,10 +48,12 @@ class TelemetryError(ReproError, ValueError):
     """A metric was declared or used inconsistently."""
 
 
-#: Fixed latency buckets (seconds) shared by every stage histogram:
-#: sub-millisecond resolution where the serving path actually lives,
-#: coarse tail coverage up to 10s for pathological requests.
+#: Fixed latency buckets (seconds) shared by every histogram: from 10 µs,
+#: so the sub-millisecond stages the serving path spends its time in get
+#: buckets of their own, to coarse tail coverage up to 10s for
+#: pathological requests.
 DEFAULT_LATENCY_BUCKETS = (
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025,
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
@@ -192,27 +194,17 @@ class _HistogramChild:
 class Histogram(Metric):
     """Fixed-bucket latency histogram (Prometheus-style cumulative).
 
-    Buckets are upper bounds in seconds; an implicit ``+Inf`` bucket
-    catches the tail.  ``observe`` is O(log buckets) and lock-cheap —
+    Buckets are :data:`DEFAULT_LATENCY_BUCKETS`, upper bounds in seconds;
+    an implicit ``+Inf`` bucket catches the tail.  ``observe`` is O(log buckets) and lock-cheap —
     the per-request cost the telemetry-overhead gate audits.
     """
 
     kind = "histogram"
 
     def __init__(self, name: str, help: str,
-                 labelnames: tuple[str, ...] = (),
-                 buckets: tuple[float, ...] | None = None) -> None:
+                 labelnames: tuple[str, ...] = ()) -> None:
         super().__init__(name, help, labelnames)
-        if buckets is None:
-            buckets = DEFAULT_LATENCY_BUCKETS
-        buckets = tuple(float(b) for b in buckets)
-        if not buckets or list(buckets) != sorted(set(buckets)):
-            raise TelemetryError(
-                f"histogram {name!r} buckets must be strictly increasing, "
-                f"got {buckets}")
-        if math.isinf(buckets[-1]):
-            buckets = buckets[:-1]  # +Inf is implicit
-        self.buckets = buckets
+        self.buckets = DEFAULT_LATENCY_BUCKETS
 
     def _bucket_index(self, value: float) -> int:
         from bisect import bisect_left
@@ -306,10 +298,9 @@ class MetricsRegistry:
         return self._get_or_create(Gauge, name, help, callback=callback)
 
     def histogram(self, name: str, help: str,
-                  labelnames: tuple[str, ...] = (),
-                  buckets: tuple[float, ...] | None = None) -> Histogram:
+                  labelnames: tuple[str, ...] = ()) -> Histogram:
         return self._get_or_create(Histogram, name, help,
-                                   labelnames=labelnames, buckets=buckets)
+                                   labelnames=labelnames)
 
     def get(self, name: str) -> Metric | None:
         with self._lock:

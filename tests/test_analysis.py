@@ -396,109 +396,6 @@ class TestParityChecker:
 
 
 # ----------------------------------------------------------------------
-# Registry drift
-# ----------------------------------------------------------------------
-REGISTRY_TREE = """\
-    class Registry(dict):
-        def register(self, name, entry, overwrite=False):
-            self[name] = entry
-
-    THINGS = Registry()
-
-    def register_thing(name, *, description="", overwrite=False):
-        def wrap(fn):
-            THINGS.register(name, (fn, description), overwrite=overwrite)
-            return fn
-        return wrap
-
-    def register_plain(name):
-        def wrap(cls):
-            THINGS.register(name, cls)
-            return cls
-        return wrap
-"""
-
-
-class TestRegistryChecker:
-    def _run(self, tmp_path, usage, cli="from repro.reg import THINGS\n"):
-        files = {"src/repro/reg.py": REGISTRY_TREE,
-                 "src/repro/use.py": usage}
-        if cli is not None:
-            files["src/repro/cli.py"] = cli
-        return findings(tmp_path, files, ["registries"])
-
-    def test_described_registration_passes(self, tmp_path):
-        assert self._run(tmp_path, """\
-            from repro.reg import register_thing
-
-            @register_thing("good", description="does the thing")
-            def good():
-                return 1
-        """) == []
-
-    def test_missing_description_flagged(self, tmp_path):
-        violations = self._run(tmp_path, """\
-            from repro.reg import register_thing
-
-            @register_thing("bad")
-            def bad():
-                return 1
-        """)
-        assert [v.code for v in violations] == ["REG001"]
-        assert "no description" in violations[0].message
-
-    def test_empty_description_flagged(self, tmp_path):
-        violations = self._run(tmp_path, """\
-            from repro.reg import register_thing
-
-            @register_thing("bad", description="")
-            def bad():
-                return 1
-        """)
-        assert [v.code for v in violations] == ["REG001"]
-
-    def test_docstring_satisfies_descriptionless_registrar(self, tmp_path):
-        assert self._run(tmp_path, """\
-            from repro.reg import register_plain
-
-            @register_plain("good")
-            class Good:
-                \"\"\"A documented entry.\"\"\"
-        """) == []
-
-    def test_missing_docstring_flagged_for_plain_registrar(self, tmp_path):
-        violations = self._run(tmp_path, """\
-            from repro.reg import register_plain
-
-            @register_plain("bad")
-            class Bad:
-                pass
-        """)
-        assert [v.code for v in violations] == ["REG001"]
-        assert "docstring" in violations[0].message
-
-    def test_unreachable_registry_flagged(self, tmp_path):
-        violations = self._run(tmp_path, """\
-            from repro.reg import register_thing
-
-            @register_thing("good", description="fine")
-            def good():
-                return 1
-        """, cli="print('no registries here')\n")
-        assert [v.code for v in violations] == ["REG002"]
-        assert "THINGS" in violations[0].message
-
-    def test_fixture_tree_without_cli_skips_reachability(self, tmp_path):
-        assert self._run(tmp_path, """\
-            from repro.reg import register_thing
-
-            @register_thing("good", description="fine")
-            def good():
-                return 1
-        """, cli=None) == []
-
-
-# ----------------------------------------------------------------------
 # Telemetry naming
 # ----------------------------------------------------------------------
 class TestNamingChecker:
@@ -668,13 +565,6 @@ class TestRepoIsClean:
     def test_repro_check_runs_clean_at_head(self):
         violations, counts, context = run_checkers(REPO_ROOT)
         assert violations == [], "\n".join(v.render() for v in violations)
-        # all five project checkers plus docs actually ran
-        assert set(counts) == {"locks", "errors", "parity",
-                               "registries", "naming", "docs"}
+        # all four project checkers plus docs actually ran
+        assert set(counts) == {"locks", "errors", "parity", "naming", "docs"}
         assert len(context.files) > 50
-
-    def test_checkers_registry_is_reachable_from_repro_list(self):
-        # REG002's own contract, asserted directly: the CLI source must
-        # reference the CHECKERS registry that backs 'repro check'
-        cli_text = (REPO_ROOT / "src/repro/cli.py").read_text()
-        assert "CHECKERS" in cli_text

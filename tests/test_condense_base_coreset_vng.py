@@ -11,7 +11,7 @@ from repro.condense import (
     CondensedGraph,
     VngReducer,
     allocate_class_counts,
-    make_coreset,
+    make_reducer,
     selection_mapping,
     sgc_embeddings,
     weighted_kmeans,
@@ -87,55 +87,51 @@ class TestAllocation:
 class TestCoresets:
     @pytest.mark.parametrize("name", CORESETS)
     def test_budget_respected(self, name, tiny_split):
-        condensed = make_coreset(name, seed=0).reduce(tiny_split, 9)
+        condensed = make_reducer(name, seed=0).reduce(tiny_split, 9)
         assert condensed.num_nodes == 9
         assert condensed.method == name
 
     @pytest.mark.parametrize("name", CORESETS)
     def test_class_coverage(self, name, tiny_split):
-        condensed = make_coreset(name, seed=0).reduce(tiny_split, 9)
+        condensed = make_reducer(name, seed=0).reduce(tiny_split, 9)
         assert np.unique(condensed.labels).size == tiny_split.num_classes
 
     @pytest.mark.parametrize("name", CORESETS)
     def test_selected_features_are_real_rows(self, name, tiny_split):
-        condensed = make_coreset(name, seed=0).reduce(tiny_split, 9)
+        condensed = make_reducer(name, seed=0).reduce(tiny_split, 9)
         original = tiny_split.original.features
         for row in condensed.features:
             assert (np.abs(original - row).sum(axis=1) < 1e-12).any()
 
     def test_mapping_is_one_hot_selection(self, tiny_split):
-        condensed = make_coreset("random", seed=0).reduce(tiny_split, 9)
+        condensed = make_reducer("random", seed=0).reduce(tiny_split, 9)
         mapping = condensed.mapping.toarray()
         assert mapping.sum() == 9
         assert set(np.unique(mapping)) <= {0.0, 1.0}
         assert (mapping.sum(axis=0) == 1.0).all()
 
     def test_degree_picks_highest_degree(self, tiny_split):
-        condensed = make_coreset("degree", seed=0).reduce(tiny_split, 9)
+        condensed = make_reducer("degree", seed=0).reduce(tiny_split, 9)
         graph = tiny_split.original
         chosen_rows = condensed.mapping.tocoo().row
         chosen_degrees = graph.degrees()[chosen_rows]
         assert chosen_degrees.mean() >= graph.degrees().mean()
 
     def test_random_differs_across_seeds(self, tiny_split):
-        a = make_coreset("random", seed=0).reduce(tiny_split, 9)
-        b = make_coreset("random", seed=1).reduce(tiny_split, 9)
+        a = make_reducer("random", seed=0).reduce(tiny_split, 9)
+        b = make_reducer("random", seed=1).reduce(tiny_split, 9)
         assert not np.allclose(a.features, b.features)
 
     def test_herding_deterministic(self, tiny_split):
-        a = make_coreset("herding", seed=0).reduce(tiny_split, 9)
-        b = make_coreset("herding", seed=99).reduce(tiny_split, 9)
+        a = make_reducer("herding", seed=0).reduce(tiny_split, 9)
+        b = make_reducer("herding", seed=99).reduce(tiny_split, 9)
         assert np.allclose(a.features, b.features)  # herding has no randomness
-
-    def test_unknown_coreset_rejected(self):
-        with pytest.raises(CondensationError):
-            make_coreset("prototype")
 
     def test_budget_validation(self, tiny_split):
         with pytest.raises(CondensationError):
-            make_coreset("random").reduce(tiny_split, 1)
+            make_reducer("random").reduce(tiny_split, 1)
         with pytest.raises(CondensationError):
-            make_coreset("random").reduce(tiny_split, 10 ** 6)
+            make_reducer("random").reduce(tiny_split, 10 ** 6)
 
     def test_sgc_embeddings_shape(self, tiny_split):
         emb = sgc_embeddings(tiny_split.original)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.condense import CondensedGraph
+from repro.condense import CondensedGraph, make_reducer
 from repro.condense.sharded import (
     ShardedReducer,
     apportion_budget,
@@ -15,7 +15,6 @@ from repro.condense.sharded import (
     merge_condensed,
 )
 from repro.errors import CondensationError
-from repro.registry import make_reducer
 
 # Fast inner configuration shared by every MCond-based test here.
 FAST_MCOND = {"outer_loops": 1, "match_steps": 2, "mapping_steps": 3,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.condense import MCondConfig, MCondReducer, make_coreset
+from repro.condense import MCondConfig, MCondReducer, make_reducer
 from repro.experiments import (Cell, ExperimentContext, EffortProfile,
                                prepare_dataset)
 from repro.graph import load_dataset, symmetric_normalize
@@ -101,7 +101,7 @@ class TestPaperClaims:
 
     def test_coreset_pipeline_from_scratch(self):
         split = load_dataset("tiny-sim", seed=6, scale=0.7)
-        condensed = make_coreset("kcenter", seed=0).reduce(split, 9)
+        condensed = make_reducer("kcenter", seed=0).reduce(split, 9)
         operator = symmetric_normalize(split.original.adjacency)
         model = make_model("sgc", split.original.feature_dim,
                            split.num_classes, seed=0)

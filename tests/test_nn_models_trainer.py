@@ -9,7 +9,7 @@ import repro.nn.models
 from repro.errors import ConfigError
 from repro.graph import symmetric_normalize
 from repro.nn import (
-    MODEL_REGISTRY,
+    MODELS,
     Adam,
     TrainConfig,
     TrainResult,
@@ -20,7 +20,7 @@ from repro.nn import (
 )
 from repro.tensor import Tensor, cross_entropy, gather_rows
 
-ALL_MODELS = sorted(MODEL_REGISTRY)
+ALL_MODELS = sorted(MODELS)
 
 
 def _per_epoch_oracle(model, operator, features, labels, train_idx,

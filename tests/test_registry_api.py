@@ -1,4 +1,4 @@
-"""The public API layer: registries, the facade, and DeploymentBundle."""
+"""The public API layer: name tables, the facade, and DeploymentBundle."""
 
 from __future__ import annotations
 
@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.condense import CondensedGraph
+from repro.condense import REDUCERS, CondensedGraph, ReducerEntry, make_reducer
 from repro.condense.base import FORMAT_VERSION
 from repro.errors import ArtifactError, ConfigError, RegistryError
 from repro.experiments import EffortProfile
-from repro.nn import make_model
-from repro.registry import (
-    DATASETS,
-    MODELS,
-    REDUCERS,
-    Registry,
-    make_reducer,
-    register_reducer,
-)
+from repro.graph.datasets import DATASET_SPECS
+from repro.nn import MODELS, make_model
 
 FAST = EffortProfile(
     name="api-test", train_epochs=15, train_patience=10, train_lr=0.05,
@@ -27,44 +20,9 @@ FAST = EffortProfile(
 
 
 # ----------------------------------------------------------------------
-# Registry mechanics
+# The name tables
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_register_and_get_case_insensitive(self):
-        registry = Registry("thing")
-        registry.register("Alpha", 1)
-        assert registry.get("alpha") == 1
-        assert registry.get("ALPHA") == 1
-        assert "alpha" in registry
-        assert registry.keys() == ["alpha"]
-
-    def test_duplicate_key_rejected(self):
-        registry = Registry("thing")
-        registry.register("a", 1)
-        with pytest.raises(RegistryError):
-            registry.register("a", 2)
-        assert registry.get("a") == 1
-
-    def test_overwrite_allowed_explicitly(self):
-        registry = Registry("thing")
-        registry.register("a", 1)
-        registry.register("a", 2, overwrite=True)
-        assert registry.get("a") == 2
-
-    def test_unknown_key_lists_available(self):
-        registry = Registry("thing")
-        registry.register("alpha", 1)
-        registry.register("beta", 2)
-        with pytest.raises(RegistryError, match="alpha, beta"):
-            registry.get("gamma")
-
-    def test_invalid_key_type(self):
-        registry = Registry("thing")
-        with pytest.raises(RegistryError):
-            registry.register("", 1)
-        with pytest.raises(RegistryError):
-            registry.register(None, 1)
-
     def test_registry_error_is_config_error(self):
         assert issubclass(RegistryError, ConfigError)
 
@@ -81,7 +39,7 @@ class TestBuiltinRegistrations:
 
     def test_all_datasets_registered(self):
         for name in ("pubmed-sim", "flickr-sim", "reddit-sim", "tiny-sim"):
-            assert name in DATASETS
+            assert name in DATASET_SPECS
 
     def test_make_reducer_builds_configured_instance(self):
         reducer = make_reducer("mcond", seed=3, outer_loops=1, match_steps=2,
@@ -94,39 +52,23 @@ class TestBuiltinRegistrations:
         with pytest.raises(RegistryError, match="mcond"):
             make_reducer("does-not-exist")
 
-    def test_registered_plugin_reducer_reaches_pipeline(self, tiny_split):
+    def test_registered_plugin_reducer_reaches_pipeline(self, tiny_split,
+                                                         monkeypatch):
         from repro.condense.coreset import RandomCoreset
+        from repro.experiments import ExperimentContext
+        from repro.experiments.pipeline import prepare_dataset
 
-        @register_reducer("_test-plugin", description="test-only")
-        class _Plugin(RandomCoreset):
-            pass
+        monkeypatch.setitem(REDUCERS, "_test-plugin", ReducerEntry(
+            "_test-plugin", RandomCoreset, "test-only"))
+        context = ExperimentContext(prepare_dataset("tiny-sim", seed=7), FAST)
+        condensed = context.reduce("_test-plugin", 9)
+        assert condensed.num_nodes == 9
 
-        try:
-            from repro.experiments import ExperimentContext
-            from repro.experiments.pipeline import prepare_dataset
-            context = ExperimentContext(
-                prepare_dataset("tiny-sim", seed=7), FAST)
-            condensed = context.reduce("_test-plugin", 9)
-            assert condensed.num_nodes == 9
-        finally:
-            REDUCERS.unregister("_test-plugin")
-        assert "_test-plugin" not in REDUCERS
-
-    def test_model_registry_alias_stays_live_and_readonly(self):
-        from repro import nn
-        from repro.nn import models
-        from repro.nn.models import SGC
-        from repro.registry import register_model
-        register_model("_test-live-model")(SGC)
-        try:
-            assert "_test-live-model" in nn.MODEL_REGISTRY
-            assert "_test-live-model" in models.MODEL_REGISTRY
-        finally:
-            MODELS.unregister("_test-live-model")
-        assert "_test-live-model" not in models.MODEL_REGISTRY
-        # The pre-registry mutation idiom must fail loudly, not silently.
-        with pytest.raises(TypeError):
-            models.MODEL_REGISTRY["_sneaky"] = SGC
+    def test_names_are_exact(self):
+        with pytest.raises(RegistryError, match="available: .*mcond"):
+            make_reducer("MCond")
+        with pytest.raises(RegistryError, match="available: .*gcn"):
+            make_model("GCN", 8, 3)
 
     def test_make_model_records_build_recipe(self):
         model = make_model("gcn", 8, 3, seed=5, hidden=16)

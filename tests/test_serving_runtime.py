@@ -641,10 +641,10 @@ class TestRuntimeBehaviour:
         assert (stats.requests, stats.failed, stats.rejected) == (0, 0, 0)
         assert len(runtime.queue) == 0
 
-    def test_replay_returns_none_for_shed_requests(self, sgc, split,
-                                                   condensed):
+    def test_replay_returns_errors_for_shed_requests(self, sgc, split,
+                                                     condensed):
         # load shedding must not abort the replay harness: shed requests
-        # come back as None, served ones keep their logits
+        # come back as their exception, served ones keep their logits
         from repro.serving import replay
         runtime = _runtime(sgc, split, condensed, "original",
                            scheduler=MicroBatchScheduler(2, 0.0),
@@ -653,9 +653,10 @@ class TestRuntimeBehaviour:
         stream = _stream(split.incremental_batch("val"), 5, 1)
         results = replay(runtime, stream, timeout=10.0)
         assert len(results) == 5
-        served = [r for r in results if r is not None]
-        shed = [r for r in results if r is None]
-        assert served and shed
+        served = [r for r in results if isinstance(r, np.ndarray)]
+        shed = [r for r in results if isinstance(r, ServingError)]
+        assert served and shed and len(served) + len(shed) == 5
+        assert all("queue is full" in str(error) for error in shed)
         assert runtime.stats().rejected == len(shed)
 
     def test_replay_exceeding_queue_capacity_without_thread(self, sgc, split,

@@ -335,7 +335,7 @@ def test_serving_tiers_take_no_fixed_settings(target, removed):
 def test_sidecar_and_task_registry_names_are_gone(name):
     """The sidecar API and the task registry left the public surface:
     the task set is a plain table in ``repro.serving.embeddings``."""
-    for module in ("repro.api", "repro.serving", "repro.registry"):
+    for module in ("repro.api", "repro.serving"):
         assert not hasattr(importlib.import_module(module), name), module
 
 

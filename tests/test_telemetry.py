@@ -109,42 +109,42 @@ class TestGauge:
 class TestHistogram:
     def test_snapshot_is_cumulative(self):
         registry = MetricsRegistry()
-        latency = registry.histogram("repro_t_seconds", "latency",
-                                     buckets=(0.1, 1.0))
+        latency = registry.histogram("repro_t_seconds", "latency")
         for value in (0.05, 0.5, 0.5, 5.0):
             latency.observe(value)
         snapshot = latency.snapshot()
-        assert snapshot["buckets"] == [(0.1, 1), (1.0, 3), (math.inf, 4)]
+        assert [le for le, _ in snapshot["buckets"]] == [
+            *DEFAULT_LATENCY_BUCKETS, math.inf]
+        cumulative = dict(snapshot["buckets"])
+        assert [cumulative[le] for le in (0.025, 0.05, 0.5, 2.5, 5.0,
+                                          math.inf)] == [0, 1, 3, 3, 4, 4]
         assert snapshot["count"] == 4
         assert snapshot["sum"] == pytest.approx(6.05)
 
     def test_boundary_value_lands_in_its_le_bucket(self):
         registry = MetricsRegistry()
-        latency = registry.histogram("repro_t_seconds", "latency",
-                                     buckets=(0.1, 1.0))
+        latency = registry.histogram("repro_t_seconds", "latency")
         latency.observe(0.1)  # le="0.1" is an inclusive upper bound
-        assert latency.snapshot()["buckets"][0] == (0.1, 1)
+        cumulative = dict(latency.snapshot()["buckets"])
+        assert (cumulative[0.05], cumulative[0.1]) == (0, 1)
 
-    def test_buckets_must_strictly_increase(self):
+    def test_sub_millisecond_stages_resolve(self):
+        # a 50 µs stage must not be smeared across a first bucket that
+        # starts at 0.5 ms (which interpolated its p50 to 0.25 ms)
         registry = MetricsRegistry()
-        with pytest.raises(TelemetryError, match="strictly increasing"):
-            registry.histogram("repro_t_seconds", "h", buckets=(1.0, 1.0))
-        with pytest.raises(TelemetryError, match="strictly increasing"):
-            registry.histogram("repro_t2_seconds", "h", buckets=(2.0, 1.0))
-
-    def test_trailing_inf_bucket_is_implicit(self):
-        registry = MetricsRegistry()
-        latency = registry.histogram("repro_t_seconds", "latency",
-                                     buckets=(0.5, math.inf))
-        assert latency.buckets == (0.5,)
+        latency = registry.histogram("repro_t_seconds", "latency")
+        for _ in range(100):
+            latency.observe(50e-6)
+        p50 = histogram_quantile(latency.snapshot()["buckets"], 0.5)
+        assert p50 < 1e-4
 
     def test_empty_child_snapshot(self):
         registry = MetricsRegistry()
-        latency = registry.histogram("repro_t_seconds", "latency",
-                                     buckets=(0.5,))
+        latency = registry.histogram("repro_t_seconds", "latency")
         snapshot = latency.snapshot()
         assert snapshot["count"] == 0
-        assert snapshot["buckets"] == [(0.5, 0), (math.inf, 0)]
+        assert snapshot["buckets"] == [
+            (le, 0) for le in (*DEFAULT_LATENCY_BUCKETS, math.inf)]
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +189,7 @@ class TestExposition:
         registry.counter("repro_t_requests_total", "requests",
                          ("outcome",)).inc(3, outcome="served")
         registry.gauge("repro_t_inflight", "inflight", callback=lambda: 2)
-        registry.histogram("repro_t_seconds", "latency",
-                           buckets=(0.1,)).observe(0.05)
+        registry.histogram("repro_t_seconds", "latency").observe(0.05)
         page = registry.render()
         assert "# HELP repro_t_requests_total requests" in page
         assert "# TYPE repro_t_seconds histogram" in page
@@ -205,8 +204,7 @@ class TestExposition:
         gateway, fleet = MetricsRegistry(), MetricsRegistry()
         for registry, component in ((gateway, "gateway"), (fleet, "fleet")):
             registry.histogram("repro_stage_latency_seconds", "stages",
-                               ("component", "stage"),
-                               buckets=(1.0,)).observe(
+                               ("component", "stage")).observe(
                 0.5, component=component, stage="serve")
         page = render_exposition(gateway, fleet)
         assert page.count("# TYPE repro_stage_latency_seconds") == 1
@@ -405,7 +403,7 @@ class TestConcurrency:
     def test_concurrent_increments_are_exact(self):
         registry = MetricsRegistry()
         served = registry.counter("repro_t_total", "t", ("outcome",))
-        latency = registry.histogram("repro_t_seconds", "l", buckets=(1.0,))
+        latency = registry.histogram("repro_t_seconds", "l")
 
         def worker():
             for _ in range(500):
@@ -422,7 +420,7 @@ class TestConcurrency:
 
     def test_render_during_concurrent_observe(self):
         registry = MetricsRegistry()
-        latency = registry.histogram("repro_t_seconds", "l", buckets=(1.0,))
+        latency = registry.histogram("repro_t_seconds", "l")
         stop = threading.Event()
 
         def writer():

@@ -267,38 +267,6 @@ class TestServingCli:
         assert {n for n, d in defaults.items() if d == "graph"} == {
             "serve", "eval"}
 
-    def test_list_falls_back_for_undescribed_entries(self, capsys):
-        # entries registered without a description must fall back to the
-        # factory name in `repro list`, never print None/blank
-        from repro.registry import REDUCERS, ReducerEntry
-
-        def quiet_reducer():  # no docstring on purpose
-            raise NotImplementedError
-
-        REDUCERS.register("quiet-test", ReducerEntry(
-            name="quiet-test", factory=quiet_reducer))
-        try:
-            assert main(["list"]) == 0
-            out = capsys.readouterr().out
-            line = next(ln for ln in out.splitlines() if "quiet-test" in ln)
-            assert "None" not in line
-            assert "quiet_reducer" in line
-        finally:
-            REDUCERS.unregister("quiet-test")
-
-    def test_entry_help_fallbacks(self):
-        from repro.cli import _entry_help
-        from repro.registry import ReducerEntry
-
-        def some_factory():
-            raise NotImplementedError
-
-        described = ReducerEntry(name="a", factory=some_factory,
-                                 description="does a thing")
-        assert _entry_help(described) == "does a thing"
-        bare = ReducerEntry(name="b", factory=some_factory)
-        assert _entry_help(bare) == "some_factory"
-
     def test_serve_online_missing_artifact(self, capsys, tmp_path):
         code = main(["serve-online",
                      "--artifact", str(tmp_path / "missing.npz")])
@@ -347,6 +315,38 @@ class TestServingCli:
         captured = capsys.readouterr()
         assert "failed                4 of 4 requests" in captured.out
         assert "error: 4 of 4 requests failed" in captured.err
+        assert "RuntimeError: boom" in captured.err  # the cause, not just a count
+
+    def test_serve_online_prints_why_requests_failed(self, capsys,
+                                                     monkeypatch, tmp_path):
+        # top-k with the default k=10 over a 9-node synthetic graph fails
+        # every request; the cause must reach stderr before the error line
+        _fast_profile(monkeypatch)
+        artifact = tmp_path / "bundle.npz"
+        assert main(["condense", "--dataset", "tiny-sim", "--method", "mcond",
+                     "--budget", "9", "--output", str(artifact)]) == 0
+        capsys.readouterr()
+        code = main(["serve-online", "--artifact", str(artifact),
+                     "--task", "topk", "--requests", "8", "--closed-loop"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "cause (8 of 8 requests): ServingError: topk asked for k=10 "
+            "neighbors but the index holds only 9 base nodes",
+            "error: 8 of 8 requests failed"]
+
+    def test_failure_causes_are_distinct_and_capped(self, capsys):
+        from repro.cli import SHOWN_FAILURE_CAUSES, _report_failed
+
+        outcomes = [ValueError(f"cause {i % 5}") for i in range(10)]
+        assert _report_failed([None, *outcomes]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[:SHOWN_FAILURE_CAUSES] == [
+            f"cause (2 of 11 requests): ValueError: cause {i}"
+            for i in range(SHOWN_FAILURE_CAUSES)]
+        assert err[SHOWN_FAILURE_CAUSES:] == [
+            f"cause: {5 - SHOWN_FAILURE_CAUSES} more distinct causes not shown",
+            "error: 10 of 11 requests failed"]
 
     def test_list_includes_partitioners(self, capsys):
         assert main(["list"]) == 0
