@@ -15,8 +15,8 @@ Layers underneath the facade:
 - :mod:`repro.tensor` — reverse-mode autodiff with higher-order gradients.
 - :mod:`repro.graph` — graph containers, synthetic dataset simulators,
   inductive-node attachment (Eq. 3 / Eq. 11).
-- :mod:`repro.nn` — GNN models (SGC, GCN, GraphSAGE, APPNP, Cheby) and
-  optimizers.
+- :mod:`repro.nn` — GNN models (SGC, GCN, GraphSAGE, APPNP, Cheby) and the
+  Adam optimizer.
 - :mod:`repro.condense` — coreset baselines, VNG, GCond, and MCond itself.
 - :mod:`repro.inference` — the four deployment settings (O→O, O→S, S→O,
   S→S) with latency/memory accounting.

@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from repro.errors import ArtifactError, CondensationError
 from repro.graph.datasets import InductiveSplit
-from repro.graph.graph import Graph
 from repro.graph.ops import canonical_csr, dense_symmetric_normalize
 from repro.tensor.sparse import dense_memory_bytes, sparse_memory_bytes
 from repro.utils.artifacts import normalize_npz_path, open_npz_archive, save_npz
@@ -89,10 +88,6 @@ class CondensedGraph:
     def supports_attachment(self) -> bool:
         """Whether inductive nodes can be attached (mapping available)."""
         return self.mapping is not None
-
-    def to_graph(self) -> Graph:
-        """View as a :class:`Graph` (weighted adjacency as CSR)."""
-        return Graph(sp.csr_matrix(self.adjacency), self.features, self.labels)
 
     def normalized_adjacency(self) -> np.ndarray:
         """Dense symmetric-normalized ``Â'`` used for deployment."""

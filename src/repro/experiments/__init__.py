@@ -3,7 +3,6 @@
 from repro.experiments.settings import (
     MethodSpec,
     METHODS,
-    method_names,
     dataset_budgets,
     EffortProfile,
     QUICK,
@@ -17,7 +16,7 @@ from repro.experiments.grid import (Cell, PRESETS, run_grid, paper_orderings,
                                     diagonal_dominance)
 
 __all__ = [
-    "MethodSpec", "METHODS", "method_names", "dataset_budgets",
+    "MethodSpec", "METHODS", "dataset_budgets",
     "EffortProfile", "QUICK", "FULL", "current_profile",
     "PreparedDataset", "prepare_dataset", "ExperimentContext",
     "format_table", "mean_std",

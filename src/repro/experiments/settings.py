@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-__all__ = ["MethodSpec", "METHODS", "method_names", "dataset_budgets",
+__all__ = ["MethodSpec", "METHODS", "dataset_budgets",
            "EffortProfile", "QUICK", "FULL", "current_profile"]
 
 
@@ -68,11 +68,6 @@ METHODS: dict[str, MethodSpec] = {
     "mcond_ss": MethodSpec("mcond_ss", "mcond", "synthetic", "synthetic"),
     "sharded": MethodSpec("sharded", "sharded", "synthetic", "synthetic"),
 }
-
-
-def method_names() -> list[str]:
-    """All Table II method keys, in presentation order."""
-    return list(METHODS)
 
 
 # Budgets preserving the paper's synthetic-nodes-per-class at reduced scale.

@@ -3,8 +3,7 @@
 A ``Graph`` couples a sparse adjacency matrix with node features and
 (optionally) integer class labels.  Original graphs in the paper are
 unweighted and undirected; synthetic graphs produced by condensation are
-dense and weighted and live in :class:`repro.condense.base.CondensedGraph`
-— but they can be converted to a ``Graph`` for inference.
+dense and weighted and live in :class:`repro.condense.base.CondensedGraph`.
 """
 
 from __future__ import annotations
@@ -86,12 +85,6 @@ class Graph:
         return int(self.adjacency.nnz)
 
     @property
-    def num_undirected_edges(self) -> int:
-        """Number of undirected edges, counting self-loops once."""
-        diagonal = int((self.adjacency.diagonal() != 0).sum())
-        return (self.num_edges - diagonal) // 2 + diagonal
-
-    @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
@@ -157,12 +150,6 @@ class Graph:
         labels = None if self.labels is None else self.labels.copy()
         return Graph(self.adjacency.copy(), self.features.copy(), labels,
                      self.num_classes or None)
-
-    def class_counts(self) -> np.ndarray:
-        """Number of nodes per class, shape ``(num_classes,)``."""
-        if self.labels is None:
-            raise GraphError("graph has no labels")
-        return np.bincount(self.labels, minlength=self.num_classes)
 
     # ------------------------------------------------------------------
     # Serialization

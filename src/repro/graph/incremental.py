@@ -50,10 +50,6 @@ class AttachedGraph:
     def num_nodes(self) -> int:
         return self.base_size + self.num_new
 
-    def inductive_indices(self) -> np.ndarray:
-        """Row indices of the inductive nodes in the augmented graph."""
-        return np.arange(self.base_size, self.base_size + self.num_new)
-
 
 def attach_to_original(
     base_adjacency: sp.spmatrix,

@@ -1,4 +1,4 @@
-"""Neural substrate: modules, GNN models, optimizers, trainer, metrics.
+"""Neural substrate: modules, GNN models, the Adam optimizer, trainer, metrics.
 
 :data:`~repro.nn.models.MODELS` is the table of every architecture by
 name; :func:`~repro.nn.models.make_model` resolves them, and
@@ -6,7 +6,7 @@ name; :func:`~repro.nn.models.make_model` resolves them, and
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.init import glorot_uniform, glorot_normal, zeros, uniform
+from repro.nn.init import glorot_uniform, zeros, uniform
 from repro.nn.layers import (
     propagate,
     Linear,
@@ -14,7 +14,6 @@ from repro.nn.layers import (
     SAGEConv,
     ChebConv,
     APPNPPropagate,
-    MLPBlock,
 )
 from repro.nn.models import (
     GNNModel,
@@ -27,7 +26,7 @@ from repro.nn.models import (
     MODELS,
     make_model,
 )
-from repro.nn.optim import Optimizer, SGD, Adam
+from repro.nn.optim import Optimizer, Adam
 from repro.nn.trainer import (
     TrainConfig,
     TrainResult,
@@ -35,19 +34,18 @@ from repro.nn.trainer import (
     evaluate_logits,
     evaluate_accuracy,
 )
-from repro.nn.metrics import (accuracy, macro_f1, confusion_matrix,
-                              predictions_from_logits)
+from repro.nn.metrics import accuracy, predictions_from_logits
 
 
 __all__ = [
     "Module", "Parameter",
-    "glorot_uniform", "glorot_normal", "zeros", "uniform",
+    "glorot_uniform", "zeros", "uniform",
     "propagate", "Linear", "GCNConv", "SAGEConv", "ChebConv",
-    "APPNPPropagate", "MLPBlock",
+    "APPNPPropagate",
     "GNNModel", "SGC", "GCN", "GraphSAGE", "APPNP", "Cheby", "MLP",
     "MODELS", "make_model",
-    "Optimizer", "SGD", "Adam",
+    "Optimizer", "Adam",
     "TrainConfig", "TrainResult", "train_node_classifier",
     "evaluate_logits", "evaluate_accuracy",
-    "accuracy", "macro_f1", "confusion_matrix", "predictions_from_logits",
+    "accuracy", "predictions_from_logits",
 ]

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = ["glorot_uniform", "glorot_normal", "zeros", "uniform"]
+__all__ = ["glorot_uniform", "zeros", "uniform"]
 
 
 def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -16,15 +16,6 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     fan_in, fan_out = shape[0], shape[1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def glorot_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal: N(0, 2 / (fan_in + fan_out))."""
-    if len(shape) < 2:
-        raise ShapeError(f"glorot initialization needs >= 2 dims, got {shape}")
-    fan_in, fan_out = shape[0], shape[1]
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

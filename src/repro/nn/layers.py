@@ -16,10 +16,10 @@ from repro.errors import ShapeError
 from repro.nn.init import glorot_uniform, zeros
 from repro.nn.module import Module, Parameter
 from repro.tensor.sparse import spmm
-from repro.tensor.tensor import Tensor, add, as_tensor, concat, matmul, relu
+from repro.tensor.tensor import Tensor, add, as_tensor, concat, matmul
 
 __all__ = ["propagate", "Linear", "GCNConv", "SAGEConv", "ChebConv",
-           "APPNPPropagate", "MLPBlock"]
+           "APPNPPropagate"]
 
 
 def propagate(operator, h: Tensor) -> Tensor:
@@ -156,26 +156,3 @@ class APPNPPropagate(Module):
 
     def __call__(self, operator, h: Tensor) -> Tensor:
         return self.forward(operator, h)
-
-
-class MLPBlock(Module):
-    """A stack of Linear+ReLU layers (final layer linear)."""
-
-    def __init__(self, dims: list[int], rng: np.random.Generator) -> None:
-        super().__init__()
-        if len(dims) < 2:
-            raise ShapeError(f"MLPBlock needs >= 2 dims, got {dims}")
-        self.depth = len(dims) - 1
-        for i in range(self.depth):
-            setattr(self, f"layer_{i}", Linear(dims[i], dims[i + 1], rng))
-
-    def forward(self, x: Tensor) -> Tensor:
-        h = as_tensor(x)
-        for i in range(self.depth):
-            h = getattr(self, f"layer_{i}")(h)
-            if i < self.depth - 1:
-                h = relu(h)
-        return h
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = ["accuracy", "macro_f1", "confusion_matrix", "predictions_from_logits"]
+__all__ = ["accuracy", "predictions_from_logits"]
 
 
 def predictions_from_logits(logits: np.ndarray) -> np.ndarray:
@@ -27,40 +27,3 @@ def accuracy(logits_or_preds: np.ndarray, labels: np.ndarray) -> float:
     if labels.size == 0:
         raise ShapeError("cannot compute accuracy of an empty label set")
     return float((preds == labels).mean())
-
-
-def confusion_matrix(preds: np.ndarray, labels: np.ndarray,
-                     num_classes: int) -> np.ndarray:
-    """``(C, C)`` matrix with rows = true class, columns = predicted."""
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if preds.shape != labels.shape:
-        raise ShapeError(f"predictions {preds.shape} vs labels {labels.shape}")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, preds), 1)
-    return matrix
-
-
-def macro_f1(logits_or_preds: np.ndarray, labels: np.ndarray,
-             num_classes: int | None = None) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    arr = np.asarray(logits_or_preds)
-    preds = predictions_from_logits(arr) if arr.ndim == 2 else arr
-    labels = np.asarray(labels)
-    if num_classes is None:
-        num_classes = int(max(preds.max(), labels.max())) + 1
-    matrix = confusion_matrix(preds, labels, num_classes)
-    true_pos = np.diag(matrix).astype(np.float64)
-    predicted = matrix.sum(axis=0).astype(np.float64)
-    actual = matrix.sum(axis=1).astype(np.float64)
-    precision = np.divide(true_pos, predicted, out=np.zeros_like(true_pos),
-                          where=predicted > 0)
-    recall = np.divide(true_pos, actual, out=np.zeros_like(true_pos),
-                       where=actual > 0)
-    denom = precision + recall
-    f1 = np.divide(2 * precision * recall, denom, out=np.zeros_like(true_pos),
-                   where=denom > 0)
-    present = actual > 0
-    if not present.any():
-        raise ShapeError("no classes present in labels")
-    return float(f1[present].mean())

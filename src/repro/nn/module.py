@@ -7,14 +7,12 @@ checkpointing the best validation model.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from repro.errors import ArtifactError, ShapeError
+from repro.errors import ShapeError
 from repro.tensor.tensor import Tensor
-from repro.utils.artifacts import normalize_npz_path
 
 __all__ = ["Parameter", "Module"]
 
@@ -96,19 +94,3 @@ class Module:
                 raise ShapeError(
                     f"parameter {name}: state shape {value.shape} != {param.shape}")
             param.data[...] = value
-
-    def num_parameters(self) -> int:
-        return int(sum(p.size for p in self.parameters()))
-
-    # ------------------------------------------------------------------
-    def save_weights(self, path: str | Path) -> None:
-        """Persist :meth:`state_dict` as an ``.npz`` archive."""
-        np.savez_compressed(normalize_npz_path(path), **self.state_dict())
-
-    def load_weights(self, path: str | Path) -> None:
-        """Load weights saved by :meth:`save_weights` (strict shape match)."""
-        target = normalize_npz_path(path)
-        if not target.exists():
-            raise ArtifactError(f"no weight archive at {target}")
-        with np.load(target) as archive:
-            self.load_state_dict({name: archive[name] for name in archive.files})

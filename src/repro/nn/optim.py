@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers (SGD with momentum, Adam).
+"""The Adam optimizer over an explicit parameter list.
 
 Optimizers read each parameter's accumulated ``.grad`` and update
 ``.data`` in place; this happens strictly between graph constructions,
@@ -15,7 +15,7 @@ from repro.errors import ConfigError
 from repro.nn.module import Parameter
 from repro.tensor.tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -55,32 +55,6 @@ class Optimizer:
                 f"got {len(grads)} gradients for {len(self.parameters)} parameters")
         for param, g in zip(self.parameters, grads):
             param.grad = None if g is None else g.detach()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, lr, weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.parameters:
-            g = self._effective_grad(param)
-            if g is None:
-                continue
-            if self.momentum:
-                velocity = self._velocity.get(id(param))
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + g
-                self._velocity[id(param)] = velocity
-                g = velocity
-            param.data -= self.lr * g
 
 
 class Adam(Optimizer):

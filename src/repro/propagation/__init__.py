@@ -2,7 +2,6 @@
 
 from repro.propagation.label_prop import label_propagation, propagate_scores
 from repro.propagation.error_prop import error_propagation, softmax_rows
-from repro.propagation.smooth import smooth_predictions, correct_and_smooth
 
 __all__ = ["label_propagation", "propagate_scores", "error_propagation",
-           "softmax_rows", "smooth_predictions", "correct_and_smooth"]
+           "softmax_rows"]

@@ -257,7 +257,7 @@ class ReplicaPool:
     def kill_replica(self, replica_id: int) -> None:
         """Fault injection: kill the worker process outright (SIGKILL).
 
-        Used by the failover tests, the benchmark's failover phase, and
+        Used by the failover tests, ``repro serve-fleet --kill-one`` and
         operational drills — the monitor then re-routes the slot's
         in-flight requests and respawns it.
         """
@@ -804,7 +804,7 @@ class ServingFleet:
 
 
 # ----------------------------------------------------------------------
-# Replay helper (CLI + benchmark)
+# Replay helper (``repro serve-fleet`` and examples/fleet_serving.py)
 # ----------------------------------------------------------------------
 def replay_fleet(fleet: ServingFleet, requests: list[ServeTask], *,
                  timeout: float = 120.0) -> list:

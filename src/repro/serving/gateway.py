@@ -273,7 +273,8 @@ class ServingGateway:
             "Per-stage request latency across the serving layers.",
             ("component", "stage"))
         #: scaling actions: {"t_s", "action", "from", "to", "queue_depth",
-        #: "p95_ms"} — the benchmark reads reaction times off this
+        #: "p95_ms"} — ``stats()`` returns them, ``repro serve-gateway``
+        #: prints them and the autoscaling tests read reaction times off this
         self.scale_events: list[dict] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None

@@ -140,8 +140,8 @@ def replay_stream(runtime, requests: list[ServeTask], deltas,
     after each group, and drains synchronously (``run_pending``) so every
     micro-batch and every refresh happens in a deterministic order.
     Deltas left over when the request stream ends are ingested and
-    applied at the tail.  Shared by ``repro serve-stream`` and the
-    streaming benchmark so the interleaving semantics cannot diverge.
+    applied at the tail.  ``repro serve-stream`` replays its traffic
+    through this.
     Returns per-request results, a failed request's exception in its
     slot (see :func:`settle`).
     """

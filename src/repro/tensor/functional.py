@@ -30,14 +30,11 @@ __all__ = [
     "log_softmax",
     "one_hot",
     "cross_entropy",
-    "nll_loss",
     "binary_cross_entropy_with_logits",
-    "mse_loss",
     "l2_row_norms",
     "l21_norm",
     "cosine_similarity_columns",
     "gradient_cosine_distance",
-    "frobenius_norm",
 ]
 
 _EPS = 1e-12
@@ -98,13 +95,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     return tensor_mean(per_sample)
 
 
-def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of precomputed log-probabilities."""
-    log_probs = as_tensor(log_probs)
-    targets = Tensor(one_hot(labels, log_probs.shape[-1]))
-    return neg(tensor_mean(tensor_sum(mul(targets, log_probs), axis=1)))
-
-
 def binary_cross_entropy_with_logits(
         logits: Tensor, targets: np.ndarray | Tensor) -> Tensor:
     """Mean binary cross-entropy on raw logits (numerically stable).
@@ -122,14 +112,6 @@ def binary_cross_entropy_with_logits(
     log_part = log(Tensor(1.0) + exp(neg(abs_(logits))))
     per_element = sub(positive_part, linear_part) + log_part
     return tensor_mean(per_element)
-
-
-def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean squared error."""
-    prediction = as_tensor(prediction)
-    target_t = as_tensor(target)
-    diff = sub(prediction, target_t)
-    return tensor_mean(mul(diff, diff))
 
 
 def l2_row_norms(matrix: Tensor, eps: float = _EPS) -> Tensor:
@@ -187,9 +169,3 @@ def gradient_cosine_distance(grads_a, grads_b, eps: float = 1e-8) -> Tensor:
         term = tensor_sum(sub(Tensor(np.ones(cos.shape)), cos))
         total = term if total is None else total + term
     return total
-
-
-def frobenius_norm(matrix: Tensor, eps: float = _EPS) -> Tensor:
-    """Frobenius norm of a tensor."""
-    matrix = as_tensor(matrix)
-    return power(tensor_sum(mul(matrix, matrix)) + Tensor(eps), 0.5)

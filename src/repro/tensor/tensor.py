@@ -52,7 +52,6 @@ __all__ = [
     "sqrt",
     "relu",
     "sigmoid",
-    "tanh",
     "abs_",
     "tensor_sum",
     "tensor_mean",
@@ -63,7 +62,6 @@ __all__ = [
     "slice_rows",
     "dropout",
     "maximum_const",
-    "clip_min_const",
 ]
 
 
@@ -622,17 +620,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def tanh(a: Tensor) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    a = as_tensor(a)
-
-    def backward(g: Tensor):
-        t = tanh(a)
-        return (mul(g, sub(Tensor(1.0), mul(t, t))),)
-
-    return make_op(np.tanh(a.data), (a,), backward, "tanh")
-
-
 def abs_(a: Tensor) -> Tensor:
     """Elementwise absolute value (subgradient 0 at the origin)."""
     a = as_tensor(a)
@@ -816,8 +803,3 @@ def maximum_const(a: Tensor, value: float) -> Tensor:
         return (mul(g, Tensor(mask)),)
 
     return make_op(out_data, (a,), backward, "maximum_const")
-
-
-def clip_min_const(a: Tensor, minimum: float) -> Tensor:
-    """Alias of :func:`maximum_const`, named for clamping denominators."""
-    return maximum_const(a, minimum)

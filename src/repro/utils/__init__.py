@@ -1,6 +1,5 @@
-"""Small shared utilities: seeding, artifact paths."""
+"""Small shared utilities: artifact paths and the ``.npz`` archive reader."""
 
 from repro.utils.artifacts import normalize_npz_path
-from repro.utils.seeding import seed_everything, spawn_rngs
 
-__all__ = ["seed_everything", "spawn_rngs", "normalize_npz_path"]
+__all__ = ["normalize_npz_path"]

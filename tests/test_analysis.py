@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    AnalysisContext,
     AnalysisError,
     build_report,
     check_analysis_report_schema,

@@ -34,11 +34,6 @@ class TestCondensedGraph:
             CondensedGraph(np.eye(2), np.ones((2, 2)), np.zeros(2, dtype=int),
                            mapping=sp.csr_matrix(np.ones((5, 3))))
 
-    def test_to_graph_roundtrip(self, tiny_condensed):
-        graph = tiny_condensed.to_graph()
-        assert graph.num_nodes == tiny_condensed.num_nodes
-        assert np.allclose(graph.features, tiny_condensed.features)
-
     def test_normalized_adjacency_symmetric(self, tiny_condensed):
         norm = tiny_condensed.normalized_adjacency()
         assert np.allclose(norm, norm.T)

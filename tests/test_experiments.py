@@ -19,7 +19,6 @@ from repro.experiments import (
     dataset_budgets,
     format_table,
     mean_std,
-    method_names,
     prepare_dataset,
 )
 
@@ -44,9 +43,6 @@ class TestSettings:
         assert METHODS["mcond_ss"].setting == "S->S"
         for coreset in ("random", "degree", "herding", "kcenter", "vng"):
             assert METHODS[coreset].setting == "O->S"
-
-    def test_method_names_order(self):
-        assert method_names()[0] == "whole"
 
     def test_budgets_known_datasets(self):
         assert dataset_budgets("pubmed-sim") == (30, 60)

@@ -14,7 +14,6 @@ class TestConstruction:
     def test_basic_properties(self, path_graph):
         assert path_graph.num_nodes == 5
         assert path_graph.num_edges == 8  # 4 undirected edges stored twice
-        assert path_graph.num_undirected_edges == 4
         assert path_graph.feature_dim == 2
         assert path_graph.num_classes == 2
 
@@ -80,7 +79,7 @@ class TestViewsAndQueries:
     def test_subgraph_preserves_edges(self, path_graph):
         sub = path_graph.subgraph(np.array([0, 1, 2]))
         assert sub.num_nodes == 3
-        assert sub.num_undirected_edges == 2
+        assert sub.num_edges == 4  # edges 0-1 and 1-2, stored twice
         assert np.allclose(sub.features, path_graph.features[:3])
 
     def test_subgraph_reorders(self, path_graph):
@@ -101,14 +100,6 @@ class TestViewsAndQueries:
         assert block.shape == (1, 2)
         assert block[0, 0] == 1.0
         assert block[0, 1] == 0.0
-
-    def test_class_counts(self, path_graph):
-        assert np.array_equal(path_graph.class_counts(), [3, 2])
-
-    def test_class_counts_requires_labels(self):
-        g = Graph(np.eye(2), np.ones((2, 1)))
-        with pytest.raises(GraphError):
-            g.class_counts()
 
     def test_copy_is_deep(self, path_graph):
         clone = path_graph.copy()

@@ -60,12 +60,6 @@ class TestAttachOriginal:
                                       intra=intra)
         assert attached.adjacency.toarray()[3, 4] == 1.0
 
-    def test_inductive_indices(self, base):
-        adjacency, features = base
-        inc = sp.csr_matrix(np.zeros((2, 3)))
-        attached = attach_to_original(adjacency, features, inc, np.zeros((2, 2)))
-        assert np.array_equal(attached.inductive_indices(), [3, 4])
-
     def test_feature_dim_mismatch_rejected(self, base):
         adjacency, features = base
         inc = sp.csr_matrix(np.zeros((1, 3)))
@@ -209,7 +203,6 @@ class TestEdgeCases:
         assert attached.num_new == 0
         assert attached.num_nodes == 3
         assert np.allclose(attached.adjacency.toarray(), adjacency.toarray())
-        assert attached.inductive_indices().size == 0
 
     def test_empty_batch_synthetic(self):
         attached = attach_to_synthetic(

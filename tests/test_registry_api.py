@@ -113,17 +113,6 @@ class TestArtifactHardening:
         with pytest.raises(ArtifactError):
             CondensedGraph.load(tmp_path / "nope.npz")
 
-    def test_weight_save_load_roundtrip(self, tmp_path):
-        model = make_model("gcn", 6, 3, seed=0, hidden=8)
-        target = tmp_path / "weights"  # no suffix on purpose
-        model.save_weights(target)
-        clone = make_model("gcn", 6, 3, seed=99, hidden=8)
-        clone.load_weights(target)
-        for (name_a, a), (name_b, b) in zip(model.named_parameters(),
-                                            clone.named_parameters()):
-            assert name_a == name_b
-            assert np.array_equal(a.data, b.data)
-
 
 # ----------------------------------------------------------------------
 # Facade: condense / deploy / serve

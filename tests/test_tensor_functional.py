@@ -11,14 +11,11 @@ from repro.tensor import (
     binary_cross_entropy_with_logits,
     cosine_similarity_columns,
     cross_entropy,
-    frobenius_norm,
     gradcheck,
     gradient_cosine_distance,
     l21_norm,
     l2_row_norms,
     log_softmax,
-    mse_loss,
-    nll_loss,
     one_hot,
     softmax,
 )
@@ -100,12 +97,6 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError):
             cross_entropy(Tensor(np.zeros(3)), np.array([0]))
 
-    def test_nll_consistent_with_cross_entropy(self):
-        logits = Tensor(RNG.standard_normal((4, 3)))
-        labels = np.array([0, 2, 1, 1])
-        assert nll_loss(log_softmax(logits), labels).item() == pytest.approx(
-            cross_entropy(logits, labels).item())
-
 
 class TestBceWithLogits:
     def test_matches_reference(self):
@@ -150,15 +141,6 @@ class TestNorms:
     def test_l2_rows_rejects_1d(self):
         with pytest.raises(ShapeError):
             l2_row_norms(Tensor(np.zeros(3)))
-
-    def test_frobenius(self):
-        x = RNG.standard_normal((3, 3))
-        assert frobenius_norm(Tensor(x)).item() == pytest.approx(
-            np.linalg.norm(x), rel=1e-6)
-
-    def test_mse(self):
-        a, b = RNG.standard_normal((3, 3)), RNG.standard_normal((3, 3))
-        assert mse_loss(Tensor(a), b).item() == pytest.approx(((a - b) ** 2).mean())
 
 
 class TestCosine:

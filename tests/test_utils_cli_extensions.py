@@ -1,4 +1,4 @@
-"""Utilities, the CLI, DosCond, and the Correct&Smooth extension."""
+"""The CLI and DosCond."""
 
 from __future__ import annotations
 
@@ -9,36 +9,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.condense import DosCondConfig, DosCondReducer
-from repro.errors import ConfigError
-from repro.graph import adjacency_from_edges, attach_to_original
-from repro.propagation import correct_and_smooth, smooth_predictions
-from repro.utils import seed_everything, spawn_rngs
-
-
-class TestSeeding:
-    def test_seed_everything_returns_generator(self):
-        rng = seed_everything(42)
-        assert isinstance(rng, np.random.Generator)
-
-    def test_seed_everything_reproducible(self):
-        a = seed_everything(7).random(4)
-        b = seed_everything(7).random(4)
-        assert np.allclose(a, b)
-
-    def test_seed_everything_type_check(self):
-        with pytest.raises(ConfigError):
-            seed_everything("seed")
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(0, 3)
-        assert len(rngs) == 3
-        draws = [rng.random(8) for rng in rngs]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_spawn_rngs_count_validation(self):
-        with pytest.raises(ConfigError):
-            spawn_rngs(0, 0)
 
 
 def _fast_profile(monkeypatch):
@@ -400,53 +370,3 @@ class TestDosCond:
                                adjacency_pretrain_steps=10, seed=0)
         condensed = DosCondReducer(config).reduce(tiny_split, 9)
         assert not condensed.supports_attachment()
-
-
-class TestSmooth:
-    @staticmethod
-    def attached_cliques():
-        edges = []
-        for offset in (0, 4):
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    edges.append([offset + i, offset + j])
-        adjacency = adjacency_from_edges(np.array(edges), 8)
-        import scipy.sparse as sp
-        inc = sp.csr_matrix((np.ones(2), ([0, 1], [0, 4])), shape=(2, 8))
-        return attach_to_original(adjacency, np.zeros((8, 2)), inc,
-                                  np.zeros((2, 2)))
-
-    def test_smoothing_pulls_to_neighborhood(self):
-        attached = self.attached_cliques()
-        base_labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        # Both inductive nodes start uncertain; smoothing should commit them
-        # to their attached clique's class.
-        scores = np.full((2, 2), 0.5)
-        smoothed = smooth_predictions(attached, base_labels, scores, 2,
-                                      alpha=0.9, iterations=30)
-        assert smoothed[0].argmax() == 0
-        assert smoothed[1].argmax() == 1
-
-    def test_correct_and_smooth_pipeline(self):
-        attached = self.attached_cliques()
-        base_labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        base_logits = np.zeros((8, 2))
-        base_logits[np.arange(8), base_labels] = 3.0
-        inductive_logits = np.zeros((2, 2))
-        out = correct_and_smooth(attached, base_labels, base_logits,
-                                 inductive_logits, 2)
-        assert out.shape == (2, 2)
-        assert out[0].argmax() == 0 and out[1].argmax() == 1
-
-    def test_validation(self):
-        attached = self.attached_cliques()
-        from repro.errors import InferenceError
-        with pytest.raises(InferenceError):
-            smooth_predictions(attached, np.zeros(3, dtype=int),
-                               np.zeros((2, 2)), 2)
-        with pytest.raises(InferenceError):
-            smooth_predictions(attached, np.zeros(8, dtype=int),
-                               np.zeros((3, 2)), 2)
-        with pytest.raises(InferenceError):
-            smooth_predictions(attached, np.zeros(8, dtype=int),
-                               np.zeros((2, 2)), 2, alpha=1.5)
