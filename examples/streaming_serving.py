@@ -46,8 +46,8 @@ def main() -> None:
     requests = [ServeTask(request) for request in split_requests(
         batch.subset(np.arange(reserved, batch.num_nodes)), NUM_REQUESTS, 1)]
 
-    runtime = api.open_stream(bundle, batch_mode="node",
-                              max_batch_size=8, max_wait_ms=0.0)
+    runtime = api.open_runtime(bundle, batch_mode="node",
+                               max_batch_size=8, max_wait_ms=0.0)
     print(f"\nserving {NUM_REQUESTS} requests, ingesting one delta every "
           f"{INGEST_EVERY} requests ({NUM_DELTAS} deltas total)\n")
     deltas = iter(trace)

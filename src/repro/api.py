@@ -55,9 +55,8 @@ from repro.serving.runtime import MicroBatchScheduler, ServingRuntime
 from repro.tensor.sparse import dense_memory_bytes, sparse_memory_bytes
 from repro.utils.artifacts import normalize_npz_path, open_npz_archive, save_npz
 
-__all__ = ["condense", "deploy", "serve", "open_runtime", "open_stream",
-           "open_fleet", "open_gateway", "evaluation_batch",
-           "DeploymentBundle"]
+__all__ = ["condense", "deploy", "serve", "open_runtime", "open_fleet",
+           "open_gateway", "evaluation_batch", "DeploymentBundle"]
 
 
 # ----------------------------------------------------------------------
@@ -190,16 +189,6 @@ class DeploymentBundle:
         model.load_state_dict(self.state)
         model.eval()
         return model
-
-    def operator(self):
-        """The deployed normalization operator ``Â`` (dense for synthetic
-        graphs, sparse CSR for the original graph)."""
-        from repro.graph.ops import symmetric_normalize
-        if self.deployment == "synthetic":
-            assert self.condensed is not None
-            return self.condensed.normalized_adjacency()
-        assert self.base is not None
-        return symmetric_normalize(self.base.adjacency)
 
     def prepare(self) -> PreparedDeployment:
         """The request-invariant serving cache for this bundle."""
@@ -407,8 +396,7 @@ def deploy(dataset: str, method: str | None = "mcond", budget: int = 30, *,
            deployment: str | None = None, seed: int = 0, scale: float = 1.0,
            profile: EffortProfile | str | None = None,
            condensed: CondensedGraph | None = None,
-           reducer_options: dict | None = None,
-           model_options: dict | None = None) -> DeploymentBundle:
+           reducer_options: dict | None = None) -> DeploymentBundle:
     """Run the offline phase end to end and package the result.
 
     Condenses ``dataset`` with ``method`` (skipped for ``method=None`` /
@@ -435,8 +423,7 @@ def deploy(dataset: str, method: str | None = "mcond", budget: int = 30, *,
                       if condensed is not None and condensed.supports_attachment()
                       else "original")
     trained = context.train(train_on, model_name=model, condensed=condensed,
-                            validate_deployment=deployment, seed=seed,
-                            **(model_options or {}))
+                            validate_deployment=deployment, seed=seed)
     base = context.prepared.original if deployment == "original" else None
     from repro import __version__
     metadata = {
@@ -490,9 +477,8 @@ def serve(bundle: DeploymentBundle | str | Path,
 
 def open_runtime(bundle: DeploymentBundle | str | Path, *,
                  batch_mode: str = "graph",
-                 max_batch_size: int = 32, max_wait_ms: float = 2.0,
-                 queue_capacity: int = 1024,
-                 overflow: str = "block") -> ServingRuntime:
+                 max_batch_size: int = 32,
+                 max_wait_ms: float = 2.0) -> ServingRuntime:
     """Open a long-lived :class:`~repro.serving.runtime.ServingRuntime`.
 
     ``bundle`` may be a :class:`DeploymentBundle` or a path to one.  The
@@ -509,6 +495,12 @@ def open_runtime(bundle: DeploymentBundle | str | Path, *,
     synthetic SGC deployment, else Eq. 3 on the original graph or
     Eq. 11 through the mapping ``M``.
 
+    The same runtime serves *and evolves* a streaming deployment: each
+    ``runtime.ingest(delta)`` (a :class:`~repro.graph.stream.GraphDelta`)
+    is applied between micro-batches and updates only what exact serving
+    reads; the normalized operator and the propagated features are
+    dropped and recomputed on their next read, so none is warmed up front.
+
     >>> from repro.serving import ServeTask             # doctest: +SKIP
     >>> runtime = api.open_runtime("artifact.npz")      # doctest: +SKIP
     >>> with runtime:                                   # doctest: +SKIP
@@ -521,40 +513,7 @@ def open_runtime(bundle: DeploymentBundle | str | Path, *,
         bundle = DeploymentBundle.load(bundle)
     return ServingRuntime(
         bundle.prepare(), MicroBatchScheduler(max_batch_size, max_wait_ms),
-        batch_mode=batch_mode, queue_capacity=queue_capacity,
-        overflow=overflow)
-
-
-def open_stream(bundle: DeploymentBundle | str | Path, *,
-                staleness_threshold: float = 0.25,
-                batch_mode: str = "graph",
-                max_batch_size: int = 32, max_wait_ms: float = 2.0,
-                queue_capacity: int = 1024,
-                overflow: str = "block") -> ServingRuntime:
-    """Open a runtime that serves *and evolves*: a streaming deployment.
-
-    Like :func:`open_runtime`, for a deployment that ingests
-    :class:`~repro.graph.stream.GraphDelta` traffic.  Each
-    ``runtime.ingest(delta)`` updates only what exact serving reads (the
-    base block and the degrees); the normalized operator and the
-    propagated features are dropped and recomputed on their next read,
-    so none is warmed up front.  ``staleness_threshold`` is the
-    affected-row fraction beyond which a delta reports mode
-    ``"rebuild"`` instead of ``"incremental"``; both modes do the same
-    work, so it only picks the reported mode (see
-    :meth:`~repro.serving.prepared.PreparedDeployment.apply_delta`).
-
-    >>> runtime = api.open_stream("artifact.npz")       # doctest: +SKIP
-    >>> with runtime:                                   # doctest: +SKIP
-    ...     runtime.ingest(delta)                       # evolve the base
-    ...     future = runtime.submit(ServeTask(batch=batch))  # serve it
-    """
-    runtime = open_runtime(
-        bundle, batch_mode=batch_mode, max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms, queue_capacity=queue_capacity,
-        overflow=overflow)
-    runtime.staleness_threshold = staleness_threshold
-    return runtime
+        batch_mode=batch_mode)
 
 
 def open_fleet(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
@@ -608,7 +567,7 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
                  max_inflight: int = 256,
                  scale_policy=None,
                  autoscale_interval: float = 0.25,
-                 scale_cooldown: float = 2.0, start: bool = True):
+                 scale_cooldown: float = 2.0):
     """Open a network :class:`~repro.serving.gateway.ServingGateway`.
 
     Builds a fleet exactly like :func:`open_fleet` and puts the TCP
@@ -642,8 +601,7 @@ def open_gateway(bundle: DeploymentBundle | str | Path, replicas: int = 2, *,
             max_inflight=max_inflight, scale_policy=scale_policy,
             autoscale_interval=autoscale_interval,
             scale_cooldown=scale_cooldown, owns_fleet=True)
-        if start:
-            gateway.start()
+        gateway.start()
     except Exception:
         fleet.close(drain=False)
         raise

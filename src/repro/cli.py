@@ -220,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--ingest-every", type=int, default=4,
                         help="ingest one delta every this many requests "
                              "(default: 4)")
-    stream.add_argument("--staleness", type=float, default=0.25,
-                        help="affected-row fraction beyond which a delta "
-                             "is reported as a rebuild; both modes do the "
-                             "same work (default: 0.25)")
     stream.add_argument("--max-batch-size", type=int, default=8,
                         help="micro-batch size cap; batches take what is "
                              "queued, never wait (default: 8)")
@@ -514,10 +510,9 @@ def _cmd_serve_stream(args) -> int:
 
     bundle = api.DeploymentBundle.load(args.artifact)
     print(bundle)
-    runtime = api.open_stream(bundle, batch_mode=args.batch_mode,
-                              max_batch_size=args.max_batch_size,
-                              max_wait_ms=0.0,
-                              staleness_threshold=args.staleness)
+    runtime = api.open_runtime(bundle, batch_mode=args.batch_mode,
+                               max_batch_size=args.max_batch_size,
+                               max_wait_ms=0.0)
     batch = api.evaluation_batch(bundle)
     reserved = args.deltas * args.nodes_per_delta
     if reserved >= batch.num_nodes:

@@ -17,9 +17,9 @@ for.  The pieces:
 - :mod:`~repro.serving.queue` — bounded admission with backpressure;
 - :mod:`~repro.serving.workload` — Poisson arrivals and request replay;
 - :mod:`~repro.serving.stats` — p50/p95/p99 latency accounting;
-- :mod:`~repro.serving.fleet` — the multi-replica process fleet: replica
-  pool over a shared memory-mapped artifact, round-robin dispatch,
-  health-checked failover, zero-downtime hot swaps;
+- :mod:`~repro.serving.fleet` — the multi-replica process fleet over a
+  shared memory-mapped artifact: round-robin dispatch, a reply pipe per
+  replica, failover on worker exit, zero-downtime hot swaps;
 - :mod:`~repro.serving.protocol` — the gateway's length-prefixed wire
   protocol (JSON or binary payloads) and the stdlib-socket client;
 - :mod:`~repro.serving.gateway` — the asyncio TCP/HTTP front door:
@@ -33,10 +33,9 @@ registry-backed counters and callback gauges, the shared
 ``docs/serving.md``, "Observability").  The in-process runtime's one
 accounting is ``runtime.stats()``.
 
-Entry points: ``repro.api.open_runtime(bundle)`` for a static deployment,
-``repro.api.open_stream(bundle)`` for one that ingests
-:class:`~repro.graph.stream.GraphDelta` traffic while serving,
-``repro.api.open_fleet(artifact)`` for a horizontally-scaled replica
+Entry points: ``repro.api.open_runtime(bundle)`` for one process, which
+also ingests :class:`~repro.graph.stream.GraphDelta` traffic while
+serving, ``repro.api.open_fleet(artifact)`` for a horizontally-scaled replica
 fleet, and ``repro.api.open_gateway(artifact)`` for that fleet behind
 the network gateway.
 """
@@ -71,7 +70,6 @@ from repro.serving.workload import (
 )
 from repro.serving.fleet import (
     FleetFuture,
-    ReplicaPool,
     ServingFleet,
     replay_fleet,
 )
@@ -93,7 +91,7 @@ __all__ = [
     "MicroBatchScheduler",
     "LatencyAccounting", "RequestRecord", "RuntimeStats",
     "PoissonWorkload", "split_requests", "replay", "replay_stream",
-    "ServingFleet", "ReplicaPool", "FleetFuture", "replay_fleet",
+    "ServingFleet", "FleetFuture", "replay_fleet",
     "GatewayClient", "GatewayReply", "ProtocolError",
     "ServingGateway", "WatermarkShed", "QueueDepthScale",
 ]

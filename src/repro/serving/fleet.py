@@ -8,15 +8,18 @@ holding a prepared deployment built over the same memory-mapped artifact
 (so the big arrays live once in the host's page cache, not ``N`` times),
 taking requests round-robin.
 
-The moving parts:
-
-- :class:`ReplicaPool` — spawns/respawns the worker processes, watches
-  their health, and drains them one at a time for hot swaps;
-- :class:`ServingFleet` — the public facade: ``submit`` returns a
-  :class:`FleetFuture`; a killed replica's in-flight requests are
-  re-routed to survivors and the pool respawns the dead slot;
-  ``swap(artifact)`` rolls a new artifact across the fleet with zero
-  dropped traffic.
+:class:`ServingFleet` is the whole of it.  ``submit`` returns a
+:class:`FleetFuture`; ``swap(artifact)`` rolls a new artifact across the
+fleet with zero dropped traffic; ``scale_to`` grows or drains slots.
+Each replica takes requests on its own inbox queue and replies on its
+own pipe, which only that worker writes: a worker killed mid-reply tears
+its own pipe and nothing another replica uses.  One collector thread
+sleeps in :func:`multiprocessing.connection.wait` on every reply pipe,
+every worker's exit sentinel and a wake pipe.  It resolves futures as
+replies arrive; when a worker exits unannounced it re-routes the
+worker's in-flight requests to survivors and respawns the slot.  Every
+wait in the fleet (ready, drain, swap, scale) sleeps on one condition
+that the collector notifies, so no part of the fleet polls a clock.
 
 Every request is served as its own batch by exactly one replica, so the
 returned results are bitwise identical to
@@ -29,11 +32,12 @@ objects (``predict`` | ``embed`` | ``link_score`` | ``topk``).
 from __future__ import annotations
 
 import multiprocessing
-import queue as _queue
+import pickle
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -50,35 +54,35 @@ from repro.telemetry import (
     use_trace,
 )
 
-__all__ = ["ServingFleet", "ReplicaPool", "FleetFuture", "replay_fleet"]
+__all__ = ["ServingFleet", "FleetFuture", "replay_fleet"]
 
 #: Dispatch attempts per request before its future fails (failover
 #: re-routes count against them).
 _MAX_DISPATCH_ATTEMPTS = 3
 #: Respawns a slot that keeps dying at startup gets before it is given up.
 _MAX_SPAWN_RETRIES = 2
+#: What ``recv`` raises on a reply pipe its worker tore down mid-message.
+_TORN = (EOFError, OSError, pickle.UnpicklingError)
 
 
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _replica_worker(replica_id: int, generation: int, artifact: str,
-                    batch_mode: str, inbox, outbox) -> None:
+def _replica_worker(artifact: str, batch_mode: str, inbox, outbox) -> None:
     """Load the artifact, announce readiness, then serve until ``stop``.
 
-    Runs in a child process.  The bundle is loaded *here*, memory-mapped:
-    every replica maps the same file, sharing one page-cache copy of the
-    stored arrays across the fleet (compressed members load eagerly).
+    Runs in a child process and replies on ``outbox``, the write end of
+    its own pipe.  The bundle is loaded *here*, memory-mapped: every
+    replica maps the same file, sharing one page-cache copy of the stored
+    arrays across the fleet (compressed members load eagerly).
     """
     started = time.perf_counter()
     try:
         from repro.api import DeploymentBundle
         prepared = DeploymentBundle.load(artifact, mmap=True).prepare()
-        cold_start = time.perf_counter() - started
-        outbox.put(("ready", replica_id, generation, cold_start))
-    except BaseException as error:  # noqa: BLE001 — reported to the pool
-        outbox.put(("fatal", replica_id, generation,
-                    f"{type(error).__name__}: {error}"))
+        outbox.send(("ready", time.perf_counter() - started))
+    except BaseException as error:  # noqa: BLE001 — reported to the fleet
+        outbox.send(("fatal", f"{type(error).__name__}: {error}"))
         return
     while True:
         message = inbox.get()
@@ -95,11 +99,10 @@ def _replica_worker(replica_id: int, generation: int, artifact: str,
                 result, seconds, _ = prepared.serve_task(
                     task, batch_mode=task.mode or batch_mode)
             spans = tuple((span.stage, span.seconds) for span in trace.spans)
-            outbox.put(("done", replica_id, generation, request_id,
-                        result, seconds, t_start, spans))
+            outbox.send(("done", request_id, result, seconds, t_start, spans))
         except Exception as error:  # noqa: BLE001 — forwarded to the future
-            outbox.put(("error", replica_id, generation, request_id,
-                        f"{type(error).__name__}: {error}"))
+            outbox.send(("error", request_id,
+                         f"{type(error).__name__}: {error}"))
 
 
 # ----------------------------------------------------------------------
@@ -132,152 +135,30 @@ class _Pending:
     submitted_at: float
     trace: TraceContext
     owns_trace: bool  # fleet (not a gateway) finishes + logs it
-    replica_id: int | None = None
     attempts: int = 0
 
 
 @dataclass
 class _Replica:
-    """One replica slot: a worker process plus its dispatch state."""
+    """One replica slot: a worker process, its two channels, its state."""
 
     replica_id: int
     generation: int
     process: object
-    inbox: object
-    state: str = "starting"  # starting|ready|draining|stopping|dead
+    inbox: object  # multiprocessing.Queue: parent -> worker
+    replies: object  # read end of the worker's reply pipe
+    state: str = "starting"  # starting|ready|draining|dead
     inflight: set = field(default_factory=set)
     cold_start_seconds: float | None = None
     last_error: str | None = None
     spawn_failures: int = 0
 
 
-class ReplicaPool:
-    """Owns the replica processes: spawn, health, respawn, drain, stop.
-
-    The pool knows nothing about requests — :class:`ServingFleet` layers
-    dispatch and failover on top through the callbacks it registers.
-    Workers start by ``fork`` where the platform has it, else ``spawn``.
-    """
-
-    def __init__(self, artifact: str | Path, size: int, *,
-                 batch_mode: str = "node") -> None:
-        if size <= 0:
-            raise ServingError(f"fleet size must be positive, got {size}")
-        self.artifact = Path(artifact)
-        self.size = size
-        self.batch_mode = batch_mode
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        self.results = self._context.Queue()
-        self.replicas: dict[int, _Replica] = {}
-        self.respawns = 0
-        for replica_id in range(size):
-            self.replicas[replica_id] = self._spawn(replica_id, generation=0)
-
-    # ------------------------------------------------------------------
-    def _spawn(self, replica_id: int, generation: int) -> _Replica:
-        inbox = self._context.Queue()
-        process = self._context.Process(
-            target=_replica_worker,
-            args=(replica_id, generation, str(self.artifact),
-                  self.batch_mode, inbox, self.results),
-            name=f"repro-replica-{replica_id}", daemon=True)
-        process.start()
-        return _Replica(replica_id=replica_id, generation=generation,
-                        process=process, inbox=inbox)
-
-    @staticmethod
-    def _discard_inbox(replica: _Replica) -> None:
-        """Release an inbox whose reader is gone.
-
-        Without ``cancel_join_thread`` the queue's feeder thread blocks
-        interpreter exit trying to flush buffered requests into a pipe no
-        process will ever read (the stranded requests were already
-        re-dispatched from the parent-side copies).
-        """
-        try:
-            replica.inbox.cancel_join_thread()
-            replica.inbox.close()
-        except (OSError, ValueError):
-            pass
-
-    def add_slot(self) -> _Replica:
-        """Grow the pool by one fresh replica slot (autoscaling up).
-
-        The new slot reuses the same spawn machinery as respawn/startup;
-        the caller is responsible for waiting until it reports ready.
-        """
-        replica_id = max(self.replicas, default=-1) + 1
-        replica = self._spawn(replica_id, generation=0)
-        self.replicas[replica_id] = replica
-        self.size += 1
-        return replica
-
-    def remove_slot(self, replica_id: int) -> None:
-        """Forget a slot whose process was already stopped (scaling down)."""
-        replica = self.replicas.pop(replica_id)
-        if replica.state != "dead":
-            raise ServingError(
-                f"cannot remove replica {replica_id} in state "
-                f"{replica.state!r}; stop it first")
-        self.size -= 1
-
-    def respawn(self, replica_id: int,
-                artifact: str | Path | None = None) -> _Replica:
-        """Replace a slot's process (after a crash or for a swap)."""
-        old = self.replicas[replica_id]
-        self._discard_inbox(old)
-        if artifact is not None:
-            self.artifact = Path(artifact)
-        replica = self._spawn(replica_id, generation=old.generation + 1)
-        replica.spawn_failures = old.spawn_failures
-        self.replicas[replica_id] = replica
-        self.respawns += 1
-        return replica
-
-    def ready_ids(self) -> list[int]:
-        return sorted(rid for rid, r in self.replicas.items()
-                      if r.state == "ready")
-
-    def stop_replica(self, replica: _Replica, join_timeout: float = 5.0) -> None:
-        """Graceful stop: the worker exits after its current request."""
-        replica.state = "stopping"
-        try:
-            replica.inbox.put(("stop",))
-        except (OSError, ValueError):
-            pass  # queue already torn down with a dead process
-        replica.process.join(timeout=join_timeout)
-        if replica.process.is_alive():
-            replica.process.terminate()
-            replica.process.join(timeout=join_timeout)
-        replica.state = "dead"
-        self._discard_inbox(replica)
-
-    def kill_replica(self, replica_id: int) -> None:
-        """Fault injection: kill the worker process outright (SIGKILL).
-
-        Used by the failover tests, ``repro serve-fleet --kill-one`` and
-        operational drills — the monitor then re-routes the slot's
-        in-flight requests and respawns it.
-        """
-        self.replicas[replica_id].process.kill()
-
-    def stop_all(self, join_timeout: float = 5.0) -> None:
-        for replica in self.replicas.values():
-            if replica.state != "dead":
-                self.stop_replica(replica, join_timeout)
-
-    def __repr__(self) -> str:
-        states = {rid: r.state for rid, r in sorted(self.replicas.items())}
-        return f"ReplicaPool(size={self.size}, states={states})"
-
-
 # ----------------------------------------------------------------------
-# The fleet facade
+# The fleet
 # ----------------------------------------------------------------------
 class ServingFleet:
-    """Serve requests across a pool of replica processes.
+    """Serve requests across replica processes.
 
     Parameters
     ----------
@@ -300,27 +181,40 @@ class ServingFleet:
     The constructor returns once every replica is ready, or raises after
     two minutes.  A request fails after three dispatch attempts (failover
     re-routes count against them); :meth:`stats` reads its latency
-    percentiles off the last 4096 completed requests.
+    percentiles off the last 4096 completed requests.  Workers start by
+    ``fork`` where the platform has it, else ``spawn``.
     """
-
-    _POLL_SECONDS = 0.02
 
     def __init__(self, artifact: str | Path, replicas: int = 2, *,
                  batch_mode: str = "node") -> None:
+        if replicas <= 0:
+            raise ServingError(f"fleet size must be positive, got {replicas}")
         if batch_mode not in ("graph", "node"):
             raise ServingError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
-        self._next_replica = 0  # round-robin cursor over the ready ids
+        self.artifact = Path(artifact)
         self.batch_mode = batch_mode
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         self._lock = threading.RLock()
+        #: notified whenever a replica, a request or the fleet changes
+        #: state; every wait in the fleet sleeps on it
+        self._changed = threading.Condition(self._lock)
+        self._replicas: dict[int, _Replica] = {}
+        self._respawns = 0
+        self._next_replica = 0  # round-robin cursor over the ready ids
         self._pending: dict[int, _Pending] = {}
         self._orphans: deque[_Pending] = deque()
+        #: reply pipes of retired replicas, closed by the collector
+        self._retired: list = []
         self._request_ids = iter(range(1, 2**63))
-        self._closing = threading.Event()
+        self._closing = False
         self._latencies: deque[float] = deque(maxlen=4096)
         #: Set by ``api.open_fleet`` when it persisted a temp artifact for
-        #: an in-memory bundle; ``close`` then removes the file.
+        #: an in-memory bundle; ``close`` then removes that file.
         self.owns_artifact = False
+        self._opened_artifact = self.artifact
         self.metrics = MetricsRegistry()
         self.trace_log = TraceLog()
         # the volume counters are registry-backed; completed/failed/
@@ -344,21 +238,22 @@ class ServingFleet:
             "Requests admitted by the fleet but not yet resolved.",
             callback=self.queue_depth)
         self.metrics.gauge(
-            "repro_fleet_replicas", "Replica slots in the pool.",
-            callback=lambda: self.pool.size)
+            "repro_fleet_replicas", "Replica slots in the fleet.",
+            callback=lambda: self.num_replicas)
         self._stage_latency = self.metrics.histogram(
             "repro_stage_latency_seconds",
             "Per-stage request latency across the serving layers.",
             ("component", "stage"))
-        self.pool = ReplicaPool(artifact, replicas, batch_mode=batch_mode)
+        # the collector sleeps until a reply, a worker exit, or a byte on
+        # this pipe: spawning, retiring a replica and close() write one
+        self._wake_reader, self._wake_writer = self._context.Pipe(
+            duplex=False)
+        for replica_id in range(replicas):
+            self._replicas[replica_id] = self._spawn(replica_id, 0)
         self._collector = threading.Thread(target=self._collect_forever,
                                            name="repro-fleet-collector",
                                            daemon=True)
-        self._monitor = threading.Thread(target=self._monitor_forever,
-                                         name="repro-fleet-monitor",
-                                         daemon=True)
         self._collector.start()
-        self._monitor.start()
         self.wait_ready()
 
     # ------------------------------------------------------------------
@@ -380,6 +275,99 @@ class ServingFleet:
     def slowest(self, n: int = 10) -> list[TraceContext]:
         """The ``n`` slowest fleet-owned traces, slowest first."""
         return self.trace_log.slowest(n)
+
+    # ------------------------------------------------------------------
+    # Replica slots (every helper here: caller holds the lock)
+    # ------------------------------------------------------------------
+    def _spawn(self, replica_id: int, generation: int) -> _Replica:
+        """Start one worker on ``self.artifact`` (caller holds the lock)."""
+        inbox = self._context.Queue()
+        replies, outbox = self._context.Pipe(duplex=False)
+        process = self._context.Process(
+            target=_replica_worker,
+            args=(str(self.artifact), self.batch_mode, inbox, outbox),
+            name=f"repro-replica-{replica_id}", daemon=True)
+        process.start()
+        # the worker is now the pipe's only writer: its death reads as EOF
+        outbox.close()
+        self._wake()
+        return _Replica(replica_id=replica_id, generation=generation,
+                        process=process, inbox=inbox, replies=replies)
+
+    def _respawn(self, old: _Replica) -> None:
+        """Refill ``old``'s slot with a fresh worker (caller holds the lock)."""
+        replica = self._spawn(old.replica_id, old.generation + 1)
+        replica.spawn_failures = old.spawn_failures
+        self._replicas[old.replica_id] = replica
+        self._respawns += 1
+        self._replica_respawned.inc(replica=str(old.replica_id))
+
+    def _retire(self, replica: _Replica) -> None:
+        """Mark a replica dead and release its channels (caller holds the lock).
+
+        The inbox's feeder thread would block interpreter exit flushing
+        requests no process will read (they were re-dispatched from the
+        parent-side copies), so it is cancelled.  The reply pipe may sit
+        in the collector's current ``wait``, so the collector closes it.
+        """
+        replica.state = "dead"
+        try:
+            replica.inbox.cancel_join_thread()
+            replica.inbox.close()
+        except (OSError, ValueError):
+            pass
+        self._retired.append(replica.replies)
+        self._wake()
+
+    def _stop(self, replica: _Replica, join_timeout: float = 5.0) -> None:
+        """Graceful stop: the worker exits after its current request
+        (caller holds the lock)."""
+        try:
+            replica.inbox.put(("stop",))
+        except (OSError, ValueError):
+            pass  # queue already torn down with a dead process
+        replica.process.join(timeout=join_timeout)
+        if replica.process.is_alive():
+            replica.process.terminate()
+            replica.process.join(timeout=join_timeout)
+        self._retire(replica)
+
+    def _drain_and_stop(self, replica_id: int, timeout: float) -> None:
+        """Take a slot out of rotation, let its in-flight requests finish,
+        then stop its worker (caller holds the lock)."""
+        replica = self._replicas[replica_id]
+        if replica.state == "ready":
+            replica.state = "draining"
+        # read the slot afresh: a mid-drain death respawns it, and the
+        # respawned worker's in-flight set starts empty
+        self._await(lambda: not self._replicas[replica_id].inflight,
+                    timeout, f"replica {replica_id} did not drain")
+        self._stop(self._replicas[replica_id])
+
+    def _slot_ready(self, replica_id: int) -> bool:
+        """Whether a slot serves; raises once it has exhausted its
+        respawns (caller holds the lock)."""
+        replica = self._replicas[replica_id]
+        if (replica.state == "dead"
+                and replica.spawn_failures > _MAX_SPAWN_RETRIES):
+            detail = replica.last_error or "worker exited at startup"
+            raise ServingError(
+                f"replica {replica_id} failed to start on {self.artifact} "
+                f"after {_MAX_SPAWN_RETRIES + 1} attempts: {detail}")
+        return replica.state == "ready"
+
+    def _await(self, predicate, timeout: float, failure: str) -> None:
+        """Sleep on the fleet's condition until ``predicate()`` holds;
+        caller holds the lock.  Raises after ``timeout`` seconds, or
+        once the fleet closes."""
+        if not self._changed.wait_for(
+                lambda: predicate() or self._closing, timeout):
+            raise ServingError(f"{failure} within {timeout}s")
+        if not predicate():
+            raise ServingError(f"{failure}: the fleet closed")
+
+    def _wake(self) -> None:
+        self._wake_writer.send_bytes(b"")
 
     # ------------------------------------------------------------------
     # Admission and dispatch
@@ -410,7 +398,7 @@ class ServingFleet:
         with self._lock:
             # checked under the lock: close() sweeps _pending under it,
             # so a request can never slip in after the sweep and hang
-            if self._closing.is_set():
+            if self._closing:
                 raise ServingError("fleet is closed; cannot submit requests")
             self._pending[entry.request_id] = entry
             self._dispatch(entry)
@@ -418,6 +406,10 @@ class ServingFleet:
 
     # benchmarks/perf/harness/child.py calls this spelling
     submit_batch = submit
+
+    def _ready_ids(self) -> list[int]:
+        return sorted(rid for rid, r in self._replicas.items()
+                      if r.state == "ready")
 
     def _dispatch(self, entry: _Pending) -> None:
         """Route one request (caller holds the lock; never raises).
@@ -431,14 +423,13 @@ class ServingFleet:
                 f"request failed after {entry.attempts} dispatch attempts "
                 "(replicas kept dying mid-serve)"))
             return
-        candidates = self.pool.ready_ids()
+        candidates = self._ready_ids()
         if not candidates:
             self._orphans.append(entry)
             return
         replica_id = candidates[self._next_replica % len(candidates)]
         self._next_replica += 1
-        replica = self.pool.replicas[replica_id]
-        entry.replica_id = replica_id
+        replica = self._replicas[replica_id]
         entry.attempts += 1
         replica.inflight.add(entry.request_id)
         replica.inbox.put(("serve", entry.request_id, entry.task))
@@ -448,153 +439,163 @@ class ServingFleet:
         self._pending.pop(entry.request_id, None)
         self._requests_total.inc(outcome="failed")
         entry.future._fail(error)
-
-    def _redispatch_orphans(self) -> None:
-        """Drain the orphan queue onto ready replicas (caller holds the lock)."""
-        while self._orphans and self.pool.ready_ids():
-            self._dispatch(self._orphans.popleft())
+        self._changed.notify_all()
 
     # ------------------------------------------------------------------
-    # Collector: worker results → futures
+    # Collector: replies, worker exits and failover
     # ------------------------------------------------------------------
     def _collect_forever(self) -> None:
-        while not (self._closing.is_set() and not self._pending
-                   and not self._orphans):
-            try:
-                message = self.pool.results.get(timeout=self._POLL_SECONDS)
-            except _queue.Empty:
-                continue
-            except (OSError, ValueError):
-                return  # results queue torn down during close
-            self._handle_message(message)
-
-    def _handle_message(self, message: tuple) -> None:
-        kind, replica_id, generation = message[0], message[1], message[2]
-        with self._lock:
-            replica = self.pool.replicas.get(replica_id)
-            current = replica is not None and replica.generation == generation
-            if kind == "ready" and current:
-                replica.cold_start_seconds = message[3]
-                replica.spawn_failures = 0
-                if replica.state == "starting":
-                    replica.state = "ready"
-                self._redispatch_orphans()
-            elif kind == "fatal" and current:
-                replica.last_error = message[3]
-                # the monitor reaps the exited process and decides whether
-                # another spawn attempt is worth it
-            elif kind in ("done", "error"):
-                request_id = message[3]
-                entry = self._pending.pop(request_id, None)
-                if current:
-                    replica.inflight.discard(request_id)
-                if entry is None:
-                    return  # already failed, or resolved by a re-route
-                if kind == "done":
-                    logits, compute_seconds = message[4], message[5]
-                    t_start, worker_spans = message[6], message[7]
-                    wall = time.perf_counter() - entry.submitted_at
-                    self._latencies.append(wall)
-                    self._requests_total.inc(outcome="completed")
-                    # per slot, so a respawned replica keeps its count
-                    self._replica_served.inc(replica=str(replica_id))
-                    # the worker's dequeue stamp splits the wall time into
-                    # the canonical fleet stages (clamped: perf_counter is
-                    # shared-monotonic, but paranoia is free)
-                    dispatch = max(t_start - entry.submitted_at, 0.0)
-                    collect = max(wall - dispatch - compute_seconds, 0.0)
-                    self._stage_latency.observe(
-                        dispatch, component="fleet", stage="dispatch")
-                    self._stage_latency.observe(
-                        compute_seconds, component="fleet", stage="serve")
-                    self._stage_latency.observe(
-                        collect, component="fleet", stage="collect")
-                    trace = entry.trace
-                    trace.labels.setdefault("replica", str(replica_id))
-                    trace.add_stage("dispatch", dispatch)
-                    trace.add_stage("serve", compute_seconds)
-                    for stage, seconds in worker_spans:
-                        trace.add_stage(f"serve.{stage}", seconds)
-                    trace.add_stage("collect", collect)
-                    if entry.owns_trace:
-                        self.trace_log.observe(trace)
-                    entry.future.replica_id = replica_id
-                    entry.future.attempts = entry.attempts
-                    entry.future._resolve(logits, RequestRecord(
-                        num_nodes=entry.task.num_nodes,
-                        queue_seconds=max(wall - compute_seconds, 0.0),
-                        compute_seconds=compute_seconds, batch_size=1))
+        while True:
+            with self._lock:
+                for replies in self._retired:
+                    replies.close()
+                self._retired.clear()
+                if self._closing:
+                    return
+                live = [replica for replica in self._replicas.values()
+                        if replica.state != "dead"]
+            pipes = {replica.replies: replica for replica in live}
+            sentinels = {replica.process.sentinel: replica for replica in live}
+            for ready in wait([self._wake_reader, *pipes, *sentinels]):
+                if ready is self._wake_reader:
+                    while self._wake_reader.poll():
+                        self._wake_reader.recv_bytes()
+                elif ready in pipes:
+                    self._receive(pipes[ready])
                 else:
-                    self._requests_total.inc(outcome="failed")
-                    entry.future.replica_id = replica_id
-                    entry.future.attempts = entry.attempts
-                    entry.future._fail(ServingError(
-                        f"replica {replica_id} failed the request: "
-                        f"{message[4]}"))
+                    self._reap(sentinels[ready])
 
-    # ------------------------------------------------------------------
-    # Monitor: health checks, failover, respawn
-    # ------------------------------------------------------------------
-    def _monitor_forever(self) -> None:
-        while not self._closing.is_set():
-            self._check_health()
-            time.sleep(self._POLL_SECONDS)
-
-    def _check_health(self) -> None:
+    def _receive(self, replica: _Replica) -> None:
+        """Handle one message from a readable reply pipe."""
+        try:
+            message = replica.replies.recv()
+        except _TORN:
+            message = None
         with self._lock:
-            for replica in list(self.pool.replicas.values()):
-                if replica.state in ("stopping", "dead"):
-                    continue
-                if replica.process.is_alive():
-                    continue
+            if replica.state == "dead":
+                return  # retired while the message was in flight
+            if message is None:
+                # a torn pipe: this worker can answer nothing more, so
+                # end it and fail its work over like any other death
+                replica.process.kill()
                 self._handle_death(replica)
+            else:
+                self._handle_message(replica, message)
+            self._changed.notify_all()
+
+    def _reap(self, replica: _Replica) -> None:
+        """A worker exited: settle what it sent, then fail over."""
+        with self._lock:
+            if replica.state == "dead":
+                return  # the fleet stopped it itself
+            # poll() is true at EOF too: stop at the first failed recv
+            while replica.replies.poll():
+                try:
+                    message = replica.replies.recv()
+                except _TORN:
+                    break
+                self._handle_message(replica, message)
+            self._handle_death(replica)
+            self._changed.notify_all()
+
+    def _handle_message(self, replica: _Replica, message: tuple) -> None:
+        """Apply one worker message (caller holds the lock)."""
+        kind = message[0]
+        if kind == "ready":
+            replica.cold_start_seconds = message[1]
+            replica.spawn_failures = 0
+            if replica.state == "starting":
+                replica.state = "ready"
+            while self._orphans and self._ready_ids():
+                self._dispatch(self._orphans.popleft())
+        elif kind == "fatal":
+            # the worker exits next; its sentinel decides on a respawn
+            replica.last_error = message[1]
+        else:
+            request_id = message[1]
+            replica.inflight.discard(request_id)
+            entry = self._pending.pop(request_id, None)
+            if entry is None:
+                return  # already failed, or resolved by a re-route
+            entry.future.replica_id = replica.replica_id
+            entry.future.attempts = entry.attempts
+            if kind == "done":
+                self._complete(replica.replica_id, entry, *message[2:])
+            else:
+                self._requests_total.inc(outcome="failed")
+                entry.future._fail(ServingError(
+                    f"replica {replica.replica_id} failed the request: "
+                    f"{message[2]}"))
+
+    def _complete(self, replica_id: int, entry: _Pending, logits,
+                  compute_seconds: float, t_start: float,
+                  worker_spans: tuple) -> None:
+        """Resolve one served request (caller holds the lock)."""
+        wall = time.perf_counter() - entry.submitted_at
+        self._latencies.append(wall)
+        self._requests_total.inc(outcome="completed")
+        # per slot, so a respawned replica keeps its count
+        self._replica_served.inc(replica=str(replica_id))
+        # the worker's dequeue stamp splits the wall time into the
+        # canonical fleet stages (clamped: perf_counter is
+        # shared-monotonic, but paranoia is free)
+        dispatch = max(t_start - entry.submitted_at, 0.0)
+        collect = max(wall - dispatch - compute_seconds, 0.0)
+        self._stage_latency.observe(
+            dispatch, component="fleet", stage="dispatch")
+        self._stage_latency.observe(
+            compute_seconds, component="fleet", stage="serve")
+        self._stage_latency.observe(
+            collect, component="fleet", stage="collect")
+        trace = entry.trace
+        trace.labels.setdefault("replica", str(replica_id))
+        trace.add_stage("dispatch", dispatch)
+        trace.add_stage("serve", compute_seconds)
+        for stage, seconds in worker_spans:
+            trace.add_stage(f"serve.{stage}", seconds)
+        trace.add_stage("collect", collect)
+        if entry.owns_trace:
+            self.trace_log.observe(trace)
+        entry.future._resolve(logits, RequestRecord(
+            num_nodes=entry.task.num_nodes,
+            queue_seconds=max(wall - compute_seconds, 0.0),
+            compute_seconds=compute_seconds, batch_size=1))
 
     def _handle_death(self, replica: _Replica) -> None:
-        """A replica died unannounced: re-route its work, refill the slot."""
+        """A replica died unannounced: reap it, re-route its work, refill
+        the slot (caller holds the lock)."""
+        replica.process.join()
         failed_start = replica.state == "starting"
-        replica.state = "dead"
         self._replica_died.inc(replica=str(replica.replica_id))
-        self.pool._discard_inbox(replica)
+        self._retire(replica)
         stranded = [self._pending[rid] for rid in sorted(replica.inflight)
                     if rid in self._pending]
         replica.inflight.clear()
         if failed_start:
             replica.spawn_failures += 1
         if replica.spawn_failures <= _MAX_SPAWN_RETRIES:
-            self.pool.respawn(replica.replica_id)
-            self._replica_respawned.inc(replica=str(replica.replica_id))
+            self._respawn(replica)
         for entry in stranded:
             self._requests_total.inc(outcome="rerouted")
             self._dispatch(entry)
 
     def wait_ready(self, timeout: float = 120.0) -> None:
         """Block until every replica slot is ready (or raise)."""
-        deadline = time.monotonic() + timeout
-        while True:
+        try:
             with self._lock:
-                states = [r.state for r in self.pool.replicas.values()]
-                errors = [r.last_error for r in self.pool.replicas.values()
-                          if r.last_error]
-                exhausted = [r for r in self.pool.replicas.values()
-                             if r.state == "dead"
-                             and r.spawn_failures > _MAX_SPAWN_RETRIES]
-            if exhausted:
-                self.close(drain=False)
-                detail = errors[-1] if errors else "worker exited at startup"
-                raise ServingError(
-                    f"replica {exhausted[0].replica_id} failed to start "
-                    f"after {_MAX_SPAWN_RETRIES + 1} attempts: "
-                    f"{detail}")
-            if all(state == "ready" for state in states):
-                return
-            if time.monotonic() > deadline:
-                self.close(drain=False)
-                raise ServingError(
-                    f"fleet not ready within {timeout}s (states: {states})")
-            time.sleep(self._POLL_SECONDS)
+                # every slot is checked, so an exhausted one raises at once
+                self._await(
+                    lambda: all([self._slot_ready(rid)
+                                 for rid in self._replicas]),
+                    timeout, "fleet not ready")
+        except BaseException:
+            # whatever ends the wait (a failed slot, a timeout, ^C), no
+            # replica outlives it
+            self.close(drain=False)
+            raise
 
     # ------------------------------------------------------------------
-    # Hot swap
+    # Hot swap and elastic scaling (the gateway autoscaler's levers)
     # ------------------------------------------------------------------
     def swap(self, artifact: str | Path, *,
              drain_timeout: float = 60.0) -> None:
@@ -605,100 +606,43 @@ class ServingFleet:
         artifact, and rejoins before the next slot starts draining — the
         rest of the fleet keeps serving throughout.
         """
-        artifact = Path(artifact)
-        for replica_id in sorted(self.pool.replicas):
-            with self._lock:
-                replica = self.pool.replicas[replica_id]
-                if replica.state == "ready":
-                    replica.state = "draining"
-            self._wait_drained(replica_id, drain_timeout)
-            with self._lock:
-                # re-read the slot: if the draining worker died, the
-                # monitor already respawned it — stop whatever process
-                # holds the slot *now*, not a stale handle, or the
-                # replacement would leak unsupervised
-                replica = self.pool.replicas[replica_id]
-                self.pool.stop_replica(replica)
-                self.pool.respawn(replica_id, artifact=artifact)
-                self._replica_respawned.inc(replica=str(replica_id))
-            self._wait_slot_ready(replica_id, drain_timeout)
-        self.pool.artifact = artifact
+        with self._lock:
+            self.artifact = Path(artifact)
+            for replica_id in sorted(self._replicas):
+                self._drain_and_stop(replica_id, drain_timeout)
+                self._respawn(self._replicas[replica_id])
+                self._await(lambda: self._slot_ready(replica_id),
+                            drain_timeout,
+                            f"swap failed: replica {replica_id} not ready")
 
-    def _wait_drained(self, replica_id: int, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                # look the slot up fresh each poll — a mid-drain death
-                # swaps in a respawned replica whose inflight starts empty
-                replica = self.pool.replicas[replica_id]
-                if not replica.inflight:
-                    return
-            if time.monotonic() > deadline:
-                raise ServingError(
-                    f"replica {replica_id} did not drain within "
-                    f"{timeout}s ({len(replica.inflight)} in flight)")
-            time.sleep(self._POLL_SECONDS)
-
-    def _wait_slot_ready(self, replica_id: int, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                replica = self.pool.replicas[replica_id]
-                if replica.state == "ready":
-                    return
-                if (replica.state == "dead"
-                        and replica.spawn_failures > _MAX_SPAWN_RETRIES):
-                    raise ServingError(
-                        f"swap failed: replica {replica_id} could not start "
-                        f"on the new artifact: {replica.last_error}")
-            if time.monotonic() > deadline:
-                raise ServingError(
-                    f"swap failed: replica {replica_id} not ready within "
-                    f"{timeout}s")
-            time.sleep(self._POLL_SECONDS)
-
-    # ------------------------------------------------------------------
-    # Elastic scaling (the gateway autoscaler's levers)
-    # ------------------------------------------------------------------
     def scale_to(self, replicas: int, *, wait: bool = True,
                  timeout: float = 120.0, drain_timeout: float = 60.0) -> int:
         """Grow or shrink the fleet to ``replicas`` slots; returns the size.
 
-        Growing spawns fresh slots through the pool's respawn machinery
-        (and, with ``wait``, blocks until each reports ready so the
-        caller knows added capacity is real).  Shrinking retires the
-        highest-numbered slots one at a time with the same drain dance a
-        hot swap uses — the slot stops receiving traffic, finishes its
-        in-flight requests, then exits — so scaling down never drops an
-        admitted request.
+        Growing spawns fresh slots (and, with ``wait``, blocks until each
+        reports ready so the caller knows added capacity is real).
+        Shrinking retires the highest-numbered slots one at a time with
+        the same drain a hot swap uses — the slot stops receiving
+        traffic, finishes its in-flight requests, then exits — so scaling
+        down never drops an admitted request.
         """
         if replicas <= 0:
             raise ServingError(
                 f"fleet size must stay positive, got {replicas}")
-        while self.pool.size < replicas:
-            with self._lock:
-                if self._closing.is_set():
+        with self._lock:
+            while len(self._replicas) < replicas:
+                if self._closing:
                     raise ServingError("fleet is closed; cannot scale")
-                replica = self.pool.add_slot()
-            if wait:
-                self._wait_slot_ready(replica.replica_id, timeout)
-        while self.pool.size > replicas:
-            self._retire_one(drain_timeout)
-        return self.pool.size
-
-    def _retire_one(self, drain_timeout: float) -> None:
-        """Drain and remove the highest-numbered slot (zero dropped work)."""
-        with self._lock:
-            replica_id = max(self.pool.replicas)
-            replica = self.pool.replicas[replica_id]
-            if replica.state == "ready":
-                replica.state = "draining"
-        self._wait_drained(replica_id, drain_timeout)
-        with self._lock:
-            # re-read the slot: a mid-drain death already respawned it
-            replica = self.pool.replicas[replica_id]
-            self.pool.stop_replica(replica)
-            self.pool.remove_slot(replica_id)
+                replica_id = max(self._replicas, default=-1) + 1
+                self._replicas[replica_id] = self._spawn(replica_id, 0)
+                if wait:
+                    self._await(lambda: self._slot_ready(replica_id),
+                                timeout, f"replica {replica_id} not ready")
+            while len(self._replicas) > replicas:
+                replica_id = max(self._replicas)
+                self._drain_and_stop(replica_id, drain_timeout)
+                del self._replicas[replica_id]
+            return len(self._replicas)
 
     def queue_depth(self) -> int:
         """Requests admitted but not yet resolved (dispatched + parked).
@@ -714,23 +658,23 @@ class ServingFleet:
     # Fault injection and introspection
     # ------------------------------------------------------------------
     def kill_replica(self, replica_id: int) -> None:
-        """Kill one replica process outright (failover drill)."""
-        self.pool.kill_replica(replica_id)
+        """Kill one replica process outright (SIGKILL): the failover
+        drill of the tests and ``repro serve-fleet --kill-one``.  The
+        collector then re-routes the slot's in-flight requests and
+        respawns it."""
+        with self._lock:
+            self._replicas[replica_id].process.kill()
 
     @property
     def num_replicas(self) -> int:
-        return self.pool.size
+        return len(self._replicas)
 
     def drain(self, timeout: float = 120.0) -> None:
         """Block until every admitted request has resolved."""
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if not self._pending and not self._orphans:
-                    return
-            if time.monotonic() > deadline:
-                raise ServingError(f"fleet did not drain within {timeout}s")
-            time.sleep(self._POLL_SECONDS)
+        # parked orphans stay tracked in _pending
+        with self._lock:
+            self._await(lambda: not self._pending, timeout,
+                        "fleet did not drain")
 
     def stats(self) -> dict:
         """JSON-ready fleet accounting: volume, failover, tail latency."""
@@ -744,13 +688,13 @@ class ServingFleet:
                            "cold_start_ms":
                                None if r.cold_start_seconds is None
                                else r.cold_start_seconds * 1e3}
-                for rid, r in sorted(self.pool.replicas.items())}
+                for rid, r in sorted(self._replicas.items())}
             summary = {
-                "replicas": self.pool.size,
+                "replicas": len(self._replicas),
                 "completed": self.completed,
                 "failed": self.failed,
                 "rerouted": self.rerouted,
-                "respawns": self.pool.respawns,
+                "respawns": self._respawns,
                 # orphans stay tracked in _pending while parked
                 "pending": len(self._pending),
                 "per_replica": per_replica,
@@ -767,13 +711,15 @@ class ServingFleet:
     # ------------------------------------------------------------------
     def close(self, drain: bool = True, timeout: float = 120.0) -> None:
         """Stop the fleet; by default finishes the admitted requests first."""
-        if drain and not self._closing.is_set():
+        if drain and not self._closing:
             try:
                 self.drain(timeout)
             except ServingError:
                 pass  # fail the stragglers below rather than hang
-        self._closing.set()
         with self._lock:
+            if self._closing:
+                return
+            self._closing = True
             # parked orphans are still tracked in _pending, so _pending
             # alone is the full set — no entry may be failed twice
             stranded = list(self._pending.values())
@@ -783,12 +729,19 @@ class ServingFleet:
                 self._requests_total.inc(outcome="failed")
                 entry.future._fail(ServingError(
                     "fleet closed before the request completed"))
-            self.pool.stop_all()
-        for thread in (self._collector, self._monitor):
-            if thread.is_alive() and thread is not threading.current_thread():
-                thread.join(timeout=5.0)
+            for replica in self._replicas.values():
+                if replica.state != "dead":
+                    self._stop(replica)
+            self._changed.notify_all()
+            self._wake()
+        if self._collector is not threading.current_thread():
+            self._collector.join(timeout=5.0)
+        for replica in self._replicas.values():
+            replica.replies.close()
+        self._wake_reader.close()
+        self._wake_writer.close()
         if self.owns_artifact:
-            self.pool.artifact.unlink(missing_ok=True)
+            self._opened_artifact.unlink(missing_ok=True)
             self.owns_artifact = False
 
     def __enter__(self) -> "ServingFleet":
@@ -798,7 +751,7 @@ class ServingFleet:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"ServingFleet(replicas={self.pool.size}, "
+        return (f"ServingFleet(replicas={len(self._replicas)}, "
                 f"batch_mode={self.batch_mode!r}, "
                 f"pending={len(self._pending)})")
 

@@ -6,10 +6,9 @@ dedicated thread and forwards decoded
 :class:`~repro.serving.fleet.ServingFleet`.  On top of plain forwarding
 it layers the two things a network tier owes its operators:
 
-- **Admission control / load shedding.**  Every admitted request holds a
-  token in a :class:`~repro.serving.queue.BoundedRequestQueue`
-  (``overflow="reject"``) — the hard in-flight ceiling — while an
-  optional :class:`WatermarkShed` sheds softly before the ceiling: it
+- **Admission control / load shedding.**  An admitted request counts
+  against ``max_inflight`` until it is answered — the hard ceiling —
+  while an optional :class:`WatermarkShed` sheds softly before it: it
   starts refusing work when queue depth crosses a high watermark and
   keeps refusing (hysteresis) until it falls back below the low one.
   A shed response is retriable and carries a ``retry_after_ms`` hint.
@@ -41,8 +40,6 @@ import time
 from repro.errors import ServingError
 from repro.serving import protocol
 from repro.serving.fleet import ServingFleet
-from repro.serving.queue import (BoundedRequestQueue, QueueClosedError,
-                                 QueueFullError)
 from repro.telemetry import (
     MetricsRegistry,
     TraceContext,
@@ -171,6 +168,8 @@ class _Connection:
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.outbox: asyncio.Queue = asyncio.Queue()
+        #: the connection's handler task: shutdown awaits it
+        self.task = asyncio.current_task()
 
 
 class ServingGateway:
@@ -188,9 +187,8 @@ class ServingGateway:
         ``max_inflight`` ceiling.  It holds hysteresis state, so give
         each gateway its own.
     max_inflight:
-        Hard ceiling on requests admitted but unanswered — the capacity
-        of the admission :class:`BoundedRequestQueue` and the base of the
-        shed policy's watermarks.
+        Hard ceiling on requests admitted but unanswered, and the base
+        of the shed policy's watermarks.
     scale_policy:
         A :class:`QueueDepthScale`, or ``None`` to disable the autoscaler
         loop entirely.
@@ -235,10 +233,11 @@ class ServingGateway:
         self.autoscale_interval = autoscale_interval
         self.scale_cooldown = scale_cooldown
         self.owns_fleet = owns_fleet
-        #: one token per admitted-but-unanswered request; ``reject`` is
-        #: the hard backstop behind the soft shed policy
-        self._admission = BoundedRequestQueue(capacity=max_inflight,
-                                              overflow="reject")
+        # requests admitted but not yet answered, and an event set while
+        # there are none; both live on the event-loop thread
+        self._inflight = 0
+        self._idle = asyncio.Event()
+        self._idle.set()
         self.metrics = MetricsRegistry()
         self.trace_log = TraceLog()
         # registry-backed counters, written on the event-loop thread only;
@@ -259,10 +258,10 @@ class ServingGateway:
         self.metrics.gauge(
             "repro_gateway_inflight",
             "Requests admitted but not yet answered.",
-            callback=lambda: len(self._admission))
+            callback=lambda: self._inflight)
         self.metrics.gauge(
             "repro_gateway_max_inflight",
-            "Hard ceiling of the admission queue.",
+            "Hard ceiling on requests admitted but unanswered.",
             callback=lambda: self.max_inflight)
         self.metrics.gauge(
             "repro_gateway_draining",
@@ -382,7 +381,6 @@ class ServingGateway:
             except Exception:  # noqa: BLE001 — tear the loop down anyway
                 pass
             self._stop_loop()
-        self._admission.close()
         if self.owns_fleet:
             self.fleet.close()
 
@@ -390,17 +388,18 @@ class ServingGateway:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        deadline = self._loop.time() + timeout
-        while len(self._admission) and self._loop.time() < deadline:
-            await asyncio.sleep(0.01)
+        try:
+            await asyncio.wait_for(self._idle.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass  # tear down with the stragglers unanswered
         for connection in list(self._connections):
             connection.outbox.put_nowait(None)
         # the sentinel makes each writer flush and close its transport,
-        # which wakes the paired reader; wait (bounded) for both tasks to
-        # finish so stopping the loop does not destroy them mid-await
-        deadline = self._loop.time() + 5.0
-        while self._connections and self._loop.time() < deadline:
-            await asyncio.sleep(0.01)
+        # which wakes the paired reader; wait (bounded) for the handlers
+        # to finish so stopping the loop does not destroy them mid-await
+        handlers = [connection.task for connection in self._connections]
+        if handlers:
+            await asyncio.wait(handlers, timeout=5.0)
 
     def _stop_loop(self) -> None:
         self._loop.call_soon_threadsafe(self._loop.stop)
@@ -510,23 +509,25 @@ class ServingGateway:
                              retry_after_ms=None, policy="draining")
             return
         hint = None if self.shed_policy is None else self.shed_policy.admit(
-            queue_depth=len(self._admission), capacity=self.max_inflight)
+            queue_depth=self._inflight, capacity=self.max_inflight)
         if hint is not None:
             self._shed_reply(
                 connection, request,
                 f"shed by {self.shed_policy.name} policy "
-                f"({len(self._admission)}/{self.max_inflight} in flight)",
+                f"({self._inflight}/{self.max_inflight} in flight)",
                 retry_after_ms=hint, policy=self.shed_policy.name)
             return
-        try:
-            self._admission.put(request.request_id)
-        except (QueueFullError, QueueClosedError) as error:
-            self._shed_reply(connection, request, str(error),
-                             retry_after_ms=self._fallback_retry_ms(),
-                             policy="capacity")
+        if self._inflight >= self.max_inflight:
+            self._shed_reply(
+                connection, request,
+                f"at capacity ({self.max_inflight} requests in flight); "
+                "request rejected",
+                retry_after_ms=self._fallback_retry_ms(), policy="capacity")
             return
-        # the admission span covers decode + shed decision + the queue
-        # token; the fleet adds dispatch/serve/collect, and _complete
+        self._inflight += 1
+        self._idle.clear()
+        # the admission span covers decode + shed decision + the in-flight
+        # count; the fleet adds dispatch/serve/collect, and _complete
         # closes with the reply span
         trace = TraceContext(
             trace_id=request.task.trace_id,
@@ -539,7 +540,7 @@ class ServingGateway:
         try:
             future = self.fleet.submit(request.task, trace=trace)
         except ServingError as error:
-            self._admission.get_nowait()
+            self._answered()
             self._requests_total.inc(outcome="error")
             connection.outbox.put_nowait(protocol.encode_reply(
                 request.request_id, "error", error=str(error)))
@@ -558,6 +559,11 @@ class ServingGateway:
             request.request_id, "shed", error=reason,
             retry_after_ms=retry_after_ms))
 
+    def _answered(self) -> None:
+        self._inflight -= 1
+        if not self._inflight:
+            self._idle.set()
+
     def _fallback_retry_ms(self) -> float:
         """Retry hint when the hard cap (not the policy) sheds."""
         p50 = self.fleet.stats().get("latency_p50_ms")
@@ -566,7 +572,7 @@ class ServingGateway:
     def _complete(self, connection: _Connection,
                   request: "protocol.ServeRequest", future) -> None:
         """A fleet future resolved — encode and enqueue the reply."""
-        self._admission.get_nowait()
+        self._answered()
         trace = future.trace
         try:
             logits = future.result(timeout=0)
@@ -650,7 +656,7 @@ class ServingGateway:
                 # next sample retries from whatever size the fleet holds
 
     def _autoscale_once(self) -> None:
-        depth = len(self._admission)
+        depth = self._inflight
         p95 = self.fleet.stats().get("latency_p95_ms")
         current = self.fleet.num_replicas
         target = self.scale_policy.target(replicas=current,
@@ -689,7 +695,7 @@ class ServingGateway:
             "served": self.served,
             "shed": self.shed,
             "errors": self.errors,
-            "inflight": len(self._admission),
+            "inflight": self._inflight,
             "max_inflight": self.max_inflight,
             "draining": self._draining,
             "shed_policy": (None if self.shed_policy is None
@@ -709,4 +715,4 @@ class ServingGateway:
         scale = None if self.scale_policy is None else self.scale_policy.name
         return (f"ServingGateway(host={self.host!r}, port={self.port}, "
                 f"shed={shed!r}, scale={scale!r}, "
-                f"inflight={len(self._admission)}/{self.max_inflight})")
+                f"inflight={self._inflight}/{self.max_inflight})")

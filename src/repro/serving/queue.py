@@ -1,12 +1,9 @@
-"""Bounded request queue with pluggable overflow behaviour.
+"""Bounded request queue with backpressure.
 
-The runtime admits requests through this queue; when producers outpace the
-serving loop the ``overflow`` policy decides what happens:
-
-- ``"block"``  — backpressure: ``put`` waits for capacity (optionally up
-  to ``timeout`` seconds, then raises);
-- ``"reject"`` — fail fast: ``put`` raises :class:`~repro.errors.ServingError`
-  immediately, which the runtime converts into a rejected future.
+The runtime admits requests through this queue.  When producers outpace
+the serving loop, ``put`` waits for capacity — up to ``timeout`` seconds,
+then raises :class:`QueueFullError`; ``timeout=0`` fails fast, which the
+runtime converts into a rejected future.
 
 All operations are thread-safe; the queue is the only synchronization
 point between producer threads and the serving loop.
@@ -19,14 +16,11 @@ from collections import deque
 
 from repro.errors import ServingError
 
-__all__ = ["OVERFLOW_POLICIES", "BoundedRequestQueue", "QueueFullError",
-           "QueueClosedError"]
-
-OVERFLOW_POLICIES = ("block", "reject")
+__all__ = ["BoundedRequestQueue", "QueueFullError", "QueueClosedError"]
 
 
 class QueueFullError(ServingError):
-    """The queue is at capacity and the policy forbids waiting."""
+    """The queue stayed at capacity for the whole ``put`` timeout."""
 
 
 class QueueClosedError(ServingError):
@@ -34,17 +28,12 @@ class QueueClosedError(ServingError):
 
 
 class BoundedRequestQueue:
-    """A thread-safe FIFO with a hard capacity and an overflow policy."""
+    """A thread-safe FIFO with a hard capacity."""
 
-    def __init__(self, capacity: int = 1024, overflow: str = "block") -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity <= 0:
             raise ServingError(f"queue capacity must be positive, got {capacity}")
-        if overflow not in OVERFLOW_POLICIES:
-            raise ServingError(
-                f"unknown overflow policy {overflow!r}; "
-                f"use one of {', '.join(OVERFLOW_POLICIES)}")
         self.capacity = capacity
-        self.overflow = overflow
         self._items: deque = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -53,24 +42,19 @@ class BoundedRequestQueue:
 
     # ------------------------------------------------------------------
     def put(self, item, timeout: float | None = None) -> None:
-        """Admit ``item``, or raise :class:`QueueFullError` as the
-        overflow policy decides."""
+        """Admit ``item``, waiting up to ``timeout`` seconds (``None``:
+        forever) for capacity, else raise :class:`QueueFullError`."""
         with self._lock:
             if self._closed:
                 raise QueueClosedError("queue is closed")
             if len(self._items) >= self.capacity:
-                if self.overflow == "reject":
-                    raise QueueFullError(
-                        f"queue full ({self.capacity} requests); "
-                        "request rejected")
-                # block — backpressure on the producer
                 if not self._not_full.wait_for(
                         lambda: len(self._items) < self.capacity
                         or self._closed,
                         timeout=timeout):
                     raise QueueFullError(
                         f"queue full ({self.capacity} requests); "
-                        f"timed out after {timeout}s of backpressure")
+                        f"waited {timeout}s for capacity")
                 if self._closed:
                     raise QueueClosedError("queue closed while waiting")
             self._items.append(item)
@@ -97,6 +81,17 @@ class BoundedRequestQueue:
             self._not_full.notify()
             return item
 
+    def wait(self, ready) -> None:
+        """Block until an item is queued, the queue closes, or ``ready()``
+        holds; :meth:`wake` makes a waiter check ``ready()`` again."""
+        with self._lock:
+            self._not_empty.wait_for(
+                lambda: self._items or self._closed or ready())
+
+    def wake(self) -> None:
+        with self._lock:
+            self._not_empty.notify_all()
+
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop admissions; pending items can still be drained."""
@@ -116,4 +111,4 @@ class BoundedRequestQueue:
 
     def __repr__(self) -> str:
         return (f"BoundedRequestQueue(capacity={self.capacity}, "
-                f"overflow={self.overflow!r}, pending={len(self)})")
+                f"pending={len(self)})")

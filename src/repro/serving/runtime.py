@@ -288,9 +288,10 @@ class ServingRuntime:
         build one from ``scheduler_options`` (its keyword arguments).
     batch_mode:
         ``"graph"`` (requests may carry intra edges) or ``"node"``.
-    queue_capacity / overflow:
-        Bounded admission queue configuration; see
-        :class:`~repro.serving.queue.BoundedRequestQueue`.
+    queue_capacity:
+        Capacity of the bounded admission
+        :class:`~repro.serving.queue.BoundedRequestQueue`; ``submit``'s
+        ``timeout`` bounds how long a producer waits at a full queue.
 
     :meth:`stats` is the runtime's one accounting: every well-formed
     submitted request ends in it exactly once, as served, failed, or
@@ -300,7 +301,6 @@ class ServingRuntime:
     def __init__(self, prepared: PreparedDeployment,
                  scheduler: MicroBatchScheduler | str = "microbatch",
                  *, batch_mode: str = "graph", queue_capacity: int = 1024,
-                 overflow: str = "block",
                  scheduler_options: dict | None = None) -> None:
         if batch_mode not in ("graph", "node"):
             raise InferenceError(
@@ -315,11 +315,10 @@ class ServingRuntime:
             scheduler = MicroBatchScheduler(**(scheduler_options or {}))
         self.scheduler = scheduler
         self.batch_mode = batch_mode
-        self.queue = BoundedRequestQueue(queue_capacity, overflow)
+        self.queue = BoundedRequestQueue(queue_capacity)
         self.accounting = LatencyAccounting()
         self._serve_lock = threading.Lock()
         self._thread: threading.Thread | None = None
-        self._stopping = threading.Event()
         #: Default staleness threshold for :meth:`ingest`ed deltas.
         self.staleness_threshold = 0.25
         self._delta_lock = threading.Lock()
@@ -353,7 +352,10 @@ class ServingRuntime:
 
         The task carries the batch plus the task type and every
         per-request option.  A malformed request raises
-        :class:`ServingError` before anything is enqueued.
+        :class:`ServingError` before anything is enqueued.  At a full
+        queue the call waits up to ``timeout`` seconds (``None``: until
+        there is room; ``0``: not at all), then returns a future failed
+        as rejected.
         """
         if not isinstance(task, ServeTask):
             raise ServingError(
@@ -449,6 +451,7 @@ class ServingRuntime:
         future = IngestFuture()
         with self._delta_lock:
             self._pending_deltas.append((delta, future))
+        self.queue.wake()  # an idle serving loop applies it now
         return future
 
     def _apply_pending_deltas(self) -> int:
@@ -643,15 +646,17 @@ class ServingRuntime:
                 "open a fresh runtime instead of restarting this one")
         if self._thread is not None and self._thread.is_alive():
             return self
-        self._stopping.clear()
         self._thread = threading.Thread(target=self._serve_forever,
                                         name="repro-serving", daemon=True)
         self._thread.start()
         return self
 
     def _serve_forever(self) -> None:
-        while not self._stopping.is_set():
-            self.step(timeout=0.05)
+        # idle, the loop sleeps until a request or a delta arrives, or
+        # stop() closes the queue
+        while not self.queue.closed:
+            self.queue.wait(lambda: bool(self._pending_deltas))
+            self.step()
         self.run_pending()  # drain what was admitted before shutdown
 
     def stop(self) -> None:
@@ -662,7 +667,6 @@ class ServingRuntime:
         request.
         """
         self.queue.close()
-        self._stopping.set()
         if self._thread is not None:
             self._thread.join()
             self._thread = None

@@ -102,11 +102,10 @@ def replay(runtime, requests: list[ServeTask],
     runtime's loop is not running, pending work is served inline, which
     keeps the mode usable (and deterministic) without threads.
 
-    Requests the runtime sheds (``reject`` overflow) or
-    fails while serving yield their exception in the result list instead
-    of aborting the replay (see :func:`settle`) — ``runtime.stats()``
-    carries the rejected/failed counts.  A request that never completes
-    within ``timeout`` still raises.
+    Requests the runtime fails while serving yield their exception in the
+    result list instead of aborting the replay (see :func:`settle`) —
+    ``runtime.stats()`` carries the failed count.  A request that never
+    completes within ``timeout`` still raises.
     """
     if arrivals is not None and len(arrivals) != len(requests):
         raise ServingError(
@@ -116,15 +115,14 @@ def replay(runtime, requests: list[ServeTask],
     futures = []
     started = time.perf_counter()
     inline = runtime._thread is None
-    # With no consumer thread a 'block' put would deadlock on a full
-    # queue, so drain first; 'reject' sheds as configured.
-    drain_before_block = inline and runtime.queue.overflow == "block"
     for i, request in enumerate(requests):
         if arrivals is not None:
             wait = arrivals[i] / speed - (time.perf_counter() - started)
             if wait > 0:
                 time.sleep(wait)
-        if drain_before_block and len(runtime.queue) >= runtime.queue.capacity:
+        # with no consumer thread a put would wait forever on a full
+        # queue, so serve what is queued first
+        if inline and len(runtime.queue) >= runtime.queue.capacity:
             runtime.run_pending()
         futures.append(runtime.submit(request))
     if inline:

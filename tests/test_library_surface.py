@@ -82,6 +82,10 @@ GONE = {
     "repro.experiments.settings": ["method_names"],
     "repro.propagation": ["smooth_predictions", "correct_and_smooth"],
     "repro.utils": ["seed_everything", "spawn_rngs"],
+    "repro.api": ["open_stream", "DeploymentBundle.operator"],
+    "repro.serving": ["ReplicaPool"],
+    "repro.serving.fleet": ["ReplicaPool"],
+    "repro.serving.queue": ["OVERFLOW_POLICIES"],
 }
 
 

@@ -189,11 +189,6 @@ class TestFacade:
         assert not hasattr(mcond_bundle, "server")
         assert not hasattr(repro.inference, "run_inference")
 
-    def test_operator_shapes(self, mcond_bundle):
-        operator = mcond_bundle.operator()
-        n = mcond_bundle.condensed.num_nodes
-        assert operator.shape == (n, n)
-
 
 class TestBundlePersistence:
     def test_roundtrip_bit_for_bit_serving_parity(self, mcond_bundle,

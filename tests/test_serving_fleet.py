@@ -1,10 +1,12 @@
 """Fleet serving: round-robin dispatch, zero-copy mmap artifacts,
-failover, hot swap."""
+failover, hot swap, and event-driven waits."""
 
 from __future__ import annotations
 
 import gc
+import random
 import time
+import types
 import warnings
 
 import numpy as np
@@ -303,7 +305,7 @@ class TestServingFleet:
                                                        synthetic_requests):
         bundle, _ = fleet_bundles["synthetic"]
         fleet = api.open_fleet(bundle, replicas=1, batch_mode="node")
-        artifact = fleet.pool.artifact
+        artifact = fleet.artifact
         try:
             assert artifact.exists()
             assert fleet.owns_artifact
@@ -326,7 +328,7 @@ class TestServingFleet:
         try:
             with fleet._lock:
                 # no ready candidate: the submit below parks as an orphan
-                fleet.pool.replicas[0].state = "draining"
+                fleet._replicas[0].state = "draining"
             future = fleet.submit(synthetic_requests[0])
             assert not future.done()
         finally:
@@ -347,6 +349,65 @@ class TestServingFleet:
         with pytest.raises(ServingError):
             api.open_fleet(bundle, replicas=1, batch_mode="banana")
         assert set(tmp.glob("repro-fleet-*.npz")) == before
+
+
+class TestEventDrivenFleet:
+    """Replicas reply on their own pipes and every fleet wait sleeps on
+    an event: no clock, and no lock a killed replica can take with it."""
+
+    def test_lifecycle_under_a_clock_that_cannot_sleep(
+            self, synthetic_artifact, synthetic_requests, monkeypatch):
+        def sleep(seconds):
+            raise AssertionError(f"the fleet slept {seconds}s")
+
+        monkeypatch.setattr("repro.serving.fleet.time", types.SimpleNamespace(
+            perf_counter=time.perf_counter, monotonic=time.monotonic,
+            sleep=sleep))
+        request = synthetic_requests[0]
+        fleet = ServingFleet(synthetic_artifact, 1, batch_mode="node")
+        try:
+            assert fleet.submit(request).result(timeout=60.0) is not None
+            fleet.swap(synthetic_artifact)
+            fleet.kill_replica(0)
+            assert fleet.submit(request).result(timeout=60.0) is not None
+            assert fleet.scale_to(2) == 2
+            assert fleet.scale_to(1) == 1
+            fleet.drain()
+        finally:
+            fleet.close()
+        stats = fleet.stats()
+        assert (stats["completed"], stats["failed"]) == (2, 0)
+        assert stats["respawns"] >= 2  # the swap and the failover
+
+    def test_replica_killed_mid_stream_loses_no_request(
+            self, synthetic_artifact, synthetic_requests):
+        # a replica SIGKILLed while it writes a reply must not take the
+        # reply channel of any other replica with it
+        rng = random.Random(0)
+        requests = [synthetic_requests[i % len(synthetic_requests)]
+                    for i in range(72)]
+        for _ in range(30):
+            with ServingFleet(synthetic_artifact, 2,
+                              batch_mode="node") as fleet:
+                futures = [fleet.submit(r) for r in requests[:64]]
+                time.sleep(rng.uniform(0.0, 0.003))
+                fleet.kill_replica(rng.randrange(2))
+                futures += [fleet.submit(r) for r in requests[64:]]
+                assert all(f.result(timeout=10.0) is not None
+                           for f in futures)
+                assert fleet.stats()["failed"] == 0
+
+    def test_closing_an_owned_fleet_after_a_swap_keeps_the_new_artifact(
+            self, fleet_bundles, synthetic_artifact, tmp_path):
+        bundle, _ = fleet_bundles["synthetic"]
+        swapped = tmp_path / "swapped.npz"
+        swapped.write_bytes(synthetic_artifact.read_bytes())
+        fleet = api.open_fleet(bundle, replicas=1, batch_mode="node")
+        owned = fleet.artifact
+        fleet.swap(swapped)
+        fleet.close()
+        assert swapped.exists()
+        assert not owned.exists()
 
 
 class TestRequestIsolation:

@@ -647,8 +647,8 @@ class TestOpenGateway:
     def test_default_shed_policy_is_fresh_per_gateway(self, gw_bundle):
         # WatermarkShed holds hysteresis state: a shared default would
         # leak one gateway's shedding into the next
-        first = api.open_gateway(gw_bundle, 1, start=False)
-        second = api.open_gateway(gw_bundle, 1, start=False)
+        first = api.open_gateway(gw_bundle, 1)
+        second = api.open_gateway(gw_bundle, 1)
         try:
             for gateway in (first, second):
                 assert isinstance(gateway.shed_policy, WatermarkShed)
@@ -659,8 +659,7 @@ class TestOpenGateway:
             second.close()
 
     def test_shed_policy_none_disables_shedding(self, gw_bundle):
-        gateway = api.open_gateway(gw_bundle, 1, shed_policy=None,
-                                   start=False)
+        gateway = api.open_gateway(gw_bundle, 1, shed_policy=None)
         try:
             assert gateway.shed_policy is None
             assert gateway.stats()["shed_policy"] is None
@@ -671,7 +670,7 @@ class TestOpenGateway:
         shed = WatermarkShed(high=0.6)
         scale = QueueDepthScale(max_replicas=3)
         gateway = api.open_gateway(gw_bundle, 1, shed_policy=shed,
-                                   scale_policy=scale, start=False)
+                                   scale_policy=scale)
         try:
             assert gateway.shed_policy is shed
             assert gateway.scale_policy is scale

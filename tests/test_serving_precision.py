@@ -349,7 +349,6 @@ SERVING_ENTRY_POINTS = {
     "ServingFleet": ServingFleet.__init__,
     "DeploymentBundle.prepare": api.DeploymentBundle.prepare,
     "open_runtime": api.open_runtime,
-    "open_stream": api.open_stream,
     "open_fleet": api.open_fleet,
     "open_gateway": api.open_gateway,
 }

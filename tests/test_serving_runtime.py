@@ -26,7 +26,6 @@ from repro.serving import (
     split_requests,
     tasked_requests,
 )
-from repro.serving.queue import OVERFLOW_POLICIES
 
 
 def _stream(batch, num_requests, nodes_per_request):
@@ -158,13 +157,14 @@ class TestBoundedQueue:
         assert queue.get_nowait() is None
 
     def test_reject_policy(self):
-        queue = BoundedRequestQueue(capacity=1, overflow="reject")
+        # a put that may not wait fails at once on a full queue
+        queue = BoundedRequestQueue(capacity=1)
         queue.put("a")
         with pytest.raises(QueueFullError):
-            queue.put("b")
+            queue.put("b", timeout=0)
 
     def test_block_policy_times_out(self):
-        queue = BoundedRequestQueue(capacity=1, overflow="block")
+        queue = BoundedRequestQueue(capacity=1)
         queue.put("a")
         with pytest.raises(QueueFullError):
             queue.put("b", timeout=0.01)
@@ -181,17 +181,10 @@ class TestBoundedQueue:
     def test_validation(self):
         with pytest.raises(ServingError):
             BoundedRequestQueue(capacity=0)
-        with pytest.raises(ServingError):
-            BoundedRequestQueue(overflow="explode")
-
-    def test_a_full_queue_blocks_or_rejects_never_evicts(self):
-        assert OVERFLOW_POLICIES == ("block", "reject")
-        with pytest.raises(ServingError, match="unknown overflow policy"):
-            BoundedRequestQueue(overflow="drop_oldest")
 
 
 class TestBoundedQueueConcurrency:
-    """Overflow policies under many producer threads (the gateway shape)."""
+    """Waiting and failing puts under many producer threads."""
 
     PRODUCERS = 8
     PER_PRODUCER = 25
@@ -217,7 +210,7 @@ class TestBoundedQueueConcurrency:
         return outcomes
 
     def test_block_policy_loses_nothing_under_contention(self):
-        queue = BoundedRequestQueue(capacity=4, overflow="block")
+        queue = BoundedRequestQueue(capacity=4)
         consumed = []
 
         def produce(pid):
@@ -248,13 +241,13 @@ class TestBoundedQueueConcurrency:
 
     def test_reject_policy_never_exceeds_capacity(self):
         capacity = 4
-        queue = BoundedRequestQueue(capacity=capacity, overflow="reject")
+        queue = BoundedRequestQueue(capacity=capacity)
 
         def produce(pid):
             admitted = 0
             for i in range(self.PER_PRODUCER):
                 try:
-                    queue.put((pid, i))
+                    queue.put((pid, i), timeout=0)
                 except QueueFullError:
                     continue
                 admitted += 1
@@ -481,22 +474,23 @@ class TestRuntimeBehaviour:
         # an idle runtime reports zeroes instead of crashing — and keeps
         # the rejection count visible when the queue sheds everything
         runtime = _runtime(sgc, split, condensed, "original",
-                           queue_capacity=1, overflow="reject")
+                           queue_capacity=1)
         stats = runtime.stats()
         assert stats.requests == 0
         assert stats.throughput_rps == 0.0
         first, second = _stream(split.incremental_batch("val"), 2, 1)
-        runtime.submit(first)
-        runtime.submit(second)  # rejected: capacity 1, nothing drained yet
+        runtime.submit(first, timeout=0)
+        # rejected: capacity 1, nothing drained yet
+        runtime.submit(second, timeout=0)
         stats = runtime.stats()
         assert stats.requests == 0
         assert stats.rejected == 1
 
     def test_reject_overflow_fails_future(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "original",
-                           queue_capacity=2, overflow="reject")
+                           queue_capacity=2)
         stream = _stream(split.incremental_batch("val"), 3, 1)
-        futures = [runtime.submit(request) for request in stream]
+        futures = [runtime.submit(request, timeout=0) for request in stream]
         assert futures[2].done()
         with pytest.raises(ServingError):
             futures[2].result()
@@ -521,6 +515,29 @@ class TestRuntimeBehaviour:
             runtime.submit(stream[0])
         with pytest.raises(ServingError):
             runtime.start()
+
+    def test_idle_threaded_runtime_sleeps_until_work_arrives(
+            self, sgc, split, condensed):
+        # the serving loop has no poll clock: idle, it runs no iteration,
+        # and an ingested delta wakes it without any request traffic
+        runtime = _runtime(sgc, split, condensed, "original")
+        steps = []
+        step = runtime.step
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        runtime.step = counted
+        source = split.incremental_batch("test")
+        with runtime:
+            time.sleep(0.3)
+            assert steps == []
+            report = runtime.ingest(GraphDelta(
+                add_features=source.features[:2],
+                add_labels=source.labels[:2])).result(timeout=1.0)
+            assert report.appended == 2
+            assert len(steps) == 1
 
     def test_failed_batch_propagates_to_futures(self, sgc, split, condensed,
                                                 monkeypatch):
@@ -641,27 +658,37 @@ class TestRuntimeBehaviour:
         assert (stats.requests, stats.failed, stats.rejected) == (0, 0, 0)
         assert len(runtime.queue) == 0
 
-    def test_replay_returns_errors_for_shed_requests(self, sgc, split,
-                                                     condensed):
-        # load shedding must not abort the replay harness: shed requests
-        # come back as their exception, served ones keep their logits
+    def test_replay_returns_errors_for_failed_requests(self, sgc, split,
+                                                       condensed,
+                                                       monkeypatch):
+        # a failed micro-batch must not abort the replay harness: its
+        # requests come back as their exception, served ones keep logits
         from repro.serving import replay
         runtime = _runtime(sgc, split, condensed, "original",
                            scheduler=MicroBatchScheduler(2, 0.0),
-                           queue_capacity=2,
-                           overflow="reject")
+                           queue_capacity=2)
+        serve_task = runtime.prepared.serve_task
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ServingError("first micro-batch fails")
+            return serve_task(*args, **kwargs)
+
+        monkeypatch.setattr(runtime.prepared, "serve_task", fail_first)
         stream = _stream(split.incremental_batch("val"), 5, 1)
         results = replay(runtime, stream, timeout=10.0)
         assert len(results) == 5
         served = [r for r in results if isinstance(r, np.ndarray)]
-        shed = [r for r in results if isinstance(r, ServingError)]
-        assert served and shed and len(served) + len(shed) == 5
-        assert all("queue is full" in str(error) for error in shed)
-        assert runtime.stats().rejected == len(shed)
+        failed = [r for r in results if isinstance(r, ServingError)]
+        assert len(served) == 3 and len(failed) == 2
+        assert all("first micro-batch" in str(error) for error in failed)
+        assert runtime.stats().failed == len(failed)
 
     def test_replay_exceeding_queue_capacity_without_thread(self, sgc, split,
                                                             condensed):
-        # regression: with a 'block' queue smaller than the stream and no
+        # regression: with a queue smaller than the stream and no
         # consumer thread, replay used to deadlock in queue.put
         from repro.serving import replay
         runtime = _runtime(sgc, split, condensed, "original",
@@ -742,13 +769,12 @@ class TestRequestAccounting:
         request lands in exactly one of requests/failed/rejected."""
         runtime = _runtime(sgc, split, condensed, "original",
                            scheduler=MicroBatchScheduler(2, 0.0),
-                           queue_capacity=1 if outcome == "rejected" else 8,
-                           overflow="reject")
+                           queue_capacity=1 if outcome == "rejected" else 8)
         if outcome == "failed":
             monkeypatch.setattr(
                 runtime.prepared, "serve_batch",
                 lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
-        futures = [runtime.submit(request) for request in
+        futures = [runtime.submit(request, timeout=0) for request in
                    _stream(split.incremental_batch("val"), 4, 1)]
         runtime.run_pending()
         assert all(future.done() for future in futures)

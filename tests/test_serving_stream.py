@@ -574,14 +574,13 @@ class TestRuntimeIngest:
         assert runtime.stats().failed == 1
         assert runtime.stats().requests == 1
 
-    def test_open_stream_leaves_derived_caches_cold(self):
+    def test_open_runtime_leaves_derived_caches_cold(self):
         # exact serving reads neither cache and the first delta drops
-        # both, so open_stream warms neither
+        # both, so open_runtime warms neither
         from repro import api
         bundle = api.deploy("tiny-sim", "whole", 0, deployment="original",
                             profile="quick", seed=7)
-        runtime = api.open_stream(bundle, staleness_threshold=0.4)
-        assert runtime.staleness_threshold == 0.4
+        runtime = api.open_runtime(bundle)
         assert runtime.prepared._base_operator is None
         assert runtime.prepared._propagated is None
 
@@ -596,11 +595,11 @@ class TestRuntimeIngest:
             bundle.base, batch.subset(np.arange(2)), num_deltas=1,
             nodes_per_delta=2, edges_per_delta=3, removals_per_delta=1,
             updates_per_delta=2, seed=3)[0]
-        cold = api.open_stream(bundle, staleness_threshold=0.0)
-        warm = api.open_stream(bundle, staleness_threshold=0.0)
+        cold, warm = api.open_runtime(bundle), api.open_runtime(bundle)
         warm.warm_base()
         reports = []
         for runtime in (cold, warm):
+            runtime.staleness_threshold = 0.0
             future = runtime.ingest(delta)
             runtime.run_pending()
             reports.append(future.result(timeout=5.0))

@@ -17,10 +17,10 @@ from repro.errors import ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.stream import make_delta_trace
 from repro.serving import (
+    BoundedRequestQueue,
     EmbeddingIndex,
     GatewayClient,
     PreparedDeployment,
-    ReplicaPool,
     ServeTask,
     ServingFleet,
     ServingGateway,
@@ -298,25 +298,28 @@ def test_serve_task_has_no_operator_option():
 
 @pytest.mark.parametrize("target, removed", [
     (ServingRuntime, ("metrics", "trace_capacity", "slow_trace_ms",
-                      "telemetry")),
+                      "telemetry", "overflow")),
+    (BoundedRequestQueue, ("overflow",)),
+    (api.open_runtime, ("queue_capacity", "overflow")),
+    (api.deploy, ("model_options",)),
     (ServingFleet, ("metrics", "trace_capacity", "slow_trace_ms",
                     "start_method", "max_retries", "start_timeout",
                     "latency_window", "telemetry", "reset_latencies",
                     "mmap")),
-    (ReplicaPool, ("start_method", "max_spawn_retries", "mmap")),
     (ServingGateway, ("metrics", "trace_capacity", "slow_trace_ms",
                       "telemetry")),
     (api.open_fleet, ("start_method", "slow_trace_ms", "telemetry",
                       "mmap")),
     (api.open_gateway, ("start_method", "slow_trace_ms", "telemetry",
-                        "mmap")),
+                        "mmap", "start")),
     (ServingRuntime.submit, ("trace",)),
     (ServingRuntime.stop, ("drain",)),
     (ServingGateway.close, ("drain",)),
     (stage_span, ("histogram",)),
     (PreparedDeployment, ("attach_embedding_index",)),
     (EmbeddingIndex, ("save", "load")),
-], ids=["ServingRuntime", "ServingFleet", "ReplicaPool", "ServingGateway",
+], ids=["ServingRuntime", "BoundedRequestQueue", "open_runtime", "deploy",
+        "ServingFleet", "ServingGateway",
         "open_fleet", "open_gateway", "ServingRuntime.submit",
         "ServingRuntime.stop", "ServingGateway.close", "stage_span",
         "PreparedDeployment", "EmbeddingIndex"])
@@ -435,17 +438,15 @@ def _all_task_requests(batch):
 
 
 class TestOpeners:
-    @pytest.mark.parametrize("opener", ["open_runtime", "open_stream"])
-    def test_scheduler_built_from_limits(self, task_bundle, opener):
-        with getattr(api, opener)(task_bundle, batch_mode="node",
-                                  max_batch_size=5,
-                                  max_wait_ms=1.5) as runtime:
+    def test_scheduler_built_from_limits(self, task_bundle):
+        with api.open_runtime(task_bundle, batch_mode="node",
+                              max_batch_size=5,
+                              max_wait_ms=1.5) as runtime:
             assert (runtime.scheduler.max_batch_size,
                     runtime.scheduler.max_wait_ms) == (5, 1.5)
 
     @pytest.mark.parametrize("opener, keyword", [
         ("open_runtime", "scheduler"),
-        ("open_stream", "scheduler"),
         ("open_fleet", "router"),
         ("open_gateway", "router"),
         ("open_gateway", "shed_options"),

@@ -340,6 +340,7 @@ class TestServingCli:
         ("serve-online", "--workload", "bursty"),
         ("serve-online", "--scheduler", "immediate"),
         ("serve-stream", "--scheduler", "sizecap"),
+        ("serve-stream", "--staleness", "0.4"),
         ("serve-fleet", "--router", "least-loaded"),
         ("serve-gateway", "--router", "consistent-hash"),
     ])
