@@ -138,12 +138,6 @@ class AnalysisContext:
         context.repro_error_names = _collect_error_hierarchy(files)
         return context
 
-    def file(self, relpath: str) -> SourceFile | None:
-        for source in self.files:
-            if source.relpath == relpath:
-                return source
-        return None
-
 
 def _collect_error_hierarchy(files: list[SourceFile]) -> set[str]:
     """Transitive subclasses of ``ReproError`` across the whole package.

@@ -279,8 +279,7 @@ class DeploymentBundle:
             check_format_version(archive, target)
             if "meta_json" not in archive.files:
                 raise ArtifactError(
-                    f"{target} is not a deployment bundle (no metadata); "
-                    "bare condensed graphs load via CondensedGraph.load")
+                    f"{target} is not a deployment bundle (no metadata)")
             meta = json.loads(str(archive["meta_json"]))
             if meta.get("kind") != "deployment-bundle":
                 raise ArtifactError(

@@ -409,7 +409,8 @@ def _cmd_condense(args) -> int:
     if method is not None and (args.shards is not None or method == "sharded"):
         # `--shards K` routes any method through the sharded pipeline;
         # `--method sharded` alone condenses with the wrapper's defaults.
-        reducer_options = {"shards": args.shards if args.shards else 2,
+        reducer_options = {"shards": (args.shards if args.shards is not None
+                                      else 2),
                            "workers": args.workers,
                            "partitioner": args.partitioner}
         if method != "sharded":

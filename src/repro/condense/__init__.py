@@ -40,7 +40,6 @@ from repro.condense.gcond import (
     gcond_factory,
     PairwiseAdjacency,
     dense_normalize_tensor,
-    SgcRelay,
     GCondConfig,
     GCondReducer,
     init_synthetic_features,
@@ -70,15 +69,13 @@ class ReducerEntry:
     line ``repro list`` prints.  ``profile_params`` names the
     :class:`~repro.experiments.settings.EffortProfile` fields the factory
     understands (e.g. ``outer_loops``) so the pipeline can inject compute
-    budgets without knowing the method.  ``keeps_result`` says the built
-    reducer exposes ``last_result``.
+    budgets without knowing the method.
     """
 
     name: str
     factory: Callable[..., GraphReducer]
     description: str
     profile_params: tuple[str, ...] = ()
-    keeps_result: bool = False
 
 
 #: Every reduction method by name: Tables II–III's coresets and baselines,
@@ -102,7 +99,7 @@ REDUCERS = {entry.name: entry for entry in (
     ReducerEntry("mcond", mcond_factory, "mapping-aware condensation (the "
                  "paper's method; learns the inductive mapping M)",
                  ("outer_loops", "match_steps", "mapping_steps",
-                  "relay_steps"), keeps_result=True),
+                  "relay_steps")),
     ReducerEntry("sharded", sharded_factory, "partition, condense per shard "
                  "in parallel worker processes, and merge (wraps any "
                  "registered method)", SHARED_PROFILE_PARAMS),
@@ -137,7 +134,7 @@ __all__ = [
     "inductive_loss",
     "MappingMatrix", "class_aware_logits", "sparsify_matrix",
     "class_block_mass",
-    "PairwiseAdjacency", "dense_normalize_tensor", "SgcRelay",
+    "PairwiseAdjacency", "dense_normalize_tensor",
     "GCondConfig", "GCondReducer", "init_synthetic_features",
     "MCondConfig", "MCondResult", "MCondReducer",
     "DosCondConfig", "DosCondReducer",

@@ -11,7 +11,6 @@ lets a single inference engine serve every method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +19,6 @@ from repro.errors import ArtifactError, CondensationError
 from repro.graph.datasets import InductiveSplit
 from repro.graph.ops import canonical_csr, dense_symmetric_normalize
 from repro.tensor.sparse import dense_memory_bytes, sparse_memory_bytes
-from repro.utils.artifacts import normalize_npz_path, open_npz_archive, save_npz
 
 __all__ = ["CondensedGraph", "GraphReducer", "allocate_class_counts",
            "selection_mapping", "FORMAT_VERSION", "check_format_version"]
@@ -125,8 +123,8 @@ class CondensedGraph:
     def to_payload(self, prefix: str = "") -> dict[str, np.ndarray]:
         """Flatten into ``np.savez``-ready arrays, keys prefixed by ``prefix``.
 
-        Shared by :meth:`save` and :class:`repro.api.DeploymentBundle`, which
-        embeds a condensed graph inside a larger archive.
+        :class:`repro.api.DeploymentBundle`, the one on-disk artifact,
+        embeds a condensed graph in its archive through this payload.
         """
         payload: dict[str, np.ndarray] = {
             f"{prefix}adjacency": self.adjacency,
@@ -166,23 +164,6 @@ class CondensedGraph:
                    labels=archive[f"{prefix}labels"],
                    mapping=mapping,
                    method=str(archive[f"{prefix}method"]))
-
-    def save(self, path: str | Path) -> None:
-        """Persist the condensed artifact (graph + mapping) as ``.npz``.
-
-        The path is normalized to the ``.npz`` suffix ``np.savez`` would
-        produce, so ``save(p)`` / ``load(p)`` round-trip for any ``p``.
-        """
-        payload = self.to_payload()
-        payload["format_version"] = np.asarray(FORMAT_VERSION)
-        save_npz(path, payload)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CondensedGraph":
-        """Load an artifact previously stored with :meth:`save`."""
-        with open_npz_archive(path, "condensed artifact") as archive:
-            check_format_version(archive, normalize_npz_path(path))
-            return cls.from_payload(archive)
 
 
 def check_format_version(archive, path) -> int:

@@ -4,9 +4,9 @@ The paper's related work highlights DosCond as a faster condensation
 variant: instead of tracking a relay GNN's trajectory over ``T`` inner
 steps, it matches gradients only at freshly initialized parameters (a
 single matching step per sampled initialization).  We implement it as an
-extension on top of :class:`~repro.condense.gcond.GCondReducer`: every
-matching step re-draws ``theta_0 ~ P_theta`` and there are no relay
-updates.
+extension on top of :class:`~repro.condense.gcond.GCondReducer`, whose
+loop it runs: every matching step re-draws ``theta_0 ~ P_theta`` and
+there are no relay updates.
 
 This reducer is not part of the paper's main comparison; it exists for
 the ablation benchmarks (how much does trajectory matching matter at
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.condense.gcond import GCondConfig, GCondReducer
+from repro.condense.gcond import GCondConfig, GCondReducer, _draw_theta0
 
 __all__ = ["DosCondConfig", "DosCondReducer"]
 
@@ -44,12 +44,16 @@ class DosCondReducer(GCondReducer):
 
     def __init__(self, config: DosCondConfig | None = None) -> None:
         super().__init__(config or DosCondConfig())
+        self._reinit_rng: np.random.Generator | None = None
+
+    def _before_loops(self, split, relay, labels_syn, rng) -> None:
+        # seeded per run, so a second ``reduce`` repeats the first
         self._reinit_rng = np.random.default_rng(self.config.seed ^ 0xD05C)
 
     def _matching_step(self, relay, propagated, graph, labeled,
                        synthetic_features, adjacency_model, labels_syn,
                        feature_opt, adjacency_opt) -> None:
-        relay.reinit(int(self._reinit_rng.integers(1 << 31)))
+        _draw_theta0(relay, int(self._reinit_rng.integers(1 << 31)))
         super()._matching_step(relay, propagated, graph, labeled,
                                synthetic_features, adjacency_model,
                                labels_syn, feature_opt, adjacency_opt)

@@ -3,9 +3,16 @@
 Learns synthetic features ``X'`` (and an MLP that derives ``A'`` from them,
 Eq. 6) by matching the relay GNN's training gradients on the synthetic
 graph against its gradients on the original graph (Eq. 4-5).  The relay is
-SGC, as in the paper's experimental setup: its embedding ``Â^K X`` is
-parameter-free, so the original-graph side can be propagated once and
-cached, and gradient matching touches only the classifier weights.
+the deployed :class:`~repro.nn.models.SGC`, as in the paper's experimental
+setup: its embedding ``Â^K X`` is parameter-free, so the original-graph
+side can be propagated once and cached, and gradient matching touches
+only the classifier weights.
+
+:meth:`GCondReducer.reduce` is the only Algorithm 1 loop in the library.
+DosCond overrides its matching and relay steps; MCond adds ``L_str``
+through ``_extra_synthetic_loss`` and its mapping phase through the run
+hooks ``_before_loops``, ``_before_synthetic_phase``,
+``_after_synthetic_phase`` and ``_finish``.
 
 This module also provides the two differentiable building blocks MCond
 shares: the pairwise adjacency generator and dense tensor normalization.
@@ -16,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import CondensationError
 from repro.condense.base import CondensedGraph, GraphReducer, allocate_class_counts
@@ -25,6 +31,7 @@ from repro.condense.mapping import sparsify_matrix
 from repro.graph.datasets import InductiveSplit
 from repro.graph.ops import symmetric_normalize
 from repro.nn.layers import Linear
+from repro.nn.models import SGC
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
 from repro.tensor.functional import binary_cross_entropy_with_logits, cross_entropy
@@ -48,7 +55,6 @@ __all__ = [
     "PairwiseAdjacency",
     "pretrain_adjacency_model",
     "dense_normalize_tensor",
-    "SgcRelay",
     "GCondConfig",
     "GCondReducer",
     "init_synthetic_features",
@@ -163,76 +169,35 @@ def dense_normalize_tensor(adjacency: Tensor, self_loops: bool = True,
     return mul(scaled, reshape(inv_sqrt, (1, n)))
 
 
-class SgcRelay:
-    """The relay GNN ``f``: a K-hop SGC with a linear classifier.
+def _draw_theta0(relay: SGC, seed: int) -> None:
+    """Draw fresh relay weights ``theta_0 ~ P_theta`` (Eq. 4), the same
+    ``Linear`` draw :class:`~repro.nn.models.SGC` makes when built."""
+    classifier = relay.classifier
+    relay.classifier = Linear(classifier.in_features, classifier.out_features,
+                              np.random.default_rng(seed))
 
-    Exposes exactly what condensation needs:
 
-    - :meth:`propagate_const` — numpy K-hop propagation (original side,
-      cached by callers);
-    - :meth:`embed_tensor` — differentiable K-hop propagation (synthetic
-      side);
-    - :meth:`classifier_loss` / :meth:`fit_steps` — supervised loss and
-      inner training steps of Algorithm 1 (line 11).
-    """
+def _classifier_loss(relay: SGC, embedding: Tensor, labels: np.ndarray,
+                     indices: np.ndarray | None = None) -> Tensor:
+    """Cross-entropy of the relay's head on ``embedding`` (rows ``indices``)."""
+    logits = relay.head(embedding)
+    if indices is not None:
+        idx = np.asarray(indices, dtype=np.int64)
+        return cross_entropy(gather_rows(logits, idx), labels[idx])
+    return cross_entropy(logits, labels)
 
-    def __init__(self, feature_dim: int, num_classes: int, k_hops: int = 2,
-                 seed: int = 0) -> None:
-        self.feature_dim = feature_dim
-        self.num_classes = num_classes
-        self.k_hops = k_hops
-        self._seed = seed
-        self.classifier = Linear(feature_dim, num_classes,
-                                 np.random.default_rng(seed))
 
-    def reinit(self, seed: int) -> None:
-        """Draw fresh relay parameters ``theta_0 ~ P_theta`` (Eq. 4)."""
-        fresh = Linear(self.feature_dim, self.num_classes,
-                       np.random.default_rng(seed))
-        self.classifier = fresh
-
-    def parameters(self) -> list[Parameter]:
-        return self.classifier.parameters()
-
-    # ------------------------------------------------------------------
-    def propagate_const(self, operator: sp.spmatrix,
-                        features: np.ndarray) -> np.ndarray:
-        """Constant K-hop propagation ``Â^K X`` (numpy)."""
-        h = np.asarray(features, dtype=np.float64)
-        for _ in range(self.k_hops):
-            h = operator @ h
-        return h
-
-    def embed_tensor(self, operator: Tensor, features: Tensor) -> Tensor:
-        """Differentiable K-hop propagation for dense operators."""
-        h = features
-        for _ in range(self.k_hops):
-            h = matmul(operator, h)
-        return h
-
-    def logits(self, embedding: Tensor) -> Tensor:
-        return self.classifier(embedding)
-
-    def classifier_loss(self, embedding: Tensor, labels: np.ndarray,
-                        indices: np.ndarray | None = None) -> Tensor:
-        logits = self.logits(embedding)
-        if indices is not None:
-            idx = np.asarray(indices, dtype=np.int64)
-            return cross_entropy(gather_rows(logits, idx), labels[idx])
-        return cross_entropy(logits, labels)
-
-    def fit_steps(self, embedding: np.ndarray, labels: np.ndarray,
-                  steps: int, lr: float = 0.01, weight_decay: float = 5e-4) -> None:
-        """Train the classifier on a constant embedding for ``steps`` steps."""
-        if steps <= 0:
-            return
-        optimizer = Adam(self.parameters(), lr=lr, weight_decay=weight_decay)
-        const = Tensor(embedding)
-        for _ in range(steps):
-            optimizer.zero_grad()
-            loss = cross_entropy(self.classifier(const), labels)
-            loss.backward()
-            optimizer.step()
+def _fit_classifier(relay: SGC, embedding: np.ndarray, labels: np.ndarray,
+                    steps: int, lr: float) -> None:
+    """Algorithm 1 line 11: ``steps`` Adam steps of the relay's head on a
+    constant embedding."""
+    optimizer = Adam(relay.parameters(), lr=lr, weight_decay=5e-4)
+    const = Tensor(embedding)
+    for _ in range(steps):
+        optimizer.zero_grad()
+        loss = _classifier_loss(relay, const, labels)
+        loss.backward()
+        optimizer.step()
 
 
 def init_synthetic_features(split: InductiveSplit, counts: np.ndarray,
@@ -312,6 +277,7 @@ class GCondReducer(GraphReducer):
 
     # ------------------------------------------------------------------
     def reduce(self, split: InductiveSplit, budget: int) -> CondensedGraph:
+        """Algorithm 1; subclasses change it only through the hooks below."""
         self._check_budget(split, budget)
         config = self.config
         rng = np.random.default_rng(config.seed)
@@ -320,10 +286,11 @@ class GCondReducer(GraphReducer):
         counts = allocate_class_counts(graph.labels[labeled], budget,
                                        split.num_classes)
 
-        relay = SgcRelay(graph.feature_dim, split.num_classes,
-                         k_hops=config.k_hops, seed=config.seed)
-        operator = symmetric_normalize(graph.adjacency)
-        propagated = relay.propagate_const(operator, graph.features)
+        relay = SGC(graph.feature_dim, split.num_classes,
+                    k_hops=config.k_hops, seed=config.seed)
+        with no_grad():
+            propagated = relay.embed(symmetric_normalize(graph.adjacency),
+                                     graph.features).data
         init_source = propagated if config.init_propagated else None
         features_init, labels_syn = init_synthetic_features(
             split, counts, rng, feature_matrix=init_source)
@@ -340,26 +307,57 @@ class GCondReducer(GraphReducer):
                                  rng=rng)
         feature_opt = Adam([synthetic_features], lr=config.lr_features)
         adjacency_opt = Adam(adjacency_model.parameters(), lr=config.lr_adjacency)
+        self._before_loops(split, relay, labels_syn, rng)
 
         for _ in range(config.outer_loops):
-            relay.reinit(int(rng.integers(1 << 31)))
+            _draw_theta0(relay, int(rng.integers(1 << 31)))
+            # synthetic-graph phase (Algorithm 1 lines 6-11)
+            self._before_synthetic_phase()
             for _ in range(config.match_steps):
                 self._matching_step(relay, propagated, graph, labeled,
                                     synthetic_features, adjacency_model,
                                     labels_syn, feature_opt, adjacency_opt)
                 self._relay_step(relay, synthetic_features, adjacency_model,
                                  labels_syn)
+            self._after_synthetic_phase(relay, propagated, synthetic_features,
+                                        adjacency_model)
 
-        adjacency = self._final_adjacency(adjacency_model, synthetic_features)
-        return CondensedGraph(adjacency=adjacency,
-                              features=synthetic_features.data.copy(),
-                              labels=labels_syn, mapping=None, method=self.name)
+        # Eq. (14): threshold A' at mu (Algorithm 1 line 16)
+        with no_grad():
+            adjacency_dense = adjacency_model(Tensor(synthetic_features.data)).data
+        adjacency = sparsify_matrix(adjacency_dense, config.adjacency_threshold)
+        condensed = CondensedGraph(adjacency=adjacency.toarray(),
+                                   features=synthetic_features.data.copy(),
+                                   labels=labels_syn, mapping=None,
+                                   method=self.name)
+        return self._finish(condensed, adjacency_dense)
 
     # ------------------------------------------------------------------
-    def _original_gradients(self, relay: SgcRelay, propagated: np.ndarray,
+    # Run hooks: no-ops here, MCond's mapping phase lives in them.
+    # ------------------------------------------------------------------
+    def _before_loops(self, split: InductiveSplit, relay: SGC,
+                      labels_syn: np.ndarray, rng: np.random.Generator) -> None:
+        """After adjacency pretraining, before the first ``theta_0`` draw;
+        ``rng`` is the run's shared generator."""
+
+    def _before_synthetic_phase(self) -> None:
+        """At the start of each synthetic-graph phase."""
+
+    def _after_synthetic_phase(self, relay: SGC, propagated: np.ndarray,
+                               synthetic_features: Parameter,
+                               adjacency_model: PairwiseAdjacency) -> None:
+        """After each synthetic-graph phase (MCond: the mapping phase)."""
+
+    def _finish(self, condensed: CondensedGraph,
+                adjacency_dense: np.ndarray) -> CondensedGraph:
+        """The graph ``reduce`` returns, from ``A'`` before thresholding."""
+        return condensed
+
+    # ------------------------------------------------------------------
+    def _original_gradients(self, relay: SGC, propagated: np.ndarray,
                             graph, labeled: np.ndarray) -> list[Tensor]:
-        loss = relay.classifier_loss(Tensor(propagated), graph.labels,
-                                     indices=labeled)
+        loss = _classifier_loss(relay, Tensor(propagated), graph.labels,
+                                indices=labeled)
         grads = grad(loss, relay.parameters())
         return [g.detach() for g in grads]
 
@@ -368,9 +366,9 @@ class GCondReducer(GraphReducer):
                        feature_opt, adjacency_opt) -> None:
         original_grads = self._original_gradients(relay, propagated, graph, labeled)
         adjacency = adjacency_model(synthetic_features)
-        embedding = relay.embed_tensor(dense_normalize_tensor(adjacency),
-                                       synthetic_features)
-        loss_syn = relay.classifier_loss(embedding, labels_syn)
+        embedding = relay.embed(dense_normalize_tensor(adjacency),
+                                synthetic_features)
+        loss_syn = _classifier_loss(relay, embedding, labels_syn)
         synthetic_grads = grad(loss_syn, relay.parameters(), create_graph=True)
         matching = gradient_matching_loss(original_grads, synthetic_grads)
         matching = matching + self._extra_synthetic_loss(embedding)
@@ -394,16 +392,9 @@ class GCondReducer(GraphReducer):
         with no_grad():
             adjacency = adjacency_model(Tensor(synthetic_features.data))
             operator = dense_normalize_tensor(adjacency)
-            embedding = relay.embed_tensor(operator,
-                                           Tensor(synthetic_features.data))
-        relay.fit_steps(embedding.data, labels_syn,
+            embedding = relay.embed(operator, Tensor(synthetic_features.data))
+        _fit_classifier(relay, embedding.data, labels_syn,
                         steps=self.config.relay_steps, lr=self.config.relay_lr)
-
-    def _final_adjacency(self, adjacency_model, synthetic_features) -> np.ndarray:
-        with no_grad():
-            adjacency = adjacency_model(Tensor(synthetic_features.data))
-        sparse = sparsify_matrix(adjacency.data, self.config.adjacency_threshold)
-        return sparse.toarray()
 
 
 def gcond_factory(seed: int = 0, **cfg) -> GCondReducer:

@@ -134,12 +134,6 @@ class MappingMatrix(Module):
         """Eq. (14): zero entries below ``delta`` and return CSR."""
         return sparsify_matrix(self.normalized_array(), delta)
 
-    def sparsity(self, delta: float) -> float:
-        """Fraction of zero entries after thresholding at ``delta``."""
-        matrix = self.sparsified(delta)
-        total = matrix.shape[0] * matrix.shape[1]
-        return 1.0 - matrix.nnz / total
-
 
 def sparsify_matrix(matrix: np.ndarray, threshold: float) -> sp.csr_matrix:
     """Eq. (14) thresholding for both ``A'`` and ``M``."""

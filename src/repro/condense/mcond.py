@@ -19,6 +19,14 @@ one-to-many mapping matrix ``M`` via alternating optimization
 Afterwards both ``A'`` and ``M`` are threshold-sparsified (Eq. 14) for
 deployment.
 
+The loop itself is :meth:`GCondReducer.reduce
+<repro.condense.gcond.GCondReducer.reduce>`, which phase 1 already is;
+:class:`MCondReducer` fills in its hooks: ``_extra_synthetic_loss`` adds
+``lambda * L_str``, ``_before_loops`` builds ``M``, its optimizer and the
+support batch with ``H_sup``, ``_before_synthetic_phase`` snapshots the
+``M`` that ``L_str`` reads, ``_after_synthetic_phase`` runs phase 2, and
+``_finish`` thresholds ``M`` and publishes :class:`MCondResult`.
+
 ``H'`` has only ``N'`` rows, so no loss builds anything of the original
 graph's ``(N, d)`` size: Eq. 8 scores pairs through the Gram matrix
 ``H'H'^T`` (:func:`~repro.condense.losses.structure_loss`), and Eq. 10
@@ -29,29 +37,21 @@ augmented graph of the support nodes, which does not grow with ``N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import CondensationError
-from repro.condense.base import CondensedGraph, allocate_class_counts
-from repro.condense.gcond import (
-    GCondConfig,
-    GCondReducer,
-    PairwiseAdjacency,
-    SgcRelay,
-    dense_normalize_tensor,
-    init_synthetic_features,
-    pretrain_adjacency_model,
-)
+from repro.condense.base import CondensedGraph
+from repro.condense.gcond import GCondConfig, GCondReducer, dense_normalize_tensor
 from repro.condense.losses import inductive_loss, structure_loss
-from repro.condense.mapping import MappingMatrix, sparsify_matrix
+from repro.condense.mapping import MappingMatrix
 from repro.graph.datasets import IncrementalBatch, InductiveSplit
 from repro.graph.incremental import attach_to_original
 from repro.graph.ops import symmetric_normalize
 from repro.graph.sampling import sample_edge_batch
-from repro.nn.module import Parameter
+from repro.nn.models import SGC
 from repro.nn.optim import Adam
 from repro.tensor.tensor import (
     Tensor,
@@ -113,8 +113,6 @@ class MCondResult:
     condensed: CondensedGraph
     mapping: MappingMatrix
     synthetic_adjacency_dense: np.ndarray
-    matching_losses: list[float] = field(default_factory=list)
-    structure_losses: list[float] = field(default_factory=list)
     mapping_losses: list[float] = field(default_factory=list)
     transductive_losses: list[float] = field(default_factory=list)
     inductive_losses: list[float] = field(default_factory=list)
@@ -175,8 +173,29 @@ class _TransductiveFactors:
         return float(np.sum(row_norms) / float(num_original)), grad_mapping
 
 
+@dataclass
+class _MappingRun:
+    """MCond's state for one ``reduce`` beside GCond's loop: ``M``, its
+    optimizer, the support batch with ``H_sup``, the result being filled,
+    and what ``L_str`` reads (``A``, the run's generator and the phase's
+    ``M`` snapshot)."""
+
+    mapping: MappingMatrix
+    optimizer: Adam
+    support: IncrementalBatch
+    support_original: np.ndarray
+    result: MCondResult
+    adjacency: sp.csr_matrix
+    edge_rng: np.random.Generator
+    snapshot: np.ndarray | None = None
+
+
 class MCondReducer(GCondReducer):
-    """Mapping-aware graph condensation (Algorithm 1)."""
+    """Mapping-aware graph condensation (Algorithm 1).
+
+    :meth:`GCondReducer.reduce` runs the loop; this class fills in its
+    hooks with ``L_str``, the mapping phase and ``M``'s threshold.
+    """
 
     name = "mcond"
 
@@ -184,42 +203,14 @@ class MCondReducer(GCondReducer):
         super().__init__(config or MCondConfig())
         self.config: MCondConfig
         self.last_result: MCondResult | None = None
-        # Per-run state shared with the structure-loss hook.
-        self._mapping_snapshot: np.ndarray | None = None
-        self._edge_rng: np.random.Generator | None = None
-        self._original_adjacency: sp.csr_matrix | None = None
+        self._run: _MappingRun | None = None
 
     # ------------------------------------------------------------------
-    def reduce(self, split: InductiveSplit, budget: int) -> CondensedGraph:
-        self._check_budget(split, budget)
+    # Run hooks of GCondReducer.reduce
+    # ------------------------------------------------------------------
+    def _before_loops(self, split, relay, labels_syn, rng) -> None:
         config = self.config
-        rng = np.random.default_rng(config.seed)
         graph = split.original
-        labeled = split.labeled_in_original
-        counts = allocate_class_counts(graph.labels[labeled], budget,
-                                       split.num_classes)
-
-        relay = SgcRelay(graph.feature_dim, split.num_classes,
-                         k_hops=config.k_hops, seed=config.seed)
-        operator = symmetric_normalize(graph.adjacency)
-        propagated = relay.propagate_const(operator, graph.features)
-        init_source = propagated if config.init_propagated else None
-        features_init, labels_syn = init_synthetic_features(
-            split, counts, rng, feature_matrix=init_source)
-
-        synthetic_features = Parameter(features_init, name="synthetic_features")
-        adjacency_model = PairwiseAdjacency(graph.feature_dim,
-                                            hidden=config.adjacency_hidden,
-                                            seed=config.seed)
-        pretrain_adjacency_model(adjacency_model, propagated[labeled],
-                                 graph.labels[labeled],
-                                 steps=config.adjacency_pretrain_steps,
-                                 lr=config.adjacency_pretrain_lr,
-                                 batch_size=config.adjacency_pretrain_batch,
-                                 rng=rng)
-        feature_opt = Adam([synthetic_features], lr=config.lr_features)
-        adjacency_opt = Adam(adjacency_model.parameters(), lr=config.lr_adjacency)
-
         if config.class_aware_init:
             mapping = MappingMatrix.class_aware(
                 graph.labels, labels_syn, epsilon=config.mapping_epsilon,
@@ -228,61 +219,48 @@ class MCondReducer(GCondReducer):
             mapping = MappingMatrix.random(
                 graph.num_nodes, labels_syn.size,
                 epsilon=config.mapping_epsilon, seed=config.seed)
-        mapping_opt = Adam([mapping.raw], lr=config.mapping_lr)
-
         support = self._support_batch(split, rng)
-        support_original = self._support_embedding_original(
-            relay, graph, support)
-
-        result = MCondResult(
-            condensed=None,  # type: ignore[arg-type]  -- filled below
+        self._run = _MappingRun(
             mapping=mapping,
-            synthetic_adjacency_dense=np.zeros((labels_syn.size, labels_syn.size)))
-        self._edge_rng = rng
-        self._original_adjacency = graph.adjacency
+            optimizer=Adam([mapping.raw], lr=config.mapping_lr),
+            support=support,
+            support_original=self._support_embedding_original(
+                relay, graph, support),
+            result=MCondResult(
+                condensed=None,  # type: ignore[arg-type]  -- set by _finish
+                mapping=mapping, synthetic_adjacency_dense=None),
+            adjacency=graph.adjacency,
+            edge_rng=rng)
 
-        for _ in range(config.outer_loops):
-            relay.reinit(int(rng.integers(1 << 31)))
-            # -------- synthetic-graph phase (Algorithm 1 lines 6-11) -----
-            self._mapping_snapshot = mapping.normalized_array()
-            for _ in range(config.match_steps):
-                self._matching_step(relay, propagated, graph, labeled,
-                                    synthetic_features, adjacency_model,
-                                    labels_syn, feature_opt, adjacency_opt)
-                self._relay_step(relay, synthetic_features, adjacency_model,
-                                 labels_syn)
-            # -------- mapping phase (Algorithm 1 lines 13-15) -------------
-            with no_grad():
-                adjacency_const = adjacency_model(
-                    Tensor(synthetic_features.data)).data
-                operator_syn = dense_normalize_tensor(Tensor(adjacency_const))
-                synthetic_embed = relay.embed_tensor(
-                    operator_syn, Tensor(synthetic_features.data)).data
-            transductive = _TransductiveFactors(propagated, synthetic_embed)
-            for _ in range(config.mapping_steps):
-                self._mapping_step(mapping, mapping_opt, relay, transductive,
-                                   adjacency_const, synthetic_features.data,
-                                   support, support_original, result)
+    def _before_synthetic_phase(self) -> None:
+        self._run.snapshot = self._run.mapping.normalized_array()
 
-        # -------- sparsification (Algorithm 1 line 16) --------------------
+    def _after_synthetic_phase(self, relay, propagated, synthetic_features,
+                               adjacency_model) -> None:
+        """The mapping phase (Algorithm 1 lines 13-15)."""
+        run = self._run
         with no_grad():
-            final_dense = adjacency_model(Tensor(synthetic_features.data)).data
-        adjacency = sparsify_matrix(final_dense,
-                                    self.config.adjacency_threshold).toarray()
-        delta = config.mapping_threshold
+            adjacency_const = adjacency_model(
+                Tensor(synthetic_features.data)).data
+            operator_syn = dense_normalize_tensor(Tensor(adjacency_const))
+            synthetic_embed = relay.embed(
+                operator_syn, Tensor(synthetic_features.data)).data
+        transductive = _TransductiveFactors(propagated, synthetic_embed)
+        for _ in range(self.config.mapping_steps):
+            self._mapping_step(run.mapping, run.optimizer, relay, transductive,
+                               adjacency_const, synthetic_features.data,
+                               run.support, run.support_original, run.result)
+
+    def _finish(self, condensed, adjacency_dense) -> CondensedGraph:
+        """Eq. (14)'s ``delta`` on ``M`` (Algorithm 1 line 16)."""
+        run, self._run = self._run, None
+        delta = self.config.mapping_threshold
         if delta is None:
-            delta = 1.0 / labels_syn.size
-        condensed = CondensedGraph(
-            adjacency=adjacency,
-            features=synthetic_features.data.copy(),
-            labels=labels_syn,
-            mapping=mapping.sparsified(delta),
-            method=self.name)
-        result.condensed = condensed
-        result.synthetic_adjacency_dense = final_dense
-        self.last_result = result
-        self._mapping_snapshot = None
-        self._original_adjacency = None
+            delta = 1.0 / condensed.num_nodes
+        condensed = replace(condensed, mapping=run.mapping.sparsified(delta))
+        run.result.condensed = condensed
+        run.result.synthetic_adjacency_dense = adjacency_dense
+        self.last_result = run.result
         return condensed
 
     # ------------------------------------------------------------------
@@ -292,11 +270,12 @@ class MCondReducer(GCondReducer):
         config = self.config
         if not config.use_structure_loss or config.lambda_structure == 0:
             return Tensor(0.0)
-        if self._mapping_snapshot is None or self._original_adjacency is None:
+        run = self._run
+        if run is None:
             return Tensor(0.0)
-        batch = sample_edge_batch(self._original_adjacency,
-                                  config.edge_batch_size, self._edge_rng)
-        loss = structure_loss(self._mapping_snapshot, embedding, batch)
+        batch = sample_edge_batch(run.adjacency, config.edge_batch_size,
+                                  run.edge_rng)
+        loss = structure_loss(run.snapshot, embedding, batch)
         return Tensor(config.lambda_structure) * loss
 
     # ------------------------------------------------------------------
@@ -349,17 +328,18 @@ class MCondReducer(GCondReducer):
             batch = batch.subset(np.sort(picks))
         return batch
 
-    def _support_embedding_original(self, relay: SgcRelay, graph,
+    def _support_embedding_original(self, relay: SGC, graph,
                                     support: IncrementalBatch) -> np.ndarray:
         """``H_sup``: support nodes propagated through the original graph."""
         attached = attach_to_original(graph.adjacency, graph.features,
                                       support.incremental, support.features,
                                       support.intra)
         operator = symmetric_normalize(attached.adjacency)
-        embedded = relay.propagate_const(operator, attached.features)
+        with no_grad():
+            embedded = relay.embed(operator, attached.features).data
         return embedded[attached.base_size:]
 
-    def _support_embedding_synthetic(self, relay: SgcRelay,
+    def _support_embedding_synthetic(self, relay: SGC,
                                      adjacency_const: np.ndarray,
                                      synthetic_features: np.ndarray,
                                      support: IncrementalBatch,
@@ -377,7 +357,7 @@ class MCondReducer(GCondReducer):
         augmented = concat([adjacency_top, adjacency_bottom], axis=0)
         operator = dense_normalize_tensor(augmented)
         features = Tensor(np.vstack([synthetic_features, support.features]))
-        embedded = relay.embed_tensor(operator, features)
+        embedded = relay.embed(operator, features)
         base = adjacency_const.shape[0]
         return slice_rows(embedded, base, base + support.num_nodes)
 

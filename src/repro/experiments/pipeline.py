@@ -129,8 +129,8 @@ class ExperimentContext:
         key = (entry.name, budget, _resolved_settings(reducer))
         if key not in self._reductions:
             condensed = reducer.reduce(self.prepared.split, budget)
-            result = reducer.last_result if entry.keeps_result else None
-            self._reductions[key] = (condensed, result)
+            self._reductions[key] = (
+                condensed, getattr(reducer, "last_result", None))
         return self._reductions[key]
 
     # ------------------------------------------------------------------

@@ -8,8 +8,6 @@ dense and weighted and live in :class:`repro.condense.base.CondensedGraph`.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -150,33 +148,3 @@ class Graph:
         labels = None if self.labels is None else self.labels.copy()
         return Graph(self.adjacency.copy(), self.features.copy(), labels,
                      self.num_classes or None)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Serialize to a ``.npz`` archive."""
-        adj = self.adjacency.tocoo()
-        payload = {
-            "row": adj.row,
-            "col": adj.col,
-            "weight": adj.data,
-            "shape": np.asarray(adj.shape),
-            "features": self.features,
-            "num_classes": np.asarray(self.num_classes),
-        }
-        if self.labels is not None:
-            payload["labels"] = self.labels
-        np.savez_compressed(Path(path), **payload)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Graph":
-        """Load a graph previously stored with :meth:`save`."""
-        with np.load(Path(path)) as archive:
-            shape = tuple(int(v) for v in archive["shape"])
-            adj = sp.coo_matrix(
-                (archive["weight"], (archive["row"], archive["col"])),
-                shape=shape).tocsr()
-            labels = archive["labels"] if "labels" in archive.files else None
-            num_classes = int(archive["num_classes"])
-            return cls(adj, archive["features"], labels, num_classes or None)

@@ -110,6 +110,9 @@ def train_node_classifier(
         loss.backward()
         optimizer.step()
         loss_value = loss.item()
+        # drop the epoch's tape before validating: held, its (n, C) arrays
+        # sit under the validator's attached graph and the next epoch's tape
+        del logits, loss
         result.losses.append(loss_value)
         result.epochs_run = epoch + 1
 

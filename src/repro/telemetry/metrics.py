@@ -149,11 +149,6 @@ class Counter(Metric):
         with self._lock:
             return float(self._children.get(key, 0.0))
 
-    def total(self) -> float:
-        """Sum across every label combination."""
-        with self._lock:
-            return float(sum(self._children.values()))
-
     def samples(self) -> list[tuple[str, dict, float]]:
         with self._lock:
             children = dict(self._children)

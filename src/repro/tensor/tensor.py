@@ -160,10 +160,6 @@ class Tensor:
         label = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, op={self._op_name}{grad_flag}{label})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (not a copy)."""
-        return self.data
-
     def item(self) -> float:
         """Return the value of a scalar tensor as a Python float."""
         if self.data.size != 1:

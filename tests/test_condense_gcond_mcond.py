@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from repro.condense import (
     MCondReducer,
     MCondResult,
     PairwiseAdjacency,
-    SgcRelay,
     dense_normalize_tensor,
 )
 from repro.condense import mcond as mcond_module
-from repro.condense.gcond import pretrain_adjacency_model
+from repro.condense.gcond import (_classifier_loss, _draw_theta0,
+                                  _fit_classifier, pretrain_adjacency_model)
 from repro.condense.losses import (
     gradient_matching_loss,
     inductive_loss,
@@ -33,6 +34,7 @@ from repro.graph.datasets import IncrementalBatch
 from repro.graph.incremental import attach_to_synthetic
 from repro.graph.ops import symmetric_normalize
 from repro.graph.sampling import EdgeBatch, sample_edge_batch
+from repro.nn.models import SGC
 from repro.tensor import (
     Tensor,
     concat,
@@ -41,6 +43,7 @@ from repro.tensor import (
     gradcheck,
     gradgradcheck,
     mul,
+    no_grad,
     relu,
     reshape,
     sigmoid,
@@ -210,31 +213,37 @@ class TestDenseNormalizeTensor:
             dense_normalize_tensor(Tensor(np.ones((2, 3))))
 
 
-class TestSgcRelay:
-    def test_propagation_matches_embed_tensor(self, tiny_split):
+class TestRelay:
+    """The deployed :class:`SGC` as condensation's relay, with the loop's
+    ``theta_0`` redraw and classifier helpers."""
+
+    def test_sparse_propagation_matches_dense(self, tiny_split):
         graph = tiny_split.original
-        relay = SgcRelay(graph.feature_dim, tiny_split.num_classes, k_hops=2)
+        relay = SGC(graph.feature_dim, tiny_split.num_classes, k_hops=2)
         operator = symmetric_normalize(graph.adjacency)
-        const = relay.propagate_const(operator, graph.features)
-        dense_operator = Tensor(operator.toarray())
-        tensor_version = relay.embed_tensor(dense_operator,
-                                            Tensor(graph.features)).data
+        with no_grad():
+            const = relay.embed(operator, graph.features).data
+        tensor_version = relay.embed(Tensor(operator.toarray()),
+                                     Tensor(graph.features)).data
         assert np.allclose(const, tensor_version, atol=1e-8)
 
-    def test_reinit_changes_parameters(self):
-        relay = SgcRelay(4, 3, seed=0)
+    def test_theta0_draw_changes_parameters(self):
+        relay = SGC(4, 3, seed=0)
         before = relay.classifier.weight.data.copy()
-        relay.reinit(99)
+        _draw_theta0(relay, 99)
         assert not np.allclose(before, relay.classifier.weight.data)
+        # seed 0 redraws what the constructor drew
+        _draw_theta0(relay, 0)
+        assert np.array_equal(before, relay.classifier.weight.data)
 
-    def test_fit_steps_reduce_loss(self):
-        relay = SgcRelay(4, 2, seed=0)
+    def test_fit_classifier_reduces_loss(self):
+        relay = SGC(4, 2, seed=0)
         embedding = np.vstack([RNG.standard_normal((20, 4)) + 3,
                                RNG.standard_normal((20, 4)) - 3])
         labels = np.repeat([0, 1], 20)
-        loss_before = relay.classifier_loss(Tensor(embedding), labels).item()
-        relay.fit_steps(embedding, labels, steps=50, lr=0.1)
-        loss_after = relay.classifier_loss(Tensor(embedding), labels).item()
+        loss_before = _classifier_loss(relay, Tensor(embedding), labels).item()
+        _fit_classifier(relay, embedding, labels, steps=50, lr=0.1)
+        loss_after = _classifier_loss(relay, Tensor(embedding), labels).item()
         assert loss_after < loss_before
 
 
@@ -252,6 +261,18 @@ class TestGCondReducer:
                              adjacency_pretrain_steps=10, seed=0)
         condensed = GCondReducer(config).reduce(tiny_split, 9)
         assert np.unique(condensed.labels).size == tiny_split.num_classes
+
+    def test_mcond_without_structure_loss_is_gcond(self, tiny_split):
+        # one Algorithm 1 loop: without L_str (and with no support draw on
+        # tiny-sim) MCond's mapping phase never touches X' or MLP_Phi
+        settings = dict(outer_loops=2, match_steps=3,
+                        adjacency_pretrain_steps=20, seed=3)
+        gcond = GCondReducer(GCondConfig(**settings)).reduce(tiny_split, 9)
+        mcond = MCondReducer(MCondConfig(lambda_structure=0.0, mapping_steps=4,
+                                         **settings)).reduce(tiny_split, 9)
+        assert np.array_equal(gcond.features, mcond.features)
+        assert np.array_equal(gcond.adjacency, mcond.adjacency)
+        assert mcond.supports_attachment()
 
     def test_config_validation(self):
         with pytest.raises(CondensationError):
@@ -274,6 +295,7 @@ class TestMCondReducer:
         reducer.reduce(tiny_split, 9)
         losses = reducer.last_result.mapping_losses
         assert losses[-1] < losses[0]
+        assert reducer._run is None  # M's optimizer and H_sup are released
 
     def test_condensed_supports_attachment(self, tiny_condensed):
         assert tiny_condensed.supports_attachment()
@@ -349,11 +371,11 @@ def _two_pass_matching_step(self, relay, propagated, graph, labeled,
     parameters instead of sharing the matching loss's embedding."""
     def embed():
         adjacency = adjacency_model(synthetic_features)
-        return relay.embed_tensor(dense_normalize_tensor(adjacency),
-                                  synthetic_features)
+        return relay.embed(dense_normalize_tensor(adjacency),
+                           synthetic_features)
 
     original_grads = self._original_gradients(relay, propagated, graph, labeled)
-    loss_syn = relay.classifier_loss(embed(), labels_syn)
+    loss_syn = _classifier_loss(relay, embed(), labels_syn)
     synthetic_grads = grad(loss_syn, relay.parameters(), create_graph=True)
     matching = (gradient_matching_loss(original_grads, synthetic_grads)
                 + self._extra_synthetic_loss(embed()))
@@ -373,9 +395,10 @@ def _explicit_structure_hook(self, embedding):
     config = self.config
     if not config.use_structure_loss or config.lambda_structure == 0:
         return Tensor(0.0)
-    batch = sample_edge_batch(self._original_adjacency,
-                              config.edge_batch_size, self._edge_rng)
-    loss = explicit_structure_loss(self._mapping_snapshot, embedding, batch)
+    run = self._run
+    batch = sample_edge_batch(run.adjacency, config.edge_batch_size,
+                              run.edge_rng)
+    loss = explicit_structure_loss(run.snapshot, embedding, batch)
     return Tensor(config.lambda_structure) * loss
 
 
@@ -427,11 +450,11 @@ def _mapping_inputs(num_original=40, num_synthetic=6, feature_dim=5,
     else:
         mapping = MappingMatrix.class_aware(labels, labels_syn,
                                             epsilon=epsilon, seed=seed)
-    relay = SgcRelay(feature_dim, 3, k_hops=2, seed=seed)
+    relay = SGC(feature_dim, 3, k_hops=2, seed=seed)
     adjacency = rng.uniform(size=(num_synthetic, num_synthetic))
     adjacency = np.triu(adjacency, 1) + np.triu(adjacency, 1).T
     synthetic_features = rng.standard_normal((num_synthetic, feature_dim))
-    synthetic_embed = relay.embed_tensor(
+    synthetic_embed = relay.embed(
         dense_normalize_tensor(Tensor(adjacency)),
         Tensor(synthetic_features)).data
     incremental = sp.random(num_support, num_original, density=0.05,
@@ -638,7 +661,7 @@ class TestGramFormPrecision:
         # L_str of the Gram form w.r.t. X' and the generator's weights,
         # through A' = MLP(X') -> normalize -> H' = Â'^K X'
         model, features, _ = _generator(3, 4, 4, seed=4)
-        relay = SgcRelay(3, 2, k_hops=2, seed=0)
+        relay = SGC(3, 2, k_hops=2, seed=0)
         mapping = MappingMatrix.random(9, 4, seed=1).normalized_array()
         rng = np.random.default_rng(2)
         batch = EdgeBatch(rows=rng.integers(0, 9, 12),
@@ -646,7 +669,7 @@ class TestGramFormPrecision:
                           targets=np.repeat([1.0, 0.0], 6))
 
         def loss(x, *params):
-            embedding = relay.embed_tensor(dense_normalize_tensor(model(x)), x)
+            embedding = relay.embed(dense_normalize_tensor(model(x)), x)
             return structure_loss(mapping, embedding, batch)
 
         assert gradcheck(loss, [features] + model.parameters())
@@ -664,12 +687,12 @@ class TestGramFormPrecision:
         embedding = Tensor(rng.standard_normal((num_synthetic, dim)),
                            requires_grad=True)
         reducer = MCondReducer(MCondConfig(edge_batch_size=512))
-        reducer._mapping_snapshot = mapping.normalized_array()
-        reducer._original_adjacency = adjacency
         peaks = []
         for hook in (MCondReducer._extra_synthetic_loss,
                      _explicit_structure_hook):
-            reducer._edge_rng = np.random.default_rng(0)
+            reducer._run = SimpleNamespace(
+                snapshot=mapping.normalized_array(), adjacency=adjacency,
+                edge_rng=np.random.default_rng(0))
             tracemalloc.start()
             try:
                 grad(hook(reducer, embedding), [embedding])
@@ -711,7 +734,7 @@ class TestTrainingOperatorMatchesServing:
         support = IncrementalBatch(
             features=support.features, incremental=support.incremental,
             intra=intra, labels=support.labels)
-        relay = SgcRelay(5, 3, k_hops=k_hops, seed=0)
+        relay = SGC(5, 3, k_hops=k_hops, seed=0)
         adjacency = inputs["adjacency_const"]
         normalized = inputs["mapping"].normalized_array()
         features = inputs["synthetic_features"]
@@ -722,8 +745,9 @@ class TestTrainingOperatorMatchesServing:
         attached = attach_to_synthetic(adjacency, features,
                                        support.incremental, support.features,
                                        normalized, support.intra)
-        served = relay.propagate_const(symmetric_normalize(attached.adjacency),
-                                       attached.features)[attached.base_size:]
+        with no_grad():
+            served = relay.embed(symmetric_normalize(attached.adjacency),
+                                 attached.features).data[attached.base_size:]
         assert trained.shape == served.shape
         gap = np.abs(trained - served).max() / np.abs(served).max()
         assert gap <= 1e-8, gap

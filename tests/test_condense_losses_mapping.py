@@ -256,10 +256,10 @@ class TestMappingMatrix:
         with pytest.raises(CondensationError):
             sparsify_matrix(np.eye(2), -0.1)
 
-    def test_sparsity_monotone_in_delta(self):
+    def test_sparsified_nnz_monotone_in_delta(self):
         mapping = self.make(n=20, k=5)
-        values = [mapping.sparsity(d) for d in (0.0, 0.05, 0.1, 0.3)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        kept = [mapping.sparsified(d).nnz for d in (0.0, 0.05, 0.1, 0.3)]
+        assert all(b <= a for a, b in zip(kept, kept[1:]))
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(CondensationError):

@@ -1,4 +1,4 @@
-"""Condensed-artifact serialization (offline condense -> online serve)."""
+"""Condensed-graph payloads: the arrays a deployment bundle stores."""
 
 from __future__ import annotations
 
@@ -7,13 +7,19 @@ import numpy as np
 from repro.condense import CondensedGraph
 from repro.inference import InductiveServer
 from repro.nn import make_model
+from repro.utils.artifacts import open_npz_archive, save_npz
 
 
-class TestSaveLoad:
+def _roundtrip(condensed, path):
+    """Write ``condensed``'s payload as a bundle does and read it back."""
+    target = save_npz(path, condensed.to_payload())
+    with open_npz_archive(target) as archive:
+        return CondensedGraph.from_payload(archive)
+
+
+class TestPayloadRoundtrip:
     def test_roundtrip_with_mapping(self, tiny_condensed, tmp_path):
-        target = tmp_path / "condensed.npz"
-        tiny_condensed.save(target)
-        loaded = CondensedGraph.load(target)
+        loaded = _roundtrip(tiny_condensed, tmp_path / "condensed.npz")
         assert np.allclose(loaded.adjacency, tiny_condensed.adjacency)
         assert np.allclose(loaded.features, tiny_condensed.features)
         assert np.array_equal(loaded.labels, tiny_condensed.labels)
@@ -23,9 +29,7 @@ class TestSaveLoad:
     def test_roundtrip_without_mapping(self, tmp_path):
         condensed = CondensedGraph(np.eye(3), np.ones((3, 4)),
                                    np.array([0, 1, 2]), method="gcond")
-        target = tmp_path / "plain.npz"
-        condensed.save(target)
-        loaded = CondensedGraph.load(target)
+        loaded = _roundtrip(condensed, tmp_path / "plain.npz")
         assert loaded.mapping is None
         assert loaded.method == "gcond"
         assert np.allclose(loaded.adjacency, np.eye(3))
@@ -33,9 +37,7 @@ class TestSaveLoad:
     def test_loaded_artifact_serves(self, tiny_split, tiny_condensed, tmp_path):
         """The deployment-critical property: a reloaded artifact serves
         identically to the in-memory one."""
-        target = tmp_path / "deploy.npz"
-        tiny_condensed.save(target)
-        loaded = CondensedGraph.load(target)
+        loaded = _roundtrip(tiny_condensed, tmp_path / "deploy.npz")
         model = make_model("sgc", tiny_split.original.feature_dim,
                            tiny_split.num_classes, seed=0)
         batch = tiny_split.incremental_batch("test")
@@ -48,7 +50,5 @@ class TestSaveLoad:
 
     def test_storage_accounting_stable_after_roundtrip(self, tiny_condensed,
                                                        tmp_path):
-        target = tmp_path / "size.npz"
-        tiny_condensed.save(target)
-        loaded = CondensedGraph.load(target)
+        loaded = _roundtrip(tiny_condensed, tmp_path / "size.npz")
         assert loaded.storage_bytes() == tiny_condensed.storage_bytes()

@@ -1,4 +1,4 @@
-"""Graph container: validation, views, serialization."""
+"""Graph container: validation, views, equality."""
 
 from __future__ import annotations
 
@@ -109,21 +109,6 @@ class TestViewsAndQueries:
         assert clone.num_nodes == path_graph.num_nodes
 
 
-class TestSerialization:
-    def test_save_load_roundtrip(self, path_graph, tmp_path):
-        target = tmp_path / "graph.npz"
-        path_graph.save(target)
-        loaded = Graph.load(target)
-        assert loaded == path_graph
-        assert loaded.num_classes == path_graph.num_classes
-
-    def test_save_load_unlabeled(self, tmp_path):
-        g = Graph(np.eye(3), np.random.default_rng(0).random((3, 2)))
-        target = tmp_path / "unlabeled.npz"
-        g.save(target)
-        loaded = Graph.load(target)
-        assert loaded.labels is None
-        assert loaded == g
-
+class TestEquality:
     def test_equality_against_other_type(self, path_graph):
         assert path_graph.__eq__(42) is NotImplemented

@@ -4,13 +4,16 @@
 packages ``pyproject.toml`` declares, so an installed copy imports
 without anything else on the path.  Public names that nothing but their
 own tests called are gone: the networkx converters, Correct & Smooth,
-the seeding helpers, and the unused corners of ``repro.nn``,
-``repro.tensor``, the graph containers and the experiment settings.
+the seeding helpers, the unused corners of ``repro.nn``,
+``repro.tensor``, the graph containers and the experiment settings, and
+the on-disk formats beside the deployment bundle.  Condensation trains
+the deployed ``SGC`` as its relay, so its own relay class is gone too.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import re
 import sys
@@ -72,12 +75,23 @@ GONE = {
     "repro.nn.metrics": ["macro_f1", "confusion_matrix"],
     "repro.nn.init": ["glorot_normal"],
     "repro.tensor": ["tanh", "clip_min_const", "nll_loss", "mse_loss",
-                     "frobenius_norm"],
-    "repro.tensor.tensor": ["tanh", "clip_min_const"],
+                     "frobenius_norm", "Tensor.numpy"],
+    "repro.tensor.tensor": ["tanh", "clip_min_const", "Tensor.numpy"],
     "repro.tensor.functional": ["nll_loss", "mse_loss", "frobenius_norm"],
     "repro.graph": ["Graph.num_undirected_edges", "Graph.class_counts",
-                    "AttachedGraph.inductive_indices"],
-    "repro.condense": ["CondensedGraph.to_graph"],
+                    "AttachedGraph.inductive_indices", "Graph.save",
+                    "Graph.load"],
+    "repro.graph.graph": ["Graph.save", "Graph.load"],
+    "repro.condense": ["CondensedGraph.to_graph", "CondensedGraph.save",
+                       "CondensedGraph.load", "MappingMatrix.sparsity",
+                       "SgcRelay", "ReducerEntry.keeps_result"],
+    "repro.condense.base": ["CondensedGraph.save", "CondensedGraph.load"],
+    "repro.condense.mapping": ["MappingMatrix.sparsity"],
+    "repro.condense.gcond": ["SgcRelay"],
+    "repro.telemetry": ["Counter.total"],
+    "repro.telemetry.metrics": ["Counter.total"],
+    "repro.analysis": ["AnalysisContext.file"],
+    "repro.analysis.core": ["AnalysisContext.file"],
     "repro.experiments": ["method_names"],
     "repro.experiments.settings": ["method_names"],
     "repro.propagation": ["smooth_predictions", "correct_and_smooth"],
@@ -99,3 +113,18 @@ def test_removed_names_are_gone(module, name):
         owner = getattr(owner, part)
     assert not hasattr(owner, attribute)
     assert name not in getattr(importlib.import_module(module), "__all__", ())
+
+
+@pytest.mark.parametrize("name", ["matching_losses", "structure_losses"])
+def test_removed_result_fields_are_gone(name):
+    # a default_factory field is no class attribute, so hasattr misses it
+    from repro.condense import MCondResult
+    assert name not in {f.name for f in dataclasses.fields(MCondResult)}
+
+
+def test_gcond_reduce_is_the_only_algorithm_1_loop():
+    from repro.condense import DosCondReducer, GCondReducer, MCondReducer
+    assert "reduce" in vars(GCondReducer)
+    for subclass in (MCondReducer, DosCondReducer):
+        assert "reduce" not in vars(subclass)
+    assert not hasattr(GCondReducer, "_final_adjacency")

@@ -80,38 +80,45 @@ class TestBuiltinRegistrations:
 # ----------------------------------------------------------------------
 # Artifact hardening
 # ----------------------------------------------------------------------
-class TestArtifactHardening:
-    def test_save_load_without_npz_suffix(self, tiny_condensed, tmp_path):
-        target = tmp_path / "artifact.bin"
-        tiny_condensed.save(target)
-        assert (tmp_path / "artifact.bin.npz").exists()
-        loaded = CondensedGraph.load(target)
-        assert np.allclose(loaded.adjacency, tiny_condensed.adjacency)
+def _members(path) -> dict:
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
 
-    def test_format_version_stamped(self, tiny_condensed, tmp_path):
-        target = tmp_path / "artifact.npz"
-        tiny_condensed.save(target)
+
+class TestArtifactHardening:
+    def test_save_load_without_npz_suffix(self, mcond_bundle, tmp_path):
+        target = tmp_path / "artifact.bin"
+        mcond_bundle.save(target)
+        assert (tmp_path / "artifact.bin.npz").exists()
+        loaded = api.DeploymentBundle.load(target)
+        assert np.array_equal(loaded.condensed.adjacency,
+                              mcond_bundle.condensed.adjacency)
+
+    def test_format_version_stamped(self, mcond_bundle, tmp_path):
+        target = mcond_bundle.save(tmp_path / "artifact.npz")
         with np.load(target) as archive:
             assert int(archive["format_version"]) == FORMAT_VERSION
 
-    def test_future_format_rejected(self, tiny_condensed, tmp_path):
-        target = tmp_path / "artifact.npz"
-        payload = tiny_condensed.to_payload()
-        payload["format_version"] = np.asarray(FORMAT_VERSION + 1)
-        np.savez_compressed(target, **payload)
+    def test_future_format_rejected(self, mcond_bundle, tmp_path):
+        target = mcond_bundle.save(tmp_path / "artifact.npz")
+        members = _members(target)
+        members["format_version"] = np.asarray(FORMAT_VERSION + 1)
+        np.savez_compressed(target, **members)
         with pytest.raises(ArtifactError, match="format"):
-            CondensedGraph.load(target)
+            api.DeploymentBundle.load(target)
 
-    def test_versionless_archive_still_loads(self, tiny_condensed, tmp_path):
+    def test_versionless_archive_still_loads(self, mcond_bundle, tmp_path):
         # Files written before the stamp existed are treated as version 1.
-        target = tmp_path / "legacy.npz"
-        np.savez_compressed(target, **tiny_condensed.to_payload())
-        loaded = CondensedGraph.load(target)
-        assert loaded.num_nodes == tiny_condensed.num_nodes
+        target = mcond_bundle.save(tmp_path / "legacy.npz")
+        members = _members(target)
+        del members["format_version"]
+        np.savez_compressed(target, **members)
+        loaded = api.DeploymentBundle.load(target)
+        assert loaded.condensed.num_nodes == mcond_bundle.condensed.num_nodes
 
     def test_missing_file_raises_artifact_error(self, tmp_path):
-        with pytest.raises(ArtifactError):
-            CondensedGraph.load(tmp_path / "nope.npz")
+        with pytest.raises(ArtifactError, match="no deployment bundle"):
+            api.DeploymentBundle.load(tmp_path / "nope.npz")
 
 
 # ----------------------------------------------------------------------
@@ -224,13 +231,11 @@ class TestBundlePersistence:
 
     def test_load_rejects_bare_condensed_artifact(self, tiny_condensed,
                                                   tmp_path):
-        tiny_condensed.save(tmp_path / "bare.npz")
-        with pytest.raises(ArtifactError, match="CondensedGraph.load"):
+        payload = tiny_condensed.to_payload()
+        payload["format_version"] = np.asarray(FORMAT_VERSION)
+        np.savez_compressed(tmp_path / "bare.npz", **payload)
+        with pytest.raises(ArtifactError, match="not a deployment bundle"):
             api.DeploymentBundle.load(tmp_path / "bare.npz")
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(ArtifactError):
-            api.DeploymentBundle.load(tmp_path / "missing.npz")
 
     def test_bundle_validation(self, mcond_bundle):
         with pytest.raises(ConfigError):

@@ -184,6 +184,16 @@ class TestCli:
         assert ("--shards requires a reduction method"
                 in capsys.readouterr().err)
 
+    def test_condense_zero_shards_rejected(self, capsys, monkeypatch):
+        # 0 is a count, not "not given": it must not fall back to 2 shards
+        _fast_profile(monkeypatch)
+        code = main(["condense", "--dataset", "tiny-sim", "--method", "mcond",
+                     "--budget", "9", "--shards", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "shards must be >= 1, got 0" in captured.err
+        assert "sharded offline phase" not in captured.out
+
     def test_condense_sharded_unknown_partitioner(self, capsys, monkeypatch):
         _fast_profile(monkeypatch)
         code = main(["condense", "--dataset", "tiny-sim", "--method", "mcond",
@@ -365,6 +375,15 @@ class TestDosCond:
     def test_relay_steps_forced_zero(self):
         config = DosCondConfig(relay_steps=5)
         assert config.relay_steps == 0
+
+    def test_second_reduce_repeats_the_first(self, tiny_split):
+        # the per-step theta_0 generator is seeded per run, not per reducer
+        reducer = DosCondReducer(DosCondConfig(
+            outer_loops=2, match_steps=3, adjacency_pretrain_steps=10, seed=0))
+        first = reducer.reduce(tiny_split, 9)
+        second = reducer.reduce(tiny_split, 9)
+        assert np.array_equal(first.features, second.features)
+        assert np.array_equal(first.adjacency, second.adjacency)
 
     def test_no_mapping_like_gcond(self, tiny_split):
         config = DosCondConfig(outer_loops=1, match_steps=2,
