@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from repro import api
 from repro.graph import load_dataset
-from repro.inference import InductiveServer
 from repro.nn.models import MODELS
+from repro.serving import PreparedDeployment
 
 
 def main() -> None:
@@ -34,8 +34,9 @@ def main() -> None:
         bundle = api.deploy("flickr-sim", condensed=condensed, model=arch,
                             seed=0, profile="quick")
         model = bundle.model()
-        on_original = InductiveServer(model, "original", split.original).run(
-            test, batch_mode="graph")
+        served_original = PreparedDeployment(model, "original",
+                                             split.original)
+        on_original = served_original.evaluate(test, batch_mode="graph")
         on_synthetic = api.serve(bundle, test, batch_mode="graph")
         print(f"{arch:<13} {on_original.accuracy:>11.3f} "
               f"{on_synthetic.accuracy:>11.3f} "

@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.condense import MCondConfig, MCondReducer
 from repro.graph import load_dataset, symmetric_normalize
-from repro.inference import InductiveServer
 from repro.nn import TrainConfig, make_model, train_node_classifier
+from repro.serving import PreparedDeployment
 
 GRID = [(k_hops, lr) for k_hops in (1, 2, 3) for lr in (0.01, 0.05, 0.2)]
 
@@ -55,10 +55,9 @@ def main() -> None:
 
     def validator_for(deployment, condensed_graph):
         def validate(model):
-            server = InductiveServer(model, deployment, split.original,
-                                     condensed_graph)
-            logits, _, _ = server.serve_batch(val, "graph")
-            return float((logits.argmax(1) == val.labels).mean())
+            prepared = PreparedDeployment(model, deployment, split.original,
+                                          condensed_graph)
+            return prepared.evaluate(val, batch_size=val.num_nodes).accuracy
         return validate
 
     # Tuning on the original graph (expensive baseline).
@@ -86,8 +85,8 @@ def main() -> None:
                           np.arange(condensed.num_nodes),
                           config=TrainConfig(epochs=100, patience=100, lr=lr))
     test = split.incremental_batch("test")
-    report = InductiveServer(winner, "synthetic", original, condensed).run(
-        test, batch_mode="graph")
+    report = PreparedDeployment(winner, "synthetic", original,
+                                condensed).evaluate(test, batch_mode="graph")
     print(f"winning config {best_cfg} test accuracy: {report.accuracy:.3f}")
 
 

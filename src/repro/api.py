@@ -44,11 +44,7 @@ from repro.experiments.pipeline import ExperimentContext, prepare_dataset
 from repro.experiments.settings import EffortProfile, FULL, QUICK, current_profile
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.graph import Graph
-from repro.inference.engine import (
-    InductiveServer,
-    InferenceReport,
-    serves_frozen,
-)
+from repro.inference.engine import InferenceReport, serves_frozen
 from repro.nn.models import GNNModel, make_model
 from repro.serving.prepared import PreparedDeployment
 from repro.serving.runtime import MicroBatchScheduler, ServingRuntime
@@ -467,11 +463,10 @@ def serve(bundle: DeploymentBundle | str | Path,
         bundle = DeploymentBundle.load(bundle)
     if batch is None:
         batch = evaluation_batch(bundle)
-    model = bundle.model()
-    server = InductiveServer(model, bundle.deployment, bundle.base,
-                             bundle.condensed)
-    return server.run(batch, batch_size=batch_size, batch_mode=batch_mode,
-                      frozen=serves_frozen(model, bundle.deployment))
+    prepared = bundle.prepare()
+    return prepared.evaluate(
+        batch, batch_size=batch_size, batch_mode=batch_mode,
+        frozen=serves_frozen(prepared.model, bundle.deployment))
 
 
 def open_runtime(bundle: DeploymentBundle | str | Path, *,

@@ -75,9 +75,9 @@ class Cell:
     mapping at Eq. 14's threshold without retraining.  ``request_size``
     is the number of inductive nodes per served request; ``None`` serves
     the whole evaluation batch in the paper's 1000-node mini-batches.
-    ``operator`` is ``exact`` (Eq. 3 / Eq. 11, ``InductiveServer.run``)
-    or ``frozen`` (base rows keep their standalone normalization,
-    ``serve_batch_frozen``; SGC only).  :func:`run_grid` sets ``seed``
+    ``operator`` is ``exact`` (Eq. 3 / Eq. 11) or ``frozen`` (base rows
+    keep their standalone normalization; SGC only), as passed to
+    ``PreparedDeployment.evaluate``.  :func:`run_grid` sets ``seed``
     from the effort profile.
     """
 

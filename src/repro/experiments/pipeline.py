@@ -20,9 +20,11 @@ from repro.experiments.settings import (EffortProfile, MethodSpec, METHODS,
                                         current_profile)
 from repro.graph.datasets import IncrementalBatch, InductiveSplit, load_dataset
 from repro.graph.ops import symmetric_normalize
-from repro.inference.engine import InductiveServer, InferenceReport
+from repro.inference.engine import InferenceReport
+from repro.nn.metrics import accuracy
 from repro.nn.models import GNNModel, make_model
 from repro.nn.trainer import TrainConfig, train_node_classifier
+from repro.serving.prepared import PreparedDeployment
 
 if TYPE_CHECKING:
     from repro.experiments.grid import Cell
@@ -189,18 +191,20 @@ class ExperimentContext:
 
     def _make_validator(self, model: GNNModel, deployment: str,
                         condensed: CondensedGraph | None):
-        """Validation accuracy through the exact Eq. 3 / Eq. 11 operator
-        (``run``).  A fresh server per call: one held across training
-        keeps its deployment alive and raises the training peak memory."""
-        val_batch, original = self.prepared.val_batch, self.prepared.original
+        """Validation accuracy through the exact Eq. 3 / Eq. 11 operator,
+        with the batch attached and propagated once per training run
+        (only the weights change between calls).  It holds those arrays,
+        not the deployment, which would raise the training peak memory."""
+        val_batch = self.prepared.val_batch
         if deployment == "synthetic" and (
                 condensed is None or not condensed.supports_attachment()):
             deployment = "original"
+        forward, _ = PreparedDeployment(
+            model, deployment, self.prepared.original,
+            condensed).split_at_weights(val_batch, "graph")
 
         def validator(current: GNNModel) -> float:
-            server = InductiveServer(current, deployment, original, condensed)
-            return server.run(val_batch, batch_size=val_batch.num_nodes,
-                              batch_mode="graph").accuracy
+            return accuracy(forward(current), val_batch.labels)
 
         return validator
 
@@ -213,10 +217,10 @@ class ExperimentContext:
                  batch_size: int = 1000, frozen: bool = False) -> InferenceReport:
         """Serve an evaluation batch and report accuracy/latency/memory."""
         batch = self.prepared.test_batch if which == "test" else self.prepared.val_batch
-        server = InductiveServer(model, deployment, self.prepared.original,
-                                 condensed)
-        return server.run(batch, batch_size=batch_size, batch_mode=batch_mode,
-                          frozen=frozen)
+        prepared = PreparedDeployment(model, deployment,
+                                      self.prepared.original, condensed)
+        return prepared.evaluate(batch, batch_size=batch_size,
+                                 batch_mode=batch_mode, frozen=frozen)
 
     # ------------------------------------------------------------------
     # One grid cell

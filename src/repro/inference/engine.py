@@ -1,11 +1,12 @@
-"""Inductive inference engine for all four deployment settings.
+"""The uncached inductive serving reference, and the evaluation report.
 
-The engine serves batches of unseen nodes against either the *original*
+:class:`InductiveServer` serves unseen nodes against either the *original*
 graph (Eq. 3 — conventional GC and the "Whole" baseline) or a *synthetic*
-graph with a mapping matrix (Eq. 11 — MCond, VNG and coresets).  For every
-batch it measures wall-clock latency of the full serving path — attach,
-normalize, forward — and the memory footprint of what deployment must hold:
-adjacency non-zeros, features, and (for synthetic serving) the mapping.
+graph with a mapping matrix (Eq. 11 — MCond, VNG and coresets) from plain
+scipy products: attach, normalize, forward.  Every serving tier is checked
+against it bit for bit; the one evaluation path,
+:meth:`repro.serving.prepared.PreparedDeployment.evaluate`, reports an
+:class:`InferenceReport`.
 
 The paper's two evaluation regimes are the ``batch_mode``:
 
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,14 +30,9 @@ from repro.graph.graph import Graph
 from repro.graph.incremental import (AttachedGraph, attach_to_original,
                                      attach_to_synthetic)
 from repro.graph.ops import _inv_sqrt, add_self_loops, symmetric_normalize
-from repro.graph.sampling import iterate_minibatches
-from repro.nn.metrics import accuracy
 from repro.nn.models import GNNModel, SGC
 from repro.tensor.sparse import dense_memory_bytes, sparse_memory_bytes
 from repro.tensor.tensor import Tensor, no_grad
-
-if TYPE_CHECKING:  # serving sits above inference; import it lazily at runtime
-    from repro.serving.prepared import PreparedDeployment
 
 __all__ = ["InferenceReport", "InductiveServer", "serves_frozen",
            "validate_deployment"]
@@ -48,8 +43,8 @@ def validate_deployment(deployment: str, base: Graph | None,
     """Reject inconsistent deployment configurations.
 
     Shared by :class:`InductiveServer` and
-    :class:`repro.serving.prepared.PreparedDeployment` so both serving
-    surfaces fail identically, with or without the prepared cache.
+    :class:`repro.serving.prepared.PreparedDeployment` so the reference
+    and the cache fail identically.
     """
     if deployment not in ("original", "synthetic"):
         raise InferenceError(
@@ -96,7 +91,7 @@ class InferenceReport:
 
 
 class InductiveServer:
-    """Serves inductive batches against one deployed graph.
+    """The uncached serving reference for one deployed graph.
 
     Parameters
     ----------
@@ -116,46 +111,34 @@ class InductiveServer:
         The reduced graph; required when ``deployment == "synthetic"`` and
         it must carry a mapping matrix.
     use_cache:
-        When true (the default), ``serve_batch`` runs through a
-        :class:`~repro.serving.prepared.PreparedDeployment`: the base
-        block's self-loops, canonical form and scatter layout are
-        computed once instead of re-normalizing the full ``(B+n, B+n)``
-        adjacency every batch.  Logits are bitwise identical either way
-        (the parity tests assert it); ``use_cache=False`` keeps the
-        naive path — the reference every serving tier is checked
-        against, and the baseline for benchmarking the difference.
+        Only ``False``: the server always re-attaches and re-normalizes
+        the full ``(B+n, B+n)`` adjacency; the cache is
+        :class:`~repro.serving.prepared.PreparedDeployment`.
 
     The naive path returns ``model(operator, X')[B:]``, except for SGC:
     its classifier is row-wise, so the reference applies ``model.head``
     to the ``n`` inductive rows of ``model.embed(operator, X')`` alone.
     That is still Eq. 3 / Eq. 11, within a tested ``1e-12`` relative
     bound of the full-shape forward (``docs/precision.md``, "Parity
-    contract").
-
-    On a synthetic SGC deployment :meth:`serve_batch` serves the frozen
-    operator (:func:`serves_frozen`; the naive path builds it from plain
-    scipy products), while :meth:`run` evaluates through Eq. 11.
+    contract").  On a synthetic SGC deployment :meth:`serve_batch`
+    serves the frozen operator (:func:`serves_frozen`), built here from
+    plain scipy products.
     """
 
     def __init__(self, model: GNNModel, deployment: str, base: Graph | None,
                  condensed: CondensedGraph | None = None, *,
-                 use_cache: bool = True) -> None:
+                 use_cache: bool = False) -> None:
+        # the keyword stays only because the benchmark harness passes
+        # use_cache=False; it goes with the next benchmark change
+        if use_cache:
+            raise InferenceError(
+                "InductiveServer is the uncached reference; serve through "
+                "repro.serving.prepared.PreparedDeployment for the cache")
         validate_deployment(deployment, base, condensed)
         self.model = model
         self.deployment = deployment
         self.base = base
         self.condensed = condensed
-        self.use_cache = use_cache
-
-    # Both serving states are built on first use: the cached server never
-    # materializes the naive adjacency, and the uncached server never pays
-    # the cache's O(nnz) construction.
-    @cached_property
-    def prepared(self) -> "PreparedDeployment":
-        """The request-invariant cache this server serves through."""
-        from repro.serving.prepared import PreparedDeployment
-        return PreparedDeployment(self.model, self.deployment, self.base,
-                                  self.condensed)
 
     @cached_property
     def _deployed(self) -> tuple:
@@ -191,9 +174,6 @@ class InductiveServer:
                frozen: bool) -> tuple[np.ndarray, float, int]:
         """One batch through the frozen or the exact Eq. 3 / Eq. 11
         operator."""
-        if self.use_cache:
-            return (self.prepared.serve_batch_frozen if frozen else
-                    self.prepared.serve_batch_exact)(batch, batch_mode)
         self.model.eval()
         start = time.perf_counter()
         attached = self.attach(batch, batch_mode)
@@ -241,39 +221,3 @@ class InductiveServer:
             hidden = op_nb @ base_hop + op_nn @ hidden
             base_hop = base_operator @ base_hop
         return hidden
-
-    def run(self, batch: IncrementalBatch, batch_size: int = 1000,
-            batch_mode: str = "graph", frozen: bool = False) -> InferenceReport:
-        """Serve the full workload in mini-batches (paper: batch size 1000).
-
-        Every mini-batch goes through the exact Eq. 3 / Eq. 11 operator —
-        on a synthetic SGC deployment too, where :meth:`serve_batch`
-        serves the frozen one — unless ``frozen`` asks for the frozen
-        operator (SGC only).  The paper grid's ``operator`` cells, the
-        training validator and ``api.serve`` evaluate through here.
-        """
-        serve = partial(self._serve, frozen=frozen)
-        total_nodes = batch.num_nodes
-        if total_nodes == 0:
-            raise InferenceError("cannot serve an empty inductive batch")
-        all_logits: list[np.ndarray] = []
-        seconds = []
-        memories = []
-        for idx in iterate_minibatches(total_nodes, batch_size):
-            sub = batch.subset(idx) if idx.size != total_nodes else batch
-            logits, elapsed, memory = serve(sub, batch_mode)
-            all_logits.append(logits)
-            seconds.append(elapsed)
-            memories.append(memory)
-        logits = np.vstack(all_logits)
-        return InferenceReport(
-            accuracy=accuracy(logits, batch.labels),
-            mean_batch_seconds=float(np.mean(seconds)),
-            total_seconds=float(np.sum(seconds)),
-            memory_bytes=int(np.mean(memories)),
-            num_batches=len(seconds),
-            num_nodes=total_nodes,
-            deployment=self.deployment,
-            batch_mode=batch_mode,
-            logits=logits)
-

@@ -93,6 +93,9 @@ def train_node_classifier(
         raise ConfigError("train_idx is empty")
     x = Tensor(np.asarray(features, dtype=np.float64))
     logits_of_epoch = _epoch_forward(model, operator, x)
+    # every row supervised in order (a synthetic or fully labeled graph):
+    # no gathered (n, C) copy of the logits and its gradient on the tape
+    every_row = np.array_equal(train_idx, np.arange(x.shape[0]))
     optimizer = Adam(model.parameters(), lr=config.lr,
                      weight_decay=config.weight_decay)
 
@@ -106,7 +109,9 @@ def train_node_classifier(
         model.train()
         optimizer.zero_grad()
         logits = logits_of_epoch()
-        loss = cross_entropy(gather_rows(logits, train_idx), labels[train_idx])
+        loss = cross_entropy(
+            logits if every_row else gather_rows(logits, train_idx),
+            labels[train_idx])
         loss.backward()
         optimizer.step()
         loss_value = loss.item()

@@ -21,8 +21,8 @@ A synthetic deployment serving SGC answers through the *frozen*
 operator (below), so a reply depends on its own request alone; every
 other deployment answers through the exact Eq. 3 / Eq. 11 operator
 (:meth:`PreparedDeployment.serve_batch_exact`), which the training
-validator and the paper grid also reach on a synthetic deployment
-through :meth:`repro.inference.engine.InductiveServer.run`.
+validator (:meth:`PreparedDeployment.split_at_weights`) and the paper
+grid (:meth:`PreparedDeployment.evaluate`) also score on a synthetic one.
 
 Exactness contract
 ------------------
@@ -96,6 +96,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,13 +108,16 @@ from repro.graph.graph import Graph
 from repro.graph.incremental import convert_connections
 from repro.graph.ops import (_inv_sqrt, _sorted_unique, add_self_loops,
                              canonical_csr)
+from repro.graph.sampling import iterate_minibatches
 from repro.graph.stream import (
     GraphDelta,
     StreamingGraph,
     _splice_rows,
     csr_row_positions,
 )
-from repro.inference.engine import serves_frozen, validate_deployment
+from repro.inference.engine import (InferenceReport, serves_frozen,
+                                    validate_deployment)
+from repro.nn.metrics import accuracy
 from repro.nn.models import GNNModel, SGC
 from repro.telemetry import stage_span
 from repro.tensor.sparse import sparse_memory_bytes
@@ -416,15 +420,6 @@ class PreparedDeployment:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _enter_request(self, batch: IncrementalBatch, batch_mode: str):
-        """Validate the mode, put the model in eval, and return the intra
-        block the mode keeps — the preamble every serve path shares."""
-        if batch_mode not in ("graph", "node"):
-            raise InferenceError(
-                f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
-        self.model.eval()
-        return batch.intra if batch_mode == "graph" else None
-
     def serve_batch(self, batch: IncrementalBatch,
                     batch_mode: str = "graph") -> tuple[np.ndarray, float, int]:
         """Serve one batch; returns ``(logits, seconds, memory_bytes)``.
@@ -467,32 +462,87 @@ class PreparedDeployment:
                classify: bool = True) -> tuple[np.ndarray, float, int]:
         """One batch through the frozen or the exact operator; without
         ``classify``, the penultimate rows."""
-        intra = self._enter_request(batch, batch_mode)
         start = time.perf_counter()
+        forward, memory = self.split_at_weights(batch, batch_mode,
+                                                frozen=frozen)
+        out = forward(self.model, classify)
+        return out, time.perf_counter() - start, memory
+
+    def split_at_weights(self, batch: IncrementalBatch,
+                         batch_mode: str = "graph", *, frozen: bool = False
+                         ) -> tuple[Callable[..., np.ndarray], int]:
+        """Serve one batch up to the model's weights.
+
+        Runs the weight-independent part now — the hop-K rows of the
+        frozen or the receptive-field path for SGC, the assembled operator
+        and features for other models — and returns ``(forward,
+        memory_bytes)``; ``forward(model, classify=True)`` runs the rest
+        with ``model``'s current weights, the same calls on the same
+        arrays as :meth:`serve_batch`.  ``forward`` holds those arrays,
+        not this deployment: the training validator keeps one per run.
+        """
+        if batch_mode not in ("graph", "node"):
+            raise InferenceError(
+                f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
+        self.model.eval()
+        intra = batch.intra if batch_mode == "graph" else None
+        operator, num_base = None, self.num_base
         if frozen:
-            hidden, memory = self._frozen_hidden(batch, intra)
+            rows, memory = self._frozen_hidden(batch, intra)
         elif isinstance(self.model, SGC) and self.model.k_hops:
             # Â^K X, then one classifier: only the receptive field's rows
-            hidden, memory = self._receptive_hidden(batch, intra,
-                                                    self.model.k_hops)
+            rows, memory = self._receptive_hidden(batch, intra,
+                                                  self.model.k_hops)
         else:
             # dense layers see all B+n rows: the fully assembled graph
             with stage_span("operator"):
-                operator, features, memory = self.attach_normalize(
+                operator, rows, memory = self.attach_normalize(
                     batch.incremental, batch.features, intra)
+
+        def forward(model: GNNModel, classify: bool = True) -> np.ndarray:
+            if operator is None:
+                if not classify:
+                    return rows
+                # the sub-spans only reach a trace when the caller
+                # installed one (use_trace); otherwise a no-op
+                with stage_span("forward"), no_grad():
+                    return model.head(Tensor(rows)).data
             with stage_span("forward" if classify else "embed"), no_grad():
-                out = (self.model if classify else self.model.embed)(
-                    operator, Tensor(features))
+                out = (model if classify else model.embed)(operator,
+                                                           Tensor(rows))
             # a copy, so the reply does not pin the (B+n, ·) output
-            return (out.data[self.num_base:].copy(),
-                    time.perf_counter() - start, memory)
-        if classify:
-            # the sub-spans only reach a trace when the caller installed
-            # one (use_trace); otherwise stage_span is a contextvar-read
-            # no-op
-            with stage_span("forward"), no_grad():
-                hidden = self.model.head(Tensor(hidden)).data
-        return hidden, time.perf_counter() - start, memory
+            return out.data[num_base:].copy()
+
+        return forward, memory
+
+    def evaluate(self, batch: IncrementalBatch, *, batch_size: int = 1000,
+                 batch_mode: str = "graph",
+                 frozen: bool = False) -> InferenceReport:
+        """Serve a whole evaluation workload in mini-batches (paper: 1000
+        nodes) and score it: the one evaluation path.
+
+        Every mini-batch goes through the exact Eq. 3 / Eq. 11 operator —
+        on a synthetic SGC deployment too, where :meth:`serve_batch`
+        serves the frozen one — unless ``frozen`` asks for the frozen
+        operator (SGC only).
+        """
+        if batch.num_nodes == 0:
+            raise InferenceError("cannot serve an empty inductive batch")
+        served = [self._serve(batch.subset(idx) if idx.size < batch.num_nodes
+                              else batch, batch_mode, frozen)
+                  for idx in iterate_minibatches(batch.num_nodes, batch_size)]
+        logits = np.vstack([out for out, _, _ in served])
+        seconds = [elapsed for _, elapsed, _ in served]
+        return InferenceReport(
+            accuracy=accuracy(logits, batch.labels),
+            mean_batch_seconds=float(np.mean(seconds)),
+            total_seconds=float(np.sum(seconds)),
+            memory_bytes=int(np.mean([memory for _, _, memory in served])),
+            num_batches=len(served),
+            num_nodes=batch.num_nodes,
+            deployment=self.deployment,
+            batch_mode=batch_mode,
+            logits=logits)
 
     def _receptive_hidden(self, batch: IncrementalBatch, intra,
                           hops: int) -> tuple[np.ndarray, int]:

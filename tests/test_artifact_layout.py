@@ -117,6 +117,69 @@ def test_zip64_records_round_trip(tmp_path, monkeypatch):
     _assert_aligned_artifact(path)
 
 
+@pytest.fixture(scope="module")
+def tiny_bundle():
+    return api.deploy("tiny-sim", "mcond", 9, profile="quick")
+
+
+@pytest.mark.parametrize("boundary", ("size", "offset", "directory"))
+def test_zip64_limit_inside_an_mmap_artifact(tmp_path, monkeypatch,
+                                             tiny_bundle, boundary):
+    """A limit of a few KB splits an mmap artifact: the small members
+    before it keep 32-bit fields, one member's size (or one member's
+    offset, or the central directory's start) sits exactly on it, and
+    everything past it goes through the zip64 records."""
+    plain = tiny_bundle.save(tmp_path / "plain.npz", layout="mmap")
+    with zipfile.ZipFile(plain) as archive:
+        infos = sorted(archive.infolist(), key=lambda info: info.header_offset)
+    directory, = struct.unpack("<I", plain.read_bytes()[-6:-2])
+    sized = [info for info in infos if 0 < info.header_offset
+             and 1024 <= info.file_size < directory]
+    limit = {"size": sized[0].file_size, "offset": sized[0].header_offset,
+             "directory": directory}[boundary]
+    monkeypatch.setattr(artifacts, "_ZIP64_LIMIT", limit)
+    path = tiny_bundle.save(tmp_path / "wide.npz", layout="mmap")
+    raw = path.read_bytes()
+    assert raw[-98:-94] == b"PK\x06\x06"  # zip64 end record
+    assert raw[-42:-38] == b"PK\x06\x07"  # and its locator
+    with zipfile.ZipFile(path) as archive:
+        assert archive.testzip() is None
+        wide = {info.filename for info in archive.infolist()
+                if max(info.file_size, info.header_offset) >= limit}
+        # at the directory boundary only the end record goes zip64
+        assert bool(wide) == (boundary != "directory")
+        assert wide != set(archive.namelist())
+        for info in archive.infolist():
+            assert info.extract_version == (45 if info.filename in wide
+                                            else 20)
+            # the local header alone, as a streaming reader sees it
+            start = info.header_offset
+            version, = struct.unpack("<H", raw[start + 4:start + 6])
+            sizes = struct.unpack("<II", raw[start + 18:start + 26])
+            name_len, extra_len = struct.unpack("<HH",
+                                                raw[start + 26:start + 30])
+            extra = raw[start + 30 + name_len:][:extra_len]
+            size = info.file_size
+            over = size >= limit
+            assert version == (45 if over else 20), info.filename
+            assert sizes == ((0xFFFFFFFF,) * 2 if over else (size, size))
+            assert extra.startswith(
+                struct.pack("<HHQQ", 1, 16, size, size)) == over
+    with np.load(plain) as want, np.load(path) as eager, \
+            zipfile.ZipFile(path) as archive, \
+            open_npz_archive(path, mmap=True) as mapped:
+        assert sorted(eager.files) == sorted(mapped.files) == sorted(
+            want.files)
+        for name in want.files:
+            with archive.open(f"{name}.npy") as member:
+                unzipped = np.lib.format.read_array(member)
+            for got in (eager[name], unzipped, mapped[name]):
+                assert got.dtype == want[name].dtype, name
+                assert got.tobytes() == want[name].tobytes(), name
+            assert _address(mapped[name]) % 64 == 0, name
+        assert mapped.mapped == set(want.files)  # every member zero-copy
+
+
 # ----------------------------------------------------------------------
 # Artifacts written before alignment
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.condense import CondensedGraph
-from repro.inference import InductiveServer
 from repro.nn import make_model
+from repro.serving import PreparedDeployment
 from repro.utils.artifacts import open_npz_archive, save_npz
 
 
@@ -41,11 +41,11 @@ class TestPayloadRoundtrip:
         model = make_model("sgc", tiny_split.original.feature_dim,
                            tiny_split.num_classes, seed=0)
         batch = tiny_split.incremental_batch("test")
-        original = InductiveServer(model, "synthetic", tiny_split.original,
-                                   tiny_condensed).run(batch,
-                                                       batch_mode="node")
-        reloaded = InductiveServer(model, "synthetic", tiny_split.original,
-                                   loaded).run(batch, batch_mode="node")
+        original = PreparedDeployment(model, "synthetic", tiny_split.original,
+                                      tiny_condensed).evaluate(
+            batch, batch_mode="node")
+        reloaded = PreparedDeployment(model, "synthetic", tiny_split.original,
+                                      loaded).evaluate(batch, batch_mode="node")
         assert np.allclose(original.logits, reloaded.logits, atol=1e-12)
 
     def test_storage_accounting_stable_after_roundtrip(self, tiny_condensed,

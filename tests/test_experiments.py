@@ -136,3 +136,65 @@ class TestPipeline:
         ratio = context.prepared.reduction_ratio(9)
         assert ratio == pytest.approx(9 / context.prepared.original.num_nodes)
 
+
+
+class TestValidator:
+    """The early-stopping validator scores what the evaluation path
+    scores, with the validation batch attached once per training run."""
+
+    @pytest.mark.parametrize("model_name", ("sgc", "gcn"))
+    @pytest.mark.parametrize("deployment", ("original", "synthetic"))
+    def test_validator_matches_the_evaluation_path(self, context,
+                                                   model_name, deployment):
+        from repro.nn import TrainConfig, make_model, train_node_classifier
+        from repro.serving import PreparedDeployment
+        prepared = context.prepared
+        condensed = context.reduce("mcond", 9)
+        val = prepared.val_batch
+        model = make_model(model_name, prepared.original.feature_dim,
+                           prepared.split.num_classes, seed=0)
+        validator = context._make_validator(model, deployment, condensed)
+        checked = []
+
+        def checking(current):
+            score = validator(current)
+            report = context.evaluate(current, deployment, condensed,
+                                      which="val", batch_size=val.num_nodes)
+            forward, _ = PreparedDeployment(
+                current, deployment, prepared.original,
+                condensed).split_at_weights(val, "graph")
+            assert np.array_equal(forward(current), report.logits)
+            checked.append((score, report.accuracy))
+            return score
+
+        train_node_classifier(
+            model, condensed.normalized_adjacency(), condensed.features,
+            condensed.labels, np.arange(condensed.num_nodes),
+            validator=checking,
+            config=TrainConfig(epochs=12, lr=0.05, patience=12, eval_every=3))
+        assert len(checked) == 4
+        assert all(score == accuracy for score, accuracy in checked)
+
+    @pytest.mark.parametrize("deployment", ("original", "synthetic"))
+    def test_sgc_validator_call_runs_no_sparse_product(self, context,
+                                                       deployment,
+                                                       monkeypatch):
+        from scipy.sparse._base import _spbase
+        from repro.nn import make_model
+        prepared = context.prepared
+        model = make_model("sgc", prepared.original.feature_dim,
+                           prepared.split.num_classes, seed=0)
+        validator = context._make_validator(model, deployment,
+                                            context.reduce("mcond", 9))
+        products = []
+        dispatch = _spbase._matmul_dispatch
+
+        def counting_dispatch(self, other):
+            products.append(self.shape)
+            return dispatch(self, other)
+
+        monkeypatch.setattr(_spbase, "_matmul_dispatch", counting_dispatch)
+        model.eval()
+        scores = [validator(model) for _ in range(3)]
+        assert products == []
+        assert len(set(scores)) == 1

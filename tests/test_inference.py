@@ -10,6 +10,7 @@ from repro.errors import ConfigError, InferenceError
 from repro.condense import CondensedGraph
 from repro.inference import InductiveServer
 from repro.nn import make_model
+from repro.serving import PreparedDeployment
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +57,31 @@ class TestServerValidation:
         batch = tiny_split_module.incremental_batch("test")
         with pytest.raises(InferenceError):
             server.attach(batch, "stream")
+        prepared = PreparedDeployment(served, "original",
+                                      tiny_split_module.original)
+        with pytest.raises(InferenceError):
+            prepared.evaluate(batch, batch_mode="stream")
+
+    def test_reference_is_always_uncached(self, served, tiny_split_module):
+        # the reference has one mode; the cache is PreparedDeployment, and
+        # inference does not reach up into serving for it
+        import ast
+        import inspect
+        from repro.inference import engine
+        with pytest.raises(InferenceError, match="uncached"):
+            InductiveServer(served, "original", tiny_split_module.original,
+                            use_cache=True)
+        tree = ast.parse(inspect.getsource(engine))
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        assert not any(name.startswith("repro.serving") for name in imported)
 
 
 class TestServing:
     def test_original_report_fields(self, served, tiny_split_module):
         batch = tiny_split_module.incremental_batch("test")
-        report = InductiveServer(served, "original",
-                                 tiny_split_module.original).run(
+        report = PreparedDeployment(served, "original",
+                                    tiny_split_module.original).evaluate(
             batch, batch_size=32)
         assert report.num_nodes == batch.num_nodes
         assert report.num_batches == int(np.ceil(batch.num_nodes / 32))
@@ -76,11 +95,11 @@ class TestServing:
                                                   tiny_split_module,
                                                   tiny_condensed_module):
         batch = tiny_split_module.incremental_batch("test")
-        original = InductiveServer(served, "original",
-                                   tiny_split_module.original).run(batch)
-        synthetic = InductiveServer(served, "synthetic",
-                                    tiny_split_module.original,
-                                    tiny_condensed_module).run(batch)
+        original = PreparedDeployment(served, "original",
+                                      tiny_split_module.original).evaluate(batch)
+        synthetic = PreparedDeployment(served, "synthetic",
+                                       tiny_split_module.original,
+                                       tiny_condensed_module).evaluate(batch)
         # The synthetic deployment's attached graph is far smaller; its
         # footprint is dominated by the (sparsified) mapping + batch features.
         assert synthetic.logits.shape == original.logits.shape
@@ -99,9 +118,10 @@ class TestServing:
     def test_node_and_graph_accuracy_both_reasonable(self, served,
                                                      tiny_split_module):
         batch = tiny_split_module.incremental_batch("test")
-        server = InductiveServer(served, "original", tiny_split_module.original)
-        graph_report = server.run(batch, batch_mode="graph")
-        node_report = server.run(batch, batch_mode="node")
+        prepared = PreparedDeployment(served, "original",
+                                      tiny_split_module.original)
+        graph_report = prepared.evaluate(batch, batch_mode="graph")
+        node_report = prepared.evaluate(batch, batch_mode="node")
         assert graph_report.batch_mode == "graph"
         assert node_report.batch_mode == "node"
 
@@ -110,9 +130,10 @@ class TestServing:
         # (fewer simultaneous inductive nodes), so logits are close but not
         # bit-identical — accuracy must stay in the same regime.
         batch = tiny_split_module.incremental_batch("val")
-        server = InductiveServer(served, "original", tiny_split_module.original)
-        single = server.run(batch, batch_size=10 ** 6, batch_mode="node")
-        chunked = server.run(batch, batch_size=7, batch_mode="node")
+        prepared = PreparedDeployment(served, "original",
+                                      tiny_split_module.original)
+        single = prepared.evaluate(batch, batch_size=10 ** 6, batch_mode="node")
+        chunked = prepared.evaluate(batch, batch_size=7, batch_mode="node")
         assert single.logits.shape == chunked.logits.shape
         assert abs(single.accuracy - chunked.accuracy) <= 0.15
         assert chunked.num_batches > single.num_batches
@@ -120,14 +141,15 @@ class TestServing:
     def test_empty_batch_rejected(self, served, tiny_split_module):
         batch = tiny_split_module.incremental_batch("test").subset(
             np.array([], dtype=int))
-        server = InductiveServer(served, "original", tiny_split_module.original)
+        prepared = PreparedDeployment(served, "original",
+                                      tiny_split_module.original)
         with pytest.raises(InferenceError):
-            server.run(batch)
+            prepared.evaluate(batch)
 
     def test_report_unit_helpers(self, served, tiny_split_module):
         batch = tiny_split_module.incremental_batch("val")
-        report = InductiveServer(served, "original",
-                                 tiny_split_module.original).run(batch)
+        report = PreparedDeployment(served, "original",
+                                    tiny_split_module.original).evaluate(batch)
         assert report.mean_batch_milliseconds == pytest.approx(
             report.mean_batch_seconds * 1e3)
         assert report.memory_megabytes == pytest.approx(

@@ -10,9 +10,9 @@ from repro.condense import MCondConfig, MCondReducer, make_reducer
 from repro.experiments import (Cell, ExperimentContext, EffortProfile,
                                prepare_dataset)
 from repro.graph import load_dataset, symmetric_normalize
-from repro.inference import InductiveServer
 from repro.nn import TrainConfig, make_model, train_node_classifier
 from repro.propagation import label_propagation, softmax_rows
+from repro.serving import PreparedDeployment
 
 PROFILE = EffortProfile(
     name="integration", train_epochs=40, train_patience=15, train_lr=0.05,
@@ -94,8 +94,8 @@ class TestPaperClaims:
                               condensed.labels,
                               np.arange(condensed.num_nodes),
                               config=TrainConfig(epochs=40, patience=40))
-        report = InductiveServer(model, "synthetic", split.original,
-                                 condensed).run(
+        report = PreparedDeployment(model, "synthetic", split.original,
+                                    condensed).evaluate(
             split.incremental_batch("test"))
         assert report.accuracy > 1.5 / split.num_classes  # well above chance
 
@@ -109,7 +109,7 @@ class TestPaperClaims:
                               split.original.labels,
                               split.labeled_in_original,
                               config=TrainConfig(epochs=40, patience=40))
-        report = InductiveServer(model, "synthetic", split.original,
-                                 condensed).run(
+        report = PreparedDeployment(model, "synthetic", split.original,
+                                    condensed).evaluate(
             split.incremental_batch("test"))
         assert report.accuracy > 1.0 / split.num_classes

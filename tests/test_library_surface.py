@@ -94,6 +94,9 @@ GONE = {
     "repro.analysis.core": ["AnalysisContext.file"],
     "repro.experiments": ["method_names"],
     "repro.experiments.settings": ["method_names"],
+    "repro.inference": ["InductiveServer.run", "InductiveServer.prepared"],
+    "repro.inference.engine": ["InductiveServer.run",
+                               "InductiveServer.prepared"],
     "repro.propagation": ["smooth_predictions", "correct_and_smooth"],
     "repro.utils": ["seed_everything", "spawn_rngs"],
     "repro.api": ["open_stream", "DeploymentBundle.operator"],

@@ -54,9 +54,17 @@ def _joint_oracle(model, condensed, batch, batch_mode):
 def _servers(model, deployment, split, condensed):
     base = split.original if deployment == "original" else None
     cond = condensed if deployment == "synthetic" else None
-    naive = InductiveServer(model, deployment, base, cond, use_cache=False)
-    cached = InductiveServer(model, deployment, base, cond)
+    naive = InductiveServer(model, deployment, base, cond)
+    cached = PreparedDeployment(model, deployment, base, cond)
     return naive, cached
+
+
+def _naive_exact(naive, batch, batch_mode):
+    """``(logits, memory)`` of the uncached reference through the exact
+    Eq. 3 / Eq. 11 operator (its ``serve_batch`` serves the frozen one on
+    a synthetic SGC deployment)."""
+    logits, _, memory = naive._serve(batch, batch_mode, frozen=False)
+    return logits, memory
 
 
 class TestBitwiseParity:
@@ -72,24 +80,29 @@ class TestBitwiseParity:
         assert np.array_equal(logits_naive, logits_cached)  # exact, not close
         assert memory_naive == memory_cached
         if deployment == "synthetic":
-            joint, _, _ = cached.prepared.serve_batch_exact(batch, batch_mode)
+            joint, _, _ = cached.serve_batch_exact(batch, batch_mode)
             assert np.array_equal(
                 joint, _joint_oracle(sgc, condensed, batch, batch_mode))
             assert not np.array_equal(joint, logits_cached)
 
     @pytest.mark.parametrize("deployment", ("original", "synthetic"))
     def test_minibatched_run_parity(self, sgc, split, condensed, deployment):
-        # run() serves the exact Eq. 3 / Eq. 11 operator on every deployment
+        # evaluate() serves the exact Eq. 3 / Eq. 11 operator on every
+        # deployment, one mini-batch at a time
+        from repro.graph.sampling import iterate_minibatches
         naive, cached = _servers(sgc, deployment, split, condensed)
         batch = split.incremental_batch("test")
-        report_naive = naive.run(batch, batch_size=16, batch_mode="graph")
-        report_cached = cached.run(batch, batch_size=16, batch_mode="graph")
-        assert np.array_equal(report_naive.logits, report_cached.logits)
-        assert report_naive.accuracy == report_cached.accuracy
-        assert report_naive.memory_bytes == report_cached.memory_bytes
+        served = [_naive_exact(naive, batch.subset(idx), "graph")
+                  for idx in iterate_minibatches(batch.num_nodes, 16)]
+        report = cached.evaluate(batch, batch_size=16, batch_mode="graph")
+        assert report.num_batches == len(served) > 1
+        assert np.array_equal(report.logits,
+                              np.vstack([logits for logits, _ in served]))
+        assert report.memory_bytes == int(np.mean(
+            [memory for _, memory in served]))
         if deployment == "synthetic":
             first = batch.subset(np.arange(16))
-            assert np.array_equal(report_cached.logits[:16], _joint_oracle(
+            assert np.array_equal(report.logits[:16], _joint_oracle(
                 sgc, condensed, first, "graph"))
 
     @pytest.mark.parametrize("model_name", ("gcn", "appnp"))
@@ -117,8 +130,8 @@ class TestBitwiseParity:
                 rng.random((7, n)) * (rng.random((7, n)) < 0.3)),
             intra=sp.csr_matrix(np.zeros((7, 7))),
             labels=np.zeros(7, dtype=np.int64))
-        naive = InductiveServer(model, "original", base, use_cache=False)
-        cached = InductiveServer(model, "original", base)
+        naive = InductiveServer(model, "original", base)
+        cached = PreparedDeployment(model, "original", base)
         for mode in ("graph", "node"):
             logits_naive, _, mem_naive = naive.serve_batch(batch, mode)
             logits_cached, _, mem_cached = cached.serve_batch(batch, mode)
@@ -131,8 +144,7 @@ class TestBitwiseParity:
         batch = split.incremental_batch("val")
         operator, features, _ = prepared.attach_normalize(
             batch.incremental, batch.features, batch.intra)
-        naive = InductiveServer(sgc, "original", split.original,
-                                use_cache=False)
+        naive = InductiveServer(sgc, "original", split.original)
         attached = naive.attach(batch, "graph")
         expected = symmetric_normalize(attached.adjacency)
         assert np.array_equal(expected.indptr, operator.indptr)
@@ -300,7 +312,7 @@ class TestReceptiveFieldServing:
                                            batch_mode):
         base, batch = weighted
         model = _sgc(base.feature_dim, 3, k_hops)
-        naive = InductiveServer(model, "original", base, use_cache=False)
+        naive = InductiveServer(model, "original", base)
         prepared = PreparedDeployment(model, "original", base)
         for size in self.SIZES:
             sub = batch if size is None else batch.subset(np.arange(size))
@@ -316,8 +328,7 @@ class TestReceptiveFieldServing:
         # served: the frozen kernel against the uncached frozen reference;
         # the joint Eq. 11 kernel against the test-local oracle
         model = _sgc(split.original.feature_dim, split.num_classes, k_hops)
-        naive = InductiveServer(model, "synthetic", None, condensed,
-                                use_cache=False)
+        naive = InductiveServer(model, "synthetic", None, condensed)
         prepared = PreparedDeployment(model, "synthetic", None, condensed)
         batch = split.incremental_batch("test")
         for size in self.SIZES:
@@ -350,13 +361,12 @@ class TestReceptiveFieldServing:
             base, batch = None, split.incremental_batch("test")
             model = _sgc(split.original.feature_dim, split.num_classes, k_hops)
             cond = condensed
-        naive = InductiveServer(model, deployment, base, cond, use_cache=False)
+        naive = InductiveServer(model, deployment, base, cond)
         full_shape = PreparedDeployment(model, deployment, base, cond)
         for size in self.SIZES[1:]:
             sub = batch if size is None else batch.subset(np.arange(size))
-            # run() is the exact reference on the synthetic deployment too
-            reference = naive.run(sub, batch_size=sub.num_nodes,
-                                  batch_mode=batch_mode).logits
+            # the exact reference, on the synthetic deployment too
+            reference, _ = _naive_exact(naive, sub, batch_mode)
             full, _ = _full_assembly(full_shape, sub, batch_mode)
             assert reference.shape == full.shape
             assert (np.abs(reference - full).max()
@@ -370,7 +380,7 @@ class TestReceptiveFieldServing:
                                                    model_name):
         base, batch = weighted
         model = make_model(model_name, base.feature_dim, 3, seed=1)
-        naive = InductiveServer(model, "original", base, use_cache=False)
+        naive = InductiveServer(model, "original", base)
         full_shape = PreparedDeployment(model, "original", base)
         sub = batch.subset(np.arange(4))
         for batch_mode in ("graph", "node"):
@@ -386,7 +396,7 @@ class TestReceptiveFieldServing:
             features=batch.features[:3],
             incremental=sp.csr_matrix((3, base.num_nodes)),
             intra=batch.intra[:3][:, :3], labels=batch.labels[:3])
-        naive = InductiveServer(model, "original", base, use_cache=False)
+        naive = InductiveServer(model, "original", base)
         prepared = PreparedDeployment(model, "original", base)
         for batch_mode in ("graph", "node"):
             expected, _, memory = naive.serve_batch(lonely, batch_mode)
@@ -409,7 +419,7 @@ class TestReceptiveFieldServing:
                                  incremental=incremental,
                                  intra=sp.csr_matrix((2, 2)),
                                  labels=batch.labels[:2])
-        naive = InductiveServer(model, "original", base, use_cache=False)
+        naive = InductiveServer(model, "original", base)
         prepared = PreparedDeployment(model, "original", base)
         expected, _, memory = naive.serve_batch(messy, "graph")
         logits, _, served_memory = prepared.serve_batch(messy, "graph")
@@ -423,7 +433,7 @@ class TestReceptiveFieldServing:
         model = _sgc(base.feature_dim, 3, 2)
         merged = merge_requests([batch.subset(np.arange(start, start + 4))
                                  for start in range(0, 32, 4)])
-        naive = InductiveServer(model, "original", base, use_cache=False)
+        naive = InductiveServer(model, "original", base)
         prepared = PreparedDeployment(model, "original", base)
         for batch_mode in ("graph", "node"):
             expected, _, _ = naive.serve_batch(merged, batch_mode)
@@ -437,7 +447,7 @@ class TestReceptiveFieldServing:
         base, batch = weighted
         model = make_model(model_name, base.feature_dim, 3, seed=1)
         prepared = PreparedDeployment(model, "original", base)
-        naive = InductiveServer(model, "original", base, use_cache=False)
+        naive = InductiveServer(model, "original", base)
         calls = []
         attach = prepared.attach_normalize
         monkeypatch.setattr(

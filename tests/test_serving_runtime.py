@@ -339,7 +339,7 @@ class TestRuntimeParity:
         # bitwise-identical logits
         base = split.original if deployment == "original" else None
         cond = condensed if deployment == "synthetic" else None
-        naive = InductiveServer(sgc, deployment, base, cond, use_cache=False)
+        naive = InductiveServer(sgc, deployment, base, cond)
         expected = []
         for start in range(0, 8, 4):
             merged = _oracle_merge([task.batch for task in

@@ -153,8 +153,7 @@ class TestApplyDeltaParity:
             assert report.mode == ("incremental" if step % 2 else "rebuild")
             reference.apply(delta)
             fresh = PreparedDeployment(model, "original", reference.graph)
-            naive = InductiveServer(model, "original", reference.graph,
-                                    use_cache=False)
+            naive = InductiveServer(model, "original", reference.graph)
             assert np.array_equal(prepared._inv_sqrt_degrees(),
                                   fresh._inv_sqrt_degrees())
             for batch_mode in ("graph", "node"):

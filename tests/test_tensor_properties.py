@@ -96,7 +96,5 @@ def test_random_expression_gradcheck(data):
 @given(arrays(4, 4))
 def test_sum_linear_in_input(data):
     x = Tensor(data)
-    assert tensor_sum(mul(x, Tensor(2.0))).item() == (
-        2 * tensor_sum(x).item() if not np.isnan(data.sum()) else np.nan) or True
     assert np.isclose(tensor_sum(mul(x, Tensor(2.0))).item(),
                       2 * tensor_sum(x).item())
