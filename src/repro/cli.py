@@ -62,8 +62,8 @@ def _add_task_flag(parser: argparse.ArgumentParser) -> None:
     """The uniform ``--task`` flag (and its task-specific tuning flags)
     shared by every serve replay.
 
-    One definition keeps the help text identical across subcommands
-    (the DOC003 drift check resolves doc snippets against it).
+    One definition keeps the flags and their help text identical
+    across subcommands.
     """
     parser.add_argument("--task",
                         choices=("predict", "embed", "link_score", "topk"),
@@ -322,26 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--model", default="sgc",
                           help="model architecture name (default: sgc)")
     _add_batch_mode_flag(evaluate, default="graph")
-
-    check = sub.add_parser(
-        "check",
-        help="run the project-native static-analysis pass over src/repro "
-             "(lock/error/parity/naming/docs checkers); exits 1 "
-             "on violations")
-    check.add_argument("--root", default=".",
-                       help="repository root to analyze (default: .)")
-    check.add_argument("--format", choices=("text", "json"), default="text",
-                       help="report format on stdout (default: text)")
-    check.add_argument("--output", default=None, metavar="FILE",
-                       help="also write the JSON report to FILE "
-                            "(the CI artifact)")
-    check.add_argument("--only", action="append", default=None,
-                       metavar="CHECKER",
-                       help="run only this checker (repeatable)")
-    check.add_argument("--disable", action="append", default=None,
-                       metavar="CHECKER",
-                       help="skip this checker (repeatable)")
-    check.set_defaults(handler=_cmd_check)
 
     listing = sub.add_parser(
         "list", help="enumerate the methods, models, datasets, and "
@@ -769,29 +749,6 @@ def _cmd_top(args) -> int:
         time.sleep(args.interval)
 
 
-def _cmd_check(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.analysis import (
-        build_report,
-        check_analysis_report_schema,
-        render_text_report,
-        run_checkers,
-    )
-
-    violations, per_checker, context = run_checkers(
-        args.root, only=args.only, disable=args.disable)
-    report = build_report(violations, per_checker, context)
-    check_analysis_report_schema(report)
-    rendered = json.dumps(report, indent=2, sort_keys=True)
-    print(rendered if args.format == "json"
-          else render_text_report(report))
-    if args.output:
-        Path(args.output).write_text(rendered + "\n")
-    return 0 if report["clean"] else 1
-
-
 def _cmd_eval(args) -> int:
     budget = _default_budget(args)
     context = ExperimentContext(
@@ -832,10 +789,6 @@ def _cmd_list(args) -> int:
     print("\nserving tasks (repro serve-online --task):")
     for name, (_, description) in sorted(TASKS.items()):
         print(f"  {name:<12} {description}")
-    print("\nstatic-analysis checkers (repro check --only):")
-    from repro.analysis import CHECKERS
-    for name, entry in CHECKERS.items():
-        print(f"  {name:<10} {entry.description}")
     print("\ntable-II method columns (repro eval --method):")
     for name, spec in METHODS.items():
         print(f"  {name:<10} {spec.setting}")

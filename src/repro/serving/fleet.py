@@ -192,7 +192,7 @@ class ServingFleet:
         if batch_mode not in ("graph", "node"):
             raise ServingError(
                 f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
-        self.artifact = Path(artifact)
+        self.artifact = Path(artifact)  # guarded by _lock
         self.batch_mode = batch_mode
         methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context(
@@ -201,16 +201,16 @@ class ServingFleet:
         #: notified whenever a replica, a request or the fleet changes
         #: state; every wait in the fleet sleeps on it
         self._changed = threading.Condition(self._lock)
-        self._replicas: dict[int, _Replica] = {}
-        self._respawns = 0
-        self._next_replica = 0  # round-robin cursor over the ready ids
-        self._pending: dict[int, _Pending] = {}
-        self._orphans: deque[_Pending] = deque()
+        self._replicas: dict[int, _Replica] = {}  # guarded by _lock
+        self._respawns = 0  # guarded by _lock
+        self._next_replica = 0  # guarded by _lock; round-robin over ready ids
+        self._pending: dict[int, _Pending] = {}  # guarded by _lock
+        self._orphans: deque[_Pending] = deque()  # guarded by _lock
         #: reply pipes of retired replicas, closed by the collector
-        self._retired: list = []
+        self._retired: list = []  # guarded by _lock
         self._request_ids = iter(range(1, 2**63))
-        self._closing = False
-        self._latencies: deque[float] = deque(maxlen=4096)
+        self._closing = False  # guarded by _lock
+        self._latencies: deque[float] = deque(maxlen=4096)  # guarded by _lock
         #: Set by ``api.open_fleet`` when it persisted a temp artifact for
         #: an in-memory bundle; ``close`` then removes that file.
         self.owns_artifact = False

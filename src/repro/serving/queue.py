@@ -34,11 +34,11 @@ class BoundedRequestQueue:
         if capacity <= 0:
             raise ServingError(f"queue capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._items: deque = deque()
+        self._items: deque = deque()  # guarded by _lock
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
-        self._closed = False
+        self._closed = False  # guarded by _lock
 
     # ------------------------------------------------------------------
     def put(self, item, timeout: float | None = None) -> None:

@@ -87,7 +87,7 @@ class ServingFuture:
         self._record: RequestRecord | None = None
         self._error: BaseException | None = None
         self._callback_lock = threading.Lock()
-        self._callbacks: list = []
+        self._callbacks: list = []  # guarded by _callback_lock
 
     # -- runtime side ---------------------------------------------------
     def _resolve(self, logits: np.ndarray, record: RequestRecord) -> None:
@@ -322,8 +322,9 @@ class ServingRuntime:
         #: Default staleness threshold for :meth:`ingest`ed deltas.
         self.staleness_threshold = 0.25
         self._delta_lock = threading.Lock()
+        # guarded by _delta_lock
         self._pending_deltas: list[tuple[GraphDelta, IngestFuture]] = []
-        self._delta_reports: list[DeltaRefreshReport] = []
+        self._delta_reports: list[DeltaRefreshReport] = []  # guarded by _delta_lock
         # The base width when this runtime opened: the narrowest id space
         # any client could legitimately have built a request against.
         # Narrower inputs are malformed, not stale, and stay rejected.

@@ -150,16 +150,17 @@ class LatencyAccounting:
     """
 
     window: int = DEFAULT_WINDOW
-    rejected: int = 0
-    failed: int = 0
-    batches: int = 0
-    requests_total: int = 0
-    nodes_total: int = 0
-    _first_start: float | None = None
-    _last_end: float | None = None
+    rejected: int = 0  # guarded by _lock
+    failed: int = 0  # guarded by _lock
+    batches: int = 0  # guarded by _lock
+    requests_total: int = 0  # guarded by _lock
+    nodes_total: int = 0  # guarded by _lock
+    _first_start: float | None = None  # guarded by _lock
+    _last_end: float | None = None  # guarded by _lock
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self) -> None:
+        # guarded by _lock
         self.records: deque[RequestRecord] = deque(maxlen=self.window)
 
     def observe_batch(self, records: list[RequestRecord], started: float,

@@ -110,7 +110,7 @@ class Metric:
         self.help = help
         self.labelnames = labelnames
         self._lock = threading.Lock()
-        self._children: dict[tuple[str, ...], object] = {}
+        self._children: dict[tuple[str, ...], object] = {}  # guarded by _lock
 
     def _key(self, labels: dict) -> tuple[str, ...]:
         if set(labels) != set(self.labelnames):
@@ -264,7 +264,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[str, Metric] = {}
+        self._metrics: dict[str, Metric] = {}  # guarded by _lock
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
         labelnames = tuple(kwargs.get("labelnames", ()))

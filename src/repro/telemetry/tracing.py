@@ -78,10 +78,10 @@ class TraceContext:
         self.trace_id = trace_id or new_trace_id()
         self.started = time.perf_counter()
         self.labels: dict[str, str] = dict(labels or {})
-        self.spans: list[StageSpan] = []
+        self.spans: list[StageSpan] = []  # guarded by _lock
         self._stack: list[str] = []  # nested stage_span() name prefix
         self._lock = threading.Lock()
-        self._total: float | None = None
+        self._total: float | None = None  # guarded by _lock
 
     def add_stage(self, stage: str, seconds: float) -> None:
         with self._lock:
@@ -173,7 +173,7 @@ class TraceLog:
             raise TelemetryError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._ring: deque[TraceContext] = deque(maxlen=capacity)
+        self._ring: deque[TraceContext] = deque(maxlen=capacity)  # guarded by _lock
 
     def observe(self, trace: TraceContext) -> None:
         trace.finish()

@@ -8,6 +8,9 @@ the seeding helpers, the unused corners of ``repro.nn``,
 ``repro.tensor``, the graph containers and the experiment settings, and
 the on-disk formats beside the deployment bundle.  Condensation trains
 the deployed ``SGC`` as its relay, so its own relay class is gone too.
+The static-analysis package and its ``repro check`` subcommand are gone:
+the checks that behaviour tests cannot stand in for are tier-1 tests
+(``tests/test_conventions.py``, ``tests/test_docs.py``).
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def test_src_imports_only_declared_dependencies():
 
 
 @pytest.mark.parametrize("module", [
-    "repro.graph.interop", "repro.propagation.smooth", "repro.utils.seeding"])
+    "repro.graph.interop", "repro.propagation.smooth", "repro.utils.seeding",
+    "repro.analysis"])
 def test_removed_modules_are_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
@@ -90,8 +94,6 @@ GONE = {
     "repro.condense.gcond": ["SgcRelay"],
     "repro.telemetry": ["Counter.total"],
     "repro.telemetry.metrics": ["Counter.total"],
-    "repro.analysis": ["AnalysisContext.file"],
-    "repro.analysis.core": ["AnalysisContext.file"],
     "repro.experiments": ["method_names"],
     "repro.experiments.settings": ["method_names"],
     "repro.inference": ["InductiveServer.run", "InductiveServer.prepared"],
@@ -104,6 +106,14 @@ GONE = {
     "repro.serving.fleet": ["ReplicaPool"],
     "repro.serving.queue": ["OVERFLOW_POLICIES"],
 }
+
+
+def test_check_subcommand_is_gone(capsys):
+    from repro.cli import main
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'check'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module, name", [

@@ -1,7 +1,7 @@
 """The closed sets are plain tables that ``repro list`` prints in full.
 
-Every reducer, model, dataset, serving task, partitioner and checker is
-a key of one module-level dict.  Each key must show in its ``repro list``
+Every reducer, model, dataset, serving task and partitioner is a key
+of one module-level dict.  Each key must show in its ``repro list``
 section, and every entry that carries a description must carry a
 non-empty one that ``repro list`` prints verbatim.  The plugin registry
 these tables replaced is gone, and so are its parallel paths.
@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import CHECKERS
 from repro.cli import main
 from repro.condense import REDUCERS
 from repro.graph.datasets import DATASET_SPECS
@@ -35,7 +34,6 @@ TABLES = {
     "model architectures": (MODELS, None),
     "datasets": (DATASET_SPECS, None),
     "serving tasks": (TASKS, lambda entry: entry[1]),
-    "static-analysis checkers": (CHECKERS, lambda entry: entry.description),
 }
 
 
@@ -80,8 +78,7 @@ def test_registry_names_are_gone(name):
             importlib.import_module(name)
         assert not hasattr(repro, "registry")
         return
-    for module in ("repro.analysis", "repro.analysis.core", "repro.nn",
-                   "repro.nn.models", "repro.condense",
+    for module in ("repro.nn", "repro.nn.models", "repro.condense",
                    "repro.condense.coreset"):
         assert not hasattr(importlib.import_module(module), name), module
 
