@@ -41,7 +41,7 @@ from repro.condense.base import (
 )
 from repro.errors import ArtifactError, ConfigError
 from repro.experiments.pipeline import ExperimentContext, prepare_dataset
-from repro.experiments.settings import EffortProfile, FULL, QUICK, current_profile
+from repro.experiments.settings import _PROFILES, EffortProfile, current_profile
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.graph import Graph
 from repro.inference.engine import InferenceReport, serves_frozen
@@ -58,9 +58,6 @@ __all__ = ["condense", "deploy", "serve", "open_runtime", "open_fleet",
 # ----------------------------------------------------------------------
 # Shared plumbing
 # ----------------------------------------------------------------------
-_PROFILES = {"quick": QUICK, "full": FULL}
-
-
 def _resolve_profile(profile: EffortProfile | str | None) -> EffortProfile:
     if profile is None:
         return current_profile()

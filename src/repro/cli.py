@@ -24,47 +24,85 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from collections import Counter
+
+import numpy as np
 
 from repro import api
 from repro.condense import REDUCERS
 from repro.errors import ConfigError, DatasetError, ReproError
-from repro.experiments import (
-    FULL,
-    PRESETS,
-    QUICK,
-    Cell,
-    ExperimentContext,
-    METHODS,
-    dataset_budgets,
-    format_table,
-    paper_orderings,
-    prepare_dataset,
-    run_grid,
-)
+from repro.experiments import (METHODS, PRESETS, Cell, ExperimentContext,
+                               dataset_budgets, format_table, paper_orderings,
+                               prepare_dataset, run_grid)
+from repro.experiments.settings import _PROFILES
 from repro.graph.datasets import DATASET_SPECS, dataset_names
 from repro.nn.models import MODELS
 
 
 # ----------------------------------------------------------------------
-# Parser
+# Parser: a flag that several subcommands take is defined once, below,
+# with each subcommand's default passed in
 # ----------------------------------------------------------------------
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_experiment_flags(parser: argparse.ArgumentParser,
+                          method: str | None = None,
+                          method_help: str = "") -> None:
+    """``--dataset``/``--seed``/``--effort`` and ``--budget``; given a
+    default ``method``, also ``--method`` and ``--model``."""
     parser.add_argument("--dataset", default="pubmed-sim",
                         help="dataset name (default: pubmed-sim)")
     parser.add_argument("--seed", type=int, default=0,
                         help="dataset/condensation seed (default: 0)")
-    parser.add_argument("--effort", choices=("quick", "full"), default="quick",
+    parser.add_argument("--effort", choices=tuple(_PROFILES), default="quick",
                         help="compute profile (default: quick)")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="synthetic node budget (default: the dataset's "
+                             + ("largest registered budget)" if method
+                                else "registered budgets)"))
+    if method is not None:
+        parser.add_argument("--method", default=method,
+                            help=f"{method_help} (default: {method})")
+        parser.add_argument("--model", default="sgc",
+                            help="model architecture name (default: sgc)")
 
 
-def _add_task_flag(parser: argparse.ArgumentParser) -> None:
-    """The uniform ``--task`` flag (and its task-specific tuning flags)
-    shared by every serve replay.
+def _add_artifact_flags(parser: argparse.ArgumentParser, hint: str = "",
+                        batch_mode: str = "node") -> None:
+    """``--artifact`` and ``--batch-mode``: every serve command's bundle
+    and how its inductive nodes arrive."""
+    parser.add_argument("--artifact", required=True,
+                        help="deployment bundle produced by 'repro condense "
+                             f"--output'{hint}")
+    _add_batch_mode_flag(parser, batch_mode)
 
-    One definition keeps the flags and their help text identical
-    across subcommands.
-    """
+
+def _add_batch_mode_flag(parser: argparse.ArgumentParser,
+                         default: str = "node") -> None:
+    """The uniform ``--batch-mode`` flag — one definition, so every
+    subcommand's help states where the default differs."""
+    parser.add_argument("--batch-mode", choices=("graph", "node"),
+                        default=default,
+                        help="inductive nodes arrive connected to each other "
+                             "(graph) or isolated (node); the default is "
+                             "node, except graph on serve and eval "
+                             f"(here: {default})")
+
+
+def _add_replay_flags(parser: argparse.ArgumentParser, requests: int,
+                      nodes_per_request: int, seed: str | None = None) -> None:
+    """The request replay shared by the ``serve-*`` commands: how many
+    requests are cut from the evaluation batch and how large, the seed's
+    role where the command takes one, and the uniform ``--task`` flag
+    with its task-specific tuning flags."""
+    parser.add_argument("--requests", type=int, default=requests,
+                        help=f"requests to replay (default: {requests})")
+    parser.add_argument("--nodes-per-request", type=int,
+                        default=nodes_per_request,
+                        help="inductive nodes per request "
+                             f"(default: {nodes_per_request})")
+    if seed is not None:
+        parser.add_argument("--seed", type=int, default=0,
+                            help=f"{seed} seed (default: 0)")
     parser.add_argument("--task",
                         choices=("predict", "embed", "link_score", "topk"),
                         default="predict",
@@ -81,25 +119,29 @@ def _add_task_flag(parser: argparse.ArgumentParser) -> None:
                              "link_score (default: dot)")
 
 
-def _add_batch_mode_flag(parser: argparse.ArgumentParser,
-                         default: str = "node") -> None:
-    """The uniform ``--batch-mode`` flag — one definition, so every
-    subcommand's help states where the default differs."""
-    parser.add_argument("--batch-mode", choices=("graph", "node"),
-                        default=default,
-                        help="inductive nodes arrive connected to each other "
-                             "(graph) or isolated (node); the default is "
-                             "node, except graph on serve and eval "
-                             f"(here: {default})")
+def _add_max_batch_size_flag(parser: argparse.ArgumentParser, default: int,
+                             note: str) -> None:
+    parser.add_argument("--max-batch-size", type=int, default=default,
+                        help=f"micro-batch size cap; {note} "
+                             f"(default: {default})")
 
 
-def _tasked(args, requests):
-    """Wrap replay batches as ServeTask requests of ``args.task``."""
-    from repro.serving import tasked_requests
+def _add_replicas_flag(parser: argparse.ArgumentParser,
+                       what: str = "replica") -> None:
+    parser.add_argument("--replicas", type=int, default=2,
+                        help=f"{what} worker processes (default: 2)")
 
-    return tasked_requests(requests, args.task, k=args.k,
-                           scorer=args.scorer,
-                           seed=getattr(args, "seed", 0))
+
+def _add_address_flags(parser: argparse.ArgumentParser, host_help: str,
+                       port_help: str, port: int | None = None) -> None:
+    """``--host`` and ``--port``, required when it has no default."""
+    parser.add_argument("--host", default="127.0.0.1",
+                        help=f"{host_help} (default: 127.0.0.1)")
+    parser.add_argument("--port", type=int, default=port,
+                        required=port is None, help=port_help)
+
+
+_MMAP_HINT = " (use --layout mmap for zero-copy replica loading)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,19 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 required=True)
 
-    condense = sub.add_parser(
-        "condense",
-        help="offline phase: condense a dataset, train the deployment "
-             "model, optionally save a servable bundle")
-    _add_common(condense)
-    condense.add_argument("--method", default="mcond",
-                          help="reduction method name, or 'whole' "
-                               "for the full-graph baseline (default: mcond)")
-    condense.add_argument("--budget", type=int, default=None,
-                          help="synthetic node budget (default: the "
-                               "dataset's largest registered budget)")
-    condense.add_argument("--model", default="sgc",
-                          help="model architecture name (default: sgc)")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=summary)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    condense = command("condense", _cmd_condense,
+                       "offline phase: condense a dataset, train the "
+                       "deployment model, optionally save a servable bundle")
+    _add_experiment_flags(condense, "mcond", "reduction method name, or "
+                          "'whole' for the full-graph baseline")
     condense.add_argument("--shards", type=int, default=None,
                           help="run the sharded condensation pipeline with "
                                "this many graph shards (default: unsharded)")
@@ -133,9 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     condense.add_argument("--partitioner", default="stratified",
                           help="graph partitioner name for --shards "
                                "(default: stratified)")
-    condense.add_argument("--deployment", choices=("auto", "synthetic",
-                                                   "original"),
-                          default="auto",
+    condense.add_argument("--deployment", default="auto",
+                          choices=("auto", "synthetic", "original"),
                           help="serve on the condensed graph (synthetic) or "
                                "keep the original graph resident — required "
                                "for full streaming-delta support "
@@ -144,65 +182,47 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the deployment bundle to this .npz path")
     condense.add_argument("--layout", choices=("compressed", "mmap"),
                           default="compressed",
-                          help="artifact layout: compressed (smallest) or "
-                               "mmap (uncompressed members that serving "
-                               "replicas can memory-map zero-copy); "
-                               "default: compressed")
+                          help="artifact layout: compressed (smallest) or mmap "
+                               "(uncompressed members that serving replicas "
+                               "can memory-map zero-copy); default: compressed")
     condense.add_argument("--precision", choices=api.PRECISIONS,
                           default="float64",
                           help="storage precision of the saved artifact: "
                                "float32 halves its float arrays, int8 "
-                               "additionally quantizes stored features "
-                               "with per-column absmax scales; serving "
-                               "always widens to float64 (default: "
-                               "float64)")
+                               "additionally quantizes stored features with "
+                               "per-column absmax scales; serving always "
+                               "widens to float64 (default: float64)")
 
-    serve = sub.add_parser(
-        "serve",
-        help="online phase: serve the evaluation batch from a saved bundle")
-    serve.add_argument("--artifact", required=True,
-                       help="deployment bundle produced by "
-                            "'repro condense --output'")
-    _add_batch_mode_flag(serve, default="graph")
+    serve = command("serve", _cmd_serve, "online phase: serve the evaluation "
+                    "batch from a saved bundle")
+    _add_artifact_flags(serve, batch_mode="graph")
     serve.add_argument("--batch-size", type=int, default=1000,
                        help="serving mini-batch size (default: 1000)")
 
-    online = sub.add_parser(
-        "serve-online",
-        help="drive the micro-batching serving runtime with Poisson "
-             "request arrivals and report latency percentiles")
-    online.add_argument("--artifact", required=True,
-                        help="deployment bundle produced by "
-                             "'repro condense --output'")
+    online = command("serve-online", _cmd_serve_online,
+                     "drive the micro-batching serving runtime with Poisson "
+                     "request arrivals and report latency percentiles")
+    _add_artifact_flags(online)
+    _add_replay_flags(online, requests=200, nodes_per_request=1,
+                      seed="arrival")
     online.add_argument("--rate", type=float, default=200.0,
                         help="Poisson arrival rate in requests/s "
                              "(default: 200)")
-    online.add_argument("--requests", type=int, default=200,
-                        help="number of requests to replay (default: 200)")
-    online.add_argument("--nodes-per-request", type=int, default=1,
-                        help="inductive nodes per request (default: 1)")
-    online.add_argument("--max-batch-size", type=int, default=32,
-                        help="micro-batch size cap; 1 serves each request "
-                             "alone (default: 32)")
+    _add_max_batch_size_flag(online, 32, "1 serves each request alone")
     online.add_argument("--max-wait-ms", type=float, default=2.0,
                         help="micro-batch wait cap in ms (default: 2)")
-    _add_batch_mode_flag(online)
-    online.add_argument("--seed", type=int, default=0,
-                        help="arrival seed (default: 0)")
     online.add_argument("--closed-loop", action="store_true",
                         help="submit eagerly instead of honouring arrival "
                              "times (no sleeps; measures drain rate)")
-    _add_task_flag(online)
 
-    stream = sub.add_parser(
-        "serve-stream",
-        help="drive the serving runtime while the base graph evolves: "
-             "replay a delta trace (node appends, edge churn, feature "
-             "drift) interleaved with serve traffic")
-    stream.add_argument("--artifact", required=True,
-                        help="deployment bundle produced by "
-                             "'repro condense --output' (use --deployment "
-                             "original for full delta support)")
+    stream = command("serve-stream", _cmd_serve_stream,
+                     "drive the serving runtime while the base graph "
+                     "evolves: replay a delta trace (node appends, edge "
+                     "churn, feature drift) interleaved with serve traffic")
+    _add_artifact_flags(stream, " (use --deployment original for full delta "
+                                "support)")
+    _add_replay_flags(stream, requests=64, nodes_per_request=1,
+                      seed="delta-trace")
     stream.add_argument("--deltas", type=int, default=8,
                         help="deltas in the replay trace (default: 8)")
     stream.add_argument("--nodes-per-delta", type=int, default=2,
@@ -213,62 +233,35 @@ def build_parser() -> argparse.ArgumentParser:
                         help="existing edges removed per delta (default: 2)")
     stream.add_argument("--updates-per-delta", type=int, default=2,
                         help="feature rows perturbed per delta (default: 2)")
-    stream.add_argument("--requests", type=int, default=64,
-                        help="serve requests to replay (default: 64)")
-    stream.add_argument("--nodes-per-request", type=int, default=1,
-                        help="inductive nodes per request (default: 1)")
     stream.add_argument("--ingest-every", type=int, default=4,
                         help="ingest one delta every this many requests "
                              "(default: 4)")
-    stream.add_argument("--max-batch-size", type=int, default=8,
-                        help="micro-batch size cap; batches take what is "
-                             "queued, never wait (default: 8)")
-    _add_batch_mode_flag(stream)
-    stream.add_argument("--seed", type=int, default=0,
-                        help="delta-trace seed (default: 0)")
-    _add_task_flag(stream)
+    _add_max_batch_size_flag(stream, 8,
+                             "batches take what is queued, never wait")
 
-    fleet = sub.add_parser(
-        "serve-fleet",
-        help="serve a request stream across a pool of replica processes "
-             "sharing one memory-mapped artifact, with health-checked "
-             "failover")
-    fleet.add_argument("--artifact", required=True,
-                       help="deployment bundle produced by 'repro condense "
-                            "--output' (use --layout mmap for zero-copy "
-                            "replica loading)")
-    fleet.add_argument("--replicas", type=int, default=2,
-                       help="replica worker processes (default: 2)")
-    fleet.add_argument("--requests", type=int, default=64,
-                       help="requests to replay closed-loop (default: 64)")
-    fleet.add_argument("--nodes-per-request", type=int, default=4,
-                       help="inductive nodes per request (default: 4)")
-    _add_batch_mode_flag(fleet)
+    fleet = command("serve-fleet", _cmd_serve_fleet,
+                    "serve a request stream across a pool of replica "
+                    "processes sharing one memory-mapped artifact, with "
+                    "health-checked failover")
+    _add_artifact_flags(fleet, _MMAP_HINT)
+    _add_replay_flags(fleet, requests=64, nodes_per_request=4)
+    _add_replicas_flag(fleet)
     fleet.add_argument("--kill-one", action="store_true",
                        help="failover drill: kill one replica mid-stream "
                             "and report re-routing stats")
-    _add_task_flag(fleet)
 
-    gateway = sub.add_parser(
-        "serve-gateway",
-        help="serve a replica fleet over TCP: framed-protocol requests, "
-             "watermark load shedding, optional queue-driven autoscaling; "
-             "SIGTERM drains gracefully")
-    gateway.add_argument("--artifact", required=True,
-                         help="deployment bundle produced by 'repro "
-                              "condense --output' (use --layout mmap for "
-                              "zero-copy replica loading)")
-    gateway.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default: 127.0.0.1)")
-    gateway.add_argument("--port", type=int, default=0,
-                         help="TCP port; 0 picks a free one (default: 0)")
+    gateway = command("serve-gateway", _cmd_serve_gateway,
+                      "serve a replica fleet over TCP: framed-protocol "
+                      "requests, watermark load shedding, optional "
+                      "queue-driven autoscaling; SIGTERM drains gracefully")
+    _add_artifact_flags(gateway, _MMAP_HINT)
+    _add_address_flags(gateway, "bind address",
+                       "TCP port; 0 picks a free one (default: 0)", port=0)
     gateway.add_argument("--port-file", default=None,
                          help="write the bound port to this file once "
                               "listening (ephemeral-port discovery for "
                               "scripts and CI)")
-    gateway.add_argument("--replicas", type=int, default=2,
-                         help="initial replica worker processes (default: 2)")
-    _add_batch_mode_flag(gateway)
+    _add_replicas_flag(gateway, "initial replica")
     gateway.add_argument("--shed-policy", default="watermark",
                          choices=("watermark", "none"),
                          help="shed above a high in-flight watermark until "
@@ -280,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--scale-policy", default="none",
                          choices=("queue-depth", "none"),
                          help="autoscale one replica at a time on "
-                              "per-replica backlog, or 'none' "
-                              "(default: none)")
+                              "per-replica backlog, or 'none' (default: none)")
     gateway.add_argument("--min-replicas", type=int, default=1,
                          help="autoscaler lower bound (default: 1)")
     gateway.add_argument("--max-replicas", type=int, default=4,
@@ -293,64 +285,36 @@ def build_parser() -> argparse.ArgumentParser:
                          help="minimum seconds between scaling actions "
                               "(default: 2.0)")
 
-    top = sub.add_parser(
-        "top",
-        help="poll a live gateway's GET /metrics and print a per-stage "
-             "latency table (count, mean, p50, p95) plus the request "
-             "counters — a terminal 'top' for the serving fleet")
-    top.add_argument("--host", default="127.0.0.1",
-                     help="gateway HTTP host (default: 127.0.0.1)")
-    top.add_argument("--port", type=int, required=True,
-                     help="gateway HTTP port (see serve-gateway --port-file)")
+    top = command("top", _cmd_top,
+                  "poll a live gateway's GET /metrics and print a per-stage "
+                  "latency table (count, mean, p50, p95) plus the request "
+                  "counters — a terminal 'top' for the serving fleet")
+    _add_address_flags(top, "gateway HTTP host",
+                       "gateway HTTP port (see serve-gateway --port-file)")
     top.add_argument("--interval", type=float, default=1.0,
                      help="seconds between polls (default: 1.0)")
     top.add_argument("--iterations", type=int, default=1,
                      help="polls before exiting; 0 polls forever "
                           "(default: 1)")
 
-    evaluate = sub.add_parser(
-        "eval",
-        help="run one Table-II method end to end in memory and report "
-             "accuracy/latency/memory")
-    _add_common(evaluate)
-    evaluate.add_argument("--method", default="mcond_ss",
-                          help="Table-II method key, e.g. whole, random, "
-                               "mcond_ss (default: mcond_ss)")
-    evaluate.add_argument("--budget", type=int, default=None,
-                          help="synthetic node budget (default: the "
-                               "dataset's largest registered budget)")
-    evaluate.add_argument("--model", default="sgc",
-                          help="model architecture name (default: sgc)")
+    evaluate = command("eval", _cmd_eval,
+                       "run one Table-II method end to end in memory and "
+                       "report accuracy/latency/memory")
+    _add_experiment_flags(evaluate, "mcond_ss", "Table-II method key, e.g. "
+                          "whole, random, mcond_ss")
     _add_batch_mode_flag(evaluate, default="graph")
 
-    listing = sub.add_parser(
-        "list", help="enumerate the methods, models, datasets, and "
-                     "experiments")
-    listing.set_defaults(handler=_cmd_list)
+    command("list", _cmd_list,
+            "enumerate the methods, models, datasets, and experiments")
 
-    condense.set_defaults(handler=_cmd_condense)
-    serve.set_defaults(handler=_cmd_serve)
-    online.set_defaults(handler=_cmd_serve_online)
-    stream.set_defaults(handler=_cmd_serve_stream)
-    fleet.set_defaults(handler=_cmd_serve_fleet)
-    gateway.set_defaults(handler=_cmd_serve_gateway)
-    top.set_defaults(handler=_cmd_top)
-    evaluate.set_defaults(handler=_cmd_eval)
-
-    grid = sub.add_parser(
-        "grid", help="regenerate one paper table or figure as a preset of "
-                     "the experiment grid, and report its violated "
-                     "paper orderings")
+    grid = command("grid", _cmd_grid,
+                   "regenerate one paper table or figure as a preset of the "
+                   "experiment grid, and report its violated paper orderings")
     grid.add_argument("preset", choices=tuple(PRESETS),
                       help="paper artefact to regenerate")
-    _add_common(grid)
-    grid.add_argument("--budget", type=int, default=None,
-                      help="synthetic node budget (default: the dataset's "
-                           "registered budgets)")
+    _add_experiment_flags(grid)
     grid.add_argument("--output", default=None, metavar="FILE",
-                      help="also write the rows and violations as JSON to "
-                           "FILE")
-    grid.set_defaults(handler=_cmd_grid)
+                      help="also write the rows and violations as JSON to FILE")
 
     return parser
 
@@ -364,16 +328,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _profile(args):
-    return FULL if args.effort == "full" else QUICK
-
-
 def _default_budget(args) -> int:
     if args.dataset not in DATASET_SPECS:
         raise DatasetError(
             f"unknown dataset {args.dataset!r}; "
             f"available: {', '.join(dataset_names())}")
     return args.budget if args.budget is not None else dataset_budgets(args.dataset)[-1]
+
+
+def _context(args) -> ExperimentContext:
+    """The experiment context named by ``--dataset``/``--seed``/``--effort``."""
+    return ExperimentContext(prepare_dataset(args.dataset, seed=args.seed),
+                             _PROFILES[args.effort])
 
 
 # ----------------------------------------------------------------------
@@ -389,8 +355,7 @@ def _cmd_condense(args) -> int:
     if method is not None and (args.shards is not None or method == "sharded"):
         # `--shards K` routes any method through the sharded pipeline;
         # `--method sharded` alone condenses with the wrapper's defaults.
-        reducer_options = {"shards": (args.shards if args.shards is not None
-                                      else 2),
+        reducer_options = {"shards": 2 if args.shards is None else args.shards,
                            "workers": args.workers,
                            "partitioner": args.partitioner}
         if method != "sharded":
@@ -400,7 +365,7 @@ def _cmd_condense(args) -> int:
     bundle = api.deploy(args.dataset, method,
                         _default_budget(args) if method else 0,
                         model=args.model, deployment=deployment,
-                        seed=args.seed, profile=_profile(args),
+                        seed=args.seed, profile=args.effort,
                         reducer_options=reducer_options)
     if reducer_options is not None:
         print(f"sharded offline phase: {reducer_options['shards']} shards, "
@@ -418,9 +383,34 @@ def _cmd_condense(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
+def _load_bundle(args) -> api.DeploymentBundle:
+    """Load ``--artifact`` and print it: every serve command's first step."""
     bundle = api.DeploymentBundle.load(args.artifact)
     print(bundle)
+    return bundle
+
+
+def _replay_requests(args, batch) -> list:
+    """Cut ``batch`` into ``--requests`` requests of ``--nodes-per-request``
+    nodes each, wrapped as ServeTask requests of ``--task``."""
+    from repro.serving import split_requests, tasked_requests
+
+    return tasked_requests(
+        split_requests(batch, args.requests, args.nodes_per_request),
+        args.task, k=args.k, scorer=args.scorer,
+        seed=getattr(args, "seed", 0))
+
+
+def _print_served(stats, how: str) -> None:
+    """The served and latency lines of a runtime replay's report."""
+    print(f"served {stats.requests} requests ({stats.nodes} nodes) in "
+          f"{stats.batches} micro-batches {how}")
+    print(f"  latency p50/p95/p99   {stats.latency_p50 * 1e3:.2f} / "
+          f"{stats.latency_p95 * 1e3:.2f} / {stats.latency_p99 * 1e3:.2f} ms")
+
+
+def _cmd_serve(args) -> int:
+    bundle = _load_bundle(args)
     report = api.serve(bundle, batch_mode=args.batch_mode,
                        batch_size=args.batch_size)
     _print_report(report)
@@ -428,18 +418,13 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_serve_online(args) -> int:
-    import numpy as np
+    from repro.serving import PoissonWorkload, replay
 
-    from repro.serving import PoissonWorkload, replay, split_requests
-
-    bundle = api.DeploymentBundle.load(args.artifact)
-    print(bundle)
+    bundle = _load_bundle(args)
     runtime = api.open_runtime(bundle, batch_mode=args.batch_mode,
                                max_batch_size=args.max_batch_size,
                                max_wait_ms=args.max_wait_ms)
-    batch = api.evaluation_batch(bundle)
-    requests = _tasked(args, split_requests(batch, args.requests,
-                                            args.nodes_per_request))
+    requests = _replay_requests(args, api.evaluation_batch(bundle))
     arrivals = None
     if not args.closed_loop:
         arrivals = PoissonWorkload(args.rate).arrivals(
@@ -447,12 +432,8 @@ def _cmd_serve_online(args) -> int:
     with runtime:
         outcomes = replay(runtime, requests, arrivals)
     stats = runtime.stats()
-    mode = "closed loop" if args.closed_loop else (
-        f"open loop, poisson @ {args.rate:g} req/s")
-    print(f"served {stats.requests} requests ({stats.nodes} nodes) "
-          f"in {stats.batches} micro-batches — {mode}")
-    print(f"  latency p50/p95/p99   {stats.latency_p50 * 1e3:.2f} / "
-          f"{stats.latency_p95 * 1e3:.2f} / {stats.latency_p99 * 1e3:.2f} ms")
+    _print_served(stats, "— closed loop" if args.closed_loop else
+                  f"— open loop, poisson @ {args.rate:g} req/s")
     print(f"  queue wait / compute  {stats.queue_wait_mean * 1e3:.2f} / "
           f"{stats.compute_mean * 1e3:.2f} ms (means)")
     print(f"  throughput            {stats.throughput_rps:.0f} req/s "
@@ -484,13 +465,10 @@ def _report_failed(outcomes: list) -> int:
 
 
 def _cmd_serve_stream(args) -> int:
-    import numpy as np
-
     from repro.graph.stream import GraphDelta, make_delta_trace
-    from repro.serving import replay_stream, split_requests
+    from repro.serving import replay_stream
 
-    bundle = api.DeploymentBundle.load(args.artifact)
-    print(bundle)
+    bundle = _load_bundle(args)
     runtime = api.open_runtime(bundle, batch_mode=args.batch_mode,
                                max_batch_size=args.max_batch_size,
                                max_wait_ms=0.0)
@@ -515,16 +493,11 @@ def _cmd_serve_stream(args) -> int:
                 i * args.nodes_per_delta:(i + 1) * args.nodes_per_delta])
             for i in range(args.deltas)]
     request_pool = batch.subset(np.arange(reserved, batch.num_nodes))
-    requests = _tasked(args, split_requests(request_pool, args.requests,
-                                            args.nodes_per_request))
+    requests = _replay_requests(args, request_pool)
     outcomes = replay_stream(runtime, requests, trace, args.ingest_every)
     stats = runtime.stats()
     stream = runtime.stream_stats()
-    print(f"served {stats.requests} requests ({stats.nodes} nodes) in "
-          f"{stats.batches} micro-batches while ingesting "
-          f"{stream['deltas']} deltas")
-    print(f"  latency p50/p95/p99   {stats.latency_p50 * 1e3:.2f} / "
-          f"{stats.latency_p95 * 1e3:.2f} / {stats.latency_p99 * 1e3:.2f} ms")
+    _print_served(stats, f"while ingesting {stream['deltas']} deltas")
     refresh_ms = stream["refresh_mean_ms"]
     refresh = f"{refresh_ms:.2f} ms mean" if refresh_ms is not None else "n/a"
     print(f"  delta refresh         {stream['incremental']} incremental, "
@@ -553,7 +526,6 @@ def _probe_against_fresh(prepared, tasks, batch_mode: str) -> str | None:
     """
     from dataclasses import replace
 
-    import numpy as np
     import scipy.sparse as sp
 
     from repro.serving.prepared import PreparedDeployment
@@ -577,18 +549,13 @@ def _probe_against_fresh(prepared, tasks, batch_mode: str) -> str | None:
 
 
 def _cmd_serve_fleet(args) -> int:
-    from repro.serving import replay_fleet, split_requests
+    from repro.serving import replay_fleet
     from repro.serving.workload import settle
 
-    bundle = api.DeploymentBundle.load(args.artifact)
-    print(bundle)
-    batch = api.evaluation_batch(bundle)
-    requests = _tasked(args, split_requests(batch, args.requests,
-                                            args.nodes_per_request))
+    requests = _replay_requests(args, api.evaluation_batch(_load_bundle(args)))
     fleet = api.open_fleet(args.artifact, args.replicas,
                            batch_mode=args.batch_mode)
     with fleet:
-        import time
         started = time.perf_counter()
         if args.kill_one:
             half = len(requests) // 2
@@ -662,11 +629,10 @@ def _cmd_serve_gateway(args) -> int:
     stats = gateway.stats()
     print(f"drained: {stats['served']} served, {stats['shed']} shed, "
           f"{stats['errors']} errors of {stats['offered']} offered")
-    if stats["scale_events"]:
-        for event in stats["scale_events"]:
-            print(f"  scale {event['action']}: {event['from']} -> "
-                  f"{event['to']} replicas at t={event['t_s']:.2f}s "
-                  f"(queue depth {event['queue_depth']})")
+    for event in stats["scale_events"]:
+        print(f"  scale {event['action']}: {event['from']} -> "
+              f"{event['to']} replicas at t={event['t_s']:.2f}s "
+              f"(queue depth {event['queue_depth']})")
     return 0
 
 
@@ -719,7 +685,6 @@ def _print_metrics_page(samples: dict) -> None:
 
 def _cmd_top(args) -> int:
     import http.client
-    import time
 
     from repro.telemetry import parse_exposition
 
@@ -751,11 +716,9 @@ def _cmd_top(args) -> int:
 
 def _cmd_eval(args) -> int:
     budget = _default_budget(args)
-    context = ExperimentContext(
-        prepare_dataset(args.dataset, seed=args.seed), _profile(args))
-    report = context.run_method(Cell(args.method, budget, model=args.model,
-                                     batch_mode=args.batch_mode,
-                                     seed=args.seed))
+    report = _context(args).run_method(Cell(
+        args.method, budget, model=args.model, batch_mode=args.batch_mode,
+        seed=args.seed))
     print(f"{args.method} on {args.dataset} "
           f"(budget={budget}, model={args.model})")
     _print_report(report)
@@ -804,8 +767,7 @@ def _cmd_grid(args) -> int:
     import json
     from pathlib import Path
 
-    context = ExperimentContext(
-        prepare_dataset(args.dataset, seed=args.seed), _profile(args))
+    context = _context(args)
     budgets = (dataset_budgets(args.dataset) if args.budget is None
                else (args.budget,))
     rows = run_grid(context, PRESETS[args.preset](budgets))

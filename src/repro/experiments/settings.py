@@ -123,6 +123,8 @@ FULL = EffortProfile(
     outer_loops=4, match_steps=15, mapping_steps=40, relay_steps=3,
     seeds=(0, 1, 2), inference_repeats=5)
 
+#: The one name -> profile table: ``REPRO_EFFORT``, the facade's
+#: ``profile=`` names and the CLI's ``--effort`` all resolve through it.
 _PROFILES = {"quick": QUICK, "full": FULL}
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import InferenceError
 from repro.graph.incremental import AttachedGraph
-from repro.graph.ops import symmetric_normalize
+from repro.propagation.label_prop import propagate_scores
 from repro.tensor.functional import one_hot
 
 __all__ = ["error_propagation", "softmax_rows"]
@@ -58,8 +58,6 @@ def error_propagation(attached: AttachedGraph, base_labels: np.ndarray,
     -------
     ``(n, C)`` corrected class scores for the inductive nodes.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InferenceError(f"alpha must be in (0, 1), got {alpha}")
     base_labels = np.asarray(base_labels, dtype=np.int64)
     base_logits = np.asarray(base_logits, dtype=np.float64)
     inductive_logits = np.asarray(inductive_logits, dtype=np.float64)
@@ -81,10 +79,10 @@ def error_propagation(attached: AttachedGraph, base_labels: np.ndarray,
     errors[:attached.base_size] = one_hot(base_labels, num_classes) - base_probs
 
     start = time.perf_counter()
-    operator = symmetric_normalize(attached.adjacency, self_loops=True)
-    anchor = errors.copy()
-    for _ in range(iterations):
-        errors = alpha * (operator @ errors) + (1.0 - alpha) * anchor
+    # LP's loop with no clamped rows: the base errors anchor, not clamp
+    errors = propagate_scores(attached, errors, np.empty(0, dtype=np.int64),
+                              np.empty((0, num_classes)), alpha=alpha,
+                              iterations=iterations)
     corrected = softmax_rows(inductive_logits) + gamma * errors[attached.base_size:]
     elapsed = time.perf_counter() - start
     if return_time:

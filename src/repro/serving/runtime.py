@@ -519,7 +519,10 @@ class ServingRuntime:
 
     def _collect(self, timeout: float | None) -> list[Request]:
         """Form one micro-batch: the first request plus every companion
-        that arrives before the scheduler's deadline or size cap."""
+        that arrives before the scheduler's deadline or size cap.
+
+        Caller holds ``_serve_lock``.
+        """
         first = self.queue.get(timeout=timeout)
         if first is None:
             return []
@@ -566,6 +569,10 @@ class ServingRuntime:
         return kept
 
     def _execute(self, requests: list[Request]) -> None:
+        """Serve one micro-batch, one forward per task signature.
+
+        Caller holds ``_serve_lock``.
+        """
         try:
             requests = self._check_request_widths(requests)
         except Exception as error:  # noqa: BLE001 — forwarded to futures
@@ -587,7 +594,7 @@ class ServingRuntime:
 
     def _merged_task(self, requests: list[Request]) -> ServeTask:
         """The group's merged :class:`ServeTask` (shared task options),
-        at the current base width.
+        at the current base width.  Caller holds ``_serve_lock``.
 
         ``link_score`` pairs cite batch-local rows, so each request's
         pair block is shifted by its row offset in the merged batch.
@@ -609,6 +616,10 @@ class ServingRuntime:
                          pairs=pairs, scorer=proto.scorer)
 
     def _execute_group(self, requests: list[Request]) -> None:
+        """Serve one task group and settle its futures.
+
+        Caller holds ``_serve_lock``.
+        """
         started = time.perf_counter()
         try:
             task = self._merged_task(requests)

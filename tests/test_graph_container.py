@@ -95,6 +95,11 @@ class TestViewsAndQueries:
         with pytest.raises(GraphError):
             path_graph.subgraph(np.array([7]))
 
+    def test_subgraph_rejects_2d_indices(self, path_graph):
+        with pytest.raises(GraphError,
+                           match=r"^indices must be 1-D, got shape \(1, 2\)$"):
+            path_graph.subgraph(np.array([[0, 1]]))
+
     def test_cross_adjacency(self, path_graph):
         block = path_graph.cross_adjacency(np.array([0]), np.array([1, 2]))
         assert block.shape == (1, 2)

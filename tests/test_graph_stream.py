@@ -363,6 +363,14 @@ class TestMakeDeltaTrace:
             stream.apply(delta)
         assert stream.num_nodes == tiny_split.original.num_nodes + 6
 
+    @pytest.mark.parametrize("sizes", ({"num_deltas": 0},
+                                       {"num_deltas": 2, "nodes_per_delta": 0}))
+    def test_non_positive_sizes_raise(self, tiny_split, sizes):
+        with pytest.raises(GraphError, match="^num_deltas and nodes_per_delta "
+                                             "must be positive$"):
+            make_delta_trace(tiny_split.original,
+                             tiny_split.incremental_batch("test"), **sizes)
+
     def test_insufficient_batch_raises(self, tiny_split):
         batch = tiny_split.incremental_batch("test").subset(np.arange(3))
         with pytest.raises(GraphError, match="holds"):

@@ -130,6 +130,40 @@ class TestErrorPropagation:
             error_propagation(attached, np.zeros(8, dtype=int),
                               np.zeros((8, 2)), np.zeros((2, 2)), 2, alpha=2.0)
 
+    @pytest.mark.parametrize("alpha, iterations, gamma",
+                             [(0.8, 20, 1.0), (0.5, 7, 0.3), (0.95, 1, 2.0)])
+    def test_matches_the_unclamped_loop_bitwise(self, alpha, iterations,
+                                                gamma):
+        # EP runs LP's loop with no clamped rows; its scores are the
+        # written-out EP recurrence's, bit for bit
+        import scipy.sparse as sp
+
+        from repro.graph.ops import symmetric_normalize
+        from repro.tensor.functional import one_hot
+
+        rng = np.random.default_rng(3)
+        base = sp.random(30, 30, density=0.2, random_state=4, format="csr")
+        incremental = sp.random(5, 30, density=0.3, random_state=5,
+                                format="csr")
+        attached = attach_to_original(base + base.T, np.zeros((30, 2)),
+                                      incremental, np.zeros((5, 2)))
+        base_labels = rng.integers(0, 3, size=30)
+        base_logits = rng.normal(size=(30, 3))
+        inductive_logits = rng.normal(size=(5, 3))
+
+        errors = np.zeros((35, 3))
+        errors[:30] = one_hot(base_labels, 3) - softmax_rows(base_logits)
+        operator = symmetric_normalize(attached.adjacency, self_loops=True)
+        anchor = errors.copy()
+        for _ in range(iterations):
+            errors = alpha * (operator @ errors) + (1.0 - alpha) * anchor
+        expected = softmax_rows(inductive_logits) + gamma * errors[30:]
+
+        corrected = error_propagation(attached, base_labels, base_logits,
+                                      inductive_logits, 3, alpha=alpha,
+                                      iterations=iterations, gamma=gamma)
+        assert np.array_equal(corrected, expected)
+
 
 class TestSoftmaxRows:
     def test_rows_sum_to_one(self):

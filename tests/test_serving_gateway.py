@@ -214,6 +214,17 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="intra"):
             decode_serve_request(header, payload)
 
+    @pytest.mark.parametrize("member, value", (("indptr", [0, 3, 12]),
+                                               ("data", [1.0])))
+    def test_inconsistent_csr_triple_rejected(self, member, value):
+        frame = encode_serve_request(1, ServeTask(_toy_batch()))
+        header, payload = read_frame_from(io.BytesIO(frame).read)
+        bad = dict(header)
+        bad["incremental"] = {**header["incremental"], member: value}
+        with pytest.raises(ProtocolError,
+                           match="^incremental: inconsistent csr triple: "):
+            decode_serve_request(bad, payload)
+
     def test_encoding_and_dtype_validated(self):
         with pytest.raises(ServingError, match="encoding"):
             encode_serve_request(1, ServeTask(_toy_batch()),

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ServingError
+from repro.errors import InferenceError, ServingError
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.ops import canonical_csr
 from repro.graph.stream import GraphDelta
@@ -450,6 +450,11 @@ class TestRequestIsolation:
 # Accounting, overflow, lifecycle
 # ----------------------------------------------------------------------
 class TestRuntimeBehaviour:
+    def test_unknown_batch_mode_rejected(self, sgc, split, condensed):
+        with pytest.raises(InferenceError, match="^batch_mode must be 'graph' "
+                                                 "or 'node', got 'edge'$"):
+            _runtime(sgc, split, condensed, "synthetic", batch_mode="edge")
+
     def test_stats_accounting(self, sgc, split, condensed):
         runtime = _runtime(sgc, split, condensed, "original",
                            scheduler=MicroBatchScheduler(3, 0.0))

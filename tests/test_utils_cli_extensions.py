@@ -12,10 +12,9 @@ from repro.condense import DosCondConfig, DosCondReducer
 
 
 def _fast_profile(monkeypatch):
-    """Patch the CLI's quick profile to something near-instant."""
-    import repro.cli as cli
-    from repro.experiments import EffortProfile
-    monkeypatch.setattr(cli, "QUICK", EffortProfile(
+    """Patch the quick profile to something near-instant."""
+    from repro.experiments import EffortProfile, settings
+    monkeypatch.setitem(settings._PROFILES, "quick", EffortProfile(
         name="cli-test", train_epochs=5, train_patience=5, train_lr=0.05,
         outer_loops=1, match_steps=1, mapping_steps=2, relay_steps=1,
         seeds=(0,), inference_repeats=1))
