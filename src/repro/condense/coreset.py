@@ -68,9 +68,8 @@ class CoresetReducer(GraphReducer):
         for cls, count in enumerate(counts):
             if count == 0:
                 continue
+            # allocate_class_counts gives nodes only to labeled classes
             candidates = labeled[graph.labels[labeled] == cls]
-            if candidates.size == 0:
-                raise CondensationError(f"class {cls} has no labeled candidates")
             take = min(int(count), candidates.size)
             chosen.append(self._select_in_class(candidates, take, graph,
                                                 embeddings, rng))

@@ -58,7 +58,10 @@ mirrored here:
    row.  SGC needs ``(Â'^K X')[B:]``, so the row sets follow top-down —
    ``S_K`` the new rows, ``S_{k-1} = S_k ∪ cols(Â'[S_k])`` — and hop
    ``k`` multiplies rows ``S_k`` by the gathered ``H_{k-1}[S_{k-1}]``:
-   O(receptive field · d) instead of O(‖A‖ · d) per request.
+   O(receptive field · d) instead of O(‖A‖ · d) per request.  The
+   request kernel calls that per-row fold (and Eq. 11's ``aM``
+   product) directly on raw ``(data, indices, indptr)`` arrays
+   (:mod:`repro.serving._csr`), so it builds no scipy matrix.
 4. A BLAS gemm row depends on its own operand row and on the operand's
    *shape* (blocking and edge kernels follow the row count), never on
    other rows' values: ``(H W)[B:] != H[B:] W`` in general.  The
@@ -85,11 +88,13 @@ Frozen path
 The base rows keep their standalone ``D'^{-1/2}`` and propagate on their
 own, so the cached hops ``H_k = Â'^k X'`` stand in for them; only the
 ``n`` new rows are computed, ``h_k = Â_nb H_{k-1} + Â_nn h_{k-1}``.
-``Â_nb = (d_new^{-1/2} · aM) · d'^{-1/2}`` is one scaled ``(n, B)`` CSR
-per request, ``d_new`` sums a new row's ``aM`` and ``ea + I`` entries,
-and without intra edges the self-loop is the row scale ``d_new^{-1/2} ·
-d_new^{-1/2}``.  By facts 1 and 3 this is bitwise what plain scipy
-products give — the uncached ``InductiveServer`` reference.
+``Â_nb = (d_new^{-1/2} · aM) · d'^{-1/2}`` is one scaled ``(n, B)`` block
+of raw CSR arrays per request, ``d_new`` sums a new row's ``aM`` and
+``ea + I`` entries, and without intra edges the self-loop is the row
+scale ``d_new^{-1/2} · d_new^{-1/2}``.  The products call scipy's
+per-row fold directly on those arrays (fact 3).  By facts 1 and 3 this
+is bitwise what plain scipy products give — the uncached
+``InductiveServer`` reference.
 """
 
 from __future__ import annotations
@@ -105,7 +110,6 @@ from repro.errors import GraphError, InferenceError, ServingError
 from repro.condense.base import CondensedGraph
 from repro.graph.datasets import IncrementalBatch
 from repro.graph.graph import Graph
-from repro.graph.incremental import convert_connections
 from repro.graph.ops import (_inv_sqrt, _sorted_unique, add_self_loops,
                              canonical_csr)
 from repro.graph.sampling import iterate_minibatches
@@ -119,6 +123,7 @@ from repro.inference.engine import (InferenceReport, serves_frozen,
                                     validate_deployment)
 from repro.nn.metrics import accuracy
 from repro.nn.models import GNNModel, SGC
+from repro.serving._csr import CSR, canonicalize, matmat, matvecs
 from repro.telemetry import stage_span
 from repro.tensor.sparse import sparse_memory_bytes
 from repro.tensor.tensor import Tensor, no_grad
@@ -153,53 +158,66 @@ class DeltaRefreshReport:
     invalidated: tuple[str, ...] = ()
 
 
-def _reduceat_row_sums(data: np.ndarray, indptr: np.ndarray,
-                       counts: np.ndarray) -> np.ndarray:
-    """Row sums exactly as ``scipy.sparse.csr_matrix.sum(axis=1)``.
+def _row_sums(block) -> np.ndarray:
+    """Row sums of a CSR block exactly as scipy's ``sum(axis=1)``.
 
     scipy's ``_minor_reduce`` runs ``np.add.reduceat`` at the start offset
     of every non-empty row; empty rows stay zero.  Pairwise summation makes
     this differ (in the last ulp) from a sequential fold, so the benchmark
     and the naive path must share this exact implementation.
     """
-    out = np.zeros(counts.shape[0], dtype=np.float64)
+    counts = np.diff(block.indptr)
+    out = np.zeros(counts.size, dtype=np.float64)
     nonempty = np.flatnonzero(counts)
     if nonempty.size:
-        out[nonempty] = np.add.reduceat(data, indptr[nonempty])
+        out[nonempty] = np.add.reduceat(block.data, block.indptr[nonempty])
     return out
-
-
-def _index_dtype(largest: int) -> type:
-    """int32 when every index value fits, as scipy would choose: a CSR
-    built from int32 arrays is taken as it is, while int64 ones are
-    rescanned and downcast on every construction."""
-    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
 
 
 def _ranks(ids: np.ndarray, size: int) -> np.ndarray:
     """Table mapping each member of the sorted id set ``ids`` to its rank;
     slots of non-members are uninitialised and must not be read."""
-    dtype = _index_dtype(size)
-    table = np.empty(size, dtype=dtype)
-    table[ids] = np.arange(ids.size, dtype=dtype)
+    table = np.empty(size, dtype=np.int64)
+    table[ids] = np.arange(ids.size, dtype=np.int64)
     return table
 
 
-def _intra_loops(intra, n: int) -> tuple[sp.csr_matrix, int]:
-    """``ea + I`` in canonical CSR, and the stored-entry count of ``ea``
-    itself (explicit zeros included — the naive attach keeps them)."""
+def _self_looped(blocks: list, rows: np.ndarray) -> CSR:
+    """Rows ``rows`` of ``add_self_loops`` followed by ``sort_indices``,
+    from their raw CSR ``blocks`` stacked: drop diagonal and
+    explicit-zero entries, insert a 1.0 diagonal, column-sort —
+    bit-identical to the scipy round trip."""
+    data = np.concatenate([block.data for block in blocks])
+    indices = np.concatenate([block.indices for block in blocks])
+    rep = np.repeat(np.arange(rows.size, dtype=np.int64),
+                    np.concatenate([np.diff(b.indptr) for b in blocks]))
+    keep = (indices != rows[rep]) & (data != 0.0)
+    cols = np.concatenate([indices[keep].astype(np.int64), rows])
+    vals = np.concatenate([data[keep], np.ones(rows.size, dtype=np.float64)])
+    rowid = np.concatenate([rep[keep], np.arange(rows.size, dtype=np.int64)])
+    order = np.lexsort((cols, rowid))
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rowid, minlength=rows.size), out=indptr[1:])
+    return CSR(vals[order], cols[order], indptr)
+
+
+def _intra_block(intra, n: int) -> tuple[CSR, int]:
+    """``ea + I`` as canonical CSR arrays, and the stored-entry count of
+    ``ea`` itself (explicit zeros included — the naive attach keeps
+    them).  No intra edges (all of node mode) give the identity."""
     if intra is not None:
         ea_raw = canonical_csr(intra, (n, n), name="intra adjacency")
         if ea_raw.nnz:
-            ea_loops = add_self_loops(ea_raw)
-            ea_loops.sort_indices()
-            return ea_loops, int(ea_raw.nnz)
-    # no intra edges (all of node mode): the identity add_self_loops would
-    # return, without its five scipy round trips
-    eye = sp.csr_matrix((np.ones(n, dtype=np.float64),
-                         np.arange(n, dtype=np.int32),
-                         np.arange(n + 1, dtype=np.int32)), shape=(n, n))
-    return eye, 0
+            return _self_looped([ea_raw], np.arange(n)), int(ea_raw.nnz)
+    return CSR(np.ones(n, dtype=np.float64), np.arange(n, dtype=np.int32),
+               np.arange(n + 1, dtype=np.int32)), 0
+
+
+def _intra_loops(intra, n: int) -> tuple[sp.csr_matrix, int]:
+    """:func:`_intra_block` as a scipy matrix, the form the unfused
+    reference products take."""
+    block, stored = _intra_block(intra, n)
+    return sp.csr_matrix(block, shape=(n, n)), stored
 
 
 def _csr_storage_bytes(nnz: int, rows: int, cols: int) -> int:
@@ -210,16 +228,17 @@ def _csr_storage_bytes(nnz: int, rows: int, cols: int) -> int:
     return nnz * (8 + index_bytes) + (rows + 1) * index_bytes
 
 
-def _fused_scale(block: sp.csr_matrix, inv_row: np.ndarray,
+def _fused_scale(block, inv_row: np.ndarray,
                  inv_col: np.ndarray) -> np.ndarray:
     """Single-pass ``D^-1/2`` row/col scaling of one CSR block's data.
 
-    One traversal of the block's ``indptr``/``indices``/``data``: every
+    ``block`` is a :class:`~repro.serving._csr.CSR` or a scipy CSR
+    matrix.  One traversal of its ``indptr``/``indices``/``data``: every
     stored entry ``a_ij`` becomes ``(inv_row[i] * a_ij) * inv_col[j]``,
     written into a fresh scratch buffer — the block's index structure is
     never copied.  The multiply order matches the exactness contract, so
-    a downstream SpMV over this buffer is bitwise identical to one over
-    a materialized scaled copy.  Zero entries of ``inv_row``/``inv_col``
+    a downstream product over this buffer is bitwise identical to one
+    over a materialized scaled copy.  Zero entries of ``inv_row``/``inv_col``
     (zero-degree masking) propagate exact zeros.
     """
     return ((np.repeat(inv_row, np.diff(block.indptr)) * block.data)
@@ -301,8 +320,8 @@ class PreparedDeployment:
         """
         new_feats = self._request_features(new_features)
         n = new_feats.shape[0]
-        inc, inc_nnz_raw = self._converted_incremental(incremental, n)
-        ea_loops, ea_nnz_raw = _intra_loops(intra, n)
+        inc, inc_nnz_raw = self._converted(incremental, n)
+        ea_loops, ea_nnz_raw = _intra_block(intra, n)
         data, indices, indptr = self._assemble_normalized(inc, ea_loops)
         total = self.num_base + n
         operator = sp.csr_matrix((data, indices, indptr),
@@ -320,32 +339,39 @@ class PreparedDeployment:
                 f"{new_feats.shape[1] if new_feats.ndim == 2 else new_feats.shape}")
         return new_feats
 
-    def _converted_incremental(self, incremental,
-                               n: int) -> tuple[sp.csr_matrix, int]:
-        """The ``(n, B)`` incremental block in canonical, zero-free CSR and
-        its stored-entry count *before* explicit zeros were dropped (the
-        naive path eliminates after assembly, so its footprint counts
-        them).  A canonical block is used as it is; explicit zeros are
-        dropped in a copy, never in the caller's arrays."""
+    def _converted(self, incremental, n: int) -> tuple[CSR, int]:
+        """The ``(n, B)`` incremental block as canonical, zero-free CSR
+        arrays and its stored-entry count *before* explicit zeros were
+        dropped (the naive path eliminates after assembly, so its
+        footprint counts them).  On a synthetic deployment the block is
+        Eq. 11's ``aM`` in the steps of ``convert_connections``: the
+        product, zeros dropped, indices sorted.  A canonical block is
+        used as it is; explicit zeros are dropped in a copy, never in the
+        caller's arrays."""
         columns = self.num_base if self.mapping is None else int(
             self.mapping.shape[0])
         inc = canonical_csr(incremental, (n, columns),
                             name="incremental adjacency")
         if self.mapping is not None:
-            inc = convert_connections(inc, self.mapping)
-            inc.sort_indices()
-        raw_nnz = int(inc.nnz)
+            block = canonicalize(matmat(inc, self.mapping,
+                                        self.mapping.shape[1]))
+            return block, int(block.indptr[-1])
+        block = CSR(inc.data, inc.indices, inc.indptr)
         if not inc.data.all():
-            inc = inc.copy() if inc is incremental else inc
-            inc.eliminate_zeros()
-        return inc, raw_nnz
+            block = canonicalize(CSR(*(array.copy() for array in block)))
+        return block, int(inc.nnz)
 
-    def _assemble_normalized(
-            self, inc: sp.csr_matrix, ea_loops: sp.csr_matrix,
-            base_rows: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _converted_incremental(self, incremental,
+                               n: int) -> tuple[sp.csr_matrix, int]:
+        """:meth:`_converted` as a scipy matrix, the form the unfused
+        reference products take."""
+        block, raw_nnz = self._converted(incremental, n)
+        return sp.csr_matrix(block, shape=(n, self.num_base)), raw_nnz
+
+    def _assemble_normalized(self, inc: CSR, ea_loops: CSR,
+                             base_rows: np.ndarray | None = None) -> CSR:
         """Normalized rows ``base_rows ∪ new`` of the attached operator as
-        a ``(data, indices, indptr)`` triple with *global* column ids.
+        CSR arrays with *global* column ids.
 
         ``base_rows`` is a sorted set of base rows holding every column
         ``inc`` stores; ``None`` means all of them — the full operator.
@@ -359,7 +385,7 @@ class PreparedDeployment:
         bit.
         """
         loops = self.base_loops
-        B, n = self.num_base, inc.shape[0]
+        B, n = self.num_base, inc.indptr.size - 1
         if base_rows is None:
             base_data, base_cols = loops.data, loops.indices
             counts_bb, slots, kept = self._base_counts, inc.indices, B
@@ -398,7 +424,7 @@ class PreparedDeployment:
         scatter(inc.data, inc.indices, counts_nb, kept, 0)
         scatter(ea_loops.data, ea_loops.indices + B, counts_nn, kept, counts_nb)
 
-        inv_rows = _inv_sqrt(_reduceat_row_sums(data, indptr[:-1], row_counts))
+        inv_rows = _inv_sqrt(_row_sums(CSR(data, indices, indptr)))
         if base_rows is None:
             inv_cols = inv_rows
         else:
@@ -406,7 +432,7 @@ class PreparedDeployment:
                                        inv_rows[kept:]])
             inv_cols[base_rows] = inv_rows[:kept]
         data = (np.repeat(inv_rows, row_counts) * data) * inv_cols[indices]
-        return data, indices, indptr
+        return CSR(data, indices, indptr)
 
     def _memory_bytes(self, n: int, inc_nnz: int, ea_nnz: int,
                       feature_rows: int) -> int:
@@ -554,8 +580,8 @@ class PreparedDeployment:
         with stage_span("operator"):
             new_feats = self._request_features(batch.features)
             n = new_feats.shape[0]
-            inc, inc_nnz_raw = self._converted_incremental(batch.incremental, n)
-            ea_loops, ea_nnz_raw = _intra_loops(intra, n)
+            inc, inc_nnz_raw = self._converted(batch.incremental, n)
+            ea_loops, ea_nnz_raw = _intra_block(intra, n)
             # row sets top-down — base[k] is the base part of S_k, every S_k
             # also holds the n new rows: S_K has no base rows, S_{K-1} the
             # touched ones, S_{k-1} = S_k ∪ cols(Â'[S_k]) (self-loops make
@@ -578,7 +604,6 @@ class PreparedDeployment:
             np.take(self.base_features, base[0], axis=0,
                     out=hidden[:gathered], mode="clip")
             hidden[gathered:] = new_feats
-            indptr = indptr.astype(_index_dtype(indptr[-1]), copy=False)
             for k in range(1, hops + 1):
                 ranks = _ranks(levels[k - 1], B + n)
                 held = indptr.size - 1
@@ -597,10 +622,7 @@ class PreparedDeployment:
                     data, indices = data[position], indices[position]
                 # relabelling columns monotonically keeps each row's
                 # stored order, hence scipy's sequential per-row fold
-                operator = sp.csr_matrix(
-                    (data, ranks[indices], indptr),
-                    shape=(levels[k].size, levels[k - 1].size))
-                hidden = operator @ hidden
+                hidden = matvecs(CSR(data, ranks[indices], indptr), hidden)
         memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw, B + n)
         return hidden, memory
 
@@ -623,9 +645,7 @@ class PreparedDeployment:
         """Row sums of ``base_loops`` — scipy's ``sum(axis=1)`` bit for bit
         (``reduceat`` pairwise summation), cached for incremental refresh."""
         if self._loop_degrees is None:
-            self._loop_degrees = _reduceat_row_sums(
-                self.base_loops.data, self.base_loops.indptr[:-1],
-                self._base_counts)
+            self._loop_degrees = _row_sums(self.base_loops)
         return self._loop_degrees
 
     def _inv_sqrt_degrees(self) -> np.ndarray:
@@ -635,30 +655,21 @@ class PreparedDeployment:
             self._loop_inv_sqrt = _inv_sqrt(self._degrees())
         return self._loop_inv_sqrt
 
-    def _scaled_operator(self, inv_sqrt: np.ndarray) -> sp.csr_matrix:
-        """``D^{-1/2} (A+I) D^{-1/2}`` by elementwise scaling.
-
-        Shares ``base_loops``' index structure (no sparse matmuls) and is
-        bitwise identical to ``symmetric_normalize(base_loops,
-        self_loops=False)``: the diagonal products multiply in the same
-        ``(d_i^{-1/2} * a_ij) * d_j^{-1/2}`` order and preserve the
-        canonical stored layout (asserted by the parity tests).
-        """
-        loops = self.base_loops
-        rows = np.repeat(np.arange(self.num_base, dtype=np.int64),
-                         self._base_counts)
-        data = (inv_sqrt[rows] * loops.data) * inv_sqrt[loops.indices]
-        operator = sp.csr_matrix((data, loops.indices, loops.indptr),
-                                 shape=loops.shape)
-        operator.has_sorted_indices = True
-        return operator
-
     def base_operator(self) -> sp.csr_matrix:
-        """Standalone normalized operator of the deployed graph, cached
-        until the next delta drops it."""
+        """Standalone normalized operator ``D^{-1/2} (A+I) D^{-1/2}`` of the
+        deployed graph, cached until the next delta drops it.
+
+        ``base_loops`` scaled elementwise (:func:`_fused_scale`), sharing
+        its index structure: bitwise ``symmetric_normalize(base_loops,
+        self_loops=False)``, whose diagonal products multiply in the same
+        order and keep the canonical layout (asserted by the parity tests).
+        """
         if self._base_operator is None:
-            self._base_operator = self._scaled_operator(
-                self._inv_sqrt_degrees())
+            loops, inv_sqrt = self.base_loops, self._inv_sqrt_degrees()
+            self._base_operator = sp.csr_matrix(
+                (_fused_scale(loops, inv_sqrt, inv_sqrt), loops.indices,
+                 loops.indptr), shape=loops.shape)
+            self._base_operator.has_sorted_indices = True
         return self._base_operator
 
     def warm_base(self) -> np.ndarray:
@@ -739,33 +750,28 @@ class PreparedDeployment:
         with stage_span("operator"):
             new_feats = self._request_features(batch.features)
             n = new_feats.shape[0]
-            inc, inc_nnz_raw = self._converted_incremental(batch.incremental, n)
-            ea_loops, ea_nnz_raw = (_intra_loops(intra, n)
+            inc, inc_nnz_raw = self._converted(batch.incremental, n)
+            ea_loops, ea_nnz_raw = (_intra_block(intra, n)
                                     if intra is not None else (None, 0))
             # degrees of the new rows only; base rows keep standalone scaling
-            degree = _reduceat_row_sums(inc.data, inc.indptr[:-1],
-                                        np.diff(inc.indptr))
+            degree = _row_sums(inc)
             if ea_nnz_raw:
-                inv_new = _inv_sqrt(degree + _reduceat_row_sums(
-                    ea_loops.data, ea_loops.indptr[:-1],
-                    np.diff(ea_loops.indptr)))
-                op_nn = sp.csr_matrix(
-                    (_fused_scale(ea_loops, inv_new, inv_new),
-                     ea_loops.indices, ea_loops.indptr), shape=(n, n))
+                inv_new = _inv_sqrt(degree + _row_sums(ea_loops))
+                op_nn = ea_loops._replace(
+                    data=_fused_scale(ea_loops, inv_new, inv_new))
             else:
                 # ea + I is the identity, never built: a row's one entry
                 # adds 1.0 to its degree and scales to (d^{-1/2} * 1) *
                 # d^{-1/2}, a row scale of the same bits
                 inv_new = _inv_sqrt(degree + 1.0)
                 loop_scale = (inv_new * inv_new)[:, None]
-            op_nb = sp.csr_matrix(
-                (_fused_scale(inc, inv_new, self._inv_sqrt_degrees()),
-                 inc.indices, inc.indptr), shape=inc.shape)
+            op_nb = inc._replace(
+                data=_fused_scale(inc, inv_new, self._inv_sqrt_degrees()))
         with stage_span("propagate"):
             h = new_feats
             for k in range(self.model.k_hops):
-                h = op_nb @ hops[k] + (op_nn @ h if ea_nnz_raw
-                                       else loop_scale * h)
+                h = matvecs(op_nb, hops[k]) + (matvecs(op_nn, h) if ea_nnz_raw
+                                               else loop_scale * h)
         memory = self._memory_bytes(n, inc_nnz_raw, ea_nnz_raw,
                                     self.num_base + n)
         return h, memory
@@ -822,7 +828,11 @@ class PreparedDeployment:
         touched = effect.touched_rows
 
         # --- base block: row splice (always incremental) --------------
-        loops_rows = self._loops_rows(effect)
+        # the touched rows' add_self_loops content, from their rebuilt raw
+        # rows (touched existing rows, then appended ones)
+        loops_rows = _self_looped(
+            [block for block in (effect.replaced_block, effect.appended_block)
+             if block is not None], touched)
         self.base_loops = _splice_rows(self.base_loops,
                                        touched[touched < old_base],
                                        *loops_rows, new_n)
@@ -887,33 +897,6 @@ class PreparedDeployment:
             num_base=self.num_base, appended=m, touched_rows=0,
             affected_rows=0, refreshed=("mapping",))
 
-    @staticmethod
-    def _loops_rows(effect) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``add_self_loops(raw)`` content of the delta's touched rows
-        as raw ``(data, indices, indptr)`` block arrays, built from its
-        rebuilt raw rows (touched existing rows, then appended ones): drop
-        diagonal and explicit-zero entries, insert a 1.0 diagonal,
-        column-sort — bit-identical to the rows of the full rebuild."""
-        rows = effect.touched_rows
-        blocks = [block for block in (effect.replaced_block,
-                                      effect.appended_block)
-                  if block is not None]
-        rep = np.repeat(np.arange(rows.size, dtype=np.int64),
-                        np.concatenate([np.diff(b.indptr) for b in blocks]))
-        raw_cols = np.concatenate([b.indices for b in blocks])
-        raw_vals = np.concatenate([b.data for b in blocks])
-        keep = (raw_cols != rows[rep]) & (raw_vals != 0.0)
-        cols = np.concatenate([raw_cols[keep].astype(np.int64), rows])
-        vals = np.concatenate([raw_vals[keep],
-                               np.ones(rows.size, dtype=np.float64)])
-        rowid = np.concatenate([rep[keep],
-                                np.arange(rows.size, dtype=np.int64)])
-        order = np.lexsort((cols, rowid))
-        counts = np.bincount(rowid, minlength=rows.size)
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return vals[order], cols[order], indptr
-
     def _affected_operator_rows(self, touched: np.ndarray) -> np.ndarray:
         """Rows whose normalized-operator content the delta changes:
         the touched rows plus every row holding an entry in a touched
@@ -927,16 +910,14 @@ class PreparedDeployment:
         return _sorted_unique(np.concatenate([touched, rows]), loops.shape[0])
 
     def _patch_degrees(self, touched: np.ndarray, old_base: int,
-                       loops_rows: tuple) -> None:
+                       loops_rows: CSR) -> None:
         """Row-wise refresh of the degrees and ``D^{-1/2}`` (bit-exact):
         the spliced block holds exactly the touched rows' content, so
         their row sums come from it, no re-slice of ``base_loops``."""
         appended = self.num_base - old_base
         degrees = np.concatenate(
             [self._loop_degrees, np.zeros(appended, dtype=np.float64)])
-        data, _, indptr = loops_rows
-        degrees[touched] = _reduceat_row_sums(data, indptr[:-1],
-                                              np.diff(indptr))
+        degrees[touched] = _row_sums(loops_rows)
         self._loop_degrees = degrees
         if self._loop_inv_sqrt is not None:
             inv_sqrt = np.concatenate(

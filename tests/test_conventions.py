@@ -411,6 +411,7 @@ def broad_except_violations(sources) -> list[str]:
 # Parity: float64 everywhere a served bit is computed
 # ----------------------------------------------------------------------
 PARITY_MODULES = ("src/repro/serving/prepared.py",
+                  "src/repro/serving/_csr.py",
                   "src/repro/graph/stream.py",
                   "src/repro/serving/protocol.py")
 NARROW = frozenset({"float32", "float16", "int8", "int16"})

@@ -33,6 +33,23 @@ def test_allocation_sums_to_budget_and_covers_present_classes(labels, budget):
     assert (counts[absent] == 0).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=41))
+def test_allocation_gives_nodes_only_to_labeled_classes(data, num_classes):
+    """Every class given a synthetic node has labeled nodes, at every
+    class count and budget scale (the largest-remainder step runs in
+    floating point): a coreset never selects from an empty class."""
+    labels = np.asarray(data.draw(st.lists(
+        st.integers(min_value=0, max_value=num_classes - 1),
+        min_size=1, max_size=300)))
+    present = np.unique(labels).size
+    budget = data.draw(st.integers(min_value=present,
+                                   max_value=max(present, 5000)))
+    counts = allocate_class_counts(labels, budget, num_classes)
+    assert counts.sum() == budget
+    assert np.isin(np.flatnonzero(counts > 0), labels).all()
+
+
 @settings(max_examples=30, deadline=None)
 @given(SMALL, SMALL)
 def test_selection_mapping_converts_to_column_selection(n_orig, n_sel):

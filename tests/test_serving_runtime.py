@@ -809,15 +809,16 @@ def containers(monkeypatch):
 
 
 class TestRequestPathContainers:
-    """A predict through the runtime builds only the sparse containers it
-    multiplies with — no merge or copy churn.  Graph mode adds one: the
-    ``ea + I`` block of the merged intra adjacency."""
+    """A predict through the runtime builds sparse containers only at
+    admission and merge: the request kernel multiplies raw CSR arrays.
+    A burst of 8 merges its incremental blocks into one container, and
+    graph mode its intra blocks into a second."""
 
     @pytest.mark.parametrize("batch_mode, deployment, burst, expected", (
-        ("node", "synthetic", 1, 4), ("node", "synthetic", 8, 12),
-        ("node", "original", 1, 4), ("node", "original", 8, 12),
-        ("graph", "synthetic", 1, 5), ("graph", "synthetic", 8, 14),
-        ("graph", "original", 1, 4), ("graph", "original", 8, 13)))
+        ("node", "synthetic", 1, 1), ("node", "synthetic", 8, 9),
+        ("node", "original", 1, 1), ("node", "original", 8, 9),
+        ("graph", "synthetic", 1, 1), ("graph", "synthetic", 8, 10),
+        ("graph", "original", 1, 1), ("graph", "original", 8, 10)))
     def test_container_count(self, sgc, split, condensed, batch_mode,
                              deployment, burst, expected, containers):
         runtime = _runtime(sgc, split, condensed, deployment,
@@ -832,6 +833,24 @@ class TestRequestPathContainers:
         assert all(f.result() is not None for f in futures)
         # the dataset's blocks are unsorted: admission copies each once
         assert containers == {"compressed": expected, "coo": 0}
+
+    def test_canonical_predict_builds_no_container(self, sgc, split,
+                                                   condensed, containers):
+        runtime = _runtime(sgc, split, condensed, "synthetic",
+                           batch_mode="node")
+        stream = _stream(split.incremental_batch("test"), 2, 2)
+        runtime.submit(stream[0])
+        runtime.run_pending()  # warm every lazy cache first
+        canonical = stream[1].batch.incremental.copy()
+        canonical.sort_indices()
+        task = ServeTask(IncrementalBatch(
+            features=stream[1].batch.features, incremental=canonical,
+            intra=stream[1].batch.intra, labels=stream[1].batch.labels))
+        containers.update(compressed=0, coo=0)
+        future = runtime.submit(task)
+        assert runtime.run_pending() == 1
+        assert future.result().shape == (2, split.num_classes)
+        assert containers == {"compressed": 0, "coo": 0}
 
     def test_canonical_input_is_admitted_without_a_copy(self, sgc, split,
                                                         condensed, containers):
