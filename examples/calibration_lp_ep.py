@@ -13,12 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.condense import MCondConfig, MCondReducer
-from repro.graph import load_dataset, symmetric_normalize
-from repro.inference import InductiveServer
+from repro.experiments import calibrate_lp_ep
+from repro.graph import load_dataset
 from repro.nn import TrainConfig, make_model, train_node_classifier
-from repro.nn.metrics import accuracy
-from repro.propagation import error_propagation, label_propagation, softmax_rows
-from repro.tensor import Tensor, no_grad
+from repro.serving import PreparedDeployment
 
 
 def main() -> None:
@@ -41,30 +39,14 @@ def main() -> None:
     print("-" * len(header))
 
     for batch_mode in ("graph", "node"):
-        for deployment, base_labels in (("original", split.original.labels),
-                                        ("synthetic", condensed.labels)):
-            server = InductiveServer(model, deployment, split.original,
-                                     condensed)
-            attached = server.attach(test, batch_mode)
-            operator = symmetric_normalize(attached.adjacency)
-            with no_grad():
-                logits = model(operator, Tensor(attached.features)).data
-            base_logits = logits[:attached.base_size]
-            inductive_logits = logits[attached.base_size:]
-            vanilla = accuracy(inductive_logits, test.labels)
-
-            lp_scores, lp_time = label_propagation(
-                attached, base_labels, split.num_classes,
-                prior=softmax_rows(inductive_logits), return_time=True)
-            ep_scores, ep_time = error_propagation(
-                attached, base_labels, base_logits, inductive_logits,
-                split.num_classes, gamma=0.4, return_time=True)
-
+        for deployment in ("original", "synthetic"):
+            row = calibrate_lp_ep(
+                PreparedDeployment(model, deployment, split.original,
+                                   condensed), test, batch_mode)
             label = "O" if deployment == "original" else "S"
-            print(f"{label:<10} {batch_mode:<6} {vanilla:>8.3f} "
-                  f"{accuracy(lp_scores, test.labels):>8.3f} "
-                  f"{accuracy(ep_scores, test.labels):>8.3f} "
-                  f"{(lp_time + ep_time) / 2 * 1e3:>8.2f}")
+            print(f"{label:<10} {batch_mode:<6} {row['vanilla']:>8.3f} "
+                  f"{row['lp']:>8.3f} {row['ep']:>8.3f} "
+                  f"{row['prop_time_ms']:>8.2f}")
 
     print("\npropagation on the synthetic graph is cheaper by roughly the "
           "graph-size ratio, while LP/EP keep (or improve) accuracy.")

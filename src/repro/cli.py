@@ -31,12 +31,12 @@ import numpy as np
 
 from repro import api
 from repro.condense import REDUCERS
-from repro.errors import ConfigError, DatasetError, ReproError
+from repro.errors import ConfigError, ReproError
 from repro.experiments import (METHODS, PRESETS, Cell, ExperimentContext,
                                dataset_budgets, format_table, paper_orderings,
                                prepare_dataset, run_grid)
 from repro.experiments.settings import _PROFILES
-from repro.graph.datasets import DATASET_SPECS, dataset_names
+from repro.graph.datasets import dataset_names
 from repro.nn.models import MODELS
 
 
@@ -329,10 +329,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _default_budget(args) -> int:
-    if args.dataset not in DATASET_SPECS:
-        raise DatasetError(
-            f"unknown dataset {args.dataset!r}; "
-            f"available: {', '.join(dataset_names())}")
     return args.budget if args.budget is not None else dataset_budgets(args.dataset)[-1]
 
 

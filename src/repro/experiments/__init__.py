@@ -13,7 +13,7 @@ from repro.experiments.pipeline import (PreparedDataset, prepare_dataset,
                                         ExperimentContext)
 from repro.experiments.reporting import format_table, mean_std
 from repro.experiments.grid import (Cell, PRESETS, run_grid, paper_orderings,
-                                    diagonal_dominance)
+                                    diagonal_dominance, calibrate_lp_ep)
 
 __all__ = [
     "MethodSpec", "METHODS", "dataset_budgets",
@@ -21,5 +21,5 @@ __all__ = [
     "PreparedDataset", "prepare_dataset", "ExperimentContext",
     "format_table", "mean_std",
     "Cell", "PRESETS", "run_grid", "paper_orderings",
-    "diagonal_dominance",
+    "diagonal_dominance", "calibrate_lp_ep",
 ]

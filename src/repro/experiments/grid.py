@@ -16,25 +16,26 @@ condensation and one trained model.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.condense.mapping import MappingMatrix, class_block_mass
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InferenceError
 from repro.experiments.pipeline import ExperimentContext
 from repro.experiments.reporting import mean_std
 from repro.experiments.settings import METHODS
-from repro.graph.ops import symmetric_normalize
-from repro.inference.engine import InductiveServer
+from repro.graph.datasets import IncrementalBatch
 from repro.nn.metrics import accuracy
 from repro.propagation.error_prop import error_propagation, softmax_rows
 from repro.propagation.label_prop import label_propagation
+from repro.serving.prepared import PreparedDeployment
 from repro.tensor.tensor import Tensor, no_grad
 
 __all__ = ["Cell", "PRESETS", "run_grid", "paper_orderings",
-           "diagonal_dominance"]
+           "diagonal_dominance", "calibrate_lp_ep"]
 
 OPERATORS = ("exact", "frozen")
 BATCH_MODES = ("graph", "node")
@@ -187,10 +188,11 @@ def run_grid(context: ExperimentContext, cells: Iterable[Cell]) -> list[dict]:
     ``profile.inference_repeats`` evaluations per seed, ``memory_mb``,
     ``mapping_nnz`` and ``speedup_vs_whole`` (``None`` without a
     ``whole`` row at the same model, batch mode, request size and
-    operator).  Table III's calibration (``vanilla``/``lp``/``ep``/
-    ``prop_time_ms``) fills in on its own cells (SGC on ``mcond_so`` /
-    ``mcond_ss``, full batch, exact operator), Fig. 5's mapping statistics
-    on rows with a trained MCond mapping; ``None`` elsewhere.
+    operator).  Table III's calibration (:func:`calibrate_lp_ep`:
+    ``vanilla``/``lp``/``ep``/``prop_time_ms``) fills in on its own cells
+    (SGC on ``mcond_so`` / ``mcond_ss``, full batch, exact operator),
+    Fig. 5's mapping statistics on rows with a trained MCond mapping;
+    ``None`` elsewhere.
     """
     mapping_stats: dict[tuple, dict] = {}  # per trained mapping and seed
     rows = [_row(context, cell, mapping_stats)
@@ -265,8 +267,10 @@ def _measure(context: ExperimentContext, cell: Cell,
                                            for report in reports])))
     if cell.method in TABLE3_METHODS and (cell.model, cell.request_size,
                                           cell.operator) == ("sgc", None, "exact"):
-        record.update(_calibration(context, model, deployment, served,
-                                   cell.batch_mode))
+        record.update(calibrate_lp_ep(
+            PreparedDeployment(model, deployment, context.prepared.original,
+                               served),
+            context.prepared.test_batch, cell.batch_mode))
     return record
 
 
@@ -308,34 +312,49 @@ def diagonal_dominance(block_mass: np.ndarray) -> float:
     return float((np.diag(block_mass)[valid] / sums[valid]).mean())
 
 
-def _calibration(context: ExperimentContext, model, deployment: str, served,
-                 batch_mode: str) -> dict:
-    """Table III: the vanilla forward over the whole attached evaluation
-    batch against its LP- and EP-calibrated predictions, and the mean
-    propagation time (it runs over ``N + n`` nodes on O, ``N' + n`` on S)."""
+def calibrate_lp_ep(deployment: PreparedDeployment, batch: IncrementalBatch,
+                    batch_mode: str = "graph") -> dict:
+    """Table III on one deployment: the vanilla forward over the whole
+    attached ``batch`` against its LP- and EP-calibrated predictions, and
+    the mean propagation time (it runs over ``N + n`` nodes on an original
+    deployment, ``N' + n`` on a synthetic one).
+
+    The batch is attached and normalized once, through the served exact
+    operator (:meth:`PreparedDeployment.attach_normalize`); the forward,
+    LP and EP all read that one operator, and ``prop_time_ms`` times the
+    two propagations alone.
+    """
+    if batch_mode not in ("graph", "node"):
+        raise InferenceError(
+            f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
     alpha, iterations, gamma = 0.8, 20, 0.4
-    prepared = context.prepared
-    test = prepared.test_batch
-    server = InductiveServer(model, deployment, prepared.original, served)
-    attached = server.attach(test, batch_mode)
+    operator, features, _ = deployment.attach_normalize(
+        batch.incremental, batch.features,
+        batch.intra if batch_mode == "graph" else None)
+    model = deployment.model
+    model.eval()
     with no_grad():
-        logits = model(symmetric_normalize(attached.adjacency),
-                       Tensor(attached.features)).data
-    base_logits = logits[:attached.base_size]
-    inductive_logits = logits[attached.base_size:]
-    base_labels = (prepared.original.labels if deployment == "original"
-                   else served.labels)
-    num_classes = prepared.split.num_classes
-    lp_scores, lp_time = label_propagation(
-        attached, base_labels, num_classes,
+        logits = model(operator, Tensor(features)).data
+    base_logits = logits[:deployment.num_base]
+    inductive_logits = logits[deployment.num_base:]
+    base_labels = (deployment.base.labels
+                   if deployment.deployment == "original"
+                   else deployment.condensed.labels)
+    num_classes = logits.shape[1]
+    start = time.perf_counter()
+    lp_scores = label_propagation(
+        operator, base_labels, num_classes,
         prior=softmax_rows(inductive_logits), alpha=alpha,
-        iterations=iterations, return_time=True)
-    ep_scores, ep_time = error_propagation(
-        attached, base_labels, base_logits, inductive_logits, num_classes,
-        alpha=alpha, iterations=iterations, gamma=gamma, return_time=True)
-    return {"vanilla": accuracy(inductive_logits, test.labels),
-            "lp": accuracy(lp_scores, test.labels),
-            "ep": accuracy(ep_scores, test.labels),
+        iterations=iterations)
+    lp_time = time.perf_counter() - start
+    start = time.perf_counter()
+    ep_scores = error_propagation(
+        operator, base_labels, base_logits, inductive_logits, num_classes,
+        alpha=alpha, iterations=iterations, gamma=gamma)
+    ep_time = time.perf_counter() - start
+    return {"vanilla": accuracy(inductive_logits, batch.labels),
+            "lp": accuracy(lp_scores, batch.labels),
+            "ep": accuracy(ep_scores, batch.labels),
             "prop_time_ms": (lp_time + ep_time) / 2 * 1e3}
 
 

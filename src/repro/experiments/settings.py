@@ -32,6 +32,7 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.graph.datasets import _spec
 
 __all__ = ["MethodSpec", "METHODS", "dataset_budgets",
            "EffortProfile", "QUICK", "FULL", "current_profile"]
@@ -70,22 +71,9 @@ METHODS: dict[str, MethodSpec] = {
 }
 
 
-# Budgets preserving the paper's synthetic-nodes-per-class at reduced scale.
-_DATASET_BUDGETS: dict[str, tuple[int, ...]] = {
-    "pubmed-sim": (30, 60),     # 50% / 100% of the 60-node label budget
-    "flickr-sim": (35, 70),     # 5 / 10 nodes per class
-    "reddit-sim": (82, 164),    # 2 / 4 nodes per class
-    "tiny-sim": (9, 15),
-}
-
-
 def dataset_budgets(name: str) -> tuple[int, ...]:
     """Synthetic-node budgets evaluated for ``name`` (small, large)."""
-    if name not in _DATASET_BUDGETS:
-        raise ConfigError(
-            f"no budgets registered for dataset {name!r}; "
-            f"known: {', '.join(sorted(_DATASET_BUDGETS))}")
-    return _DATASET_BUDGETS[name]
+    return _spec(name).budgets
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ inductive batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -66,23 +66,17 @@ class DatasetSpec:
     val_fraction: float
     test_fraction: float
     labeled_train: int | None  # None => all training nodes are labeled
+    # synthetic-node budgets (small, large) evaluated on this dataset,
+    # preserving the paper's synthetic nodes per class at reduced scale
+    budgets: tuple[int, int]
     paper_analogue: str
 
     def scaled(self, scale: float) -> "DatasetSpec":
         """Return a copy with the node count multiplied by ``scale``."""
         if scale <= 0:
             raise DatasetError(f"scale must be positive, got {scale}")
-        nodes = max(int(round(self.num_nodes * scale)), 10 * self.num_classes)
-        return DatasetSpec(
-            name=self.name, num_nodes=nodes, num_classes=self.num_classes,
-            feature_dim=self.feature_dim, avg_degree=self.avg_degree,
-            homophily=self.homophily, degree_exponent=self.degree_exponent,
-            feature_snr=self.feature_snr, label_noise=self.label_noise,
-            smoothing_rounds=self.smoothing_rounds,
-            train_fraction=self.train_fraction,
-            val_fraction=self.val_fraction, test_fraction=self.test_fraction,
-            labeled_train=self.labeled_train,
-            paper_analogue=self.paper_analogue)
+        return replace(self, num_nodes=max(int(round(self.num_nodes * scale)),
+                                           10 * self.num_classes))
 
 
 DATASET_SPECS: dict[str, DatasetSpec] = {
@@ -92,6 +86,7 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
         feature_snr=1.7, label_noise=0.10, smoothing_rounds=0,
         train_fraction=0.80, val_fraction=0.08, test_fraction=0.12,
         labeled_train=60,
+        budgets=(30, 60),  # 50% / 100% of the 60-node label budget
         paper_analogue="Pubmed (19,717 nodes / 44,338 edges / 500 feats / 3 classes)"),
     "flickr-sim": DatasetSpec(
         name="flickr-sim", num_nodes=4400, num_classes=7, feature_dim=128,
@@ -99,6 +94,7 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
         feature_snr=1.15, label_noise=0.25, smoothing_rounds=0,
         train_fraction=0.50, val_fraction=0.25, test_fraction=0.25,
         labeled_train=None,
+        budgets=(35, 70),  # 5 / 10 nodes per class
         paper_analogue="Flickr (89,250 nodes / 899,756 edges / 500 feats / 7 classes)"),
     "reddit-sim": DatasetSpec(
         name="reddit-sim", num_nodes=7700, num_classes=41, feature_dim=160,
@@ -106,6 +102,7 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
         feature_snr=1.5, label_noise=0.05, smoothing_rounds=0,
         train_fraction=0.66, val_fraction=0.10, test_fraction=0.24,
         labeled_train=None,
+        budgets=(82, 164),  # 2 / 4 nodes per class
         paper_analogue="Reddit (232,965 nodes / 11.6M edges / 602 feats / 41 classes)"),
     "tiny-sim": DatasetSpec(
         name="tiny-sim", num_nodes=300, num_classes=3, feature_dim=16,
@@ -113,6 +110,7 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
         feature_snr=2.5, label_noise=0.05, smoothing_rounds=0,
         train_fraction=0.60, val_fraction=0.15, test_fraction=0.25,
         labeled_train=None,
+        budgets=(9, 15),
         paper_analogue="small fixture for fast tests"),
 }
 
@@ -120,6 +118,14 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
 def dataset_names() -> list[str]:
     """The dataset names, sorted."""
     return sorted(DATASET_SPECS)
+
+
+def _spec(name: str) -> DatasetSpec:
+    """The spec named ``name``; an unknown name lists the known ones."""
+    if name not in DATASET_SPECS:
+        raise DatasetError(
+            f"unknown dataset {name!r}; available: {', '.join(dataset_names())}")
+    return DATASET_SPECS[name]
 
 
 @dataclass(frozen=True)
@@ -296,10 +302,7 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0) -> InductiveSplit
     scale:
         Multiplier on the node count (benchmarks use 1.0; tests use less).
     """
-    if name not in DATASET_SPECS:
-        raise DatasetError(
-            f"unknown dataset {name!r}; available: {', '.join(dataset_names())}")
-    spec = DATASET_SPECS[name]
+    spec = _spec(name)
     if scale != 1.0:
         spec = spec.scaled(scale)
     rng = np.random.default_rng(seed)

@@ -2,8 +2,8 @@
 Correct & Smooth (Huang et al.) [47].
 
 The GNN's residual errors on *base* nodes (whose labels are known) are
-propagated through the connected graph and used to revise the inductive
-predictions:
+propagated through the normalized operator ``S`` of the connected graph
+and used to revise the inductive predictions:
 
     ``E0[base]      = onehot(y_base) - softmax(logits_base)``
     ``E  <- alpha * S E + (1 - alpha) * E0``   (inductive rows start at 0)
@@ -16,13 +16,10 @@ their predefined labels ``Y'``, so the propagation cost again scales with
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.graph.incremental import AttachedGraph
-from repro.propagation.label_prop import propagate_scores
+from repro.propagation.label_prop import _base_size, propagate_scores
 from repro.tensor.functional import one_hot
 
 __all__ = ["error_propagation", "softmax_rows"]
@@ -36,23 +33,24 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=1, keepdims=True)
 
 
-def error_propagation(attached: AttachedGraph, base_labels: np.ndarray,
+def error_propagation(operator, base_labels: np.ndarray,
                       base_logits: np.ndarray, inductive_logits: np.ndarray,
                       num_classes: int, alpha: float = 0.8,
-                      iterations: int = 20, gamma: float = 1.0,
-                      return_time: bool = False):
+                      iterations: int = 20, gamma: float = 1.0) -> np.ndarray:
     """Correct inductive predictions with propagated base-node errors.
 
     Parameters
     ----------
+    operator:
+        ``(B+n, B+n)`` normalized adjacency of the attached graph, the
+        ``n`` inductive nodes last.
     base_labels / base_logits:
-        Labels and model logits of the ``B`` base nodes.
+        Labels and model logits of the ``B`` base nodes; ``B`` is the
+        label count.
     inductive_logits:
         Model logits of the ``n`` attached inductive nodes.
     gamma:
         Correction strength applied to the propagated error.
-    return_time:
-        Also return the propagation wall-clock seconds.
 
     Returns
     -------
@@ -61,30 +59,22 @@ def error_propagation(attached: AttachedGraph, base_labels: np.ndarray,
     base_labels = np.asarray(base_labels, dtype=np.int64)
     base_logits = np.asarray(base_logits, dtype=np.float64)
     inductive_logits = np.asarray(inductive_logits, dtype=np.float64)
-    if base_labels.shape[0] != attached.base_size:
-        raise InferenceError(
-            f"base_labels has {base_labels.shape[0]} rows, expected "
-            f"{attached.base_size}")
-    if base_logits.shape != (attached.base_size, num_classes):
+    base_size = _base_size(operator, base_labels)
+    num_new = operator.shape[0] - base_size
+    if base_logits.shape != (base_size, num_classes):
         raise InferenceError(
             f"base_logits shape {base_logits.shape} != "
-            f"({attached.base_size}, {num_classes})")
-    if inductive_logits.shape != (attached.num_new, num_classes):
+            f"({base_size}, {num_classes})")
+    if inductive_logits.shape != (num_new, num_classes):
         raise InferenceError(
             f"inductive_logits shape {inductive_logits.shape} != "
-            f"({attached.num_new}, {num_classes})")
+            f"({num_new}, {num_classes})")
 
     base_probs = softmax_rows(base_logits)
-    errors = np.zeros((attached.num_nodes, num_classes), dtype=np.float64)
-    errors[:attached.base_size] = one_hot(base_labels, num_classes) - base_probs
-
-    start = time.perf_counter()
+    errors = np.zeros((operator.shape[0], num_classes), dtype=np.float64)
+    errors[:base_size] = one_hot(base_labels, num_classes) - base_probs
     # LP's loop with no clamped rows: the base errors anchor, not clamp
-    errors = propagate_scores(attached, errors, np.empty(0, dtype=np.int64),
+    errors = propagate_scores(operator, errors, np.empty(0, dtype=np.int64),
                               np.empty((0, num_classes)), alpha=alpha,
                               iterations=iterations)
-    corrected = softmax_rows(inductive_logits) + gamma * errors[attached.base_size:]
-    elapsed = time.perf_counter() - start
-    if return_time:
-        return corrected, elapsed
-    return corrected
+    return softmax_rows(inductive_logits) + gamma * errors[base_size:]

@@ -1,8 +1,8 @@
 """Label propagation (LP) calibration on a connected graph [46].
 
-Given an attached graph (base graph + inductive nodes, Eq. 3 or Eq. 11),
-LP spreads the base nodes' known labels to the inductive rows through the
-normalized adjacency:
+Given the normalized operator ``S`` of an attached graph (base graph +
+inductive nodes, Eq. 3 or Eq. 11, the base nodes first), LP spreads the
+base nodes' known labels to the inductive rows:
 
     ``F <- alpha * S F + (1 - alpha) * F0``
 
@@ -10,28 +10,40 @@ where base rows of ``F0`` are (clamped) one-hot labels and inductive rows
 start from an optional prior — typically the GNN's softmax output, which is
 what makes this a *calibration* of the GNN rather than a replacement.
 
-On MCond's connected synthetic graph the propagation runs over ``N' + n``
-nodes instead of ``N + n`` — the source of the Table III speedups.
+The caller normalizes once and hands the same ``S`` to the GNN forward,
+LP and EP.  On MCond's connected synthetic graph the propagation runs
+over ``N' + n`` nodes instead of ``N + n`` — the source of the Table III
+speedups.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.graph.incremental import AttachedGraph
-from repro.graph.ops import symmetric_normalize
 from repro.tensor.functional import one_hot
 
 __all__ = ["label_propagation", "propagate_scores"]
 
 
-def propagate_scores(attached: AttachedGraph, initial: np.ndarray,
+def _base_size(operator, base_labels: np.ndarray) -> int:
+    """``B``, the base rows of a square ``operator`` labelled by
+    ``base_labels``; the remaining rows are the inductive ones."""
+    rows, columns = operator.shape
+    if rows != columns:
+        raise InferenceError(f"operator must be square, got {operator.shape}")
+    if base_labels.ndim != 1 or base_labels.shape[0] > rows:
+        raise InferenceError(
+            f"base_labels shape {base_labels.shape} does not fit an "
+            f"operator of {rows} rows")
+    return int(base_labels.shape[0])
+
+
+def propagate_scores(operator, initial: np.ndarray,
                      clamp_rows: np.ndarray, clamp_values: np.ndarray,
                      alpha: float = 0.8, iterations: int = 20) -> np.ndarray:
-    """Generic clamped propagation used by both LP and EP.
+    """Generic clamped propagation over the normalized ``operator``, used
+    by both LP and EP.
 
     ``clamp_rows`` are reset to ``clamp_values`` after every step (label
     clamping in classic LP).
@@ -40,7 +52,6 @@ def propagate_scores(attached: AttachedGraph, initial: np.ndarray,
         raise InferenceError(f"alpha must be in (0, 1), got {alpha}")
     if iterations <= 0:
         raise InferenceError(f"iterations must be positive, got {iterations}")
-    operator = symmetric_normalize(attached.adjacency, self_loops=True)
     scores = np.array(initial, dtype=np.float64, copy=True)
     anchor = np.array(scores, copy=True)
     for _ in range(iterations):
@@ -49,51 +60,42 @@ def propagate_scores(attached: AttachedGraph, initial: np.ndarray,
     return scores
 
 
-def label_propagation(attached: AttachedGraph, base_labels: np.ndarray,
+def label_propagation(operator, base_labels: np.ndarray,
                       num_classes: int, prior: np.ndarray | None = None,
-                      alpha: float = 0.8, iterations: int = 20,
-                      return_time: bool = False):
+                      alpha: float = 0.8, iterations: int = 20) -> np.ndarray:
     """Propagate base labels to the attached inductive nodes.
 
     Parameters
     ----------
-    attached:
-        Augmented graph with inductive nodes appended at the end.
+    operator:
+        ``(B+n, B+n)`` normalized adjacency of the attached graph, the
+        ``n`` inductive nodes last.
     base_labels:
-        ``(B,)`` integer labels of the base (original or synthetic) nodes.
+        ``(B,)`` integer labels of the base (original or synthetic) nodes;
+        their count is ``B``.
     prior:
         Optional ``(n, C)`` prior scores for the inductive rows (the GNN's
         softmax output); zeros when omitted (pure LP).
-    return_time:
-        When true, also return the propagation wall-clock seconds (the
-        quantity Table III reports).
 
     Returns
     -------
-    ``(n, C)`` propagated scores for the inductive rows — optionally with
-    the measured propagation time.
+    ``(n, C)`` propagated scores for the inductive rows.
     """
     base_labels = np.asarray(base_labels, dtype=np.int64)
-    if base_labels.shape[0] != attached.base_size:
-        raise InferenceError(
-            f"base_labels has {base_labels.shape[0]} rows, expected "
-            f"{attached.base_size}")
+    base_size = _base_size(operator, base_labels)
+    num_nodes = operator.shape[0]
     clamp_values = one_hot(base_labels, num_classes)
-    initial = np.zeros((attached.num_nodes, num_classes), dtype=np.float64)
-    initial[:attached.base_size] = clamp_values
+    initial = np.zeros((num_nodes, num_classes), dtype=np.float64)
+    initial[:base_size] = clamp_values
     if prior is not None:
         prior = np.asarray(prior, dtype=np.float64)
-        if prior.shape != (attached.num_new, num_classes):
+        if prior.shape != (num_nodes - base_size, num_classes):
             raise InferenceError(
-                f"prior shape {prior.shape} != ({attached.num_new}, {num_classes})")
-        initial[attached.base_size:] = prior
-    start = time.perf_counter()
-    scores = propagate_scores(attached, initial,
-                              clamp_rows=np.arange(attached.base_size),
+                f"prior shape {prior.shape} != "
+                f"({num_nodes - base_size}, {num_classes})")
+        initial[base_size:] = prior
+    scores = propagate_scores(operator, initial,
+                              clamp_rows=np.arange(base_size),
                               clamp_values=clamp_values,
                               alpha=alpha, iterations=iterations)
-    elapsed = time.perf_counter() - start
-    result = scores[attached.base_size:]
-    if return_time:
-        return result, elapsed
-    return result
+    return scores[base_size:]

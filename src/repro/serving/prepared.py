@@ -93,8 +93,8 @@ of raw CSR arrays per request, ``d_new`` sums a new row's ``aM`` and
 ``ea + I`` entries, and without intra edges the self-loop is the row
 scale ``d_new^{-1/2} · d_new^{-1/2}``.  The products call scipy's
 per-row fold directly on those arrays (fact 3).  By facts 1 and 3 this
-is bitwise what plain scipy products give — the uncached
-``InductiveServer`` reference.
+is bitwise what plain scipy products give — the uncached reference
+in :mod:`repro.inference.engine`.
 """
 
 from __future__ import annotations
@@ -213,13 +213,6 @@ def _intra_block(intra, n: int) -> tuple[CSR, int]:
                np.arange(n + 1, dtype=np.int32)), 0
 
 
-def _intra_loops(intra, n: int) -> tuple[sp.csr_matrix, int]:
-    """:func:`_intra_block` as a scipy matrix, the form the unfused
-    reference products take."""
-    block, stored = _intra_block(intra, n)
-    return sp.csr_matrix(block, shape=(n, n)), stored
-
-
 def _csr_storage_bytes(nnz: int, rows: int, cols: int) -> int:
     """Storage of a float64 CSR matrix as scipy would build it (int32
     indices when they fit, which mirrors ``sp.bmat``'s index-dtype
@@ -248,8 +241,8 @@ def _fused_scale(block, inv_row: np.ndarray,
 class PreparedDeployment:
     """Request-invariant serving state for one deployed graph.
 
-    Parameters mirror :class:`repro.inference.engine.InductiveServer`:
-    a trained model, a ``deployment`` kind, and the graph it serves on.
+    Parameters: a trained model, a ``deployment`` kind (``"original"`` or
+    ``"synthetic"``), and the graph it serves on.
     """
 
     def __init__(self, model: GNNModel, deployment: str, base: Graph | None,
@@ -361,13 +354,6 @@ class PreparedDeployment:
             block = canonicalize(CSR(*(array.copy() for array in block)))
         return block, int(inc.nnz)
 
-    def _converted_incremental(self, incremental,
-                               n: int) -> tuple[sp.csr_matrix, int]:
-        """:meth:`_converted` as a scipy matrix, the form the unfused
-        reference products take."""
-        block, raw_nnz = self._converted(incremental, n)
-        return sp.csr_matrix(block, shape=(n, self.num_base)), raw_nnz
-
     def _assemble_normalized(self, inc: CSR, ea_loops: CSR,
                              base_rows: np.ndarray | None = None) -> CSR:
         """Normalized rows ``base_rows ∪ new`` of the attached operator as
@@ -452,7 +438,7 @@ class PreparedDeployment:
 
         The operator is the frozen one on a synthetic SGC deployment, else
         the exact one.  Same contract — and bitwise the same logits — as
-        :meth:`repro.inference.engine.InductiveServer.serve_batch`.
+        the uncached reference in :mod:`repro.inference.engine`.
         """
         return self._serve(batch, batch_mode,
                            serves_frozen(self.model, self.deployment))

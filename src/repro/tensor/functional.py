@@ -73,25 +73,14 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray,
-                  weights: np.ndarray | None = None) -> Tensor:
-    """Mean cross-entropy of ``logits`` (n, C) against integer ``labels``.
-
-    ``weights`` optionally re-weights each sample (constant, shape ``(n,)``).
-    """
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of ``logits`` (n, C) against integer ``labels``."""
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy expects 2-D logits, got {logits.shape}")
-    n, num_classes = logits.shape
-    targets = Tensor(one_hot(labels, num_classes))
+    targets = Tensor(one_hot(labels, logits.shape[1]))
     log_probs = log_softmax(logits, axis=-1)
     per_sample = neg(tensor_sum(mul(targets, log_probs), axis=1))
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ShapeError(f"weights shape {w.shape} != ({n},)")
-        per_sample = mul(per_sample, Tensor(w))
-        return div(tensor_sum(per_sample), Tensor(float(max(w.sum(), _EPS))))
     return tensor_mean(per_sample)
 
 

@@ -15,6 +15,7 @@ every behaviour test.
 | ``narrowing_violations`` | the parity modules never hard-code a narrow dtype: serving computes in float64 |
 | ``wall_clock_violations`` | no ``time.time()`` under ``serving/`` or ``telemetry/``: latency uses ``perf_counter`` |
 | ``metric_name_violations`` | metric families are ``repro_<gateway|fleet|stage>_<what>`` with their type's suffix |
+| ``layering_violations`` | ``InductiveServer`` is named only under ``repro/inference/``; ``repro.propagation`` imports neither the attach layer nor serving |
 
 The annotations they read are plain comments and docstrings:
 
@@ -482,11 +483,56 @@ def metric_name_violations(sources) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# Layering: the reference server is a check, calibration sits below serving
+# ----------------------------------------------------------------------
+ORACLE_RE = re.compile(r"\bInductiveServer\b")
+ORACLE_HOME = "src/repro/inference/"
+#: modules (and their submodules) ``repro.propagation`` must not import
+ABOVE_PROPAGATION = ("repro.graph.incremental", "repro.serving")
+
+
+def _imported(node) -> list[str]:
+    """Modules an import statement reaches, ``from a import b`` giving
+    both ``a`` and ``a.b``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module, *(f"{node.module}.{alias.name}"
+                               for alias in node.names)]
+    return []
+
+
+def layering_violations(sources) -> list[str]:
+    """Any line naming ``InductiveServer`` outside ``repro/inference/``
+    (the uncached reference checks the served path, it is not one), and
+    any ``repro.propagation`` import of the attach layer or serving: LP
+    and EP take the normalized operator, so they need neither."""
+    found = []
+    for source in sources:
+        if not source.path.startswith(ORACLE_HOME):
+            found += [f"{source.path}:{number}: names InductiveServer "
+                      f"outside {ORACLE_HOME}"
+                      for number, line in enumerate(source.lines, 1)
+                      if ORACLE_RE.search(line)]
+        if not source.path.startswith("src/repro/propagation/"):
+            continue
+        for node in ast.walk(source.tree):
+            hits = [module for module in _imported(node)
+                    for name in ABOVE_PROPAGATION
+                    if module == name or module.startswith(f"{name}.")]
+            if hits:
+                found.append(f"{source.path}:{node.lineno}: imports "
+                             f"{hits[0]}, a layer above it")
+    return found
+
+
+# ----------------------------------------------------------------------
 # The checks hold at HEAD
 # ----------------------------------------------------------------------
 CHECKS = [lock_violations, lock_cycles, raise_violations,
           broad_except_violations, narrowing_violations,
-          wall_clock_violations, metric_name_violations]
+          wall_clock_violations, metric_name_violations,
+          layering_violations]
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
@@ -780,3 +826,29 @@ def test_metric_name_check(call, flagged):
         assert found == []
     else:
         assert len(found) == 1 and flagged in found[0], found
+
+
+@pytest.mark.parametrize("path, line, flagged", [
+    ("src/repro/experiments/grid.py",
+     "from repro.inference.engine import InductiveServer", True),
+    ("src/repro/serving/prepared.py", "# as the InductiveServer does", True),
+    ("src/repro/inference/engine.py", "class InductiveServer: ...", False),
+    ("src/repro/serving/prepared.py", "# as the reference does", False),
+    ("src/repro/propagation/label_prop.py",
+     "from repro.graph.incremental import AttachedGraph", True),
+    ("src/repro/propagation/label_prop.py",
+     "from repro.graph import incremental", True),
+    ("src/repro/propagation/error_prop.py", "import repro.serving.prepared",
+     True),
+    ("src/repro/propagation/error_prop.py",
+     "from repro.serving_extras import x", False),
+    ("src/repro/propagation/label_prop.py",
+     "from repro.graph.ops import symmetric_normalize", False),
+    ("src/repro/experiments/grid.py",
+     "from repro.serving.prepared import PreparedDeployment", False),
+], ids=["oracle-import", "oracle-comment", "oracle-home", "no-oracle",
+        "attach-layer", "attach-module", "serving", "name-prefix",
+        "graph-ops", "outside-propagation"])
+def test_layering_check(path, line, flagged):
+    found = _run(layering_violations, {path: f"{line}\n"})
+    assert bool(found) == flagged, found

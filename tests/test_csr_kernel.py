@@ -44,6 +44,15 @@ def _scipy(block: CSR, columns: int) -> sp.csr_matrix:
                          shape=(block.indptr.size - 1, columns))
 
 
+def _product_index_dtype(a: CSR, b: CSR) -> np.dtype:
+    """The index dtype scipy's ``_matmul_sparse`` gives ``a @ b`` on
+    operands holding these arrays: ``_get_index_dtype`` over the four
+    index arrays.  A matrix built from the raw arrays cannot tell: its
+    constructor downcasts int64 indices that fit in int32."""
+    return np.dtype(sp.csr_matrix((1, 1))._get_index_dtype(
+        (a.indptr, a.indices, b.indptr, b.indices)))
+
+
 def _assert_bitwise(ours: CSR, theirs: sp.csr_matrix) -> None:
     assert np.array_equal(ours.indptr, theirs.indptr)
     assert np.array_equal(ours.indices, theirs.indices)
@@ -59,8 +68,10 @@ SIZES = st.integers(1, 6)
 def test_matmat_is_the_public_product(data, rows, inner, columns):
     a = data.draw(blocks(rows, inner))
     b = data.draw(blocks(inner, columns))
-    _assert_bitwise(matmat(a, b, columns),
-                    _scipy(a, inner) @ _scipy(b, columns))
+    ours = matmat(a, b, columns)
+    _assert_bitwise(ours, _scipy(a, inner) @ _scipy(b, columns))
+    dtype = _product_index_dtype(a, b)
+    assert ours.indices.dtype == ours.indptr.dtype == dtype
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,16 +10,25 @@ import numpy as np
 import pytest
 
 from repro.condense import MCondReducer
-from repro.errors import ServingError
+from repro.errors import InferenceError, ServingError
 from repro.experiments import (
     Cell,
     ExperimentContext,
     PRESETS,
+    calibrate_lp_ep,
     diagonal_dominance,
     paper_orderings,
     prepare_dataset,
     run_grid,
 )
+from repro.experiments import grid
+from repro.graph import symmetric_normalize
+from repro.inference import InductiveServer
+from repro.nn.metrics import accuracy
+from repro.propagation import softmax_rows
+from repro.serving import PreparedDeployment
+from repro.tensor import Tensor, no_grad
+from repro.tensor.functional import one_hot
 
 from test_experiments import FAST
 
@@ -164,6 +173,86 @@ def test_frozen_operator_serves_sgc_and_rejects_other_models(context):
     with pytest.raises(ServingError, match="SGC"):
         run_grid(context, [Cell("mcond_ss", 9, model="gcn", operator="frozen",
                                 batch_mode="node")])
+
+
+def _reference_calibration(model, deployment, original, served, batch,
+                           batch_mode):
+    """Table III from the uncached oracle: attach, ``symmetric_normalize``,
+    the full forward, then the LP and EP recurrences written out with the
+    calibration's ``alpha = 0.8``, 20 iterations and ``gamma = 0.4``.
+    Returns ``(operator, inductive logits, LP scores, EP scores)``."""
+    alpha, gamma = 0.8, 0.4
+    attached = InductiveServer(model, deployment, original,
+                               served).attach(batch, batch_mode)
+    operator = symmetric_normalize(attached.adjacency)
+    with no_grad():
+        logits = model(operator, Tensor(attached.features)).data
+    size = attached.base_size
+    labels = original.labels if deployment == "original" else served.labels
+    targets = one_hot(labels, logits.shape[1])
+
+    def propagate(initial, clamp):
+        scores, anchor = initial.copy(), initial.copy()
+        for _ in range(20):
+            scores = alpha * (operator @ scores) + (1.0 - alpha) * anchor
+            if clamp:
+                scores[:size] = targets
+        return scores[size:]
+
+    prior = np.vstack([targets, softmax_rows(logits[size:])])
+    errors = np.zeros_like(prior)
+    errors[:size] = targets - softmax_rows(logits[:size])
+    return (operator, logits[size:], propagate(prior, clamp=True),
+            softmax_rows(logits[size:]) + gamma * propagate(errors,
+                                                             clamp=False))
+
+
+@pytest.mark.parametrize("batch_mode", MODES)
+@pytest.mark.parametrize("method", ("mcond_so", "mcond_ss"))
+def test_calibration_matches_the_oracle_attach_bitwise(context, monkeypatch,
+                                                       method, batch_mode):
+    """``calibrate_lp_ep`` attaches once through the served operator and
+    hands that one operator to LP and EP; every number is the oracle's."""
+    seen = {}
+
+    def spy(name):
+        real = getattr(grid, name)
+
+        def wrapped(operator, *args, **kwargs):
+            seen[name] = (operator, args, real(operator, *args, **kwargs))
+            return seen[name][2]
+        return wrapped
+
+    for name in ("label_propagation", "error_propagation"):
+        monkeypatch.setattr(grid, name, spy(name))
+    model, deployment, served = context.assemble(
+        Cell(method, LARGE, batch_mode=batch_mode))
+    batch, original = context.prepared.test_batch, context.prepared.original
+    row = calibrate_lp_ep(PreparedDeployment(model, deployment, original,
+                                             served), batch, batch_mode)
+    operator, logits, lp, ep = _reference_calibration(
+        model, deployment, original, served, batch, batch_mode)
+
+    ours, _, lp_ours = seen["label_propagation"]
+    assert seen["error_propagation"][0] is ours
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ours, part), getattr(operator, part))
+    assert ours.data.tobytes() == operator.data.tobytes()
+    assert np.array_equal(seen["error_propagation"][1][2], logits)
+    assert np.array_equal(lp_ours, lp)
+    assert np.array_equal(seen["error_propagation"][2], ep)
+    assert row["vanilla"] == accuracy(logits, batch.labels)
+    assert row["lp"] == accuracy(lp, batch.labels)
+    assert row["ep"] == accuracy(ep, batch.labels)
+    assert row["prop_time_ms"] > 0
+
+
+def test_calibration_rejects_an_unknown_batch_mode(context):
+    model, deployment, served = context.assemble(Cell("mcond_ss", LARGE))
+    with pytest.raises(InferenceError, match="batch_mode"):
+        calibrate_lp_ep(PreparedDeployment(model, deployment,
+                                           context.prepared.original, served),
+                        context.prepared.test_batch, "nodes")
 
 
 def test_paper_orderings_report_a_hand_flipped_row(preset_rows):

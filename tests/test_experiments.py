@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DatasetError
 from repro.experiments import (
     Cell,
     EffortProfile,
@@ -46,7 +46,7 @@ class TestSettings:
 
     def test_budgets_known_datasets(self):
         assert dataset_budgets("pubmed-sim") == (30, 60)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DatasetError, match="unknown dataset"):
             dataset_budgets("unknown")
 
     def test_profile_from_env(self, monkeypatch):

@@ -8,10 +8,9 @@ import pytest
 
 from repro.condense import MCondConfig, MCondReducer, make_reducer
 from repro.experiments import (Cell, ExperimentContext, EffortProfile,
-                               prepare_dataset)
+                               calibrate_lp_ep, prepare_dataset)
 from repro.graph import load_dataset, symmetric_normalize
 from repro.nn import TrainConfig, make_model, train_node_classifier
-from repro.propagation import label_propagation, softmax_rows
 from repro.serving import PreparedDeployment
 
 PROFILE = EffortProfile(
@@ -61,24 +60,14 @@ class TestPaperClaims:
         assert abs(graph_mode.accuracy - node_mode.accuracy) < 0.2
 
     def test_label_propagation_calibrates_synthetic_serving(self, context):
-        from repro.inference import InductiveServer
         condensed = context.reduce("mcond", 15)
         model = context.train("synthetic", condensed=condensed,
                               validate_deployment="synthetic")
-        server = InductiveServer(model, "synthetic",
-                                 context.prepared.original, condensed)
-        batch = context.prepared.test_batch
-        attached = server.attach(batch, "graph")
-        operator = symmetric_normalize(attached.adjacency)
-        from repro.tensor import Tensor, no_grad
-        with no_grad():
-            logits = model(operator, Tensor(attached.features)).data
-        vanilla = (logits[attached.base_size:].argmax(1) == batch.labels).mean()
-        scores = label_propagation(
-            attached, condensed.labels, context.prepared.split.num_classes,
-            prior=softmax_rows(logits[attached.base_size:]))
-        lp_acc = (scores.argmax(1) == batch.labels).mean()
-        assert lp_acc >= vanilla - 0.05
+        row = calibrate_lp_ep(
+            PreparedDeployment(model, "synthetic", context.prepared.original,
+                               condensed),
+            context.prepared.test_batch, "graph")
+        assert row["lp"] >= row["vanilla"] - 0.05
 
     def test_full_pipeline_from_scratch(self):
         """Exercise the whole stack without the ExperimentContext sugar."""

@@ -26,7 +26,7 @@ from repro.graph.graph import Graph
 from repro.graph.stream import make_delta_trace
 from repro.nn import make_model
 from repro.serving import PreparedDeployment, ServingFleet, ServingRuntime
-from repro.serving.prepared import _fused_scale, _intra_loops, _inv_sqrt
+from repro.serving.prepared import _fused_scale, _intra_block, _inv_sqrt
 from repro.tensor.tensor import Tensor, no_grad
 
 REDUCED = ("float32", "int8")
@@ -288,9 +288,10 @@ def _unfused_frozen(prepared: PreparedDeployment, batch: IncrementalBatch,
     scaled block copies, an ``ea + I`` CSR product in every batch mode,
     and scipy's ``sum(axis=1)`` degrees."""
     n = batch.features.shape[0]
-    inc, _ = prepared._converted_incremental(batch.incremental, n)
-    ea_loops, _ = _intra_loops(batch.intra if batch_mode == "graph"
-                               else None, n)
+    inc = sp.csr_matrix(prepared._converted(batch.incremental, n)[0],
+                        shape=(n, prepared.num_base))
+    ea_loops = sp.csr_matrix(_intra_block(batch.intra if batch_mode == "graph"
+                                          else None, n)[0], shape=(n, n))
     inv_new = _inv_sqrt(np.asarray(inc.sum(axis=1)).reshape(-1)
                         + np.asarray(ea_loops.sum(axis=1)).reshape(-1))
     op_nb = _scaled_copy(inc, inv_new, prepared._inv_sqrt_degrees())

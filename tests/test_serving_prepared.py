@@ -493,20 +493,21 @@ class TestReceptiveFieldServing:
 
     def test_identity_block_matches_the_scipy_round_trip(self):
         from repro.graph.ops import add_self_loops
-        from repro.serving.prepared import _intra_loops
+        from repro.serving.prepared import _intra_block
         for n in (0, 1, 4):
             reference = add_self_loops(sp.csr_matrix((n, n),
                                                      dtype=np.float64))
             reference.sort_indices()
             for intra in (None, sp.csr_matrix((n, n)), np.zeros((n, n))):
-                eye, stored = _intra_loops(intra, n)
+                block, stored = _intra_block(intra, n)
+                eye = sp.csr_matrix(block, shape=(n, n))
                 assert stored == 0 and eye.shape == (n, n)
                 for part in ("data", "indices", "indptr"):
                     ours, theirs = getattr(eye, part), getattr(reference, part)
                     assert ours.dtype == theirs.dtype, part
                     assert np.array_equal(ours, theirs), part
         with pytest.raises(GraphError):
-            _intra_loops(sp.csr_matrix((3, 3)), 4)
+            _intra_block(sp.csr_matrix((3, 3)), 4)
 
     @pytest.fixture(scope="class")
     def large(self):
