@@ -3,12 +3,12 @@
 from repro.experiments.settings import (
     MethodSpec,
     METHODS,
-    dataset_budgets,
     EffortProfile,
     QUICK,
     FULL,
     current_profile,
 )
+from repro.graph.datasets import dataset_budgets
 from repro.experiments.pipeline import (PreparedDataset, prepare_dataset,
                                         ExperimentContext)
 from repro.experiments.reporting import format_table, mean_std

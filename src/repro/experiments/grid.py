@@ -313,7 +313,7 @@ def diagonal_dominance(block_mass: np.ndarray) -> float:
 
 
 def calibrate_lp_ep(deployment: PreparedDeployment, batch: IncrementalBatch,
-                    batch_mode: str = "graph") -> dict:
+                    batch_mode: str) -> dict:
     """Table III on one deployment: the vanilla forward over the whole
     attached ``batch`` against its LP- and EP-calibrated predictions, and
     the mean propagation time (it runs over ``N + n`` nodes on an original
@@ -324,7 +324,7 @@ def calibrate_lp_ep(deployment: PreparedDeployment, batch: IncrementalBatch,
     LP and EP all read that one operator, and ``prop_time_ms`` times the
     two propagations alone.
     """
-    if batch_mode not in ("graph", "node"):
+    if batch_mode not in BATCH_MODES:
         raise InferenceError(
             f"batch_mode must be 'graph' or 'node', got {batch_mode!r}")
     alpha, iterations, gamma = 0.8, 20, 0.4

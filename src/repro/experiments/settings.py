@@ -1,4 +1,4 @@
-"""Experiment settings: method matrix, budgets, effort profiles.
+"""Experiment settings: method matrix and effort profiles.
 
 The paper's four deployment settings are encoded as (training source,
 inference deployment) pairs per method:
@@ -22,8 +22,9 @@ sharded        MCond per shard synthetic (S)       synthetic (S)
 Budgets: the paper quotes reduction ratios ``r`` relative to the training
 graph; at our ~20x reduced dataset scale the same ``r`` would leave fewer
 synthetic nodes than classes, so budgets are specified as synthetic node
-counts chosen to preserve the paper's *nodes-per-class*, and every report
-prints both the budget and the effective ``r``.
+counts chosen to preserve the paper's *nodes-per-class* (each
+``DatasetSpec`` carries its two, read by ``dataset_budgets``), and every
+report prints both the budget and the effective ``r``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.graph.datasets import _spec
 
-__all__ = ["MethodSpec", "METHODS", "dataset_budgets",
-           "EffortProfile", "QUICK", "FULL", "current_profile"]
+__all__ = ["MethodSpec", "METHODS", "EffortProfile", "QUICK", "FULL",
+           "current_profile"]
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,6 @@ METHODS: dict[str, MethodSpec] = {
     "mcond_ss": MethodSpec("mcond_ss", "mcond", "synthetic", "synthetic"),
     "sharded": MethodSpec("sharded", "sharded", "synthetic", "synthetic"),
 }
-
-
-def dataset_budgets(name: str) -> tuple[int, ...]:
-    """Synthetic-node budgets evaluated for ``name`` (small, large)."""
-    return _spec(name).budgets
 
 
 @dataclass(frozen=True)

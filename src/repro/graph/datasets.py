@@ -35,6 +35,7 @@ __all__ = [
     "InductiveSplit",
     "DATASET_SPECS",
     "dataset_names",
+    "dataset_budgets",
     "load_dataset",
     "make_split",
 ]
@@ -126,6 +127,11 @@ def _spec(name: str) -> DatasetSpec:
         raise DatasetError(
             f"unknown dataset {name!r}; available: {', '.join(dataset_names())}")
     return DATASET_SPECS[name]
+
+
+def dataset_budgets(name: str) -> tuple[int, int]:
+    """Synthetic-node budgets evaluated for ``name`` (small, large)."""
+    return _spec(name).budgets
 
 
 @dataclass(frozen=True)

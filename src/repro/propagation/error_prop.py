@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.propagation.label_prop import _base_size, propagate_scores
+from repro.propagation.label_prop import (_base_size, _inductive_rows,
+                                          propagate_scores)
 from repro.tensor.functional import one_hot
 
 __all__ = ["error_propagation", "softmax_rows"]
@@ -45,10 +46,10 @@ def error_propagation(operator, base_labels: np.ndarray,
         ``(B+n, B+n)`` normalized adjacency of the attached graph, the
         ``n`` inductive nodes last.
     base_labels / base_logits:
-        Labels and model logits of the ``B`` base nodes; ``B`` is the
-        label count.
+        Labels and model logits of the ``B`` base nodes.
     inductive_logits:
-        Model logits of the ``n`` attached inductive nodes.
+        Model logits of the ``n`` attached inductive nodes; their row
+        count is ``n``.
     gamma:
         Correction strength applied to the propagated error.
 
@@ -59,16 +60,13 @@ def error_propagation(operator, base_labels: np.ndarray,
     base_labels = np.asarray(base_labels, dtype=np.int64)
     base_logits = np.asarray(base_logits, dtype=np.float64)
     inductive_logits = np.asarray(inductive_logits, dtype=np.float64)
-    base_size = _base_size(operator, base_labels)
-    num_new = operator.shape[0] - base_size
+    num_new = _inductive_rows(inductive_logits, "inductive_logits",
+                              num_classes)
+    base_size = _base_size(operator, base_labels, num_new)
     if base_logits.shape != (base_size, num_classes):
         raise InferenceError(
             f"base_logits shape {base_logits.shape} != "
             f"({base_size}, {num_classes})")
-    if inductive_logits.shape != (num_new, num_classes):
-        raise InferenceError(
-            f"inductive_logits shape {inductive_logits.shape} != "
-            f"({num_new}, {num_classes})")
 
     base_probs = softmax_rows(base_logits)
     errors = np.zeros((operator.shape[0], num_classes), dtype=np.float64)

@@ -7,7 +7,7 @@ base nodes' known labels to the inductive rows:
     ``F <- alpha * S F + (1 - alpha) * F0``
 
 where base rows of ``F0`` are (clamped) one-hot labels and inductive rows
-start from an optional prior — typically the GNN's softmax output, which is
+start from a prior — typically the GNN's softmax output, which is
 what makes this a *calibration* of the GNN rather than a replacement.
 
 The caller normalizes once and hands the same ``S`` to the GNN forward,
@@ -26,17 +26,27 @@ from repro.tensor.functional import one_hot
 __all__ = ["label_propagation", "propagate_scores"]
 
 
-def _base_size(operator, base_labels: np.ndarray) -> int:
-    """``B``, the base rows of a square ``operator`` labelled by
-    ``base_labels``; the remaining rows are the inductive ones."""
+def _base_size(operator, base_labels: np.ndarray, num_new: int) -> int:
+    """``B``, the base rows of a square ``operator`` whose last
+    ``num_new`` rows are the inductive ones; ``base_labels`` must label
+    exactly those ``B`` rows."""
     rows, columns = operator.shape
     if rows != columns:
         raise InferenceError(f"operator must be square, got {operator.shape}")
-    if base_labels.ndim != 1 or base_labels.shape[0] > rows:
+    base_size = rows - num_new
+    if base_labels.shape != (base_size,):
         raise InferenceError(
-            f"base_labels shape {base_labels.shape} does not fit an "
-            f"operator of {rows} rows")
-    return int(base_labels.shape[0])
+            f"base_labels shape {base_labels.shape} != ({base_size},): the "
+            f"operator has {rows} rows, {num_new} of them inductive")
+    return base_size
+
+
+def _inductive_rows(scores: np.ndarray, name: str, num_classes: int) -> int:
+    """``n``, the row count of the ``(n, C)`` inductive ``scores``."""
+    if scores.ndim != 2 or scores.shape[1] != num_classes:
+        raise InferenceError(
+            f"{name} shape {scores.shape} is not (n, {num_classes})")
+    return scores.shape[0]
 
 
 def propagate_scores(operator, initial: np.ndarray,
@@ -61,7 +71,7 @@ def propagate_scores(operator, initial: np.ndarray,
 
 
 def label_propagation(operator, base_labels: np.ndarray,
-                      num_classes: int, prior: np.ndarray | None = None,
+                      num_classes: int, prior: np.ndarray,
                       alpha: float = 0.8, iterations: int = 20) -> np.ndarray:
     """Propagate base labels to the attached inductive nodes.
 
@@ -71,29 +81,23 @@ def label_propagation(operator, base_labels: np.ndarray,
         ``(B+n, B+n)`` normalized adjacency of the attached graph, the
         ``n`` inductive nodes last.
     base_labels:
-        ``(B,)`` integer labels of the base (original or synthetic) nodes;
-        their count is ``B``.
+        ``(B,)`` integer labels of the base (original or synthetic) nodes.
     prior:
-        Optional ``(n, C)`` prior scores for the inductive rows (the GNN's
-        softmax output); zeros when omitted (pure LP).
+        ``(n, C)`` prior scores for the inductive rows (the GNN's softmax
+        output; zeros for pure LP); its row count is ``n``.
 
     Returns
     -------
     ``(n, C)`` propagated scores for the inductive rows.
     """
     base_labels = np.asarray(base_labels, dtype=np.int64)
-    base_size = _base_size(operator, base_labels)
-    num_nodes = operator.shape[0]
+    prior = np.asarray(prior, dtype=np.float64)
+    num_new = _inductive_rows(prior, "prior", num_classes)
+    base_size = _base_size(operator, base_labels, num_new)
     clamp_values = one_hot(base_labels, num_classes)
-    initial = np.zeros((num_nodes, num_classes), dtype=np.float64)
+    initial = np.zeros((operator.shape[0], num_classes), dtype=np.float64)
     initial[:base_size] = clamp_values
-    if prior is not None:
-        prior = np.asarray(prior, dtype=np.float64)
-        if prior.shape != (num_nodes - base_size, num_classes):
-            raise InferenceError(
-                f"prior shape {prior.shape} != "
-                f"({num_nodes - base_size}, {num_classes})")
-        initial[base_size:] = prior
+    initial[base_size:] = prior
     scores = propagate_scores(operator, initial,
                               clamp_rows=np.arange(base_size),
                               clamp_values=clamp_values,

@@ -40,7 +40,8 @@ class TestLabelPropagation:
         operator = two_cluster_operator()
         base_labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         scores = label_propagation(operator, base_labels, 2,
-                                   alpha=0.9, iterations=30)
+                                   prior=np.zeros((2, 2)), alpha=0.9,
+                                   iterations=30)
         assert scores.shape == (2, 2)
         assert scores[0].argmax() == 0
         assert scores[1].argmax() == 1
@@ -55,10 +56,12 @@ class TestLabelPropagation:
         assert scores[0, 1] > scores[0, 0]
 
     def test_label_length_validation(self):
-        # the labels count the base rows: more labels than operator rows
+        # the prior counts the inductive rows; the labels must cover the rest
         operator = two_cluster_operator()
-        with pytest.raises(InferenceError):
-            label_propagation(operator, np.zeros(11, dtype=int), 2)
+        for count in (3, 11):
+            with pytest.raises(InferenceError):
+                label_propagation(operator, np.zeros(count, dtype=int), 2,
+                                  prior=np.zeros((2, 2)))
 
     def test_prior_shape_validation(self):
         operator = two_cluster_operator()
@@ -69,7 +72,8 @@ class TestLabelPropagation:
     def test_alpha_validation(self):
         operator = two_cluster_operator()
         with pytest.raises(InferenceError):
-            label_propagation(operator, np.zeros(8, dtype=int), 2, alpha=1.0)
+            label_propagation(operator, np.zeros(8, dtype=int), 2,
+                              prior=np.zeros((2, 2)), alpha=1.0)
 
     def test_clamping_preserves_base_scores(self):
         operator = two_cluster_operator()
